@@ -52,8 +52,11 @@ race:
 # One iteration of the worker-count ablation: proves the parallel scan path
 # executes end to end. Speedup itself is hardware-dependent (bounded by
 # GOMAXPROCS) and is read off full -benchtime runs, not this smoke pass.
+# The layer benchmarks for the per-dial geography path (geo lookup, censor
+# verdict) run once here too; hostbench's probes measure them in the study.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkParallelScan' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkGeoLookup|BenchmarkCensorDecide' -benchtime=1x ./internal/geo ./internal/netsim
 
 # One iteration of the curated perf set through cmd/doebench: proves the
 # harness parses every benchmark it tracks. Real measurements and the

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -164,45 +164,74 @@ func (m *RTTModel) RTTMillis(from, to string) float64 {
 	return rtt
 }
 
-// Registry maps IPv4 prefixes to Locations, longest prefix first.
+// Registry maps address prefixes (IPv4 or IPv6) to Locations and answers
+// longest-prefix-match lookups. The answer for an address is the
+// registration with the longest prefix covering it; registration order
+// only matters for identical prefixes, where the first registration wins.
+//
+// Every dial asks the registry where both ends are (netsim's path RTT and
+// censor policies, the fault injector's region gate), so Lookup is a hot
+// path: it probes one map per distinct registered prefix length, longest
+// first, instead of scanning every prefix.
 type Registry struct {
 	mu       sync.RWMutex
-	prefixes []prefixEntry
-	sorted   bool
+	levels   []level // one per distinct prefix length, longest first
 	fallback func(netip.Addr) (Location, bool)
 }
 
-type prefixEntry struct {
-	prefix netip.Prefix
-	loc    Location
+// level holds the registrations of one prefix length, keyed by the masked
+// prefix address. IPv4 and IPv6 prefixes of the same length share a level;
+// their keys never collide because an Addr carries its family.
+type level struct {
+	bits int
+	locs map[netip.Addr]Location
 }
 
-// Register associates every address in prefix with loc. Later registrations
-// of longer prefixes override shorter ones.
+// Register associates every address in prefix with loc. A longer prefix
+// overrides a shorter one whatever the registration order; registering an
+// identical prefix again is a no-op, so the first registration wins. Invalid
+// prefixes never match, so they are not stored.
 func (r *Registry) Register(prefix netip.Prefix, loc Location) {
+	prefix = prefix.Masked()
+	if !prefix.IsValid() {
+		return
+	}
+	bits := prefix.Bits()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.prefixes = append(r.prefixes, prefixEntry{prefix.Masked(), loc})
-	r.sorted = false
+	i, found := slices.BinarySearchFunc(r.levels, bits, func(l level, bits int) int { return bits - l.bits })
+	if !found {
+		r.levels = slices.Insert(r.levels, i, level{bits: bits, locs: make(map[netip.Addr]Location)})
+	}
+	if _, dup := r.levels[i].locs[prefix.Addr()]; !dup {
+		r.levels[i].locs[prefix.Addr()] = loc
+	}
 }
 
-// Lookup returns the most specific registration covering ip.
+// Lookup returns the most specific registration covering ip, or the
+// fallback's answer when none does. As with netip.Prefix.Contains, an
+// address with a zone matches no prefix, and an IPv4-mapped IPv6 address
+// matches only IPv6 prefixes.
+//
+//doelint:hotpath
 func (r *Registry) Lookup(ip netip.Addr) (Location, bool) {
-	r.mu.Lock()
-	if !r.sorted {
-		sort.SliceStable(r.prefixes, func(i, j int) bool {
-			return r.prefixes[i].prefix.Bits() > r.prefixes[j].prefix.Bits()
-		})
-		r.sorted = true
-	}
-	entries := r.prefixes
-	r.mu.Unlock()
-	for _, e := range entries {
-		if e.prefix.Contains(ip) {
-			return e.loc, true
+	r.mu.RLock()
+	if ip.IsValid() && ip.Zone() == "" {
+		for _, l := range r.levels {
+			if l.bits > ip.BitLen() {
+				continue
+			}
+			// Cannot fail: bits is within the address's length.
+			p, _ := ip.Prefix(l.bits)
+			if loc, ok := l.locs[p.Addr()]; ok {
+				r.mu.RUnlock()
+				return loc, true
+			}
 		}
 	}
-	if fb := r.fallbackFn(); fb != nil {
+	fb := r.fallback
+	r.mu.RUnlock()
+	if fb != nil {
 		return fb(ip)
 	}
 	return Location{}, false
@@ -218,12 +247,6 @@ func (r *Registry) SetFallback(fn func(netip.Addr) (Location, bool)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.fallback = fn
-}
-
-func (r *Registry) fallbackFn() func(netip.Addr) (Location, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fallback
 }
 
 // Country is a convenience wrapper around Lookup returning only the country

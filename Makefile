@@ -17,15 +17,29 @@ GO ?= go
 # here; the faults chaos suite keeps its full-fat race pass below.
 RACE_PKGS := ./internal/...
 
-# Fuzz targets hardened against panics; fuzz-smoke runs each briefly so a
-# codec regression that panics on malformed wire input fails the gate.
-FUZZ_PKG := ./internal/dnswire
-FUZZ_TARGETS := FuzzParseMessage FuzzParseName FuzzRData FuzzAppendTCP FuzzDoQFrame FuzzQUICVarint
+# Fuzz targets, as package:target pairs; fuzz-smoke runs each briefly. The
+# dnswire targets are hardened against panics, so a codec regression that
+# panics on malformed wire input fails the gate; netsim's checks that the
+# lazily seeded per-flow source draws exactly what math/rand would.
+FUZZ_TARGETS := \
+	./internal/dnswire:FuzzParseMessage \
+	./internal/dnswire:FuzzParseName \
+	./internal/dnswire:FuzzRData \
+	./internal/dnswire:FuzzAppendTCP \
+	./internal/dnswire:FuzzDoQFrame \
+	./internal/dnswire:FuzzQUICVarint \
+	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+.PHONY: verify fmt build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
 
-verify: build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+verify: fmt build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+
+# gofmt over tracked files only, so build output such as .bench_build/ is
+# never scanned.
+fmt:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -52,11 +66,12 @@ race:
 # One iteration of the worker-count ablation: proves the parallel scan path
 # executes end to end. Speedup itself is hardware-dependent (bounded by
 # GOMAXPROCS) and is read off full -benchtime runs, not this smoke pass.
-# The layer benchmarks for the per-dial geography path (geo lookup, censor
-# verdict) run once here too; hostbench's probes measure them in the study.
+# The layer benchmarks for the per-dial path (geo lookup, censor verdict,
+# one connection's life, per-flow RNG seeding) run once here too;
+# hostbench's probes measure the dial path in the study.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkParallelScan' -benchtime=1x .
-	$(GO) test -run=NONE -bench='BenchmarkGeoLookup|BenchmarkCensorDecide' -benchtime=1x ./internal/geo ./internal/netsim
+	$(GO) test -run=NONE -bench='BenchmarkGeoLookup|BenchmarkCensorDecide|BenchmarkConnPair|BenchmarkNewSource' -benchtime=1x ./internal/geo ./internal/netsim
 
 # One iteration of the curated perf set through cmd/doebench: proves the
 # harness parses every benchmark it tracks. Real measurements and the
@@ -66,9 +81,10 @@ bench:
 	$(GO) run ./cmd/doebench -smoke
 
 fuzz-smoke:
-	@for target in $(FUZZ_TARGETS); do \
-		echo "fuzz $$target ($(FUZZTIME))"; \
-		$(GO) test $(FUZZ_PKG) -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \
+	@for pair in $(FUZZ_TARGETS); do \
+		pkg=$${pair%%:*}; target=$${pair##*:}; \
+		echo "fuzz $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \
 	done
 
 # Telemetry end-to-end gate: run the miniature study with tracing on,

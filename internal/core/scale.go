@@ -9,8 +9,8 @@ import (
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/doh"
-	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/doq"
+	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
 	"dnsencryption.info/doe/internal/proxy"

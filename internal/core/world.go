@@ -392,13 +392,13 @@ func (s *Study) buildPublicResolvers() error {
 	var q9mu sync.Mutex
 	q9rngs := make(map[netip.Addr]*rand.Rand)
 	q9rngFor := func(remote netip.Addr) *rand.Rand {
-		h := fnv.New64a()
-		b, _ := remote.MarshalBinary()
-		h.Write(b)
 		if r, ok := q9rngs[remote]; ok {
 			return r
 		}
-		r := rand.New(rand.NewSource(s.Seed + 105 + int64(h.Sum64()>>1)))
+		h := fnv.New64a()
+		b, _ := remote.MarshalBinary()
+		h.Write(b)
+		r := rand.New(netsim.NewSource(s.Seed + 105 + int64(h.Sum64()>>1)))
 		q9rngs[remote] = r
 		return r
 	}

@@ -506,7 +506,7 @@ func (s *Server) answerStreams(from netip.Addr, clientCID [dnswire.QUICCIDLen]by
 		var sid [8]byte
 		binary.BigEndian.PutUint64(sid[:], answers[0].streamID)
 		seed.Write(sid[:])
-		rng := rand.New(rand.NewSource(int64(seed.Sum64()))) //nolint:gosec // deterministic shuffle, not security
+		rng := rand.New(netsim.NewSource(int64(seed.Sum64()))) //nolint:gosec // deterministic shuffle, not security
 		rng.Shuffle(len(answers), func(i, j int) { answers[i], answers[j] = answers[j], answers[i] })
 	}
 	out, err := dnswire.AppendQUICHeader(nil, dnswire.QUICHeader{Type: dnswire.QUICOneRTT, DCID: clientCID[:]})

@@ -183,7 +183,7 @@ func (i *Injector) draws(k flowKey, n int) ([]float64, int) {
 	defer i.mu.Unlock()
 	st, ok := i.flows[k]
 	if !ok {
-		st = &flowState{rng: rand.New(rand.NewSource(i.tupleSeed(k)))}
+		st = &flowState{rng: rand.New(netsim.NewSource(i.tupleSeed(k)))}
 		i.flows[k] = st
 	}
 	st.attempts++

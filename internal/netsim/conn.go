@@ -295,8 +295,8 @@ func Pair(client, server Addr, rtt time.Duration, rng *rand.Rand, jitterFrac flo
 	ab := newBuffer(l) // client -> server
 	ba := newBuffer(l) // server -> client
 	if rng != nil && jitterFrac > 0 {
-		ab.jitterRNG = rand.New(rand.NewSource(rng.Int63()))
-		ba.jitterRNG = rand.New(rand.NewSource(rng.Int63()))
+		ab.jitterRNG = rand.New(NewSource(rng.Int63()))
+		ba.jitterRNG = rand.New(NewSource(rng.Int63()))
 		ab.jitterFrac = jitterFrac
 		ba.jitterFrac = jitterFrac
 	}

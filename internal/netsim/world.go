@@ -309,7 +309,7 @@ func (w *World) flowRNG(from, to netip.Addr, port uint16) *rand.Rand {
 	h.Write(b)
 	binary.BigEndian.PutUint64(buf[:], uint64(port))
 	h.Write(buf[:])
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(NewSource(int64(h.Sum64())))
 }
 
 func (w *World) decide(from, to netip.Addr, port uint16, proto Proto) Verdict {

@@ -126,7 +126,7 @@ func (m *VantageModel) Location(i int) geo.Location {
 	if i < 0 || i >= VantageCapacity {
 		panic(fmt.Sprintf("workload: vantage index %d outside [0, %d)", i, VantageCapacity))
 	}
-	cc := m.ccs[m.pick(int(m.hash(i, 0) % uint64(m.total)))]
+	cc := m.ccs[m.pick(int(m.hash(i, 0)%uint64(m.total)))]
 	asn := 30000 + int(m.hash(i, 1)%500)
 	asName := fmt.Sprintf("%s Residential ISP %d", cc, asn%37)
 	// The same Table 5/6 AS names the materialized pool gives these

@@ -31,9 +31,9 @@ FUZZ_TARGETS := \
 	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+.PHONY: verify fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke
 
-verify: fmt build vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+verify: fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke
 
 # gofmt over tracked files only, so build output such as .bench_build/ is
 # never scanned.
@@ -46,6 +46,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# hostbench is a nested module, so the root ./... never compiles it: a
+# change to an API it calls would break the benchmark with build and vet
+# still green. Type-check it on its own.
+hostbench-vet:
+	$(GO) -C hostbench vet ./...
 
 # The interprocedural suite runs against the committed baseline (which the
 # repository keeps empty — see DESIGN.md §10) and writes a SARIF log for CI

@@ -208,11 +208,12 @@ func BenchmarkTable7NoReuse(b *testing.B) {
 	v := core.ControlledVantages[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sample, err := vantage.MeasureNoReuse(s.World, v.Label, v.Addr, s.Targets[0], core.ProbeZone, s.Roots, 3)
+		sample, err := vantage.MeasureNoReuseContext(context.Background(), s.World, v.Label, v.Addr, s.Targets[0], core.ProbeZone, s.Roots, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(sample.DoTOverheadMS(), "dot-overhead-ms")
+		oh, _ := sample.Medians.OverheadMS(vantage.Leg{Proto: vantage.ProtoDoT, Mode: vantage.ModeFresh})
+		b.ReportMetric(oh, "dot-overhead-ms")
 	}
 }
 
@@ -223,11 +224,12 @@ func BenchmarkFig9CountryPerf(b *testing.B) {
 	node := cleanNode(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sample, err := s.GlobalPlatform.MeasurePerformance(node, s.Targets[0], 5)
+		sample, err := s.GlobalPlatform.MeasurePerformanceContext(context.Background(), node, s.Targets[0], 5)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(sample.DoTOverheadMS(), "dot-overhead-ms")
+		oh, _ := sample.Medians.OverheadMS(vantage.Leg{Proto: vantage.ProtoDoT, Mode: vantage.ModeReused})
+		b.ReportMetric(oh, "dot-overhead-ms")
 	}
 }
 

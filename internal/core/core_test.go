@@ -235,7 +235,8 @@ func TestPerfShapes(t *testing.T) {
 	if len(samples) < s.PerfNodes/2 {
 		t.Fatalf("perf samples = %d", len(samples))
 	}
-	dotAvg, _, dohAvg, _ := vantage.GlobalOverheads(samples)
+	dotAvg, _ := vantage.GlobalOverhead(samples, leg(vantage.ProtoDoT, vantage.ModeReused))
+	dohAvg, _ := vantage.GlobalOverhead(samples, leg(vantage.ProtoDoH, vantage.ModeReused))
 	// Key observation 3: with reuse, overhead is a few milliseconds.
 	if dotAvg < 0 || dotAvg > 30 {
 		t.Errorf("global DoT overhead = %.1f ms (want small positive)", dotAvg)
@@ -246,7 +247,7 @@ func TestPerfShapes(t *testing.T) {
 	// DoQ lands in the same few-millisecond band, but on the cheap side of
 	// clear-text: the UDP flight skips the TCP handshake the DNS baseline
 	// pays, so a small negative overhead is the expected shape.
-	doqAvg, _, _ := vantage.GlobalDoQOverheads(samples)
+	doqAvg, _ := vantage.GlobalOverhead(samples, leg(vantage.ProtoDoQ, vantage.ModeReused))
 	if doqAvg < -30 || doqAvg > 30 {
 		t.Errorf("global DoQ overhead = %.1f ms (want small magnitude)", doqAvg)
 	}

@@ -444,8 +444,8 @@ func runTable7(s *Study) (string, error) {
 		err    error
 	}
 	// Under fault injection the transports carry the retry budget; failed
-	// queries are skipped inside MeasureNoReuse, so a lossy path thins the
-	// sample instead of sinking the vantage.
+	// queries are skipped inside MeasureNoReuseContext, so a lossy path
+	// thins the sample instead of sinking the vantage.
 	opts := s.transportOptions()
 	rows, _ := runner.MapCtx(obs.WithPool(s.obsCtx(), "noreuse"), s.Workers, len(ControlledVantages),
 		func(ctx context.Context, i int) table7Row {
@@ -458,17 +458,25 @@ func runTable7(s *Study) (string, error) {
 		if row.err != nil {
 			return "", fmt.Errorf("vantage %s: %w", ControlledVantages[i].Label, row.err)
 		}
+		m := row.sample.Medians
+		cell := func(p vantage.Proto, format string) string {
+			oh, _ := m.OverheadMS(leg(p, vantage.ModeFresh))
+			return fmt.Sprintf(format, m[leg(p, vantage.ModeFresh)], oh)
+		}
 		// DoQ's no-reuse column is softer than DoT/DoH's: only the first
 		// dial pays the 1-RTT handshake, later dials resume 0-RTT from the
 		// shared session cache — the overhead reflects QUIC resumption.
 		t.AddRow(ControlledVantages[i].Label,
-			fmt.Sprintf("%.1f", row.sample.DNSMedianMS),
-			fmt.Sprintf("%.1f (+%.1f)", row.sample.DoTMedianMS, row.sample.DoTOverheadMS()),
-			fmt.Sprintf("%.1f (+%.1f)", row.sample.DoHMedianMS, row.sample.DoHOverheadMS()),
-			fmt.Sprintf("%.1f (%+.1f)", row.sample.DoQMedianMS, row.sample.DoQOverheadMS()))
+			fmt.Sprintf("%.1f", m[leg(vantage.ProtoDNS, vantage.ModeFresh)]),
+			cell(vantage.ProtoDoT, "%.1f (+%.1f)"),
+			cell(vantage.ProtoDoH, "%.1f (+%.1f)"),
+			cell(vantage.ProtoDoQ, "%.1f (%+.1f)"))
 	}
 	return t.Render(), nil
 }
+
+// leg names one vantage timing pass.
+func leg(p vantage.Proto, m vantage.Mode) vantage.Leg { return vantage.Leg{Proto: p, Mode: m} }
 
 func runFig9(s *Study) (string, error) {
 	samples := s.PerfSamples()
@@ -477,22 +485,31 @@ func runFig9(s *Study) (string, error) {
 		Title:   "Figure 9: Query performance per country (overheads vs clear-text DNS, ms)",
 		Columns: []string{"CC", "Clients", "DoT avg", "DoT median", "DoH avg", "DoH median", "DoQ avg", "DoQ median", "DoT mux", "DoH mux", "DoQ mux"},
 	}
+	serial := []vantage.Leg{leg(vantage.ProtoDoT, vantage.ModeReused), leg(vantage.ProtoDoH, vantage.ModeReused),
+		leg(vantage.ProtoDoQ, vantage.ModeReused)}
+	mux := []vantage.Leg{leg(vantage.ProtoDoT, vantage.ModeMux), leg(vantage.ProtoDoH, vantage.ModeMux),
+		leg(vantage.ProtoDoQ, vantage.ModeMux)}
 	for _, c := range agg {
-		t.AddRow(c.Country, c.Clients,
-			fmt.Sprintf("%+.1f", c.DoTAvgMS), fmt.Sprintf("%+.1f", c.DoTMedianMS),
-			fmt.Sprintf("%+.1f", c.DoHAvgMS), fmt.Sprintf("%+.1f", c.DoHMedianMS),
-			fmt.Sprintf("%+.1f", c.DoQAvgMS), fmt.Sprintf("%+.1f", c.DoQMedianMS),
-			fmt.Sprintf("%+.1f", c.DoTMuxMedianMS), fmt.Sprintf("%+.1f", c.DoHMuxMedianMS),
-			fmt.Sprintf("%+.1f", c.DoQMuxMedianMS))
+		row := []any{c.Country, c.Clients}
+		for _, l := range serial {
+			row = append(row, fmt.Sprintf("%+.1f", c.AvgMS[l]), fmt.Sprintf("%+.1f", c.MedianMS[l]))
+		}
+		for _, l := range mux {
+			row = append(row, fmt.Sprintf("%+.1f", c.MedianMS[l]))
+		}
+		t.AddRow(row...)
 	}
-	dotAvg, dotMed, dohAvg, dohMed := vantage.GlobalOverheads(samples)
+	dotAvg, dotMed := vantage.GlobalOverhead(samples, serial[0])
+	dohAvg, dohMed := vantage.GlobalOverhead(samples, serial[1])
 	out := t.Render()
 	out += fmt.Sprintf("global overhead — DoT: %+.1f/%+.1f ms (avg/med), DoH: %+.1f/%+.1f ms (avg/med), clients: %d\n",
 		dotAvg, dotMed, dohAvg, dohMed, len(samples))
-	doqAvg, doqMed, doqMux := vantage.GlobalDoQOverheads(samples)
+	doqAvg, doqMed := vantage.GlobalOverhead(samples, serial[2])
+	_, doqMux := vantage.GlobalOverhead(samples, mux[2])
 	out += fmt.Sprintf("global overhead — DoQ: %+.1f/%+.1f ms (avg/med), mux median: %+.1f ms\n",
 		doqAvg, doqMed, doqMux)
-	mDotAvg, mDotMed, mDohAvg, mDohMed := vantage.GlobalMuxOverheads(samples)
+	mDotAvg, mDotMed := vantage.GlobalOverhead(samples, mux[0])
+	mDohAvg, mDohMed := vantage.GlobalOverhead(samples, mux[1])
 	out += fmt.Sprintf("multiplexed (inflight=%d) — DoT: %+.1f/%+.1f ms (avg/med), DoH: %+.1f/%+.1f ms (avg/med)\n",
 		s.MuxInFlight, mDotAvg, mDotMed, mDohAvg, mDohMed)
 	return out, nil
@@ -503,13 +520,15 @@ func runFig10(s *Study) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure 10: Per-client query time (ms): DNS vs DoT and DNS vs DoH\n")
 	b.WriteString("node            cc  dns      dot      doh\n")
-	for _, sm := range samples {
-		fmt.Fprintf(&b, "%-15s %-3s %-8.1f %-8.1f %-8.1f\n",
-			sm.NodeID, sm.Country, sm.DNSMedianMS, sm.DoTMedianMS, sm.DoHMedianMS)
-	}
+	dns, dot, doh := leg(vantage.ProtoDNS, vantage.ModeReused), leg(vantage.ProtoDoT, vantage.ModeReused),
+		leg(vantage.ProtoDoH, vantage.ModeReused)
 	near := 0
 	for _, sm := range samples {
-		if absF(sm.DoTOverheadMS()) <= 10 && absF(sm.DoHOverheadMS()) <= 10 {
+		m := sm.Medians
+		fmt.Fprintf(&b, "%-15s %-3s %-8.1f %-8.1f %-8.1f\n", sm.NodeID, sm.Country, m[dns], m[dot], m[doh])
+		dotOH, _ := m.OverheadMS(dot)
+		dohOH, _ := m.OverheadMS(doh)
+		if absF(dotOH) <= 10 && absF(dohOH) <= 10 {
 			near++
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
+	"dnsencryption.info/doe/internal/proxy"
 	"dnsencryption.info/doe/internal/resolver"
 	"dnsencryption.info/doe/internal/runner"
 )
@@ -134,18 +135,16 @@ func runLocalDoT(s *Study) (string, error) {
 		b := node.Addr.As4()
 		b[3] = 53
 		lr := netip.AddrFrom4(b)
-		tunnel, err := s.Global.Dial(s.GlobalPlatform.From, node.ID, lr, dot.Port)
+		// The resolver's default Opportunistic profile: a local resolver
+		// with any certificate counts as DoT-capable.
+		exit := proxy.ExitDialer{Network: s.Global, From: s.GlobalPlatform.From, NodeID: node.ID}
+		ctx := s.obsCtx()
+		sess, err := resolver.NewVia(exit, s.Roots).Dial(ctx, resolver.ProtoDoT, resolver.Endpoint{Addr: lr})
 		if err != nil {
 			return localProbe{}
 		}
-		client := dot.NewClient(nil, s.GlobalPlatform.From, s.Roots, dot.Opportunistic)
-		conn, err := client.DialConn(tunnel)
-		if err != nil {
-			return localProbe{}
-		}
-		sess := resolver.DoTSession(conn)
 		q := dnswire.NewQuery(0, s.GlobalPlatform.UniqueName(node.ID+"-local"), dnswire.TypeA)
-		m, err := sess.Exchange(s.obsCtx(), q)
+		m, err := sess.Exchange(ctx, q)
 		sess.Close()
 		if err != nil || m.Rcode != dnswire.RcodeSuccess {
 			return localProbe{}

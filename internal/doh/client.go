@@ -194,14 +194,9 @@ func (c *Client) DialContext(ctx context.Context, t Template, addr netip.Addr) (
 	return c.DialConnContext(ctx, t, raw)
 }
 
-// DialConn establishes a DoH session over an already connected stream
-// (e.g. a SOCKS tunnel through a proxy network vantage point).
-func (c *Client) DialConn(t Template, raw *netsim.Conn) (*Conn, error) {
-	return c.DialConnContext(context.Background(), t, raw)
-}
-
 // DialConnContext establishes a DoH session over an already connected
-// stream, bounded by the context deadline if one is set.
+// stream (e.g. a SOCKS tunnel through a proxy network vantage point),
+// bounded by the context deadline if one is set.
 func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Conn) (*Conn, error) {
 	if err := ctx.Err(); err != nil {
 		raw.Close()

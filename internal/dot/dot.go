@@ -190,14 +190,9 @@ func (c *Client) DialContext(ctx context.Context, server netip.Addr) (*Conn, err
 	return c.DialConnContext(ctx, raw)
 }
 
-// DialConn establishes a DoT session over an already connected stream
-// (e.g. a SOCKS tunnel through a proxy network vantage point).
-func (c *Client) DialConn(raw *netsim.Conn) (*Conn, error) {
-	return c.DialConnContext(context.Background(), raw)
-}
-
 // DialConnContext establishes a DoT session over an already connected
-// stream, bounded by the context deadline if one is set.
+// stream (e.g. a SOCKS tunnel through a proxy network vantage point),
+// bounded by the context deadline if one is set.
 func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, error) {
 	if err := ctx.Err(); err != nil {
 		raw.Close()

@@ -238,3 +238,25 @@ func (n *Network) Dial(from netip.Addr, nodeID string, target netip.Addr, port u
 	}
 	return conn, nil
 }
+
+// ExitDialer opens raw transports through exit node NodeID on behalf of the
+// measurement client at From: streams are Dial's CONNECT tunnels, datagrams
+// ride DialDatagram's relay. It is the exit-node resolver.Dialer, so a
+// resolver.Client built over it runs every protocol from the node's vantage
+// point. Session handshakes replace the tunnel's real-time watchdog with the
+// session's own deadline rule.
+type ExitDialer struct {
+	Network *Network
+	From    netip.Addr
+	NodeID  string
+}
+
+// DialStream tunnels to addr:port through the exit node.
+func (d ExitDialer) DialStream(addr netip.Addr, port uint16) (*netsim.Conn, error) {
+	return d.Network.Dial(d.From, d.NodeID, addr, port)
+}
+
+// DialDatagram relays datagrams to addr:port through the exit node.
+func (d ExitDialer) DialDatagram(addr netip.Addr, port uint16) (func(req []byte) ([]byte, time.Duration, error), error) {
+	return d.Network.DialDatagram(d.From, d.NodeID, addr, port)
+}

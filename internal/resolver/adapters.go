@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"context"
+	"crypto/x509"
 	"net/netip"
 	"sync"
 	"time"
@@ -32,11 +33,12 @@ func (u udpExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnsw
 	return res.Msg, nil
 }
 
-// TCPSession adapts an established DNS-over-TCP connection (possibly riding
-// a SOCKS tunnel via dnsclient.TCPFromConn) to the unified API.
-func TCPSession(conn *dnsclient.TCPConn) Session { return tcpSession{conn} }
-
-type tcpSession struct{ conn *dnsclient.TCPConn }
+// tcpSession adapts an established DNS-over-TCP connection to the unified
+// API; mux is its pipeline when dialed with WithMaxInFlight.
+type tcpSession struct {
+	conn *dnsclient.TCPConn
+	mux  *dnsclient.Mux
+}
 
 func (s tcpSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
 	name, qtype, err := Question(msg)
@@ -50,16 +52,30 @@ func (s tcpSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 	return res.Msg, nil
 }
 
+func (s tcpSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
+	return muxBatch(ctx, s.mux, names, qtype, out)
+}
+
 func (s tcpSession) Close() error                { return s.conn.Close() }
 func (s tcpSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
 func (s tcpSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
 
-// DoTSession adapts an established DoT session to the unified API. The
-// underlying conn stays available for transport-specific inspection
-// (certificates, verification outcome).
-func DoTSession(conn *dot.Conn) Session { return dotSession{conn} }
+// muxBatch is Batch for the pipelined stream sessions (TCP, DoT).
+func muxBatch(ctx context.Context, m *dnsclient.Mux, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
+	if m == nil {
+		return out, errSerialBatch
+	}
+	return m.Batch(ctx, names, qtype, out)
+}
 
-type dotSession struct{ conn *dot.Conn }
+// dotSession adapts an established DoT session to the unified API; mux is
+// its pipeline when dialed with WithMaxInFlight. PeerCertificates and
+// VerifyError expose the handshake's evidence: under the Opportunistic
+// profile a session proceeds past a chain that fails verification.
+type dotSession struct {
+	conn *dot.Conn
+	mux  *dnsclient.Mux
+}
 
 func (s dotSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
 	name, qtype, err := Question(msg)
@@ -73,13 +89,17 @@ func (s dotSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 	return res.Msg, nil
 }
 
-func (s dotSession) Close() error                { return s.conn.Close() }
-func (s dotSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s dotSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
+func (s dotSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
+	return muxBatch(ctx, s.mux, names, qtype, out)
+}
 
-// DoHSession adapts an established DoH session to the unified API.
-func DoHSession(conn *doh.Conn) Session { return dohSession{conn} }
+func (s dotSession) Close() error                          { return s.conn.Close() }
+func (s dotSession) SetupLatency() time.Duration           { return s.conn.SetupLatency() }
+func (s dotSession) Elapsed() time.Duration                { return s.conn.Elapsed() }
+func (s dotSession) PeerCertificates() []*x509.Certificate { return s.conn.PeerCertificates() }
+func (s dotSession) VerifyError() error                    { return s.conn.VerifyError() }
 
+// dohSession adapts an established DoH session to the unified API.
 type dohSession struct{ conn *doh.Conn }
 
 func (s dohSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
@@ -94,15 +114,17 @@ func (s dohSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 	return res.Msg, nil
 }
 
+func (s dohSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
+	return s.conn.BatchContext(ctx, names, qtype, out)
+}
+
 func (s dohSession) Close() error                { return s.conn.Close() }
 func (s dohSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
 func (s dohSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
 
-// DoQSession adapts an established DoQ session to the unified API. The
-// underlying conn stays available for transport-specific inspection
-// (certificates, verification outcome, 0-RTT resumption).
-func DoQSession(conn *doq.Conn) Session { return doqSession{conn} }
-
+// doqSession adapts an established DoQ session to the unified API, exposing
+// the handshake's evidence like dotSession (a 0-RTT session carries the
+// outcome of the handshake that minted its ticket).
 type doqSession struct{ conn *doq.Conn }
 
 func (s doqSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
@@ -117,9 +139,15 @@ func (s doqSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 	return res.Msg, nil
 }
 
-func (s doqSession) Close() error                { return s.conn.Close() }
-func (s doqSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s doqSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
+func (s doqSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
+	return s.conn.BatchContext(ctx, names, qtype, out)
+}
+
+func (s doqSession) Close() error                          { return s.conn.Close() }
+func (s doqSession) SetupLatency() time.Duration           { return s.conn.SetupLatency() }
+func (s doqSession) Elapsed() time.Duration                { return s.conn.Elapsed() }
+func (s doqSession) PeerCertificates() []*x509.Certificate { return s.conn.PeerCertificates() }
+func (s doqSession) VerifyError() error                    { return s.conn.VerifyError() }
 
 // DNSCrypt adapts a dnscrypt client to the unified API. The client's
 // certificate must already be fetched (FetchCertContext); exchanges on an

@@ -13,9 +13,10 @@
 // friendliness). The ID on the message passed to Exchange is therefore
 // advisory, and the returned message carries whatever ID the transport used.
 //
-// Stream sessions are dialed through one entry point, Dial, keyed by a Proto
-// value; with WithMaxInFlight the session pipelines (TCP/DoT, RFC 7766 §6.2.1)
-// or multiplexes streams (DoH over HTTP/2, DoQ over QUIC), and Exchange may
+// Sessions are dialed through one entry point, Dial, keyed by a Proto value
+// and run over the Client's Dialer (direct, or through a proxy exit node);
+// with WithMaxInFlight the session pipelines (TCP/DoT, RFC 7766 §6.2.1) or
+// multiplexes streams (DoH over HTTP/2, DoQ over QUIC), and Exchange may
 // then be called from many goroutines at once.
 package resolver
 
@@ -61,7 +62,18 @@ type Session interface {
 	SetupLatency() time.Duration
 	// Elapsed is the total virtual time the connection has consumed.
 	Elapsed() time.Duration
+	// Batch sends names as one coalesced burst — one pipelined write (TCP,
+	// DoT), one HTTP/2 burst (DoH), one QUIC flight (DoQ) — and appends the
+	// answers to out in names order. The Elapsed delta around a Batch,
+	// divided by len(names), is the amortized per-query latency of Fig. 9's
+	// multiplexed column. TCP, DoT and DoH sessions batch only when dialed
+	// with WithMaxInFlight.
+	Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error)
 }
+
+// errSerialBatch fails Batch on a TCP or DoT session dialed without
+// WithMaxInFlight.
+var errSerialBatch = errors.New("resolver: batch needs a session dialed WithMaxInFlight")
 
 // ErrNoQuestion is returned when Exchange is handed a message without a
 // question section.
@@ -129,7 +141,8 @@ type Endpoint struct {
 }
 
 // Options collects the cross-transport knobs. The zero value is not useful;
-// construct via New, which applies defaults before the functional options.
+// construct via New or NewVia, which apply defaults before the functional
+// options.
 type Options struct {
 	// Timeout is the per-transaction real-time guard (virtual latency is
 	// unaffected; this protects the test harness). Zero or negative — the
@@ -183,19 +196,43 @@ func WithPadding(on bool) Option { return func(o *Options) { o.Padding = on } }
 // See Options.MaxInFlight for what "in flight" means per protocol.
 func WithMaxInFlight(n int) Option { return func(o *Options) { o.MaxInFlight = n } }
 
-func applyOptions(opts []Option) Options {
-	o := Options{Reuse: true, Profile: dot.Opportunistic}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
+// Dialer opens the raw transports a Client's sessions ride on: a stream to
+// addr:port, or a datagram path to addr:port returned as the function that
+// exchanges one request for its response and virtual round-trip time (a
+// doq.ExchangeFunc). New dials from a fixed address of a simulated world;
+// a proxy.ExitDialer dials through one exit node of a proxy network.
+type Dialer interface {
+	DialStream(addr netip.Addr, port uint16) (*netsim.Conn, error)
+	DialDatagram(addr netip.Addr, port uint16) (func(req []byte) ([]byte, time.Duration, error), error)
 }
 
-// Client builds Exchangers over a simulated world from one vantage address.
+// worldDialer is New's Dialer: direct netsim dials from one address.
+type worldDialer struct {
+	w    *netsim.World
+	from netip.Addr
+}
+
+func (d worldDialer) DialStream(addr netip.Addr, port uint16) (*netsim.Conn, error) {
+	return d.w.Dial(d.from, addr, port)
+}
+
+func (d worldDialer) DialDatagram(addr netip.Addr, port uint16) (func(req []byte) ([]byte, time.Duration, error), error) {
+	return func(req []byte) ([]byte, time.Duration, error) {
+		return d.w.Exchange(d.from, addr, port, req)
+	}, nil
+}
+
+// ports maps each protocol to its server port (DoQ's is a UDP port).
+var ports = [...]uint16{ProtoTCP: 53, ProtoDoT: dot.Port, ProtoDoH: doh.Port, ProtoDoQ: doq.Port}
+
+// Client builds Exchangers from one vantage point. World and From are set by
+// New and serve the connectionless UDP exchanger; sessions open through the
+// Client's Dialer.
 type Client struct {
 	World *netsim.World
 	From  netip.Addr
 	Roots *x509.CertPool
+	dial  Dialer
 	opts  Options
 
 	// doqOnce/doqCache lazily hold the client-wide DoQ resumption cache:
@@ -206,9 +243,23 @@ type Client struct {
 	doqCache *doq.SessionCache
 }
 
-// New returns a Client with study defaults, adjusted by opts.
+// New returns a Client dialing directly from address from of world w, with
+// study defaults adjusted by opts.
 func New(w *netsim.World, from netip.Addr, roots *x509.CertPool, opts ...Option) *Client {
-	return &Client{World: w, From: from, Roots: roots, opts: applyOptions(opts)}
+	c := NewVia(worldDialer{w, from}, roots, opts...)
+	c.World, c.From = w, from
+	return c
+}
+
+// NewVia returns a Client whose sessions open through d — for example a
+// proxy.ExitDialer, so every protocol runs from an exit node's vantage
+// point. It has no World, so UDP is unavailable on it.
+func NewVia(d Dialer, roots *x509.CertPool, opts ...Option) *Client {
+	c := &Client{Roots: roots, dial: d, opts: Options{Reuse: true, Profile: dot.Opportunistic}}
+	for _, fn := range opts {
+		fn(&c.opts)
+	}
+	return c
 }
 
 func (c *Client) stub() *dnsclient.Client {
@@ -222,111 +273,106 @@ func (c *Client) UDP(server netip.Addr) Exchanger {
 	return udpExchanger{client: c.stub(), server: server}
 }
 
-// Dial opens a stream session to ep over protocol p, applying the Client's
-// options: timeout guard, DoT profile and padding, and — when MaxInFlight is
-// set — query pipelining (TCP, DoT) or HTTP/2 stream multiplexing (DoH).
-// The returned Session is safe for concurrent Exchange calls.
+// Dial opens a session to ep over protocol p through the Client's Dialer,
+// applying the Client's options: DoT profile and padding, and — when
+// MaxInFlight is set — query pipelining (TCP, DoT), HTTP/2 stream
+// multiplexing (DoH) or concurrent QUIC streams (DoQ). Every Dialer runs
+// the same steps: open the raw transport, bound a stream by the context's
+// deadline or the Timeout guard (no deadline when neither is set), then run
+// the protocol's handshake over it. Dialer errors come back unwrapped. The
+// returned Session is safe for concurrent Exchange calls.
 func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error) {
-	switch p {
-	case ProtoTCP:
-		conn, err := c.stub().DialTCPContext(ctx, ep.Addr)
+	if p < 0 || int(p) >= len(ports) {
+		return nil, fmt.Errorf("resolver: unknown protocol %v", p)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("resolver: dial %v: %w", p, err)
+	}
+	n := c.opts.MaxInFlight
+	if p == ProtoDoQ {
+		xchg, err := c.dial.DialDatagram(ep.Addr, ports[p])
 		if err != nil {
 			return nil, err
 		}
-		if n := c.opts.MaxInFlight; n > 0 {
-			conn.Pipeline(n)
+		qc := doq.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
+		qc.MaxInFlight = n
+		qc.SessionCache = c.doqSessionCache()
+		conn, err := qc.DialVia(ctx, ep.Addr, xchg)
+		if err != nil {
+			return nil, err
 		}
-		return TCPSession(conn), nil
+		return doqSession{conn}, nil
+	}
+	raw, err := c.dial.DialStream(ep.Addr, ports[p])
+	if err != nil {
+		return nil, err
+	}
+	raw.SetDeadline(dnsclient.Deadline(ctx, c.opts.Timeout))
+	switch p {
+	case ProtoTCP:
+		s := tcpSession{conn: dnsclient.TCPFromConn(raw)}
+		if n > 0 {
+			s.mux = s.conn.Pipeline(n)
+		}
+		return s, nil
 	case ProtoDoT:
 		dc := dot.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
 		dc.Timeout = c.opts.Timeout
 		dc.Pad = c.opts.Padding
-		conn, err := dc.DialContext(ctx, ep.Addr)
+		conn, err := dc.DialConnContext(ctx, raw)
 		if err != nil {
 			return nil, err
 		}
-		if n := c.opts.MaxInFlight; n > 0 {
-			conn.Pipeline(n)
+		s := dotSession{conn: conn}
+		if n > 0 {
+			s.mux = conn.Pipeline(n)
 		}
-		return DoTSession(conn), nil
-	case ProtoDoH:
+		return s, nil
+	default: // ProtoDoH
 		dc := doh.NewClient(c.World, c.From, c.Roots)
 		dc.Timeout = c.opts.Timeout
-		if n := c.opts.MaxInFlight; n > 0 {
-			dc.Mux = true
-			dc.MaxInFlight = n
-		}
-		conn, err := dc.DialContext(ctx, ep.Template, ep.Addr)
+		dc.Mux = n > 0
+		dc.MaxInFlight = n
+		conn, err := dc.DialConnContext(ctx, ep.Template, raw)
 		if err != nil {
 			return nil, err
 		}
-		return DoHSession(conn), nil
-	case ProtoDoQ:
-		qc := doq.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
-		qc.MaxInFlight = c.opts.MaxInFlight
-		qc.SessionCache = c.doqSessionCache()
-		conn, err := qc.DialContext(ctx, ep.Addr)
-		if err != nil {
-			return nil, err
-		}
-		return DoQSession(conn), nil
-	default:
-		return nil, fmt.Errorf("resolver: unknown protocol %v", p)
+		return dohSession{conn}, nil
 	}
 }
 
-// DialTCP opens a clear-text DNS-over-TCP session to server:53.
-//
-// Deprecated: use Dial(ctx, ProtoTCP, Endpoint{Addr: server}).
-func (c *Client) DialTCP(ctx context.Context, server netip.Addr) (Session, error) {
-	return c.Dial(ctx, ProtoTCP, Endpoint{Addr: server})
-}
-
-// DialDoT opens a DoT session to server:853 under the configured profile
-// and padding policy.
-//
-// Deprecated: use Dial(ctx, ProtoDoT, Endpoint{Addr: server}).
-func (c *Client) DialDoT(ctx context.Context, server netip.Addr) (Session, error) {
-	return c.Dial(ctx, ProtoDoT, Endpoint{Addr: server})
-}
-
-// DialDoH opens a DoH session for template t at the pinned address.
-//
-// Deprecated: use Dial(ctx, ProtoDoH, Endpoint{Addr: addr, Template: t}).
-func (c *Client) DialDoH(ctx context.Context, t doh.Template, addr netip.Addr) (Session, error) {
-	return c.Dial(ctx, ProtoDoH, Endpoint{Addr: addr, Template: t})
+// Transport returns a reuse-aware Transport for protocol p to ep; TCP, DoT,
+// DoH and DoQ are its per-protocol shorthands.
+func (c *Client) Transport(p Proto, ep Endpoint) *Transport {
+	return newTransport(c.opts, p.String(), func(ctx context.Context) (Session, error) {
+		return c.Dial(ctx, p, ep)
+	})
 }
 
 // TCP returns a reuse-aware Transport for clear-text DNS over TCP.
 func (c *Client) TCP(server netip.Addr) *Transport {
-	return c.transport(ProtoTCP, Endpoint{Addr: server})
+	return c.Transport(ProtoTCP, Endpoint{Addr: server})
 }
 
 // DoT returns a reuse-aware Transport for DNS over TLS.
 func (c *Client) DoT(server netip.Addr) *Transport {
-	return c.transport(ProtoDoT, Endpoint{Addr: server})
+	return c.Transport(ProtoDoT, Endpoint{Addr: server})
 }
 
 // DoH returns a reuse-aware Transport for DNS over HTTPS.
 func (c *Client) DoH(t doh.Template, addr netip.Addr) *Transport {
-	return c.transport(ProtoDoH, Endpoint{Addr: addr, Template: t})
+	return c.Transport(ProtoDoH, Endpoint{Addr: addr, Template: t})
 }
 
 // DoQ returns a reuse-aware Transport for DNS over QUIC.
 func (c *Client) DoQ(server netip.Addr) *Transport {
-	return c.transport(ProtoDoQ, Endpoint{Addr: server})
+	return c.Transport(ProtoDoQ, Endpoint{Addr: server})
 }
 
 // doqSessionCache returns the Client's shared DoQ resumption cache.
 func (c *Client) doqSessionCache() *doq.SessionCache {
 	c.doqOnce.Do(func() { c.doqCache = doq.NewSessionCache() })
 	return c.doqCache
-}
-
-func (c *Client) transport(p Proto, ep Endpoint) *Transport {
-	return newTransport(c.opts, p.String(), func(ctx context.Context) (Session, error) {
-		return c.Dial(ctx, p, ep)
-	})
 }
 
 // Transport is a connection-managing Exchanger. With reuse, the first

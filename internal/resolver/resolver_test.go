@@ -3,8 +3,10 @@ package resolver
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
+	"time"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnscrypt"
@@ -15,6 +17,7 @@ import (
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
+	"dnsencryption.info/doe/internal/proxy"
 )
 
 var (
@@ -109,7 +112,7 @@ func TestSessionAccountsSetupAndElapsed(t *testing.T) {
 	f := newFixture(t)
 	c := f.client(t, WithProfile(dot.Strict))
 	ctx := context.Background()
-	sess, err := c.DialDoT(ctx, serverIP)
+	sess, err := c.Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestStrictProfileOptionRejectsUntrustedServer(t *testing.T) {
 	}
 	ctx := context.Background()
 	strict := New(f.world, clientIP, certs.Pool(otherCA), WithProfile(dot.Strict))
-	if _, err := strict.DialDoT(ctx, serverIP); !errors.Is(err, dot.ErrAuthFailed) {
+	if _, err := strict.Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP}); !errors.Is(err, dot.ErrAuthFailed) {
 		t.Errorf("strict dial err = %v, want ErrAuthFailed", err)
 	}
 	opp := New(f.world, clientIP, certs.Pool(otherCA), WithProfile(dot.Opportunistic))
@@ -176,7 +179,7 @@ func TestPaddingOptionTriggersServerPadding(t *testing.T) {
 	// padding option, so the response reveals whether WithPadding reached
 	// the wire.
 	run := func(pad bool) bool {
-		sess, err := f.client(t, WithPadding(pad)).DialDoT(ctx, serverIP)
+		sess, err := f.client(t, WithPadding(pad)).Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,5 +256,90 @@ func TestQuestionRejectsEmptyMessage(t *testing.T) {
 	}
 	if _, _, err := Question(nil); !errors.Is(err, ErrNoQuestion) {
 		t.Errorf("nil message err = %v, want ErrNoQuestion", err)
+	}
+}
+
+// recordingDialer records every raw dial and fails it with errDial.
+type recordingDialer struct{ calls []string }
+
+var errDial = errors.New("recording dialer: no route")
+
+func (d *recordingDialer) DialStream(addr netip.Addr, port uint16) (*netsim.Conn, error) {
+	d.calls = append(d.calls, fmt.Sprintf("stream %v:%d", addr, port))
+	return nil, errDial
+}
+
+func (d *recordingDialer) DialDatagram(addr netip.Addr, port uint16) (func(req []byte) ([]byte, time.Duration, error), error) {
+	d.calls = append(d.calls, fmt.Sprintf("datagram %v:%d", addr, port))
+	return nil, errDial
+}
+
+// TestDialRoutesEveryProtocolThroughDialer pins the seam: each protocol
+// opens exactly one raw transport at the endpoint's address — a stream to
+// 53, 853 or 443, or a datagram path to 853 — and the Dialer's error comes
+// back unwrapped.
+func TestDialRoutesEveryProtocolThroughDialer(t *testing.T) {
+	d := &recordingDialer{}
+	c := NewVia(d, nil)
+	for _, tc := range []struct {
+		p    Proto
+		want string
+	}{
+		{ProtoTCP, "stream 192.0.2.100:53"},
+		{ProtoDoT, "stream 192.0.2.100:853"},
+		{ProtoDoH, "stream 192.0.2.100:443"},
+		{ProtoDoQ, "datagram 192.0.2.100:853"},
+	} {
+		d.calls = nil
+		if _, err := c.Dial(context.Background(), tc.p, Endpoint{Addr: serverIP}); err != errDial {
+			t.Errorf("%v: err = %v, want the dialer's error unwrapped", tc.p, err)
+		}
+		if len(d.calls) != 1 || d.calls[0] != tc.want {
+			t.Errorf("%v: dials = %q, want [%s]", tc.p, d.calls, tc.want)
+		}
+	}
+}
+
+// TestExitNodeClientCompletesEveryProtocol runs every protocol through a
+// proxy exit node — serially and as pipelined/multiplexed batches — and
+// checks that the relay legs are charged: each exit-node session's setup
+// exceeds the same session's setup dialed directly.
+func TestExitNodeClientCompletesEveryProtocol(t *testing.T) {
+	f := newFixture(t)
+	network := proxy.NewNetwork(f.world, "testrack", netip.MustParseAddr("10.1.0.1"), 1)
+	defer network.Shutdown()
+	network.AddNode(proxy.ExitNode{ID: "exit", Addr: netip.MustParseAddr("10.1.7.7"), Country: "US", Lifetime: time.Hour})
+	exit := proxy.ExitDialer{Network: network, From: clientIP, NodeID: "exit"}
+	ep := Endpoint{Addr: serverIP, Template: doh.Template{Host: "dns.provider.example", Path: "/dns-query"}}
+	ctx := context.Background()
+	for _, inflight := range []int{0, 4} {
+		for _, p := range []Proto{ProtoTCP, ProtoDoT, ProtoDoH, ProtoDoQ} {
+			direct, err := f.client(t, WithMaxInFlight(inflight)).Dial(ctx, p, ep)
+			if err != nil {
+				t.Fatalf("%v direct: %v", p, err)
+			}
+			direct.Close()
+			sess, err := NewVia(exit, certs.Pool(f.ca), WithMaxInFlight(inflight)).Dial(ctx, p, ep)
+			if err != nil {
+				t.Fatalf("%v via exit (inflight %d): %v", p, inflight, err)
+			}
+			if sess.SetupLatency() <= direct.SetupLatency() {
+				t.Errorf("%v via exit: setup %v not above direct %v", p, sess.SetupLatency(), direct.SetupLatency())
+			}
+			if inflight == 0 {
+				m, err := sess.Exchange(ctx, query(p.String()+".measure.example.org"))
+				checkAnswer(t, m, err, p.String()+" via exit")
+			} else {
+				names := []string{"b1.measure.example.org", "b2.measure.example.org", "b3.measure.example.org", "b4.measure.example.org"}
+				res, err := sess.Batch(ctx, names, dnswire.TypeA, nil)
+				if err != nil || len(res) != len(names) {
+					t.Fatalf("%v batch via exit: %d results, %v", p, len(res), err)
+				}
+				for _, r := range res {
+					checkAnswer(t, r.Msg, nil, p.String()+" batch via exit")
+				}
+			}
+			sess.Close()
+		}
 	}
 }

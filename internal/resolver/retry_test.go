@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/netsim"
 	"dnsencryption.info/doe/internal/obs"
@@ -53,6 +54,9 @@ func (s *dyingSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dns
 func (s *dyingSession) Close() error                { s.closed = true; return nil }
 func (s *dyingSession) SetupLatency() time.Duration { return time.Millisecond }
 func (s *dyingSession) Elapsed() time.Duration      { return s.elapsed }
+func (s *dyingSession) Batch(context.Context, []string, dnswire.Type, []dnsclient.Result) ([]dnsclient.Result, error) {
+	return nil, errSerialBatch
+}
 
 // dyingTransport returns a reuse Transport whose first session dies with
 // dieWith after fuse exchanges; every redial gets a fresh, immortal session.

@@ -332,17 +332,10 @@ func ErrorClass(err string) string {
 // TestReachabilityContext, with no per-node slice.
 func (p *Platform) VisitReachability(ctx context.Context, node proxy.ExitNode, targets []Target, visit func(Result)) {
 	for _, tgt := range targets {
-		if tgt.DNS.IsValid() {
-			visit(p.lookup(ctx, node, tgt, ProtoDNS, tgt.DNS, p.testDNS))
-		}
-		if tgt.DoT.IsValid() {
-			visit(p.lookup(ctx, node, tgt, ProtoDoT, tgt.DoT, p.testDoT))
-		}
-		if tgt.DoHAddr.IsValid() {
-			visit(p.lookup(ctx, node, tgt, ProtoDoH, tgt.DoHAddr, p.testDoH))
-		}
-		if tgt.DoQ.IsValid() {
-			visit(p.lookup(ctx, node, tgt, ProtoDoQ, tgt.DoQ, p.testDoQ))
+		for _, tr := range transports {
+			if remote := tr.endpoint(tgt).Addr; remote.IsValid() {
+				visit(p.lookup(ctx, node, tgt, tr.proto, remote))
+			}
 		}
 	}
 }

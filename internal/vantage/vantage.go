@@ -16,11 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
-	"dnsencryption.info/doe/internal/doq"
-	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/obs"
 	"dnsencryption.info/doe/internal/proxy"
 	"dnsencryption.info/doe/internal/resolver"
@@ -41,6 +38,35 @@ var (
 	ProtoDoH = Proto(resolver.ProtoDoH.String())
 	ProtoDoQ = Proto(resolver.ProtoDoQ.String())
 )
+
+// transport is one row of the protocol-keyed leg table: a tested Proto, the
+// resolver protocol that carries it, and where a Target keeps its endpoint.
+type transport struct {
+	proto    Proto
+	dial     resolver.Proto
+	endpoint func(Target) resolver.Endpoint
+}
+
+// transports is the leg table every measurement walks, in measurement
+// order. The clear-text probe is DNS over TCP/53.
+var transports = [...]transport{
+	{ProtoDNS, resolver.ProtoTCP, func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DNS} }},
+	{ProtoDoT, resolver.ProtoDoT, func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoT} }},
+	{ProtoDoH, resolver.ProtoDoH, func(t Target) resolver.Endpoint {
+		return resolver.Endpoint{Addr: t.DoHAddr, Template: t.DoH}
+	}},
+	{ProtoDoQ, resolver.ProtoDoQ, func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoQ} }},
+}
+
+// transportOf returns proto's row of the leg table.
+func transportOf(proto Proto) transport {
+	for _, tr := range transports {
+		if tr.proto == proto {
+			return tr
+		}
+	}
+	panic(fmt.Sprintf("vantage: unknown protocol %q", proto))
+}
 
 // Outcome classifies one lookup per Table 4's footnote: Failed = no DNS
 // response packets; Incorrect = SERVFAIL or zero-answer (or spoofed)
@@ -182,12 +208,11 @@ func (p *Platform) TestReachabilityContext(ctx context.Context, node proxy.ExitN
 // it, plus the per-(resolver, proto, outcome) counters the telemetry
 // section reports. Lookups on one node run serially, so the spans need no
 // explicit keys.
-func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto, remote netip.Addr,
-	run func(ctx context.Context, node proxy.ExitNode, tgt Target) Result) Result {
+func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto, remote netip.Addr) Result {
 	ctx, sp := obs.Start(ctx, fmt.Sprintf("lookup:%s:%s", tgt.Name, proto))
 	release := obs.FromContext(ctx).WatchFlow(node.Addr, remote, sp)
 	defer release()
-	r := p.withRetry(ctx, node, tgt, run)
+	r := p.withRetry(ctx, func(ctx context.Context) Result { return p.test(ctx, node, tgt, proto) })
 	sp.SetAttr("outcome", r.Outcome.String())
 	sp.SetInt("attempts", int64(r.Attempts))
 	if r.Recovered {
@@ -223,8 +248,7 @@ func (p *Platform) attempts() int {
 // remains. Dropped results (platform disruption) and Incorrect answers
 // return immediately; see Platform.Retry. Attempts after the first run
 // under a retry:<n> child span, so chaos traces show the recovery ladder.
-func (p *Platform) withRetry(ctx context.Context, node proxy.ExitNode, tgt Target,
-	run func(ctx context.Context, node proxy.ExitNode, tgt Target) Result) Result {
+func (p *Platform) withRetry(ctx context.Context, run func(ctx context.Context) Result) Result {
 	budget := p.attempts()
 	var r Result
 	for attempt := 1; attempt <= budget; attempt++ {
@@ -232,7 +256,7 @@ func (p *Platform) withRetry(ctx context.Context, node proxy.ExitNode, tgt Targe
 		if attempt > 1 {
 			actx, _ = obs.Start(ctx, fmt.Sprintf("retry:%d", attempt))
 		}
-		r = run(actx, node, tgt)
+		r = run(actx)
 		r.Attempts = attempt
 		if r.Outcome != Failed {
 			r.Recovered = attempt > 1
@@ -284,113 +308,61 @@ func (p *Platform) exchange(ctx context.Context, sess resolver.Session, tag stri
 	r.Outcome = p.classify(m)
 }
 
-// observeSetup records a fresh session's connection-establishment cost: a
-// dial child span charged with the setup latency, plus the per-protocol
-// setup histogram. It returns the latency so reachability results can
-// carry it into the streaming campaign's sketches.
-func (p *Platform) observeSetup(ctx context.Context, proto Proto, sess resolver.Session) time.Duration {
+// open dials proto's session to tgt through node and records its
+// connection-establishment cost: a dial child span charged with the setup
+// latency, plus the per-protocol setup histogram. inflight > 0 dials the
+// session for multiplexed batches. Every call builds its own exit-node
+// resolver.Client, so no DoQ resumption state crosses an attempt, a pass or
+// a node: each DoQ session pays the full 1-RTT handshake over the
+// platform's datagram relay. The resolver's default Opportunistic profile
+// is the paper's, per §4.1: "to understand the real-world risks of
+// opportunistic requests".
+func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto, inflight int) (resolver.Session, error) {
+	tr := transportOf(proto)
+	c := resolver.NewVia(proxy.ExitDialer{Network: p.Network, From: p.From, NodeID: node.ID}, p.Roots,
+		resolver.WithMaxInFlight(inflight))
+	sess, err := c.Dial(ctx, tr.dial, tr.endpoint(tgt))
+	if err != nil {
+		return nil, err
+	}
 	dctx, _ := obs.Start(ctx, "dial")
 	obs.Charge(dctx, sess.SetupLatency())
 	obs.Metrics(ctx).Histogram("vantage_setup_latency", nil, "proto", string(proto)).Observe(sess.SetupLatency())
-	return sess.SetupLatency()
+	return sess, nil
 }
 
-func (p *Platform) testDNS(ctx context.Context, node proxy.ExitNode, tgt Target) Result {
-	r := p.baseResult(node, tgt.Name, ProtoDNS)
-	tunnel, err := p.Network.Dial(p.From, node.ID, tgt.DNS, 53)
+// verifier is implemented by the sessions that authenticate under the
+// Opportunistic profile (DoT, DoQ): they proceed past a chain that fails
+// verification, so the chain and the outcome are interception evidence.
+type verifier interface {
+	PeerCertificates() []*x509.Certificate
+	VerifyError() error
+}
+
+// test runs one Fig. 7 lookup: a session to tgt's proto endpoint through
+// node, one uniquely named A query, and the Table 4 classification. A
+// DoT or DoQ lookup that answers correctly over a certificate that does
+// not verify was re-signed in path and is flagged Intercepted (Finding
+// 2.3); DoH is strict-only, so the same forgery aborts its handshake and
+// the lookup fails.
+func (p *Platform) test(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto) Result {
+	r := p.baseResult(node, tgt.Name, proto)
+	sess, err := p.open(ctx, node, tgt, proto, 0)
 	if err != nil {
 		r.Outcome, r.Err = Failed, err.Error()
 		r.Dropped = proxy.IsPlatformDisruption(err)
 		return r
 	}
-	sess := resolver.TCPSession(dnsclient.TCPFromConn(tunnel))
 	defer sess.Close()
-	r.Setup = p.observeSetup(ctx, ProtoDNS, sess)
-	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-dns", &r)
-	return r
-}
-
-func (p *Platform) testDoT(ctx context.Context, node proxy.ExitNode, tgt Target) Result {
-	r := p.baseResult(node, tgt.Name, ProtoDoT)
-	tunnel, err := p.Network.Dial(p.From, node.ID, tgt.DoT, dot.Port)
-	if err != nil {
-		r.Outcome, r.Err = Failed, err.Error()
-		r.Dropped = proxy.IsPlatformDisruption(err)
-		return r
+	r.Setup = sess.SetupLatency()
+	v, opportunistic := sess.(verifier)
+	if opportunistic {
+		if chain := v.PeerCertificates(); len(chain) > 0 {
+			r.IssuerCN = chain[0].Issuer.CommonName
+		}
 	}
-	// Opportunistic profile, per §4.1: "to understand the real-world
-	// risks of opportunistic requests".
-	client := dot.NewClient(nil, p.From, p.Roots, dot.Opportunistic)
-	conn, err := client.DialConnContext(ctx, tunnel)
-	if err != nil {
-		r.Outcome, r.Err = Failed, err.Error()
-		return r
-	}
-	sess := resolver.DoTSession(conn)
-	defer sess.Close()
-	r.Setup = p.observeSetup(ctx, ProtoDoT, sess)
-	if chain := conn.PeerCertificates(); len(chain) > 0 {
-		r.IssuerCN = chain[0].Issuer.CommonName
-	}
-	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-dot", &r)
-	// Interception detection: the lookup proceeded, but the certificate
-	// does not verify — re-signed in path (Finding 2.3).
-	if conn.VerifyError() != nil && r.Outcome == Correct {
-		r.Intercepted = true
-	}
-	return r
-}
-
-func (p *Platform) testDoH(ctx context.Context, node proxy.ExitNode, tgt Target) Result {
-	r := p.baseResult(node, tgt.Name, ProtoDoH)
-	tunnel, err := p.Network.Dial(p.From, node.ID, tgt.DoHAddr, doh.Port)
-	if err != nil {
-		r.Outcome, r.Err = Failed, err.Error()
-		r.Dropped = proxy.IsPlatformDisruption(err)
-		return r
-	}
-	client := doh.NewClient(nil, p.From, p.Roots)
-	conn, err := client.DialConnContext(ctx, tgt.DoH, tunnel)
-	if err != nil {
-		// Strict-only: a forged certificate terminates the handshake
-		// and the client sees a failure (Finding 2.3's DoH side).
-		r.Outcome, r.Err = Failed, err.Error()
-		return r
-	}
-	sess := resolver.DoHSession(conn)
-	defer sess.Close()
-	r.Setup = p.observeSetup(ctx, ProtoDoH, sess)
-	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-doh", &r)
-	return r
-}
-
-// testDoQ runs the DoQ leg of the Fig. 7 workflow. QUIC flights are
-// datagrams, so the proxy hop is a UDP-ASSOCIATE-style relay rather than a
-// CONNECT tunnel; the DoQ client dials through it via DialVia and never
-// knows the difference. Like DoT, the probe runs the Opportunistic profile
-// and flags verified-but-resigned chains as interception.
-func (p *Platform) testDoQ(ctx context.Context, node proxy.ExitNode, tgt Target) Result {
-	r := p.baseResult(node, tgt.Name, ProtoDoQ)
-	relay, err := p.Network.DialDatagram(p.From, node.ID, tgt.DoQ, doq.Port)
-	if err != nil {
-		r.Outcome, r.Err = Failed, err.Error()
-		r.Dropped = proxy.IsPlatformDisruption(err)
-		return r
-	}
-	client := doq.NewClient(nil, p.From, p.Roots, dot.Opportunistic)
-	conn, err := client.DialVia(ctx, tgt.DoQ, relay)
-	if err != nil {
-		r.Outcome, r.Err = Failed, err.Error()
-		return r
-	}
-	sess := resolver.DoQSession(conn)
-	defer sess.Close()
-	r.Setup = p.observeSetup(ctx, ProtoDoQ, sess)
-	if chain := conn.PeerCertificates(); len(chain) > 0 {
-		r.IssuerCN = chain[0].Issuer.CommonName
-	}
-	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-doq", &r)
-	if conn.VerifyError() != nil && r.Outcome == Correct {
+	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-"+string(proto), &r)
+	if opportunistic && v.VerifyError() != nil && r.Outcome == Correct {
 		r.Intercepted = true
 	}
 	return r

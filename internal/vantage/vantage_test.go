@@ -1,22 +1,27 @@
 package vantage
 
 import (
+	"context"
+	"io"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/doh"
+	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
 	"dnsencryption.info/doe/internal/proxy"
+	"dnsencryption.info/doe/internal/resolver"
 )
 
 // fixture is a miniature of the study world: one resolver offering all
-// three protocols, a proxy network with nodes behind different middleboxes.
+// four protocols, a proxy network with nodes behind different middleboxes.
 type fixture struct {
 	world    *netsim.World
 	ca       *certs.CA
@@ -75,6 +80,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	dot.Serve(w, resolverIP, leaf, zone, 0)
 	doh.Serve(w, resolverIP, leaf, &doh.Server{Handler: zone})
+	doq.Serve(w, resolverIP, leaf, zone, 0)
 
 	// Middleboxes.
 	w.AddPolicy(&netsim.PortFilter{
@@ -127,6 +133,7 @@ func newFixture(t *testing.T) *fixture {
 		DoT:     resolverIP,
 		DoH:     doh.Template{Host: "dns.resolverco.example", Path: doh.DefaultPath},
 		DoHAddr: resolverIP,
+		DoQ:     resolverIP,
 	}
 	return &fixture{world: w, ca: ca, platform: platform, target: target, mitm: mitm}
 }
@@ -153,7 +160,7 @@ func outcomes(results []Result) map[Proto]Outcome {
 func TestCleanNodeAllCorrect(t *testing.T) {
 	f := newFixture(t)
 	res := f.platform.TestReachability(f.node(t, "clean"), []Target{f.target})
-	if len(res) != 3 {
+	if len(res) != 4 {
 		t.Fatalf("results = %d", len(res))
 	}
 	for _, r := range res {
@@ -259,65 +266,209 @@ func TestCampaignAndTally(t *testing.T) {
 	}
 }
 
+// reused, mux and fresh name the legs the performance tests read.
+func reused(p Proto) Leg { return Leg{p, ModeReused} }
+func mux(p Proto) Leg    { return Leg{p, ModeMux} }
+func fresh(p Proto) Leg  { return Leg{p, ModeFresh} }
+
 func TestPerformanceReusedOverheadSmall(t *testing.T) {
 	f := newFixture(t)
-	sample, err := f.platform.MeasurePerformance(f.node(t, "clean"), f.target, 10)
+	f.platform.MuxInFlight = 4
+	sample, err := f.platform.MeasurePerformanceContext(context.Background(), f.node(t, "clean"), f.target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sample.DNSMedianMS <= 0 || sample.DoTMedianMS <= 0 || sample.DoHMedianMS <= 0 {
-		t.Fatalf("medians = %+v", sample)
+	if len(sample.Medians) != len(perfLegs) {
+		t.Fatalf("medians = %v, want every one of %v", sample.Medians, perfLegs)
+	}
+	for leg, m := range sample.Medians {
+		if m <= 0 {
+			t.Errorf("%v median = %vms", leg, m)
+		}
 	}
 	// With connection reuse, encrypted overhead is a few ms (crypto cost),
 	// far below one RTT (the US->resolver RTT here is ≥ 16ms).
-	if oh := sample.DoTOverheadMS(); oh < 0 || oh > 15 {
-		t.Errorf("DoT overhead = %vms, want small positive", oh)
+	for _, p := range []Proto{ProtoDoT, ProtoDoH} {
+		if oh, ok := sample.Medians.OverheadMS(reused(p)); !ok || oh < 0 || oh > 15 {
+			t.Errorf("%s overhead = %vms (measured %v), want small positive", p, oh, ok)
+		}
 	}
-	if oh := sample.DoHOverheadMS(); oh < 0 || oh > 15 {
-		t.Errorf("DoH overhead = %vms, want small positive", oh)
+	// A batch of MuxInFlight queries shares one round trip, so the
+	// amortized per-query latency undercuts the serial one.
+	for _, p := range []Proto{ProtoDoT, ProtoDoH, ProtoDoQ} {
+		if sample.Medians[mux(p)] >= sample.Medians[reused(p)] {
+			t.Errorf("%s mux median %vms not below serial %vms", p, sample.Medians[mux(p)], sample.Medians[reused(p)])
+		}
 	}
 }
 
 func TestNoReuseOverheadLarger(t *testing.T) {
 	f := newFixture(t)
-	sample, err := MeasureNoReuse(f.world, "US", measureIP, f.target, "probe.example.org", certs.Pool(f.ca), 10)
+	ctx := context.Background()
+	sample, err := MeasureNoReuseContext(ctx, f.world, "US", measureIP, f.target, "probe.example.org", certs.Pool(f.ca), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused, err := f.platform.MeasurePerformance(f.node(t, "clean"), f.target, 10)
+	reusedSample, err := f.platform.MeasurePerformanceContext(ctx, f.node(t, "clean"), f.target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Without reuse every query pays TCP+TLS setup: the overhead relative
 	// to DNS/TCP must exceed the reused-connection overhead (§4.3).
-	if sample.DoTOverheadMS() <= reused.DoTOverheadMS() {
-		t.Errorf("no-reuse DoT overhead %v <= reused %v", sample.DoTOverheadMS(), reused.DoTOverheadMS())
+	for _, p := range []Proto{ProtoDoT, ProtoDoH} {
+		noReuse, _ := sample.Medians.OverheadMS(fresh(p))
+		withReuse, _ := reusedSample.Medians.OverheadMS(reused(p))
+		if noReuse <= withReuse {
+			t.Errorf("no-reuse %s overhead %v <= reused %v", p, noReuse, withReuse)
+		}
 	}
-	if sample.DoHOverheadMS() <= reused.DoHOverheadMS() {
-		t.Errorf("no-reuse DoH overhead %v <= reused %v", sample.DoHOverheadMS(), reused.DoHOverheadMS())
+	if _, ok := sample.Medians.OverheadMS(fresh(ProtoDoQ)); !ok {
+		t.Errorf("no-reuse DoQ leg not measured: %v", sample.Medians)
 	}
 }
 
+// TestAggregateByCountry checks Fig. 9's aggregation against hand-computed
+// overheads, including its two inclusion rules: a DoQ leg counts only
+// where the sample measured it, and a multiplexed leg only where the
+// sample ran the multiplexed pass (MuxInFlight > 0).
 func TestAggregateByCountry(t *testing.T) {
 	samples := []PerfSample{
-		{NodeID: "a", Country: "US", DNSMedianMS: 20, DoTMedianMS: 25, DoHMedianMS: 28},
-		{NodeID: "b", Country: "US", DNSMedianMS: 22, DoTMedianMS: 29, DoHMedianMS: 27},
-		{NodeID: "c", Country: "IN", DNSMedianMS: 120, DoTMedianMS: 90, DoHMedianMS: 80},
+		{NodeID: "a", Country: "US", MuxInFlight: 4, Medians: Medians{
+			reused(ProtoDNS): 20, reused(ProtoDoT): 25, reused(ProtoDoH): 28, reused(ProtoDoQ): 18,
+			mux(ProtoDoT): 8, mux(ProtoDoH): 9, mux(ProtoDoQ): 6,
+		}},
+		// No DoQ endpoint, no multiplexed pass — but a stray mux median,
+		// which must not count without MuxInFlight.
+		{NodeID: "b", Country: "US", Medians: Medians{
+			reused(ProtoDNS): 22, reused(ProtoDoT): 29, reused(ProtoDoH): 27, mux(ProtoDoT): 1,
+		}},
+		{NodeID: "c", Country: "IN", MuxInFlight: 4, Medians: Medians{
+			reused(ProtoDNS): 120, reused(ProtoDoT): 90, reused(ProtoDoH): 80, reused(ProtoDoQ): 70,
+			mux(ProtoDoT): 30, mux(ProtoDoH): 31, mux(ProtoDoQ): 25,
+		}},
 	}
 	agg := AggregateByCountry(samples)
-	if len(agg) != 2 || agg[0].Country != "US" || agg[0].Clients != 2 {
+	if len(agg) != 2 || agg[0].Country != "US" || agg[0].Clients != 2 || agg[1].Country != "IN" {
 		t.Fatalf("agg = %+v", agg)
 	}
-	if agg[0].DoTAvgMS != 6 {
-		t.Errorf("US DoT avg = %v, want 6", agg[0].DoTAvgMS)
+	us, in := agg[0], agg[1]
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"US DoT avg", us.AvgMS[reused(ProtoDoT)], (5 + 7) / 2.0},
+		{"US DoH median", us.MedianMS[reused(ProtoDoH)], (8 + 5) / 2.0},
+		// Only a measured DoQ: b has none, so US DoQ is a's alone.
+		{"US DoQ avg", us.AvgMS[reused(ProtoDoQ)], -2},
+		// Only a ran the multiplexed pass: b's stray median is ignored.
+		{"US DoT mux median", us.MedianMS[mux(ProtoDoT)], -12},
+		{"US DoQ mux median", us.MedianMS[mux(ProtoDoQ)], -14},
+		// India can be *faster* over encrypted transports, as the paper finds.
+		{"IN DoT avg", in.AvgMS[reused(ProtoDoT)], -30},
+		{"IN DoH mux median", in.MedianMS[mux(ProtoDoH)], -89},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
-	// India can be *faster* over encrypted transports, as the paper finds.
-	if agg[1].DoTAvgMS >= 0 {
-		t.Errorf("IN DoT avg = %v, want negative", agg[1].DoTAvgMS)
+	for _, c := range []struct {
+		leg           Leg
+		wantAvg, want float64
+	}{
+		{reused(ProtoDoT), (5 + 7 - 30) / 3.0, 5},
+		{reused(ProtoDoQ), (-2 - 50) / 2.0, -26},
+		{mux(ProtoDoH), (-11 - 89) / 2.0, -50},
+	} {
+		if avg, med := GlobalOverhead(samples, c.leg); avg != c.wantAvg || med != c.want {
+			t.Errorf("global %v = %v/%v, want %v/%v", c.leg, avg, med, c.wantAvg, c.want)
+		}
 	}
-	dotAvg, dotMed, dohAvg, dohMed := GlobalOverheads(samples)
-	if dotAvg >= 10 || dotMed <= 0 || dohAvg >= 10 || dohMed <= 0 {
-		t.Errorf("global overheads = %v %v %v %v", dotAvg, dotMed, dohAvg, dohMed)
+}
+
+// silentServer accepts streams on addr's DNS, DoT and DoH ports and never
+// answers: every leg to it blocks until its deadline.
+func silentServer(f *fixture, addr netip.Addr) {
+	for _, port := range []uint16{53, dot.Port, doh.Port} {
+		f.world.RegisterStream(addr, port, func(conn *netsim.Conn) {
+			defer conn.Close()
+			io.Copy(io.Discard, conn)
+		})
+	}
+}
+
+// TestProxiedLegsHonourContextDeadline pins one deadline rule for every
+// stream leg: the context's deadline bounds the session, so a resolver that
+// accepts and never answers fails each leg promptly rather than at the
+// proxy tunnel's 10 s watchdog.
+func TestProxiedLegsHonourContextDeadline(t *testing.T) {
+	f := newFixture(t)
+	silentIP := netip.MustParseAddr("9.9.9.10")
+	silentServer(f, silentIP)
+	tgt := Target{Name: "silent", DNS: silentIP, DoT: silentIP, DoHAddr: silentIP,
+		DoH: doh.Template{Host: "dns.resolverco.example", Path: doh.DefaultPath}}
+	node := f.node(t, "clean")
+	for _, proto := range []Proto{ProtoDNS, ProtoDoT, ProtoDoH} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		r := f.platform.test(ctx, node, tgt, proto)
+		took := time.Since(start)
+		cancel()
+		if r.Outcome != Failed || took > time.Second {
+			t.Errorf("%s: %v after %v (%s), want failed within 1s", proto, r.Outcome, took, r.Err)
+		}
+	}
+}
+
+// dropNth drops the nth datagram of one flow tuple and passes everything
+// else: a one-off loss in the middle of a DoQ lookup.
+type dropNth struct {
+	from, to netip.Addr
+	port     uint16
+	n        int
+
+	mu   sync.Mutex
+	seen int
+}
+
+func (d *dropNth) StreamFault(netip.Addr, netip.Addr, uint16) netsim.DialFault {
+	return netsim.DialFault{}
+}
+
+func (d *dropNth) DatagramFault(from, to netip.Addr, port uint16) netsim.DatagramFault {
+	if from != d.from || to != d.to || port != d.port {
+		return netsim.DatagramFault{}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.seen++
+	return netsim.DatagramFault{Drop: d.seen == d.n}
+}
+
+// TestRecoveredDoQLookupPaysFullHandshake pins that no DoQ resumption state
+// crosses a retry: the lookup whose first query flight is lost recovers on
+// a second attempt that runs the full 1-RTT handshake again, not a 0-RTT
+// resumption, so its Setup equals a clean lookup's.
+func TestRecoveredDoQLookupPaysFullHandshake(t *testing.T) {
+	f := newFixture(t)
+	node := f.node(t, "clean")
+	clean := f.platform.test(context.Background(), node, f.target, ProtoDoQ)
+	if clean.Outcome != Correct || clean.Setup <= 0 {
+		t.Fatalf("clean DoQ lookup = %+v", clean)
+	}
+
+	f.platform.Retry = resolver.RetryPolicy{Attempts: 2}
+	f.world.SetFaults(&dropNth{from: nodeClean, to: resolverIP, port: doq.Port, n: 2})
+	var got Result
+	for _, r := range f.platform.TestReachability(node, []Target{f.target}) {
+		if r.Proto == ProtoDoQ {
+			got = r
+		}
+	}
+	if got.Outcome != Correct || !got.Recovered || got.Attempts != 2 {
+		t.Fatalf("DoQ lookup = %+v, want correct after one retry", got)
+	}
+	if got.Setup != clean.Setup {
+		t.Errorf("recovered DoQ setup = %v, want the full handshake's %v (0 would be a 0-RTT resumption)", got.Setup, clean.Setup)
 	}
 }
 

@@ -206,6 +206,7 @@ func measureMemHighWater(smoke bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer s.Close()
 	return trackHeapHighWater(func() error { return s.RunAll(io.Discard) })
 }
 

@@ -2,10 +2,14 @@
 // certificate population the paper observes on DoT port 853 — valid chains,
 // expired leaves, self-signed certificates, broken chains, and the FortiGate
 // factory-default certificates that mark TLS-inspection middleboxes — and
-// classifies presented chains the way §3.2 (Finding 1.2) does.
+// classifies presented chains the way §3.2 (Finding 1.2) does. Its
+// TrustStore is the study's root store: every chain verification, in every
+// transport and in Classify, goes through one, which validates each distinct
+// chain once.
 package certs
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -295,26 +299,30 @@ func (s Status) String() string {
 // Classify verifies the presented chain (leaf first) against roots at
 // RefTime and buckets failures the way the paper reports them: expired,
 // self-signed, or invalid chain. The paper's scan does not know resolver
-// names, so — like the paper — no hostname comparison is performed.
-func Classify(chain []*x509.Certificate, roots *x509.CertPool) Status {
+// names, so — like the paper — no hostname comparison is performed. The
+// whole status is memoized in roots under the ExtKeyUsageAny class, so a
+// chain seen before costs a hash of its DER.
+func Classify(chain []*x509.Certificate, roots *TrustStore) Status {
 	if len(chain) == 0 {
 		return StatusBadChain
 	}
+	raw := make([][]byte, len(chain))
+	for i, c := range chain {
+		raw[i] = c.Raw
+	}
+	k := newVerdictKey(raw, "", x509.ExtKeyUsageAny)
+	return roots.memoize(k, func() verdict {
+		return verdict{status: roots.classify(chain)}
+	}).status
+}
+
+// classify is Classify without the memo.
+func (t *TrustStore) classify(chain []*x509.Certificate) Status {
 	leaf := chain[0]
 	if RefTime.Before(leaf.NotBefore) || RefTime.After(leaf.NotAfter) {
 		return StatusExpired
 	}
-	inter := x509.NewCertPool()
-	for _, c := range chain[1:] {
-		inter.AddCert(c)
-	}
-	_, err := leaf.Verify(x509.VerifyOptions{
-		Roots:         roots,
-		Intermediates: inter,
-		CurrentTime:   RefTime,
-		KeyUsages:     []x509.ExtKeyUsage{x509.ExtKeyUsageAny},
-	})
-	if err == nil {
+	if t.verifyPath(chain, "", x509.ExtKeyUsageAny) == nil {
 		return StatusValid
 	}
 	if isSelfSigned(leaf) {
@@ -324,24 +332,12 @@ func Classify(chain []*x509.Certificate, roots *x509.CertPool) Status {
 }
 
 func isSelfSigned(c *x509.Certificate) bool {
-	if !bytesEqual(c.RawIssuer, c.RawSubject) {
+	if !bytes.Equal(c.RawIssuer, c.RawSubject) {
 		return false
 	}
 	// CheckSignature (not CheckSignatureFrom) verifies the signature with
 	// the certificate's own key without requiring CA basic constraints.
 	return c.CheckSignature(c.SignatureAlgorithm, c.RawTBSCertificate, c.Signature) == nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ProviderKey derives the provider-grouping key from a certificate the way
@@ -379,15 +375,4 @@ func sldOf(name string) string {
 		return name + "."
 	}
 	return strings.Join(labels[len(labels)-2:], ".") + "."
-}
-
-// Pool builds an x509.CertPool from trusted CAs.
-func Pool(cas ...*CA) *x509.CertPool {
-	pool := x509.NewCertPool()
-	for _, ca := range cas {
-		if ca.Trusted {
-			pool.AddCert(ca.Cert)
-		}
-	}
-	return pool
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/vantage"
@@ -348,6 +350,7 @@ func TestDeterministicReports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		scanExp, _ := ExperimentByID("table2")
 		scanOut, err := scanExp.Run(s)
 		if err != nil {
@@ -419,6 +422,7 @@ func TestReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		var b strings.Builder
 		if err := s.RunAll(&b); err != nil {
 			t.Fatalf("workers=%d faults=%+v: %v", workers, fc, err)
@@ -472,9 +476,58 @@ func TestFullScaleReportMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	var b strings.Builder
 	if err := s.RunAll(&b); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	diffReports(t, "golden", string(golden), "regenerated", b.String())
+}
+
+// TestStudyCloseReleasesWorld pins the lifetime contract: once a study has
+// run and is closed, none of the goroutines it started survive, so a
+// dropped study can be collected.
+func TestStudyCloseReleasesWorld(t *testing.T) {
+	before := settledGoroutines()
+	s, err := NewStudy(TestConfig())
+	if err != nil {
+		t.Fatalf("NewStudy: %v", err)
+	}
+	exp, _ := ExperimentByID("table4")
+	if _, err := s.RunExperiment(exp); err != nil {
+		t.Fatalf("table4: %v", err)
+	}
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("a built study holds no goroutines, so Close has nothing to release")
+	}
+	s.Close()
+	if n := s.World.NumListeners(); n != 0 {
+		t.Errorf("NumListeners after Close = %d, want 0", n)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after Close = %d, want at most %d (before NewStudy)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	s.Close() // a second Close is a no-op
+	if n := s.World.NumListeners(); n != 0 {
+		t.Errorf("NumListeners after a second Close = %d, want 0", n)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it stops changing:
+// the services of studies that earlier tests closed may still be exiting.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

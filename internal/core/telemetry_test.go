@@ -40,6 +40,7 @@ func TestGoldenTraceSmall(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer s.Close()
 			if err := s.RunAll(io.Discard); err != nil {
 				t.Fatalf("RunAll: %v", err)
 			}
@@ -77,6 +78,7 @@ func TestTelemetryKeepsReportsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		var b strings.Builder
 		if err := s.RunAll(&b); err != nil {
 			t.Fatalf("workers=%d telemetry=%v: %v", workers, telemetry, err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/ed25519"
-	"crypto/x509"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -88,7 +87,7 @@ type Study struct {
 	Config
 	World  *netsim.World
 	RootCA *certs.CA
-	Roots  *x509.CertPool
+	Roots  *certs.TrustStore
 
 	// Progress, when set, receives per-experiment wall-clock timing from
 	// RunAll (stderr logging in cmd/doereport); it never feeds the report.
@@ -194,34 +193,25 @@ func NewStudy(cfg Config) (*Study, error) {
 	s.Roots = certs.Pool(rootCA)
 
 	s.registerInfrastructureGeo()
-	if err := s.buildAuthoritative(); err != nil {
-		return nil, err
-	}
-	if err := s.buildPublicResolvers(); err != nil {
-		return nil, err
-	}
-	if err := s.buildScanPopulation(); err != nil {
-		return nil, err
-	}
-	if err := s.buildDoHWorld(); err != nil {
-		return nil, err
-	}
-	if err := s.buildClientNetworks(); err != nil {
-		return nil, err
-	}
-	if err := s.buildDNSCrypt(); err != nil {
-		return nil, err
-	}
-	if err := s.buildLocalResolvers(); err != nil {
-		return nil, err
-	}
-	if err := s.buildFaults(); err != nil {
-		return nil, err
+	for _, build := range []func() error{
+		s.buildAuthoritative, s.buildPublicResolvers, s.buildScanPopulation, s.buildDoHWorld,
+		s.buildClientNetworks, s.buildDNSCrypt, s.buildLocalResolvers, s.buildFaults,
+	} {
+		if err := build(); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	s.buildScanner()
 	s.SetScanRound(0)
 	return s, nil
 }
+
+// Close shuts the study's world down (netsim.World.Close). Every service
+// the world runs holds a goroutine that keeps the study reachable, so a
+// study dropped without Close is never collected. Run no experiment on a
+// closed study. Close is idempotent.
+func (s *Study) Close() { s.World.Close() }
 
 func (s *Study) registerInfrastructureGeo() {
 	reg := func(prefix, cc string, asn int, name string) {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/tls"
-	"crypto/x509"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -85,7 +84,8 @@ func (t Template) String() string {
 type Client struct {
 	World *netsim.World
 	From  netip.Addr
-	Roots *x509.CertPool
+	// Roots is the trust store that authenticates the template host.
+	Roots *certs.TrustStore
 	// Method selects GET (the cache-friendly default) or POST.
 	Method Method
 	// Timeout is the real-time guard per operation. Zero — the default —
@@ -113,7 +113,7 @@ type Client struct {
 }
 
 // NewClient returns a Client with study defaults.
-func NewClient(w *netsim.World, from netip.Addr, roots *x509.CertPool) *Client {
+func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore) *Client {
 	return &Client{
 		World:      w,
 		From:       from,
@@ -202,11 +202,28 @@ func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Co
 		raw.Close()
 		return nil, fmt.Errorf("doh: dial: %w", err)
 	}
+	if t.Host == "" {
+		raw.Close()
+		return nil, fmt.Errorf("%w: template has no host to authenticate", ErrAuthFailed)
+	}
 	raw.SetDeadline(dnsclient.Deadline(ctx, c.Timeout))
+	// The trust store stands in for crypto/tls's own chain check, which
+	// would validate every handshake afresh. A failure takes the same
+	// bad_certificate alert and the same error shape.
 	cfg := &tls.Config{
-		RootCAs:    c.Roots,
-		ServerName: t.Host,
-		Time:       func() time.Time { return certs.RefTime },
+		ServerName:         t.Host,
+		Time:               func() time.Time { return certs.RefTime },
+		InsecureSkipVerify: true, //nolint:gosec // verified in VerifyConnection
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			rawCerts := make([][]byte, len(cs.PeerCertificates))
+			for i, pc := range cs.PeerCertificates {
+				rawCerts[i] = pc.Raw
+			}
+			if err := c.Roots.Verify(rawCerts, t.Host); err != nil {
+				return &tls.CertificateVerificationError{UnverifiedCertificates: cs.PeerCertificates, Err: err}
+			}
+			return nil
+		},
 	}
 	if c.Mux {
 		cfg.NextProtos = []string{"h2"}

@@ -1,6 +1,8 @@
 package doh
 
 import (
+	"context"
+	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"net/netip"
@@ -147,6 +149,106 @@ func TestStrictOnlyRejectsUntrustedCert(t *testing.T) {
 	var uae x509.UnknownAuthorityError
 	if !errors.As(err, &uae) {
 		t.Errorf("err = %v, want x509.UnknownAuthorityError via errors.As", err)
+	}
+}
+
+// TestStrictFailureErrorParity pins what a strict-profile failure returns
+// for each way a chain can fail: the sentinel, the crypto/tls wrapper, the
+// x509 cause and the full text, as crypto/tls's own verification produced
+// them.
+func TestStrictFailureErrorParity(t *testing.T) {
+	const prefix = "doh: server authentication failed: tls: failed to verify certificate: "
+	cases := []struct {
+		name  string
+		issue func(f *fixture) (*certs.Leaf, error)
+		cause func(err error) bool
+		text  func(leaf *certs.Leaf) string
+	}{
+		{
+			name: "untrusted issuer",
+			issue: func(f *fixture) (*certs.Leaf, error) {
+				rogue, err := certs.NewCA("Rogue CA", false)
+				if err != nil {
+					return nil, err
+				}
+				return rogue.Issue(certs.LeafOptions{CommonName: f.tmpl.Host, IPs: []netip.Addr{dohIP}})
+			},
+			cause: func(err error) bool {
+				var uae x509.UnknownAuthorityError
+				return errors.As(err, &uae)
+			},
+			text: func(*certs.Leaf) string { return "x509: certificate signed by unknown authority" },
+		},
+		{
+			name: "hostname mismatch",
+			issue: func(f *fixture) (*certs.Leaf, error) {
+				return f.ca.Issue(certs.LeafOptions{CommonName: "other.example", IPs: []netip.Addr{dohIP}})
+			},
+			cause: func(err error) bool {
+				var he x509.HostnameError
+				return errors.As(err, &he)
+			},
+			text: func(*certs.Leaf) string {
+				return "x509: certificate is valid for other.example, not dns.provider.example"
+			},
+		},
+		{
+			name: "expired leaf",
+			issue: func(f *fixture) (*certs.Leaf, error) {
+				return f.ca.IssueExpired(certs.LeafOptions{CommonName: f.tmpl.Host, IPs: []netip.Addr{dohIP}}, 30*24*time.Hour)
+			},
+			cause: func(err error) bool {
+				var cie x509.CertificateInvalidError
+				return errors.As(err, &cie) && cie.Reason == x509.Expired
+			},
+			text: func(leaf *certs.Leaf) string {
+				return "x509: certificate has expired or is not yet valid: current time 2019-05-01T00:00:00Z is after " +
+					leaf.Cert.NotAfter.UTC().Format(time.RFC3339)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			leaf, err := tc.issue(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Serve(f.world, dohIP, leaf, &Server{Handler: f.zone})
+			_, err = f.client().Query(f.tmpl, "x.measure.example.org", dnswire.TypeA)
+			if !errors.Is(err, ErrAuthFailed) {
+				t.Errorf("err = %v, want ErrAuthFailed", err)
+			}
+			var cve *tls.CertificateVerificationError
+			if !errors.As(err, &cve) {
+				t.Errorf("err = %v, want *tls.CertificateVerificationError via errors.As", err)
+			}
+			if !tc.cause(err) {
+				t.Errorf("err = %v, want its x509 cause via errors.As", err)
+			}
+			if want := prefix + tc.text(leaf); err == nil || err.Error() != want {
+				t.Errorf("err = %v\nwant    %s", err, want)
+			}
+		})
+	}
+}
+
+// TestStrictRefusesTemplateWithoutHost: with no host there is no name to
+// authenticate, so a strict DoH dial must fail rather than accept any
+// chain the roots trust.
+func TestStrictRefusesTemplateWithoutHost(t *testing.T) {
+	f := newFixture(t)
+	f.serve(t, &Server{Handler: f.zone})
+	raw, err := f.world.Dial(clientIP, dohIP, Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := f.client().DialConnContext(context.Background(), Template{Path: DefaultPath}, raw)
+	if err == nil {
+		conn.Close()
+	}
+	if !errors.Is(err, ErrAuthFailed) {
+		t.Errorf("err = %v, want ErrAuthFailed", err)
 	}
 }
 

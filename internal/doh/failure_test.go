@@ -3,6 +3,7 @@ package doh
 import (
 	"bufio"
 	"crypto/tls"
+	"crypto/x509"
 	"io"
 	"net/http"
 	"strings"
@@ -22,8 +23,10 @@ func rawTLS(t *testing.T, f *fixture) *tls.Conn {
 		t.Fatal(err)
 	}
 	raw.SetDeadline(time.Now().Add(2 * time.Second))
+	roots := x509.NewCertPool()
+	roots.AddCert(f.ca.Cert)
 	tc := tls.Client(raw, &tls.Config{
-		RootCAs:    certs.Pool(f.ca),
+		RootCAs:    roots,
 		ServerName: f.tmpl.Host,
 		Time:       func() time.Time { return certs.RefTime },
 	})

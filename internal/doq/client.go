@@ -67,7 +67,7 @@ type Client struct {
 	From  netip.Addr
 	// Roots is the trust store for verification (the study's simulated
 	// Mozilla CA list).
-	Roots *x509.CertPool
+	Roots *certs.TrustStore
 	// Profile selects Strict or Opportunistic behaviour (RFC 9250 inherits
 	// RFC 8310's usage profiles unchanged).
 	Profile dot.Profile
@@ -85,7 +85,7 @@ type Client struct {
 }
 
 // NewClient returns a Client with study defaults.
-func NewClient(w *netsim.World, from netip.Addr, roots *x509.CertPool, profile dot.Profile) *Client {
+func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore, profile dot.Profile) *Client {
 	return &Client{
 		World:      w,
 		From:       from,
@@ -231,8 +231,8 @@ func (conn *Conn) handshake() error {
 	}
 	copy(conn.dcid[:], h.SCID)
 
-	conn.verifyErr = verifyServerChain(c.Roots, c.ServerName, sh.chain)
 	conn.peerCerts = parseChain(sh.chain)
+	conn.verifyErr = verifyServerChain(c.Roots, c.ServerName, sh.chain, conn.peerCerts)
 	if c.Profile == dot.Strict && conn.verifyErr != nil {
 		return fmt.Errorf("%w: %w", ErrAuthFailed, conn.verifyErr)
 	}
@@ -246,25 +246,17 @@ func (conn *Conn) handshake() error {
 }
 
 // verifyServerChain performs path (and optional name) verification at
-// certs.RefTime, mirroring the DoT client's profile semantics.
-func verifyServerChain(roots *x509.CertPool, serverName string, rawCerts [][]byte) error {
+// certs.RefTime, mirroring the DoT client's profile semantics. parsed is
+// the prefix of rawCerts that parsed; the trust store verifies the raw
+// chain, so a chain it has seen before is not parsed again.
+func verifyServerChain(roots *certs.TrustStore, serverName string, rawCerts [][]byte, parsed []*x509.Certificate) error {
 	if len(rawCerts) == 0 {
 		return errors.New("doq: no certificate presented")
 	}
-	chain := parseChain(rawCerts)
-	if len(chain) != len(rawCerts) {
+	if len(parsed) != len(rawCerts) {
 		return errors.New("doq: unparseable certificate in chain")
 	}
-	inter := x509.NewCertPool()
-	for _, ic := range chain[1:] {
-		inter.AddCert(ic)
-	}
-	opts := x509.VerifyOptions{Roots: roots, Intermediates: inter, CurrentTime: certs.RefTime}
-	if serverName != "" {
-		opts.DNSName = serverName
-	}
-	_, err := chain[0].Verify(opts)
-	return err
+	return roots.Verify(rawCerts, serverName)
 }
 
 func parseChain(rawCerts [][]byte) []*x509.Certificate {

@@ -116,7 +116,7 @@ type Client struct {
 	From  netip.Addr
 	// Roots is the trust store for verification (the study's simulated
 	// Mozilla CA list).
-	Roots *x509.CertPool
+	Roots *certs.TrustStore
 	// Profile selects Strict or Opportunistic behaviour.
 	Profile Profile
 	// ServerName, when set, is additionally matched against the
@@ -141,7 +141,7 @@ type Client struct {
 }
 
 // NewClient returns a Client with study defaults.
-func NewClient(w *netsim.World, from netip.Addr, roots *x509.CertPool, profile Profile) *Client {
+func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore, profile Profile) *Client {
 	return &Client{
 		World:      w,
 		From:       from,
@@ -235,32 +235,13 @@ func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, 
 }
 
 // verifyChain performs path (and optional name) verification at RefTime.
+// The chain stays raw: the trust store parses it only the first time it
+// sees it.
 func (c *Client) verifyChain(rawCerts [][]byte) error {
 	if len(rawCerts) == 0 {
 		return errors.New("dot: no certificate presented")
 	}
-	chain := make([]*x509.Certificate, 0, len(rawCerts))
-	for _, rc := range rawCerts {
-		cert, err := x509.ParseCertificate(rc)
-		if err != nil {
-			return err
-		}
-		chain = append(chain, cert)
-	}
-	inter := x509.NewCertPool()
-	for _, ic := range chain[1:] {
-		inter.AddCert(ic)
-	}
-	opts := x509.VerifyOptions{
-		Roots:         c.Roots,
-		Intermediates: inter,
-		CurrentTime:   certs.RefTime,
-	}
-	if c.ServerName != "" {
-		opts.DNSName = c.ServerName
-	}
-	_, err := chain[0].Verify(opts)
-	return err
+	return c.Roots.Verify(rawCerts, c.ServerName)
 }
 
 // VerifyError reports the (path) verification outcome of the session; nil

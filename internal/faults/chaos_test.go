@@ -9,7 +9,6 @@ package faults_test
 
 import (
 	"context"
-	"crypto/x509"
 	"errors"
 	"net/netip"
 	"strings"
@@ -154,8 +153,8 @@ func TestChaosNoRetryNoRecovery(t *testing.T) {
 }
 
 // chaosDoQWorld extends chaosWorld with a DoQ endpoint on UDP 853 and
-// returns the trust pool its certificate verifies against.
-func chaosDoQWorld(t *testing.T) (*netsim.World, netip.Addr, netip.Addr, *x509.CertPool) {
+// returns the trust store its certificate verifies against.
+func chaosDoQWorld(t *testing.T) (*netsim.World, netip.Addr, netip.Addr, *certs.TrustStore) {
 	t.Helper()
 	w, client, server := chaosWorld(t)
 	ca, err := certs.NewCA("Chaos Root", true)

@@ -442,6 +442,42 @@ func TestListenerCloseStopsAccept(t *testing.T) {
 	}
 }
 
+func TestWorldCloseRefusesDials(t *testing.T) {
+	w := newTestWorld(t)
+	w.RegisterStream(serverIP, 7, echoHandler)
+	w.RegisterStream(serverIP, 853, echoHandler)
+	l, err := w.Listen(serverIP, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if n := w.NumListeners(); n != 0 {
+		t.Errorf("NumListeners after Close = %d, want 0", n)
+	}
+	accepted := make(chan error, 1)
+	go func() {
+		_, err := l.Accept()
+		accepted <- err
+	}()
+	select {
+	case err := <-accepted:
+		if err == nil {
+			t.Error("Accept on a listener of a closed world succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept on a listener of a closed world still blocks")
+	}
+	for _, port := range []uint16{7, 80, 853} {
+		if _, err := w.Dial(clientIP, serverIP, port); !errors.Is(err, ErrRefused) {
+			t.Errorf("Dial :%d after Close = %v, want ErrRefused", port, err)
+		}
+	}
+	w.Close() // idempotent
+	if n := w.NumListeners(); n != 0 {
+		t.Errorf("NumListeners after second Close = %d, want 0", n)
+	}
+}
+
 func TestStreamAddrs(t *testing.T) {
 	w := newTestWorld(t)
 	a := netip.MustParseAddr("192.0.2.1")

@@ -229,6 +229,20 @@ func (w *World) CloseService(ip netip.Addr, port uint16) {
 	}
 }
 
+// Close closes every stream listener, as CloseService does one at a time,
+// so the accept loop RegisterStream started for each returns and a Dial to
+// any of them is refused. Nothing else holds a goroutine for the world, so
+// once its connections are closed a closed world can be collected. Close
+// is idempotent.
+func (w *World) Close() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for addr, l := range w.listeners {
+		l.Close()
+		delete(w.listeners, addr)
+	}
+}
+
 // RegisterDatagram installs a datagram service on ip:port.
 func (w *World) RegisterDatagram(ip netip.Addr, port uint16, handler DatagramHandler) {
 	w.mu.Lock()

@@ -22,7 +22,6 @@ package resolver
 
 import (
 	"context"
-	"crypto/x509"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -30,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
@@ -231,7 +231,7 @@ var ports = [...]uint16{ProtoTCP: 53, ProtoDoT: dot.Port, ProtoDoH: doh.Port, Pr
 type Client struct {
 	World *netsim.World
 	From  netip.Addr
-	Roots *x509.CertPool
+	Roots *certs.TrustStore
 	dial  Dialer
 	opts  Options
 
@@ -245,7 +245,7 @@ type Client struct {
 
 // New returns a Client dialing directly from address from of world w, with
 // study defaults adjusted by opts.
-func New(w *netsim.World, from netip.Addr, roots *x509.CertPool, opts ...Option) *Client {
+func New(w *netsim.World, from netip.Addr, roots *certs.TrustStore, opts ...Option) *Client {
 	c := NewVia(worldDialer{w, from}, roots, opts...)
 	c.World, c.From = w, from
 	return c
@@ -254,7 +254,7 @@ func New(w *netsim.World, from netip.Addr, roots *x509.CertPool, opts ...Option)
 // NewVia returns a Client whose sessions open through d — for example a
 // proxy.ExitDialer, so every protocol runs from an exit node's vantage
 // point. It has no World, so UDP is unavailable on it.
-func NewVia(d Dialer, roots *x509.CertPool, opts ...Option) *Client {
+func NewVia(d Dialer, roots *certs.TrustStore, opts ...Option) *Client {
 	c := &Client{Roots: roots, dial: d, opts: Options{Reuse: true, Profile: dot.Opportunistic}}
 	for _, fn := range opts {
 		fn(&c.opts)

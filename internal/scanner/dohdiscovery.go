@@ -1,12 +1,12 @@
 package scanner
 
 import (
-	"crypto/x509"
 	"net/netip"
 	"sort"
 	"strings"
 	"time"
 
+	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
@@ -96,7 +96,7 @@ func splitURL(u string) (host, path string, ok bool) {
 type DoHDiscovery struct {
 	World *netsim.World
 	From  netip.Addr
-	Roots *x509.CertPool
+	Roots *certs.TrustStore
 	// Resolve maps candidate hostnames to addresses (bootstrap results).
 	Resolve map[string]netip.Addr
 	// ProbeDomain is the scanners' registered domain.

@@ -2,7 +2,6 @@ package scanner
 
 import (
 	"context"
-	"crypto/x509"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -122,7 +121,7 @@ type Scanner struct {
 	// ExpectedA is the authoritative answer, used for validation.
 	ExpectedA netip.Addr
 	// Roots is the trust store for certificate classification.
-	Roots *x509.CertPool
+	Roots *certs.TrustStore
 	// Workers bounds concurrent DoT probes.
 	Workers int
 	// Seed randomizes the sweep order.

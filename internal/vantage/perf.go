@@ -2,7 +2,6 @@ package vantage
 
 import (
 	"context"
-	"crypto/x509"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -10,6 +9,7 @@ import (
 
 	"dnsencryption.info/doe/internal/analysis"
 	"dnsencryption.info/doe/internal/bufpool"
+	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/netsim"
@@ -306,7 +306,7 @@ type NoReuseSample struct {
 // queries feed the vantage_query_latency{mode=fresh} histogram; the
 // resolver transports underneath contribute their own xchg/dial spans per
 // query.
-func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, from netip.Addr, tgt Target, probeZone string, roots *x509.CertPool, n int, opts ...resolver.Option) (NoReuseSample, error) {
+func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, from netip.Addr, tgt Target, probeZone string, roots *certs.TrustStore, n int, opts ...resolver.Option) (NoReuseSample, error) {
 	sample := NoReuseSample{Vantage: label, Medians: Medians{}}
 	// Probe names carry the vantage label so concurrent vantages never
 	// share a name: a shared name would let one vantage's query warm the

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
 	"dnsencryption.info/doe/internal/obs"
@@ -143,7 +144,7 @@ type Platform struct {
 	Network *proxy.Network
 	// From is the measurement client's own address.
 	From  netip.Addr
-	Roots *x509.CertPool
+	Roots *certs.TrustStore
 	// ProbeZone is the measurement domain; queries use unique prefixes
 	// "in order to avoid caching".
 	ProbeZone string

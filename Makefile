@@ -31,9 +31,9 @@ FUZZ_TARGETS := \
 	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+.PHONY: verify fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke
 
-verify: fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke
+verify: fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke
 
 # gofmt over tracked files only, so build output such as .bench_build/ is
 # never scanned.
@@ -104,3 +104,12 @@ trace-smoke:
 	$(GO) run ./cmd/doereport -small -trace $(TRACE_SMOKE_OUT) -o /dev/null
 	$(GO) run ./cmd/doetrace $(TRACE_SMOKE_OUT)
 	$(GO) run ./cmd/doetrace -diff internal/core/testdata/trace_small.jsonl $(TRACE_SMOKE_OUT)
+
+# Run every example once. `go build ./...` compiles them but never runs
+# them, so an example that builds and then fails (a log.Fatal on a changed
+# API contract) would pass every other gate. Each must exit 0.
+examples-smoke:
+	@for ex in $(patsubst %/,%,$(sort $(wildcard examples/*/))); do \
+		echo "example $$ex"; \
+		$(GO) run ./$$ex > /dev/null || exit 1; \
+	done

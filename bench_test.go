@@ -175,7 +175,7 @@ func BenchmarkTable4Reachability(b *testing.B) {
 	node := cleanNode(b, s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := s.GlobalPlatform.TestReachability(node, s.Targets)
+		results := s.GlobalPlatform.TestReachability(context.Background(), node, s.Targets)
 		if len(results) == 0 {
 			b.Fatal("no results")
 		}

@@ -1,9 +1,10 @@
 // Command doescan reproduces §3 of the paper: it builds the study world,
 // runs the repeated Internet-wide DoT scans and the DoH URL-corpus
 // discovery, and prints Table 2, Figure 3, Figure 4 and the DoH discovery
-// summary. (The scanner package also speaks DoQ — UDP/853 discovery with
-// QUIC handshake verification via ScanDoQ — which the vantage campaigns
-// exercise; the paper-period scan tables remain DoT-only.)
+// summary. (The scanner's one sweep→probe pipeline also runs over DoQ —
+// ScanDoQ sweeps UDP/853 with a QUIC Initial and verifies responders with
+// RFC 9250 handshakes — but the paper-period scan tables are DoT-only, so
+// this command runs the DoT scan.)
 package main
 
 import (

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -41,13 +42,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	start := time.Now()
-	if err := c.FetchCert(resolver); err != nil {
+	if err := c.FetchCertContext(ctx, resolver); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("certificate bootstrapped and Ed25519-verified in %v (wall)\n", time.Since(start).Round(time.Microsecond))
 
-	res, err := c.Query(resolver, "www.crypt.example.test", dnswire.TypeA)
+	res, err := c.QueryContext(ctx, resolver, "www.crypt.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -48,7 +49,7 @@ func main() {
 
 	// 4. Clear-text lookup over UDP.
 	stub := dnsclient.New(world, client)
-	res, err := stub.QueryUDP(resolver, "www.example.test", dnswire.TypeA)
+	res, err := stub.QueryUDPContext(context.Background(), resolver, "www.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}

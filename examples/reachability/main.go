@@ -7,9 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
+	"sort"
 	"time"
 
 	"dnsencryption.info/doe/internal/analysis"
@@ -107,21 +109,44 @@ func main() {
 		DoHAddr: resolver,
 	}
 
-	results := platform.Campaign([]vantage.Target{target}, 4)
-	table := &analysis.Table{
-		Title:   "Reachability per vantage point",
-		Columns: []string{"Node", "CC", "Proto", "Outcome", "Intercepted", "Error"},
+	// The campaign folds every lookup into one accumulator. Each node sits
+	// in its own country here, so the per-country cells read as per-node
+	// rows; TrackFailed keeps the IDs of the nodes whose lookups failed.
+	tracked := []vantage.FailKey{
+		{Resolver: target.Name, Proto: vantage.ProtoDNS},
+		{Resolver: target.Name, Proto: vantage.ProtoDoH},
 	}
-	for _, r := range results {
-		errStr := r.Err
-		if len(errStr) > 40 {
-			errStr = errStr[:37] + "..."
+	stats, err := platform.CampaignStream(context.Background(), []vantage.Target{target}, 4,
+		vantage.CampaignOpts{TrackFailed: tracked})
+	if err != nil {
+		log.Fatal(err)
+	}
+	cells := make([]vantage.CellKey, 0, len(stats.Cells))
+	for k := range stats.Cells {
+		cells = append(cells, k)
+	}
+	sort.Slice(cells, func(i, j int) bool {
+		if cells[i].Country != cells[j].Country {
+			return cells[i].Country < cells[j].Country
 		}
-		table.AddRow(r.NodeID, r.Country, string(r.Proto), r.Outcome, r.Intercepted, errStr)
+		return cells[i].Proto < cells[j].Proto
+	})
+	table := &analysis.Table{
+		Title:   "Reachability per vantage country",
+		Columns: []string{"CC", "Proto", "Correct", "Incorrect", "Failed"},
+	}
+	for _, k := range cells {
+		t := stats.Cells[k]
+		table.AddRow(k.Country, string(k.Proto), t.Correct, t.Incorrect, t.Failed)
 	}
 	fmt.Println(table.Render())
 
-	for _, r := range vantage.InterceptedResults(results) {
+	for _, k := range tracked {
+		for _, ref := range stats.FailedRefs(k) {
+			fmt.Printf("%s lookup failed from node %s\n", k.Proto, ref.ID)
+		}
+	}
+	for _, r := range stats.Intercepted() {
 		fmt.Printf("TLS interception: node %s (%s) — resolver cert re-signed by %q, lookup still answered\n",
 			r.NodeID, r.Country, r.IssuerCN)
 	}

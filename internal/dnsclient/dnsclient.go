@@ -79,13 +79,6 @@ func Deadline(ctx context.Context, timeout time.Duration) time.Time {
 	return d
 }
 
-// QueryUDP performs a DNS-over-UDP lookup.
-//
-// Deprecated: use QueryUDPContext; this delegates with context.Background().
-func (c *Client) QueryUDP(server netip.Addr, name string, qtype dnswire.Type) (*Result, error) {
-	return c.QueryUDPContext(context.Background(), server, name, qtype)
-}
-
 // QueryUDPContext performs a DNS-over-UDP lookup, honouring ctx between
 // retry attempts.
 func (c *Client) QueryUDPContext(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type) (*Result, error) {
@@ -118,15 +111,8 @@ func (c *Client) QueryUDPContext(ctx context.Context, server netip.Addr, name st
 	return nil, fmt.Errorf("dnsclient: UDP query failed after %d attempts: %w", c.Retries+1, lastErr)
 }
 
-// QueryTCP performs a DNS-over-TCP lookup on a fresh connection, including
-// connection setup in the reported latency.
-//
-// Deprecated: use QueryTCPContext; this delegates with context.Background().
-func (c *Client) QueryTCP(server netip.Addr, name string, qtype dnswire.Type) (*Result, error) {
-	return c.QueryTCPContext(context.Background(), server, name, qtype)
-}
-
-// QueryTCPContext performs a DNS-over-TCP lookup on a fresh connection.
+// QueryTCPContext performs a DNS-over-TCP lookup on a fresh connection,
+// including connection setup in the reported latency.
 func (c *Client) QueryTCPContext(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type) (*Result, error) {
 	conn, err := c.DialTCPContext(ctx, server)
 	if err != nil {
@@ -156,24 +142,9 @@ type TCPConn struct {
 	closed      bool
 }
 
-// DialTCP opens a reusable DNS-over-TCP connection to server:53.
-//
-// Deprecated: use DialTCPContext; this delegates with context.Background().
-func (c *Client) DialTCP(server netip.Addr) (*TCPConn, error) {
-	return c.DialTCPContext(context.Background(), server)
-}
-
 // DialTCPContext opens a reusable DNS-over-TCP connection to server:53.
 func (c *Client) DialTCPContext(ctx context.Context, server netip.Addr) (*TCPConn, error) {
 	return c.DialTCPPortContext(ctx, server, 53)
-}
-
-// DialTCPPort opens a reusable DNS-over-TCP connection to an arbitrary port.
-//
-// Deprecated: use DialTCPPortContext; this delegates with
-// context.Background().
-func (c *Client) DialTCPPort(server netip.Addr, port uint16) (*TCPConn, error) {
-	return c.DialTCPPortContext(context.Background(), server, port)
 }
 
 // DialTCPPortContext opens a reusable DNS-over-TCP connection to an

@@ -1,6 +1,7 @@
 package dnsclient
 
 import (
+	"context"
 	"errors"
 	"net/netip"
 	"testing"
@@ -40,7 +41,7 @@ func TestQueryUDP(t *testing.T) {
 	w := newWorld()
 	w.RegisterDatagram(resolverIP, 53, fixedHandler)
 	c := New(w, clientIP)
-	res, err := c.QueryUDP(resolverIP, "example.com", dnswire.TypeA)
+	res, err := c.QueryUDPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestQueryUDPNoService(t *testing.T) {
 	w := newWorld()
 	c := New(w, clientIP)
 	c.Retries = 0
-	if _, err := c.QueryUDP(resolverIP, "example.com", dnswire.TypeA); err == nil {
+	if _, err := c.QueryUDPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA); err == nil {
 		t.Error("query against empty world succeeded")
 	}
 }
@@ -72,7 +73,7 @@ func TestQueryUDPIDMismatchRejected(t *testing.T) {
 	})
 	c := New(w, clientIP)
 	c.Retries = 0
-	_, err := c.QueryUDP(resolverIP, "example.com", dnswire.TypeA)
+	_, err := c.QueryUDPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA)
 	if !errors.Is(err, ErrIDMismatch) {
 		t.Errorf("err = %v, want ErrIDMismatch", err)
 	}
@@ -101,7 +102,7 @@ func TestQueryTCP(t *testing.T) {
 	w := newWorld()
 	serveTCPFixed(w)
 	c := New(w, clientIP)
-	res, err := c.QueryTCP(resolverIP, "example.com", dnswire.TypeA)
+	res, err := c.QueryTCPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestTCPConnReuseLatency(t *testing.T) {
 	w.JitterFrac = 0
 	serveTCPFixed(w)
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestQueryAfterCloseFails(t *testing.T) {
 	w := newWorld()
 	serveTCPFixed(w)
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestMuxBatchReversedResponses(t *testing.T) {
 	w.JitterFrac = 0
 	serveMuxReversed(w, batch)
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMuxConcurrentExchange(t *testing.T) {
 	// are out of order relative to issue order.
 	serveMuxReversed(w, 4)
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestMuxFailsAllInFlightOnStreamDeath(t *testing.T) {
 		conn.Close()
 	})
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestMuxExchangeCancellation(t *testing.T) {
 		}
 	})
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestMuxClosedSessionError(t *testing.T) {
 	w := newWorld()
 	serveTCPFixed(w)
 	c := New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}

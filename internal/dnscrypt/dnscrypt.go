@@ -293,14 +293,6 @@ func NewClient(w *netsim.World, from netip.Addr, providerName string, providerPK
 	}, nil
 }
 
-// FetchCert retrieves and verifies the resolver certificate via the
-// clear-text TXT bootstrap query.
-//
-// Deprecated: use FetchCertContext; this delegates with context.Background().
-func (c *Client) FetchCert(resolver netip.Addr) error {
-	return c.FetchCertContext(context.Background(), resolver)
-}
-
 // FetchCertContext retrieves and verifies the resolver certificate via the
 // clear-text TXT bootstrap query, checking ctx before the exchange.
 func (c *Client) FetchCertContext(ctx context.Context, resolver netip.Addr) error {
@@ -344,15 +336,8 @@ func (c *Client) FetchCertContext(ctx context.Context, resolver netip.Addr) erro
 	return ErrNoCert
 }
 
-// Query performs one encrypted lookup. FetchCert must have succeeded.
-//
-// Deprecated: use QueryContext; this delegates with context.Background().
-func (c *Client) Query(resolver netip.Addr, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	return c.QueryContext(context.Background(), resolver, name, qtype)
-}
-
 // QueryContext performs one encrypted lookup, checking ctx before the
-// exchange. FetchCert must have succeeded.
+// exchange. FetchCertContext must have succeeded.
 //
 //doelint:hotpath
 func (c *Client) QueryContext(ctx context.Context, resolver netip.Addr, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
@@ -364,7 +349,7 @@ func (c *Client) QueryContext(ctx context.Context, resolver netip.Addr, name str
 	}
 	shared := c.shared
 	if shared == nil {
-		// Certificate installed without FetchCert (tests); derive lazily.
+		// Certificate installed without FetchCertContext (tests); derive lazily.
 		var err error
 		if shared, err = c.kp.SharedKey(&c.cert.ResolverPK); err != nil {
 			return nil, err

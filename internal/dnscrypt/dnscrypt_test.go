@@ -2,6 +2,7 @@ package dnscrypt
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/hex"
@@ -219,10 +220,10 @@ func endToEnd(t *testing.T) (*Client, netip.Addr) {
 
 func TestEndToEndQuery(t *testing.T) {
 	c, resolver := endToEnd(t)
-	if err := c.FetchCert(resolver); err != nil {
-		t.Fatalf("FetchCert: %v", err)
+	if err := c.FetchCertContext(context.Background(), resolver); err != nil {
+		t.Fatalf("FetchCertContext: %v", err)
 	}
-	res, err := c.Query(resolver, "host.crypt.example.test", dnswire.TypeA)
+	res, err := c.QueryContext(context.Background(), resolver, "host.crypt.example.test", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestEndToEndQuery(t *testing.T) {
 
 func TestQueryWithoutCertFails(t *testing.T) {
 	c, resolver := endToEnd(t)
-	if _, err := c.Query(resolver, "x.crypt.example.test", dnswire.TypeA); err != ErrNoCert {
+	if _, err := c.QueryContext(context.Background(), resolver, "x.crypt.example.test", dnswire.TypeA); err != ErrNoCert {
 		t.Errorf("err = %v, want ErrNoCert", err)
 	}
 }
@@ -245,18 +246,18 @@ func TestWrongProviderKeyRejected(t *testing.T) {
 	c, resolver := endToEnd(t)
 	otherPK, _, _ := ed25519.GenerateKey(rand.Reader)
 	c.ProviderPK = otherPK
-	if err := c.FetchCert(resolver); err == nil {
+	if err := c.FetchCertContext(context.Background(), resolver); err == nil {
 		t.Error("cert fetched and verified under wrong provider key")
 	}
 }
 
 func TestMultipleQueriesFreshNonces(t *testing.T) {
 	c, resolver := endToEnd(t)
-	if err := c.FetchCert(resolver); err != nil {
+	if err := c.FetchCertContext(context.Background(), resolver); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Query(resolver, "multi.crypt.example.test", dnswire.TypeA); err != nil {
+		if _, err := c.QueryContext(context.Background(), resolver, "multi.crypt.example.test", dnswire.TypeA); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -265,7 +266,7 @@ func TestMultipleQueriesFreshNonces(t *testing.T) {
 func TestCertValidityAnchoredToStudyTime(t *testing.T) {
 	c, resolver := endToEnd(t)
 	c.Now = time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
-	if err := c.FetchCert(resolver); err == nil {
+	if err := c.FetchCertContext(context.Background(), resolver); err == nil {
 		t.Error("cert accepted far outside its validity window")
 	}
 }
@@ -338,10 +339,10 @@ func TestClientFromStampEndToEnd(t *testing.T) {
 	if addr != resolver {
 		t.Errorf("stamp addr = %v", addr)
 	}
-	if err := client.FetchCert(addr); err != nil {
+	if err := client.FetchCertContext(context.Background(), addr); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Query(addr, "stamped.crypt.example.test", dnswire.TypeA); err != nil {
+	if _, err := client.QueryContext(context.Background(), addr, "stamped.crypt.example.test", dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
 	// DoH stamps are rejected by the DNSCrypt constructor.

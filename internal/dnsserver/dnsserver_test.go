@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -104,7 +105,7 @@ func TestRecursiveResolutionOverUDP(t *testing.T) {
 	w := newWorld()
 	setupRecursive(t, w)
 	c := dnsclient.New(w, clientIP)
-	res, err := c.QueryUDP(resolverIP, "abc.measure.example.org", dnswire.TypeA)
+	res, err := c.QueryUDPContext(context.Background(), resolverIP, "abc.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,14 @@ func TestRecursiveCacheMakesSecondQueryFaster(t *testing.T) {
 	w := newWorld()
 	r := setupRecursive(t, w)
 	c := dnsclient.New(w, clientIP)
-	first, err := c.QueryUDP(resolverIP, "cached.measure.example.org", dnswire.TypeA)
+	first, err := c.QueryUDPContext(context.Background(), resolverIP, "cached.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.CacheLen() != 1 {
 		t.Errorf("cache len = %d, want 1", r.CacheLen())
 	}
-	second, err := c.QueryUDP(resolverIP, "cached.measure.example.org", dnswire.TypeA)
+	second, err := c.QueryUDPContext(context.Background(), resolverIP, "cached.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestStreamServerConnectionReuse(t *testing.T) {
 	w := newWorld()
 	setupRecursive(t, w)
 	c := dnsclient.New(w, clientIP)
-	conn, err := c.DialTCP(resolverIP)
+	conn, err := c.DialTCPContext(context.Background(), resolverIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestQueryTCPFreshConnection(t *testing.T) {
 	w := newWorld()
 	setupRecursive(t, w)
 	c := dnsclient.New(w, clientIP)
-	res, err := c.QueryTCP(resolverIP, "fresh.measure.example.org", dnswire.TypeA)
+	res, err := c.QueryTCPContext(context.Background(), resolverIP, "fresh.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestUDPQueryAgainstStatic(t *testing.T) {
 	fixed := netip.MustParseAddr("103.247.37.37")
 	w.RegisterDatagram(resolverIP, 53, DatagramHandler(Static{Addr: fixed}))
 	c := dnsclient.New(w, clientIP)
-	res, err := c.QueryUDP(resolverIP, "validate.ourdomain.example", dnswire.TypeA)
+	res, err := c.QueryUDPContext(context.Background(), resolverIP, "validate.ourdomain.example", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestClientRetriesUDP(t *testing.T) {
 	})
 	c := dnsclient.New(w, clientIP)
 	c.Retries = 1
-	if _, err := c.QueryUDP(resolverIP, "retry.example", dnswire.TypeA); err != nil {
+	if _, err := c.QueryUDPContext(context.Background(), resolverIP, "retry.example", dnswire.TypeA); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
 }
@@ -232,7 +233,7 @@ func TestCacheLimitCapsInsertionWithoutChangingAnswers(t *testing.T) {
 	c := dnsclient.New(w, clientIP)
 	for i := 0; i < 10; i++ {
 		name := "n" + string(rune('a'+i)) + ".measure.example.org"
-		res, err := c.QueryUDP(resolverIP, name, dnswire.TypeA)
+		res, err := c.QueryUDPContext(context.Background(), resolverIP, name, dnswire.TypeA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,11 +246,11 @@ func TestCacheLimitCapsInsertionWithoutChangingAnswers(t *testing.T) {
 	}
 	// Entries inserted before the cap filled still hit; names seen after
 	// the cap filled were never inserted and pay the upstream trip again.
-	hit, err := c.QueryUDP(resolverIP, "na.measure.example.org", dnswire.TypeA)
+	hit, err := c.QueryUDPContext(context.Background(), resolverIP, "na.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	miss, err := c.QueryUDP(resolverIP, "nj.measure.example.org", dnswire.TypeA)
+	miss, err := c.QueryUDPContext(context.Background(), resolverIP, "nj.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}

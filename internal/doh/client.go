@@ -123,14 +123,6 @@ func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore) *Clien
 	}
 }
 
-// Resolve maps a template hostname to an address using the override table
-// or the bootstrap resolver.
-//
-// Deprecated: use ResolveContext; this delegates with context.Background().
-func (c *Client) Resolve(host string) (netip.Addr, error) {
-	return c.ResolveContext(context.Background(), host)
-}
-
 // ResolveContext maps a template hostname to an address using the override
 // table or the bootstrap resolver, honouring ctx on the bootstrap lookup.
 func (c *Client) ResolveContext(ctx context.Context, host string) (netip.Addr, error) {
@@ -176,7 +168,7 @@ type Conn struct {
 }
 
 // Dial establishes a DoH session for the template, connecting to addr
-// (resolved by the caller or via Resolve).
+// (resolved by the caller or via ResolveContext).
 func (c *Client) Dial(t Template, addr netip.Addr) (*Conn, error) {
 	return c.DialContext(context.Background(), t, addr)
 }

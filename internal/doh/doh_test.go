@@ -315,8 +315,8 @@ func TestBootstrapResolution(t *testing.T) {
 func TestResolveFailsWithoutPath(t *testing.T) {
 	f := newFixture(t)
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca))
-	if _, err := c.Resolve("unknown.example"); err == nil {
-		t.Error("Resolve succeeded with no override and no bootstrap")
+	if _, err := c.ResolveContext(context.Background(), "unknown.example"); err == nil {
+		t.Error("ResolveContext succeeded with no override and no bootstrap")
 	}
 }
 

@@ -34,7 +34,7 @@ func (r *Registry) PrometheusText() string {
 			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
 		case kindGauge:
 			fmt.Fprintf(&b, "# TYPE %s gauge\n", name)
-		case kindHistogram, kindSketch:
+		case kindSketch:
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
 		}
 		f.mu.Lock()
@@ -49,12 +49,8 @@ func (r *Registry) PrometheusText() string {
 				fmt.Fprintf(&b, "%s%s %d\n", name, promLabels(k, "", ""), m.Value())
 			case *Gauge:
 				fmt.Fprintf(&b, "%s%s %d\n", name, promLabels(k, "", ""), m.Value())
-			case *Histogram:
-				counts, overflow := m.bucketCounts()
-				promHistogram(&b, name, k, f.bounds, counts, overflow, m.SumUS(), m.Count())
 			case *Sketch:
-				counts, overflow := m.bucketCounts()
-				promHistogram(&b, name, k, m.bounds, counts, overflow, m.SumUS(), m.Count())
+				promSketch(&b, name, k, m)
 			}
 		}
 		f.mu.Unlock()
@@ -62,20 +58,20 @@ func (r *Registry) PrometheusText() string {
 	return b.String()
 }
 
-// promHistogram renders one histogram/sketch instance as cumulative
-// le-labeled buckets plus _sum and _count.
-func promHistogram(b *strings.Builder, name, labels string, bounds []time.Duration,
-	counts []int64, overflow, sumUS, count int64) {
+// promSketch renders one sketch instance as a Prometheus histogram:
+// cumulative le-labeled buckets over the sketch edges plus _sum and _count.
+func promSketch(b *strings.Builder, name, labels string, s *Sketch) {
+	counts, overflow := s.bucketCounts()
 	var cum int64
-	for i, bound := range bounds {
+	for i, edge := range sketchBounds {
 		cum += counts[i]
-		le := fmt.Sprintf("%g", bound.Seconds())
+		le := fmt.Sprintf("%g", edge.Seconds())
 		fmt.Fprintf(b, "%s_bucket%s %d\n", name, promLabels(labels, "le", le), cum)
 	}
 	fmt.Fprintf(b, "%s_bucket%s %d\n", name, promLabels(labels, "le", "+Inf"), cum+overflow)
 	fmt.Fprintf(b, "%s_sum%s %g\n", name, promLabels(labels, "", ""),
-		(time.Duration(sumUS) * time.Microsecond).Seconds())
-	fmt.Fprintf(b, "%s_count%s %d\n", name, promLabels(labels, "", ""), count)
+		(time.Duration(s.SumUS()) * time.Microsecond).Seconds())
+	fmt.Fprintf(b, "%s_count%s %d\n", name, promLabels(labels, "", ""), s.Count())
 }
 
 // promLabels renders {k1="v1",k2="v2"[,extraK="extraV"]} from the internal

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Merge folds src's metric families into r. Merge semantics per kind:
@@ -13,17 +12,17 @@ import (
 //   - gauges: the destination keeps the maximum — the only associative,
 //     commutative, idempotent fold, so high-water marks survive any merge
 //     tree (point-in-time gauges should be Set after merging, not sharded)
-//   - histograms and sketches: bucket-wise addition (Histogram.Merge /
-//     Sketch.Merge)
+//   - sketches: bucket-wise addition (Sketch.Merge)
 //
 // Every operation is associative and commutative, so folding N shard
 // registries in any order or tree shape yields a byte-identical
 // Snapshot. Families present in src but not in r are created with src's
-// kind, volatility and layout; families present in both must agree on
-// all three or Merge reports an error (and keeps going, merging what it
-// can — partial telemetry beats none). src must be quiescent for the
-// merged values to be exact; r may be read, recorded into, and merged
-// into concurrently. Nil receiver or source is a no-op.
+// kind and volatility; families present in both must agree on both or
+// Merge reports an error (and keeps going, merging what it can — partial
+// telemetry beats none). Every sketch shares one bucket layout, so there
+// is no layout to agree on. src must be quiescent for the merged values
+// to be exact; r may be read, recorded into, and merged into
+// concurrently. Nil receiver or source is a no-op.
 func (r *Registry) Merge(src *Registry) error {
 	if r == nil || src == nil || r == src {
 		return nil
@@ -52,8 +51,7 @@ func (r *Registry) mergeFamily(sf *family) error {
 	r.mu.Lock()
 	df, ok := r.fams[sf.name]
 	if !ok {
-		df = &family{name: sf.name, kind: sf.kind, volatile: sf.volatile,
-			bounds: sf.bounds, sketchOpts: sf.sketchOpts, insts: make(map[string]any)}
+		df = &family{name: sf.name, kind: sf.kind, volatile: sf.volatile, insts: make(map[string]any)}
 		r.fams[sf.name] = df
 	}
 	r.mu.Unlock()
@@ -62,22 +60,6 @@ func (r *Registry) mergeFamily(sf *family) error {
 	}
 	if df.volatile != sf.volatile {
 		return fmt.Errorf("family %q: volatility mismatch", sf.name)
-	}
-	if df.kind == kindHistogram && !equalBounds(df.bounds, sf.bounds) {
-		return fmt.Errorf("family %q: histogram bounds mismatch", sf.name)
-	}
-	if df.kind == kindSketch {
-		// sketchOpts is set lazily under the family lock by Registry.Sketch,
-		// so adopt-or-compare must hold it too.
-		df.mu.Lock()
-		if df.sketchOpts == (SketchOpts{}) {
-			df.sketchOpts = sf.sketchOpts
-		}
-		optsOK := df.sketchOpts == sf.sketchOpts
-		df.mu.Unlock()
-		if !optsOK {
-			return fmt.Errorf("family %q: sketch opts mismatch", sf.name)
-		}
 	}
 
 	// Copy the source instances before touching the destination lock so the
@@ -114,10 +96,8 @@ func (f *family) mergeInst(label string, src any) error {
 			dst = &Counter{}
 		case *Gauge:
 			dst = &Gauge{}
-		case *Histogram:
-			dst = &Histogram{bounds: f.bounds, buckets: make([]atomic.Int64, len(f.bounds))}
 		case *Sketch:
-			dst = NewSketch(f.sketchOpts)
+			dst = new(Sketch)
 		default:
 			f.mu.Unlock()
 			return fmt.Errorf("unknown metric type %T", src)
@@ -139,18 +119,12 @@ func (f *family) mergeInst(label string, src any) error {
 			return fmt.Errorf("kind mismatch (%T vs *obs.Gauge)", dst)
 		}
 		d.Max(s.Value())
-	case *Histogram:
-		d, ok := dst.(*Histogram)
-		if !ok {
-			return fmt.Errorf("kind mismatch (%T vs *obs.Histogram)", dst)
-		}
-		return d.Merge(s)
 	case *Sketch:
 		d, ok := dst.(*Sketch)
 		if !ok {
 			return fmt.Errorf("kind mismatch (%T vs *obs.Sketch)", dst)
 		}
-		return d.Merge(s)
+		d.Merge(s)
 	}
 	return nil
 }
@@ -161,8 +135,6 @@ func kindName(k metricKind) string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindHistogram:
-		return "histogram"
 	case kindSketch:
 		return "sketch"
 	}

@@ -30,19 +30,16 @@ type metricKind int
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindSketch
 )
 
 // family groups every labeled instance of one metric name.
 type family struct {
-	name       string
-	kind       metricKind
-	volatile   bool
-	bounds     []time.Duration // histograms only
-	sketchOpts SketchOpts      // sketches only
-	mu         sync.Mutex
-	insts      map[string]any // label string → *Counter | *Gauge | *Histogram | *Sketch
+	name     string
+	kind     metricKind
+	volatile bool
+	mu       sync.Mutex
+	insts    map[string]any // label string → *Counter | *Gauge | *Sketch
 }
 
 // NewRegistry returns an empty registry.
@@ -50,13 +47,12 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-func (r *Registry) lookup(name string, kind metricKind, volatile bool, bounds []time.Duration) *family {
+func (r *Registry) lookup(name string, kind metricKind, volatile bool) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if !ok {
-		f = &family{name: name, kind: kind, volatile: volatile, bounds: bounds,
-			insts: make(map[string]any)}
+		f = &family{name: name, kind: kind, volatile: volatile, insts: make(map[string]any)}
 		r.fams[name] = f
 	}
 	return f
@@ -204,158 +200,13 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram is a fixed-bound distribution of virtual durations. Buckets
-// are cumulative-at-snapshot, stored per-bound; sum is in microseconds.
-type Histogram struct {
-	bounds  []time.Duration
-	buckets []atomic.Int64 // one per bound, +Inf implied by count
-	count   atomic.Int64
-	sumUS   atomic.Int64
-}
-
-// DefaultLatencyBuckets covers the virtual latencies the simulation
-// produces, from LAN RTTs to stalled fault paths.
-func DefaultLatencyBuckets() []time.Duration {
-	return []time.Duration{
-		1 * time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
-		10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
-		100 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond,
-		1 * time.Second, 2 * time.Second, 5 * time.Second,
-	}
-}
-
-// Observe records one virtual duration; nil-safe.
-func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.count.Add(1)
-	h.sumUS.Add(int64(d / time.Microsecond))
-	for i, b := range h.bounds {
-		if d <= b {
-			h.buckets[i].Add(1)
-			break
-		}
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// SumUS returns the sum of observations in microseconds (0 on nil).
-func (h *Histogram) SumUS() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sumUS.Load()
-}
-
-// Quantile estimates the q-quantile by linear interpolation inside the
-// bucket that crosses the target rank; observations above the highest
-// bound clamp to it.
-//
-// Edge behavior (pinned by tests): an empty histogram returns 0 for every
-// q; q is clamped to [0, 1], so q <= 0 behaves like the minimum rank and
-// q >= 1 like the maximum.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := clampQ(q) * float64(total)
-	var cum int64
-	lower := time.Duration(0)
-	for i, b := range h.bounds {
-		n := h.buckets[i].Load()
-		if float64(cum+n) >= rank {
-			if n == 0 {
-				return b
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + time.Duration(frac*float64(b-lower))
-		}
-		cum += n
-		lower = b
-	}
-	// Target rank lives in the implicit +Inf bucket: clamp to the top bound.
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Merge folds o's observations into h bucket-by-bucket. Bucket addition
-// is associative and commutative, so merging shard histograms in any
-// order or tree shape yields identical totals. It fails if the bucket
-// bounds differ; nil receiver or argument is a no-op.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if !equalBounds(h.bounds, o.bounds) {
-		return fmt.Errorf("obs: histogram merge: bounds mismatch (%d vs %d buckets)",
-			len(h.bounds), len(o.bounds))
-	}
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sumUS.Add(o.sumUS.Load())
-	return nil
-}
-
-func equalBounds(a, b []time.Duration) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// clampQ pins a quantile request to [0, 1] so out-of-range q degrades to
-// the distribution's min/max instead of extrapolating.
-func clampQ(q float64) float64 {
-	if q < 0 {
-		return 0
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
-}
-
-// bucketCounts returns per-bound counts plus the overflow count.
-func (h *Histogram) bucketCounts() ([]int64, int64) {
-	counts := make([]int64, len(h.bounds))
-	var within int64
-	for i := range h.bounds {
-		counts[i] = h.buckets[i].Load()
-		within += counts[i]
-	}
-	return counts, h.count.Load() - within
-}
-
 // ── registry accessors ────────────────────────────────────────────────────
 
 func (r *Registry) counter(name string, volatile bool, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	f := r.lookup(name, kindCounter, volatile, nil)
+	f := r.lookup(name, kindCounter, volatile)
 	ls := labelString(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -383,7 +234,7 @@ func (r *Registry) gauge(name string, volatile bool, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	f := r.lookup(name, kindGauge, volatile, nil)
+	f := r.lookup(name, kindGauge, volatile)
 	ls := labelString(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -404,28 +255,6 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 // high-water marks, worker counts).
 func (r *Registry) VolatileGauge(name string, labels ...string) *Gauge {
 	return r.gauge(name, true, labels...)
-}
-
-// Histogram returns the deterministic histogram name{labels} with the
-// given bucket bounds (DefaultLatencyBuckets if nil). Bounds are fixed by
-// the first caller.
-func (r *Registry) Histogram(name string, bounds []time.Duration, labels ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets()
-	}
-	f := r.lookup(name, kindHistogram, false, bounds)
-	ls := labelString(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if h, ok := f.insts[ls].(*Histogram); ok {
-		return h
-	}
-	h := &Histogram{bounds: f.bounds, buckets: make([]atomic.Int64, len(f.bounds))}
-	f.insts[ls] = h
-	return h
 }
 
 // ── snapshots ─────────────────────────────────────────────────────────────
@@ -466,10 +295,6 @@ func (r *Registry) Snapshot(includeVolatile bool) string {
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, label, m.Value())
 			case *Gauge:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, label, m.Value())
-			case *Histogram:
-				fmt.Fprintf(&b, "%s%s count=%d sum_us=%d p50=%s p90=%s p99=%s\n",
-					f.name, label, m.Count(), m.SumUS(),
-					fmtQuantile(m, 0.50), fmtQuantile(m, 0.90), fmtQuantile(m, 0.99))
 			case *Sketch:
 				fmt.Fprintf(&b, "%s%s count=%d sum_us=%d p50=%s p90=%s p99=%s\n",
 					f.name, label, m.Count(), m.SumUS(),
@@ -483,6 +308,6 @@ func (r *Registry) Snapshot(includeVolatile bool) string {
 
 // fmtQuantile renders a quantile with fixed microsecond precision so the
 // snapshot never depends on float formatting of derived values.
-func fmtQuantile(m interface{ Quantile(float64) time.Duration }, q float64) string {
+func fmtQuantile(m *Sketch, q float64) string {
 	return fmt.Sprintf("%dus", int64(m.Quantile(q)/time.Microsecond))
 }

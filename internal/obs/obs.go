@@ -1,17 +1,17 @@
 // Package obs is the measurement pipeline's zero-dependency observability
-// layer: hierarchical spans, counters/gauges/histograms, and the context
-// plumbing that threads them through resolver, faults, runner, scanner,
-// vantage and core.
+// layer: hierarchical spans, counters, gauges and latency sketches, and the
+// context plumbing that threads them through resolver, faults, runner,
+// scanner, vantage and core.
 //
 // Everything obs records is charged to the netsim virtual clock — spans
-// carry virtual durations, histograms bucket virtual latencies, and no
+// carry virtual durations, sketches bucket virtual latencies, and no
 // recording path ever reads the wall clock (enforced by the doelint
 // `obsclock` analyzer). That is what lets a trace and a metrics snapshot
 // share the report contract: byte-identical output for a fixed seed at any
 // worker count.
 //
 // Every entry point is nil-safe: a nil *Recorder, *Span, *Registry,
-// *Counter, *Gauge or *Histogram turns the corresponding call into a
+// *Counter, *Gauge or *Sketch turns the corresponding call into a
 // no-op, so instrumented packages never branch on "telemetry enabled".
 package obs
 

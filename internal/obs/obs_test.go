@@ -101,7 +101,7 @@ func TestNilEverythingIsSafe(t *testing.T) {
 	reg.VolatileCounter("vc").Add(1)
 	reg.Gauge("g").Set(1)
 	reg.VolatileGauge("vg").Max(1)
-	reg.Histogram("h", nil).Observe(time.Second)
+	reg.Sketch("h").Observe(time.Second)
 	if reg.Snapshot(true) != "" || reg.PrometheusText() != "" {
 		t.Fatal("nil registry rendered output")
 	}
@@ -206,14 +206,13 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantilesHandComputed pins the interpolation against
-// by-hand arithmetic: bounds {10,20,50}ms, observations
-// 5, 15, 15, 40, 100 ms → buckets [1,2,1] + 1 overflow.
+// TestHistogramQuantilesHandComputed pins a registry latency family's
+// interpolation against by-hand arithmetic on the sketch layout:
+// observations 5, 15, 15, 40, 100 ms land in the buckets ending at
+// 5623µs, 17783µs (×2), 42170µs and exactly 100ms (edge 24).
 func TestHistogramQuantilesHandComputed(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("lat", []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
-	})
+	h := reg.Sketch("lat")
 	for _, d := range []time.Duration{
 		5 * time.Millisecond, 15 * time.Millisecond, 15 * time.Millisecond,
 		40 * time.Millisecond, 100 * time.Millisecond,
@@ -223,26 +222,29 @@ func TestHistogramQuantilesHandComputed(t *testing.T) {
 	if h.Count() != 5 || h.SumUS() != 175000 {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.SumUS())
 	}
-	// p20: rank 1.0 lands exactly on bucket0's cumulative count → its
-	// upper bound: 0 + (1-0)/1 × (10-0) = 10ms.
-	if got := h.Quantile(0.20); got != 10*time.Millisecond {
-		t.Errorf("p20 = %v, want 10ms", got)
+	// p20: rank 1.0 lands exactly on bucket 14's cumulative count → its
+	// upper edge: 4217 + (1-0)/1 × (5623-4217) = 5623µs.
+	if got := h.Quantile(0.20); got != 5623*time.Microsecond {
+		t.Errorf("p20 = %v, want 5.623ms", got)
 	}
-	// p50: rank 2.5; bucket1 spans cumulative (1,3]: 10 + (2.5-1)/2 × 10 = 17.5ms.
-	if got := h.Quantile(0.50); got != 17500*time.Microsecond {
-		t.Errorf("p50 = %v, want 17.5ms", got)
+	// p50: rank 2.5; bucket 18 spans cumulative (1,3]:
+	// 13335 + (2.5-1)/2 × (17783-13335) = 16671µs.
+	if got := h.Quantile(0.50); got != 16671*time.Microsecond {
+		t.Errorf("p50 = %v, want 16.671ms", got)
 	}
-	// p70: rank 3.5; bucket2 spans (3,4]: 20 + (3.5-3)/1 × 30 = 35ms.
-	if got := h.Quantile(0.70); got != 35*time.Millisecond {
-		t.Errorf("p70 = %v, want 35ms", got)
+	// p70: rank 3.5; bucket 21 spans (3,4]:
+	// 31623 + (3.5-3)/1 × (42170-31623) = 36896.5µs.
+	if got := h.Quantile(0.70); got != 36896500*time.Nanosecond {
+		t.Errorf("p70 = %v, want 36.8965ms", got)
 	}
-	// p90: rank 4.5 falls in the +Inf overflow → clamps to the 50ms top bound.
-	if got := h.Quantile(0.90); got != 50*time.Millisecond {
-		t.Errorf("p90 = %v, want 50ms (clamped)", got)
+	// p100: rank 5 is bucket 24's whole cumulative count → the exact
+	// 100ms edge, not an interpolated point inside it.
+	if got := h.Quantile(1); got != 100*time.Millisecond {
+		t.Errorf("p100 = %v, want 100ms", got)
 	}
-	var empty *Histogram
-	if empty.Quantile(0.5) != 0 || NewRegistry().Histogram("e", nil).Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile not 0")
+	var empty *Sketch
+	if empty.Quantile(0.5) != 0 || NewRegistry().Sketch("e").Quantile(0.5) != 0 {
+		t.Error("empty family quantile not 0")
 	}
 }
 
@@ -251,13 +253,15 @@ func TestSnapshotFiltersVolatileAndSortsDeterministically(t *testing.T) {
 	reg.Counter("zeta_total", "proto", "dot").Add(2)
 	reg.Counter("alpha_total").Add(1)
 	reg.VolatileGauge("runner_workers", "pool", "scan").Set(8)
-	reg.Histogram("lat", []time.Duration{10 * time.Millisecond}, "proto", "doh").Observe(4 * time.Millisecond)
+	reg.Sketch("lat", "proto", "doh").Observe(4 * time.Millisecond)
 
 	det := reg.Snapshot(false)
 	if strings.Contains(det, "runner_workers") {
 		t.Fatalf("volatile metric leaked into deterministic snapshot:\n%s", det)
 	}
-	want := "alpha_total 1\nlat{proto=doh} count=1 sum_us=4000 p50=5000us p90=9000us p99=9900us\nzeta_total{proto=dot} 2\n"
+	// 4ms lies in the sketch bucket (3162µs, 4217µs]; the quantiles
+	// interpolate across it.
+	want := "alpha_total 1\nlat{proto=doh} count=1 sum_us=4000 p50=3689us p90=4111us p99=4206us\nzeta_total{proto=dot} 2\n"
 	if det != want {
 		t.Fatalf("deterministic snapshot:\n%q\nwant:\n%q", det, want)
 	}
@@ -270,20 +274,29 @@ func TestSnapshotFiltersVolatileAndSortsDeterministically(t *testing.T) {
 func TestPrometheusText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("queries_total", "proto", "dot", "outcome", "ok").Add(7)
-	reg.Histogram("lat", []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}).Observe(15 * time.Millisecond)
+	lat := reg.Sketch("lat", "proto", "dot")
+	lat.Observe(time.Millisecond)
+	lat.Observe(30 * time.Second)
 	out := reg.PrometheusText()
 	for _, want := range []string{
 		"# TYPE doe_queries_total counter",
 		`doe_queries_total{proto="dot",outcome="ok"} 7`,
-		`doe_lat_bucket{le="0.01"} 0`,
-		`doe_lat_bucket{le="0.02"} 1`,
-		`doe_lat_bucket{le="+Inf"} 1`,
-		"doe_lat_sum 0.015",
-		"doe_lat_count 1",
+		"# TYPE doe_lat histogram",
+		`doe_lat_bucket{proto="dot",le="0.0001"} 0`,
+		`doe_lat_bucket{proto="dot",le="0.00075"} 0`,
+		`doe_lat_bucket{proto="dot",le="0.001"} 1`,
+		`doe_lat_bucket{proto="dot",le="10"} 1`,
+		`doe_lat_bucket{proto="dot",le="+Inf"} 2`,
+		`doe_lat_sum{proto="dot"} 30.001`,
+		`doe_lat_count{proto="dot"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
 		}
+	}
+	// One cumulative bucket per sketch edge, plus +Inf.
+	if got := strings.Count(out, "doe_lat_bucket{"); got != 42 {
+		t.Errorf("%d bucket lines, want 42", got)
 	}
 }
 

@@ -1,91 +1,43 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
 )
 
-// Sketch is a fixed log-spaced-bucket latency sketch: the streaming
-// counterpart of Histogram for distributions whose range spans several
-// orders of magnitude. The bucket layout is fixed at construction from
-// SketchOpts, so two sketches built from equal opts are structurally
-// identical and Merge is bucket-wise integer addition — associative,
-// commutative, and order-independent. That is the property that lets
-// per-shard sketches fold into the study registry in any merge tree and
-// still produce byte-identical snapshots at any worker count.
+// Sketch is obs's one latency distribution: a fixed log-spaced-bucket
+// sketch for virtual latencies that span several orders of magnitude.
+// Every sketch shares one bucket layout (sketchBounds), so Merge is
+// bucket-wise integer addition — associative, commutative, and
+// order-independent. That is the property that lets per-shard sketches
+// fold into the study registry in any merge tree and still produce
+// byte-identical snapshots at any worker count.
 //
 // Like every obs metric it stores integer counts and integer microsecond
 // sums only; observations are virtual-clock durations, never wall time.
-// All methods are nil-safe.
+// The zero value is an empty sketch, and all methods are nil-safe.
 type Sketch struct {
-	opts    SketchOpts
-	bounds  []time.Duration // strictly increasing upper bucket edges
-	buckets []atomic.Int64  // one per bound; +Inf overflow implied by count
+	buckets [numBounds]atomic.Int64 // one per bound; +Inf overflow implied by count
 	count   atomic.Int64
 	sumUS   atomic.Int64
 }
 
-// SketchOpts fixes a sketch's bucket layout: bounds start at Min and grow
-// by a factor of 10^(1/PerDecade) until they reach Max. The zero value
-// selects DefaultSketchOpts. Layout is part of a sketch family's identity:
-// merging sketches with different opts is an error.
-type SketchOpts struct {
-	Min       time.Duration // lowest bucket's upper edge
-	Max       time.Duration // bounds stop at the first edge >= Max
-	PerDecade int           // buckets per factor of 10
-}
+// numBounds is the layout's size: 8 bucket edges per decade over the five
+// decades from 100µs to 10s, both ends included.
+const numBounds = 5*8 + 1
 
-// DefaultSketchOpts covers virtual latencies from sub-millisecond LAN RTTs
-// to multi-second stalled fault paths with ~30% relative quantile error.
-func DefaultSketchOpts() SketchOpts {
-	return SketchOpts{Min: 100 * time.Microsecond, Max: 10 * time.Second, PerDecade: 8}
-}
-
-func (o SketchOpts) orDefault() SketchOpts {
-	if o == (SketchOpts{}) {
-		return DefaultSketchOpts()
+// sketchBounds are the 41 strictly increasing upper bucket edges,
+// round(100µs·10^(i/8)) in whole microseconds (the registry's base unit):
+// sub-millisecond LAN RTTs to multi-second stalled fault paths at ~30%
+// relative quantile error. Edge 8 is exactly 1ms and edge 16 exactly 10ms.
+// Computed once at package init and only ever read.
+var sketchBounds = func() (e [numBounds]time.Duration) {
+	for i := range e {
+		e[i] = time.Duration(math.Round(100*math.Pow(10, float64(i)/8))) * time.Microsecond
 	}
-	return o
-}
-
-func (o SketchOpts) validate() error {
-	if o.Min <= 0 || o.Max < o.Min || o.PerDecade <= 0 {
-		return fmt.Errorf("obs: invalid SketchOpts{Min: %v, Max: %v, PerDecade: %d}",
-			o.Min, o.Max, o.PerDecade)
-	}
-	return nil
-}
-
-// sketchBounds derives the bucket edges from opts. Edges are rounded to
-// whole microseconds (the registry's base unit) and deduplicated, so the
-// layout is a pure deterministic function of opts.
-func sketchBounds(o SketchOpts) []time.Duration {
-	minUS := float64(o.Min / time.Microsecond)
-	var bounds []time.Duration
-	for i := 0; ; i++ {
-		us := int64(math.Round(minUS * math.Pow(10, float64(i)/float64(o.PerDecade))))
-		b := time.Duration(us) * time.Microsecond
-		if len(bounds) == 0 || b > bounds[len(bounds)-1] {
-			bounds = append(bounds, b)
-		}
-		if b >= o.Max {
-			return bounds
-		}
-	}
-}
-
-// NewSketch builds a standalone sketch (registry-less use, e.g. tests).
-// It panics on invalid opts; registry accessors validate before calling.
-func NewSketch(opts SketchOpts) *Sketch {
-	opts = opts.orDefault()
-	if err := opts.validate(); err != nil {
-		panic(err.Error())
-	}
-	bounds := sketchBounds(opts)
-	return &Sketch{opts: opts, bounds: bounds, buckets: make([]atomic.Int64, len(bounds))}
-}
+	return e
+}()
 
 // Observe records one virtual duration; nil-safe. Durations above the top
 // edge land in the implicit overflow bucket (counted, clamped by Quantile).
@@ -95,24 +47,24 @@ func (s *Sketch) Observe(d time.Duration) {
 	}
 	s.count.Add(1)
 	s.sumUS.Add(int64(d / time.Microsecond))
-	if i := s.bucketIndex(d); i >= 0 {
+	if i := bucketIndex(d); i >= 0 {
 		s.buckets[i].Add(1)
 	}
 }
 
 // bucketIndex returns the first bucket whose edge is >= d, or -1 for
 // overflow. Binary search keeps Observe O(log buckets) on the hot path.
-func (s *Sketch) bucketIndex(d time.Duration) int {
-	lo, hi := 0, len(s.bounds)
+func bucketIndex(d time.Duration) int {
+	lo, hi := 0, numBounds
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.bounds[mid] < d {
+		if sketchBounds[mid] < d {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(s.bounds) {
+	if lo == numBounds {
 		return -1
 	}
 	return lo
@@ -134,9 +86,13 @@ func (s *Sketch) SumUS() int64 {
 	return s.sumUS.Load()
 }
 
-// Quantile estimates the q-quantile with the same contract as
-// Histogram.Quantile: q clamps to [0, 1], an empty sketch returns 0, and
-// overflow observations clamp to the top edge.
+// Quantile estimates the q-quantile by linear interpolation inside the
+// bucket that crosses the target rank.
+//
+// Edge behavior (pinned by tests): a nil or empty sketch returns 0 for
+// every q; q is clamped to [0, 1], so q <= 0 behaves like the minimum
+// rank and q >= 1 like the maximum; observations above the top edge clamp
+// to it.
 func (s *Sketch) Quantile(q float64) time.Duration {
 	if s == nil {
 		return 0
@@ -148,7 +104,7 @@ func (s *Sketch) Quantile(q float64) time.Duration {
 	rank := clampQ(q) * float64(total)
 	var cum int64
 	lower := time.Duration(0)
-	for i, b := range s.bounds {
+	for i, b := range sketchBounds {
 		n := s.buckets[i].Load()
 		if float64(cum+n) >= rank {
 			if n == 0 {
@@ -160,18 +116,26 @@ func (s *Sketch) Quantile(q float64) time.Duration {
 		cum += n
 		lower = b
 	}
-	return s.bounds[len(s.bounds)-1]
+	return sketchBounds[numBounds-1]
 }
 
-// Merge folds o's observations into s bucket-by-bucket. It fails if the
-// two sketches were built from different opts; nil receiver or argument
-// is a no-op.
-func (s *Sketch) Merge(o *Sketch) error {
-	if s == nil || o == nil {
-		return nil
+// clampQ pins a quantile request to [0, 1] so out-of-range q degrades to
+// the distribution's min/max instead of extrapolating.
+func clampQ(q float64) float64 {
+	if q < 0 {
+		return 0
 	}
-	if s.opts != o.opts {
-		return fmt.Errorf("obs: sketch merge: opts mismatch (%+v vs %+v)", s.opts, o.opts)
+	if q > 1 {
+		return 1
+	}
+	return q
+}
+
+// Merge folds o's observations into s bucket-by-bucket; a nil receiver or
+// argument is a no-op.
+func (s *Sketch) Merge(o *Sketch) {
+	if s == nil || o == nil {
+		return
 	}
 	for i := range o.buckets {
 		if n := o.buckets[i].Load(); n != 0 {
@@ -180,14 +144,13 @@ func (s *Sketch) Merge(o *Sketch) error {
 	}
 	s.count.Add(o.count.Load())
 	s.sumUS.Add(o.sumUS.Load())
-	return nil
 }
 
 // bucketCounts returns per-edge counts plus the overflow count.
-func (s *Sketch) bucketCounts() ([]int64, int64) {
-	counts := make([]int64, len(s.bounds))
+func (s *Sketch) bucketCounts() ([numBounds]int64, int64) {
+	var counts [numBounds]int64
 	var within int64
-	for i := range s.bounds {
+	for i := range counts {
 		counts[i] = s.buckets[i].Load()
 		within += counts[i]
 	}
@@ -195,28 +158,19 @@ func (s *Sketch) bucketCounts() ([]int64, int64) {
 }
 
 // Sketch returns the deterministic sketch name{labels}, creating it on
-// first use. Opts are fixed by the first caller (zero opts = defaults);
-// later callers inherit the registered layout regardless of what they
-// pass, mirroring Histogram's bounds contract.
-func (r *Registry) Sketch(name string, opts SketchOpts, labels ...string) *Sketch {
+// first use. labels alternate key, value.
+func (r *Registry) Sketch(name string, labels ...string) *Sketch {
 	if r == nil {
 		return nil
 	}
-	opts = opts.orDefault()
-	if err := opts.validate(); err != nil {
-		panic(err.Error())
-	}
-	f := r.lookup(name, kindSketch, false, nil)
+	f := r.lookup(name, kindSketch, false)
+	ls := labelString(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.sketchOpts == (SketchOpts{}) {
-		f.sketchOpts = opts
-	}
-	ls := labelString(labels)
 	if s, ok := f.insts[ls].(*Sketch); ok {
 		return s
 	}
-	s := NewSketch(f.sketchOpts)
+	s := new(Sketch)
 	f.insts[ls] = s
 	return s
 }

@@ -16,64 +16,66 @@ import (
 // ── Sketch ────────────────────────────────────────────────────────────────
 
 func TestSketchBoundsAreLogSpacedAndDeterministic(t *testing.T) {
-	a := NewSketch(SketchOpts{})
-	b := NewSketch(DefaultSketchOpts())
-	if len(a.bounds) != len(b.bounds) {
-		t.Fatalf("zero opts and defaults disagree: %d vs %d buckets", len(a.bounds), len(b.bounds))
+	e := sketchBounds
+	if len(e) != 41 {
+		t.Fatalf("%d edges, want 41 (100µs to 10s at 8 per decade)", len(e))
 	}
-	for i := range a.bounds {
-		if a.bounds[i] != b.bounds[i] {
-			t.Fatalf("bound %d differs: %v vs %v", i, a.bounds[i], b.bounds[i])
+	if e[0] != 100*time.Microsecond || e[len(e)-1] != 10*time.Second {
+		t.Errorf("edges span %v..%v, want 100µs..10s", e[0], e[len(e)-1])
+	}
+	for i := 1; i < len(e); i++ {
+		if e[i] <= e[i-1] {
+			t.Fatalf("edges not strictly increasing at %d: %v then %v", i, e[i-1], e[i])
 		}
 	}
-	if a.bounds[0] != 100*time.Microsecond {
-		t.Errorf("first bound = %v, want 100µs", a.bounds[0])
-	}
-	if last := a.bounds[len(a.bounds)-1]; last < 10*time.Second {
-		t.Errorf("last bound = %v, want >= 10s", last)
-	}
-	for i := 1; i < len(a.bounds); i++ {
-		if a.bounds[i] <= a.bounds[i-1] {
-			t.Fatalf("bounds not strictly increasing at %d: %v then %v", i, a.bounds[i-1], a.bounds[i])
+	// Eight buckets per decade: every 8th edge is an exact power of ten.
+	for i, want := range map[int]time.Duration{
+		8: time.Millisecond, 16: 10 * time.Millisecond, 24: 100 * time.Millisecond, 32: time.Second,
+	} {
+		if e[i] != want {
+			t.Errorf("edge %d = %v, want %v", i, e[i], want)
 		}
-	}
-	// Eight buckets per decade: every 8 steps the edge is 10x (within
-	// microsecond rounding).
-	ratio := float64(a.bounds[8]) / float64(a.bounds[0])
-	if ratio < 9.9 || ratio > 10.1 {
-		t.Errorf("bounds[8]/bounds[0] = %.3f, want ~10", ratio)
 	}
 }
 
 func TestSketchQuantilesHandComputed(t *testing.T) {
-	// A tiny layout that is easy to reason about: edges 1ms, 10ms, 100ms.
-	sk := NewSketch(SketchOpts{Min: time.Millisecond, Max: 100 * time.Millisecond, PerDecade: 1})
-	if len(sk.bounds) != 3 {
-		t.Fatalf("bounds = %v, want 3 edges", sk.bounds)
+	// Edges around the observations: e[7] = 750µs, e[8] = 1ms,
+	// e[15] = 7499µs, e[16] = 10ms.
+	if sketchBounds[7] != 750*time.Microsecond || sketchBounds[15] != 7499*time.Microsecond {
+		t.Fatalf("edges 7 and 15 = %v, %v; want 750µs, 7.499ms", sketchBounds[7], sketchBounds[15])
 	}
-	// 8 obs in (0, 1ms], 2 in (1ms, 10ms].
+	var sk Sketch
+	// 8 obs in (750µs, 1ms], 2 in (7.499ms, 10ms].
 	for i := 0; i < 8; i++ {
-		sk.Observe(500 * time.Microsecond)
+		sk.Observe(time.Millisecond)
 	}
-	sk.Observe(5 * time.Millisecond)
-	sk.Observe(6 * time.Millisecond)
-	if got := sk.Count(); got != 10 {
-		t.Fatalf("count = %d, want 10", got)
+	sk.Observe(10 * time.Millisecond)
+	sk.Observe(10 * time.Millisecond)
+	if sk.Count() != 10 || sk.SumUS() != 28000 {
+		t.Fatalf("count=%d sum=%d, want 10/28000", sk.Count(), sk.SumUS())
 	}
-	// p50: rank 5 of 10 inside the first bucket (8 obs, edges 0..1ms):
-	// 5/8 of the way -> 625µs.
-	if got := sk.Quantile(0.50); got != 625*time.Microsecond {
-		t.Errorf("p50 = %v, want 625µs", got)
-	}
-	// p90: rank 9 crosses into the second bucket (cum 8, 2 obs, edges
-	// 1ms..10ms): (9-8)/2 of the span -> 1ms + 4.5ms.
-	if got := sk.Quantile(0.90); got != 5500*time.Microsecond {
-		t.Errorf("p90 = %v, want 5.5ms", got)
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+		why  string
+	}{
+		// Rank 5 of 8 in bucket 8: 750µs + 5/8 × 250µs.
+		{0.50, 906250 * time.Nanosecond, "5/8 into the 1ms bucket"},
+		// Rank 8 is bucket 8's whole cumulative count: its upper edge.
+		{0.80, time.Millisecond, "the exact 1ms edge"},
+		// Rank 9 skips the empty buckets 9..15 and lands half-way into
+		// bucket 16: 7499µs + (9-8)/2 × 2501µs.
+		{0.90, 8749500 * time.Nanosecond, "half-way into the 10ms bucket"},
+		{1.00, 10 * time.Millisecond, "the exact 10ms edge"},
+	} {
+		if got := sk.Quantile(c.q); got != c.want {
+			t.Errorf("p%v = %v, want %v (%s)", c.q*100, got, c.want, c.why)
+		}
 	}
 	// Overflow clamps to the top edge.
-	sk.Observe(3 * time.Second)
-	if got := sk.Quantile(1.0); got != 100*time.Millisecond {
-		t.Errorf("p100 with overflow = %v, want top edge 100ms", got)
+	sk.Observe(30 * time.Second)
+	if got := sk.Quantile(1.0); got != 10*time.Second {
+		t.Errorf("p100 with overflow = %v, want top edge 10s", got)
 	}
 }
 
@@ -82,13 +84,13 @@ func TestSketchQuantileEdges(t *testing.T) {
 	if got := nilSketch.Quantile(0.5); got != 0 {
 		t.Errorf("nil sketch quantile = %v, want 0", got)
 	}
-	empty := NewSketch(SketchOpts{})
+	var empty Sketch
 	for _, q := range []float64{-1, 0, 0.5, 1, 2} {
 		if got := empty.Quantile(q); got != 0 {
 			t.Errorf("empty sketch Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	sk := NewSketch(SketchOpts{Min: time.Millisecond, Max: 100 * time.Millisecond, PerDecade: 1})
+	var sk Sketch
 	sk.Observe(500 * time.Microsecond)
 	// Out-of-range q clamps instead of extrapolating.
 	if got, want := sk.Quantile(-3), sk.Quantile(0); got != want {
@@ -99,37 +101,21 @@ func TestSketchQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestSketchMergeMismatchAndNil(t *testing.T) {
-	a := NewSketch(SketchOpts{Min: time.Millisecond, Max: time.Second, PerDecade: 4})
-	b := NewSketch(SketchOpts{Min: time.Millisecond, Max: time.Second, PerDecade: 8})
-	if err := a.Merge(b); err == nil {
-		t.Error("merging sketches with different opts succeeded, want error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Errorf("merge nil: %v", err)
-	}
-	var nilSketch *Sketch
-	if err := nilSketch.Merge(a); err != nil {
-		t.Errorf("nil merge: %v", err)
-	}
-	nilSketch.Observe(time.Millisecond) // no-op, must not panic
-}
-
-// ── Histogram edges (satellite: pin the untested behavior) ────────────────
-
+// TestHistogramQuantileEdges pins the edge cases of a registry latency
+// family — a Sketch, exposed to Prometheus as type histogram.
 func TestHistogramQuantileEdges(t *testing.T) {
-	var nilHist *Histogram
-	if got := nilHist.Quantile(0.5); got != 0 {
-		t.Errorf("nil histogram quantile = %v, want 0", got)
+	var nilReg *Registry
+	if got := nilReg.Sketch("lat").Quantile(0.5); got != 0 {
+		t.Errorf("nil registry family quantile = %v, want 0", got)
 	}
 	reg := NewRegistry()
-	empty := reg.Histogram("lat", nil)
+	empty := reg.Sketch("lat")
 	for _, q := range []float64{-0.5, 0, 0.5, 1, 1.5} {
 		if got := empty.Quantile(q); got != 0 {
-			t.Errorf("empty histogram Quantile(%v) = %v, want 0", q, got)
+			t.Errorf("empty family Quantile(%v) = %v, want 0", q, got)
 		}
 	}
-	h := reg.Histogram("lat2", []time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
+	h := reg.Sketch("lat2")
 	h.Observe(5 * time.Millisecond)
 	h.Observe(15 * time.Millisecond)
 	if got, want := h.Quantile(-1), h.Quantile(0); got != want {
@@ -139,27 +125,50 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		t.Errorf("Quantile(99) = %v, Quantile(1) = %v; want equal (clamped)", got, want)
 	}
 	// Interpolation resolves to the upper edge of the bucket holding the
-	// max observation, not the observation itself.
-	if got := h.Quantile(1); got != 20*time.Millisecond {
-		t.Errorf("Quantile(1) = %v, want the 20ms bucket edge", got)
+	// max observation, not the observation itself: 15ms lies in
+	// (13.335ms, 17.783ms].
+	if got := h.Quantile(1); got != 17783*time.Microsecond {
+		t.Errorf("Quantile(1) = %v, want the 17.783ms edge", got)
+	}
+	// Every observation above the top edge clamps to it.
+	over := reg.Sketch("lat3")
+	over.Observe(time.Minute)
+	over.Observe(time.Hour)
+	if got := over.Quantile(0.5); got != 10*time.Second {
+		t.Errorf("overflow-only p50 = %v, want the 10s top edge", got)
+	}
+	if over.Count() != 2 {
+		t.Errorf("overflow observations not counted: %d", over.Count())
 	}
 }
 
-func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	reg := NewRegistry()
-	a := reg.Histogram("a", []time.Duration{time.Millisecond})
-	b := reg.Histogram("b", []time.Duration{time.Millisecond, time.Second})
-	if err := a.Merge(b); err == nil {
-		t.Error("merging histograms with different bounds succeeded, want error")
-	}
-	c := reg.Histogram("c", []time.Duration{time.Millisecond})
+func TestSketchMergeMismatchAndNil(t *testing.T) {
+	var a, b Sketch
 	a.Observe(500 * time.Microsecond)
-	c.Observe(700 * time.Microsecond)
-	if err := a.Merge(c); err != nil {
-		t.Fatalf("merge: %v", err)
+	b.Observe(700 * time.Microsecond)
+	b.Observe(time.Minute)
+	a.Merge(&b)
+	if a.Count() != 3 || a.SumUS() != 60_001_200 {
+		t.Errorf("after merge count=%d sum=%d, want 3/60001200", a.Count(), a.SumUS())
 	}
-	if a.Count() != 2 || a.SumUS() != 1200 {
-		t.Errorf("after merge count=%d sum=%d, want 2/1200", a.Count(), a.SumUS())
+	if _, overflow := a.bucketCounts(); overflow != 1 {
+		t.Errorf("overflow after merge = %d, want 1", overflow)
+	}
+	a.Merge(nil)
+	var nilSketch *Sketch
+	nilSketch.Merge(&a)
+	nilSketch.Observe(time.Millisecond) // no-op, must not panic
+	if a.Count() != 3 {
+		t.Errorf("nil merges changed the sketch: count %d", a.Count())
+	}
+	// Sketches share one layout, so the only mismatch left is a family
+	// that is a sketch on one side and another kind on the other.
+	src := NewRegistry()
+	src.Sketch("m").Observe(time.Millisecond)
+	dst := NewRegistry()
+	dst.Counter("m")
+	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "kind mismatch (counter vs sketch)") {
+		t.Errorf("sketch into counter merge: %v, want kind mismatch error", err)
 	}
 }
 
@@ -175,8 +184,8 @@ func shardFixture(n int) []*Registry {
 		r.Counter("dials_total", "outcome", fmt.Sprintf("kind-%d", i%3)).Add(int64(i + 1))
 		r.Gauge("depth_max").Max(int64(i * 7 % 13))
 		r.VolatileCounter("worker_share", "worker", fmt.Sprint(i)).Add(int64(i))
-		h := r.Histogram("lat", nil, "proto", "dot")
-		sk := r.Sketch("lat_sketch", SketchOpts{}, "proto", "doh")
+		h := r.Sketch("lat", "proto", "dot")
+		sk := r.Sketch("lat_sketch", "proto", "doh")
 		for j := 0; j <= i; j++ {
 			d := time.Duration(1+(i*31+j*17)%5000) * time.Millisecond / 10
 			h.Observe(d)
@@ -256,22 +265,6 @@ func TestMergeMismatchErrors(t *testing.T) {
 		t.Errorf("volatility mismatch merge: %v, want volatility mismatch error", err)
 	}
 
-	hb := NewRegistry()
-	hb.Histogram("m", []time.Duration{time.Millisecond})
-	hbDst := NewRegistry()
-	hbDst.Histogram("m", []time.Duration{time.Second})
-	if err := hbDst.Merge(hb); err == nil || !strings.Contains(err.Error(), "bounds mismatch") {
-		t.Errorf("bounds mismatch merge: %v, want bounds mismatch error", err)
-	}
-
-	so := NewRegistry()
-	so.Sketch("m", SketchOpts{Min: time.Millisecond, Max: time.Second, PerDecade: 2})
-	soDst := NewRegistry()
-	soDst.Sketch("m", SketchOpts{Min: time.Millisecond, Max: time.Second, PerDecade: 4})
-	if err := soDst.Merge(so); err == nil || !strings.Contains(err.Error(), "sketch opts mismatch") {
-		t.Errorf("sketch opts mismatch merge: %v, want opts mismatch error", err)
-	}
-
 	// A mismatch on one family must not block the others.
 	mixed := NewRegistry()
 	mixed.Counter("bad")
@@ -318,7 +311,7 @@ func TestMergeDuringConcurrentRecording(t *testing.T) {
 			default:
 			}
 			live.Counter("tasks_total", "pool", "campaign").Add(1)
-			live.Sketch("lat_sketch", SketchOpts{}, "proto", "doh").Observe(time.Millisecond)
+			live.Sketch("lat_sketch", "proto", "doh").Observe(time.Millisecond)
 		}
 	}()
 	go func() { // recorder on the destination itself
@@ -330,7 +323,7 @@ func TestMergeDuringConcurrentRecording(t *testing.T) {
 			default:
 			}
 			dst.Counter("direct_total").Add(1)
-			dst.Histogram("lat", nil, "proto", "dot").Observe(time.Millisecond)
+			dst.Sketch("lat", "proto", "dot").Observe(time.Millisecond)
 		}
 	}()
 	go func() { // reader of the destination

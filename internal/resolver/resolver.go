@@ -458,8 +458,8 @@ type metricSet struct {
 	hard      *obs.Counter
 	redials   *obs.Counter
 	inflight  *obs.Gauge
-	latency   *obs.Histogram
-	setup     *obs.Histogram
+	latency   *obs.Sketch
+	setup     *obs.Sketch
 }
 
 // metricsFor returns the handle set for ctx's registry, rebuilding the cache
@@ -479,8 +479,8 @@ func (t *Transport) metricsFor(ctx context.Context) metricSet {
 			hard:      m.Counter("resolver_hard_failures_total", "proto", t.label),
 			redials:   m.Counter("resolver_redials_total", "proto", t.label),
 			inflight:  m.VolatileGauge("resolver_inflight", "proto", t.label),
-			latency:   m.Histogram("resolver_exchange_latency", nil, "proto", t.label),
-			setup:     m.Histogram("resolver_setup_latency", nil, "proto", t.label),
+			latency:   m.Sketch("resolver_exchange_latency", "proto", t.label),
+			setup:     m.Sketch("resolver_setup_latency", "proto", t.label),
 		}
 	}
 	return t.mc
@@ -610,7 +610,7 @@ func (t *Transport) dropSession(sess Session) {
 
 // dialSpanned dials a session under a "dial" child span charged with the
 // connection's setup latency (TCP handshake + TLS where present), feeding
-// the per-protocol setup-latency histogram.
+// the per-protocol setup-latency sketch.
 func (t *Transport) dialSpanned(ctx context.Context, mc metricSet) (Session, error) {
 	dsp := obs.CurrentSpan(ctx).Start("dial")
 	sess, err := t.dial(ctx)

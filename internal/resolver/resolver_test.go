@@ -218,7 +218,7 @@ func TestDNSCryptAdapter(t *testing.T) {
 	ctx := context.Background()
 	ex := DNSCrypt(client, serverIP)
 	if _, err := ex.Exchange(ctx, query("dc.measure.example.org")); !errors.Is(err, dnscrypt.ErrNoCert) {
-		t.Fatalf("exchange before FetchCert err = %v, want ErrNoCert", err)
+		t.Fatalf("exchange before FetchCertContext err = %v, want ErrNoCert", err)
 	}
 	if err := client.FetchCertContext(ctx, serverIP); err != nil {
 		t.Fatal(err)

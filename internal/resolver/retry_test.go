@@ -289,7 +289,7 @@ func TestTransportTelemetry(t *testing.T) {
 	if got := m.Counter("resolver_exchanges_total", "proto", "tcp", "outcome", "ok").Value(); got != 2 {
 		t.Errorf("ok exchanges = %d, want 2", got)
 	}
-	if got := m.Histogram("resolver_setup_latency", nil, "proto", "tcp").Count(); got != 2 {
+	if got := m.Sketch("resolver_setup_latency", "proto", "tcp").Count(); got != 2 {
 		t.Errorf("setup latency observations = %d, want 2 (initial dial + redial)", got)
 	}
 

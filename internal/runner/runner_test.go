@@ -145,8 +145,7 @@ func TestMapCtxShardRegistriesFoldDeterministically(t *testing.T) {
 		_, err := MapCtx(ctx, workers, 100, func(ctx context.Context, i int) int {
 			m := obs.Metrics(ctx)
 			m.Counter("task_outcomes_total", "outcome", []string{"a", "b", "c"}[i%3]).Add(1)
-			m.Histogram("task_latency", nil).Observe(time.Duration(i) * time.Millisecond)
-			m.Sketch("task_latency_sketch", obs.SketchOpts{}).Observe(time.Duration(i) * time.Millisecond)
+			m.Sketch("task_latency").Observe(time.Duration(i) * time.Millisecond)
 			obs.Charge(ctx, time.Duration(i)*time.Microsecond)
 			return i
 		})

@@ -2,12 +2,14 @@ package scanner
 
 import (
 	"context"
+	"crypto/x509"
 	"fmt"
 	"net/netip"
 	"sort"
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
@@ -144,6 +146,103 @@ func (s *Scanner) Scan(label string) (*Result, error) {
 // spans are deliberately not recorded — an 8k-address sweep would drown
 // the trace; the round span plus counters carry the same information.
 func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error) {
+	return s.scan(ctx, &dotScan, label)
+}
+
+// ScanDoQ runs one full UDP/853 DoQ sweep and probe round.
+func (s *Scanner) ScanDoQ(label string) (*Result, error) {
+	return s.ScanDoQContext(context.Background(), label)
+}
+
+// ScanDoQContext is the DoQ counterpart of ScanContext: stage 1 sweeps the
+// space with a minimal QUIC Initial datagram (any response — handshake or
+// close — marks UDP/853 open, standing in for the SYN stage TCP gets for
+// free), stage 2 completes RFC 9250 handshakes and verification queries
+// against the responsive hosts. Its round span is "scan-doq:<label>";
+// sources, permutation and determinism rules match the DoT scan exactly.
+func (s *Scanner) ScanDoQContext(ctx context.Context, label string) (*Result, error) {
+	return s.scan(ctx, &doqScan, label)
+}
+
+// protocol is one row of the scan table: everything the DoT and DoQ scans
+// do differently. The sweep→probe body in scan is shared.
+type protocol struct {
+	span                 string // round span "<span>:<label>"
+	sweepPool, probePool string // runner pools, also the /progress phases
+	// sweepCounter counts stage-1 outcomes (open/closed); probeCounter
+	// counts stage-2 outcomes (resolver/miss).
+	sweepCounter, probeCounter string
+	miss                       string // outcome of an open port that is no resolver
+	// open is the stage-1 liveness check of one address.
+	open func(s *Scanner, src, addr netip.Addr) bool
+	// dial opens the stage-2 verification session.
+	dial func(s *Scanner, src, addr netip.Addr) (session, error)
+}
+
+var (
+	dotScan = protocol{
+		span: "scan", sweepPool: "scan-sweep", probePool: "scan-probe",
+		sweepCounter: "scanner_sweep_dials_total", probeCounter: "scanner_probes_total",
+		miss: "no-dot", open: openTCP, dial: dialDoT,
+	}
+	doqScan = protocol{
+		span: "scan-doq", sweepPool: "scan-doq-sweep", probePool: "scan-doq-probe",
+		sweepCounter: "scanner_doq_sweep_total", probeCounter: "scanner_doq_probes_total",
+		miss: "no-doq", open: openQUIC, dial: dialDoQ,
+	}
+)
+
+// quicProbe is the stage-1 DoQ datagram, built once and only ever read.
+var quicProbe = doq.Probe()
+
+// openTCP completes a TCP handshake to port 853 and hangs up.
+func openTCP(s *Scanner, src, addr netip.Addr) bool {
+	conn, err := s.World.Dial(src, addr, dot.Port)
+	if err != nil {
+		return false
+	}
+	conn.Close()
+	return true
+}
+
+// openQUIC sends the QUIC Initial probe to UDP/853; any reply counts.
+func openQUIC(s *Scanner, src, addr netip.Addr) bool {
+	resp, _, err := s.World.Exchange(src, addr, doq.Port, quicProbe)
+	return err == nil && len(resp) > 0
+}
+
+// dialDoT opens the DoT verification session under a 2 s guard.
+// Opportunistic profile: the point is to find out who answers, not to
+// authenticate them.
+func dialDoT(s *Scanner, src, addr netip.Addr) (session, error) {
+	client := dot.NewClient(s.World, src, s.Roots, dot.Opportunistic)
+	client.Timeout = 2 * time.Second
+	conn, err := client.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return conn, nil
+}
+
+// dialDoQ completes an RFC 9250 handshake, opportunistically like dialDoT.
+func dialDoQ(s *Scanner, src, addr netip.Addr) (session, error) {
+	conn, err := doq.NewClient(s.World, src, s.Roots, dot.Opportunistic).Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return conn, nil
+}
+
+// session is what a verification probe needs of a dialed connection;
+// *dot.Conn and *doq.Conn both provide it.
+type session interface {
+	Query(name string, qtype dnswire.Type) (*dnsclient.Result, error)
+	PeerCertificates() []*x509.Certificate
+	Close() error
+}
+
+// scan is the one sweep→probe round behind ScanContext and ScanDoQContext.
+func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result, error) {
 	if len(s.Sources) == 0 {
 		return nil, fmt.Errorf("scanner: no scan sources")
 	}
@@ -151,7 +250,7 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	ctx, span := obs.Start(ctx, "scan:"+label)
+	ctx, span := obs.Start(ctx, p.span+":"+label)
 	res := &Result{Label: label, ProbedAddrs: s.Space.Size}
 	workers := s.Workers
 	if workers <= 0 {
@@ -169,19 +268,18 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	// shard registry, so outcome counts accumulate contention-free and
 	// fold into the study registry when the pool joins.
 	tasks := s.sweepTasks(perm, res)
-	openFlags, err := runner.MapCtx(obs.WithPool(ctx, "scan-sweep"), workers, len(tasks),
+	openFlags, err := runner.MapCtx(obs.WithPool(ctx, p.sweepPool), workers, len(tasks),
 		func(ctx context.Context, i int) bool {
-			conn, err := s.World.Dial(tasks[i].src, tasks[i].addr, dot.Port)
-			if err != nil {
-				obs.Metrics(ctx).Counter("scanner_sweep_dials_total", "outcome", "closed").Add(1)
-				return false
+			open := p.open(s, tasks[i].src, tasks[i].addr)
+			outcome := "closed"
+			if open {
+				outcome = "open"
 			}
-			conn.Close()
-			obs.Metrics(ctx).Counter("scanner_sweep_dials_total", "outcome", "open").Add(1)
-			return true
+			obs.Metrics(ctx).Counter(p.sweepCounter, "outcome", outcome).Add(1)
+			return open
 		})
 	if err != nil {
-		return nil, fmt.Errorf("scanner: sweep %s: %w", label, err)
+		return nil, fmt.Errorf("scanner: %s %s: %w", p.sweepPool, label, err)
 	}
 	var open []netip.Addr
 	for i, ok := range openFlags {
@@ -191,25 +289,25 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	}
 	res.PortOpen = len(open)
 
-	// Stage 2, DoT verification. Each responsive host's probe source is a
+	// Stage 2, verification. Each responsive host's probe source is a
 	// function of its position in the open list, so probe outcomes don't
 	// depend on which worker picked the address up.
-	probed, err := runner.MapCtx(obs.WithPool(ctx, "scan-probe"), workers, len(open),
+	probed, err := runner.MapCtx(obs.WithPool(ctx, p.probePool), workers, len(open),
 		func(ctx context.Context, i int) probeOutcome {
-			r, ok := s.probeDoT(s.Sources[i%len(s.Sources)], open[i])
+			r, ok := s.probe(p, s.Sources[i%len(s.Sources)], open[i])
+			outcome := p.miss
 			if ok {
-				obs.Metrics(ctx).Counter("scanner_probes_total", "outcome", "resolver").Add(1)
-			} else {
-				obs.Metrics(ctx).Counter("scanner_probes_total", "outcome", "no-dot").Add(1)
+				outcome = "resolver"
 			}
+			obs.Metrics(ctx).Counter(p.probeCounter, "outcome", outcome).Add(1)
 			return probeOutcome{r: r, ok: ok}
 		})
 	if err != nil {
-		return nil, fmt.Errorf("scanner: probe %s: %w", label, err)
+		return nil, fmt.Errorf("scanner: %s %s: %w", p.probePool, label, err)
 	}
-	for _, p := range probed {
-		if p.ok {
-			res.Resolvers = append(res.Resolvers, p.r)
+	for _, po := range probed {
+		if po.ok {
+			res.Resolvers = append(res.Resolvers, po.r)
 		}
 	}
 
@@ -251,139 +349,23 @@ func (s *Scanner) sweepTasks(perm *Permutation, res *Result) []sweepTask {
 	return tasks
 }
 
-// ScanDoQ runs one full UDP/853 DoQ sweep and probe round.
-func (s *Scanner) ScanDoQ(label string) (*Result, error) {
-	return s.ScanDoQContext(context.Background(), label)
-}
-
-// ScanDoQContext is the DoQ counterpart of ScanContext: stage 1 sweeps the
-// space with a minimal QUIC Initial datagram (any response — handshake or
-// close — marks UDP/853 open, standing in for the SYN stage TCP gets for
-// free), stage 2 completes RFC 9250 handshakes and verification queries
-// against the responsive hosts. Sources, permutation and determinism rules
-// match the DoT scan exactly.
-func (s *Scanner) ScanDoQContext(ctx context.Context, label string) (*Result, error) {
-	if len(s.Sources) == 0 {
-		return nil, fmt.Errorf("scanner: no scan sources")
-	}
-	perm, err := NewPermutation(s.Space.Size, s.Seed+uint64(len(label)))
-	if err != nil {
-		return nil, err
-	}
-	ctx, span := obs.Start(ctx, "scan-doq:"+label)
-	res := &Result{Label: label, ProbedAddrs: s.Space.Size}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-
-	// As in ScanContext, outcome counters resolve from the worker ctx so
-	// they land in the worker's shard registry.
-	tasks := s.sweepTasks(perm, res)
-	probePkt := doq.Probe()
-	openFlags, err := runner.MapCtx(obs.WithPool(ctx, "scan-doq-sweep"), workers, len(tasks),
-		func(ctx context.Context, i int) bool {
-			resp, _, err := s.World.Exchange(tasks[i].src, tasks[i].addr, doq.Port, probePkt)
-			if err != nil || len(resp) == 0 {
-				obs.Metrics(ctx).Counter("scanner_doq_sweep_total", "outcome", "closed").Add(1)
-				return false
-			}
-			obs.Metrics(ctx).Counter("scanner_doq_sweep_total", "outcome", "open").Add(1)
-			return true
-		})
-	if err != nil {
-		return nil, fmt.Errorf("scanner: doq sweep %s: %w", label, err)
-	}
-	var open []netip.Addr
-	for i, ok := range openFlags {
-		if ok {
-			open = append(open, tasks[i].addr)
-		}
-	}
-	res.PortOpen = len(open)
-
-	probed, err := runner.MapCtx(obs.WithPool(ctx, "scan-doq-probe"), workers, len(open),
-		func(ctx context.Context, i int) probeOutcome {
-			r, ok := s.probeDoQ(s.Sources[i%len(s.Sources)], open[i])
-			if ok {
-				obs.Metrics(ctx).Counter("scanner_doq_probes_total", "outcome", "resolver").Add(1)
-			} else {
-				obs.Metrics(ctx).Counter("scanner_doq_probes_total", "outcome", "no-doq").Add(1)
-			}
-			return probeOutcome{r: r, ok: ok}
-		})
-	if err != nil {
-		return nil, fmt.Errorf("scanner: doq probe %s: %w", label, err)
-	}
-	for _, p := range probed {
-		if p.ok {
-			res.Resolvers = append(res.Resolvers, p.r)
-		}
-	}
-
-	sort.Slice(res.Resolvers, func(i, j int) bool {
-		return res.Resolvers[i].Addr.Less(res.Resolvers[j].Addr)
-	})
-	if s.RatePPS > 0 {
-		res.VirtualDuration = time.Duration(float64(res.ProbedAddrs)/float64(s.RatePPS)) * time.Second
-	}
-	span.SetInt("probed", int64(res.ProbedAddrs))
-	span.SetInt("port_open", int64(res.PortOpen))
-	span.SetInt("resolvers", int64(len(res.Resolvers)))
-	span.Charge(res.VirtualDuration)
-	return res, nil
-}
-
-// probeDoQ completes an RFC 9250 handshake and verification query, the DoQ
-// analog of probeDoT. Opportunistic profile: discovery wants answers, not
-// authentication — the chain is classified afterwards like DoT's.
-func (s *Scanner) probeDoQ(src, addr netip.Addr) (Resolver, bool) {
-	client := doq.NewClient(s.World, src, s.Roots, dot.Opportunistic)
-	conn, err := client.Dial(addr)
-	if err != nil {
-		return Resolver{}, false
-	}
-	defer conn.Close()
-	resp, err := conn.Query(s.ProbeDomain, dnswire.TypeA)
-	if err != nil || resp.Rcode() != dnswire.RcodeSuccess || len(resp.Msg.Answers) == 0 {
-		return Resolver{}, false
-	}
-	r := Resolver{Addr: addr, Country: s.World.Geo.Country(addr)}
-	if a, ok := resp.FirstA(); ok && s.ExpectedA.IsValid() {
-		r.AnswerCorrect = a == s.ExpectedA
-	}
-	chain := conn.PeerCertificates()
-	if len(chain) > 0 {
-		r.Provider = certs.ProviderKey(chain[0])
-		r.CommonName = chain[0].Subject.CommonName
-		r.NotAfter = chain[0].NotAfter
-		r.CertStatus = certs.Classify(chain, s.Roots)
-	} else {
-		r.Provider = "(no certificate)"
-		r.CertStatus = certs.StatusBadChain
-	}
-	return r, true
-}
-
 type probeOutcome struct {
 	r  Resolver
 	ok bool
 }
 
-// probeDoT issues the verification query of §3.1 ("probe the addresses with
-// DoT queries of a domain registered by us"). Opportunistic profile: the
-// point is to find out who answers, not to authenticate them.
-func (s *Scanner) probeDoT(src, addr netip.Addr) (Resolver, bool) {
-	client := dot.NewClient(s.World, src, s.Roots, dot.Opportunistic)
-	client.Timeout = 2 * time.Second
-	conn, err := client.Dial(addr)
+// probe issues the verification query of §3.1 ("probe the addresses with
+// DoT queries of a domain registered by us") over p's session and
+// classifies the presented chain.
+func (s *Scanner) probe(p *protocol, src, addr netip.Addr) (Resolver, bool) {
+	conn, err := p.dial(s, src, addr)
 	if err != nil {
 		return Resolver{}, false
 	}
 	defer conn.Close()
 	resp, err := conn.Query(s.ProbeDomain, dnswire.TypeA)
 	if err != nil || resp.Rcode() != dnswire.RcodeSuccess || len(resp.Msg.Answers) == 0 {
-		// Port open but "not providing DoT" — the vast majority in §3.2.
+		// Port open but not a resolver — the vast majority in §3.2.
 		return Resolver{}, false
 	}
 	r := Resolver{Addr: addr, Country: s.World.Geo.Country(addr)}

@@ -1,10 +1,12 @@
 package scanner
 
 import (
+	"context"
 	"errors"
 	"net"
 	"net/netip"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
+	"dnsencryption.info/doe/internal/obs"
 )
 
 func TestPermutationCoversExactlyOnce(t *testing.T) {
@@ -410,5 +413,85 @@ func TestScanVirtualDuration(t *testing.T) {
 	}
 	if want := 8 * time.Second; res.VirtualDuration != want { // 512 addrs / 64 pps
 		t.Errorf("virtual duration = %v, want %v", res.VirtualDuration, want)
+	}
+}
+
+// TestScanTelemetry pins the names both scans publish: the round span and
+// its attributes, the sweep and probe pools in Progress, and the outcome
+// counter families (hostbench's count.scanner.* metrics read two of them).
+func TestScanTelemetry(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		scan             func(s *Scanner, ctx context.Context, label string) (*Result, error)
+		span             string
+		sweepPool        string
+		probePool        string
+		sweepFamily      string
+		probeFamily      string
+		miss             string
+		open, resolvers  int64
+		closed, notFound int64
+	}{
+		{"dot", (*Scanner).ScanContext, "scan:tele", "scan-sweep", "scan-probe",
+			"scanner_sweep_dials_total", "scanner_probes_total", "no-dot", 6, 5, 506, 1},
+		{"doq", (*Scanner).ScanDoQContext, "scan-doq:tele", "scan-doq-sweep", "scan-doq-probe",
+			"scanner_doq_sweep_total", "scanner_doq_probes_total", "no-doq", 4, 3, 508, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newScanFixture(t)
+			rec := obs.NewRecorder("study")
+			res, err := c.scan(f.scanner, obs.WithRecorder(context.Background(), rec), "tele")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(res.PortOpen) != c.open || int64(len(res.Resolvers)) != c.resolvers {
+				t.Fatalf("scan = %d open, %d resolvers; want %d, %d", res.PortOpen, len(res.Resolvers), c.open, c.resolvers)
+			}
+
+			var span *obs.Record
+			recs := rec.Records()
+			for i := range recs {
+				if recs[i].Path == "study/"+c.span {
+					span = &recs[i]
+				}
+			}
+			if span == nil {
+				t.Fatalf("no %q span in %+v", c.span, recs)
+			}
+			for k, want := range map[string]string{
+				"probed":    "512",
+				"port_open": strconv.FormatInt(c.open, 10),
+				"resolvers": strconv.FormatInt(c.resolvers, 10),
+			} {
+				if got := span.Attrs[k]; got != want {
+					t.Errorf("span attr %s = %q, want %q", k, got, want)
+				}
+			}
+
+			phases := map[string]obs.PhaseStatus{}
+			for _, p := range rec.Progress() {
+				phases[p.Name] = p
+			}
+			for pool, total := range map[string]int64{c.sweepPool: 512, c.probePool: c.open} {
+				if p, ok := phases[pool]; !ok || p.Done != total || p.Total != total {
+					t.Errorf("pool %s progress = %+v (present %v), want %d/%d", pool, p, ok, total, total)
+				}
+			}
+
+			m := rec.Metrics()
+			for _, cnt := range []struct {
+				family, outcome string
+				want            int64
+			}{
+				{c.sweepFamily, "open", c.open},
+				{c.sweepFamily, "closed", c.closed},
+				{c.probeFamily, "resolver", c.resolvers},
+				{c.probeFamily, c.miss, c.notFound},
+			} {
+				if got := m.Counter(cnt.family, "outcome", cnt.outcome).Value(); got != cnt.want {
+					t.Errorf("%s{outcome=%s} = %d, want %d", cnt.family, cnt.outcome, got, cnt.want)
+				}
+			}
+		})
 	}
 }

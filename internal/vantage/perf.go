@@ -19,7 +19,7 @@ import (
 )
 
 // Mode names how a timing pass uses its sessions. The labels are the mode
-// values of the vantage_query_latency families.
+// values of the vantage_query_latency_sketch family.
 type Mode string
 
 // Timing modes: queries one at a time on one reused session, in batches of
@@ -81,7 +81,7 @@ type PerfSample struct {
 // the client→proxy leg adds the same latency to every protocol (§4.1).
 // Each leg's timing pass gets a perf:<proto>[-mux] span (retry attempts
 // nested under it) and its successful pass's latencies feed the
-// vantage_query_latency{mode} histogram. The multiplexed passes run only
+// vantage_query_latency_sketch{mode} family. The multiplexed passes run only
 // when MuxInFlight > 1 — the Fig. 9 "multiplexed" columns.
 func (p *Platform) MeasurePerformanceContext(ctx context.Context, node proxy.ExitNode, tgt Target, n int) (PerfSample, error) {
 	sample := PerfSample{NodeID: node.ID, Country: node.Country, Medians: Medians{}}
@@ -111,7 +111,7 @@ func (p *Platform) MeasurePerformanceContext(ctx context.Context, node proxy.Exi
 // session) while it fails and the platform retry budget allows: a
 // connection killed mid-pass would otherwise discard the node. The
 // successful pass's latencies are reported unpolluted by earlier attempts
-// and observed into the leg's latency histogram. The returned slice is
+// and observed into the leg's latency sketch. The returned slice is
 // pool-owned (bufpool.GetF64); the caller must PutF64 it once reduced.
 func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx context.Context) (*[]float64, error)) (*[]float64, error) {
 	span := "perf:" + string(leg.Proto)
@@ -131,16 +131,10 @@ func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx
 		if err == nil {
 			sp.SetInt("attempts", int64(attempt))
 			sp.SetInt("queries", int64(len(*lat)))
-			h := obs.Metrics(ctx).Histogram("vantage_query_latency", nil,
-				"mode", string(leg.Mode), "proto", string(leg.Proto))
-			// The sketch is the streaming counterpart: log-spaced buckets
-			// whose shard merges stay byte-identical at any worker count.
-			sk := obs.Metrics(ctx).Sketch("vantage_query_latency_sketch", obs.SketchOpts{},
+			sk := obs.Metrics(ctx).Sketch("vantage_query_latency_sketch",
 				"mode", string(leg.Mode), "proto", string(leg.Proto))
 			for _, l := range *lat {
-				d := time.Duration(l * float64(time.Millisecond))
-				h.Observe(d)
-				sk.Observe(d)
+				sk.Observe(time.Duration(l * float64(time.Millisecond)))
 			}
 			return lat, nil //doelint:transfer -- pool-owned scratch; the caller reduces and PutF64s it
 		}
@@ -303,7 +297,7 @@ type NoReuseSample struct {
 // skipped rather than sinking the vantage; the per-transport median is
 // over the queries that answered, and only a transport with zero answers
 // is an error. Each pass gets a noreuse:<proto> span and the answered
-// queries feed the vantage_query_latency{mode=fresh} histogram; the
+// queries feed the vantage_query_latency_sketch{mode=fresh} family; the
 // resolver transports underneath contribute their own xchg/dial spans per
 // query.
 func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, from netip.Addr, tgt Target, probeZone string, roots *certs.TrustStore, n int, opts ...resolver.Option) (NoReuseSample, error) {
@@ -334,9 +328,7 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 		}
 		t, tag := rc.Transport(tr.dial, ep), string(tr.proto)
 		sctx, sp := obs.Start(ctx, "noreuse:"+tag)
-		h := obs.Metrics(sctx).Histogram("vantage_query_latency", nil, "mode", string(ModeFresh), "proto", tag)
-		sk := obs.Metrics(sctx).Sketch("vantage_query_latency_sketch", obs.SketchOpts{},
-			"mode", string(ModeFresh), "proto", tag)
+		sk := obs.Metrics(sctx).Sketch("vantage_query_latency_sketch", "mode", string(ModeFresh), "proto", tag)
 		*lat = (*lat)[:0]
 		var lastErr error
 		for i := 0; i < n; i++ {
@@ -345,7 +337,6 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 				lastErr = err
 				continue
 			}
-			h.Observe(t.LastLatency())
 			sk.Observe(t.LastLatency())
 			*lat = append(*lat, ms(t.LastLatency()))
 		}

@@ -13,14 +13,12 @@ import (
 	"dnsencryption.info/doe/internal/runner"
 )
 
-// This file is the streaming half of the campaign API (DESIGN.md §15).
-// Campaign/CampaignContext materialize every node's results and hand the
-// caller a slice — fine at study scale, O(population) at a million
-// vantages. CampaignStream folds each lookup into a mergeable accumulator
-// (CampaignStats) through runner.MapReduceCtx instead: per-node result
-// slices never exist, node populations come from a NodeSource that may
-// synthesize nodes on demand, and world state for generated nodes lives
-// only while a worker holds the node.
+// This file is the campaign API (DESIGN.md §15). CampaignStream folds each
+// lookup into a mergeable accumulator (CampaignStats) through
+// runner.MapReduceCtx: per-node result slices never exist, so memory stays
+// O(workers) at a million vantages; node populations come from a
+// NodeSource that may synthesize nodes on demand, and world state for
+// generated nodes lives only while a worker holds the node.
 
 // NodeSource abstracts the vantage population a streaming campaign sweeps.
 // Acquire materializes node i (for generator-fed sources: starts its SOCKS
@@ -96,28 +94,24 @@ type interceptedRef struct {
 	r        Result
 }
 
-// CampaignOpts configures a streaming campaign's accumulator.
+// CampaignOpts configures a campaign's accumulator.
 type CampaignOpts struct {
 	// TrackFailed lists the (resolver, proto) pairs whose failing node IDs
 	// are retained for follow-up probes.
 	TrackFailed []FailKey
-	// SketchOpts shapes the setup-latency sketches (zero value: the obs
-	// defaults, 100µs–10s at 8 buckets per decade).
-	SketchOpts obs.SketchOpts
 }
 
-// CampaignStats is the mergeable accumulator of one streaming campaign.
+// CampaignStats is the mergeable accumulator of one campaign.
 // Every field follows the obs.Registry.Merge fold discipline — counters
 // and cells sum, sketches add bucket-wise, order-bearing lists carry their
 // node index and sort at finalize — so merging per-worker shards in any
 // partition yields identical stats, which is what keeps reports
 // byte-identical across worker counts.
 type CampaignStats struct {
-	// Lookups counts every classification produced, including dropped
-	// ones (it equals len(results) of the materialized API).
+	// Lookups counts every classification produced, dropped ones included.
 	Lookups int
 	// Dropped counts measurements lost to platform disruption; they are
-	// excluded from every tally below, matching TallyResults.
+	// excluded from every tally below.
 	Dropped int
 	// Nodes counts vantages that passed the uptime screen and ran;
 	// Skipped counts those the screen discarded.
@@ -127,12 +121,12 @@ type CampaignStats struct {
 	Cells map[CellKey]Tally
 	// Errors is the failure taxonomy: error class → count.
 	Errors map[string]int
-	// Retry aggregates attempt-level outcomes (RetryTally's shape).
+	// Retry aggregates attempt-level outcomes: retry-recovered lookups
+	// vs. hard failures that exhausted the budget.
 	Retry resolver.RetryStats
 	// Setup holds per-protocol session-setup latency sketches.
 	Setup map[Proto]*obs.Sketch
 
-	opts        CampaignOpts
 	failed      map[FailKey][]NodeRef
 	intercepted []interceptedRef
 }
@@ -143,7 +137,6 @@ func NewCampaignStats(opts CampaignOpts) *CampaignStats {
 		Cells:  make(map[CellKey]Tally),
 		Errors: make(map[string]int),
 		Setup:  make(map[Proto]*obs.Sketch),
-		opts:   opts,
 		failed: make(map[FailKey][]NodeRef),
 	}
 	for _, k := range opts.TrackFailed {
@@ -199,7 +192,7 @@ func (s *CampaignStats) Add(nodeIdx, ord int, r Result) {
 	if r.Setup > 0 {
 		sk := s.Setup[r.Proto]
 		if sk == nil {
-			sk = obs.NewSketch(s.opts.SketchOpts)
+			sk = new(obs.Sketch)
 			s.Setup[r.Proto] = sk
 		}
 		sk.Observe(r.Setup)
@@ -212,7 +205,7 @@ func (s *CampaignStats) Add(nodeIdx, ord int, r Result) {
 // Merge folds src into s. Partition-independent: counters and cells sum,
 // sketches merge bucket-wise, the index-tagged lists concatenate and are
 // canonicalized by finalize's sort.
-func (s *CampaignStats) Merge(src *CampaignStats) error {
+func (s *CampaignStats) Merge(src *CampaignStats) {
 	s.Lookups += src.Lookups
 	s.Dropped += src.Dropped
 	s.Nodes += src.Nodes
@@ -231,12 +224,10 @@ func (s *CampaignStats) Merge(src *CampaignStats) error {
 	for proto, sk := range src.Setup {
 		dst := s.Setup[proto]
 		if dst == nil {
-			dst = obs.NewSketch(s.opts.SketchOpts)
+			dst = new(obs.Sketch)
 			s.Setup[proto] = dst
 		}
-		if err := dst.Merge(sk); err != nil {
-			return fmt.Errorf("vantage: merging %s setup sketch: %w", proto, err)
-		}
+		dst.Merge(sk)
 	}
 	for k, refs := range src.failed {
 		if _, ok := s.failed[k]; !ok {
@@ -245,7 +236,6 @@ func (s *CampaignStats) Merge(src *CampaignStats) error {
 		s.failed[k] = append(s.failed[k], refs...)
 	}
 	s.intercepted = append(s.intercepted, src.intercepted...)
-	return nil
 }
 
 // finalize sorts the order-bearing lists into node order — the
@@ -263,8 +253,8 @@ func (s *CampaignStats) finalize() {
 	}
 }
 
-// Intercepted returns the TLS-intercepted sessions in node order — the
-// streaming equivalent of InterceptedResults over a materialized campaign.
+// Intercepted returns the TLS-intercepted sessions in node order, each
+// with the issuer CN its forged chain presented.
 func (s *CampaignStats) Intercepted() []Result {
 	out := make([]Result, len(s.intercepted))
 	for i, ref := range s.intercepted {
@@ -279,8 +269,8 @@ func (s *CampaignStats) FailedRefs(k FailKey) []NodeRef {
 	return s.failed[k]
 }
 
-// ByResolverProto sums the country cells into the Table 4 shape — the
-// streaming equivalent of TallyResults.
+// ByResolverProto sums the country cells into the Table 4 shape: one
+// tally per (resolver, proto).
 func (s *CampaignStats) ByResolverProto() map[string]map[Proto]Tally {
 	out := map[string]map[Proto]Tally{}
 	for k, t := range s.Cells {
@@ -329,7 +319,7 @@ func ErrorClass(err string) string {
 
 // VisitReachability runs the Fig. 7 workflow for one node, feeding each
 // classification to visit in target order — the streaming form of
-// TestReachabilityContext, with no per-node slice.
+// TestReachability, with no per-node slice.
 func (p *Platform) VisitReachability(ctx context.Context, node proxy.ExitNode, targets []Target, visit func(Result)) {
 	for _, tgt := range targets {
 		for _, tr := range transports {
@@ -340,10 +330,11 @@ func (p *Platform) VisitReachability(ctx context.Context, node proxy.ExitNode, t
 	}
 }
 
-// CampaignStream runs the reachability campaign over the network's
-// materialized pool as a streaming fold: same spans, same telemetry, same
-// node order as CampaignContext, but the result is a CampaignStats
-// accumulator instead of an O(population) result slice.
+// CampaignStream runs the reachability campaign from every usable node of
+// the network's materialized pool, bounded by workers, as a streaming
+// fold into a CampaignStats accumulator. Once ctx is done, workers stop
+// taking new nodes and in-flight lookups fail fast; the partial stats come
+// back with ctx.Err().
 func (p *Platform) CampaignStream(ctx context.Context, targets []Target, workers int, opts CampaignOpts) (*CampaignStats, error) {
 	return p.CampaignStreamSource(ctx, ListSource(p.Network.Nodes()), targets, workers, opts)
 }
@@ -376,7 +367,7 @@ func (p *Platform) CampaignStreamSource(ctx context.Context, src NodeSource, tar
 				ord++
 			})
 		},
-		Merge: func(dst, src *CampaignStats) error { return dst.Merge(src) },
+		Merge: func(dst, src *CampaignStats) error { dst.Merge(src); return nil },
 	}
 	stats, err := runner.MapReduceCtx(obs.WithPool(ctx, "campaign"), workers, src.Len(), red)
 	stats.finalize()

@@ -22,7 +22,6 @@ import (
 	"dnsencryption.info/doe/internal/obs"
 	"dnsencryption.info/doe/internal/proxy"
 	"dnsencryption.info/doe/internal/resolver"
-	"dnsencryption.info/doe/internal/runner"
 )
 
 // Proto identifies the tested transport.
@@ -190,14 +189,9 @@ func (p *Platform) UsableNode(node proxy.ExitNode) bool {
 	return err == nil && left >= p.MinUptime
 }
 
-// TestReachability runs the Fig. 7 workflow for one node against targets.
-func (p *Platform) TestReachability(node proxy.ExitNode, targets []Target) []Result {
-	return p.TestReachabilityContext(context.Background(), node, targets)
-}
-
-// TestReachabilityContext runs the Fig. 7 workflow for one node against
-// targets, honouring ctx on every lookup.
-func (p *Platform) TestReachabilityContext(ctx context.Context, node proxy.ExitNode, targets []Target) []Result {
+// TestReachability runs the Fig. 7 workflow for one node against targets,
+// honouring ctx on every lookup.
+func (p *Platform) TestReachability(ctx context.Context, node proxy.ExitNode, targets []Target) []Result {
 	var out []Result
 	p.VisitReachability(ctx, node, targets, func(r Result) { out = append(out, r) })
 	return out
@@ -311,7 +305,7 @@ func (p *Platform) exchange(ctx context.Context, sess resolver.Session, tag stri
 
 // open dials proto's session to tgt through node and records its
 // connection-establishment cost: a dial child span charged with the setup
-// latency, plus the per-protocol setup histogram. inflight > 0 dials the
+// latency, plus the per-protocol setup sketch. inflight > 0 dials the
 // session for multiplexed batches. Every call builds its own exit-node
 // resolver.Client, so no DoQ resumption state crosses an attempt, a pass or
 // a node: each DoQ session pays the full 1-RTT handshake over the
@@ -328,7 +322,7 @@ func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 	}
 	dctx, _ := obs.Start(ctx, "dial")
 	obs.Charge(dctx, sess.SetupLatency())
-	obs.Metrics(ctx).Histogram("vantage_setup_latency", nil, "proto", string(proto)).Observe(sess.SetupLatency())
+	obs.Metrics(ctx).Sketch("vantage_setup_latency", "proto", string(proto)).Observe(sess.SetupLatency())
 	return sess, nil
 }
 
@@ -369,43 +363,6 @@ func (p *Platform) test(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 	return r
 }
 
-// Campaign runs reachability tests from every usable node, bounded by
-// workers, and returns all results grouped by node in Nodes() order — the
-// same concatenation a serial campaign produces, for any worker count.
-// Node selection happens up front (a node's own tests are the only thing
-// that consumes its session budget, so filtering before dispatch sees the
-// same remaining uptimes a serial sweep would).
-func (p *Platform) Campaign(targets []Target, workers int) []Result {
-	out, _ := p.CampaignContext(context.Background(), targets, workers)
-	return out
-}
-
-// CampaignContext is Campaign with cancellation: once ctx is done, workers
-// stop taking new nodes and in-flight lookups fail fast. The partial result
-// keeps per-node grouping in Nodes() order; the error is ctx.Err() when the
-// campaign was cut short.
-func (p *Platform) CampaignContext(ctx context.Context, targets []Target, workers int) ([]Result, error) {
-	var usable []proxy.ExitNode
-	for _, node := range p.Network.Nodes() {
-		if p.UsableNode(node) {
-			usable = append(usable, node)
-		}
-	}
-	perNode, err := runner.MapCtx(obs.WithPool(ctx, "campaign"), workers, len(usable),
-		func(ctx context.Context, i int) []Result {
-			// Key(i) pins sibling order to the node's dispatch index, so the
-			// trace is identical no matter which worker ran the node.
-			ctx, sp := obs.Start(ctx, "node:"+usable[i].ID, obs.Key(i))
-			sp.SetAttr("country", usable[i].Country)
-			return p.TestReachabilityContext(ctx, usable[i], targets)
-		})
-	var out []Result
-	for _, res := range perNode {
-		out = append(out, res...)
-	}
-	return out, err
-}
-
 // Tally aggregates results into Table 4 cells: per (resolver, proto),
 // fraction correct / incorrect / failed.
 type Tally struct {
@@ -422,79 +379,4 @@ func (t Tally) Rates() (correct, incorrect, failed float64) {
 		return 0, 0, 0
 	}
 	return float64(t.Correct) / n, float64(t.Incorrect) / n, float64(t.Failed) / n
-}
-
-// TallyResults groups results by (resolver, proto).
-func TallyResults(results []Result) map[string]map[Proto]Tally {
-	out := map[string]map[Proto]Tally{}
-	for _, r := range results {
-		if r.Dropped {
-			continue
-		}
-		byProto, ok := out[r.Resolver]
-		if !ok {
-			byProto = map[Proto]Tally{}
-			out[r.Resolver] = byProto
-		}
-		t := byProto[r.Proto]
-		switch r.Outcome {
-		case Correct:
-			t.Correct++
-		case Incorrect:
-			t.Incorrect++
-		default:
-			t.Failed++
-		}
-		byProto[r.Proto] = t
-	}
-	return out
-}
-
-// RetryTally aggregates attempt-level outcomes of a campaign into the
-// resolver's RetryStats shape: retry-recovered lookups vs. hard failures
-// that exhausted the budget. Dropped results are excluded, matching every
-// other tally.
-func RetryTally(results []Result) resolver.RetryStats {
-	var s resolver.RetryStats
-	for _, r := range results {
-		if r.Dropped {
-			continue
-		}
-		a := r.Attempts
-		if a < 1 {
-			a = 1
-		}
-		s.Attempts += a
-		s.Retries += a - 1
-		if r.Recovered {
-			s.Recovered++
-		}
-		if r.Outcome == Failed {
-			s.HardFailures++
-		}
-	}
-	return s
-}
-
-// InterceptedResults filters the sessions flagged as TLS-intercepted.
-func InterceptedResults(results []Result) []Result {
-	var out []Result
-	for _, r := range results {
-		if r.Intercepted {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// FailedNodes returns the IDs of nodes whose lookup of (resolver, proto)
-// failed — the population fed into the Table 5 port probes.
-func FailedNodes(results []Result, resolver string, proto Proto) []string {
-	var out []string
-	for _, r := range results {
-		if r.Resolver == resolver && r.Proto == proto && r.Outcome == Failed && !r.Dropped {
-			out = append(out, r.NodeID)
-		}
-	}
-	return out
 }

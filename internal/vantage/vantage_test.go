@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -157,9 +158,19 @@ func outcomes(results []Result) map[Proto]Outcome {
 	return m
 }
 
+// fold folds one node's results into a fresh accumulator in lookup order,
+// as CampaignStream folds every node it visits.
+func fold(results []Result, track ...FailKey) *CampaignStats {
+	s := NewCampaignStats(CampaignOpts{TrackFailed: track})
+	for ord, r := range results {
+		s.Add(0, ord, r)
+	}
+	return s
+}
+
 func TestCleanNodeAllCorrect(t *testing.T) {
 	f := newFixture(t)
-	res := f.platform.TestReachability(f.node(t, "clean"), []Target{f.target})
+	res := f.platform.TestReachability(context.Background(), f.node(t, "clean"), []Target{f.target})
 	if len(res) != 4 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -175,7 +186,7 @@ func TestCleanNodeAllCorrect(t *testing.T) {
 
 func TestPort53FilteredNode(t *testing.T) {
 	f := newFixture(t)
-	got := outcomes(f.platform.TestReachability(f.node(t, "filtered"), []Target{f.target}))
+	got := outcomes(f.platform.TestReachability(context.Background(), f.node(t, "filtered"), []Target{f.target}))
 	if got[ProtoDNS] != Failed {
 		t.Errorf("dns = %v, want failed (port 53 filtered)", got[ProtoDNS])
 	}
@@ -186,7 +197,7 @@ func TestPort53FilteredNode(t *testing.T) {
 
 func TestCensoredNodeDoHBlocked(t *testing.T) {
 	f := newFixture(t)
-	got := outcomes(f.platform.TestReachability(f.node(t, "censored"), []Target{f.target}))
+	got := outcomes(f.platform.TestReachability(context.Background(), f.node(t, "censored"), []Target{f.target}))
 	if got[ProtoDoH] != Failed {
 		t.Errorf("doh = %v, want failed (censorship, Finding 2.2)", got[ProtoDoH])
 	}
@@ -197,14 +208,14 @@ func TestCensoredNodeDoHBlocked(t *testing.T) {
 
 func TestMITMNodeInterceptsDoTBreaksDoH(t *testing.T) {
 	f := newFixture(t)
-	results := f.platform.TestReachability(f.node(t, "mitm"), []Target{f.target})
+	results := f.platform.TestReachability(context.Background(), f.node(t, "mitm"), []Target{f.target})
 	got := outcomes(results)
 	// Opportunistic DoT proceeds and gets the right answer — but is
 	// flagged as intercepted, with the DPI CA visible (Finding 2.3).
 	if got[ProtoDoT] != Correct {
 		t.Errorf("dot = %v, want correct", got[ProtoDoT])
 	}
-	intercepted := InterceptedResults(results)
+	intercepted := fold(results).Intercepted()
 	if len(intercepted) != 1 || intercepted[0].Proto != ProtoDoT {
 		t.Fatalf("intercepted = %+v", intercepted)
 	}
@@ -220,13 +231,14 @@ func TestMITMNodeInterceptsDoTBreaksDoH(t *testing.T) {
 func TestConflictNodeForensics(t *testing.T) {
 	f := newFixture(t)
 	node := f.node(t, "conflict")
-	results := f.platform.TestReachability(node, []Target{f.target})
+	results := f.platform.TestReachability(context.Background(), node, []Target{f.target})
 	got := outcomes(results)
 	if got[ProtoDNS] != Failed || got[ProtoDoT] != Failed {
 		t.Errorf("dns/dot = %v/%v, want failed (address conflict)", got[ProtoDNS], got[ProtoDoT])
 	}
-	failed := FailedNodes(results, "resolverco", ProtoDoT)
-	if len(failed) != 1 || failed[0] != "conflict" {
+	dotKey := FailKey{Resolver: "resolverco", Proto: ProtoDoT}
+	failed := fold(results, dotKey).FailedRefs(dotKey)
+	if len(failed) != 1 || failed[0].ID != "conflict" {
 		t.Errorf("failed nodes = %v", failed)
 	}
 	probe := f.platform.ProbePorts(node, resolverIP, Table5Ports)
@@ -245,24 +257,84 @@ func TestConflictNodeForensics(t *testing.T) {
 	}
 }
 
+// TestCampaignAndTally drives CampaignStream over the fixture's pool plus
+// one node the uptime screen discards, with a retry budget of two.
 func TestCampaignAndTally(t *testing.T) {
-	f := newFixture(t)
-	results := f.platform.Campaign([]Target{f.target}, 4)
-	tally := TallyResults(results)["resolverco"]
-	// 5 nodes: DNS fails on filtered+conflict; DoT fails on conflict;
-	// DoH fails on censored+mitm+conflict.
-	if tally[ProtoDNS].Failed != 2 || tally[ProtoDNS].Correct != 3 {
-		t.Errorf("dns tally = %+v", tally[ProtoDNS])
+	dnsKey := FailKey{Resolver: "resolverco", Proto: ProtoDNS}
+	dohKey := FailKey{Resolver: "resolverco", Proto: ProtoDoH}
+	campaign := func(workers int) (*CampaignStats, int) {
+		f := newFixture(t)
+		f.platform.Network.AddNode(proxy.ExitNode{
+			ID: "dying", Addr: netip.MustParseAddr("10.10.0.99"), Country: "US", Lifetime: time.Second,
+		})
+		f.platform.Retry = resolver.RetryPolicy{Attempts: 2}
+		stats, err := f.platform.CampaignStream(context.Background(), []Target{f.target}, workers,
+			CampaignOpts{TrackFailed: []FailKey{dnsKey, dohKey}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return stats, len(f.platform.Network.Nodes())
 	}
-	if tally[ProtoDoT].Failed != 1 || tally[ProtoDoT].Correct != 4 {
-		t.Errorf("dot tally = %+v", tally[ProtoDoT])
+	stats, population := campaign(4)
+
+	// Node order (by ID): censored, clean, conflict, dying, filtered, mitm.
+	if stats.Nodes != 5 || stats.Skipped != 1 || stats.Nodes+stats.Skipped != population {
+		t.Errorf("nodes %d + skipped %d, want 5 + 1 = population %d", stats.Nodes, stats.Skipped, population)
 	}
-	if tally[ProtoDoH].Failed != 3 || tally[ProtoDoH].Correct != 2 {
-		t.Errorf("doh tally = %+v", tally[ProtoDoH])
+	tally := stats.ByResolverProto()["resolverco"]
+	// 5 nodes: DNS fails on filtered+conflict; DoT and DoQ fail on
+	// conflict; DoH fails on censored+mitm+conflict.
+	for proto, want := range map[Proto]Tally{
+		ProtoDNS: {Correct: 3, Failed: 2},
+		ProtoDoT: {Correct: 4, Failed: 1},
+		ProtoDoH: {Correct: 2, Failed: 3},
+		ProtoDoQ: {Correct: 4, Failed: 1},
+	} {
+		if tally[proto] != want {
+			t.Errorf("%s tally = %+v, want %+v", proto, tally[proto], want)
+		}
 	}
 	c, i, fl := tally[ProtoDoT].Rates()
 	if c+i+fl < 0.999 || c+i+fl > 1.001 {
 		t.Errorf("rates don't sum to 1: %v %v %v", c, i, fl)
+	}
+
+	// Failing nodes are kept for tracked keys only, in node order.
+	refIDs := func(refs []NodeRef) []string {
+		var ids []string
+		for _, r := range refs {
+			ids = append(ids, r.ID)
+		}
+		return ids
+	}
+	for k, want := range map[FailKey][]string{
+		dnsKey: {"conflict", "filtered"},
+		dohKey: {"censored", "conflict", "mitm"},
+		{Resolver: "resolverco", Proto: ProtoDoT}: nil,
+	} {
+		if got := refIDs(stats.FailedRefs(k)); !slices.Equal(got, want) {
+			t.Errorf("FailedRefs(%v) = %v, want %v", k, got, want)
+		}
+	}
+
+	intercepted := stats.Intercepted()
+	if len(intercepted) != 1 || intercepted[0].NodeID != "mitm" || intercepted[0].Proto != ProtoDoT ||
+		intercepted[0].IssuerCN != "SonicWall Firewall DPI-SSL" {
+		t.Errorf("intercepted = %+v, want mitm's DoT session re-signed by the DPI CA", intercepted)
+	}
+
+	// Every failure here is persistent, so each spends its one retry and
+	// still fails: 20 lookups, 7 failed, 27 attempts.
+	if want := (resolver.RetryStats{Attempts: 27, Retries: 7, HardFailures: 7}); stats.Retry != want {
+		t.Errorf("retry = %+v, want %+v", stats.Retry, want)
+	}
+	if stats.Lookups != 20 || stats.Dropped != 0 {
+		t.Errorf("lookups = %d (%d dropped), want 20 (0)", stats.Lookups, stats.Dropped)
+	}
+
+	serial, _ := campaign(1)
+	if got, want := serial.Render(), stats.Render(); got != want {
+		t.Errorf("Render differs between workers 1 and 4:\n%s\nvs\n%s", got, want)
 	}
 }
 
@@ -459,7 +531,7 @@ func TestRecoveredDoQLookupPaysFullHandshake(t *testing.T) {
 	f.platform.Retry = resolver.RetryPolicy{Attempts: 2}
 	f.world.SetFaults(&dropNth{from: nodeClean, to: resolverIP, port: doq.Port, n: 2})
 	var got Result
-	for _, r := range f.platform.TestReachability(node, []Target{f.target}) {
+	for _, r := range f.platform.TestReachability(context.Background(), node, []Target{f.target}) {
 		if r.Proto == ProtoDoQ {
 			got = r
 		}
@@ -520,7 +592,7 @@ func TestPlatformDisruptionDropped(t *testing.T) {
 		c.Close()
 	}
 	// ...so the reachability test hits platform disruption on every leg.
-	results := f.platform.TestReachability(node, []Target{f.target})
+	results := f.platform.TestReachability(context.Background(), node, []Target{f.target})
 	dropped := 0
 	for _, r := range results {
 		if r.Dropped {
@@ -530,17 +602,25 @@ func TestPlatformDisruptionDropped(t *testing.T) {
 	if dropped == 0 {
 		t.Fatalf("no dropped results: %+v", results)
 	}
+	dotKey := FailKey{Resolver: "resolverco", Proto: ProtoDoT}
+	stats := fold(results, dotKey)
+	if stats.Lookups != len(results) || stats.Dropped != dropped {
+		t.Errorf("stats count %d lookups, %d dropped; want %d, %d", stats.Lookups, stats.Dropped, len(results), dropped)
+	}
 	// Dropped measurements must not contaminate Table 4.
-	tally := TallyResults(results)
-	for resolver, byProto := range tally {
+	for resolver, byProto := range stats.ByResolverProto() {
 		for proto, tl := range byProto {
 			if tl.Failed > 0 {
 				t.Errorf("%s/%s counts %d platform failures as protocol failures", resolver, proto, tl.Failed)
 			}
 		}
 	}
+	// Nor the retry totals and failure taxonomy.
+	if stats.Retry.HardFailures != 0 || len(stats.Errors) != 0 {
+		t.Errorf("dropped results counted as hard failures: %+v, errors %v", stats.Retry, stats.Errors)
+	}
 	// Nor the Table 5 candidate list.
-	if failed := FailedNodes(results, "resolverco", ProtoDoT); len(failed) != 0 {
+	if failed := stats.FailedRefs(dotKey); len(failed) != 0 {
 		t.Errorf("dropped node listed as failed: %v", failed)
 	}
 }

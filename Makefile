@@ -19,8 +19,9 @@ RACE_PKGS := ./internal/...
 
 # Fuzz targets, as package:target pairs; fuzz-smoke runs each briefly. The
 # dnswire targets are hardened against panics, so a codec regression that
-# panics on malformed wire input fails the gate; netsim's checks that the
-# lazily seeded per-flow source draws exactly what math/rand would.
+# panics on malformed wire input fails the gate; doh's feeds hostile server
+# bytes to the client's h2 reader, whole and in short reads; netsim's checks
+# that the lazily seeded per-flow source draws exactly what math/rand would.
 FUZZ_TARGETS := \
 	./internal/dnswire:FuzzParseMessage \
 	./internal/dnswire:FuzzParseName \
@@ -28,6 +29,7 @@ FUZZ_TARGETS := \
 	./internal/dnswire:FuzzAppendTCP \
 	./internal/dnswire:FuzzDoQFrame \
 	./internal/dnswire:FuzzQUICVarint \
+	./internal/doh:FuzzH2ReadReply \
 	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s
 

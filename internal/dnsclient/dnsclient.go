@@ -2,12 +2,18 @@
 // over UDP (the Internet's default) and over TCP (RFC 7766), the latter with
 // explicit connection reuse — the baseline the paper compares DoT and DoH
 // against ("we regard DNS/TCP as a reasonable baseline for clear-text DNS").
+//
+// It is also the one stream-session engine of the encrypted transports:
+// TCPConn carries DoT's length-prefixed queries over TLS as it carries
+// clear-text TCP's, and Mux multiplexes DoH's HTTP/2 streams through the
+// same Framing seam that pipelines TCP and DoT.
 package dnsclient
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"sync"
 	"time"
@@ -122,22 +128,24 @@ func (c *Client) QueryTCPContext(ctx context.Context, server netip.Addr, name st
 	return conn.QueryContext(ctx, name, qtype)
 }
 
-// TCPConn is a reusable DNS-over-TCP connection. By default it is serial —
-// safe for sequential use, one query in flight at a time. Pipeline upgrades
-// it to an RFC 7766 pipelined session whose QueryContext is safe for
-// concurrent use up to the chosen in-flight limit.
+// TCPConn is a reusable DNS session over one stream carrying RFC 7766
+// length-prefixed messages: clear-text TCP, or the TLS stream of a DoT
+// session. By default it is serial — safe for sequential use, one query in
+// flight at a time. Pipeline upgrades it to a pipelined session whose
+// QueryContext is safe for concurrent use up to the chosen in-flight limit.
 type TCPConn struct {
 	mu   sync.Mutex
 	mux  *Mux
 	conn *netsim.Conn
-	// ids generates this connection's transaction IDs without touching
-	// the process-wide idSource lock.
-	ids dnswire.IDGen
-	// wbuf/rbuf are the connection's pooled scratch buffers, guarded by
-	// mu like the connection itself and returned on Close.
-	wbuf, rbuf *[]byte
+	cost time.Duration
+	f    dnsFraming
+	// buf is the connection's pooled scratch, guarded by mu like the
+	// connection itself and returned on Close. A serial exchange frames its
+	// query into it and reads the reply into it: the stream has copied the
+	// query by the time Write returns.
+	buf *[]byte
 	// established is the virtual time consumed before the first query
-	// (TCP handshake).
+	// (TCP handshake, and TLS's for DoT).
 	established time.Duration
 	closed      bool
 }
@@ -162,28 +170,39 @@ func (c *Client) DialTCPPortContext(ctx context.Context, server netip.Addr, port
 }
 
 // TCPFromConn wraps an already established stream (e.g. a SOCKS tunnel) as
-// a DNS-over-TCP connection.
+// a clear-text DNS-over-TCP connection.
 func TCPFromConn(conn *netsim.Conn) *TCPConn {
+	return NewTCPConn(conn, conn, 0, 0)
+}
+
+// NewTCPConn wraps rw, a stream carrying RFC 7766 length-prefixed DNS
+// messages (conn itself for clear-text TCP, a tls.Conn over it for DoT), as
+// a session. conn is the netsim connection beneath rw, whose virtual clock
+// the session reads and charges: each query costs cost before its bytes go
+// out, and padBlock > 0 pads each query to that EDNS(0) block size
+// (RFC 8467). Close closes rw, then conn.
+func NewTCPConn(rw io.ReadWriteCloser, conn *netsim.Conn, cost time.Duration, padBlock int) *TCPConn {
 	return &TCPConn{
 		conn:        conn,
-		ids:         dnswire.NewIDGen(),
-		wbuf:        bufpool.Get(512), //doelint:transfer -- owned by TCPConn; released in Close
-		rbuf:        bufpool.Get(512), //doelint:transfer -- owned by TCPConn; released in Close
+		cost:        cost,
+		f:           dnsFraming{stream: rw, ids: dnswire.NewIDGen(), pad: padBlock},
+		buf:         bufpool.Get(512), //doelint:transfer -- owned by TCPConn; released in Close
 		established: conn.Elapsed(),
 	}
 }
 
 // Pipeline upgrades the connection to a pipelined session with the given
 // in-flight limit (limit <= 0 selects DefaultMaxInFlight) and returns its
-// Mux. After Pipeline, QueryContext routes through the mux and is safe for
-// concurrent use; callers wanting coalesced deterministic bursts use the
-// Mux's Batch directly. Pipeline is idempotent — later calls return the
-// existing mux regardless of limit.
+// Mux, which carries the session's per-query cost and padding. After
+// Pipeline, QueryContext routes through the mux and is safe for concurrent
+// use; callers wanting coalesced deterministic bursts use the Mux's Batch
+// directly. Pipeline is idempotent — later calls return the existing mux
+// regardless of limit.
 func (t *TCPConn) Pipeline(limit int) *Mux {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.mux == nil && !t.closed {
-		t.mux = NewMux(t.conn, t.conn, limit)
+		t.mux = NewMux(&t.f, t.f.stream, t.conn, t.cost, limit)
 	}
 	return t.mux
 }
@@ -202,8 +221,8 @@ func (t *TCPConn) Query(name string, qtype dnswire.Type) (*Result, error) {
 
 // QueryContext sends one query on the (possibly reused) connection,
 // checking ctx before the transaction starts. Steady-state transactions
-// reuse the connection's scratch buffers: pack and frame into wbuf, one
-// write, read into rbuf, parse.
+// reuse the connection's scratch buffer: frame into it, one write, read into
+// it, parse.
 //
 //doelint:hotpath
 func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*Result, error) {
@@ -219,26 +238,26 @@ func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	if t.closed {
 		return nil, ErrClosed
 	}
-	q := dnswire.NewQuery(t.ids.Next(), name, qtype)
+	id := t.f.NextTag()
 	start := t.conn.Elapsed()
-	out, err := dnswire.WriteMessageTCP(t.conn, q, *t.wbuf)
-	*t.wbuf = out
+	wb, err := t.f.AppendQuery((*t.buf)[:0], id, name, qtype)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := dnswire.ReadTCPAppend(t.conn, (*t.rbuf)[:0])
+	*t.buf = wb
+	t.conn.AddLatency(t.cost)
+	if _, err := t.f.stream.Write(wb); err != nil {
+		return nil, err
+	}
+	r, rb, err := t.f.ReadReply(wb, nil)
+	*t.buf = rb
 	if err != nil {
 		return nil, err
 	}
-	*t.rbuf = raw
-	m, err := dnswire.Unpack(raw)
-	if err != nil {
-		return nil, err
-	}
-	if m.ID != q.ID {
+	if r.Tag != id {
 		return nil, ErrIDMismatch
 	}
-	return &Result{Msg: m, Latency: t.conn.Elapsed() - start}, nil
+	return &Result{Msg: r.Msg, Latency: t.conn.Elapsed() - start}, nil
 }
 
 // Close releases the connection.
@@ -252,8 +271,57 @@ func (t *TCPConn) Close() error {
 	if t.mux != nil {
 		t.mux.Close()
 	}
-	bufpool.Put(t.wbuf)
-	bufpool.Put(t.rbuf)
-	t.wbuf, t.rbuf = nil, nil
+	bufpool.Put(t.buf)
+	t.buf = nil
+	t.f.stream.Close()
 	return t.conn.Close()
+}
+
+// dnsFraming is the RFC 7766 Framing of a TCPConn's stream: each message
+// carries a 2-byte length prefix and is tagged by its DNS transaction ID,
+// drawn from the session's own IDGen.
+type dnsFraming struct {
+	stream io.ReadWriteCloser
+	ids    dnswire.IDGen
+	pad    int // EDNS(0) padding block; 0 sends queries unpadded
+}
+
+func (f *dnsFraming) NextTag() uint32 { return uint32(f.ids.Next()) }
+
+//doelint:hotpath
+func (f *dnsFraming) AppendQuery(wb []byte, tag uint32, name string, qtype dnswire.Type) ([]byte, error) {
+	if f.pad > 0 {
+		return appendPaddedQuery(wb, uint16(tag), name, qtype, f.pad) //doelint:allow hotalloc -- padding repacks the query for sizing; one pass per query by design
+	}
+	return dnswire.NewQuery(uint16(tag), name, qtype).AppendPackTCP(wb)
+}
+
+// appendPaddedQuery frames a query padded to block. It builds its own
+// message: padding repacks the query for sizing, which moves it to the
+// heap, and the clear-text query in AppendQuery must not share its
+// allocation site.
+func appendPaddedQuery(wb []byte, id uint16, name string, qtype dnswire.Type, block int) ([]byte, error) {
+	q := dnswire.NewQuery(id, name, qtype)
+	q.SetEDNS0(4096, false)
+	if err := q.PadToBlock(block); err != nil {
+		return nil, err
+	}
+	return q.AppendPackTCP(wb)
+}
+
+// ReadReply reads one length-prefixed message. A message that does not
+// parse has no ID to match, so it ends the session. The RFC 7766 framing
+// keeps no reassembly state and ignores awaited.
+//
+//doelint:hotpath
+func (f *dnsFraming) ReadReply(buf []byte, _ func(uint32) bool) (Reply, []byte, error) {
+	raw, err := dnswire.ReadTCPAppend(f.stream, buf[:0])
+	if err != nil {
+		return Reply{}, buf, err
+	}
+	msg, err := dnswire.Unpack(raw)
+	if err != nil {
+		return Reply{}, raw, err
+	}
+	return Reply{Tag: uint32(msg.ID), Msg: msg}, raw, nil
 }

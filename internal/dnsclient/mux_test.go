@@ -2,7 +2,6 @@ package dnsclient
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -145,107 +144,6 @@ func TestMuxConcurrentExchange(t *testing.T) {
 		if err != nil {
 			t.Errorf("query %d: %v", i, err)
 		}
-	}
-}
-
-func TestMuxFailsAllInFlightOnStreamDeath(t *testing.T) {
-	const n = 4
-	w := newWorld()
-	// The server swallows n queries and closes without answering: every
-	// in-flight query must fail with the same stream error.
-	w.RegisterStream(resolverIP, 53, func(conn *netsim.Conn) {
-		for i := 0; i < n; i++ {
-			if _, err := dnswire.ReadTCP(conn); err != nil {
-				break
-			}
-		}
-		conn.Close()
-	})
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Pipeline(n)
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = conn.QueryContext(context.Background(), fmt.Sprintf("q%d.example.com", i), dnswire.TypeA)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			t.Errorf("query %d succeeded against a dead stream", i)
-		}
-	}
-	// The session is dead: later queries fail immediately too.
-	if _, err := conn.QueryContext(context.Background(), "late.example.com", dnswire.TypeA); err == nil {
-		t.Error("query on dead session succeeded")
-	}
-}
-
-func TestMuxExchangeCancellation(t *testing.T) {
-	w := newWorld()
-	// A server that never answers.
-	w.RegisterStream(resolverIP, 53, func(conn *netsim.Conn) {
-		for {
-			if _, err := dnswire.ReadTCP(conn); err != nil {
-				conn.Close()
-				return
-			}
-		}
-	})
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	m := conn.Pipeline(2)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := m.Exchange(ctx, "q0.example.com", dnswire.TypeA)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled exchange did not return")
-	}
-	// The abandoned slot must not wedge the session: the in-flight
-	// semaphore slot was released on cancellation.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Second)
-	defer cancel2()
-	if _, err := m.Exchange(ctx2, "q1.example.com", dnswire.TypeA); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("second exchange err = %v, want deadline exceeded (server never answers)", err)
-	}
-}
-
-func TestMuxClosedSessionError(t *testing.T) {
-	w := newWorld()
-	serveTCPFixed(w)
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Pipeline(4)
-	conn.Close()
-	if _, err := conn.QueryContext(context.Background(), "x.example.com", dnswire.TypeA); !errors.Is(err, ErrClosed) {
-		t.Errorf("err = %v, want ErrClosed", err)
 	}
 }
 

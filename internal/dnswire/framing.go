@@ -25,8 +25,8 @@ func AppendTCP(buf, msg []byte) ([]byte, error) {
 
 // WriteTCP writes msg to w with the 2-byte big-endian length prefix. A
 // single Write call carries prefix and payload so the kernel can coalesce
-// them. It allocates a fresh frame per call; hot paths should use
-// WriteMessageTCP with a reused scratch buffer instead.
+// them. It allocates a fresh frame per call; hot paths should frame into a
+// reused scratch buffer with AppendPackTCP instead.
 func WriteTCP(w io.Writer, msg []byte) error {
 	framed, err := AppendTCP(make([]byte, 0, 2+len(msg)), msg)
 	if err != nil {
@@ -102,23 +102,6 @@ func (m *Message) AppendPackTCP(buf []byte) ([]byte, error) {
 	}
 	binary.BigEndian.PutUint16(out[start:], uint16(body))
 	return out, nil
-}
-
-// WriteMessageTCP packs m with TCP framing into scratch[:0] and writes the
-// result to w in a single Write call, exactly like WriteTCP's wire behavior.
-// It returns the (possibly grown) buffer so the caller can keep it for the
-// next message; the returned buffer is valid for reuse even on error.
-//
-//doelint:hotpath
-func WriteMessageTCP(w io.Writer, m *Message, scratch []byte) ([]byte, error) {
-	framed, err := m.AppendPackTCP(scratch[:0])
-	if err != nil {
-		return scratch, err
-	}
-	if _, err := w.Write(framed); err != nil {
-		return framed, err
-	}
-	return framed, nil
 }
 
 // idSource generates fallback transaction IDs. DNS IDs only need to be

@@ -153,7 +153,7 @@ func (c *Client) ResolveContext(ctx context.Context, host string) (netip.Addr, e
 // safe for concurrent use.
 type Conn struct {
 	mu       sync.Mutex
-	h2       *h2session // non-nil when the session negotiated HTTP/2
+	mux      *dnsclient.Mux // non-nil when the session negotiated HTTP/2
 	raw      *netsim.Conn
 	tls      *tls.Conn
 	br       *bufio.Reader
@@ -271,9 +271,9 @@ func (conn *Conn) Query(name string, qtype dnswire.Type) (*dnsclient.Result, err
 //doelint:hotpath
 func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
 	conn.mu.Lock()
-	if h := conn.h2; h != nil {
+	if m := conn.mux; m != nil {
 		conn.mu.Unlock()
-		return h.exchange(ctx, name, qtype)
+		return m.Exchange(ctx, name, qtype)
 	}
 	defer conn.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -501,12 +501,12 @@ func trimSpace(b []byte) []byte {
 // dnsclient.Mux.Batch for the burst semantics. It fails on serial sessions.
 func (conn *Conn) BatchContext(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
 	conn.mu.Lock()
-	h := conn.h2
+	m := conn.mux
 	conn.mu.Unlock()
-	if h == nil {
+	if m == nil {
 		return nil, fmt.Errorf("doh: batch requires a multiplexed (HTTP/2) session")
 	}
-	return h.batch(ctx, names, qtype, out)
+	return m.Batch(ctx, names, qtype, out)
 }
 
 // QueryJSON performs one Google-style JSON API lookup on the session.
@@ -516,7 +516,7 @@ func (conn *Conn) QueryJSON(name string, qtype dnswire.Type) (*JSONResponse, err
 	if conn.closed {
 		return nil, dnsclient.ErrClosed
 	}
-	if conn.h2 != nil {
+	if conn.mux != nil {
 		return nil, fmt.Errorf("doh: JSON API not supported on a multiplexed session")
 	}
 	u := &url.URL{
@@ -555,8 +555,10 @@ func (conn *Conn) Close() error {
 		return nil
 	}
 	conn.closed = true
-	if conn.h2 != nil {
-		conn.h2.close()
+	if conn.mux != nil {
+		// Close holds the write lock: once it returns, no query can touch
+		// the scratch buffers the h2 framing shares with the session.
+		conn.mux.Close()
 	}
 	bufpool.Put(conn.pbuf)
 	bufpool.Put(conn.wbuf)

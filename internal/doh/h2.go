@@ -14,72 +14,25 @@ package doh
 //   - flow control is not enforced: DNS messages are far below the initial
 //     window and both ends ignore WINDOW_UPDATE.
 //
-// The client mirrors dnsclient.Mux: a write lock serializes stream-ID
-// allocation, frame building, the per-query clock charge, and the Write; a
-// demux reader goroutine reassembles each stream (HEADERS then DATA) and
-// parks the response in the query's rendezvous slot.
+// The client is dnsclient.Mux, the engine TCP and DoT pipelining run on,
+// over h2Framing: the engine owns the in-flight limit, the tag table, the
+// rendezvous slots and the demux reader; this file owns h2 setup, frame
+// building and stream reassembly.
 
 import (
 	"bufio"
-	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
 	"net/netip"
 	"strings"
-	"sync"
-	"time"
 
 	"dnsencryption.info/doe/internal/bufpool"
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/netsim"
 )
-
-// h2session is the client half of the multiplexed DoH path.
-type h2session struct {
-	limit    int
-	sem      chan struct{}
-	clock    *netsim.Conn
-	cost     time.Duration
-	method   Method
-	template Template
-
-	// Write side, serialized by wmu: stream-ID allocation, HPACK/frame
-	// building, the per-query clock charge, and the TLS write.
-	wmu  sync.Mutex
-	tls  io.Writer
-	next uint32 // next client stream ID; odd (RFC 7540 §5.1.1)
-	wbuf *[]byte
-	pbuf *[]byte // packed DNS query scratch
-	qbuf *[]byte // GET :path scratch (path?dns=base64url)
-
-	// Demux state, guarded by mu; slots recycle through a free list.
-	mu       sync.Mutex
-	br       *bufio.Reader
-	inflight map[uint32]*h2Pending
-	free     *h2Pending
-	dead     error
-	closed   bool
-	started  bool
-}
-
-// h2Pending is one stream's rendezvous slot; status and body accumulate
-// across the stream's HEADERS and DATA frames until END_STREAM delivers.
-type h2Pending struct {
-	ch     chan h2Delivery // buffered, capacity 1: the reader never blocks
-	start  time.Duration
-	status int
-	body   []byte
-	next   *h2Pending
-}
-
-type h2Delivery struct {
-	msg *dnswire.Message
-	lat time.Duration
-	err error
-}
 
 // startH2 upgrades a freshly handshaken session to HTTP/2: verify the ALPN
 // result, send the client preface and an empty SETTINGS in one write, and
@@ -107,397 +60,205 @@ func (conn *Conn) startH2() error {
 	if limit <= 0 {
 		limit = dnsclient.DefaultMaxInFlight
 	}
-	conn.h2 = &h2session{
-		limit:    limit,
-		sem:      make(chan struct{}, limit),
-		clock:    conn.raw,
-		cost:     conn.client.CryptoCost,
+	framing := &h2Framing{
+		next:     1,
 		method:   conn.client.Method,
 		template: conn.template,
-		tls:      conn.tls,
-		next:     1,
-		wbuf:     bufpool.Get(2048), //doelint:transfer -- owned by h2session; released in close
-		pbuf:     bufpool.Get(512),  //doelint:transfer -- owned by h2session; released in close
-		qbuf:     bufpool.Get(512),  //doelint:transfer -- owned by h2session; released in close
+		pbuf:     conn.pbuf,
+		qbuf:     conn.wbuf,
 		br:       conn.br,
-		inflight: make(map[uint32]*h2Pending, limit),
+		limit:    limit,
+		streams:  make(map[uint32]*h2Stream),
 	}
+	conn.mux = dnsclient.NewMux(framing, conn.tls, conn.raw, conn.client.CryptoCost, limit)
 	return nil
 }
 
 // MaxInFlight reports the session's in-flight stream limit, or 0 for a
 // serial (HTTP/1.1) session.
 func (conn *Conn) MaxInFlight() int {
-	if conn.h2 == nil {
+	if conn.mux == nil {
 		return 0
 	}
-	return conn.h2.limit
+	return conn.mux.MaxInFlight()
 }
 
 // Multiplexed reports whether the session negotiated HTTP/2.
-func (conn *Conn) Multiplexed() bool { return conn.h2 != nil }
+func (conn *Conn) Multiplexed() bool { return conn.mux != nil }
 
-func (h *h2session) acquire(ctx context.Context) error {
-	select {
-	case h.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("doh: h2 query: %w", ctx.Err())
-	}
+// h2Framing is the dnsclient.Framing of a multiplexed DoH session: each
+// query is one stream — HEADERS carrying the RFC 8484 binding, plus a DATA
+// frame for POST — tagged by its stream ID. Client stream IDs are odd and
+// increase monotonically (RFC 7540 §5.1.1), so unlike DNS transaction IDs
+// they cannot collide.
+type h2Framing struct {
+	// Write side, used under the Mux's write lock. pbuf and qbuf are the
+	// Conn's pooled scratch, which its serial path never touches once the
+	// session is multiplexed.
+	next     uint32
+	method   Method
+	template Template
+	pbuf     *[]byte // packed DNS query
+	qbuf     *[]byte // GET :path (path?dns=base64url)
+
+	// Read side, owned by the Mux's reader: the reassembly state of every
+	// stream whose reply has begun. spare keeps the last finished stream's
+	// state for the next one; servers send each reply's frames back to back,
+	// so steady state allocates none.
+	br      *bufio.Reader
+	limit   int
+	streams map[uint32]*h2Stream
+	spare   *h2Stream
 }
 
-func (h *h2session) release() { <-h.sem }
-
-func (h *h2session) getSlotLocked() *h2Pending {
-	if p := h.free; p != nil {
-		h.free = p.next
-		p.next = nil
-		return p
-	}
-	return &h2Pending{ch: make(chan h2Delivery, 1)} //doelint:allow hotalloc -- slots are recycled through the free list; steady state allocates none
+// h2Stream accumulates one reply's status and body across its HEADERS and
+// DATA frames until END_STREAM.
+type h2Stream struct {
+	status int
+	body   []byte
 }
 
-func (h *h2session) putSlot(p *h2Pending) {
-	h.mu.Lock()
-	p.next = h.free
-	h.free = p
-	h.mu.Unlock()
+func (f *h2Framing) NextTag() uint32 {
+	sid := f.next
+	f.next += 2
+	return sid
 }
 
-// register allocates the next stream ID and an in-flight slot stamped with
-// start; callers hold h.wmu. Stream IDs increase monotonically (RFC 7540
-// §5.1.1) so, unlike DNS transaction IDs, they cannot collide.
-func (h *h2session) register(start time.Duration) (*h2Pending, uint32, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, 0, dnsclient.ErrClosed
-	}
-	if h.dead != nil {
-		return nil, 0, h.dead
-	}
-	sid := h.next
-	h.next += 2
-	p := h.getSlotLocked()
-	p.start = start
-	p.status = 0
-	p.body = p.body[:0]
-	h.inflight[sid] = p
-	if !h.started {
-		h.started = true
-		go h.readLoop()
-	}
-	return p, sid, nil
-}
-
-// deregister removes sid from the in-flight table; false means the reader
-// already delivered (the delivery is buffered in the slot's channel).
-func (h *h2session) deregister(sid uint32) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, mine := h.inflight[sid]; !mine {
-		return false
-	}
-	delete(h.inflight, sid)
-	return true
-}
-
-// appendStreamLocked builds one query's frames — HEADERS carrying the RFC
-// 8484 binding, plus a DATA frame for POST — onto wb and registers the
-// stream. Callers hold h.wmu.
+// AppendQuery builds one query's frames onto wb.
 //
 //doelint:hotpath
-func (h *h2session) appendStreamLocked(wb []byte, start time.Duration, name string, qtype dnswire.Type) ([]byte, *h2Pending, uint32, error) {
-	p, sid, err := h.register(start)
-	if err != nil {
-		return wb, nil, 0, err
-	}
+func (f *h2Framing) AppendQuery(wb []byte, sid uint32, name string, qtype dnswire.Type) ([]byte, error) {
 	// RFC 8484 recommends ID 0 for cache friendliness.
 	q := dnswire.NewQuery(0, name, qtype)
-	packed, err := q.AppendPack((*h.pbuf)[:0])
-	*h.pbuf = packed
+	packed, err := q.AppendPack((*f.pbuf)[:0])
 	if err != nil {
-		h.deregister(sid)
-		h.putSlot(p)
-		return wb, nil, 0, err
+		return wb, err
 	}
+	*f.pbuf = packed
 	hstart := len(wb)
 	wb = dnswire.ReserveH2FrameHeader(wb)
-	if h.method == POST {
+	if f.method == POST {
 		wb = dnswire.AppendHpackLiteral(wb, ":method", "POST")
 		wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
-		wb = dnswire.AppendHpackLiteral(wb, ":authority", h.template.Host)
-		wb = dnswire.AppendHpackLiteral(wb, ":path", h.template.Path)
+		wb = dnswire.AppendHpackLiteral(wb, ":authority", f.template.Host)
+		wb = dnswire.AppendHpackLiteral(wb, ":path", f.template.Path)
 		wb = dnswire.AppendHpackLiteral(wb, "content-type", ContentType)
 		wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
 		wb, err = dnswire.FinishH2Frame(wb, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid)
-		if err == nil {
-			wb, err = dnswire.AppendH2Frame(wb, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, packed)
-		}
-	} else {
-		wb = dnswire.AppendHpackLiteral(wb, ":method", "GET")
-		wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
-		wb = dnswire.AppendHpackLiteral(wb, ":authority", h.template.Host)
-		pb := (*h.qbuf)[:0]
-		pb = append(pb, h.template.Path...)
-		pb = append(pb, "?dns="...)
-		n := base64.RawURLEncoding.EncodedLen(len(packed))
-		off := len(pb)
-		pb = bufpool.Grow(pb, n)
-		base64.RawURLEncoding.Encode(pb[off:], packed)
-		*h.qbuf = pb
-		wb = dnswire.AppendHpackLiteralBytes(wb, ":path", pb)
-		wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
-		wb, err = dnswire.FinishH2Frame(wb, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndStream|dnswire.H2FlagEndHeaders, sid)
-	}
-	if err != nil {
-		h.deregister(sid)
-		h.putSlot(p)
-		return wb, nil, 0, err
-	}
-	return wb, p, sid, nil
-}
-
-// send writes one query's frames under the write lock.
-//
-//doelint:hotpath
-func (h *h2session) send(name string, qtype dnswire.Type) (*h2Pending, uint32, error) {
-	h.wmu.Lock()
-	defer h.wmu.Unlock()
-	wb, p, sid, err := h.appendStreamLocked((*h.wbuf)[:0], h.clock.Elapsed(), name, qtype)
-	*h.wbuf = wb
-	if err != nil {
-		return nil, 0, err
-	}
-	h.clock.AddLatency(h.cost)
-	if _, err := h.tls.Write(wb); err != nil {
-		h.deregister(sid)
-		h.fail(err)
-		return nil, 0, err
-	}
-	return p, sid, nil
-}
-
-// wait blocks for the stream's delivery, honouring ctx; it releases the
-// caller's semaphore slot and recycles the rendezvous slot.
-//
-//doelint:hotpath
-func (h *h2session) wait(ctx context.Context, p *h2Pending, sid uint32) (*dnsclient.Result, error) {
-	var d h2Delivery
-	select {
-	case d = <-p.ch:
-	case <-ctx.Done():
-		if h.deregister(sid) {
-			h.putSlot(p)
-			h.release()
-			return nil, fmt.Errorf("doh: h2 query: %w", ctx.Err())
-		}
-		d = <-p.ch
-	}
-	h.putSlot(p)
-	h.release()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return &dnsclient.Result{Msg: d.msg, Latency: d.lat}, nil
-}
-
-// exchange is one concurrent-safe DoH transaction on the h2 session.
-//
-//doelint:hotpath
-func (h *h2session) exchange(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("doh: h2 query: %w", err)
-	}
-	if err := h.acquire(ctx); err != nil {
-		return nil, err
-	}
-	p, sid, err := h.send(name, qtype)
-	if err != nil {
-		h.release()
-		return nil, err
-	}
-	return h.wait(ctx, p, sid)
-}
-
-// batch issues len(names) streams as one coalesced burst — all frames leave
-// in a single TLS write — and collects the responses in query order. See
-// dnsclient.Mux.Batch for why single-write bursts are the deterministic face
-// of multiplexing.
-func (h *h2session) batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("doh: h2 batch: %w", err)
-	}
-	if len(names) > h.limit {
-		return nil, fmt.Errorf("doh: batch of %d exceeds in-flight limit %d", len(names), h.limit)
-	}
-	for i := range names {
-		if err := h.acquire(ctx); err != nil {
-			for ; i > 0; i-- {
-				h.release()
-			}
-			return nil, err
-		}
-	}
-	slots := make([]*h2Pending, len(names))
-	sids := make([]uint32, len(names))
-	h.wmu.Lock()
-	wb := (*h.wbuf)[:0]
-	// All slots are stamped at batch start — see dnsclient.Mux.Batch: the
-	// burst shares one request segment and one coalesced response segment,
-	// so each stream's latency is the whole batch round trip.
-	start := h.clock.Elapsed()
-	var err error
-	for i, name := range names {
-		var p *h2Pending
-		var sid uint32
-		wb, p, sid, err = h.appendStreamLocked(wb, start, name, qtype)
 		if err != nil {
-			break
+			return wb, err
 		}
-		slots[i], sids[i] = p, sid
-		h.clock.AddLatency(h.cost)
+		return dnswire.AppendH2Frame(wb, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, packed)
 	}
-	if err == nil {
-		if _, werr := h.tls.Write(wb); werr != nil {
-			h.fail(werr)
-			err = werr
-		}
-	}
-	*h.wbuf = wb
-	h.wmu.Unlock()
-	if err != nil {
-		for i := range names {
-			if slots[i] != nil && h.deregister(sids[i]) {
-				h.putSlot(slots[i])
-			}
-			h.release()
-		}
-		return nil, err
-	}
-	out = out[:0]
-	var firstErr error
-	for i := range names {
-		res, err := h.wait(ctx, slots[i], sids[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			out = append(out, dnsclient.Result{})
-			continue
-		}
-		out = append(out, *res)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	wb = dnswire.AppendHpackLiteral(wb, ":method", "GET")
+	wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
+	wb = dnswire.AppendHpackLiteral(wb, ":authority", f.template.Host)
+	pb := (*f.qbuf)[:0]
+	pb = append(pb, f.template.Path...)
+	pb = append(pb, "?dns="...)
+	n := base64.RawURLEncoding.EncodedLen(len(packed))
+	off := len(pb)
+	pb = bufpool.Grow(pb, n)
+	base64.RawURLEncoding.Encode(pb[off:], packed)
+	*f.qbuf = pb
+	wb = dnswire.AppendHpackLiteralBytes(wb, ":path", pb)
+	wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
+	return dnswire.FinishH2Frame(wb, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndStream|dnswire.H2FlagEndHeaders, sid)
 }
 
-// readLoop is the session's demux reader: it owns the TLS read side,
-// reassembles streams frame by frame, and delivers each response — with its
-// per-stream virtual latency — to the matching rendezvous slot.
+// ReadReply reassembles streams frame by frame until one completes. A
+// non-200 status, a body that is not a DNS message, or RST_STREAM fails
+// that stream alone; GOAWAY and read errors end the session.
 //
 //doelint:hotpath
-func (h *h2session) readLoop() {
-	scratch := bufpool.Get(512)
-	defer bufpool.Put(scratch)
+func (f *h2Framing) ReadReply(buf []byte, awaited func(uint32) bool) (dnsclient.Reply, []byte, error) {
 	for {
-		f, payload, err := dnswire.ReadH2FrameAppend(h.br, (*scratch)[:0])
+		fr, payload, err := dnswire.ReadH2FrameAppend(f.br, buf[:0])
 		if err != nil {
-			h.fail(err)
-			return
+			return dnsclient.Reply{}, buf, err
 		}
-		*scratch = payload[:0]
-		switch f.Type {
-		case dnswire.H2FrameHeaders:
-			h.mu.Lock()
-			if p := h.inflight[f.StreamID]; p != nil {
-				p.status = parseH2Status(payload)
-				p.body = p.body[:0]
-				if f.EndStream() {
-					h.deliverLocked(f.StreamID, p)
-				}
+		buf = payload
+		sid := fr.StreamID
+		switch fr.Type {
+		case dnswire.H2FrameHeaders, dnswire.H2FrameData:
+			st := f.stream(sid, awaited)
+			if st == nil {
+				continue
 			}
-			h.mu.Unlock()
-		case dnswire.H2FrameData:
-			h.mu.Lock()
-			if p := h.inflight[f.StreamID]; p != nil {
-				p.body = append(p.body, payload...)
-				if f.EndStream() {
-					h.deliverLocked(f.StreamID, p)
-				}
+			if fr.Type == dnswire.H2FrameHeaders {
+				st.status = parseH2Status(payload)
+				st.body = st.body[:0]
+			} else {
+				st.body = append(st.body, payload...)
 			}
-			h.mu.Unlock()
+			if fr.EndStream() {
+				return f.finish(sid, st), buf, nil
+			}
 		case dnswire.H2FrameRSTStream:
-			h.mu.Lock()
-			if p := h.inflight[f.StreamID]; p != nil {
-				delete(h.inflight, f.StreamID)
-				p.ch <- h2Delivery{err: fmt.Errorf("doh: stream %d reset by server", f.StreamID)}
+			if st := f.streams[sid]; st != nil {
+				f.drop(sid, st)
 			}
-			h.mu.Unlock()
+			return dnsclient.Reply{Tag: sid, Err: fmt.Errorf("doh: stream %d reset by server", sid)}, buf, nil
 		case dnswire.H2FrameGoAway:
-			h.fail(fmt.Errorf("doh: server sent GOAWAY"))
-			return
+			return dnsclient.Reply{}, buf, fmt.Errorf("doh: server sent GOAWAY")
 		default:
-			// SETTINGS, PING and WINDOW_UPDATE carry no response data and —
+			// SETTINGS, PING and WINDOW_UPDATE carry no reply data and —
 			// per the package's no-ACK, no-flow-control subset — need no
-			// reply.
+			// answer.
 		}
 	}
 }
 
-// deliverLocked completes a stream; callers hold h.mu.
-func (h *h2session) deliverLocked(sid uint32, p *h2Pending) {
-	delete(h.inflight, sid)
-	if p.status != http.StatusOK {
-		p.ch <- h2Delivery{err: fmt.Errorf("%w: %d", ErrHTTPStatus, p.status)}
-		return
+// stream returns sid's reassembly state, creating it only for a stream the
+// Mux still awaits: frames on a stream the client never opened, or has
+// abandoned, create no state. State that streams abandoned mid-reply left
+// behind is swept before the table outgrows the in-flight limit, so the
+// table stays bounded by the Mux's in-flight table.
+func (f *h2Framing) stream(sid uint32, awaited func(uint32) bool) *h2Stream {
+	if st := f.streams[sid]; st != nil {
+		return st
 	}
-	m, err := dnswire.Unpack(p.body)
-	if err != nil {
-		p.ch <- h2Delivery{err: err}
-		return
+	if !awaited(sid) {
+		return nil
 	}
-	p.ch <- h2Delivery{msg: m, lat: h.clock.Elapsed() - p.start}
-}
-
-// fail marks the session dead and delivers err to every in-flight stream.
-func (h *h2session) fail(err error) {
-	h.mu.Lock()
-	if h.dead == nil {
-		h.dead = err
+	if len(f.streams) >= f.limit {
+		for id, st := range f.streams {
+			if !awaited(id) {
+				f.drop(id, st)
+			}
+		}
+	}
+	st := f.spare
+	if st != nil {
+		f.spare = nil
+		st.status, st.body = 0, st.body[:0]
 	} else {
-		err = h.dead
+		st = new(h2Stream)
 	}
-	for sid, p := range h.inflight {
-		delete(h.inflight, sid)
-		p.ch <- h2Delivery{err: err}
-	}
-	h.mu.Unlock()
+	f.streams[sid] = st
+	return st
 }
 
-// close fails all in-flight streams with ErrClosed and releases the write
-// buffers; the owning Conn closes the TLS connection, unblocking the reader.
-func (h *h2session) close() {
-	h.wmu.Lock()
-	defer h.wmu.Unlock()
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
+// finish completes stream sid.
+func (f *h2Framing) finish(sid uint32, st *h2Stream) dnsclient.Reply {
+	r := dnsclient.Reply{Tag: sid}
+	if st.status != http.StatusOK {
+		r.Err = fmt.Errorf("%w: %d", ErrHTTPStatus, st.status)
+	} else {
+		r.Msg, r.Err = dnswire.Unpack(st.body)
 	}
-	h.closed = true
-	h.mu.Unlock()
-	h.fail(dnsclient.ErrClosed)
-	bufpool.Put(h.wbuf)
-	bufpool.Put(h.pbuf)
-	bufpool.Put(h.qbuf)
-	h.wbuf, h.pbuf, h.qbuf = nil, nil, nil
+	f.drop(sid, st)
+	return r
+}
+
+// drop forgets stream sid and keeps its state as the spare.
+func (f *h2Framing) drop(sid uint32, st *h2Stream) {
+	delete(f.streams, sid)
+	f.spare = st
 }
 
 // parseH2Status extracts :status from a response header block; 0 on parse
-// failure (which deliverLocked then rejects as a non-200).
+// failure (which finish then rejects as a non-200).
 func parseH2Status(block []byte) int {
 	for len(block) > 0 {
 		name, value, rest, err := dnswire.ReadHpackLiteral(block)

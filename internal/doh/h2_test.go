@@ -1,9 +1,12 @@
 package doh
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -205,4 +208,102 @@ func TestH2ErrorStatusPerStream(t *testing.T) {
 	if _, err := conn2.Query("ok.measure.example.org", dnswire.TypeA); err != nil {
 		t.Errorf("good-path query after error: %v", err)
 	}
+}
+
+// h2Frames concatenates frames for the reader tests.
+func h2Frames(t testing.TB, frames ...[]byte) []byte {
+	t.Helper()
+	var out []byte
+	for _, f := range frames {
+		out = append(out, f...)
+	}
+	return out
+}
+
+func h2Frame(t testing.TB, typ dnswire.H2FrameType, flags byte, sid uint32, payload []byte) []byte {
+	t.Helper()
+	f, err := dnswire.AppendH2Frame(nil, typ, flags, sid, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// h2Reply is a complete 200 reply on sid: HEADERS, then the DATA frame
+// that ends the stream.
+func h2Reply(t testing.TB, sid uint32, name string) []byte {
+	t.Helper()
+	resp := dnswire.NewQuery(0, name, dnswire.TypeA).Reply()
+	resp.AddAnswer(name, 60, dnswire.A{Addr: answerIP})
+	packed, err := resp.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h2Frames(t,
+		h2Frame(t, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid, dnswire.AppendHpackLiteral(nil, ":status", "200")),
+		h2Frame(t, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, packed))
+}
+
+func newH2Reader(r io.Reader, limit int) *h2Framing {
+	return &h2Framing{br: bufio.NewReader(r), limit: limit, streams: make(map[uint32]*h2Stream, limit)}
+}
+
+// A hostile server cannot grow the client's reassembly state: frames on
+// streams the client never opened, or has abandoned, create none, and what
+// abandoned streams left behind is swept before the table outgrows the
+// in-flight limit.
+func TestH2ReassemblyStateBounded(t *testing.T) {
+	const limit = 4
+	open := map[uint32]bool{}
+	awaited := func(sid uint32) bool { return open[sid] }
+	headersOnly := dnswire.AppendHpackLiteral(nil, ":status", "200")
+
+	t.Run("never opened", func(t *testing.T) {
+		var in []byte
+		for sid := uint32(1); sid < 200; sid += 2 {
+			in = append(in, h2Frame(t, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid, headersOnly)...)
+			in = append(in, h2Frame(t, dnswire.H2FrameData, 0, sid, []byte("junk"))...)
+		}
+		f := newH2Reader(bytes.NewReader(in), limit)
+		if r, _, err := f.ReadReply(nil, awaited); err != io.EOF {
+			t.Fatalf("ReadReply = %+v, %v; want only EOF", r, err)
+		}
+		if len(f.streams) != 0 {
+			t.Errorf("%d streams hold reassembly state, want 0", len(f.streams))
+		}
+	})
+
+	t.Run("abandoned", func(t *testing.T) {
+		// Every stream is in flight when its HEADERS arrive and abandoned
+		// right after; END_STREAM never comes.
+		f := newH2Reader(bytes.NewReader(nil), limit)
+		for sid := uint32(1); sid < 200; sid += 2 {
+			open[sid] = true
+			in := h2Frame(t, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid, headersOnly)
+			f.br.Reset(bytes.NewReader(in))
+			if _, _, err := f.ReadReply(nil, awaited); err != io.EOF {
+				t.Fatalf("stream %d: err = %v, want EOF", sid, err)
+			}
+			delete(open, sid)
+			if len(f.streams) > limit {
+				t.Fatalf("after stream %d: %d streams hold state, limit %d", sid, len(f.streams), limit)
+			}
+		}
+	})
+
+	t.Run("completed", func(t *testing.T) {
+		open[1] = true
+		defer delete(open, 1)
+		in := h2Frames(t,
+			h2Frame(t, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, 9, headersOnly),
+			h2Reply(t, 1, "done.example.org"))
+		f := newH2Reader(bytes.NewReader(in), limit)
+		r, _, err := f.ReadReply(nil, awaited)
+		if err != nil || r.Tag != 1 || r.Err != nil || r.Msg == nil {
+			t.Fatalf("ReadReply = %+v, %v; want stream 1's reply", r, err)
+		}
+		if len(f.streams) != 0 {
+			t.Errorf("%d streams hold state after the reply, want 0", len(f.streams))
+		}
+	})
 }

@@ -13,10 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
 	"time"
 
-	"dnsencryption.info/doe/internal/bufpool"
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnsserver"
@@ -54,6 +52,10 @@ var ErrAuthFailed = errors.New("dot: server authentication failed (strict profil
 // ServerPadBlock is the response padding block size RFC 8467 recommends
 // for DNS-over-Encryption servers.
 const ServerPadBlock = 468
+
+// padBlock is the query padding block size RFC 8467 recommends for
+// clients.
+const padBlock = 128
 
 // Serve registers a DoT server on addr:853 of the world, terminating TLS
 // with leaf and answering queries with h. extraProc is charged per query on
@@ -151,22 +153,13 @@ func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore, profil
 	}
 }
 
-// Conn is a reusable DoT session.
+// Conn is a reusable DoT session: a TLS handshake and its certificate
+// evidence over a dnsclient.TCPConn, which carries the queries (serial, or
+// pipelined after Pipeline) with the client's per-query CryptoCost and
+// padding policy, and closes the session.
 type Conn struct {
-	mu     sync.Mutex
-	mux    *dnsclient.Mux
-	raw    *netsim.Conn
-	tls    *tls.Conn
-	client *Client
-	closed bool
-	// ids generates this session's transaction IDs without touching the
-	// process-wide idSource lock.
-	ids dnswire.IDGen
-	// wbuf/rbuf are the session's pooled write and read scratch buffers,
-	// guarded by mu like the connection itself and returned on Close.
-	wbuf, rbuf *[]byte
-	// setup is the virtual time consumed by TCP + TLS establishment.
-	setup time.Duration
+	*dnsclient.TCPConn
+	tls *tls.Conn
 	// verifyErr records why path verification failed (nil when verified).
 	// Under the Opportunistic profile the session proceeds regardless.
 	verifyErr error
@@ -200,11 +193,7 @@ func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, 
 	}
 	raw.SetDeadline(dnsclient.Deadline(ctx, c.Timeout))
 
-	conn := &Conn{
-		raw:    raw,
-		client: c,
-		ids:    dnswire.NewIDGen(),
-	}
+	conn := &Conn{}
 	cfg := &tls.Config{
 		InsecureSkipVerify: true, //nolint:gosec // verification done below per profile
 		Time:               func() time.Time { return certs.RefTime },
@@ -225,12 +214,12 @@ func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, 
 		}
 		return nil, err
 	}
+	pad := 0
+	if c.Pad {
+		pad = padBlock
+	}
+	conn.TCPConn = dnsclient.NewTCPConn(tc, raw, c.CryptoCost, pad)
 	conn.tls = tc
-	conn.setup = raw.Elapsed()
-	// Acquired only after the handshake succeeds: every earlier return
-	// leaves nothing to hand back to the pool.
-	conn.wbuf = bufpool.Get(512) //doelint:transfer -- owned by Conn; released in Close
-	conn.rbuf = bufpool.Get(512) //doelint:transfer -- owned by Conn; released in Close
 	return conn, nil
 }
 
@@ -256,103 +245,6 @@ func (conn *Conn) PeerCertificates() []*x509.Certificate {
 // Resumed reports whether the TLS session was resumed from a cached ticket.
 func (conn *Conn) Resumed() bool {
 	return conn.tls.ConnectionState().DidResume
-}
-
-// SetupLatency is the virtual time spent on TCP + TLS establishment.
-func (conn *Conn) SetupLatency() time.Duration { return conn.setup }
-
-// Elapsed is the total virtual time consumed by the session so far.
-func (conn *Conn) Elapsed() time.Duration { return conn.raw.Elapsed() }
-
-// Pipeline upgrades the session to an RFC 7766 pipelined session with the
-// given in-flight limit (limit <= 0 selects dnsclient.DefaultMaxInFlight)
-// and returns its Mux. After Pipeline, QueryContext routes through the mux
-// and is safe for concurrent use; the mux carries the session's per-query
-// CryptoCost and RFC 8467 padding policy. Pipeline is idempotent — later
-// calls return the existing mux regardless of limit.
-func (conn *Conn) Pipeline(limit int) *dnsclient.Mux {
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	if conn.mux == nil && !conn.closed {
-		m := dnsclient.NewMux(conn.tls, conn.raw, limit)
-		m.PerQueryCost = conn.client.CryptoCost
-		if conn.client.Pad {
-			m.PadBlock = 128
-		}
-		conn.mux = m
-	}
-	return conn.mux
-}
-
-// Query performs one DNS transaction on the session.
-func (conn *Conn) Query(name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	return conn.QueryContext(context.Background(), name, qtype)
-}
-
-// QueryContext performs one DNS transaction on the session, checking ctx
-// before the transaction starts. In steady state the transaction reuses the
-// session's scratch buffers end to end: pack and frame into wbuf, one TLS
-// write, read into rbuf, parse.
-//
-//doelint:hotpath
-func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	conn.mu.Lock()
-	if m := conn.mux; m != nil {
-		conn.mu.Unlock()
-		return m.Exchange(ctx, name, qtype)
-	}
-	defer conn.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dot: query: %w", err)
-	}
-	if conn.closed {
-		return nil, dnsclient.ErrClosed
-	}
-	q := dnswire.NewQuery(conn.ids.Next(), name, qtype)
-	if conn.client.Pad {
-		q.SetEDNS0(4096, false)
-		if err := q.PadToBlock(128); err != nil { //doelint:allow hotalloc -- padding repacks the query for sizing; one pass per query by design
-			return nil, err
-		}
-	}
-	start := conn.raw.Elapsed()
-	conn.raw.AddLatency(conn.client.CryptoCost)
-	out, err := dnswire.WriteMessageTCP(conn.tls, q, *conn.wbuf)
-	*conn.wbuf = out
-	if err != nil {
-		return nil, err
-	}
-	raw, err := dnswire.ReadTCPAppend(conn.tls, (*conn.rbuf)[:0])
-	if err != nil {
-		return nil, err
-	}
-	*conn.rbuf = raw
-	m, err := dnswire.Unpack(raw)
-	if err != nil {
-		return nil, err
-	}
-	if m.ID != q.ID {
-		return nil, dnsclient.ErrIDMismatch
-	}
-	return &dnsclient.Result{Msg: m, Latency: conn.raw.Elapsed() - start}, nil
-}
-
-// Close terminates the session.
-func (conn *Conn) Close() error {
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	if conn.closed {
-		return nil
-	}
-	conn.closed = true
-	if conn.mux != nil {
-		conn.mux.Close()
-	}
-	bufpool.Put(conn.wbuf)
-	bufpool.Put(conn.rbuf)
-	conn.wbuf, conn.rbuf = nil, nil
-	conn.tls.Close()
-	return conn.raw.Close()
 }
 
 // Query is the one-shot convenience: dial, query once, close. The reported

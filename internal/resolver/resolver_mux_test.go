@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 
@@ -190,12 +191,15 @@ func TestMultiplexedDoHSessionConcurrentExchange(t *testing.T) {
 	}
 }
 
-// cutInjector resets DoT connections in place of the Nth segment the client
-// would receive; other flows are clean.
-type cutInjector struct{ segments int }
+// cutInjector resets connections to port in place of the Nth segment the
+// client would receive; other flows are clean.
+type cutInjector struct {
+	port     uint16
+	segments int
+}
 
 func (c cutInjector) StreamFault(from, to netip.Addr, port uint16) netsim.DialFault {
-	if port == dot.Port {
+	if port == c.port {
 		return netsim.DialFault{CutAfterSegments: c.segments}
 	}
 	return netsim.DialFault{}
@@ -206,57 +210,90 @@ func (c cutInjector) DatagramFault(from, to netip.Addr, port uint16) netsim.Data
 }
 
 // TestMidStreamResetFailsAllInFlight injects a connection reset in place of
-// the first post-handshake segment of a pipelined DoT session: every
+// the first post-setup segment of a multiplexed session, over both framings
+// of the engine (DoT's length prefixes, DoH's HTTP/2 streams): every
 // concurrent Exchange must fail, each wrapping ErrSessionClosed.
 func TestMidStreamResetFailsAllInFlight(t *testing.T) {
 	const n = 16
 	ctx := context.Background()
+	tmpl := doh.Template{Host: "dns.provider.example", Path: "/dns-query"}
+	for _, p := range []Proto{ProtoDoT, ProtoDoH} {
+		t.Run(p.String(), func(t *testing.T) {
+			ep := Endpoint{Addr: serverIP, Template: tmpl}
+			// Session setup (TLS, and h2's SETTINGS exchange) consumes a
+			// server-dependent number of inbound segments; probe for the
+			// smallest cut point that lets the dial finish, so the reset
+			// lands exactly on the first segment carrying DNS data. Worlds
+			// are rebuilt per probe, so the fault history starts fresh.
+			cutAt := -1
+			for k := 2; k < 64; k++ {
+				f := newFixture(t)
+				f.world.SetFaults(cutInjector{port: ports[p], segments: k})
+				sess, err := f.client(t, WithMaxInFlight(n)).Dial(ctx, p, ep)
+				if err == nil {
+					sess.Close()
+					cutAt = k
+					break
+				}
+			}
+			if cutAt < 0 {
+				t.Fatalf("no cut point lets the %v setup complete", p)
+			}
 
-	// The TLS handshake consumes a server-dependent number of inbound
-	// segments; probe for the smallest cut point that lets the dial finish,
-	// so the reset lands exactly on the first segment carrying DNS data.
-	// Worlds are rebuilt per probe, so the fault history starts fresh.
-	cutAt := -1
-	for k := 2; k < 64; k++ {
-		f := newFixture(t)
-		f.world.SetFaults(cutInjector{segments: k})
-		sess, err := f.client(t, WithMaxInFlight(n)).Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
-		if err == nil {
-			sess.Close()
-			cutAt = k
-			break
-		}
-	}
-	if cutAt < 0 {
-		t.Fatal("no cut point lets the DoT handshake complete")
-	}
+			f := newFixture(t)
+			f.world.SetFaults(cutInjector{port: ports[p], segments: cutAt})
+			tr := f.client(t, WithMaxInFlight(n)).Transport(p, ep)
+			defer tr.Close()
 
-	f := newFixture(t)
-	f.world.SetFaults(cutInjector{segments: cutAt})
-	tr := f.client(t, WithMaxInFlight(n)).DoT(serverIP)
-	defer tr.Close()
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = tr.Exchange(ctx, query(fmt.Sprintf("rst%d.measure.example.org", i)))
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err == nil {
+					t.Errorf("query %d succeeded across a mid-stream reset", i)
+					continue
+				}
+				if !errors.Is(err, ErrSessionClosed) {
+					t.Errorf("query %d: err = %v, want ErrSessionClosed", i, err)
+				}
+			}
+			if st := tr.Stats(); st.HardFailures != n {
+				t.Errorf("hard failures = %d, want %d", st.HardFailures, n)
+			}
+		})
+	}
+}
 
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = tr.Exchange(ctx, query(fmt.Sprintf("rst%d.measure.example.org", i)))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			t.Errorf("query %d succeeded across a mid-stream reset", i)
-			continue
+// A query that cannot be framed fails alone: the next query on the same
+// reused session succeeds, serial or multiplexed, on every stream
+// transport, and the transport never redials.
+func TestFramingErrorFailsOnlyItsQuery(t *testing.T) {
+	ctx := context.Background()
+	tmpl := doh.Template{Host: "dns.provider.example", Path: "/dns-query"}
+	bad := strings.Repeat("a", 70) + ".measure.example.org" // a label over 63 octets
+	for _, p := range []Proto{ProtoTCP, ProtoDoT, ProtoDoH} {
+		for _, inflight := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%v/inflight=%d", p, inflight), func(t *testing.T) {
+				f := newFixture(t)
+				tr := f.client(t, WithMaxInFlight(inflight)).Transport(p, Endpoint{Addr: serverIP, Template: tmpl})
+				defer tr.Close()
+				if _, err := tr.Exchange(ctx, query(bad)); err == nil {
+					t.Fatal("a 70-octet label was framed")
+				}
+				m, err := tr.Exchange(ctx, query("good.measure.example.org"))
+				checkAnswer(t, m, err, p.String())
+				if st := tr.Stats(); st.Redials != 0 {
+					t.Errorf("redials = %d, want 0: the framing error ended the session", st.Redials)
+				}
+			})
 		}
-		if !errors.Is(err, ErrSessionClosed) {
-			t.Errorf("query %d: err = %v, want ErrSessionClosed", i, err)
-		}
-	}
-	if st := tr.Stats(); st.HardFailures != n {
-		t.Errorf("hard failures = %d, want %d", st.HardFailures, n)
 	}
 }
 

@@ -1,10 +1,13 @@
 // Command doelint runs the repository's static-analysis suite
-// (internal/lint) over a module and reports findings.
+// (internal/lint) over a module and reports findings. The clock check,
+// walltaint, takes its deterministic, simulation and observability package
+// lists from lint.DefaultConfig.
 //
 // Usage:
 //
 //	go run ./cmd/doelint ./...             # lint the whole module
 //	go run ./cmd/doelint -json ./...       # machine-readable findings
+//	go run ./cmd/doelint -checks walltaint ./...    # only the clock check
 //	go run ./cmd/doelint -checks errwrap,lockbalance ./internal/...
 //	go run ./cmd/doelint -checks -walltaint ./...   # everything but walltaint
 //	go run ./cmd/doelint -sarif doelint.sarif ./... # SARIF 2.1.0 for CI annotation
@@ -28,15 +31,13 @@ import (
 
 func main() {
 	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
-		checks    = flag.String("checks", "", "comma-separated checks to run, or -name exclusions (default: all)")
-		list      = flag.Bool("list", false, "list registered analyzers and exit")
-		dir       = flag.String("dir", ".", "directory to resolve package patterns from")
-		detPkgs   = flag.String("det", "", "comma-separated import-path suffixes of deterministic packages (overrides the built-in list)")
-		sarifOut  = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-		baseline  = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		updateBl  = flag.Bool("update-baseline", false, "rewrite the -baseline file to absorb the current findings and exit 0")
-		factCache = flag.String("factcache", "", "directory for per-package fact summaries (speeds up repeated runs)")
+		jsonOut  = flag.Bool("json", false, "emit findings as a JSON array")
+		checks   = flag.String("checks", "", "comma-separated checks to run, or -name exclusions (default: all)")
+		list     = flag.Bool("list", false, "list registered analyzers and exit")
+		dir      = flag.String("dir", ".", "directory to resolve package patterns from")
+		sarifOut = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
+		baseline = flag.String("baseline", "", "suppress findings recorded in this baseline file")
+		updateBl = flag.Bool("update-baseline", false, "rewrite the -baseline file to absorb the current findings and exit 0")
 	)
 	flag.Parse()
 
@@ -51,10 +52,6 @@ func main() {
 	if *checks != "" {
 		cfg.Checks = splitTrim(*checks)
 	}
-	if *detPkgs != "" {
-		cfg.DeterministicPackages = splitTrim(*detPkgs)
-	}
-	cfg.FactCacheDir = *factCache
 
 	findings, err := lint.Run(*dir, flag.Args(), cfg)
 	if err != nil {

@@ -25,11 +25,11 @@ func (s *Study) RunAll(w io.Writer) error {
 	phase := s.Obs.Phase("experiments")
 	phase.AddTotal(int64(len(Experiments())))
 	for _, exp := range Experiments() {
-		start := time.Now() //doelint:allow determinism -- reports real runtime of the experiment, not simulated time
+		start := time.Now() //doelint:allow walltaint -- reports real runtime of the experiment, not simulated time
 		out, err := s.RunExperiment(exp)
 		phase.Done(1)
 		if s.Progress != nil {
-			//doelint:allow determinism -- reports real runtime of the experiment, not simulated time
+			//doelint:allow walltaint -- reports real runtime of the experiment, not simulated time
 			s.Progress(exp.ID, exp.Title, time.Since(start))
 		}
 		if err != nil {

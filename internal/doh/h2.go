@@ -301,10 +301,11 @@ type h2Post struct {
 func (s *Server) serveH2(conn *netsim.Conn, tc io.ReadWriter, paths map[string]bool) {
 	remote := conn.RemoteAddr().(netsim.Addr).IP
 	br := bufio.NewReaderSize(tc, 4096) //doelint:allow hotalloc -- one reader per connection, amortized over its streams
-	preface := make([]byte, len(dnswire.H2ClientPreface))
-	if _, err := io.ReadFull(br, preface); err != nil || string(preface) != dnswire.H2ClientPreface {
+	preface, err := br.Peek(len(dnswire.H2ClientPreface))
+	if err != nil || string(preface) != dnswire.H2ClientPreface {
 		return
 	}
+	_, _ = br.Discard(len(preface)) // Peek buffered these bytes, so Discard cannot fail
 	f, _, err := dnswire.ReadH2FrameAppend(br, nil)
 	if err != nil || f.Type != dnswire.H2FrameSettings || f.StreamID != 0 {
 		return

@@ -78,7 +78,7 @@ func Bad() int {
 }
 
 func Allowed() time.Time {
-	return time.Now() //doelint:allow determinism -- fixture: deliberate wall-clock read
+	return time.Now() //doelint:allow walltaint -- fixture: deliberate wall-clock read
 }
 
 func Seeded() int {
@@ -94,7 +94,7 @@ import "time"
 func Fine() time.Time { return time.Now() }
 `,
 	})
-	wantFindings(t, findings, "determinism", []string{
+	wantFindings(t, findings, "walltaint", []string{
 		"det/det.go:9", "det/det.go:10", "det/det.go:11",
 	})
 }
@@ -119,7 +119,7 @@ func Bad(ch chan int) {
 }
 
 func Allowed() {
-	time.Sleep(time.Millisecond) //doelint:allow simsleep -- fixture: deliberate real sleep
+	time.Sleep(time.Millisecond) //doelint:allow walltaint -- fixture: deliberate real sleep
 }
 
 func Fine() time.Duration {
@@ -135,7 +135,7 @@ import "time"
 func Wait() { time.Sleep(time.Millisecond) }
 `,
 	})
-	wantFindings(t, findings, "simsleep", []string{"sim/sim.go:6", "sim/sim.go:9"})
+	wantFindings(t, findings, "walltaint", []string{"sim/sim.go:6", "sim/sim.go:9"})
 }
 
 func TestObsclock(t *testing.T) {
@@ -156,7 +156,7 @@ func Bad() time.Duration {
 }
 
 func Allowed() time.Time {
-	return time.Now() //doelint:allow obsclock -- fixture: deliberate wall-clock read
+	return time.Now() //doelint:allow walltaint -- fixture: deliberate wall-clock read
 }
 
 func Fine(d time.Duration) time.Duration {
@@ -172,14 +172,14 @@ import "time"
 func Stamp() time.Time { return time.Now() }
 `,
 	})
-	wantFindings(t, findings, "obsclock", []string{"obs/obs.go:6", "obs/obs.go:7", "obs/obs.go:8"})
+	wantFindings(t, findings, "walltaint", []string{"obs/obs.go:6", "obs/obs.go:7", "obs/obs.go:8"})
 }
 
 // TestObsclockMemStatsSampler pins the contract for the volatile MemStats
 // sampler: reading runtime.MemStats from an observability package is fine
 // (it is not a clock), but pacing the sampler with time.NewTicker or
 // stamping samples with time.Now inside the observability set is exactly
-// what obsclock must flag — samplers run at exposure time, driven by the
+// what walltaint must flag — samplers run at exposure time, driven by the
 // scrape loop outside the package, never on the virtual-clock path.
 func TestObsclockMemStatsSampler(t *testing.T) {
 	cfg := lint.DefaultConfig()
@@ -211,7 +211,7 @@ func BadStampedSample() int64 {
 }
 `,
 	})
-	wantFindings(t, findings, "obsclock", []string{"obs/memstats.go:19", "obs/memstats.go:23"})
+	wantFindings(t, findings, "walltaint", []string{"obs/memstats.go:19", "obs/memstats.go:23"})
 }
 
 func TestErrwrap(t *testing.T) {
@@ -486,6 +486,45 @@ func D() {}
 `,
 	})
 	wantFindings(t, findings, lint.DirectiveCheck, []string{"dir/dir.go:3", "dir/dir.go:6", "dir/dir.go:9"})
+}
+
+// TestDirectiveScope pins the reach of line-scoped directives: one that
+// trails code covers that line only, and one alone on its line covers the
+// line below.
+func TestDirectiveScope(t *testing.T) {
+	cfg := lint.DefaultConfig()
+	cfg.DeterministicPackages = []string{"det"}
+	findings := lintFixtures(t, cfg, map[string]string{
+		"det/det.go": `package det
+
+import "time"
+
+func Pair() (time.Time, time.Time, time.Time) {
+	a := time.Now() //doelint:allow walltaint -- fixture: covers this line only
+	b := time.Now() // line 7: finding
+	//doelint:allow walltaint -- fixture: covers the line below
+	c := time.Now()
+	return a, b, c
+}
+`,
+		"bufpool/bufpool.go": fixtureBufpool,
+		"own/own.go": `package own
+
+import "fixture.example/m/bufpool"
+
+type S struct{ buf *[]byte }
+
+func Pair() (S, S, S) {
+	a := S{buf: bufpool.Get(10)} //doelint:transfer -- fixture: a owns the buffer
+	b := S{buf: bufpool.Get(10)} // line 9: finding
+	//doelint:transfer -- fixture: c owns the buffer
+	c := S{buf: bufpool.Get(10)}
+	return a, b, c
+}
+`,
+	})
+	wantFindings(t, findings, "walltaint", []string{"det/det.go:7"})
+	wantFindings(t, findings, "bufown", []string{"own/own.go:9"})
 }
 
 func TestCheckSelection(t *testing.T) {

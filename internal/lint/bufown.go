@@ -46,20 +46,8 @@ func runBufown(pass *Pass) {
 // isBufpoolFunc resolves a call to the module's bufpool package and
 // reports whether it is the named function.
 func isBufpoolFunc(pass *Pass, call *ast.CallExpr, name string) bool {
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = pass.objectOf(fun)
-	case *ast.SelectorExpr:
-		obj = pass.Info.Uses[fun.Sel]
-	default:
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	return isBufpoolPath(fn.Pkg().Path()) && fn.Name() == name
+	fn := calleeFunc(pass.Info, call)
+	return fn != nil && fn.Pkg() != nil && isBufpoolPath(fn.Pkg().Path()) && fn.Name() == name
 }
 
 // bufAcq is one tracked bufpool.Get whose result landed in a local.
@@ -293,22 +281,8 @@ func enclosingCallArg(stack []ast.Node, id *ast.Ident) (*ast.CallExpr, bool) {
 // calleePutsBuffer consults the call graph: a helper whose transitive
 // facts include bufpool.Put is a proven ownership sink.
 func calleePutsBuffer(pass *Pass, call *ast.CallExpr) bool {
-	if pass.Graph == nil {
-		return false
-	}
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = pass.objectOf(fun)
-	case *ast.SelectorExpr:
-		if sel := pass.Info.Selections[fun]; sel != nil {
-			obj = sel.Obj()
-		} else {
-			obj = pass.Info.Uses[fun.Sel]
-		}
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+	fn := calleeFunc(pass.Info, call)
+	if pass.Graph == nil || fn == nil {
 		return false
 	}
 	return pass.Graph.TransFacts(funcID(fn))&FactBufPut != 0

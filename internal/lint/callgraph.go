@@ -27,8 +27,8 @@ import (
 type Fact uint8
 
 const (
-	// FactWallClock: reads or schedules against the wall clock
-	// (time.Now/Since/Until/After/AfterFunc/Tick/NewTicker/NewTimer/Sleep).
+	// FactWallClock: reads, schedules against or blocks on the wall clock
+	// (the time functions in walltaint's timeFacts).
 	FactWallClock Fact = 1 << iota
 	// FactGlobalRand: draws from the global math/rand generator.
 	FactGlobalRand
@@ -44,42 +44,18 @@ const (
 	FactBufGet
 	// FactBufPut: returns a pooled buffer via bufpool.Put.
 	FactBufPut
+	// FactBlock: blocks the goroutine on real time (time.Sleep,
+	// time.After).
+	FactBlock
 )
 
-// String names the fact set for summaries and test output.
-func (f Fact) String() string {
-	names := []struct {
-		bit  Fact
-		name string
-	}{
-		{FactWallClock, "wallclock"},
-		{FactGlobalRand, "globalrand"},
-		{FactAlloc, "alloc"},
-		{FactTakesContext, "takesctx"},
-		{FactStoresContext, "storesctx"},
-		{FactBufGet, "bufget"},
-		{FactBufPut, "bufput"},
-	}
-	var parts []string
-	for _, n := range names {
-		if f&n.bit != 0 {
-			parts = append(parts, n.name)
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
-
 // clockFacts are the facts a //doelint:clockboundary annotation absorbs.
-const clockFacts = FactWallClock | FactGlobalRand
+const clockFacts = FactWallClock | FactGlobalRand | FactBlock
 
 // edge is one statically resolved call site.
 type edge struct {
-	callee string    // symbolic ID of the called function
-	pos    token.Pos // call position (valid for freshly parsed packages)
-	posStr string    // rendered position, survives summary round-trips
+	callee string // symbolic ID of the called function
+	pos    token.Pos
 }
 
 // factSource records where a direct fact was introduced, for path-tailed
@@ -92,7 +68,6 @@ type factSource struct {
 // funcNode is one function in the graph.
 type funcNode struct {
 	id     string
-	pkg    string // import path of the defining package
 	direct FactSet
 	trans  FactSet
 	edges  []edge
@@ -139,7 +114,7 @@ func (n *funcNode) contribution() FactSet {
 }
 
 // TransFacts reports the propagated fact set for the function with the
-// given symbolic ID (zero if unknown). Exposed for tests and summaries.
+// given symbolic ID (zero if unknown).
 func (g *Graph) TransFacts(id string) FactSet {
 	if n := g.node(id); n != nil {
 		return n.trans
@@ -201,11 +176,11 @@ func newGraphBuilder(fset *token.FileSet, allow allowSet) *graphBuilder {
 }
 
 // ensure returns the node for id, creating it on first sight.
-func (b *graphBuilder) ensure(id, pkg string) *funcNode {
+func (b *graphBuilder) ensure(id string) *funcNode {
 	if n := b.g.nodes[id]; n != nil {
 		return n
 	}
-	n := &funcNode{id: id, pkg: pkg, sources: make(map[Fact]factSource)}
+	n := &funcNode{id: id, sources: make(map[Fact]factSource)}
 	b.g.nodes[id] = n
 	b.g.order = append(b.g.order, id)
 	return n
@@ -213,7 +188,7 @@ func (b *graphBuilder) ensure(id, pkg string) *funcNode {
 
 // addPackage walks one type-checked package and records a node per
 // function declaration, with direct facts and call edges.
-func (b *graphBuilder) addPackage(pkgPath string, files []*ast.File, info *types.Info) {
+func (b *graphBuilder) addPackage(files []*ast.File, info *types.Info) {
 	for _, file := range files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -228,7 +203,7 @@ func (b *graphBuilder) addPackage(pkgPath string, files []*ast.File, info *types
 			if id == "" {
 				continue
 			}
-			node := b.ensure(id, pkgPath)
+			node := b.ensure(id)
 			node.hotpath = node.hotpath || hasFuncDirective(fn, "hotpath")
 			node.clockBoundary = node.clockBoundary || hasFuncDirective(fn, "clockboundary")
 			if sigTakesContext(obj) {
@@ -239,11 +214,10 @@ func (b *graphBuilder) addPackage(pkgPath string, files []*ast.File, info *types
 	}
 }
 
-// mark records a direct fact with its first source position.
+// mark records the direct facts in f, each with its first source position.
 func (b *graphBuilder) mark(n *funcNode, f Fact, what string, pos token.Pos) {
-	if n.direct&f == 0 {
-		p := b.fset.Position(pos)
-		n.sources[f] = factSource{what: what, posStr: shortPos(p)}
+	for rest := f &^ n.direct; rest != 0; rest &= rest - 1 {
+		n.sources[rest&^(rest-1)] = factSource{what: what, posStr: shortPos(b.fset.Position(pos))}
 	}
 	n.direct |= f
 }
@@ -257,19 +231,6 @@ func shortPos(p token.Position) string {
 		file = strings.Join(parts[len(parts)-2:], "/")
 	}
 	return fmt.Sprintf("%s:%d", file, p.Line)
-}
-
-// allowedAt reports whether any of the named checks is suppressed on the
-// source line of pos. Fact sources under an allow directive do not taint
-// callers: the justification at the source covers the whole chain.
-func (b *graphBuilder) allowedAt(pos token.Pos, checks ...string) bool {
-	p := b.fset.Position(pos)
-	for _, c := range checks {
-		if b.allow[allowKey{p.Filename, p.Line, c}] {
-			return true
-		}
-	}
-	return false
 }
 
 // walkBody collects direct facts and call edges from a function body,
@@ -314,33 +275,34 @@ func (b *graphBuilder) walkBody(node *funcNode, body *ast.BlockStmt, info *types
 // recordCall classifies one call expression: primitive fact, edge to a
 // module function, or nothing (unresolvable).
 func (b *graphBuilder) recordCall(node *funcNode, call *ast.CallExpr, info *types.Info) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj := info.Uses[fun]
-		if obj == nil {
-			obj = info.Defs[fun]
-		}
-		switch o := obj.(type) {
-		case *types.Builtin:
-			if o.Name() == "make" && isByteSlice(info.TypeOf(call)) &&
-				!b.allowedAt(call.Pos(), "hotalloc") {
-				b.mark(node, FactAlloc, "make([]byte)", call.Pos())
-			}
-		case *types.Func:
-			b.addEdgeOrFact(node, o, call.Pos())
-		}
-	case *ast.SelectorExpr:
-		if sel := info.Selections[fun]; sel != nil {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				b.addEdgeOrFact(node, fn, call.Pos())
-			}
-			return
-		}
-		// Qualified call: pkg.Func.
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			b.addEdgeOrFact(node, fn, call.Pos())
+	if fn := calleeFunc(info, call); fn != nil {
+		b.addEdgeOrFact(node, fn, call.Pos())
+		return
+	}
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "make" {
+		if _, builtin := info.Uses[id].(*types.Builtin); builtin && isByteSlice(info.TypeOf(call)) &&
+			!b.allow.covers(b.fset, call.Pos(), "hotalloc") {
+			b.mark(node, FactAlloc, "make([]byte)", call.Pos())
 		}
 	}
+}
+
+// calleeFunc resolves the function or method a call names statically, or
+// returns nil (builtins, conversions, calls through function values).
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[fun]
+	case *ast.SelectorExpr:
+		if sel := info.Selections[fun]; sel != nil {
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[fun.Sel] // qualified call: pkg.Func
+		}
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // addEdgeOrFact turns a resolved callee into a primitive fact (standard
@@ -351,25 +313,15 @@ func (b *graphBuilder) addEdgeOrFact(node *funcNode, fn *types.Func, pos token.P
 		return
 	}
 	switch pkg.Path() {
-	case "time":
-		// Package-level functions only: time.Time.After/Sub/... are pure
-		// value methods, not wall-clock reads.
-		if fn.Type().(*types.Signature).Recv() == nil &&
-			(wallClockFuncs[fn.Name()] || fn.Name() == "Sleep") {
-			if !b.allowedAt(pos, "walltaint", "determinism", "obsclock", "simsleep") {
-				b.mark(node, FactWallClock, "time."+fn.Name(), pos)
-			}
-		}
-		return
-	case "math/rand", "math/rand/v2":
-		if fn.Type().(*types.Signature).Recv() == nil && !randConstructors[fn.Name()] {
-			if !b.allowedAt(pos, "walltaint", "determinism") {
-				b.mark(node, FactGlobalRand, "rand."+fn.Name(), pos)
-			}
+	case "time", "math/rand", "math/rand/v2":
+		// Fact sources under an allow directive do not taint callers: the
+		// justification at the source covers the whole chain.
+		if f := clockCall(fn); f != 0 && !b.allow.covers(b.fset, pos, "walltaint") {
+			b.mark(node, f, pkg.Name()+"."+fn.Name(), pos)
 		}
 		return
 	case "fmt":
-		if fn.Name() == "Sprintf" && !b.allowedAt(pos, "hotalloc") {
+		if fn.Name() == "Sprintf" && !b.allow.covers(b.fset, pos, "hotalloc") {
 			b.mark(node, FactAlloc, "fmt.Sprintf", pos)
 		}
 		return
@@ -393,11 +345,7 @@ func (b *graphBuilder) addEdgeOrFact(node *funcNode, fn *types.Func, pos token.P
 			return // keep the first call site per callee: stable paths
 		}
 	}
-	node.edges = append(node.edges, edge{
-		callee: id,
-		pos:    pos,
-		posStr: shortPos(b.fset.Position(pos)),
-	})
+	node.edges = append(node.edges, edge{callee: id, pos: pos})
 }
 
 // isBufpoolPath reports whether path is the module's buffer pool package.

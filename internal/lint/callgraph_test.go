@@ -16,15 +16,6 @@ import (
 // propagation directly.
 func buildFixtureGraph(t *testing.T, files map[string]string) *Graph {
 	t.Helper()
-	_, g := buildFixtureBuilder(t, files, nil)
-	return g
-}
-
-// buildFixtureBuilder is buildFixtureGraph with the builder exposed and an
-// optional skip set of import paths to leave out of the walk (for cache
-// and summary tests that absorb those packages separately).
-func buildFixtureBuilder(t *testing.T, files map[string]string, skip map[string]*PackageSummary) (*graphBuilder, *Graph) {
-	t.Helper()
 	dir := t.TempDir()
 	mod := "module fixture.example/m\n\ngo 1.22\n"
 	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte(mod), 0o644); err != nil {
@@ -57,10 +48,6 @@ func buildFixtureBuilder(t *testing.T, files map[string]string, skip map[string]
 		if lp.Standard || lp.Module == nil || !lp.Module.Main {
 			continue
 		}
-		if ps, ok := skip[lp.ImportPath]; ok {
-			b.absorb(ps)
-			continue
-		}
 		u := &unit{lp: lp}
 		if err := loadUnit(fset, imp, u); err != nil {
 			t.Fatal(err)
@@ -68,9 +55,9 @@ func buildFixtureBuilder(t *testing.T, files map[string]string, skip map[string]
 		for _, f := range u.files {
 			parseDirectives(fset, f, dirs)
 		}
-		b.addPackage(lp.ImportPath, u.files, u.info)
+		b.addPackage(u.files, u.info)
 	}
-	return b, b.finish()
+	return b.finish()
 }
 
 // chainFixture is a three-package call chain whose leaf reads the wall
@@ -151,7 +138,7 @@ func TestGraphAllowMasksSource(t *testing.T) {
 import "time"
 
 func Leaf() int64 {
-	return time.Now().UnixNano() //doelint:allow determinism -- fixture: justified read
+	return time.Now().UnixNano() //doelint:allow walltaint -- fixture: justified read
 }
 `,
 		"b/b.go": chainFixture["b/b.go"],
@@ -182,64 +169,5 @@ func (*T) Pointer() int64 { return time.Now().UnixNano() }
 		if g.DirectFacts(id)&FactWallClock == 0 {
 			t.Errorf("method node %s missing its direct fact (symbolic ID mismatch?)", id)
 		}
-	}
-}
-
-func TestSummaryRoundTrip(t *testing.T) {
-	b, g := buildFixtureBuilder(t, chainFixture, nil)
-	_ = b
-	ps := g.summarize("fixture.example/m/c", "hash-1")
-	if ps.Hash != "hash-1" || ps.Schema != summarySchema {
-		t.Fatalf("summary header = %+v", ps)
-	}
-	if len(ps.Funcs) == 0 {
-		t.Fatal("summary captured no functions")
-	}
-
-	var buf strings.Builder
-	if err := g.EncodeSummaries(&buf, []string{"fixture.example/m/c"}, map[string]string{"fixture.example/m/c": "hash-1"}); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeSummaries(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 1 || decoded[0].Package != "fixture.example/m/c" {
-		t.Fatalf("decoded = %+v", decoded)
-	}
-
-	// A graph built with package c absorbed from its summary instead of
-	// walked from source must propagate identical facts.
-	_, g2 := buildFixtureBuilder(t, chainFixture, map[string]*PackageSummary{
-		"fixture.example/m/c": decoded[0],
-	})
-	for _, id := range []string{"fixture.example/m/a.Top", "fixture.example/m/b.Mid", "fixture.example/m/c.Leaf"} {
-		if g.TransFacts(id) != g2.TransFacts(id) {
-			t.Errorf("%s: facts differ between walked (%v) and absorbed (%v) graphs",
-				id, g.TransFacts(id), g2.TransFacts(id))
-		}
-	}
-	steps, _, source := g2.taintPath("fixture.example/m/a.Top", FactWallClock)
-	if got := renderTaint(steps, source); !strings.HasPrefix(got, "a.Top -> b.Mid -> c.Leaf -> time.Now") {
-		t.Errorf("taint path through absorbed summary = %q", got)
-	}
-}
-
-func TestFactCacheValidation(t *testing.T) {
-	g := buildFixtureGraph(t, chainFixture)
-	cache := &factCache{dir: t.TempDir()}
-	ps := g.summarize("fixture.example/m/c", "hash-1")
-	cache.store(ps)
-
-	if got := cache.load("fixture.example/m/c", "hash-1"); got == nil {
-		t.Fatal("cache miss for the stored hash")
-	} else if len(got.Funcs) != len(ps.Funcs) {
-		t.Fatalf("cache returned %d funcs, stored %d", len(got.Funcs), len(ps.Funcs))
-	}
-	if got := cache.load("fixture.example/m/c", "hash-2"); got != nil {
-		t.Error("cache hit despite a hash mismatch (stale summary served)")
-	}
-	if got := cache.load("fixture.example/m/other", "hash-1"); got != nil {
-		t.Error("cache hit for a package never stored")
 	}
 }

@@ -20,6 +20,13 @@ type allowKey struct {
 // allowSet records which findings //doelint:allow directives suppress.
 type allowSet map[allowKey]bool
 
+// covers reports whether an allow directive suppresses check on the source
+// line of pos.
+func (a allowSet) covers(fset *token.FileSet, pos token.Pos, check string) bool {
+	p := fset.Position(pos)
+	return a[allowKey{p.Filename, p.Line, check}]
+}
+
 // lineKey identifies one (file, line) cell for line-scoped directives.
 type lineKey struct {
 	file string
@@ -41,8 +48,7 @@ func newDirectiveIndex() *directiveIndex {
 }
 
 // transferAt reports whether an ownership-transfer directive covers the
-// given position (its own line, or the line above for a standalone
-// directive comment).
+// given position: it trails that line, or stands alone on the line above.
 func (d *directiveIndex) transferAt(fset *token.FileSet, pos token.Pos) bool {
 	p := fset.Position(pos)
 	return d.transfer[lineKey{p.Filename, p.Line}]
@@ -59,11 +65,10 @@ func (d *directiveIndex) transferAt(fset *token.FileSet, pos token.Pos) bool {
 //	//doelint:clockboundary -- <justification>
 //	//doelint:ctxroot -- <justification>
 //
-// allow and transfer are line-scoped: they cover their own line and the
-// line immediately below, so they can either trail the offending statement
-// or sit on their own line above it. hotpath, streaming, clockboundary,
-// and ctxroot go in a function's doc comment and mark the whole
-// declaration.
+// allow and transfer are line-scoped: a directive that trails code covers
+// that line only, and a directive alone on its line covers the line below.
+// hotpath, streaming, clockboundary, and ctxroot go in a function's doc
+// comment and mark the whole declaration.
 // Justifications are mandatory where shown: suppressions and ownership
 // claims must explain themselves to survive review.
 func parseDirectives(fset *token.FileSet, f *ast.File, idx *directiveIndex) []Finding {
@@ -79,6 +84,17 @@ func parseDirectives(fset *token.FileSet, f *ast.File, idx *directiveIndex) []Fi
 			abs:     p.Filename,
 		})
 	}
+	var code map[int]bool // lines holding code; built on the first line-scoped directive
+	target := func(c *ast.Comment) lineKey {
+		if code == nil {
+			code = codeLines(fset, f)
+		}
+		p := fset.Position(c.Pos())
+		if !code[p.Line] {
+			p.Line++
+		}
+		return lineKey{p.Filename, p.Line}
+	}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			if !strings.HasPrefix(c.Text, directivePrefix) {
@@ -86,7 +102,6 @@ func parseDirectives(fset *token.FileSet, f *ast.File, idx *directiveIndex) []Fi
 			}
 			rest := strings.TrimPrefix(c.Text, directivePrefix)
 			verb, arg, _ := strings.Cut(rest, " ")
-			pos := fset.Position(c.Pos())
 			switch verb {
 			case "hotpath":
 				// Consumed by the hotalloc analyzer and the facts engine:
@@ -122,16 +137,15 @@ func parseDirectives(fset *token.FileSet, f *ast.File, idx *directiveIndex) []Fi
 					report(c.Pos(), "doelint:transfer needs a justification: //doelint:transfer -- <who owns it now>")
 					continue
 				}
-				idx.transfer[lineKey{pos.Filename, pos.Line}] = true
-				idx.transfer[lineKey{pos.Filename, pos.Line + 1}] = true
+				idx.transfer[target(c)] = true
 			case "allow":
 				checksPart, justification, found := strings.Cut(arg, "--")
 				if !found || strings.TrimSpace(justification) == "" {
 					report(c.Pos(), "doelint:allow needs a justification: //doelint:allow <check> -- <why>")
 					continue
 				}
-				names := strings.Split(strings.TrimSpace(checksPart), ",")
-				for _, name := range names {
+				line := target(c)
+				for _, name := range strings.Split(strings.TrimSpace(checksPart), ",") {
 					name = strings.TrimSpace(name)
 					if name == "" || !knownCheck(name) {
 						report(c.Pos(), "doelint:allow names unknown check %q", name)
@@ -141,8 +155,7 @@ func parseDirectives(fset *token.FileSet, f *ast.File, idx *directiveIndex) []Fi
 						report(c.Pos(), "the %q check cannot be suppressed", DirectiveCheck)
 						continue
 					}
-					idx.allow[allowKey{pos.Filename, pos.Line, name}] = true
-					idx.allow[allowKey{pos.Filename, pos.Line + 1, name}] = true
+					idx.allow[allowKey{line.file, line.line, name}] = true
 				}
 			default:
 				report(c.Pos(), "unknown doelint directive %q (defined: \"allow\", \"hotpath\", \"streaming\", \"transfer\", \"clockboundary\", \"ctxroot\")", verb)
@@ -150,6 +163,22 @@ func parseDirectives(fset *token.FileSet, f *ast.File, idx *directiveIndex) []Fi
 		}
 	}
 	return bad
+}
+
+// codeLines reports which lines of f hold code rather than only comments:
+// every line on which a syntax node starts or ends.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()).Line] = true
+		return true
+	})
+	return lines
 }
 
 // filter drops findings covered by an allow directive. Directive findings

@@ -3,16 +3,23 @@
 // tree clean. It is built only on the standard library (go/ast, go/parser,
 // go/types, go/token): dependencies are imported from compiler export data
 // produced by `go list -export`, so loading the whole module takes well
-// under a second and needs no module outside the toolchain.
+// under a second and needs no module outside the toolchain. The driver
+// loads each package's GoFiles only: _test.go files are not linted, and a
+// directive in one does nothing.
 //
 // # Checks
 //
-//   - determinism: packages listed in Config.DeterministicPackages (the
-//     simulation core: internal/netsim, internal/core, internal/workload)
-//     must not call global math/rand functions or read the wall clock
-//     (time.Now, time.Since, time.After, ...). Randomness flows from a
-//     seeded *rand.Rand, time from the simulated clock; rand.New /
-//     rand.NewSource / rand.NewZipf are constructors and always allowed.
+//   - walltaint: the clock check. Deterministic packages
+//     (Config.DeterministicPackages: internal/netsim, internal/core,
+//     internal/workload) must not reach the wall clock (time.Now,
+//     time.Since, time.After, ...) or the global math/rand state;
+//     observability packages (internal/obs) must not reach the wall clock;
+//     simulation packages must not block on real time (time.Sleep,
+//     time.After). A call is reported where it is written, and a call
+//     chain that reaches one — through any package — at its first call,
+//     with the chain in the message. rand.New / rand.NewSource /
+//     rand.NewZipf are constructors and always allowed; a function marked
+//     //doelint:clockboundary absorbs the clock for its callers.
 //
 //   - connclose: a value acquired from a Dial/Listen/Accept/Open-style
 //     call whose type implements io.Closer must be closed on every return
@@ -30,13 +37,18 @@
 //     Unlock()/RUnlock() on the same receiver somewhere in the same
 //     top-level function (deferred closures included).
 //
+//   - goleak, hotalloc, streaming, bufown, ctxplumb: goroutine exits in
+//     simulation packages, allocation-free //doelint:hotpath functions,
+//     bounded //doelint:streaming folds, bufpool ownership, and context
+//     plumbing; each analyzer's doc comment states its contract.
+//
 // # Suppressing a finding
 //
 // Deliberate exceptions carry an allow directive with a mandatory
-// justification, either trailing the offending line or on its own line
-// directly above it:
+// justification. A directive that trails code covers that line only; a
+// directive alone on its line covers the line below:
 //
-//	if !b.deadline.IsZero() && !time.Now().Before(b.deadline) { //doelint:allow determinism -- real-time deadline guard
+//	d := time.Until(t) //doelint:allow walltaint -- deadline timers run in real time by design
 //
 //	//doelint:allow lockbalance -- unlocked by the monitor goroutine
 //	m.mu.Lock()

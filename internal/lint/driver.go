@@ -41,8 +41,7 @@ type listError struct {
 // unit is one main-module package moving through the driver: its metadata,
 // and — once parsed — its syntax and type information. Root units (matched
 // by a pattern) are analyzed and may report findings; dep-only units are
-// walked solely to feed the call graph, and with a fact cache they reduce
-// to a stored summary without being parsed at all.
+// walked solely to feed the call graph.
 type unit struct {
 	lp    *listPackage
 	root  bool
@@ -117,11 +116,6 @@ func Run(dir string, patterns []string, cfg *Config) ([]Finding, error) {
 		index[lp.ImportPath] = u
 	}
 
-	var cache *factCache
-	if cfg.FactCacheDir != "" {
-		cache = &factCache{dir: cfg.FactCacheDir}
-	}
-
 	dirs := newDirectiveIndex()
 	builder := newGraphBuilder(fset, dirs.allow)
 	var findings []Finding
@@ -133,15 +127,6 @@ func Run(dir string, patterns []string, cfg *Config) ([]Finding, error) {
 		}
 		if lp.Error != nil {
 			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		hash := ""
-		if cache != nil && !u.root {
-			if hash, err = hashFiles(lp.Dir, lp.GoFiles); err == nil {
-				if ps := cache.load(lp.ImportPath, hash); ps != nil {
-					builder.absorb(ps)
-					continue
-				}
-			}
 		}
 		if err := loadUnit(fset, imp, u); err != nil {
 			return nil, err
@@ -155,10 +140,7 @@ func Run(dir string, patterns []string, cfg *Config) ([]Finding, error) {
 				findings = append(findings, bad...)
 			}
 		}
-		builder.addPackage(lp.ImportPath, u.files, u.info)
-		if cache != nil && !u.root && hash != "" {
-			cache.store(builder.g.summarize(lp.ImportPath, hash))
-		}
+		builder.addPackage(u.files, u.info)
 	}
 
 	if roots == 0 {
@@ -167,7 +149,7 @@ func Run(dir string, patterns []string, cfg *Config) ([]Finding, error) {
 
 	graph := builder.finish()
 	for _, u := range units {
-		if !u.root || u.files == nil {
+		if !u.root {
 			continue
 		}
 		for _, a := range analyzers {

@@ -48,7 +48,7 @@ var walltaintFixture = map[string]string{
 	// chain in the message); det.Roll reaches the global rand the same way.
 	// A justified allow on the call line suppresses exactly that path, a
 	// clockboundary on the callee absorbs the facts, and a direct read in
-	// det stays the determinism analyzer's finding alone.
+	// det is one finding where it is written.
 	"det/det.go": `package det
 
 import (
@@ -92,10 +92,9 @@ func TestWalltaint(t *testing.T) {
 	cfg.DeterministicPackages = []string{"det"}
 	findings := lintFixtures(t, cfg, walltaintFixture)
 
-	wantFindings(t, findings, "walltaint", []string{"det/det.go:9", "det/det.go:17"})
-	// The direct read is determinism's finding, never duplicated by
-	// walltaint.
-	wantFindings(t, findings, "determinism", []string{"det/det.go:19"})
+	// The direct read is reported once, where it is written; no chain
+	// finding duplicates it.
+	wantFindings(t, findings, "walltaint", []string{"det/det.go:9", "det/det.go:17", "det/det.go:19"})
 
 	var clockMsg, randMsg string
 	for _, f := range findings {
@@ -134,6 +133,64 @@ func ID() int { return util.Roll() }
 		"util/util.go": walltaintFixture["util/util.go"],
 	})
 	wantFindings(t, findings, "walltaint", []string{"tele/tele.go:5"})
+}
+
+// TestWalltaintSimulation covers the blocking rule through helpers: a
+// simulation package must not reach time.Sleep or time.After through a
+// package outside the simulation set.
+func TestWalltaintSimulation(t *testing.T) {
+	cfg := lint.DefaultConfig()
+	cfg.SimulationPackages = []string{"sim"}
+	findings := lintFixtures(t, cfg, map[string]string{
+		"sim/sim.go": `package sim
+
+import "fixture.example/m/harness"
+
+func Bad() { harness.Wait() } // line 5: finding
+
+func BadTimer(ch chan int) { harness.WaitOr(ch) } // line 7: finding
+
+func Boundary() { harness.Settled() }
+
+func Allowed() {
+	harness.Wait() //doelint:allow walltaint -- fixture: audited real-time wait
+}
+`,
+		"harness/harness.go": `package harness
+
+import "time"
+
+func Wait() { time.Sleep(time.Millisecond) }
+
+func WaitOr(ch chan int) {
+	select {
+	case <-ch:
+	case <-time.After(time.Second):
+	}
+}
+
+// Settled waits on the wall clock on behalf of its callers.
+//
+//doelint:clockboundary -- fixture: converts a real wait into a virtual step
+func Settled() { Wait() }
+`,
+	})
+	wantFindings(t, findings, "walltaint", []string{"sim/sim.go:5", "sim/sim.go:7"})
+
+	msgs := map[int]string{}
+	for _, f := range findings {
+		if f.Check == "walltaint" {
+			msgs[f.Line] = f.Message
+		}
+	}
+	for line, chain := range map[int]string{
+		5: "sim.Bad -> harness.Wait -> time.Sleep",
+		7: "sim.BadTimer -> harness.WaitOr -> time.After",
+	} {
+		if !strings.Contains(msgs[line], chain) || !strings.Contains(msgs[line], "blocks on real time") {
+			t.Errorf("line %d message lacks the blocking chain %q: %q", line, chain, msgs[line])
+		}
+	}
 }
 
 func TestBufown(t *testing.T) {
@@ -355,7 +412,18 @@ func TestDuplicatePatternsDedupe(t *testing.T) {
 }
 
 func TestChecksExclusion(t *testing.T) {
-	dir := writeModule(t, walltaintFixture)
+	files := map[string]string{
+		"wrap/wrap.go": `package wrap
+
+import "fmt"
+
+func Bad(err error) error { return fmt.Errorf("lossy: %v", err) }
+`,
+	}
+	for rel, content := range walltaintFixture {
+		files[rel] = content
+	}
+	dir := writeModule(t, files)
 	cfg := lint.DefaultConfig()
 	cfg.DeterministicPackages = []string{"det"}
 	cfg.Checks = []string{"-walltaint"}
@@ -367,7 +435,7 @@ func TestChecksExclusion(t *testing.T) {
 	if got := byCheck(findings, "walltaint"); len(got) != 0 {
 		t.Errorf("excluded walltaint still reported: %v", got)
 	}
-	if got := byCheck(findings, "determinism"); len(got) == 0 {
+	if got := byCheck(findings, "errwrap"); len(got) == 0 {
 		t.Error("exclusion of one check silenced the others")
 	}
 }
@@ -380,7 +448,7 @@ func TestChecksValidation(t *testing.T) {
 	}{
 		{[]string{"nosuch"}, "unknown check"},
 		{[]string{"-nosuch"}, "unknown check"},
-		{[]string{"determinism", "-walltaint"}, "cannot mix"},
+		{[]string{"errwrap", "-walltaint"}, "cannot mix"},
 	}
 	for _, tc := range cases {
 		cfg := lint.DefaultConfig()
@@ -389,62 +457,5 @@ func TestChecksValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Checks=%v: error %v, want containing %q", tc.checks, err, tc.want)
 		}
-	}
-}
-
-func TestFactCache(t *testing.T) {
-	dir := writeModule(t, walltaintFixture)
-	cfg := lint.DefaultConfig()
-	cfg.DeterministicPackages = []string{"det"}
-	cfg.FactCacheDir = t.TempDir()
-
-	// Linting only ./det makes util a dep-only package: its facts are
-	// summarized into the cache on the first run and absorbed from it on
-	// the second. Findings must be identical either way.
-	first, err := lint.Run(dir, []string{"./det"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(cfg.FactCacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("first run left the fact cache empty")
-	}
-	second, err := lint.Run(dir, []string{"./det"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(second) {
-		t.Fatalf("cached run changed findings: %d vs %d\n%v\n%v", len(second), len(first), second, first)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Errorf("finding %d differs under cache: %v vs %v", i, first[i], second[i])
-		}
-	}
-	if got := byCheck(second, "walltaint"); len(got) != 2 {
-		t.Errorf("walltaint findings through cached summaries = %v, want 2", got)
-	}
-
-	// An edited dependency invalidates its cache entry: the summary hash
-	// no longer matches, so facts come from a fresh parse.
-	util := filepath.Join(dir, "util", "util.go")
-	content, err := os.ReadFile(util)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := strings.Replace(string(content), "func Stamp() int64 { return time.Now().UnixNano() }",
-		"func Stamp() int64 { return 0 }", 1)
-	if err := os.WriteFile(util, []byte(edited), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	third, err := lint.Run(dir, []string{"./det"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := byCheck(third, "walltaint"); len(got) != 1 {
-		t.Errorf("after removing the clock read, walltaint findings = %v, want 1 (rand only)", got)
 	}
 }

@@ -80,24 +80,22 @@ func (p *Pass) objectOf(id *ast.Ident) types.Object {
 // Config tunes the suite for a repository.
 type Config struct {
 	// DeterministicPackages lists import-path suffixes of packages that
-	// must not consult wall-clock time or the global math/rand state.
+	// must not reach wall-clock time or the global math/rand state,
+	// directly or through their callees (walltaint).
 	DeterministicPackages []string
 	// SimulationPackages lists import-path suffixes of packages that run
 	// on the virtual clock and therefore must never block on real time
-	// (time.Sleep / time.After).
+	// (time.Sleep / time.After), directly or through their callees
+	// (walltaint), and whose goroutines must be able to exit (goleak).
 	SimulationPackages []string
 	// ObservabilityPackages lists import-path suffixes of telemetry
-	// packages whose recording paths must never touch the wall clock at
-	// all (time.Now/Since/... as well as sleeps) — traces and metric
-	// snapshots share the byte-identical report contract.
+	// packages that must not reach the wall clock at all (reads, timers
+	// and sleeps) — traces and metric snapshots share the byte-identical
+	// report contract.
 	ObservabilityPackages []string
 	// Checks restricts which analyzers run; empty means all registered.
 	// Either a list of names to run, or a list of "-name" exclusions.
 	Checks []string
-	// FactCacheDir, when set, persists per-package fact summaries for
-	// dep-only packages keyed by a content hash of their sources, so
-	// repeated runs skip re-parsing packages no analyzer reports on.
-	FactCacheDir string
 }
 
 // DefaultConfig returns the configuration used for this repository: the
@@ -130,20 +128,21 @@ func DefaultConfig() *Config {
 	}
 }
 
-// IsDeterministic reports whether the package at pkgPath is subject to the
-// determinism check. Entries match the whole path or a "/"-delimited suffix.
+// IsDeterministic reports whether the package at pkgPath is deterministic.
+// Entries match the whole path or a "/"-delimited suffix.
 func (c *Config) IsDeterministic(pkgPath string) bool {
 	return matchPackage(c.DeterministicPackages, pkgPath)
 }
 
-// IsSimulation reports whether the package at pkgPath is subject to the
-// simsleep check. Entries match the whole path or a "/"-delimited suffix.
+// IsSimulation reports whether the package at pkgPath is a simulation
+// package. Entries match the whole path or a "/"-delimited suffix.
 func (c *Config) IsSimulation(pkgPath string) bool {
 	return matchPackage(c.SimulationPackages, pkgPath)
 }
 
-// IsObservability reports whether the package at pkgPath is subject to the
-// obsclock check. Entries match the whole path or a "/"-delimited suffix.
+// IsObservability reports whether the package at pkgPath is an
+// observability package. Entries match the whole path or a "/"-delimited
+// suffix.
 func (c *Config) IsObservability(pkgPath string) bool {
 	return matchPackage(c.ObservabilityPackages, pkgPath)
 }
@@ -207,13 +206,10 @@ func (c *Config) validateChecks() error {
 // //doelint: comments are reported. It cannot be suppressed.
 const DirectiveCheck = "directive"
 
-// registry holds every analyzer the driver runs, in execution order. The
-// intraprocedural checks come first; walltaint, bufown, ctxplumb, and the
-// interprocedural half of hotalloc consult the shared call graph.
+// registry holds every analyzer the driver runs, in execution order.
+// walltaint, bufown, ctxplumb, and the interprocedural half of hotalloc
+// consult the shared call graph.
 var registry = []*Analyzer{
-	analyzerDeterminism,
-	analyzerSimsleep,
-	analyzerObsclock,
 	analyzerWalltaint,
 	analyzerConnclose,
 	analyzerErrwrap,

@@ -26,8 +26,9 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 
 	// Runtime budget: the interprocedural suite must stay cheap enough to
-	// sit on the tier-1 path. Summaries and the fact cache exist precisely
-	// so this does not creep; 5s leaves ~10x headroom on a cold CI worker.
+	// sit on the tier-1 path. Dependencies come from compiler export data,
+	// and each main-module package is parsed and type-checked once; 5s
+	// leaves ~10x headroom on a cold CI worker.
 	const budget = 5 * time.Second
 	if elapsed > budget {
 		t.Errorf("full-module lint took %v, over the %v budget", elapsed, budget)

@@ -187,7 +187,7 @@ func (b *buffer) read(p []byte) (int, error) {
 			b.mu.Unlock()
 			return 0, io.EOF
 		}
-		//doelint:allow determinism -- deadlines guard against real hangs and are deliberately wall-clock
+		//doelint:allow walltaint -- deadlines guard against real hangs and are deliberately wall-clock
 		if !b.deadline.IsZero() && !time.Now().Before(b.deadline) {
 			b.mu.Unlock()
 			return 0, ErrDeadline
@@ -259,11 +259,11 @@ func (b *buffer) setDeadline(t time.Time) {
 		b.timer = nil
 	}
 	if !t.IsZero() {
-		d := time.Until(t) //doelint:allow determinism -- deadline timers run in real time by design
+		d := time.Until(t) //doelint:allow walltaint -- deadline timers run in real time by design
 		if d < 0 {
 			d = 0
 		}
-		//doelint:allow determinism -- deadline timers run in real time by design
+		//doelint:allow walltaint -- deadline timers run in real time by design
 		b.timer = time.AfterFunc(d, func() {
 			b.mu.Lock()
 			b.cond.Broadcast()

@@ -271,7 +271,7 @@ func TestFaultedDialsLeakNoGoroutines(t *testing.T) {
 		if runtime.NumGoroutine() <= before {
 			return
 		}
-		time.Sleep(10 * time.Millisecond) //doelint:allow simsleep -- real-time settle poll in a leak test
+		time.Sleep(10 * time.Millisecond) // real-time settle poll in a leak test
 	}
 	t.Errorf("goroutines: %d before, %d after faulted dial burst", before, runtime.NumGoroutine())
 }

@@ -8,7 +8,7 @@ import "runtime"
 // full snapshots (-metrics, /metrics scrapes) and never in the
 // deterministic report section. The sampler runs only at exposure time —
 // a -metrics dump or an HTTP scrape — never from the simulation's
-// virtual-clock path, and it reads no clocks itself (obsclock enforces
+// virtual-clock path, and it reads no clocks itself (walltaint enforces
 // that this package stays off time.*).
 //
 //   - mem_heap_alloc_bytes: live heap at sample time

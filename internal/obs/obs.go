@@ -6,7 +6,7 @@
 // Everything obs records is charged to the netsim virtual clock — spans
 // carry virtual durations, sketches bucket virtual latencies, and no
 // recording path ever reads the wall clock (enforced by the doelint
-// `obsclock` analyzer). That is what lets a trace and a metrics snapshot
+// `walltaint` check). That is what lets a trace and a metrics snapshot
 // share the report contract: byte-identical output for a fixed seed at any
 // worker count.
 //

@@ -17,7 +17,7 @@ func waitGoroutines(target int, window time.Duration) int {
 		if n := runtime.NumGoroutine(); n <= target {
 			return n
 		}
-		time.Sleep(10 * time.Millisecond) //doelint:allow simsleep -- real-time settle poll in a leak test
+		time.Sleep(10 * time.Millisecond) // real-time settle poll in a leak test
 	}
 	return runtime.NumGoroutine()
 }

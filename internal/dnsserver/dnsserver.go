@@ -52,10 +52,15 @@ type rw interface {
 	Write([]byte) (int, error)
 }
 
-// serveStreamRW is the per-connection answer loop. It owns one pooled read
-// buffer, one pooled write buffer and one reused request Message for the
-// connection's lifetime, so answering a query in steady state allocates
-// only what the handler itself builds.
+// readers recycles serveStreamRW's 4096-byte buffered readers across
+// connections. The size is fixed: it decides how much one read may buffer,
+// and so when a response flushes.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4096) }}
+
+// serveStreamRW is the per-connection answer loop. It owns one pooled
+// buffered reader, one pooled read buffer, one pooled write buffer and one
+// reused request Message for the connection's lifetime, so answering a
+// query in steady state allocates only what the handler itself builds.
 //
 // Pipelined clients (RFC 7766 §6.2.1.1) get coalesced responses: requests
 // are drained through a buffered reader, and responses accumulate in the
@@ -72,7 +77,12 @@ func serveStreamRW(conn rw, raw *netsim.Conn, h Handler) {
 	defer bufpool.Put(rbuf)
 	defer bufpool.Put(wbuf)
 	req := new(dnswire.Message)
-	br := bufio.NewReaderSize(conn, 4096) //doelint:allow hotalloc -- one reader per connection, amortized over its queries
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(conn)
+	defer func() {
+		br.Reset(nil) // a pooled reader must not pin the connection
+		readers.Put(br)
+	}()
 	out := (*wbuf)[:0]
 	for {
 		msg, err := dnswire.ReadTCPAppend(br, (*rbuf)[:0])

@@ -96,8 +96,9 @@ func (c *clock) advance(t time.Duration) {
 }
 
 // segment is one write's worth of in-flight data. buf is the pooled buffer
-// backing data, returned to bufpool once the segment is fully consumed;
-// segments abandoned by a close simply fall to the garbage collector.
+// backing data, returned to bufpool once the segment is fully consumed (by
+// writeTo, once its Write returns); segments abandoned by a close simply
+// fall to the garbage collector.
 type segment struct {
 	data    []byte
 	readyAt time.Duration
@@ -175,28 +176,34 @@ func (b *buffer) write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (b *buffer) read(p []byte) (int, error) {
+// head is the one wait path of read and writeTo. It blocks until the head
+// segment may be consumed, advances the reader's clock to its stamp and
+// returns it with b.mu held. Every other exit returns an error with b.mu
+// released: io.EOF once the writer's FIN arrives (the reader's clock
+// advanced to its stamp), ErrDeadline, ErrReset after a reset, and ErrReset
+// in place of the injected cut segment.
+func (b *buffer) head() (*segment, error) {
 	b.mu.Lock()
 	for len(b.segs) == 0 {
 		if b.reset {
 			b.mu.Unlock()
-			return 0, ErrReset
+			return nil, ErrReset
 		}
 		if b.closed {
 			b.rclock.advance(b.closedAt)
 			b.mu.Unlock()
-			return 0, io.EOF
+			return nil, io.EOF
 		}
 		//doelint:allow walltaint -- deadlines guard against real hangs and are deliberately wall-clock
 		if !b.deadline.IsZero() && !time.Now().Before(b.deadline) {
 			b.mu.Unlock()
-			return 0, ErrDeadline
+			return nil, ErrDeadline
 		}
 		b.cond.Wait()
 	}
 	if b.reset {
 		b.mu.Unlock()
-		return 0, ErrReset
+		return nil, ErrReset
 	}
 	if b.cutAt > 0 && !b.headPartial && b.delivered >= b.cutAt-1 {
 		b.reset = true
@@ -206,17 +213,31 @@ func (b *buffer) read(p []byte) (int, error) {
 		if onReset != nil {
 			onReset()
 		}
-		return 0, ErrReset
+		return nil, ErrReset
 	}
 	seg := &b.segs[0]
 	b.rclock.advance(seg.readyAt)
+	return seg, nil
+}
+
+// pop removes the fully consumed head segment. Called with b.mu held; the
+// caller owns the segment's buffer from here on.
+func (b *buffer) pop() {
+	b.segs = b.segs[1:]
+	b.delivered++
+	b.headPartial = false
+}
+
+func (b *buffer) read(p []byte) (int, error) {
+	seg, err := b.head()
+	if err != nil {
+		return 0, err
+	}
 	n := copy(p, seg.data)
 	seg.data = seg.data[n:]
 	if len(seg.data) == 0 {
 		buf := seg.buf
-		b.segs = b.segs[1:]
-		b.delivered++
-		b.headPartial = false
+		b.pop()
 		// The reader copied everything out, so the backing buffer can be
 		// recycled for a future write.
 		bufpool.Put(buf)
@@ -225,6 +246,40 @@ func (b *buffer) read(p []byte) (int, error) {
 	}
 	b.mu.Unlock()
 	return n, nil
+}
+
+// writeTo hands each segment, or what a partial read left of the head one,
+// to w in one Write, outside b.mu. Segment boundaries thus survive the
+// hand-off: a segment of any size becomes exactly one write, and an empty
+// one none, as a read loop with a large enough buffer would make them.
+func (b *buffer) writeTo(w io.Writer) (int64, error) {
+	var total int64
+	for {
+		seg, err := b.head()
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+		data, buf := seg.data, seg.buf
+		b.pop()
+		b.mu.Unlock()
+		var n int
+		if len(data) > 0 {
+			n, err = w.Write(data)
+		}
+		// Writers may not retain data, so the buffer recycles once Write
+		// returns.
+		bufpool.Put(buf)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+		if n < len(data) {
+			return total, io.ErrShortWrite
+		}
+	}
 }
 
 // closeWrite marks the writer side closed. stamp, when nonzero, is the
@@ -313,6 +368,13 @@ func (c *Conn) Read(p []byte) (int, error) { return c.recv.read(p) }
 
 // Write implements net.Conn.
 func (c *Conn) Write(p []byte) (int, error) { return c.send.write(p) }
+
+// WriteTo implements io.WriterTo, so io.Copy from a Conn needs no copy
+// buffer. It drains the connection until EOF, handing each received
+// segment to w in one Write. It exits as Read does: nil at EOF, with this
+// endpoint's clock advanced to the FIN's stamp, and ErrDeadline or ErrReset
+// otherwise. A write error from w stops it and is returned.
+func (c *Conn) WriteTo(w io.Writer) (int64, error) { return c.recv.writeTo(w) }
 
 // Close implements net.Conn. It closes both directions: the send side
 // carries a FIN stamped from this endpoint's clock, so a peer waiting for

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,6 +164,140 @@ func TestWriteAfterCloseFails(t *testing.T) {
 	conn.Close()
 	if _, err := conn.Write([]byte("x")); err == nil {
 		t.Error("write after close succeeded")
+	}
+}
+
+// recordingWriter records the size of every Write and fails each one with
+// err when it is set.
+type recordingWriter struct {
+	sizes []int
+	err   error
+}
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	if w.err != nil {
+		return 0, w.err
+	}
+	return len(p), nil
+}
+
+// TestWriteToContract: WriteTo hands each segment, or what a partial Read
+// left of one, to the writer in one Write, and leaves the reader's clock
+// where a Read loop over the same data does, FIN stamp included.
+func TestWriteToContract(t *testing.T) {
+	const rtt = 20 * time.Millisecond
+	const finDelay = 50 * time.Millisecond
+	// send writes 40,000, 3 and 1 bytes over a jittered pair, charges the
+	// writer finDelay so that the FIN's stamp is the reader's last clock
+	// advance, closes, and reads 2 bytes at the other end.
+	send := func() *Conn {
+		c, s := Pair(Addr{IP: clientIP, Port: 40000}, Addr{IP: serverIP, Port: 53}, rtt, rand.New(rand.NewSource(7)), 0.1)
+		for _, n := range []int{40000, 3, 1} {
+			if _, err := c.Write(make([]byte, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.AddLatency(finDelay)
+		c.Close()
+		if n, err := s.Read(make([]byte, 2)); n != 2 || err != nil {
+			t.Fatalf("Read = (%d, %v), want (2, nil)", n, err)
+		}
+		return s
+	}
+
+	s := send()
+	var w recordingWriter
+	if n, err := s.WriteTo(&w); n != 40002 || err != nil {
+		t.Fatalf("WriteTo = (%d, %v), want (40002, nil)", n, err)
+	}
+	if want := []int{39998, 3, 1}; !slices.Equal(w.sizes, want) {
+		t.Errorf("writes = %v, want %v", w.sizes, want)
+	}
+
+	ref := send()
+	buf := make([]byte, 64*1024)
+	for {
+		if _, err := ref.Read(buf); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := s.Elapsed(), ref.Elapsed(); got != want {
+		t.Errorf("elapsed after WriteTo = %v, after a Read loop = %v", got, want)
+	}
+	if got, want := s.Elapsed(), finDelay+rtt/2; got != want {
+		t.Errorf("elapsed = %v, want the FIN stamp %v", got, want)
+	}
+}
+
+// TestWriteToExits: WriteTo delivers the segments that precede an
+// injected cut or a failing write, then returns the error Read would
+// return, or the writer's.
+func TestWriteToExits(t *testing.T) {
+	errSink := errors.New("sink full")
+	for _, tc := range []struct {
+		name  string
+		fault DialFault
+		segs  []string // the server writes each as one segment
+		// deadline, when nonzero, replaces the read deadline.
+		deadline time.Time
+		w        recordingWriter
+		want     []int
+		n        int64
+		err      error
+	}{
+		{
+			name:  "cut",
+			fault: DialFault{CutAfterSegments: 3},
+			segs:  []string{"ping", "pong", "pang"},
+			want:  []int{4, 4},
+			n:     8,
+			err:   ErrReset,
+		},
+		{
+			name:     "deadline",
+			deadline: time.Now().Add(-time.Second),
+			err:      ErrDeadline,
+		},
+		{
+			name: "writer error",
+			segs: []string{"abc", "de"},
+			w:    recordingWriter{err: errSink},
+			want: []int{3},
+			err:  errSink,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorld(t)
+			w.RegisterStream(serverIP, 80, func(conn *Conn) {
+				defer conn.Close()
+				for _, s := range tc.segs {
+					if _, err := conn.Write([]byte(s)); err != nil {
+						return
+					}
+				}
+				conn.Read(make([]byte, 1)) //nolint:errcheck // holds the conn open until the peer closes
+			})
+			w.SetFaults(&scriptedInjector{stream: tc.fault})
+			conn, err := w.Dial(clientIP, serverIP, 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(2 * time.Second))
+			if !tc.deadline.IsZero() {
+				conn.SetReadDeadline(tc.deadline)
+			}
+			n, err := conn.WriteTo(&tc.w)
+			if n != tc.n || !errors.Is(err, tc.err) {
+				t.Errorf("WriteTo = (%d, %v), want (%d, %v)", n, err, tc.n, tc.err)
+			}
+			if !slices.Equal(tc.w.sizes, tc.want) {
+				t.Errorf("writes = %v, want %v", tc.w.sizes, tc.want)
+			}
+		})
 	}
 }
 

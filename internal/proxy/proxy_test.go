@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -94,6 +95,92 @@ func TestLatencyComposesAcrossHops(t *testing.T) {
 	// and has a slower access network: round trips must cost more.
 	if viaID <= viaUS {
 		t.Errorf("via-ID latency %v not above via-US %v", viaID, viaUS)
+	}
+}
+
+// TestRelayForwardsWholeSegments: a 40,000-byte write crosses the super
+// proxy's and the exit node's relays as one segment each way, where a
+// 32 KiB copy buffer would split it into 32,768 + 7,232 bytes.
+func TestRelayForwardsWholeSegments(t *testing.T) {
+	w := newWorld()
+	got := make(chan int, 1)
+	w.RegisterStream(targetIP, 80, func(conn *netsim.Conn) {
+		defer conn.Close()
+		buf := make([]byte, 64*1024)
+		n, err := conn.Read(buf)
+		got <- n
+		if err == nil {
+			conn.Write(buf[:n]) //nolint:errcheck
+		}
+	})
+	n := newNetwork(w)
+	conn, err := n.Dial(measureIP, "us-1", targetIP, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const size = 40000
+	if _, err := conn.Write(make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-got; n != size {
+		t.Errorf("target's first read = %d bytes, want %d", n, size)
+	}
+	if n, err := conn.Read(make([]byte, 64*1024)); n != size || err != nil {
+		t.Errorf("client's first read = (%d, %v), want (%d, nil)", n, err, size)
+	}
+}
+
+// TestTunnelAllocatesNoCopyBuffer: a tunnel's life allocates no relay copy
+// buffer. Three 32 KiB buffers (one per relay, one in the echo target's
+// io.Copy) would cost 96 KiB per tunnel; the bound leaves room for the
+// tunnel's conns, handshakes and goroutines.
+func TestTunnelAllocatesNoCopyBuffer(t *testing.T) {
+	const tunnels, bound = 200, 16 << 10
+	w := newWorld()
+	echoTarget(w, 80)
+	n := newNetwork(w)
+	n.PerDialCost = 0
+	idle := runtime.NumGoroutine()
+	// settle waits for the last tunnel's relays and handlers to exit, so
+	// that each side of the measurement sees whole tunnels only.
+	settle := func() uint64 {
+		if got := waitGoroutines(idle, 2*time.Second); got > idle {
+			t.Fatalf("%d goroutines after closing tunnels, want %d", got, idle)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	for range 20 {
+		echoOnce(t, n)
+	}
+	before := settle()
+	for range tunnels {
+		echoOnce(t, n)
+	}
+	per := (settle() - before) / tunnels
+	t.Logf("%d B allocated per tunnel", per)
+	if per > bound {
+		t.Errorf("%d B allocated per tunnel, want at most %d", per, bound)
+	}
+}
+
+// echoOnce opens a tunnel through the super proxy and exit node us-1 to
+// the echo target on port 80, echoes one 64-byte message, and closes it.
+func echoOnce(tb testing.TB, n *Network) {
+	tb.Helper()
+	conn, err := n.Dial(measureIP, "us-1", targetIP, 80)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer conn.Close()
+	var msg [64]byte
+	if _, err := conn.Write(msg[:]); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, msg[:]); err != nil {
+		tb.Fatal(err)
 	}
 }
 

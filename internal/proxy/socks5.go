@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"time"
 
 	"dnsencryption.info/doe/internal/netsim"
 )
@@ -350,42 +351,38 @@ func contains(b []byte, v byte) bool {
 	return false
 }
 
-// Relay copies bytes between the client-facing conn and the downstream
-// conn in both directions, propagating the downstream leg's virtual time
-// onto the client's connection so end-to-end latency composes across hops.
+// Relay forwards segments between the client-facing conn and the downstream
+// conn in both directions, each segment whole in one write, propagating the
+// downstream leg's virtual time onto the client's connection so end-to-end
+// latency composes across hops. It returns once both directions are done.
 func Relay(client, downstream *netsim.Conn) {
-	done := make(chan struct{}, 2)
-	// Snapshot the downstream clock before either copier starts: once the
-	// client→downstream goroutine runs, request bytes advance the
-	// downstream clock, and a late snapshot would drop that leg from the
-	// composed latency.
-	last := downstream.Elapsed()
+	// Snapshot the downstream clock before the client→downstream leg
+	// starts: request bytes advance the downstream clock, and a late
+	// snapshot would drop that leg from the composed latency.
+	back := &chargingWriter{client: client, downstream: downstream, last: downstream.Elapsed()}
+	done := make(chan struct{})
 	go func() {
-		io.Copy(downstream, client) //nolint:errcheck
+		client.WriteTo(downstream) //nolint:errcheck
 		downstream.Close()
-		done <- struct{}{}
+		close(done)
 	}()
-	go func() {
-		buf := make([]byte, 32*1024)
-		for {
-			n, err := downstream.Read(buf)
-			if n > 0 {
-				now := downstream.Elapsed()
-				if now > last {
-					client.AddLatency(now - last)
-					last = now
-				}
-				if _, werr := client.Write(buf[:n]); werr != nil {
-					break
-				}
-			}
-			if err != nil {
-				break
-			}
-		}
-		client.Close()
-		done <- struct{}{}
-	}()
+	downstream.WriteTo(back) //nolint:errcheck
+	client.Close()
 	<-done
-	<-done
+}
+
+// chargingWriter is Relay's downstream→client leg: before writing each
+// segment on to the client, it charges the client the downstream clock's
+// advance since the previous segment.
+type chargingWriter struct {
+	client, downstream *netsim.Conn
+	last               time.Duration
+}
+
+func (w *chargingWriter) Write(p []byte) (int, error) {
+	if now := w.downstream.Elapsed(); now > w.last {
+		w.client.AddLatency(now - w.last)
+		w.last = now
+	}
+	return w.client.Write(p)
 }

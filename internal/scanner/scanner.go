@@ -333,7 +333,7 @@ type sweepTask struct {
 // sweepTasks materializes the permuted target list, recording opt-out skips
 // into res.
 func (s *Scanner) sweepTasks(perm *Permutation, res *Result) []sweepTask {
-	var tasks []sweepTask
+	tasks := make([]sweepTask, 0, s.Space.Size)
 	for {
 		idx, ok := perm.Next()
 		if !ok {

@@ -19,9 +19,10 @@ RACE_PKGS := ./internal/...
 
 # Fuzz targets, as package:target pairs; fuzz-smoke runs each briefly. The
 # dnswire targets are hardened against panics, so a codec regression that
-# panics on malformed wire input fails the gate; doh's feeds hostile server
-# bytes to the client's h2 reader, whole and in short reads; netsim's checks
-# that the lazily seeded per-flow source draws exactly what math/rand would.
+# panics on malformed wire input fails the gate; doh's feed hostile server
+# bytes to the client's HTTP/1.1 and h2 readers, whole and in short reads;
+# netsim's checks that the lazily seeded per-flow source draws exactly what
+# math/rand would.
 FUZZ_TARGETS := \
 	./internal/dnswire:FuzzParseMessage \
 	./internal/dnswire:FuzzParseName \
@@ -29,6 +30,7 @@ FUZZ_TARGETS := \
 	./internal/dnswire:FuzzAppendTCP \
 	./internal/dnswire:FuzzDoQFrame \
 	./internal/dnswire:FuzzQUICVarint \
+	./internal/doh:FuzzH1ReadReply \
 	./internal/doh:FuzzH2ReadReply \
 	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s

@@ -83,12 +83,7 @@ func main() {
 	}
 	fmt.Printf("DoH      one-shot query (incl. connection setup): %v\n", one.Latency)
 
-	dohConn, err := dohClient.Dial(tmpl, resolver)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dohConn.Close()
-	jr, err := dohConn.QueryJSON("json.example.test", dnswire.TypeA)
+	jr, err := dohClient.QueryJSON(context.Background(), tmpl, "json.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}

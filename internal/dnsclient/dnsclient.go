@@ -5,8 +5,8 @@
 //
 // It is also the one stream-session engine of the encrypted transports:
 // TCPConn carries DoT's length-prefixed queries over TLS as it carries
-// clear-text TCP's, and Mux multiplexes DoH's HTTP/2 streams through the
-// same Framing seam that pipelines TCP and DoT.
+// clear-text TCP's, and DoH's HTTP/1.1 requests and HTTP/2 streams through
+// the same Framing seam; Mux pipelines or multiplexes any of them.
 package dnsclient
 
 import (
@@ -25,8 +25,9 @@ import (
 
 // Errors surfaced to measurement code.
 var (
-	ErrIDMismatch = errors.New("dnsclient: response ID does not match query")
-	ErrClosed     = errors.New("dnsclient: connection closed")
+	ErrIDMismatch  = errors.New("dnsclient: response ID does not match query")
+	ErrClosed      = errors.New("dnsclient: connection closed")
+	ErrSerialBatch = errors.New("dnsclient: batch needs a pipelined session")
 )
 
 // Result is one completed DNS transaction.
@@ -128,24 +129,31 @@ func (c *Client) QueryTCPContext(ctx context.Context, server netip.Addr, name st
 	return conn.QueryContext(ctx, name, qtype)
 }
 
-// TCPConn is a reusable DNS session over one stream carrying RFC 7766
-// length-prefixed messages: clear-text TCP, or the TLS stream of a DoT
-// session. By default it is serial — safe for sequential use, one query in
-// flight at a time. Pipeline upgrades it to a pipelined session whose
-// QueryContext is safe for concurrent use up to the chosen in-flight limit.
+// TCPConn is a reusable DNS session over one stream, in any Framing: RFC
+// 7766 length prefixes over clear-text TCP or a DoT session's TLS, or DoH's
+// HTTP/1.1 and HTTP/2 over TLS (package doh). By default it is serial —
+// safe for sequential use, one query in flight at a time. Pipeline upgrades
+// it to a pipelined session whose QueryContext is safe for concurrent use up
+// to the chosen in-flight limit.
 type TCPConn struct {
 	mu   sync.Mutex
 	mux  *Mux
 	conn *netsim.Conn
 	cost time.Duration
-	f    dnsFraming
+	// rw is the stream: queries are written to it and Close closes it. f
+	// reads the replies, from rw itself or from its own reader over it; dns
+	// holds f for the RFC 7766 framing, so a DNS session needs no second
+	// allocation.
+	rw  io.ReadWriteCloser
+	f   Framing
+	dns dnsFraming
 	// buf is the connection's pooled scratch, guarded by mu like the
 	// connection itself and returned on Close. A serial exchange frames its
 	// query into it and reads the reply into it: the stream has copied the
 	// query by the time Write returns.
 	buf *[]byte
 	// established is the virtual time consumed before the first query
-	// (TCP handshake, and TLS's for DoT).
+	// (TCP handshake, and TLS's for DoT and DoH).
 	established time.Duration
 	closed      bool
 }
@@ -177,32 +185,40 @@ func TCPFromConn(conn *netsim.Conn) *TCPConn {
 
 // NewTCPConn wraps rw, a stream carrying RFC 7766 length-prefixed DNS
 // messages (conn itself for clear-text TCP, a tls.Conn over it for DoT), as
-// a session. conn is the netsim connection beneath rw, whose virtual clock
-// the session reads and charges: each query costs cost before its bytes go
-// out, and padBlock > 0 pads each query to that EDNS(0) block size
-// (RFC 8467). Close closes rw, then conn.
+// a session; padBlock > 0 pads each query to that EDNS(0) block size
+// (RFC 8467). See NewFramedConn for conn and cost.
 func NewTCPConn(rw io.ReadWriteCloser, conn *netsim.Conn, cost time.Duration, padBlock int) *TCPConn {
-	return &TCPConn{
-		conn:        conn,
-		cost:        cost,
-		f:           dnsFraming{stream: rw, ids: dnswire.NewIDGen(), pad: padBlock},
-		buf:         bufpool.Get(512), //doelint:transfer -- owned by TCPConn; released in Close
-		established: conn.Elapsed(),
-	}
+	t := &TCPConn{dns: dnsFraming{stream: rw, ids: dnswire.NewIDGen(), pad: padBlock}}
+	return t.start(&t.dns, rw, conn, cost)
+}
+
+// NewFramedConn runs a session in framing f over rw, the established
+// stream its queries are written to. conn is the netsim connection beneath
+// rw, whose virtual clock the session reads and charges: each query costs
+// cost before its bytes go out, and the clock at construction is the
+// session's SetupLatency. Close closes rw, then conn.
+func NewFramedConn(f Framing, rw io.ReadWriteCloser, conn *netsim.Conn, cost time.Duration) *TCPConn {
+	return new(TCPConn).start(f, rw, conn, cost)
+}
+
+func (t *TCPConn) start(f Framing, rw io.ReadWriteCloser, conn *netsim.Conn, cost time.Duration) *TCPConn {
+	t.f, t.rw, t.conn, t.cost = f, rw, conn, cost
+	t.buf = bufpool.Get(512) //doelint:transfer -- owned by TCPConn; released in Close
+	t.established = conn.Elapsed()
+	return t
 }
 
 // Pipeline upgrades the connection to a pipelined session with the given
 // in-flight limit (limit <= 0 selects DefaultMaxInFlight) and returns its
-// Mux, which carries the session's per-query cost and padding. After
+// Mux, which carries the session's framing and per-query cost. After
 // Pipeline, QueryContext routes through the mux and is safe for concurrent
-// use; callers wanting coalesced deterministic bursts use the Mux's Batch
-// directly. Pipeline is idempotent — later calls return the existing mux
-// regardless of limit.
+// use, and Batch sends coalesced deterministic bursts. Pipeline is
+// idempotent — later calls return the existing mux regardless of limit.
 func (t *TCPConn) Pipeline(limit int) *Mux {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.mux == nil && !t.closed {
-		t.mux = NewMux(&t.f, t.f.stream, t.conn, t.cost, limit)
+		t.mux = newMux(t.f, t.rw, t.conn, t.cost, limit)
 	}
 	return t.mux
 }
@@ -222,7 +238,8 @@ func (t *TCPConn) Query(name string, qtype dnswire.Type) (*Result, error) {
 // QueryContext sends one query on the (possibly reused) connection,
 // checking ctx before the transaction starts. Steady-state transactions
 // reuse the connection's scratch buffer: frame into it, one write, read into
-// it, parse.
+// it, parse. A reply the framing fails alone (Reply.Err) fails this query
+// and leaves the session usable.
 //
 //doelint:hotpath
 func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*Result, error) {
@@ -246,7 +263,7 @@ func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	}
 	*t.buf = wb
 	t.conn.AddLatency(t.cost)
-	if _, err := t.f.stream.Write(wb); err != nil {
+	if _, err := t.rw.Write(wb); err != nil {
 		return nil, err
 	}
 	r, rb, err := t.f.ReadReply(wb, nil)
@@ -254,10 +271,26 @@ func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	if err != nil {
 		return nil, err
 	}
+	if r.Err != nil {
+		return nil, r.Err
+	}
 	if r.Tag != id {
 		return nil, ErrIDMismatch
 	}
 	return &Result{Msg: r.Msg, Latency: t.conn.Elapsed() - start}, nil
+}
+
+// Batch issues names as one coalesced burst on a pipelined session; see
+// Mux.Batch. A serial session has no burst to coalesce into: Batch fails
+// with ErrSerialBatch until Pipeline has run.
+func (t *TCPConn) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []Result) ([]Result, error) {
+	t.mu.Lock()
+	m := t.mux
+	t.mu.Unlock()
+	if m == nil {
+		return out, ErrSerialBatch
+	}
+	return m.Batch(ctx, names, qtype, out)
 }
 
 // Close releases the connection.
@@ -273,7 +306,7 @@ func (t *TCPConn) Close() error {
 	}
 	bufpool.Put(t.buf)
 	t.buf = nil
-	t.f.stream.Close()
+	t.rw.Close()
 	return t.conn.Close()
 }
 
@@ -281,7 +314,7 @@ func (t *TCPConn) Close() error {
 // carries a 2-byte length prefix and is tagged by its DNS transaction ID,
 // drawn from the session's own IDGen.
 type dnsFraming struct {
-	stream io.ReadWriteCloser
+	stream io.Reader
 	ids    dnswire.IDGen
 	pad    int // EDNS(0) padding block; 0 sends queries unpadded
 }

@@ -59,42 +59,42 @@ var engines = []engine{
 		if err != nil {
 			return nil, err
 		}
-		return streamSession(conn, conn.Pipeline(limit)), nil
+		conn.Pipeline(limit)
+		return streamSession(conn), nil
 	}},
 	{name: "dot", port: dot.Port, tls: true, dial: func(f *fixture, limit int) (*session, error) {
 		conn, err := dot.NewClient(f.w, engineClientIP, certs.Pool(f.ca), dot.Strict).DialContext(context.Background(), engineServerIP)
 		if err != nil {
 			return nil, err
 		}
-		return streamSession(conn.TCPConn, conn.Pipeline(limit)), nil
+		conn.Pipeline(limit)
+		return streamSession(conn), nil
 	}},
 	{name: "doh", port: doh.Port, tls: true, h2: true, dial: func(f *fixture, limit int) (*session, error) {
 		c := doh.NewClient(f.w, engineClientIP, certs.Pool(f.ca))
-		c.Mux = true
 		c.MaxInFlight = limit
 		conn, err := c.DialContext(context.Background(), doh.Template{Host: engineHost, Path: doh.DefaultPath}, engineServerIP)
 		if err != nil {
 			return nil, err
 		}
-		return &session{
-			query: func(ctx context.Context, name string) (*dnsclient.Result, error) {
-				return conn.QueryContext(ctx, name, dnswire.TypeA)
-			},
-			batch: func(ctx context.Context, names []string) ([]dnsclient.Result, error) {
-				return conn.BatchContext(ctx, names, dnswire.TypeA, nil)
-			},
-			close: conn.Close,
-		}, nil
+		return streamSession(conn), nil
 	}},
 }
 
-func streamSession(conn *dnsclient.TCPConn, m *dnsclient.Mux) *session {
+// streamConn is what every framing's pipelined session provides.
+type streamConn interface {
+	QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error)
+	Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error)
+	Close() error
+}
+
+func streamSession(conn streamConn) *session {
 	return &session{
 		query: func(ctx context.Context, name string) (*dnsclient.Result, error) {
 			return conn.QueryContext(ctx, name, dnswire.TypeA)
 		},
 		batch: func(ctx context.Context, names []string) ([]dnsclient.Result, error) {
-			return m.Batch(ctx, names, dnswire.TypeA, nil)
+			return conn.Batch(ctx, names, dnswire.TypeA, nil)
 		},
 		close: conn.Close,
 	}

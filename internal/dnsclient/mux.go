@@ -18,10 +18,12 @@ import (
 // draw) while covering every batch size the study issues.
 const DefaultMaxInFlight = 64
 
-// Framing is how one wire format carries a Mux's queries and replies on a
-// stream. Two implement it: RFC 7766 length prefixes tagged by DNS
-// transaction ID, for DNS over TCP and DoT (TCPConn.Pipeline), and HTTP/2
-// HEADERS/DATA tagged by odd stream ID, for DoH (package doh).
+// Framing is how one wire format carries a session's queries and replies
+// on a stream. Three implement it: RFC 7766 length prefixes tagged by DNS
+// transaction ID, for DNS over TCP and DoT; HTTP/1.1 requests, every one
+// tagged 0, for serial DoH; and HTTP/2 HEADERS/DATA tagged by odd stream
+// ID, for multiplexed DoH (package doh). TCPConn runs any of them serially,
+// and its Mux runs any whose tags tell replies apart.
 type Framing interface {
 	// NextTag draws the tag of the next query. The Mux calls it under its
 	// write lock and redraws a tag that is still in flight.
@@ -33,7 +35,9 @@ type Framing interface {
 	// capacity, and returns buf — grown if need be — for the next read.
 	// Its error ends the session; a failure of one query rides in
 	// Reply.Err instead. awaited reports whether a tag is still in flight,
-	// so a framing that reassembles replies keeps state for those alone.
+	// so a framing that reassembles replies keeps state for those alone;
+	// TCPConn's serial exchange, with one query in flight, passes nil, so
+	// a framing that consults it runs only under a Mux.
 	ReadReply(buf []byte, awaited func(tag uint32) bool) (Reply, []byte, error)
 }
 
@@ -104,12 +108,12 @@ type muxDelivery struct {
 	err error
 }
 
-// NewMux runs the engine over an established stream. f frames queries and
+// newMux runs the engine over an established stream. f frames queries and
 // reads replies; w carries the framed queries (the netsim.Conn itself for
 // clear-text TCP, the tls.Conn for DoT and DoH); clock is the connection
 // whose virtual clock the session reads and charges, cost per query before
 // its bytes go out. limit <= 0 selects DefaultMaxInFlight.
-func NewMux(f Framing, w io.Writer, clock *netsim.Conn, cost time.Duration, limit int) *Mux {
+func newMux(f Framing, w io.Writer, clock *netsim.Conn, cost time.Duration, limit int) *Mux {
 	if limit <= 0 {
 		limit = DefaultMaxInFlight
 	}

@@ -48,7 +48,12 @@ var (
 	ErrHTTPStatus = errors.New("doh: non-200 HTTP status")
 
 	errMalformedResponse = errors.New("doh: malformed HTTP response")
+	errBodyTooLarge      = fmt.Errorf("doh: response body over %d octets", maxBody)
 )
+
+// maxBody bounds a reply body in both framings: 65,535 octets, the largest
+// DNS message. A server cannot make the client buffer more.
+const maxBody = 65535
 
 // Template is a parsed DoH URI template, e.g.
 // "https://dns.example.com/dns-query{?dns}".
@@ -102,13 +107,10 @@ type Client struct {
 	// Override maps hostnames directly to addresses (measurement configs
 	// pin resolver IPs).
 	Override map[string]netip.Addr
-	// Mux selects the multiplexed HTTP/2 path: sessions dialed with it set
-	// offer ALPN "h2" and their QueryContext is safe for concurrent use up
-	// to MaxInFlight streams. Unset, sessions speak serial HTTP/1.1
-	// keep-alive exactly as before.
-	Mux bool
-	// MaxInFlight bounds concurrent streams per multiplexed session;
-	// 0 selects dnsclient.DefaultMaxInFlight. Ignored unless Mux is set.
+	// MaxInFlight, when positive, makes dialed sessions multiplexed: they
+	// offer ALPN "h2" and carry up to MaxInFlight concurrent HTTP/2
+	// streams. Zero — the default — dials serial HTTP/1.1 keep-alive
+	// sessions.
 	MaxInFlight int
 }
 
@@ -147,24 +149,19 @@ func (c *Client) ResolveContext(ctx context.Context, host string) (netip.Addr, e
 	return addr, nil
 }
 
-// Conn is a reusable DoH session: one TLS connection speaking either serial
-// HTTP/1.1 keep-alive (the default) or, when dialed by a Client with Mux
-// set, multiplexed HTTP/2 — many concurrent streams whose QueryContext is
-// safe for concurrent use.
+// Conn is a reusable DoH session: a TLS handshake — plus the HTTP/2 preface
+// and SETTINGS exchange when the client sets MaxInFlight — over a
+// dnsclient.TCPConn, which carries the queries with the client's per-query
+// CryptoCost. Without MaxInFlight the session is serial HTTP/1.1 (the h1
+// framing); with it, the session is pipelined at dial over HTTP/2 (the h2
+// framing), so QueryContext is safe for concurrent use up to MaxInFlight
+// streams and Batch sends coalesced bursts.
 type Conn struct {
-	mu       sync.Mutex
-	mux      *dnsclient.Mux // non-nil when the session negotiated HTTP/2
-	raw      *netsim.Conn
-	tls      *tls.Conn
-	br       *bufio.Reader
-	client   *Client
-	template Template
-	setup    time.Duration
-	closed   bool
-	// pbuf/wbuf/rbuf are the session's pooled scratch buffers — packed DNS
-	// message, rendered HTTP request, and response body — guarded by mu
-	// like the connection itself and returned on Close.
-	pbuf, wbuf, rbuf *[]byte
+	*dnsclient.TCPConn
+	// scratch is the framing's pooled scratch, returned by the first Close,
+	// after which the session frames no query.
+	scratch *binding
+	release sync.Once
 }
 
 // Dial establishes a DoH session for the template, connecting to addr
@@ -188,8 +185,38 @@ func (c *Client) DialContext(ctx context.Context, t Template, addr netip.Addr) (
 
 // DialConnContext establishes a DoH session over an already connected
 // stream (e.g. a SOCKS tunnel through a proxy network vantage point),
-// bounded by the context deadline if one is set.
+// bounded by the context deadline if one is set. The session is built
+// after the TLS handshake and any HTTP/2 setup, so its SetupLatency covers
+// both.
 func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Conn) (*Conn, error) {
+	h2 := c.MaxInFlight > 0
+	tc, err := c.handshake(ctx, t, raw, h2)
+	if err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(tc)
+	if h2 {
+		if err := startH2(tc, br); err != nil {
+			tc.Close()
+			raw.Close()
+			return nil, err
+		}
+	}
+	b := binding{method: c.Method, template: t, pbuf: bufpool.Get(512)} //doelint:transfer -- owned by the session; released in Conn.Close
+	if !h2 {
+		f := &h1Framing{binding: b, br: br}
+		return &Conn{TCPConn: dnsclient.NewFramedConn(f, tc, raw, c.CryptoCost), scratch: &f.binding}, nil
+	}
+	b.qbuf = bufpool.Get(512) //doelint:transfer -- owned by the session; released in Conn.Close
+	f := &h2Framing{binding: b, next: 1, br: br, limit: c.MaxInFlight, streams: make(map[uint32]*h2Stream)}
+	conn := &Conn{TCPConn: dnsclient.NewFramedConn(f, tc, raw, c.CryptoCost), scratch: &f.binding}
+	conn.Pipeline(c.MaxInFlight)
+	return conn, nil
+}
+
+// handshake authenticates the template host over raw, bounded by ctx, and
+// offers ALPN "h2" when h2 is set. On failure it closes raw.
+func (c *Client) handshake(ctx context.Context, t Template, raw *netsim.Conn, h2 bool) (*tls.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("doh: dial: %w", err)
@@ -217,7 +244,7 @@ func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Co
 			return nil
 		},
 	}
-	if c.Mux {
+	if h2 {
 		cfg.NextProtos = []string{"h2"}
 	}
 	tc := tls.Client(raw, cfg)
@@ -225,129 +252,133 @@ func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Co
 		raw.Close()
 		return nil, fmt.Errorf("%w: %w", ErrAuthFailed, err)
 	}
-	conn := &Conn{
-		raw:      raw,
-		tls:      tc,
-		br:       bufio.NewReader(tc),
-		client:   c,
-		template: t,
-		setup:    raw.Elapsed(),
-		pbuf:     bufpool.Get(512),  //doelint:transfer -- owned by Conn; released in Close
-		wbuf:     bufpool.Get(2048), //doelint:transfer -- owned by Conn; released in Close
-		rbuf:     bufpool.Get(512),  //doelint:transfer -- owned by Conn; released in Close
-	}
-	if c.Mux {
-		if err := conn.startH2(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		// The preface/SETTINGS round trip is connection establishment.
-		conn.setup = raw.Elapsed()
-	}
-	return conn, nil
+	return tc, nil
 }
 
-// SetupLatency is the virtual time spent on TCP + TLS establishment.
-func (conn *Conn) SetupLatency() time.Duration { return conn.setup }
-
-// Elapsed is the total virtual time consumed so far.
-func (conn *Conn) Elapsed() time.Duration { return conn.raw.Elapsed() }
-
-// Query performs one wire-format DoH transaction on the session.
-func (conn *Conn) Query(name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	return conn.QueryContext(context.Background(), name, qtype)
+// Close ends the session and returns the framing's pooled scratch: once,
+// however often Close is called.
+func (conn *Conn) Close() error {
+	err := conn.TCPConn.Close()
+	conn.release.Do(conn.scratch.release)
+	return err
 }
 
-// QueryContext performs one wire-format DoH transaction on the session,
-// checking ctx before the transaction starts.
-//
-// The HTTP/1.1 exchange is hand-rolled: the request is rendered into a
-// reused scratch buffer and sent in one Write (the same single TLS record
-// net/http's buffered request writer produced, so virtual-clock accounting
-// is unchanged), and the response head is parsed in place from the session's
-// bufio.Reader. net/http's per-request Request/Response/textproto machinery
-// is what dominated this path's allocation profile.
+// binding is the client half of RFC 8484's wire-format binding, shared by
+// both framings: the method and template every request carries, and the
+// pooled scratch a query is packed into (pbuf) and, for an HTTP/2 GET, its
+// :path rendered into (qbuf; nil on HTTP/1.1, whose request line takes the
+// path directly). Only the session's write side touches it.
+type binding struct {
+	method     Method
+	template   Template
+	pbuf, qbuf *[]byte
+}
+
+// pack packs the query for (name, qtype) into pbuf. RFC 8484 recommends
+// ID 0 for cache friendliness.
 //
 //doelint:hotpath
-func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	conn.mu.Lock()
-	if m := conn.mux; m != nil {
-		conn.mu.Unlock()
-		return m.Exchange(ctx, name, qtype)
-	}
-	defer conn.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("doh: query: %w", err)
-	}
-	if conn.closed {
-		return nil, dnsclient.ErrClosed
-	}
-	// RFC 8484 recommends ID 0 for cache friendliness.
-	q := dnswire.NewQuery(0, name, qtype)
-	packed, err := q.AppendPack((*conn.pbuf)[:0])
+func (b *binding) pack(name string, qtype dnswire.Type) ([]byte, error) {
+	packed, err := dnswire.NewQuery(0, name, qtype).AppendPack((*b.pbuf)[:0])
 	if err != nil {
 		return nil, err
 	}
-	*conn.pbuf = packed
-	wb := conn.appendRequest((*conn.wbuf)[:0], packed)
-	*conn.wbuf = wb
-	start := conn.raw.Elapsed()
-	conn.raw.AddLatency(conn.client.CryptoCost)
-	if _, err := conn.tls.Write(wb); err != nil {
-		return nil, err
-	}
-	status, body, err := conn.readResponse()
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("%w: %d", ErrHTTPStatus, status)
-	}
-	m, err := dnswire.Unpack(body)
-	if err != nil {
-		return nil, err
-	}
-	return &dnsclient.Result{Msg: m, Latency: conn.raw.Elapsed() - start}, nil
+	*b.pbuf = packed
+	return packed, nil
 }
 
-// appendRequest renders the RFC 8484 request for packed into buf and
-// returns the extended slice. The emitted request line and headers carry
-// exactly what the server binding needs (Host, Accept, and the POST body
-// headers); incidental net/http headers like User-Agent are omitted.
-func (conn *Conn) appendRequest(buf, packed []byte) []byte {
-	if conn.client.Method == POST {
-		buf = append(buf, "POST "...)
-		buf = append(buf, conn.template.Path...)
-		buf = append(buf, " HTTP/1.1\r\nHost: "...)
-		buf = append(buf, conn.template.Host...)
-		buf = append(buf, "\r\nContent-Type: "...)
-		buf = append(buf, ContentType...)
-		buf = append(buf, "\r\nAccept: "...)
-		buf = append(buf, ContentType...)
-		buf = append(buf, "\r\nContent-Length: "...)
-		buf = strconv.AppendInt(buf, int64(len(packed)), 10)
-		buf = append(buf, "\r\n\r\n"...)
-		return append(buf, packed...)
-	}
-	buf = append(buf, "GET "...)
-	buf = append(buf, conn.template.Path...)
-	buf = append(buf, "?dns="...)
+// release returns the pooled scratch.
+func (b *binding) release() {
+	bufpool.Put(b.pbuf)
+	bufpool.Put(b.qbuf)
+	b.pbuf, b.qbuf = nil, nil
+}
+
+// appendDNSPath appends a GET request's target, path?dns= followed by the
+// unpadded base64url encoding of packed, to dst.
+func appendDNSPath(dst []byte, path string, packed []byte) []byte {
+	dst = append(dst, path...)
+	dst = append(dst, "?dns="...)
 	n := base64.RawURLEncoding.EncodedLen(len(packed))
-	off := len(buf)
-	buf = bufpool.Grow(buf, n)
-	base64.RawURLEncoding.Encode(buf[off:], packed)
-	buf = append(buf, " HTTP/1.1\r\nHost: "...)
-	buf = append(buf, conn.template.Host...)
-	buf = append(buf, "\r\nAccept: "...)
-	buf = append(buf, ContentType...)
-	return append(buf, "\r\n\r\n"...)
+	off := len(dst)
+	dst = bufpool.Grow(dst, n)
+	base64.RawURLEncoding.Encode(dst[off:], packed)
+	return dst
+}
+
+// h1Framing is the dnsclient.Framing of a serial DoH session: each query is
+// one HTTP/1.1 request on the keep-alive connection, and responses come
+// back in request order, so every tag is 0 (the ID RFC 8484 has the DNS
+// message carry). Requests and responses are hand-rolled: the request is
+// rendered into the session's scratch and sent in one Write (the same
+// single TLS record net/http's buffered request writer produced, so
+// virtual-clock accounting is unchanged), and the response head is parsed
+// in place from br. net/http's per-request Request/Response/textproto
+// machinery is what dominated this path's allocation profile.
+type h1Framing struct {
+	binding
+	br *bufio.Reader
+}
+
+func (f *h1Framing) NextTag() uint32 { return 0 }
+
+// AppendQuery renders the RFC 8484 request for (name, qtype) onto wb. The
+// request line and headers carry exactly what the server binding needs
+// (Host, Accept, and the POST body headers); incidental net/http headers
+// like User-Agent are omitted.
+//
+//doelint:hotpath
+func (f *h1Framing) AppendQuery(wb []byte, _ uint32, name string, qtype dnswire.Type) ([]byte, error) {
+	packed, err := f.pack(name, qtype)
+	if err != nil {
+		return wb, err
+	}
+	if f.method == POST {
+		wb = append(wb, "POST "...)
+		wb = append(wb, f.template.Path...)
+		wb = append(wb, " HTTP/1.1\r\nHost: "...)
+		wb = append(wb, f.template.Host...)
+		wb = append(wb, "\r\nContent-Type: "...)
+		wb = append(wb, ContentType...)
+		wb = append(wb, "\r\nAccept: "...)
+		wb = append(wb, ContentType...)
+		wb = append(wb, "\r\nContent-Length: "...)
+		wb = strconv.AppendInt(wb, int64(len(packed)), 10)
+		wb = append(wb, "\r\n\r\n"...)
+		return append(wb, packed...), nil
+	}
+	wb = append(wb, "GET "...)
+	wb = appendDNSPath(wb, f.template.Path, packed)
+	wb = append(wb, " HTTP/1.1\r\nHost: "...)
+	wb = append(wb, f.template.Host...)
+	wb = append(wb, "\r\nAccept: "...)
+	wb = append(wb, ContentType...)
+	return append(wb, "\r\n\r\n"...), nil
+}
+
+// ReadReply reads one response, its body into buf. A non-200 status or a
+// body that is not a DNS message fails that query alone: the body has been
+// read either way, so the keep-alive stream stays in sync. A malformed
+// response, or a body over maxBody, is fatal.
+//
+//doelint:hotpath
+func (f *h1Framing) ReadReply(buf []byte, _ func(uint32) bool) (dnsclient.Reply, []byte, error) {
+	status, body, err := f.readResponse(buf[:0])
+	if err != nil {
+		return dnsclient.Reply{}, body, err
+	}
+	if status != http.StatusOK {
+		return dnsclient.Reply{Err: fmt.Errorf("%w: %d", ErrHTTPStatus, status)}, body, nil
+	}
+	m, err := dnswire.Unpack(body)
+	return dnsclient.Reply{Msg: m, Err: err}, body, nil
 }
 
 // readLine reads one CRLF-terminated line from the response, returning it
 // without the terminator. The slice aliases the bufio buffer and is only
 // valid until the next read.
-func (conn *Conn) readLine() ([]byte, error) {
-	line, err := conn.br.ReadSlice('\n')
+func (f *h1Framing) readLine() ([]byte, error) {
+	line, err := f.br.ReadSlice('\n')
 	if err != nil {
 		return nil, err
 	}
@@ -358,97 +389,105 @@ func (conn *Conn) readLine() ([]byte, error) {
 	return line, nil
 }
 
-// readResponse parses one HTTP/1.1 response from the session, handling the
-// body framings net/http servers emit: Content-Length, chunked, and
-// close-delimited. Like the http.ReadResponse path it replaces, the body is
-// always drained — even for non-200 statuses — so the keep-alive stream
-// stays in sync. The returned body aliases the session's read scratch.
-func (conn *Conn) readResponse() (int, []byte, error) {
-	line, err := conn.readLine()
+// readResponse parses one HTTP/1.1 response, appending its body to body.
+// It handles the body framings net/http servers emit: Content-Length,
+// chunked, and close-delimited; the body is read whatever the status. A
+// Content-Length or chunk that would take the body past maxBody is refused
+// before the buffer grows, and a close-delimited body is read at most one
+// octet past it.
+func (f *h1Framing) readResponse(body []byte) (int, []byte, error) {
+	line, err := f.readLine()
 	if err != nil {
-		return 0, nil, err
+		return 0, body, err
 	}
 	status, err := parseStatusLine(line)
 	if err != nil {
-		return 0, nil, err
+		return 0, body, err
 	}
 	contentLen := -1
 	chunked := false
 	for {
-		line, err := conn.readLine()
+		line, err := f.readLine()
 		if err != nil {
-			return 0, nil, err
+			return 0, body, err
 		}
 		if len(line) == 0 {
 			break
 		}
 		colon := bytes.IndexByte(line, ':')
 		if colon < 0 {
-			return 0, nil, errMalformedResponse
+			return 0, body, errMalformedResponse
 		}
 		key, val := line[:colon], trimSpace(line[colon+1:])
 		switch {
 		case headerIs(key, "content-length"):
 			n, err := strconv.Atoi(string(val))
 			if err != nil || n < 0 {
-				return 0, nil, errMalformedResponse
+				return 0, body, errMalformedResponse
+			}
+			if n > maxBody {
+				return 0, body, errBodyTooLarge
 			}
 			contentLen = n
 		case headerIs(key, "transfer-encoding"):
 			chunked = headerIs(val, "chunked")
 		}
 	}
-	body := (*conn.rbuf)[:0]
 	switch {
 	case chunked:
 		for {
-			line, err := conn.readLine()
+			line, err := f.readLine()
 			if err != nil {
-				return 0, nil, err
+				return 0, body, err
 			}
 			n, err := strconv.ParseUint(string(line), 16, 31)
 			if err != nil {
-				return 0, nil, errMalformedResponse
+				return 0, body, errMalformedResponse
 			}
 			if n == 0 {
 				// Zero chunk then the terminating empty line (trailers
 				// are not emitted by the servers this client speaks to).
-				if _, err := conn.readLine(); err != nil {
-					return 0, nil, err
+				if _, err := f.readLine(); err != nil {
+					return 0, body, err
 				}
 				break
 			}
+			if len(body)+int(n) > maxBody {
+				return 0, body, errBodyTooLarge
+			}
 			off := len(body)
 			body = bufpool.Grow(body, int(n))
-			if _, err := io.ReadFull(conn.br, body[off:]); err != nil {
-				return 0, nil, err
+			if _, err := io.ReadFull(f.br, body[off:]); err != nil {
+				return 0, body, err
 			}
 			// Chunk-terminating CRLF.
-			if _, err := conn.readLine(); err != nil {
-				return 0, nil, err
+			if _, err := f.readLine(); err != nil {
+				return 0, body, err
 			}
 		}
 	case contentLen >= 0:
 		body = bufpool.Grow(body, contentLen)
-		if _, err := io.ReadFull(conn.br, body); err != nil {
-			return 0, nil, err
+		if _, err := io.ReadFull(f.br, body); err != nil {
+			return 0, body, err
 		}
 	default:
 		// Close-delimited: the server ends the body by closing.
-		for {
+		for len(body) <= maxBody {
 			off := len(body)
-			body = bufpool.Grow(body, 512)
-			n, err := conn.br.Read(body[off:])
+			body = bufpool.Grow(body, min(512, maxBody+1-off))
+			n, err := f.br.Read(body[off:])
 			body = body[:off+n]
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				return 0, nil, err
+				return 0, body, err
 			}
 		}
+		if len(body) > maxBody {
+			return 0, body, errBodyTooLarge
+		}
 	}
-	*conn.rbuf = body
 	return status, body, nil
 }
 
@@ -496,43 +535,39 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
-// BatchContext issues len(names) queries as one coalesced HTTP/2 burst on a
-// multiplexed session and returns the results in query order; see
-// dnsclient.Mux.Batch for the burst semantics. It fails on serial sessions.
-func (conn *Conn) BatchContext(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	conn.mu.Lock()
-	m := conn.mux
-	conn.mu.Unlock()
-	if m == nil {
-		return nil, fmt.Errorf("doh: batch requires a multiplexed (HTTP/2) session")
-	}
-	return m.Batch(ctx, names, qtype, out)
-}
-
-// QueryJSON performs one Google-style JSON API lookup on the session.
-func (conn *Conn) QueryJSON(name string, qtype dnswire.Type) (*JSONResponse, error) {
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	if conn.closed {
-		return nil, dnsclient.ErrClosed
-	}
-	if conn.mux != nil {
-		return nil, fmt.Errorf("doh: JSON API not supported on a multiplexed session")
-	}
-	u := &url.URL{
-		Scheme:   "https",
-		Host:     conn.template.Host,
-		Path:     JSONPath,
-		RawQuery: "name=" + url.QueryEscape(name) + "&type=" + fmt.Sprint(uint16(qtype)),
-	}
-	req, err := http.NewRequest(http.MethodGet, u.String(), nil)
+// QueryJSON performs one Google-style JSON API lookup: resolve, dial a
+// private serial session to the template host, send one HTTP/1.1 GET for
+// JSONPath, close. The JSON API has no DNS wire format to frame, so it
+// never shares a session with the wire-format queries.
+func (c *Client) QueryJSON(ctx context.Context, t Template, name string, qtype dnswire.Type) (*JSONResponse, error) {
+	addr, err := c.ResolveContext(ctx, t.Host)
 	if err != nil {
 		return nil, err
 	}
-	if err := req.Write(conn.tls); err != nil {
+	raw, err := c.World.Dial(c.From, addr, Port)
+	if err != nil {
 		return nil, err
 	}
-	resp, err := http.ReadResponse(conn.br, req)
+	tc, err := c.handshake(ctx, t, raw, false)
+	if err != nil {
+		return nil, err
+	}
+	defer raw.Close()
+	defer tc.Close()
+	u := &url.URL{
+		Scheme:   "https",
+		Host:     t.Host,
+		Path:     JSONPath,
+		RawQuery: "name=" + url.QueryEscape(name) + "&type=" + strconv.Itoa(int(qtype)),
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := req.Write(tc); err != nil {
+		return nil, err
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
 	if err != nil {
 		return nil, err
 	}
@@ -545,27 +580,6 @@ func (conn *Conn) QueryJSON(name string, qtype dnswire.Type) (*JSONResponse, err
 		return nil, err
 	}
 	return &jr, nil
-}
-
-// Close terminates the session.
-func (conn *Conn) Close() error {
-	conn.mu.Lock()
-	defer conn.mu.Unlock()
-	if conn.closed {
-		return nil
-	}
-	conn.closed = true
-	if conn.mux != nil {
-		// Close holds the write lock: once it returns, no query can touch
-		// the scratch buffers the h2 framing shares with the session.
-		conn.mux.Close()
-	}
-	bufpool.Put(conn.pbuf)
-	bufpool.Put(conn.wbuf)
-	bufpool.Put(conn.rbuf)
-	conn.pbuf, conn.wbuf, conn.rbuf = nil, nil, nil
-	conn.tls.Close()
-	return conn.raw.Close()
 }
 
 // Query is the one-shot convenience: resolve, dial, query once, close. The

@@ -46,6 +46,12 @@ func newFixture(t *testing.T) *fixture {
 
 func (f *fixture) serve(t *testing.T, srv *Server) {
 	t.Helper()
+	Serve(f.world, dohIP, f.leaf(t), srv)
+}
+
+// leaf issues the server certificate for the template host.
+func (f *fixture) leaf(t *testing.T) *certs.Leaf {
+	t.Helper()
 	leaf, err := f.ca.Issue(certs.LeafOptions{
 		CommonName: f.tmpl.Host,
 		IPs:        []netip.Addr{dohIP},
@@ -53,7 +59,7 @@ func (f *fixture) serve(t *testing.T, srv *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Serve(f.world, dohIP, leaf, srv)
+	return leaf
 }
 
 func (f *fixture) client() *Client {
@@ -255,13 +261,7 @@ func TestStrictRefusesTemplateWithoutHost(t *testing.T) {
 func TestJSONAPI(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone, JSONAPI: true})
-	c := f.client()
-	conn, err := c.Dial(f.tmpl, dohIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	jr, err := conn.QueryJSON("json.measure.example.org", dnswire.TypeA)
+	jr, err := f.client().QueryJSON(context.Background(), f.tmpl, "json.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,23 +271,63 @@ func TestJSONAPI(t *testing.T) {
 }
 
 func TestWebpageAndUnknownPath(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone, Webpage: "<title>Public DoH resolver</title>"})
-	c := f.client()
-	conn, err := c.Dial(f.tmpl, dohIP)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range httpVersions {
+		t.Run(v.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.serve(t, &Server{Handler: f.zone, Webpage: "<title>Public DoH resolver</title>"})
+			c := f.client()
+			c.MaxInFlight = v.inflight
+			conn, err := c.Dial(f.tmpl, dohIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			// Query against a wrong path yields an HTTP error, not a DNS answer.
+			badTmpl := Template{Host: f.tmpl.Host, Path: "/not-the-endpoint"}
+			conn2, err := c.Dial(badTmpl, dohIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn2.Close()
+			if _, err := conn2.Query("x.measure.example.org", dnswire.TypeA); !errors.Is(err, ErrHTTPStatus) {
+				t.Errorf("wrong-path err = %v, want ErrHTTPStatus", err)
+			}
+		})
 	}
-	defer conn.Close()
-	// Query against a wrong path yields an HTTP error, not a DNS answer.
-	badTmpl := Template{Host: f.tmpl.Host, Path: "/not-the-endpoint"}
-	conn2, err := c.Dial(badTmpl, dohIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	if _, err := conn2.Query("x.measure.example.org", dnswire.TypeA); !errors.Is(err, ErrHTTPStatus) {
-		t.Errorf("wrong-path err = %v, want ErrHTTPStatus", err)
+}
+
+// A reply the server cannot pack comes back as a 500, which fails that
+// query alone: the next query on the same session is answered, over
+// either HTTP version.
+func TestErrorStatusFailsOneQuery(t *testing.T) {
+	for _, v := range httpVersions {
+		t.Run(v.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.serve(t, &Server{Handler: dnsserver.HandlerFunc(func(remote netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
+				resp, proc := f.zone.ServeDNS(remote, req)
+				if strings.HasPrefix(req.Question1().Name, "unpackable.") {
+					resp.AddAnswer(strings.Repeat("x", 64)+".example.org", 60, dnswire.A{Addr: answerIP})
+				}
+				return resp, proc
+			})})
+			c := f.client()
+			c.MaxInFlight = v.inflight
+			conn, err := c.Dial(f.tmpl, dohIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Query("unpackable.measure.example.org", dnswire.TypeA); !errors.Is(err, ErrHTTPStatus) {
+				t.Errorf("unpackable reply: err = %v, want ErrHTTPStatus", err)
+			}
+			res, err := conn.Query("after.measure.example.org", dnswire.TypeA)
+			if err != nil {
+				t.Fatalf("query after the failed one: %v", err)
+			}
+			if a, ok := res.FirstA(); !ok || a != answerIP {
+				t.Errorf("answer = %v", res.Msg.Answers)
+			}
+		})
 	}
 }
 
@@ -372,15 +412,11 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestGETURLEncodesBase64URL(t *testing.T) {
-	f := newFixture(t)
-	conn := &Conn{client: &Client{Method: GET}, template: f.tmpl}
-	raw := string(conn.appendRequest(nil, []byte{0xfb, 0xff, 0xfe}))
-	i := strings.Index(raw, "?dns=")
-	j := strings.Index(raw, " HTTP/1.1")
-	if i < 0 || j < i {
-		t.Fatalf("rendered request %q missing dns query", raw)
+	raw := string(appendDNSPath(nil, DefaultPath, []byte{0xfb, 0xff, 0xfe}))
+	q, ok := strings.CutPrefix(raw, DefaultPath+"?dns=")
+	if !ok || q == "" {
+		t.Fatalf("rendered target %q missing dns query", raw)
 	}
-	q := raw[i+len("?dns=") : j]
 	if strings.ContainsAny(q, "+/=") {
 		t.Errorf("dns param %q not base64url-unpadded", q)
 	}

@@ -2,21 +2,24 @@ package doh
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
 	"io"
 	"net/http"
-	"strings"
+	"runtime"
 	"testing"
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
+	"dnsencryption.info/doe/internal/netsim"
 )
 
 // rawTLS opens a TLS connection to the fixture's DoH server without the DoH
-// client, for protocol-level fault injection.
-func rawTLS(t *testing.T, f *fixture) *tls.Conn {
+// client, for protocol-level fault injection, offering protos by ALPN.
+func rawTLS(t *testing.T, f *fixture, protos ...string) *tls.Conn {
 	t.Helper()
 	raw, err := f.world.Dial(clientIP, dohIP, Port)
 	if err != nil {
@@ -29,11 +32,117 @@ func rawTLS(t *testing.T, f *fixture) *tls.Conn {
 		RootCAs:    roots,
 		ServerName: f.tmpl.Host,
 		Time:       func() time.Time { return certs.RefTime },
+		NextProtos: protos,
 	})
 	if err := tc.Handshake(); err != nil {
 		t.Fatal(err)
 	}
 	return tc
+}
+
+// rawRequest is one hand-built request: target is the path with any query,
+// and a nil body sends none.
+type rawRequest struct {
+	method, target, ctype string
+	body                  []byte
+}
+
+// httpVersion is one HTTP version of the server binding: how a raw client
+// sends one request and reads back its status, and the client MaxInFlight
+// that dials it.
+var httpVersions = []struct {
+	name     string
+	inflight int
+	do       func(t *testing.T, f *fixture, r rawRequest) int
+}{
+	{"h1", 0, h1Do},
+	{"h2", 4, h2Do},
+}
+
+func h1Do(t *testing.T, f *fixture, r rawRequest) int {
+	t.Helper()
+	tc := rawTLS(t, f)
+	defer tc.Close()
+	var body io.Reader
+	if r.body != nil {
+		body = bytes.NewReader(r.body)
+	}
+	req, err := http.NewRequest(r.method, "https://"+f.tmpl.Host+r.target, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ctype != "" {
+		req.Header.Set("Content-Type", r.ctype)
+	}
+	if err := req.Write(tc); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode
+}
+
+// h2Do is a minimal HTTP/2 client: ALPN h2, preface and SETTINGS, one
+// HEADERS frame on stream 1 (plus a DATA frame when there is a body), then
+// the reply's frames up to END_STREAM.
+func h2Do(t *testing.T, f *fixture, r rawRequest) int {
+	t.Helper()
+	tc := rawTLS(t, f, "h2")
+	defer tc.Close()
+	br := bufio.NewReader(tc)
+	if err := startH2(tc, br); err != nil {
+		t.Fatal(err)
+	}
+	block := dnswire.AppendHpackLiteral(nil, ":method", r.method)
+	block = dnswire.AppendHpackLiteral(block, ":scheme", "https")
+	block = dnswire.AppendHpackLiteral(block, ":authority", f.tmpl.Host)
+	block = dnswire.AppendHpackLiteral(block, ":path", r.target)
+	if r.ctype != "" {
+		block = dnswire.AppendHpackLiteral(block, "content-type", r.ctype)
+	}
+	flags := dnswire.H2FlagEndHeaders
+	if r.body == nil {
+		flags |= dnswire.H2FlagEndStream
+	}
+	out := h2Frame(t, dnswire.H2FrameHeaders, flags, 1, block)
+	if r.body != nil {
+		out = append(out, h2Frame(t, dnswire.H2FrameData, dnswire.H2FlagEndStream, 1, r.body)...)
+	}
+	if _, err := tc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	status := 0
+	for {
+		fr, payload, err := dnswire.ReadH2FrameAppend(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.StreamID != 1 {
+			continue
+		}
+		if fr.Type == dnswire.H2FrameHeaders {
+			status = parseH2Status(payload)
+		}
+		if fr.EndStream() {
+			return status
+		}
+	}
+}
+
+// expectStatus sends r over each HTTP version and checks the status.
+func expectStatus(t *testing.T, r rawRequest, want int) {
+	for _, v := range httpVersions {
+		t.Run(v.name, func(t *testing.T) {
+			f := newFixture(t)
+			f.serve(t, &Server{Handler: f.zone})
+			if got := v.do(t, f, r); got != want {
+				t.Errorf("status = %d, want %d", got, want)
+			}
+		})
+	}
 }
 
 func TestServerDropsHTTPGarbage(t *testing.T) {
@@ -49,93 +158,24 @@ func TestServerDropsHTTPGarbage(t *testing.T) {
 }
 
 func TestServerRejectsBadBase64(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone})
-	tc := rawTLS(t, f)
-	defer tc.Close()
-	req, _ := http.NewRequest(http.MethodGet, "https://"+f.tmpl.Host+DefaultPath+"?dns=!!!not-base64!!!", nil)
-	if err := req.Write(tc); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
-	}
+	expectStatus(t, rawRequest{method: http.MethodGet, target: DefaultPath + "?dns=!!!not-base64!!!"}, http.StatusBadRequest)
 }
 
 func TestServerRejectsMissingDNSParam(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone})
-	tc := rawTLS(t, f)
-	defer tc.Close()
-	req, _ := http.NewRequest(http.MethodGet, "https://"+f.tmpl.Host+DefaultPath, nil)
-	req.Write(tc) //nolint:errcheck
-	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
-	}
+	expectStatus(t, rawRequest{method: http.MethodGet, target: DefaultPath}, http.StatusBadRequest)
 }
 
 func TestServerRejectsWrongContentType(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone})
-	tc := rawTLS(t, f)
-	defer tc.Close()
-	body := strings.NewReader("x")
-	req, _ := http.NewRequest(http.MethodPost, "https://"+f.tmpl.Host+DefaultPath, body)
-	req.Header.Set("Content-Type", "text/plain")
-	req.Write(tc) //nolint:errcheck
-	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Errorf("status = %d, want 415", resp.StatusCode)
-	}
+	expectStatus(t, rawRequest{method: http.MethodPost, target: DefaultPath, ctype: "text/plain", body: []byte("x")}, http.StatusUnsupportedMediaType)
 }
 
 func TestServerRejectsUnsupportedMethod(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone})
-	tc := rawTLS(t, f)
-	defer tc.Close()
-	req, _ := http.NewRequest(http.MethodPut, "https://"+f.tmpl.Host+DefaultPath+"?dns=AAAA", nil)
-	req.Write(tc) //nolint:errcheck
-	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("status = %d, want 405", resp.StatusCode)
-	}
+	expectStatus(t, rawRequest{method: http.MethodPut, target: DefaultPath + "?dns=AAAA"}, http.StatusMethodNotAllowed)
 }
 
 func TestServerRejectsMalformedDNSMessage(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone})
-	tc := rawTLS(t, f)
-	defer tc.Close()
 	// Valid base64url, but not a DNS message.
-	req, _ := http.NewRequest(http.MethodGet, "https://"+f.tmpl.Host+DefaultPath+"?dns=AAEC", nil)
-	req.Write(tc) //nolint:errcheck
-	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d, want 400", resp.StatusCode)
-	}
+	expectStatus(t, rawRequest{method: http.MethodGet, target: DefaultPath + "?dns=AAEC"}, http.StatusBadRequest)
 }
 
 func TestKeepAliveSurvivesErrorResponses(t *testing.T) {
@@ -154,10 +194,12 @@ func TestKeepAliveSurvivesErrorResponses(t *testing.T) {
 	io.Copy(io.Discard, resp1.Body) //nolint:errcheck
 	resp1.Body.Close()
 
-	q := dnswire.NewQuery(0, "after-error.measure.example.org", dnswire.TypeA)
-	packed, _ := q.Pack()
-	conn := &Conn{client: &Client{Method: GET}, template: f.tmpl}
-	if _, err := tc.Write(conn.appendRequest(nil, packed)); err != nil {
+	h1 := &h1Framing{binding: binding{method: GET, template: f.tmpl, pbuf: new([]byte)}}
+	good, err := h1.AppendQuery(nil, 0, "after-error.measure.example.org", dnswire.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.Write(good); err != nil {
 		t.Fatal(err)
 	}
 	resp2, err := http.ReadResponse(br, nil)
@@ -167,5 +209,50 @@ func TestKeepAliveSurvivesErrorResponses(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
 		t.Errorf("status = %d, want 200", resp2.StatusCode)
+	}
+}
+
+// A server cannot size the client's reply buffer: a Content-Length or
+// chunk that would take the body past maxBody fails the query before the
+// buffer grows, so the query allocates nowhere near what was claimed.
+func TestH1BodyLimit(t *testing.T) {
+	for _, tc := range []struct{ name, head string }{
+		{"1 GiB", "Content-Length: 1073741824\r\n\r\n"},
+		{"max int64", "Content-Length: 9223372036854775807\r\n\r\n"},
+		{"16 MiB chunk", "Transfer-Encoding: chunked\r\n\r\nffffff\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			cert := f.leaf(t).TLSCertificate()
+			// The server answers the first request with the header alone,
+			// then hangs up.
+			f.world.RegisterStream(dohIP, Port, func(conn *netsim.Conn) {
+				defer conn.Close()
+				srv := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{cert}})
+				defer srv.Close()
+				if srv.Handshake() != nil {
+					return
+				}
+				if _, err := http.ReadRequest(bufio.NewReader(srv)); err != nil {
+					return
+				}
+				srv.Write([]byte("HTTP/1.1 200 OK\r\n" + tc.head)) //nolint:errcheck
+			})
+			conn, err := f.client().Dial(f.tmpl, dohIP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = conn.Query("big.measure.example.org", dnswire.TypeA)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, errBodyTooLarge) {
+				t.Errorf("err = %v, want the body limit", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("query allocated %d bytes, want under 1 MiB", grew)
+			}
+		})
 	}
 }

@@ -1,13 +1,16 @@
 package doh
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/iotest"
 
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 )
 
@@ -31,13 +34,18 @@ func readH2Replies(t *testing.T, r io.Reader) []string {
 		if err != nil {
 			return append(out, "fatal: "+err.Error())
 		}
-		line := fmt.Sprintf("stream %d: %v", reply.Tag, reply.Err)
-		if reply.Msg != nil {
-			packed, err := reply.Msg.Pack()
-			line += fmt.Sprintf(" msg %x %v", packed, err)
-		}
-		out = append(out, line)
+		out = append(out, renderReply(reply))
 	}
+}
+
+// renderReply prints a reply the way the fuzz targets compare them.
+func renderReply(reply dnsclient.Reply) string {
+	line := fmt.Sprintf("stream %d: %v", reply.Tag, reply.Err)
+	if reply.Msg != nil {
+		packed, err := reply.Msg.Pack()
+		line += fmt.Sprintf(" msg %x %v", packed, err)
+	}
+	return line
 }
 
 // FuzzH2ReadReply feeds arbitrary server bytes to the client's h2 reader.
@@ -65,6 +73,51 @@ func FuzzH2ReadReply(f *testing.F) {
 			t.Errorf("one byte per read:\n%q\nwhole:\n%q", one, whole)
 		}
 		if half := readH2Replies(t, iotest.HalfReader(bytes.NewReader(data))); !slices.Equal(half, whole) {
+			t.Errorf("half reads:\n%q\nwhole:\n%q", half, whole)
+		}
+	})
+}
+
+// readH1Replies runs the client's HTTP/1.1 reader over r until its first
+// fatal error and renders every reply it took off the stream, then the
+// error.
+func readH1Replies(r io.Reader) []string {
+	f := &h1Framing{br: bufio.NewReader(r)}
+	var out []string
+	var buf []byte
+	for {
+		reply, b, err := f.ReadReply(buf, nil)
+		buf = b
+		if err != nil {
+			return append(out, "fatal: "+err.Error())
+		}
+		out = append(out, renderReply(reply))
+	}
+}
+
+// FuzzH1ReadReply feeds arbitrary server bytes to the client's HTTP/1.1
+// reader. It must not panic, must refuse oversized bodies before buffering
+// them, and must take the same replies off the stream however the bytes
+// are chunked: whole, one byte per read, or half of each read.
+func FuzzH1ReadReply(f *testing.F) {
+	msg := dnsReply(f, "one.example.org")
+	head := "HTTP/1.1 200 OK\r\nContent-Type: " + ContentType + "\r\n"
+	sized := head + "Content-Length: " + strconv.Itoa(len(msg)) + "\r\n\r\n" + string(msg)
+	chunked := head + "Transfer-Encoding: chunked\r\n\r\n5\r\n" + string(msg[:5]) + "\r\n" +
+		strconv.FormatInt(int64(len(msg)-5), 16) + "\r\n" + string(msg[5:]) + "\r\n0\r\n\r\n"
+	notFound := "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: 9\r\n\r\nnot found"
+	f.Add([]byte(sized))
+	f.Add([]byte(chunked))
+	f.Add([]byte(notFound + sized + chunked))
+	f.Add([]byte(head + "\r\n" + string(msg)))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 1073741824\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		whole := readH1Replies(bytes.NewReader(data))
+		if one := readH1Replies(iotest.OneByteReader(bytes.NewReader(data))); !slices.Equal(one, whole) {
+			t.Errorf("one byte per read:\n%q\nwhole:\n%q", one, whole)
+		}
+		if half := readH1Replies(iotest.HalfReader(bytes.NewReader(data))); !slices.Equal(half, whole) {
 			t.Errorf("half reads:\n%q\nwhole:\n%q", half, whole)
 		}
 	})

@@ -1,9 +1,10 @@
 package doh
 
 // HTTP/2 multiplexing for DoH (RFC 8484 over RFC 7540): many concurrent
-// streams per TLS session, selected by ALPN when Client.Mux is set. Both
-// endpoints live in this repository, so the implementation is the small
-// deterministic subset the study needs rather than a general h2 stack:
+// streams per TLS session, selected by ALPN when Client.MaxInFlight is set.
+// Both endpoints live in this repository, so the implementation is the
+// small deterministic subset the study needs rather than a general h2
+// stack:
 //
 //   - connection setup is client preface + one SETTINGS exchange with no
 //     SETTINGS ACKs in either direction — an ACK would be the only h2 write
@@ -21,7 +22,7 @@ package doh
 
 import (
 	"bufio"
-	"encoding/base64"
+	"crypto/tls"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,11 +35,12 @@ import (
 	"dnsencryption.info/doe/internal/netsim"
 )
 
-// startH2 upgrades a freshly handshaken session to HTTP/2: verify the ALPN
-// result, send the client preface and an empty SETTINGS in one write, and
-// read the server's SETTINGS. The extra round trip lands in SetupLatency.
-func (conn *Conn) startH2() error {
-	if conn.tls.ConnectionState().NegotiatedProtocol != "h2" {
+// startH2 upgrades a freshly handshaken connection to HTTP/2: verify the
+// ALPN result, send the client preface and an empty SETTINGS in one write,
+// and read the server's SETTINGS from br. The extra round trip precedes the
+// session, so it lands in SetupLatency.
+func startH2(tc *tls.Conn, br *bufio.Reader) error {
+	if tc.ConnectionState().NegotiatedProtocol != "h2" {
 		return fmt.Errorf("doh: server did not negotiate HTTP/2")
 	}
 	hello := append([]byte(nil), dnswire.H2ClientPreface...)
@@ -46,45 +48,18 @@ func (conn *Conn) startH2() error {
 	if err != nil {
 		return err
 	}
-	if _, err := conn.tls.Write(hello); err != nil {
+	if _, err := tc.Write(hello); err != nil {
 		return err
 	}
-	f, _, err := dnswire.ReadH2FrameAppend(conn.br, nil)
+	f, _, err := dnswire.ReadH2FrameAppend(br, nil)
 	if err != nil {
 		return fmt.Errorf("doh: h2 setup: %w", err)
 	}
 	if f.Type != dnswire.H2FrameSettings || f.StreamID != 0 {
 		return fmt.Errorf("doh: h2 setup: expected SETTINGS, got %v", f.Type)
 	}
-	limit := conn.client.MaxInFlight
-	if limit <= 0 {
-		limit = dnsclient.DefaultMaxInFlight
-	}
-	framing := &h2Framing{
-		next:     1,
-		method:   conn.client.Method,
-		template: conn.template,
-		pbuf:     conn.pbuf,
-		qbuf:     conn.wbuf,
-		br:       conn.br,
-		limit:    limit,
-		streams:  make(map[uint32]*h2Stream),
-	}
-	conn.mux = dnsclient.NewMux(framing, conn.tls, conn.raw, conn.client.CryptoCost, limit)
 	return nil
 }
-
-// MaxInFlight reports the session's in-flight stream limit, or 0 for a
-// serial (HTTP/1.1) session.
-func (conn *Conn) MaxInFlight() int {
-	if conn.mux == nil {
-		return 0
-	}
-	return conn.mux.MaxInFlight()
-}
-
-// Multiplexed reports whether the session negotiated HTTP/2.
-func (conn *Conn) Multiplexed() bool { return conn.mux != nil }
 
 // h2Framing is the dnsclient.Framing of a multiplexed DoH session: each
 // query is one stream — HEADERS carrying the RFC 8484 binding, plus a DATA
@@ -92,14 +67,9 @@ func (conn *Conn) Multiplexed() bool { return conn.mux != nil }
 // increase monotonically (RFC 7540 §5.1.1), so unlike DNS transaction IDs
 // they cannot collide.
 type h2Framing struct {
-	// Write side, used under the Mux's write lock. pbuf and qbuf are the
-	// Conn's pooled scratch, which its serial path never touches once the
-	// session is multiplexed.
-	next     uint32
-	method   Method
-	template Template
-	pbuf     *[]byte // packed DNS query
-	qbuf     *[]byte // GET :path (path?dns=base64url)
+	// Write side, used under the Mux's write lock.
+	binding
+	next uint32
 
 	// Read side, owned by the Mux's reader: the reassembly state of every
 	// stream whose reply has begun. spare keeps the last finished stream's
@@ -128,13 +98,10 @@ func (f *h2Framing) NextTag() uint32 {
 //
 //doelint:hotpath
 func (f *h2Framing) AppendQuery(wb []byte, sid uint32, name string, qtype dnswire.Type) ([]byte, error) {
-	// RFC 8484 recommends ID 0 for cache friendliness.
-	q := dnswire.NewQuery(0, name, qtype)
-	packed, err := q.AppendPack((*f.pbuf)[:0])
+	packed, err := f.pack(name, qtype)
 	if err != nil {
 		return wb, err
 	}
-	*f.pbuf = packed
 	hstart := len(wb)
 	wb = dnswire.ReserveH2FrameHeader(wb)
 	if f.method == POST {
@@ -153,13 +120,7 @@ func (f *h2Framing) AppendQuery(wb []byte, sid uint32, name string, qtype dnswir
 	wb = dnswire.AppendHpackLiteral(wb, ":method", "GET")
 	wb = dnswire.AppendHpackLiteral(wb, ":scheme", "https")
 	wb = dnswire.AppendHpackLiteral(wb, ":authority", f.template.Host)
-	pb := (*f.qbuf)[:0]
-	pb = append(pb, f.template.Path...)
-	pb = append(pb, "?dns="...)
-	n := base64.RawURLEncoding.EncodedLen(len(packed))
-	off := len(pb)
-	pb = bufpool.Grow(pb, n)
-	base64.RawURLEncoding.Encode(pb[off:], packed)
+	pb := appendDNSPath((*f.qbuf)[:0], f.template.Path, packed)
 	*f.qbuf = pb
 	wb = dnswire.AppendHpackLiteralBytes(wb, ":path", pb)
 	wb = dnswire.AppendHpackLiteral(wb, "accept", ContentType)
@@ -167,8 +128,9 @@ func (f *h2Framing) AppendQuery(wb []byte, sid uint32, name string, qtype dnswir
 }
 
 // ReadReply reassembles streams frame by frame until one completes. A
-// non-200 status, a body that is not a DNS message, or RST_STREAM fails
-// that stream alone; GOAWAY and read errors end the session.
+// non-200 status, a body that is not a DNS message or would pass maxBody,
+// or RST_STREAM fails that stream alone and drops its state; GOAWAY and
+// read errors end the session.
 //
 //doelint:hotpath
 func (f *h2Framing) ReadReply(buf []byte, awaited func(uint32) bool) (dnsclient.Reply, []byte, error) {
@@ -189,6 +151,10 @@ func (f *h2Framing) ReadReply(buf []byte, awaited func(uint32) bool) (dnsclient.
 				st.status = parseH2Status(payload)
 				st.body = st.body[:0]
 			} else {
+				if len(st.body)+len(payload) > maxBody {
+					f.drop(sid, st)
+					return dnsclient.Reply{Tag: sid, Err: errBodyTooLarge}, buf, nil
+				}
 				st.body = append(st.body, payload...)
 			}
 			if fr.EndStream() {
@@ -282,12 +248,11 @@ func parseH2Status(block []byte) int {
 
 // ---- server side ----
 
-// h2Post accumulates a POST request whose body arrives in DATA frames after
-// its HEADERS.
-type h2Post struct {
-	method string
-	path   string
-	body   []byte
+// h2Request is one request stream: the pseudo-headers and media type its
+// HEADERS carried, and a POST's body as its DATA frames arrive.
+type h2Request struct {
+	method, path, ctype string
+	body                []byte
 }
 
 // serveH2 is the server's per-connection HTTP/2 loop: preface and SETTINGS
@@ -298,8 +263,7 @@ type h2Post struct {
 // arrived in one segment is answered in one segment.
 //
 //doelint:hotpath
-func (s *Server) serveH2(conn *netsim.Conn, tc io.ReadWriter, paths map[string]bool) {
-	remote := conn.RemoteAddr().(netsim.Addr).IP
+func (s *Server) serveH2(conn *netsim.Conn, remote netip.Addr, tc io.ReadWriter, paths map[string]bool) {
 	br := bufio.NewReaderSize(tc, 4096) //doelint:allow hotalloc -- one reader per connection, amortized over its streams
 	preface, err := br.Peek(len(dnswire.H2ClientPreface))
 	if err != nil || string(preface) != dnswire.H2ClientPreface {
@@ -323,7 +287,7 @@ func (s *Server) serveH2(conn *netsim.Conn, tc io.ReadWriter, paths map[string]b
 	defer bufpool.Put(rbuf)
 	defer bufpool.Put(wbuf)
 	out := (*wbuf)[:0]
-	var posts map[uint32]*h2Post // lazily allocated; GET-only clients never need it
+	var posts map[uint32]*h2Request // lazily allocated; GET-only clients never need it
 	for {
 		f, payload, err := dnswire.ReadH2FrameAppend(br, (*rbuf)[:0])
 		if err != nil {
@@ -332,32 +296,30 @@ func (s *Server) serveH2(conn *netsim.Conn, tc io.ReadWriter, paths map[string]b
 		*rbuf = payload[:0]
 		switch f.Type {
 		case dnswire.H2FrameHeaders:
-			method, path, ok := parseH2Request(payload)
+			req, ok := parseH2Request(payload)
 			if !ok {
 				return
 			}
-			if f.EndStream() {
-				out, ok = s.appendH2Response(out, conn, remote, f.StreamID, method, path, nil, paths)
-				if !ok {
-					return
-				}
-			} else {
+			if !f.EndStream() {
 				if posts == nil {
-					posts = make(map[uint32]*h2Post)
+					posts = make(map[uint32]*h2Request)
 				}
-				posts[f.StreamID] = &h2Post{method: method, path: path}
+				posts[f.StreamID] = &h2Request{method: req.method, path: req.path, ctype: req.ctype}
+				break
 			}
-		case dnswire.H2FrameData:
-			st := posts[f.StreamID]
-			if st == nil {
+			if out, ok = s.appendH2Response(out, conn, remote, f.StreamID, req, paths); !ok {
 				return
 			}
-			st.body = append(st.body, payload...)
+		case dnswire.H2FrameData:
+			req := posts[f.StreamID]
+			if req == nil {
+				return
+			}
+			req.body = append(req.body, payload...)
 			if f.EndStream() {
 				delete(posts, f.StreamID)
 				var ok bool
-				out, ok = s.appendH2Response(out, conn, remote, f.StreamID, st.method, st.path, st.body, paths)
-				if !ok {
+				if out, ok = s.appendH2Response(out, conn, remote, f.StreamID, *req, paths); !ok {
 					return
 				}
 			}
@@ -379,67 +341,41 @@ func (s *Server) serveH2(conn *netsim.Conn, tc io.ReadWriter, paths map[string]b
 	}
 }
 
-// parseH2Request extracts :method and :path from a request header block.
-func parseH2Request(block []byte) (method, path string, ok bool) {
+// parseH2Request extracts :method, :path and content-type from a request
+// header block.
+func parseH2Request(block []byte) (req h2Request, ok bool) {
 	for len(block) > 0 {
 		name, value, rest, err := dnswire.ReadHpackLiteral(block)
 		if err != nil {
-			return "", "", false
+			return h2Request{}, false
 		}
 		switch string(name) {
 		case ":method":
-			method = string(value)
+			req.method = string(value)
 		case ":path":
-			path = string(value)
+			req.path = string(value)
+		case "content-type":
+			req.ctype = string(value)
 		}
 		block = rest
 	}
-	return method, path, method != "" && path != ""
+	return req, req.method != "" && req.path != ""
 }
 
-// appendH2Response answers one completed stream, appending its HEADERS and
-// DATA frames to out and charging the handler's processing time to the
-// connection. ok is false when the response cannot be framed (fatal).
-func (s *Server) appendH2Response(out []byte, conn *netsim.Conn, remote netip.Addr, sid uint32, method, path string, body []byte, paths map[string]bool) ([]byte, bool) {
-	status := http.StatusOK
-	ctype := ContentType
-	var respBody []byte
-
-	p, query := path, ""
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		p, query = path[:i], path[i+1:]
+// appendH2Response answers one completed stream through the shared RFC 8484
+// binding, appending its HEADERS and DATA frames to out. ok is false when
+// the response cannot be framed (fatal).
+func (s *Server) appendH2Response(out []byte, conn *netsim.Conn, remote netip.Addr, sid uint32, req h2Request, paths map[string]bool) ([]byte, bool) {
+	path, query, _ := strings.Cut(req.path, "?")
+	status, resp, text := http.StatusNotFound, (*dnswire.Message)(nil), "not found"
+	if paths[path] {
+		status, resp, text = s.answer(conn, remote, req.method, queryParam(query, "dns"), req.ctype, req.body)
 	}
-	var wire []byte
-	switch {
-	case !paths[p]:
-		status, ctype, respBody = http.StatusNotFound, "text/plain", []byte("not found")
-	case method == http.MethodGet:
-		dns := queryParam(query, "dns")
-		if dns == "" {
-			status, ctype, respBody = http.StatusBadRequest, "text/plain", []byte("missing dns parameter")
-		} else if decoded, err := base64.RawURLEncoding.DecodeString(dns); err != nil {
-			status, ctype, respBody = http.StatusBadRequest, "text/plain", []byte("bad dns parameter")
-		} else {
-			wire = decoded
-		}
-	case method == http.MethodPost:
-		wire = body
-	default:
-		status, ctype, respBody = http.StatusMethodNotAllowed, "text/plain", []byte("GET or POST")
-	}
-	var resp *dnswire.Message
-	if wire != nil {
-		m, err := dnswire.Unpack(wire)
-		if err != nil {
-			status, ctype, respBody = http.StatusBadRequest, "text/plain", []byte("malformed DNS message")
-		} else {
-			r, proc := s.Handler.ServeDNS(remote, m)
-			conn.AddLatency(proc + s.ExtraProc)
-			resp = r
-		}
-	}
-
 	for {
+		ctype := ContentType
+		if resp == nil {
+			ctype = "text/plain"
+		}
 		hstart := len(out)
 		out = dnswire.ReserveH2FrameHeader(out)
 		out = dnswire.AppendHpackLiteral(out, ":status", h2StatusText(status))
@@ -456,12 +392,11 @@ func (s *Server) appendH2Response(out []byte, conn *netsim.Conn, remote netip.Ad
 			// compression offsets are message-relative so any prefix works.
 			if out, err = resp.AppendPack(out); err != nil {
 				out = out[:hstart]
-				resp = nil
-				status, ctype, respBody = http.StatusInternalServerError, "text/plain", []byte("pack error")
+				status, resp, text = http.StatusInternalServerError, nil, "pack error"
 				continue
 			}
 		} else {
-			out = append(out, respBody...)
+			out = append(out, text...)
 		}
 		out, err = dnswire.FinishH2Frame(out, dstart, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid)
 		if err != nil {
@@ -487,22 +422,4 @@ func h2StatusText(status int) string {
 	default:
 		return "500"
 	}
-}
-
-// queryParam extracts one key's value from a raw query string without
-// url.ParseQuery's allocations; values are returned undecoded (base64url
-// never needs percent-escaping).
-func queryParam(query, key string) string {
-	for len(query) > 0 {
-		kv := query
-		if i := strings.IndexByte(query, '&'); i >= 0 {
-			kv, query = query[:i], query[i+1:]
-		} else {
-			query = ""
-		}
-		if len(kv) > len(key) && kv[len(key)] == '=' && kv[:len(key)] == key {
-			return kv[len(key)+1:]
-		}
-	}
-	return ""
 }

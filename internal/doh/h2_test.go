@@ -15,26 +15,32 @@ import (
 	"dnsencryption.info/doe/internal/dnswire"
 )
 
-func (f *fixture) muxClient() *Client {
+// muxClient dials multiplexed sessions of up to limit streams.
+func (f *fixture) muxClient(limit int) *Client {
 	c := f.client()
-	c.Mux = true
+	c.MaxInFlight = limit
 	return c
 }
 
 func TestH2Negotiation(t *testing.T) {
+	const limit = 4
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
-	c := f.muxClient()
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.muxClient(limit).Dial(f.tmpl, dohIP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if !conn.Multiplexed() {
-		t.Fatal("Mux client did not negotiate h2")
+	// Only the pipelined HTTP/2 session batches, up to its stream limit.
+	names := make([]string, limit+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("neg%d.measure.example.org", i)
 	}
-	if conn.MaxInFlight() != dnsclient.DefaultMaxInFlight {
-		t.Errorf("MaxInFlight = %d, want default %d", conn.MaxInFlight(), dnsclient.DefaultMaxInFlight)
+	if _, err := conn.Batch(context.Background(), names[:limit], dnswire.TypeA, nil); err != nil {
+		t.Fatalf("batch of %d: %v", limit, err)
+	}
+	if _, err := conn.Batch(context.Background(), names, dnswire.TypeA, nil); err == nil {
+		t.Errorf("batch of %d passed the limit of %d", len(names), limit)
 	}
 	res, err := conn.Query("probe-h2.measure.example.org", dnswire.TypeA)
 	if err != nil {
@@ -51,7 +57,7 @@ func TestH2Negotiation(t *testing.T) {
 func TestH2PostQuery(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
-	c := f.muxClient()
+	c := f.muxClient(dnsclient.DefaultMaxInFlight)
 	c.Method = POST
 	conn, err := c.Dial(f.tmpl, dohIP)
 	if err != nil {
@@ -68,8 +74,8 @@ func TestH2PostQuery(t *testing.T) {
 }
 
 func TestH2SerialClientUnaffected(t *testing.T) {
-	// A client without Mux offers no ALPN and must still get plain
-	// HTTP/1.1 from the upgraded server.
+	// A client without MaxInFlight offers no ALPN and must still get plain
+	// HTTP/1.1 from the upgraded server, on a session that never pipelines.
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.client()
@@ -78,8 +84,8 @@ func TestH2SerialClientUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if conn.Multiplexed() {
-		t.Fatal("serial client negotiated h2")
+	if _, err := conn.Batch(context.Background(), []string{"b.measure.example.org"}, dnswire.TypeA, nil); !errors.Is(err, dnsclient.ErrSerialBatch) {
+		t.Fatalf("Batch on a serial session: err = %v, want ErrSerialBatch", err)
 	}
 	if _, err := conn.Query("serial.measure.example.org", dnswire.TypeA); err != nil {
 		t.Fatal(err)
@@ -91,8 +97,7 @@ func TestH2BatchDeterministicLatencies(t *testing.T) {
 	f := newFixture(t)
 	f.world.JitterFrac = 0
 	f.serve(t, &Server{Handler: f.zone})
-	c := f.muxClient()
-	c.MaxInFlight = batch
+	c := f.muxClient(batch)
 	conn, err := c.Dial(f.tmpl, dohIP)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +110,7 @@ func TestH2BatchDeterministicLatencies(t *testing.T) {
 	}
 	run := func() ([]dnsclient.Result, time.Duration) {
 		before := conn.Elapsed()
-		results, err := conn.BatchContext(context.Background(), names, dnswire.TypeA, nil)
+		results, err := conn.Batch(context.Background(), names, dnswire.TypeA, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,8 +147,7 @@ func TestH2ConcurrentExchange(t *testing.T) {
 	const n = 16
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
-	c := f.muxClient()
-	c.MaxInFlight = n
+	c := f.muxClient(n)
 	conn, err := c.Dial(f.tmpl, dohIP)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +193,7 @@ func TestH2ConcurrentExchange(t *testing.T) {
 func TestH2ErrorStatusPerStream(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
-	c := f.muxClient()
+	c := f.muxClient(dnsclient.DefaultMaxInFlight)
 	tmpl := Template{Host: f.tmpl.Host, Path: "/wrong-path"}
 	conn, err := c.Dial(tmpl, dohIP)
 	if err != nil {
@@ -229,9 +233,8 @@ func h2Frame(t testing.TB, typ dnswire.H2FrameType, flags byte, sid uint32, payl
 	return f
 }
 
-// h2Reply is a complete 200 reply on sid: HEADERS, then the DATA frame
-// that ends the stream.
-func h2Reply(t testing.TB, sid uint32, name string) []byte {
+// dnsReply is a packed answer to an A query for name.
+func dnsReply(t testing.TB, name string) []byte {
 	t.Helper()
 	resp := dnswire.NewQuery(0, name, dnswire.TypeA).Reply()
 	resp.AddAnswer(name, 60, dnswire.A{Addr: answerIP})
@@ -239,9 +242,16 @@ func h2Reply(t testing.TB, sid uint32, name string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return packed
+}
+
+// h2Reply is a complete 200 reply on sid: HEADERS, then the DATA frame
+// that ends the stream.
+func h2Reply(t testing.TB, sid uint32, name string) []byte {
+	t.Helper()
 	return h2Frames(t,
 		h2Frame(t, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid, dnswire.AppendHpackLiteral(nil, ":status", "200")),
-		h2Frame(t, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, packed))
+		h2Frame(t, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid, dnsReply(t, name)))
 }
 
 func newH2Reader(r io.Reader, limit int) *h2Framing {
@@ -304,6 +314,34 @@ func TestH2ReassemblyStateBounded(t *testing.T) {
 		}
 		if len(f.streams) != 0 {
 			t.Errorf("%d streams hold state after the reply, want 0", len(f.streams))
+		}
+	})
+
+	t.Run("oversized", func(t *testing.T) {
+		// Stream 1's body passes maxBody on its fourth 16 KiB DATA frame
+		// and END_STREAM never comes; stream 3 completes after it.
+		open[1], open[3] = true, true
+		defer delete(open, 3)
+		in := h2Frame(t, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, 1, headersOnly)
+		chunk := make([]byte, dnswire.MaxH2FrameLen)
+		for i := 0; i < 8; i++ {
+			in = append(in, h2Frame(t, dnswire.H2FrameData, 0, 1, chunk)...)
+		}
+		in = append(in, h2Reply(t, 3, "after.example.org")...)
+		f := newH2Reader(bytes.NewReader(in), limit)
+		r, _, err := f.ReadReply(nil, awaited)
+		if err != nil || r.Tag != 1 || !errors.Is(r.Err, errBodyTooLarge) {
+			t.Fatalf("ReadReply = %+v, %v; want stream 1's body-limit error", r, err)
+		}
+		if len(f.streams) != 0 {
+			t.Errorf("%d streams hold state after the limit error, want 0", len(f.streams))
+		}
+		// The engine has delivered stream 1's failure: it is no longer
+		// awaited, so its remaining DATA frames are ignored.
+		delete(open, 1)
+		r, _, err = f.ReadReply(nil, awaited)
+		if err != nil || r.Tag != 3 || r.Err != nil || r.Msg == nil {
+			t.Fatalf("ReadReply = %+v, %v; want stream 3's reply", r, err)
 		}
 	})
 }

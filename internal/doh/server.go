@@ -4,9 +4,11 @@
 // Strict-Privacy-only: if the server cannot be authenticated, the lookup
 // fails (§2.2, §4.2).
 //
-// HTTP runs for real over the simulated TLS connections: requests and
-// responses are produced and parsed with net/http's wire codecs, with
-// HTTP/1.1 keep-alive providing connection reuse.
+// HTTP runs for real over the simulated TLS connections: HTTP/1.1
+// keep-alive (the server parses requests and writes responses with
+// net/http's wire codecs; the client hand-rolls both) or, when the client
+// multiplexes, a minimal HTTP/2 subset (h2.go). One binding per side
+// carries RFC 8484 over either version.
 package doh
 
 import (
@@ -79,11 +81,12 @@ func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, srv *Server) {
 			return
 		}
 		defer tc.Close()
+		remote := conn.RemoteAddr().(netsim.Addr).IP
 		// Clients opting into multiplexing negotiate h2 via ALPN; everyone
 		// else (including clients offering no ALPN at all) gets the serial
-		// HTTP/1.1 loop below, byte-for-byte as before.
+		// HTTP/1.1 loop below.
 		if tc.ConnectionState().NegotiatedProtocol == "h2" {
-			srv.serveH2(conn, tc, paths)
+			srv.serveH2(conn, remote, tc, paths)
 			return
 		}
 		br := bufio.NewReader(tc)
@@ -92,7 +95,7 @@ func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, srv *Server) {
 			if err != nil {
 				return
 			}
-			resp := srv.handle(conn, req, paths)
+			resp := srv.handle(conn, remote, req, paths)
 			if err := resp.Write(tc); err != nil {
 				return
 			}
@@ -103,8 +106,7 @@ func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, srv *Server) {
 	})
 }
 
-func (s *Server) handle(conn *netsim.Conn, req *http.Request, paths map[string]bool) *http.Response {
-	remote := conn.RemoteAddr().(netsim.Addr).IP
+func (s *Server) handle(conn *netsim.Conn, remote netip.Addr, req *http.Request, paths map[string]bool) *http.Response {
 	switch {
 	case paths[req.URL.Path]:
 		return s.handleWire(conn, remote, req)
@@ -117,41 +119,75 @@ func (s *Server) handle(conn *netsim.Conn, req *http.Request, paths map[string]b
 	}
 }
 
+// handleWire answers an HTTP/1.1 request to a wire-format path through the
+// shared RFC 8484 binding.
 func (s *Server) handleWire(conn *netsim.Conn, remote netip.Addr, req *http.Request) *http.Response {
 	var body []byte
-	var err error
-	switch req.Method {
-	case http.MethodGet:
-		dns := req.URL.Query().Get("dns")
-		if dns == "" {
-			return httpResponse(req, http.StatusBadRequest, "text/plain", []byte("missing dns parameter"))
-		}
-		body, err = base64.RawURLEncoding.DecodeString(dns)
-		if err != nil {
-			return httpResponse(req, http.StatusBadRequest, "text/plain", []byte("bad dns parameter"))
-		}
-	case http.MethodPost:
-		if ct := req.Header.Get("Content-Type"); ct != ContentType {
-			return httpResponse(req, http.StatusUnsupportedMediaType, "text/plain", []byte("want "+ContentType))
-		}
-		body, err = io.ReadAll(req.Body)
-		if err != nil {
+	if req.Method == http.MethodPost {
+		var err error
+		if body, err = io.ReadAll(req.Body); err != nil {
 			return httpResponse(req, http.StatusBadRequest, "text/plain", []byte("bad body"))
 		}
-	default:
-		return httpResponse(req, http.StatusMethodNotAllowed, "text/plain", []byte("GET or POST"))
 	}
-	m, err := dnswire.Unpack(body)
-	if err != nil {
-		return httpResponse(req, http.StatusBadRequest, "text/plain", []byte("malformed DNS message"))
+	status, resp, text := s.answer(conn, remote, req.Method, queryParam(req.URL.RawQuery, "dns"), req.Header.Get("Content-Type"), body)
+	if resp == nil {
+		return httpResponse(req, status, "text/plain", []byte(text))
 	}
-	resp, proc := s.Handler.ServeDNS(remote, m)
-	conn.AddLatency(proc + s.ExtraProc)
 	packed, err := resp.Pack()
 	if err != nil {
 		return httpResponse(req, http.StatusInternalServerError, "text/plain", []byte("pack error"))
 	}
-	return httpResponse(req, http.StatusOK, ContentType, packed)
+	return httpResponse(req, status, ContentType, packed)
+}
+
+// answer is the server half of RFC 8484's wire-format binding, shared by
+// the HTTP/1.1 and HTTP/2 loops, for one request to a wire-format path. A
+// GET carries the query in dns, its dns parameter as queryParam extracted
+// it (base64url, unpadded); a POST carries it in body, which must be typed
+// ContentType (ctype). The handler's processing time is charged to conn.
+// It returns 200 with the response, or an error status with its text.
+func (s *Server) answer(conn *netsim.Conn, remote netip.Addr, method, dns, ctype string, body []byte) (int, *dnswire.Message, string) {
+	switch method {
+	case http.MethodGet:
+		if dns == "" {
+			return http.StatusBadRequest, nil, "missing dns parameter"
+		}
+		var err error
+		if body, err = base64.RawURLEncoding.DecodeString(dns); err != nil {
+			return http.StatusBadRequest, nil, "bad dns parameter"
+		}
+	case http.MethodPost:
+		if ctype != ContentType {
+			return http.StatusUnsupportedMediaType, nil, "want " + ContentType
+		}
+	default:
+		return http.StatusMethodNotAllowed, nil, "GET or POST"
+	}
+	m, err := dnswire.Unpack(body)
+	if err != nil {
+		return http.StatusBadRequest, nil, "malformed DNS message"
+	}
+	resp, proc := s.Handler.ServeDNS(remote, m)
+	conn.AddLatency(proc + s.ExtraProc)
+	return http.StatusOK, resp, ""
+}
+
+// queryParam extracts one key's value from a raw query string without
+// url.ParseQuery's allocations; values are returned undecoded (base64url
+// never needs percent-escaping).
+func queryParam(query, key string) string {
+	for len(query) > 0 {
+		kv := query
+		if i := strings.IndexByte(query, '&'); i >= 0 {
+			kv, query = query[:i], query[i+1:]
+		} else {
+			query = ""
+		}
+		if len(kv) > len(key) && kv[len(key)] == '=' && kv[:len(key)] == key {
+			return kv[len(key)+1:]
+		}
+	}
+	return ""
 }
 
 // JSONAnswer is one answer record in the JSON API response.

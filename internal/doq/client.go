@@ -474,12 +474,12 @@ func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	return &dnsclient.Result{Msg: answer[0], Latency: cost}, nil
 }
 
-// BatchContext issues len(names) queries as concurrent streams packed into
-// a single flight — the DoQ analog of dnsclient.Mux.Batch — and appends
-// the results to out in names order. The flight's single round trip is
+// Batch issues len(names) queries as concurrent streams packed into a
+// single flight — the DoQ analog of dnsclient.Mux.Batch — and appends the
+// results to out in names order. The flight's single round trip is
 // amortized evenly across the batch, so per-query latencies are
 // deterministic regardless of worker scheduling.
-func (conn *Conn) BatchContext(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
+func (conn *Conn) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
 	if len(names) == 0 {
 		return out, nil
 	}

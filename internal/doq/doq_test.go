@@ -377,7 +377,7 @@ func TestBatchAmortizesRoundTrip(t *testing.T) {
 	for i := range names {
 		names[i] = "batch-" + string(rune('a'+i)) + ".measure.example.org"
 	}
-	out, err := conn.BatchContext(context.Background(), names, dnswire.TypeA, nil)
+	out, err := conn.Batch(context.Background(), names, dnswire.TypeA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,6 @@ import (
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnscrypt"
 	"dnsencryption.info/doe/internal/dnswire"
-	"dnsencryption.info/doe/internal/doh"
-	"dnsencryption.info/doe/internal/doq"
-	"dnsencryption.info/doe/internal/dot"
 )
 
 // udpExchanger is the connectionless clear-text transport.
@@ -33,121 +30,48 @@ func (u udpExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnsw
 	return res.Msg, nil
 }
 
-// tcpSession adapts an established DNS-over-TCP connection to the unified
-// API; mux is its pipeline when dialed with WithMaxInFlight.
-type tcpSession struct {
-	conn *dnsclient.TCPConn
-	mux  *dnsclient.Mux
+// session adapts any dialed stream or QUIC session — a dnsclient.TCPConn,
+// *dot.Conn, *doh.Conn or *doq.Conn — to Session: each already has
+// Batch, Close, SetupLatency and Elapsed, and Exchange forwards the
+// message's question to its QueryContext.
+type session struct{ conn }
+
+// conn is what every dialed connection provides.
+type conn interface {
+	QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*dnsclient.Result, error)
+	Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error)
+	Close() error
+	SetupLatency() time.Duration
+	Elapsed() time.Duration
 }
 
-func (s tcpSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
+func (s session) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
 	name, qtype, err := Question(msg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
+	res, err := s.QueryContext(ctx, name, qtype)
 	if err != nil {
 		return nil, err
 	}
 	return res.Msg, nil
 }
 
-func (s tcpSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	return muxBatch(ctx, s.mux, names, qtype, out)
+// Verified is the handshake evidence of a session that authenticates under
+// the Opportunistic profile (DoT, DoQ): it proceeds past a chain that fails
+// verification, so the chain and the outcome are interception evidence. A
+// 0-RTT DoQ session carries the outcome of the handshake that minted its
+// ticket. Sessions dialed for those protocols implement it.
+type Verified interface {
+	PeerCertificates() []*x509.Certificate
+	VerifyError() error
 }
 
-func (s tcpSession) Close() error                { return s.conn.Close() }
-func (s tcpSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s tcpSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
-
-// muxBatch is Batch for the pipelined stream sessions (TCP, DoT).
-func muxBatch(ctx context.Context, m *dnsclient.Mux, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	if m == nil {
-		return out, errSerialBatch
-	}
-	return m.Batch(ctx, names, qtype, out)
+// verifiedSession is a session that also exposes its handshake evidence.
+type verifiedSession struct {
+	session
+	Verified
 }
-
-// dotSession adapts an established DoT session to the unified API; mux is
-// its pipeline when dialed with WithMaxInFlight. PeerCertificates and
-// VerifyError expose the handshake's evidence: under the Opportunistic
-// profile a session proceeds past a chain that fails verification.
-type dotSession struct {
-	conn *dot.Conn
-	mux  *dnsclient.Mux
-}
-
-func (s dotSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
-}
-
-func (s dotSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	return muxBatch(ctx, s.mux, names, qtype, out)
-}
-
-func (s dotSession) Close() error                          { return s.conn.Close() }
-func (s dotSession) SetupLatency() time.Duration           { return s.conn.SetupLatency() }
-func (s dotSession) Elapsed() time.Duration                { return s.conn.Elapsed() }
-func (s dotSession) PeerCertificates() []*x509.Certificate { return s.conn.PeerCertificates() }
-func (s dotSession) VerifyError() error                    { return s.conn.VerifyError() }
-
-// dohSession adapts an established DoH session to the unified API.
-type dohSession struct{ conn *doh.Conn }
-
-func (s dohSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
-}
-
-func (s dohSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	return s.conn.BatchContext(ctx, names, qtype, out)
-}
-
-func (s dohSession) Close() error                { return s.conn.Close() }
-func (s dohSession) SetupLatency() time.Duration { return s.conn.SetupLatency() }
-func (s dohSession) Elapsed() time.Duration      { return s.conn.Elapsed() }
-
-// doqSession adapts an established DoQ session to the unified API, exposing
-// the handshake's evidence like dotSession (a 0-RTT session carries the
-// outcome of the handshake that minted its ticket).
-type doqSession struct{ conn *doq.Conn }
-
-func (s doqSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
-}
-
-func (s doqSession) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error) {
-	return s.conn.BatchContext(ctx, names, qtype, out)
-}
-
-func (s doqSession) Close() error                          { return s.conn.Close() }
-func (s doqSession) SetupLatency() time.Duration           { return s.conn.SetupLatency() }
-func (s doqSession) Elapsed() time.Duration                { return s.conn.Elapsed() }
-func (s doqSession) PeerCertificates() []*x509.Certificate { return s.conn.PeerCertificates() }
-func (s doqSession) VerifyError() error                    { return s.conn.VerifyError() }
 
 // DNSCrypt adapts a dnscrypt client to the unified API. The client's
 // certificate must already be fetched (FetchCertContext); exchanges on an

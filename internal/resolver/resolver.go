@@ -67,13 +67,10 @@ type Session interface {
 	// answers to out in names order. The Elapsed delta around a Batch,
 	// divided by len(names), is the amortized per-query latency of Fig. 9's
 	// multiplexed column. TCP, DoT and DoH sessions batch only when dialed
-	// with WithMaxInFlight.
+	// with WithMaxInFlight; otherwise Batch fails with
+	// dnsclient.ErrSerialBatch.
 	Batch(ctx context.Context, names []string, qtype dnswire.Type, out []dnsclient.Result) ([]dnsclient.Result, error)
 }
-
-// errSerialBatch fails Batch on a TCP or DoT session dialed without
-// WithMaxInFlight.
-var errSerialBatch = errors.New("resolver: batch needs a session dialed WithMaxInFlight")
 
 // ErrNoQuestion is returned when Exchange is handed a message without a
 // question section.
@@ -301,7 +298,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if err != nil {
 			return nil, err
 		}
-		return doqSession{conn}, nil
+		return verifiedSession{session{conn}, conn}, nil
 	}
 	raw, err := c.dial.DialStream(ep.Addr, ports[p])
 	if err != nil {
@@ -310,11 +307,11 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 	raw.SetDeadline(dnsclient.Deadline(ctx, c.opts.Timeout))
 	switch p {
 	case ProtoTCP:
-		s := tcpSession{conn: dnsclient.TCPFromConn(raw)}
+		conn := dnsclient.TCPFromConn(raw)
 		if n > 0 {
-			s.mux = s.conn.Pipeline(n)
+			conn.Pipeline(n)
 		}
-		return s, nil
+		return session{conn}, nil
 	case ProtoDoT:
 		dc := dot.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
 		dc.Timeout = c.opts.Timeout
@@ -323,21 +320,19 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if err != nil {
 			return nil, err
 		}
-		s := dotSession{conn: conn}
 		if n > 0 {
-			s.mux = conn.Pipeline(n)
+			conn.Pipeline(n)
 		}
-		return s, nil
+		return verifiedSession{session{conn}, conn}, nil
 	default: // ProtoDoH
 		dc := doh.NewClient(c.World, c.From, c.Roots)
 		dc.Timeout = c.opts.Timeout
-		dc.Mux = n > 0
 		dc.MaxInFlight = n
 		conn, err := dc.DialConnContext(ctx, ep.Template, raw)
 		if err != nil {
 			return nil, err
 		}
-		return dohSession{conn}, nil
+		return session{conn}, nil
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnscrypt"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/dnswire"
@@ -341,5 +342,26 @@ func TestExitNodeClientCompletesEveryProtocol(t *testing.T) {
 			}
 			sess.Close()
 		}
+	}
+}
+
+// A serial stream session has no burst to coalesce into: Batch on a TCP,
+// DoT or DoH session dialed without WithMaxInFlight fails with
+// dnsclient.ErrSerialBatch, and the session still answers Exchanges.
+func TestSerialSessionRefusesBatch(t *testing.T) {
+	f := newFixture(t)
+	ep := Endpoint{Addr: serverIP, Template: doh.Template{Host: "dns.provider.example", Path: "/dns-query"}}
+	ctx := context.Background()
+	for _, p := range []Proto{ProtoTCP, ProtoDoT, ProtoDoH} {
+		sess, err := f.client(t).Dial(ctx, p, ep)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if _, err := sess.Batch(ctx, []string{"b.measure.example.org"}, dnswire.TypeA, nil); !errors.Is(err, dnsclient.ErrSerialBatch) {
+			t.Errorf("%v: Batch err = %v, want ErrSerialBatch", p, err)
+		}
+		m, err := sess.Exchange(ctx, query(p.String()+".measure.example.org"))
+		checkAnswer(t, m, err, p.String())
+		sess.Close()
 	}
 }

@@ -55,7 +55,7 @@ func (s *dyingSession) Close() error                { s.closed = true; return ni
 func (s *dyingSession) SetupLatency() time.Duration { return time.Millisecond }
 func (s *dyingSession) Elapsed() time.Duration      { return s.elapsed }
 func (s *dyingSession) Batch(context.Context, []string, dnswire.Type, []dnsclient.Result) ([]dnsclient.Result, error) {
-	return nil, errSerialBatch
+	return nil, dnsclient.ErrSerialBatch
 }
 
 // dyingTransport returns a reuse Transport whose first session dies with

@@ -9,12 +9,12 @@ import (
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
-	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/netsim"
 	"dnsencryption.info/doe/internal/obs"
+	"dnsencryption.info/doe/internal/resolver"
 	"dnsencryption.info/doe/internal/runner"
 )
 
@@ -175,20 +175,20 @@ type protocol struct {
 	miss                       string // outcome of an open port that is no resolver
 	// open is the stage-1 liveness check of one address.
 	open func(s *Scanner, src, addr netip.Addr) bool
-	// dial opens the stage-2 verification session.
-	dial func(s *Scanner, src, addr netip.Addr) (session, error)
+	// proto is the stage-2 verification session's protocol.
+	proto resolver.Proto
 }
 
 var (
 	dotScan = protocol{
 		span: "scan", sweepPool: "scan-sweep", probePool: "scan-probe",
 		sweepCounter: "scanner_sweep_dials_total", probeCounter: "scanner_probes_total",
-		miss: "no-dot", open: openTCP, dial: dialDoT,
+		miss: "no-dot", open: openTCP, proto: resolver.ProtoDoT,
 	}
 	doqScan = protocol{
 		span: "scan-doq", sweepPool: "scan-doq-sweep", probePool: "scan-doq-probe",
 		sweepCounter: "scanner_doq_sweep_total", probeCounter: "scanner_doq_probes_total",
-		miss: "no-doq", open: openQUIC, dial: dialDoQ,
+		miss: "no-doq", open: openQUIC, proto: resolver.ProtoDoQ,
 	}
 )
 
@@ -209,36 +209,6 @@ func openTCP(s *Scanner, src, addr netip.Addr) bool {
 func openQUIC(s *Scanner, src, addr netip.Addr) bool {
 	resp, _, err := s.World.Exchange(src, addr, doq.Port, quicProbe)
 	return err == nil && len(resp) > 0
-}
-
-// dialDoT opens the DoT verification session under a 2 s guard.
-// Opportunistic profile: the point is to find out who answers, not to
-// authenticate them.
-func dialDoT(s *Scanner, src, addr netip.Addr) (session, error) {
-	client := dot.NewClient(s.World, src, s.Roots, dot.Opportunistic)
-	client.Timeout = 2 * time.Second
-	conn, err := client.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return conn, nil
-}
-
-// dialDoQ completes an RFC 9250 handshake, opportunistically like dialDoT.
-func dialDoQ(s *Scanner, src, addr netip.Addr) (session, error) {
-	conn, err := doq.NewClient(s.World, src, s.Roots, dot.Opportunistic).Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return conn, nil
-}
-
-// session is what a verification probe needs of a dialed connection;
-// *dot.Conn and *doq.Conn both provide it.
-type session interface {
-	Query(name string, qtype dnswire.Type) (*dnsclient.Result, error)
-	PeerCertificates() []*x509.Certificate
-	Close() error
 }
 
 // scan is the one sweep→probe round behind ScanContext and ScanDoQContext.
@@ -294,7 +264,7 @@ func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result,
 	// depend on which worker picked the address up.
 	probed, err := runner.MapCtx(obs.WithPool(ctx, p.probePool), workers, len(open),
 		func(ctx context.Context, i int) probeOutcome {
-			r, ok := s.probe(p, s.Sources[i%len(s.Sources)], open[i])
+			r, ok := s.probe(ctx, p, s.Sources[i%len(s.Sources)], open[i])
 			outcome := p.miss
 			if ok {
 				outcome = "resolver"
@@ -355,16 +325,20 @@ type probeOutcome struct {
 }
 
 // probe issues the verification query of §3.1 ("probe the addresses with
-// DoT queries of a domain registered by us") over p's session and
-// classifies the presented chain.
-func (s *Scanner) probe(p *protocol, src, addr netip.Addr) (Resolver, bool) {
-	conn, err := p.dial(s, src, addr)
+// DoT queries of a domain registered by us") over a p.proto session and
+// classifies the presented chain. The session opens Opportunistically —
+// the point is to find out who answers, not to authenticate them — under a
+// 2 s guard, from a Client of its own, so no DoQ resumption ticket crosses
+// probes.
+func (s *Scanner) probe(ctx context.Context, p *protocol, src, addr netip.Addr) (Resolver, bool) {
+	c := resolver.New(s.World, src, s.Roots, resolver.WithTimeout(2*time.Second))
+	sess, err := c.Dial(ctx, p.proto, resolver.Endpoint{Addr: addr})
 	if err != nil {
 		return Resolver{}, false
 	}
-	defer conn.Close()
-	resp, err := conn.Query(s.ProbeDomain, dnswire.TypeA)
-	if err != nil || resp.Rcode() != dnswire.RcodeSuccess || len(resp.Msg.Answers) == 0 {
+	defer sess.Close()
+	resp, err := sess.Exchange(ctx, dnswire.NewQuery(0, s.ProbeDomain, dnswire.TypeA))
+	if err != nil || resp.Rcode != dnswire.RcodeSuccess || len(resp.Answers) == 0 {
 		// Port open but not a resolver — the vast majority in §3.2.
 		return Resolver{}, false
 	}
@@ -372,7 +346,10 @@ func (s *Scanner) probe(p *protocol, src, addr netip.Addr) (Resolver, bool) {
 	if a, ok := resp.FirstA(); ok && s.ExpectedA.IsValid() {
 		r.AnswerCorrect = a == s.ExpectedA
 	}
-	chain := conn.PeerCertificates()
+	var chain []*x509.Certificate
+	if v, ok := sess.(resolver.Verified); ok {
+		chain = v.PeerCertificates()
+	}
 	if len(chain) > 0 {
 		r.Provider = certs.ProviderKey(chain[0])
 		r.CommonName = chain[0].Subject.CommonName

@@ -9,7 +9,6 @@ package vantage
 
 import (
 	"context"
-	"crypto/x509"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -326,14 +325,6 @@ func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 	return sess, nil
 }
 
-// verifier is implemented by the sessions that authenticate under the
-// Opportunistic profile (DoT, DoQ): they proceed past a chain that fails
-// verification, so the chain and the outcome are interception evidence.
-type verifier interface {
-	PeerCertificates() []*x509.Certificate
-	VerifyError() error
-}
-
 // test runs one Fig. 7 lookup: a session to tgt's proto endpoint through
 // node, one uniquely named A query, and the Table 4 classification. A
 // DoT or DoQ lookup that answers correctly over a certificate that does
@@ -350,7 +341,7 @@ func (p *Platform) test(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 	}
 	defer sess.Close()
 	r.Setup = sess.SetupLatency()
-	v, opportunistic := sess.(verifier)
+	v, opportunistic := sess.(resolver.Verified)
 	if opportunistic {
 		if chain := v.PeerCertificates(); len(chain) > 0 {
 			r.IssuerCN = chain[0].Issuer.CommonName

@@ -20,8 +20,9 @@ RACE_PKGS := ./internal/...
 # Fuzz targets, as package:target pairs; fuzz-smoke runs each briefly. The
 # dnswire targets are hardened against panics, so a codec regression that
 # panics on malformed wire input fails the gate; doh's feed hostile server
-# bytes to the client's HTTP/1.1 and h2 readers, whole and in short reads;
-# netsim's checks that the lazily seeded per-flow source draws exactly what
+# bytes to the client's HTTP/1.1 and h2 readers, and hostile client bytes to
+# the server's HTTP/1.1 and h2 loops (which must also keep their request
+# bounds), whole and in short reads; netsim's checks that the lazily seeded per-flow source draws exactly what
 # math/rand would.
 FUZZ_TARGETS := \
 	./internal/dnswire:FuzzParseMessage \
@@ -32,6 +33,8 @@ FUZZ_TARGETS := \
 	./internal/dnswire:FuzzQUICVarint \
 	./internal/doh:FuzzH1ReadReply \
 	./internal/doh:FuzzH2ReadReply \
+	./internal/doh:FuzzServeH1 \
+	./internal/doh:FuzzServeH2 \
 	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s
 

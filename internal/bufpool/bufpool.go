@@ -134,53 +134,22 @@ var f64ClassSizes = [...]int{64, 512, 4096}
 
 var f64Pools [len(f64ClassSizes)]sync.Pool
 
-var f64Stats struct {
-	gets, puts, hits, misses, drops atomic.Uint64
-}
-
-// F64Stats counts float64-slice pool traffic since process start, with the
-// same accounting identities as Stats.
-type F64Stats struct {
-	Gets, Puts, Hits, Misses, Drops uint64
-}
-
-// InUse returns the number of checked-out float64 slices the pool still
-// expects back.
-func (s F64Stats) InUse() int64 {
-	return int64(s.Gets) - int64(s.Puts) - int64(s.Drops)
-}
-
-// SnapshotF64 returns the current float64-slice pool counters.
-func SnapshotF64() F64Stats {
-	return F64Stats{
-		Gets:   f64Stats.gets.Load(),
-		Puts:   f64Stats.puts.Load(),
-		Hits:   f64Stats.hits.Load(),
-		Misses: f64Stats.misses.Load(),
-		Drops:  f64Stats.drops.Load(),
-	}
-}
-
 // GetF64 returns a zero-length float64 slice with capacity at least n,
 // pooled by size class. Same contract as Get: callers must not retain the
 // slice — or any reslice of it — after PutF64.
 func GetF64(n int) *[]float64 {
-	f64Stats.gets.Add(1)
 	for i, size := range f64ClassSizes {
 		if n > size {
 			continue
 		}
 		if v := f64Pools[i].Get(); v != nil {
-			f64Stats.hits.Add(1)
 			b := v.(*[]float64)
 			*b = (*b)[:0]
 			return b
 		}
-		f64Stats.misses.Add(1)
 		b := make([]float64, 0, size)
 		return &b
 	}
-	f64Stats.misses.Add(1)
 	b := make([]float64, 0, n)
 	return &b
 }
@@ -194,18 +163,15 @@ func PutF64(b *[]float64) {
 	}
 	c := cap(*b)
 	if c > f64ClassSizes[len(f64ClassSizes)-1] {
-		f64Stats.drops.Add(1)
 		return
 	}
 	for i := len(f64ClassSizes) - 1; i >= 0; i-- {
 		if c >= f64ClassSizes[i] {
 			*b = (*b)[:0]
-			f64Stats.puts.Add(1)
 			f64Pools[i].Put(b)
 			return
 		}
 	}
-	f64Stats.drops.Add(1)
 }
 
 // Grow returns b extended by n bytes of length, reallocating (with capacity

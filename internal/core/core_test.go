@@ -315,6 +315,69 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
+func TestSelect(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []string // nil: Select fails
+	}{
+		{"fig9", []string{"fig9"}},
+		{"table7,fig1", []string{"table7", "fig1"}},
+		{"scan", []string{"table2", "fig3", "fig4", "doh-discovery"}},
+		{"clients", []string{"table3", "table4", "table5", "table6", "table7", "fig9", "fig10"}},
+		{"traffic", []string{"fig11", "fig12", "fig13", "scan-screen"}},
+		{"table8,traffic,fig1", []string{"table8", "fig11", "fig12", "fig13", "scan-screen", "fig1"}},
+		{"nope", nil},
+		{"scan,nope", nil},
+		{"fig9,", nil},
+		{"", nil},
+	} {
+		exps, err := Select(tc.list)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("Select(%q) succeeded, want an error", tc.list)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Select(%q): %v", tc.list, err)
+			continue
+		}
+		var got []string
+		for _, e := range exps {
+			got = append(got, e.ID)
+		}
+		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+			t.Errorf("Select(%q) = %v, want %v", tc.list, got, tc.want)
+		}
+	}
+	for _, sec := range Sections() {
+		for _, id := range sec.IDs {
+			if _, ok := ExperimentByID(id); !ok {
+				t.Errorf("section %s lists unregistered experiment %q", sec.Name, id)
+			}
+		}
+	}
+}
+
+// Progress times every experiment RunExperiment runs, so doereport
+// -timing reports an -only selection as it reports the full study.
+func TestRunExperimentReportsProgress(t *testing.T) {
+	var got []string
+	s := &Study{Progress: func(id, _ string, _ time.Duration) { got = append(got, id) }}
+	exps, err := Select("table1,fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exp := range exps {
+		if _, err := s.RunExperiment(exp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if strings.Join(got, " ") != "table1 fig1" {
+		t.Errorf("progress reported %v, want [table1 fig1]", got)
+	}
+}
+
 func TestRunAllProducesReport(t *testing.T) {
 	s := study(t)
 	var sb strings.Builder

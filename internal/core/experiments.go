@@ -164,6 +164,46 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// Section is one measurement stage of the paper, by name, and the
+// experiments that report it.
+type Section struct {
+	Name string
+	IDs  []string
+}
+
+// Sections returns the paper's three measurement stages: server discovery
+// (§3), client-side reachability and performance (§4) and usage (§5).
+func Sections() []Section {
+	return []Section{
+		{"scan", []string{"table2", "fig3", "fig4", "doh-discovery"}},
+		{"clients", []string{"table3", "table4", "table5", "table6", "table7", "fig9", "fig10"}},
+		{"traffic", []string{"fig11", "fig12", "fig13", "scan-screen"}},
+	}
+}
+
+// Select resolves a comma-separated list of experiment ids and section
+// names to experiments, in list order; a section expands to its
+// experiments in paper order.
+func Select(list string) ([]Experiment, error) {
+	var exps []Experiment
+	for _, name := range strings.Split(list, ",") {
+		ids := []string{name}
+		for _, sec := range Sections() {
+			if sec.Name == name {
+				ids = sec.IDs
+			}
+		}
+		for _, id := range ids {
+			exp, ok := ExperimentByID(id)
+			if !ok {
+				return nil, fmt.Errorf("unknown experiment or section %q", name)
+			}
+			exps = append(exps, exp)
+		}
+	}
+	return exps, nil
+}
+
 func runTable2(s *Study) (string, error) {
 	scans, err := s.ScanResults()
 	if err != nil {

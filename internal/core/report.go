@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Progress receives per-experiment wall-clock timing as RunAll advances.
+// Progress receives per-experiment wall-clock timing as experiments run.
 // Timing stays out of the report body on purpose: the report is a seeded
 // artifact that must be byte-for-byte identical for any worker count, while
 // wall time is exactly the thing parallelism changes.
@@ -14,8 +14,7 @@ type Progress func(id, title string, elapsed time.Duration)
 
 // RunAll executes every experiment in paper order and writes a full report.
 // It returns the first error but keeps going so one failing experiment does
-// not mask the rest. If s.Progress is set, it is invoked after each
-// experiment with its wall-clock duration.
+// not mask the rest.
 func (s *Study) RunAll(w io.Writer) error {
 	var firstErr error
 	// The "experiments" phase is the top row of the /progress endpoint;
@@ -25,13 +24,8 @@ func (s *Study) RunAll(w io.Writer) error {
 	phase := s.Obs.Phase("experiments")
 	phase.AddTotal(int64(len(Experiments())))
 	for _, exp := range Experiments() {
-		start := time.Now() //doelint:allow walltaint -- reports real runtime of the experiment, not simulated time
 		out, err := s.RunExperiment(exp)
 		phase.Done(1)
-		if s.Progress != nil {
-			//doelint:allow walltaint -- reports real runtime of the experiment, not simulated time
-			s.Progress(exp.ID, exp.Title, time.Since(start))
-		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%s: %w", exp.ID, err)
@@ -56,12 +50,18 @@ func (s *Study) RunAll(w io.Writer) error {
 }
 
 // RunExperiment executes one experiment under its own exp:<id> trace span
-// (when telemetry is on), so single-experiment runs — doereport -only and
-// the per-section binaries — produce the same trace shape as RunAll.
+// (when telemetry is on), so the experiments doereport -only selects
+// produce the same trace shape as RunAll.
 // Experiments run serially, so exp:<id> spans order by creation and the
 // cached stages (scans, campaigns) nest under the experiment that first
-// triggered them.
+// triggered them. If s.Progress is set, it is invoked after the experiment
+// with its wall-clock duration.
 func (s *Study) RunExperiment(exp Experiment) (string, error) {
+	if s.Progress != nil {
+		start := time.Now() //doelint:allow walltaint -- reports real runtime of the experiment, not simulated time
+		//doelint:allow walltaint -- reports real runtime of the experiment, not simulated time
+		defer func() { s.Progress(exp.ID, exp.Title, time.Since(start)) }()
+	}
 	if s.Obs != nil {
 		s.setExpSpan(s.Obs.Root().Start("exp:" + exp.ID))
 		defer s.setExpSpan(nil)

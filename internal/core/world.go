@@ -90,7 +90,8 @@ type Study struct {
 	Roots  *certs.TrustStore
 
 	// Progress, when set, receives per-experiment wall-clock timing from
-	// RunAll (stderr logging in cmd/doereport); it never feeds the report.
+	// RunExperiment (stderr logging in cmd/doereport); it never feeds the
+	// report.
 	Progress Progress
 
 	// Zone is the authoritative measurement zone; ExpectedA its wildcard

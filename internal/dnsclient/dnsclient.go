@@ -155,7 +155,11 @@ type TCPConn struct {
 	// established is the virtual time consumed before the first query
 	// (TCP handshake, and TLS's for DoT and DoH).
 	established time.Duration
-	closed      bool
+	// dead is why the session ended, nil while it lives: ErrClosed after
+	// Close, or a Write or ReadReply error of the serial exchange, which
+	// leaves the stream in an unknown state, wrapped with ErrClosed. Later
+	// queries fail with it and write nothing.
+	dead error
 }
 
 // DialTCPContext opens a reusable DNS-over-TCP connection to server:53.
@@ -217,7 +221,7 @@ func (t *TCPConn) start(f Framing, rw io.ReadWriteCloser, conn *netsim.Conn, cos
 func (t *TCPConn) Pipeline(limit int) *Mux {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.mux == nil && !t.closed {
+	if t.mux == nil && t.dead == nil {
 		t.mux = newMux(t.f, t.rw, t.conn, t.cost, limit)
 	}
 	return t.mux
@@ -239,7 +243,7 @@ func (t *TCPConn) Query(name string, qtype dnswire.Type) (*Result, error) {
 // checking ctx before the transaction starts. Steady-state transactions
 // reuse the connection's scratch buffer: frame into it, one write, read into
 // it, parse. A reply the framing fails alone (Reply.Err) fails this query
-// and leaves the session usable.
+// and leaves the session usable; a write or framing error ends it.
 //
 //doelint:hotpath
 func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.Type) (*Result, error) {
@@ -252,8 +256,8 @@ func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dnsclient: query: %w", err)
 	}
-	if t.closed {
-		return nil, ErrClosed
+	if t.dead != nil {
+		return nil, t.dead
 	}
 	id := t.f.NextTag()
 	start := t.conn.Elapsed()
@@ -264,12 +268,12 @@ func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	*t.buf = wb
 	t.conn.AddLatency(t.cost)
 	if _, err := t.rw.Write(wb); err != nil {
-		return nil, err
+		return nil, t.fail(err)
 	}
 	r, rb, err := t.f.ReadReply(wb, nil)
 	*t.buf = rb
 	if err != nil {
-		return nil, err
+		return nil, t.fail(err)
 	}
 	if r.Err != nil {
 		return nil, r.Err
@@ -280,13 +284,24 @@ func (t *TCPConn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	return &Result{Msg: r.Msg, Latency: t.conn.Elapsed() - start}, nil
 }
 
+// fail ends the serial session on err and returns err for the query that
+// met it. Called with t.mu held.
+func (t *TCPConn) fail(err error) error {
+	t.dead = fmt.Errorf("%w: %w", ErrClosed, err)
+	return err
+}
+
 // Batch issues names as one coalesced burst on a pipelined session; see
 // Mux.Batch. A serial session has no burst to coalesce into: Batch fails
-// with ErrSerialBatch until Pipeline has run.
+// with ErrSerialBatch until Pipeline has run. Once the session has ended,
+// Batch fails with the reason.
 func (t *TCPConn) Batch(ctx context.Context, names []string, qtype dnswire.Type, out []Result) ([]Result, error) {
 	t.mu.Lock()
-	m := t.mux
+	m, dead := t.mux, t.dead
 	t.mu.Unlock()
+	if dead != nil {
+		return out, dead
+	}
 	if m == nil {
 		return out, ErrSerialBatch
 	}
@@ -297,10 +312,10 @@ func (t *TCPConn) Batch(ctx context.Context, names []string, qtype dnswire.Type,
 func (t *TCPConn) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.dead == ErrClosed {
 		return nil
 	}
-	t.closed = true
+	t.dead = ErrClosed
 	if t.mux != nil {
 		t.mux.Close()
 	}

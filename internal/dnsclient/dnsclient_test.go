@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,6 +150,63 @@ func TestQueryAfterCloseFails(t *testing.T) {
 	conn.Close()
 	if _, err := conn.Query("x.example.com", dnswire.TypeA); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
+	}
+}
+
+// A framing error leaves a serial session's stream in an unknown state, so
+// it ends the session: later queries, Batch and Pipeline fail with ErrClosed
+// and the cause, and nothing more is written.
+func TestSerialSessionEndsOnFramingError(t *testing.T) {
+	w := newWorld()
+	var queries atomic.Int32
+	done := make(chan struct{})
+	w.RegisterStream(resolverIP, 53, func(conn *netsim.Conn) {
+		defer close(done)
+		defer conn.Close()
+		for {
+			msg, err := dnswire.ReadTCP(conn)
+			if err != nil {
+				return
+			}
+			resp, _, err := fixedHandler(conn.RemoteAddr().(netsim.Addr).IP, msg)
+			if err != nil {
+				return
+			}
+			// The first reply is a frame that does not unpack, then a
+			// well-formed one.
+			if queries.Add(1) == 1 && dnswire.WriteTCP(conn, []byte{0xde, 0xad}) != nil {
+				return
+			}
+			if dnswire.WriteTCP(conn, resp) != nil {
+				return
+			}
+		}
+	})
+	conn, err := New(w, clientIP).DialTCPContext(context.Background(), resolverIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cause := conn.Query("first.example.com", dnswire.TypeA)
+	if cause == nil {
+		t.Fatal("first query succeeded on a reply that does not unpack")
+	}
+	_, err = conn.Query("second.example.com", dnswire.TypeA)
+	if !errors.Is(err, ErrClosed) || !errors.Is(err, cause) {
+		t.Errorf("second query: err = %v, want ErrClosed wrapping %v", err, cause)
+	}
+	if _, err := conn.Batch(context.Background(), []string{"third.example.com"}, dnswire.TypeA, nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("Batch: err = %v, want ErrClosed", err)
+	}
+	if m := conn.Pipeline(4); m != nil {
+		t.Error("Pipeline upgraded a dead session")
+	}
+	if _, err := conn.Query("fourth.example.com", dnswire.TypeA); !errors.Is(err, ErrClosed) {
+		t.Errorf("query after Pipeline: err = %v, want ErrClosed", err)
+	}
+	conn.Close()
+	<-done
+	if n := queries.Load(); n != 1 {
+		t.Errorf("server saw %d queries, want 1", n)
 	}
 }
 

@@ -94,13 +94,6 @@ func (r *Iterative) SentQueries() []SentQuery {
 	return append([]SentQuery(nil), r.log...)
 }
 
-// ResetLog clears the upstream question log.
-func (r *Iterative) ResetLog() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.log = nil
-}
-
 func (r *Iterative) exchange(server netip.Addr, name string, qtype dnswire.Type) (*dnswire.Message, time.Duration, error) {
 	r.mu.Lock()
 	r.log = append(r.log, SentQuery{Server: server, Name: dnswire.CanonicalName(name), Type: qtype})

@@ -61,11 +61,9 @@ func (t H2FrameType) String() string {
 	return fmt.Sprintf("FRAME(0x%x)", uint8(t))
 }
 
-// Frame flags (RFC 7540 §6). ACK shares END_STREAM's bit but applies only to
-// SETTINGS and PING frames.
+// Frame flags (RFC 7540 §6).
 const (
 	H2FlagEndStream  byte = 0x1
-	H2FlagAck        byte = 0x1
 	H2FlagEndHeaders byte = 0x4
 )
 
@@ -78,9 +76,6 @@ type H2Frame struct {
 
 // EndStream reports the END_STREAM flag.
 func (f H2Frame) EndStream() bool { return f.Flags&H2FlagEndStream != 0 }
-
-// Ack reports the ACK flag (SETTINGS and PING frames).
-func (f H2Frame) Ack() bool { return f.Flags&H2FlagAck != 0 }
 
 // AppendH2FrameHeader appends the 9-byte header for a frame whose payload is
 // n bytes and returns the extended slice.

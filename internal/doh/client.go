@@ -51,8 +51,9 @@ var (
 	errBodyTooLarge      = fmt.Errorf("doh: response body over %d octets", maxBody)
 )
 
-// maxBody bounds a reply body in both framings: 65,535 octets, the largest
-// DNS message. A server cannot make the client buffer more.
+// maxBody bounds a message body, reply or request, in both HTTP versions:
+// 65,535 octets, the largest DNS message. A peer cannot make either end
+// buffer more.
 const maxBody = 65535
 
 // Template is a parsed DoH URI template, e.g.

@@ -260,7 +260,9 @@ type h2Request struct {
 // Responses to concurrently arriving streams coalesce in the write buffer
 // until no further frame is already buffered — the h2 analogue of the RFC
 // 7766 §6.2.1.1 response coalescing in dnsserver — so a client burst that
-// arrived in one segment is answered in one segment.
+// arrived in one segment is answered in one segment. A stream past maxBody,
+// a POST stream past maxStreams, or any frame the loop cannot follow ends
+// the session; the answers already framed still go out first.
 //
 //doelint:hotpath
 func (s *Server) serveH2(conn *netsim.Conn, remote netip.Addr, tc io.ReadWriter, paths map[string]bool) {
@@ -288,56 +290,56 @@ func (s *Server) serveH2(conn *netsim.Conn, remote netip.Addr, tc io.ReadWriter,
 	defer bufpool.Put(wbuf)
 	out := (*wbuf)[:0]
 	var posts map[uint32]*h2Request // lazily allocated; GET-only clients never need it
-	for {
+	for ok := true; ok; {
 		f, payload, err := dnswire.ReadH2FrameAppend(br, (*rbuf)[:0])
 		if err != nil {
-			return
+			break
 		}
 		*rbuf = payload[:0]
 		switch f.Type {
 		case dnswire.H2FrameHeaders:
-			req, ok := parseH2Request(payload)
-			if !ok {
-				return
-			}
-			if !f.EndStream() {
+			var req h2Request
+			req, ok = parseH2Request(payload)
+			switch {
+			case !ok:
+			case f.EndStream():
+				out, ok = s.appendH2Response(out, conn, remote, f.StreamID, req, paths)
+			case posts[f.StreamID] == nil && len(posts) >= maxStreams:
+				ok = false
+			default:
 				if posts == nil {
 					posts = make(map[uint32]*h2Request)
 				}
 				posts[f.StreamID] = &h2Request{method: req.method, path: req.path, ctype: req.ctype}
-				break
-			}
-			if out, ok = s.appendH2Response(out, conn, remote, f.StreamID, req, paths); !ok {
-				return
 			}
 		case dnswire.H2FrameData:
 			req := posts[f.StreamID]
-			if req == nil {
-				return
+			if ok = req != nil && len(req.body)+len(payload) <= maxBody; !ok {
+				break
 			}
 			req.body = append(req.body, payload...)
 			if f.EndStream() {
 				delete(posts, f.StreamID)
-				var ok bool
-				if out, ok = s.appendH2Response(out, conn, remote, f.StreamID, *req, paths); !ok {
-					return
-				}
+				out, ok = s.appendH2Response(out, conn, remote, f.StreamID, *req, paths)
 			}
 		case dnswire.H2FrameRSTStream:
 			delete(posts, f.StreamID)
 		case dnswire.H2FrameGoAway:
-			return
+			ok = false
 		default:
 			// SETTINGS, PING, WINDOW_UPDATE: ignored per the no-ACK,
 			// no-flow-control subset.
 		}
-		if len(out) > 0 && br.Buffered() == 0 {
+		if len(out) > 0 && (!ok || br.Buffered() == 0) {
 			if _, err := tc.Write(out); err != nil {
 				return
 			}
 			*wbuf = out
 			out = out[:0]
 		}
+	}
+	if len(out) > 0 {
+		tc.Write(out) //nolint:errcheck // the session is over either way
 	}
 }
 
@@ -364,7 +366,7 @@ func parseH2Request(block []byte) (req h2Request, ok bool) {
 
 // appendH2Response answers one completed stream through the shared RFC 8484
 // binding, appending its HEADERS and DATA frames to out. ok is false when
-// the response cannot be framed (fatal).
+// the response cannot be framed (fatal); out then holds what it held.
 func (s *Server) appendH2Response(out []byte, conn *netsim.Conn, remote netip.Addr, sid uint32, req h2Request, paths map[string]bool) ([]byte, bool) {
 	path, query, _ := strings.Cut(req.path, "?")
 	status, resp, text := http.StatusNotFound, (*dnswire.Message)(nil), "not found"
@@ -376,33 +378,29 @@ func (s *Server) appendH2Response(out []byte, conn *netsim.Conn, remote netip.Ad
 		if resp == nil {
 			ctype = "text/plain"
 		}
-		hstart := len(out)
-		out = dnswire.ReserveH2FrameHeader(out)
-		out = dnswire.AppendHpackLiteral(out, ":status", h2StatusText(status))
-		out = dnswire.AppendHpackLiteral(out, "content-type", ctype)
-		var err error
-		out, err = dnswire.FinishH2Frame(out, hstart, dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid)
+		b := dnswire.ReserveH2FrameHeader(out)
+		b = dnswire.AppendHpackLiteral(b, ":status", h2StatusText(status))
+		b = dnswire.AppendHpackLiteral(b, "content-type", ctype)
+		b, err := dnswire.FinishH2Frame(b, len(out), dnswire.H2FrameHeaders, dnswire.H2FlagEndHeaders, sid)
 		if err != nil {
-			return nil, false
+			return out, false
 		}
-		dstart := len(out)
-		out = dnswire.ReserveH2FrameHeader(out)
+		dstart := len(b)
+		b = dnswire.ReserveH2FrameHeader(b)
 		if resp != nil {
 			// Pack straight into the DATA frame — no intermediate buffer;
 			// compression offsets are message-relative so any prefix works.
-			if out, err = resp.AppendPack(out); err != nil {
-				out = out[:hstart]
+			if b, err = resp.AppendPack(b); err != nil {
 				status, resp, text = http.StatusInternalServerError, nil, "pack error"
 				continue
 			}
 		} else {
-			out = append(out, text...)
+			b = append(b, text...)
 		}
-		out, err = dnswire.FinishH2Frame(out, dstart, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid)
-		if err != nil {
-			return nil, false
+		if b, err = dnswire.FinishH2Frame(b, dstart, dnswire.H2FrameData, dnswire.H2FlagEndStream, sid); err != nil {
+			return out, false
 		}
-		return out, true
+		return b, true
 	}
 }
 

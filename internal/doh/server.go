@@ -43,6 +43,21 @@ const (
 	JSONPath    = "/resolve"
 )
 
+// The server's request bounds, one rule for both HTTP versions beside
+// maxBody. Passing any of them ends the session, and nothing past a bound
+// is buffered.
+const (
+	// maxHead bounds a request head. It is the h2 frame limit, which
+	// already caps a HEADERS block because the server reads no
+	// CONTINUATION frames; HTTP/1.1 heads get the same.
+	maxHead = dnswire.MaxH2FrameLen
+	// maxStreams bounds the POST streams an h2 session holds open at once:
+	// the floor RFC 7540 §6.5.2 recommends for
+	// SETTINGS_MAX_CONCURRENT_STREAMS. A GET stream ends in its HEADERS
+	// frame and holds no state.
+	maxStreams = 100
+)
+
 // Server is a DoH server configuration.
 type Server struct {
 	// Handler answers the DNS queries.
@@ -72,40 +87,63 @@ func (s *Server) paths() map[string]bool {
 
 // Serve registers the DoH server on addr:443 of the world.
 func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, srv *Server) {
-	cert := leaf.TLSCertificate()
 	paths := srv.paths()
+	// One shared config: session-ticket keys must persist across
+	// connections for TLS resumption to work.
+	cfg := &tls.Config{
+		Certificates: []tls.Certificate{leaf.TLSCertificate()},
+		NextProtos:   []string{"h2", "http/1.1"},
+	}
 	w.RegisterStream(addr, Port, func(conn *netsim.Conn) {
 		defer conn.Close()
-		tc := tlsServer(conn, cert)
-		if tc == nil {
+		tc := tls.Server(conn, cfg)
+		defer tc.Close()
+		if tc.Handshake() != nil {
 			return
 		}
-		defer tc.Close()
 		remote := conn.RemoteAddr().(netsim.Addr).IP
 		// Clients opting into multiplexing negotiate h2 via ALPN; everyone
 		// else (including clients offering no ALPN at all) gets the serial
-		// HTTP/1.1 loop below.
+		// HTTP/1.1 loop.
 		if tc.ConnectionState().NegotiatedProtocol == "h2" {
 			srv.serveH2(conn, remote, tc, paths)
 			return
 		}
-		br := bufio.NewReader(tc)
-		for {
-			req, err := http.ReadRequest(br)
-			if err != nil {
-				return
-			}
-			resp := srv.handle(conn, remote, req, paths)
-			if err := resp.Write(tc); err != nil {
-				return
-			}
-			if req.Close || resp.Close {
-				return
-			}
-		}
+		srv.serveH1(conn, remote, tc, paths)
 	})
 }
 
+// serveH1 is the server's per-connection HTTP/1.1 keep-alive loop over rw.
+// Each request may read maxHead octets for its head and maxBody for its
+// body, each counted from where it starts, including what the buffered
+// reader already holds; net/http.Server caps its reads the same way for
+// MaxHeaderBytes. A request that needs more ends the session.
+func (s *Server) serveH1(conn *netsim.Conn, remote netip.Addr, rw io.ReadWriter, paths map[string]bool) {
+	lr := &io.LimitedReader{R: rw}
+	br := bufio.NewReader(lr)
+	for {
+		lr.N = maxHead - int64(br.Buffered())
+		req, err := http.ReadRequest(br)
+		if err != nil || req.ContentLength > maxBody {
+			return
+		}
+		lr.N = maxBody - int64(br.Buffered())
+		resp := s.handle(conn, remote, req, paths)
+		// Skip what the handler left of the body, as net/http.Server does,
+		// so the next request parses from its own first octet.
+		if _, err := io.Copy(io.Discard, req.Body); err != nil || resp == nil {
+			return
+		}
+		if err := resp.Write(rw); err != nil {
+			return
+		}
+		if req.Close || resp.Close {
+			return
+		}
+	}
+}
+
+// handle answers one HTTP/1.1 request; nil ends the session.
 func (s *Server) handle(conn *netsim.Conn, remote netip.Addr, req *http.Request, paths map[string]bool) *http.Response {
 	switch {
 	case paths[req.URL.Path]:
@@ -120,13 +158,14 @@ func (s *Server) handle(conn *netsim.Conn, remote netip.Addr, req *http.Request,
 }
 
 // handleWire answers an HTTP/1.1 request to a wire-format path through the
-// shared RFC 8484 binding.
+// shared RFC 8484 binding. A POST body that does not end within serveH1's
+// read bound ends the session (nil).
 func (s *Server) handleWire(conn *netsim.Conn, remote netip.Addr, req *http.Request) *http.Response {
 	var body []byte
 	if req.Method == http.MethodPost {
 		var err error
 		if body, err = io.ReadAll(req.Body); err != nil {
-			return httpResponse(req, http.StatusBadRequest, "text/plain", []byte("bad body"))
+			return nil
 		}
 	}
 	status, resp, text := s.answer(conn, remote, req.Method, queryParam(req.URL.RawQuery, "dns"), req.Header.Get("Content-Type"), body)
@@ -304,15 +343,4 @@ func (f *UDPBackendForwarder) ServeDNS(remote netip.Addr, req *dnswire.Message) 
 	resp.Rcode = m.Rcode
 	resp.Answers = append(resp.Answers, m.Answers...)
 	return resp, elapsed
-}
-
-func tlsServer(conn *netsim.Conn, cert tls.Certificate) *tls.Conn {
-	tc := tls.Server(conn, &tls.Config{
-		Certificates: []tls.Certificate{cert},
-		NextProtos:   []string{"h2", "http/1.1"},
-	})
-	if err := tc.Handshake(); err != nil {
-		return nil
-	}
-	return tc
 }

@@ -95,13 +95,16 @@ func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, h dnsserver.Handl
 // providing DoT" (getdns errors). If leaf is nil the listener just drops
 // connections after accept, modeling non-TLS port-853 services.
 func ServeNotDNS(w *netsim.World, addr netip.Addr, leaf *certs.Leaf) {
+	var cfg *tls.Config // one per listener, as in Serve
+	if leaf != nil {
+		cfg = &tls.Config{Certificates: []tls.Certificate{leaf.TLSCertificate()}}
+	}
 	w.RegisterStream(addr, Port, func(conn *netsim.Conn) {
 		defer conn.Close()
-		if leaf == nil {
+		if cfg == nil {
 			return
 		}
-		cert := leaf.TLSCertificate()
-		tc := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{cert}})
+		tc := tls.Server(conn, cfg)
 		defer tc.Close()
 		if err := tc.Handshake(); err != nil {
 			return

@@ -248,6 +248,28 @@ func TestNotDNSServerFailsQueries(t *testing.T) {
 	}
 }
 
+// The TLS-but-not-DNS background shares one TLS config per listener, so
+// its session tickets outlive the connection that issued them.
+func TestNotDNSServerResumesSessions(t *testing.T) {
+	f := newFixture(t)
+	ServeNotDNS(f.world, dotIP, f.validLeaf(t))
+	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Opportunistic)
+	c.Timeout = 2 * time.Second
+	c.SessionCache = tls.NewLRUClientSessionCache(8)
+	for i, want := range []bool{false, true} {
+		conn, err := c.Dial(dotIP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := conn.Resumed(); got != want {
+			t.Errorf("dial %d: resumed = %v, want %v", i+1, got, want)
+		}
+		// The query fails, but its read takes the session ticket first.
+		conn.Query("resume.measure.example.org", dnswire.TypeA) //nolint:errcheck
+		conn.Close()
+	}
+}
+
 func TestDialRefusedHost(t *testing.T) {
 	f := newFixture(t)
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)

@@ -250,39 +250,6 @@ func (w *World) RegisterDatagram(ip netip.Addr, port uint16, handler DatagramHan
 	w.dgrams[Addr{IP: ip, Port: port}] = &dgramService{handler: handler}
 }
 
-// CloseDatagram removes the datagram service on ip:port — the datagram
-// analog of CloseService, used by population churn (a DoQ resolver going
-// dark between scan rounds).
-func (w *World) CloseDatagram(ip netip.Addr, port uint16) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.dgrams, Addr{IP: ip, Port: port})
-}
-
-// HasDatagram reports whether a datagram service is registered on ip:port,
-// ignoring policies. Tests and world builders use it; measurements must go
-// through Exchange.
-func (w *World) HasDatagram(ip netip.Addr, port uint16) bool {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	_, ok := w.dgrams[Addr{IP: ip, Port: port}]
-	return ok
-}
-
-// DatagramAddrs returns every address with a datagram service on port, in
-// unspecified order. World builders use it to compile ground-truth lists.
-func (w *World) DatagramAddrs(port uint16) []netip.Addr {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	var addrs []netip.Addr
-	for a := range w.dgrams {
-		if a.Port == port {
-			addrs = append(addrs, a.IP)
-		}
-	}
-	return addrs
-}
-
 // HasStream reports whether a stream service is registered on ip:port,
 // ignoring policies. Tests and world builders use it; measurements must go
 // through Dial.

@@ -51,6 +51,3 @@ func (p *Permutation) Next() (v uint64, ok bool) {
 	}
 	return 0, false
 }
-
-// Remaining reports how many values are left.
-func (p *Permutation) Remaining() uint64 { return p.n - p.count }

@@ -79,9 +79,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Capacity reports how many distinct nodes the model can synthesize.
-func (m *VantageModel) Capacity() int { return VantageCapacity }
-
 // Addr returns node i's /32 exit address without synthesizing the rest of
 // the node.
 func (m *VantageModel) Addr(i int) netip.Addr {

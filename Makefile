@@ -38,9 +38,9 @@ FUZZ_TARGETS := \
 	./internal/netsim:FuzzSourceMatchesMathRand
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke
+.PHONY: verify fmt build vet hostbench-vet hostbench-test lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke
 
-verify: fmt build vet hostbench-vet lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke
+verify: fmt build vet hostbench-vet hostbench-test lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke
 
 # gofmt over tracked files only, so build output such as .bench_build/ is
 # never scanned.
@@ -59,6 +59,12 @@ vet:
 # still green. Type-check it on its own.
 hostbench-vet:
 	$(GO) -C hostbench vet ./...
+
+# vet only type-checks hostbench. Its own tests run the frozen probes (one
+# of them dials DoT through dot.Client.Dial), the layer-table check and
+# every workload's output checks at smoke size.
+hostbench-test:
+	$(GO) -C hostbench test ./...
 
 # The interprocedural suite runs against the committed baseline (which the
 # repository keeps empty — see DESIGN.md §10) and writes a SARIF log for CI

@@ -331,15 +331,17 @@ func BenchmarkAblationConnReuseDoT(b *testing.B) {
 
 func BenchmarkAblationConnFreshDoT(b *testing.B) {
 	s := study(b)
-	client := dot.NewClient(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, dot.Strict)
+	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithReuse(false), resolver.WithProfile(dot.Strict))
+	tr := c.DoT(s.Targets[0].DoT)
+	q := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
+	ctx := context.Background()
 	b.ResetTimer()
 	var total time.Duration
 	for i := 0; i < b.N; i++ {
-		res, err := client.Query(s.Targets[0].DoT, "bench."+core.ProbeZone, dnswire.TypeA)
-		if err != nil {
+		if _, err := tr.Exchange(ctx, q); err != nil {
 			b.Fatal(err)
 		}
-		total += res.Latency
+		total += tr.LastLatency()
 	}
 	b.ReportMetric(float64(total.Milliseconds())/float64(b.N), "virtual-ms/query")
 }
@@ -431,11 +433,13 @@ func BenchmarkAblationSampling1in3000(b *testing.B) { benchSampling(b, 3000) }
 
 func benchDoHMethod(b *testing.B, method doh.Method) {
 	s := study(b)
-	client := doh.NewClient(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	client.Method = method
+	client := doh.Client{Roots: s.Roots, Method: method}
 	tgt := s.Targets[0]
-	client.Override[tgt.DoH.Host] = tgt.DoHAddr
-	conn, err := client.Dial(tgt.DoH, tgt.DoHAddr)
+	raw, err := s.World.Dial(netip.MustParseAddr("172.20.1.1"), tgt.DoHAddr, doh.Port)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conn, err := client.DialConnContext(context.Background(), tgt.DoH, raw)
 	if err != nil {
 		b.Fatal(err)
 	}

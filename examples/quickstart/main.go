@@ -19,13 +19,14 @@ import (
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
+	"dnsencryption.info/doe/internal/resolver"
 )
 
 func main() {
 	// 1. A world: one client in Germany, one resolver in the Netherlands.
 	world := netsim.NewWorld(42)
 	client := netip.MustParseAddr("10.0.0.1")
-	resolver := netip.MustParseAddr("192.0.2.53")
+	server := netip.MustParseAddr("192.0.2.53")
 	world.Geo.Register(netip.MustParsePrefix("10.0.0.0/24"), geo.Location{Country: "DE", ASN: 3320, ASName: "DTAG"})
 	world.Geo.Register(netip.MustParsePrefix("192.0.2.0/24"), geo.Location{Country: "NL", ASN: 1136, ASName: "KPN"})
 
@@ -38,18 +39,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	leaf, err := ca.Issue(certs.LeafOptions{CommonName: "dns.example.test", IPs: []netip.Addr{resolver}})
+	leaf, err := ca.Issue(certs.LeafOptions{CommonName: "dns.example.test", IPs: []netip.Addr{server}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	world.RegisterDatagram(resolver, 53, dnsserver.DatagramHandler(zone))
-	world.RegisterStream(resolver, 53, func(c *netsim.Conn) { defer c.Close(); dnsserver.ServeStream(c, zone) })
-	dot.Serve(world, resolver, leaf, zone, time.Millisecond)
-	doh.Serve(world, resolver, leaf, &doh.Server{Handler: zone, JSONAPI: true})
+	world.RegisterDatagram(server, 53, dnsserver.DatagramHandler(zone))
+	world.RegisterStream(server, 53, func(c *netsim.Conn) { defer c.Close(); dnsserver.ServeStream(c, zone) })
+	dot.Serve(world, server, leaf, zone, time.Millisecond)
+	doh.Serve(world, server, leaf, &doh.Server{Handler: zone, JSONAPI: true})
 
 	// 4. Clear-text lookup over UDP.
 	stub := dnsclient.New(world, client)
-	res, err := stub.QueryUDPContext(context.Background(), resolver, "www.example.test", dnswire.TypeA)
+	res, err := stub.QueryUDPContext(context.Background(), server, "www.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func main() {
 	// 5. DoT with the Strict profile: authenticated and encrypted.
 	roots := certs.Pool(ca)
 	dotClient := dot.NewClient(world, client, roots, dot.Strict)
-	conn, err := dotClient.Dial(resolver)
+	conn, err := dotClient.Dial(server)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,17 +74,21 @@ func main() {
 		fmt.Printf("DoT      reused-connection query %d: %v\n", i, r.Latency)
 	}
 
-	// 6. DoH: wire-format GET plus the JSON API.
-	dohClient := doh.NewClient(world, client, roots)
-	dohClient.Override["dns.example.test"] = resolver
+	// 6. DoH: a wire-format GET on a fresh session, opened by the resolver
+	// client that opens every study session, plus the JSON API over a
+	// stream dialed by hand.
 	tmpl, _ := doh.ParseTemplate("https://dns.example.test/dns-query{?dns}")
-	one, err := dohClient.Query(tmpl, "doh.example.test", dnswire.TypeA)
+	fresh := resolver.New(world, client, roots, resolver.WithReuse(false)).DoH(tmpl, server)
+	if _, err := fresh.Exchange(context.Background(), dnswire.NewQuery(0, "doh.example.test", dnswire.TypeA)); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("DoH      one-shot query (incl. connection setup): %v\n", fresh.LastLatency())
+
+	raw, err := world.Dial(client, server, doh.Port)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("DoH      one-shot query (incl. connection setup): %v\n", one.Latency)
-
-	jr, err := dohClient.QueryJSON(context.Background(), tmpl, "json.example.test", dnswire.TypeA)
+	jr, err := (&doh.Client{Roots: roots}).QueryJSON(context.Background(), tmpl, raw, "json.example.test", dnswire.TypeA)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -127,53 +127,6 @@ func Put(b *[]byte) {
 	stats.drops.Add(1)
 }
 
-// f64ClassSizes are the pooled float64-slice capacities in element counts.
-// The latency-scratch users (vantage perf passes) collect tens of samples
-// per reused-session pass and a few hundred in the fresh-connection sweeps.
-var f64ClassSizes = [...]int{64, 512, 4096}
-
-var f64Pools [len(f64ClassSizes)]sync.Pool
-
-// GetF64 returns a zero-length float64 slice with capacity at least n,
-// pooled by size class. Same contract as Get: callers must not retain the
-// slice — or any reslice of it — after PutF64.
-func GetF64(n int) *[]float64 {
-	for i, size := range f64ClassSizes {
-		if n > size {
-			continue
-		}
-		if v := f64Pools[i].Get(); v != nil {
-			b := v.(*[]float64)
-			*b = (*b)[:0]
-			return b
-		}
-		b := make([]float64, 0, size)
-		return &b
-	}
-	b := make([]float64, 0, n)
-	return &b
-}
-
-// PutF64 returns b to the pool serving its capacity; slices outside every
-// class are dropped. PutF64(nil) is a no-op. The caller must not touch *b
-// (or aliases of it) after PutF64.
-func PutF64(b *[]float64) {
-	if b == nil {
-		return
-	}
-	c := cap(*b)
-	if c > f64ClassSizes[len(f64ClassSizes)-1] {
-		return
-	}
-	for i := len(f64ClassSizes) - 1; i >= 0; i-- {
-		if c >= f64ClassSizes[i] {
-			*b = (*b)[:0]
-			f64Pools[i].Put(b)
-			return
-		}
-	}
-}
-
 // Grow returns b extended by n bytes of length, reallocating (with capacity
 // doubling) only when needed. The added bytes are uninitialized.
 func Grow(b []byte, n int) []byte {

@@ -1,7 +1,5 @@
 package core
 
-import "time"
-
 // Config scales the study. The defaults reproduce the paper's shapes at
 // roughly 1/50 of its population sizes so the full pipeline runs in seconds;
 // every knob is documented with the paper's original value.
@@ -52,13 +50,6 @@ type Config struct {
 	// TrafficScale scales the 18-month NetFlow volumes (1.0 generates
 	// flow counts matching the paper's *sampled* magnitudes).
 	TrafficScale float64
-	// NetFlowSampleRate is the router's 1-in-N packet sampling. The
-	// paper's ISP used 3,000 on the unsampled backbone; with scaled
-	// volumes the default keeps the sampler exercised while retaining
-	// statistical mass.
-	NetFlowSampleRate int
-	// NetFlowIdleExpiry matches the ISP's 15-second flow expiry.
-	NetFlowIdleExpiry time.Duration
 
 	// CorpusNoise is the number of non-DoH URLs mixed into the URL
 	// corpus (paper: billions of URLs; discovery cost scales linearly).
@@ -106,8 +97,6 @@ func DefaultConfig() Config {
 		PerfQueriesFresh:  50,
 		MuxInFlight:       8,
 		TrafficScale:      1.0,
-		NetFlowSampleRate: 3,
-		NetFlowIdleExpiry: 15 * time.Second,
 		CorpusNoise:       20000,
 	}
 }

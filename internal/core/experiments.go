@@ -48,7 +48,7 @@ func (s *Study) DoHDiscovery() []scanner.DoHResolver {
 			KnownList:   s.DoHKnownList,
 			Attempts:    s.retryBudget(),
 		}
-		s.dohFound = d.Verify(candidates)
+		s.dohFound = d.Verify(s.obsCtx(), candidates)
 	})
 	return s.dohFound
 }

@@ -94,10 +94,19 @@ func mustMonth(m string) time.Time {
 	return t
 }
 
+// The ISP router's NetFlow settings. The paper's ISP sampled 1 in 3,000
+// packets on the unsampled backbone; with scaled volumes 1 in 3 keeps the
+// sampler exercised while retaining statistical mass. Flows expire after
+// 15 idle seconds, as at the ISP.
+const (
+	netFlowSampleRate = 3
+	netFlowIdleExpiry = 15 * time.Second
+)
+
 // GenerateTraffic synthesizes the §5 datasets once per study.
 func (s *Study) GenerateTraffic() *TrafficData {
 	s.trafficOnce.Do(func() {
-		router := netflow.NewRouter(s.NetFlowSampleRate, s.NetFlowIdleExpiry)
+		router := netflow.NewRouter(netFlowSampleRate, netFlowIdleExpiry)
 		gen := workload.NewDoTGenerator(s.Seed + 51)
 		gen.Providers = []workload.ProviderTraffic{
 			{Provider: "cloudflare", Resolver: cloudflareDNS, MonthlyFlows: cloudflareMonthlyFlows(s.TrafficScale)},
@@ -124,7 +133,7 @@ func (s *Study) GenerateTraffic() *TrafficData {
 		seq := uint32(0)
 		for month, batch := range byMonth {
 			exportAt := mustMonth(month).AddDate(0, 1, 0) // just after month end
-			datagrams, err := netflow.ExportV5(batch, sysBoot, exportAt, s.NetFlowSampleRate, seq)
+			datagrams, err := netflow.ExportV5(batch, sysBoot, exportAt, netFlowSampleRate, seq)
 			if err != nil {
 				panic(fmt.Sprintf("core: netflow export: %v", err))
 			}

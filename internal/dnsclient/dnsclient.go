@@ -44,29 +44,26 @@ func (r *Result) Rcode() dnswire.Rcode { return r.Msg.Rcode }
 // FirstA returns the first A answer, if any.
 func (r *Result) FirstA() (netip.Addr, bool) { return r.Msg.FirstA() }
 
-// Client issues clear-text DNS queries from a fixed vantage address.
+// Client issues clear-text DNS queries over UDP from a fixed vantage
+// address. Stream sessions (TCP, and DoT and DoH over it) are opened by
+// resolver.Client.Dial; TCPFromConn, NewTCPConn and NewFramedConn run them
+// over the stream it dials.
 type Client struct {
 	World *netsim.World
 	From  netip.Addr
-	// Timeout is the real-time bound per transaction (protective only;
-	// latency measurements use virtual time). Zero — the default — means
-	// no bound: a wall-clock watchdog that fires on a slow host would
-	// fail a query that succeeds on a fast one, and a query dropping out
-	// of a campaign shifts medians, so results would depend on host
-	// scheduling. Set it only when probing deadline behaviour itself.
-	Timeout time.Duration
-	// Retries is the number of additional UDP attempts on failure.
-	Retries int
 }
 
-// New creates a client with sensible defaults.
+// udpRetries is the number of additional UDP attempts on failure.
+const udpRetries = 1
+
+// New creates a client querying from address from of world w.
 func New(w *netsim.World, from netip.Addr) *Client {
-	return &Client{World: w, From: from, Retries: 1}
+	return &Client{World: w, From: from}
 }
 
 // Deadline resolves a transaction's real-time guard: the earlier of the
 // context deadline and now+timeout. Contexts carry cancellation across the
-// client packages; the timeout field remains the per-transaction default. A
+// client packages; resolver's Timeout option is the per-transaction default. A
 // timeout <= 0 disables the per-transaction guard entirely — only the
 // context deadline (if any) applies, and the zero time.Time returned when
 // the context has none means "no deadline" to the connection layer.
@@ -95,7 +92,7 @@ func (c *Client) QueryUDPContext(ctx context.Context, server netip.Addr, name st
 		return nil, err
 	}
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= udpRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dnsclient: UDP query: %w", err)
 		}
@@ -115,18 +112,7 @@ func (c *Client) QueryUDPContext(ctx context.Context, server netip.Addr, name st
 		}
 		return &Result{Msg: m, Latency: elapsed}, nil
 	}
-	return nil, fmt.Errorf("dnsclient: UDP query failed after %d attempts: %w", c.Retries+1, lastErr)
-}
-
-// QueryTCPContext performs a DNS-over-TCP lookup on a fresh connection,
-// including connection setup in the reported latency.
-func (c *Client) QueryTCPContext(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type) (*Result, error) {
-	conn, err := c.DialTCPContext(ctx, server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	return conn.QueryContext(ctx, name, qtype)
+	return nil, fmt.Errorf("dnsclient: UDP query failed after %d attempts: %w", udpRetries+1, lastErr)
 }
 
 // TCPConn is a reusable DNS session over one stream, in any Framing: RFC
@@ -160,25 +146,6 @@ type TCPConn struct {
 	// leaves the stream in an unknown state, wrapped with ErrClosed. Later
 	// queries fail with it and write nothing.
 	dead error
-}
-
-// DialTCPContext opens a reusable DNS-over-TCP connection to server:53.
-func (c *Client) DialTCPContext(ctx context.Context, server netip.Addr) (*TCPConn, error) {
-	return c.DialTCPPortContext(ctx, server, 53)
-}
-
-// DialTCPPortContext opens a reusable DNS-over-TCP connection to an
-// arbitrary port, bounded by the context deadline if one is set.
-func (c *Client) DialTCPPortContext(ctx context.Context, server netip.Addr, port uint16) (*TCPConn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dnsclient: dial: %w", err)
-	}
-	conn, err := c.World.Dial(c.From, server, port)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetDeadline(Deadline(ctx, c.Timeout))
-	return TCPFromConn(conn), nil
 }
 
 // TCPFromConn wraps an already established stream (e.g. a SOCKS tunnel) as

@@ -57,7 +57,6 @@ func TestQueryUDP(t *testing.T) {
 func TestQueryUDPNoService(t *testing.T) {
 	w := newWorld()
 	c := New(w, clientIP)
-	c.Retries = 0
 	if _, err := c.QueryUDPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA); err == nil {
 		t.Error("query against empty world succeeded")
 	}
@@ -73,11 +72,20 @@ func TestQueryUDPIDMismatchRejected(t *testing.T) {
 		return resp, proc, err
 	})
 	c := New(w, clientIP)
-	c.Retries = 0
 	_, err := c.QueryUDPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA)
 	if !errors.Is(err, ErrIDMismatch) {
 		t.Errorf("err = %v, want ErrIDMismatch", err)
 	}
+}
+
+// dialTCP opens a clear-text DNS session to resolverIP:53.
+func dialTCP(t *testing.T, w *netsim.World) *TCPConn {
+	t.Helper()
+	raw, err := w.Dial(clientIP, resolverIP, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return TCPFromConn(raw)
 }
 
 func serveTCPFixed(w *netsim.World) {
@@ -102,8 +110,9 @@ func serveTCPFixed(w *netsim.World) {
 func TestQueryTCP(t *testing.T) {
 	w := newWorld()
 	serveTCPFixed(w)
-	c := New(w, clientIP)
-	res, err := c.QueryTCPContext(context.Background(), resolverIP, "example.com", dnswire.TypeA)
+	conn := dialTCP(t, w)
+	defer conn.Close()
+	res, err := conn.QueryContext(context.Background(), "example.com", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +125,7 @@ func TestTCPConnReuseLatency(t *testing.T) {
 	w := newWorld()
 	w.JitterFrac = 0
 	serveTCPFixed(w)
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTCP(t, w)
 	defer conn.Close()
 	if conn.SetupLatency() <= 0 {
 		t.Error("setup latency not accounted")
@@ -142,11 +147,7 @@ func TestTCPConnReuseLatency(t *testing.T) {
 func TestQueryAfterCloseFails(t *testing.T) {
 	w := newWorld()
 	serveTCPFixed(w)
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTCP(t, w)
 	conn.Close()
 	if _, err := conn.Query("x.example.com", dnswire.TypeA); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v, want ErrClosed", err)
@@ -182,15 +183,12 @@ func TestSerialSessionEndsOnFramingError(t *testing.T) {
 			}
 		}
 	})
-	conn, err := New(w, clientIP).DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTCP(t, w)
 	_, cause := conn.Query("first.example.com", dnswire.TypeA)
 	if cause == nil {
 		t.Fatal("first query succeeded on a reply that does not unpack")
 	}
-	_, err = conn.Query("second.example.com", dnswire.TypeA)
+	_, err := conn.Query("second.example.com", dnswire.TypeA)
 	if !errors.Is(err, ErrClosed) || !errors.Is(err, cause) {
 		t.Errorf("second query: err = %v, want ErrClosed wrapping %v", err, cause)
 	}

@@ -55,15 +55,21 @@ type session struct {
 
 var engines = []engine{
 	{name: "tcp", port: 53, dial: func(f *fixture, limit int) (*session, error) {
-		conn, err := dnsclient.New(f.w, engineClientIP).DialTCPContext(context.Background(), engineServerIP)
+		raw, err := f.stream(53)
 		if err != nil {
 			return nil, err
 		}
+		conn := dnsclient.TCPFromConn(raw)
 		conn.Pipeline(limit)
 		return streamSession(conn), nil
 	}},
 	{name: "dot", port: dot.Port, tls: true, dial: func(f *fixture, limit int) (*session, error) {
-		conn, err := dot.NewClient(f.w, engineClientIP, certs.Pool(f.ca), dot.Strict).DialContext(context.Background(), engineServerIP)
+		raw, err := f.stream(dot.Port)
+		if err != nil {
+			return nil, err
+		}
+		c := dot.Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
+		conn, err := c.DialConnContext(context.Background(), raw)
 		if err != nil {
 			return nil, err
 		}
@@ -71,9 +77,12 @@ var engines = []engine{
 		return streamSession(conn), nil
 	}},
 	{name: "doh", port: doh.Port, tls: true, h2: true, dial: func(f *fixture, limit int) (*session, error) {
-		c := doh.NewClient(f.w, engineClientIP, certs.Pool(f.ca))
-		c.MaxInFlight = limit
-		conn, err := c.DialContext(context.Background(), doh.Template{Host: engineHost, Path: doh.DefaultPath}, engineServerIP)
+		raw, err := f.stream(doh.Port)
+		if err != nil {
+			return nil, err
+		}
+		c := doh.Client{Roots: certs.Pool(f.ca), MaxInFlight: limit}
+		conn, err := c.DialConnContext(context.Background(), doh.Template{Host: engineHost, Path: doh.DefaultPath}, raw)
 		if err != nil {
 			return nil, err
 		}
@@ -104,6 +113,11 @@ type fixture struct {
 	w    *netsim.World
 	ca   *certs.CA
 	cert tls.Certificate
+}
+
+// stream opens the stream a session's handshake runs over.
+func (f *fixture) stream(port uint16) (*netsim.Conn, error) {
+	return f.w.Dial(engineClientIP, engineServerIP, port)
 }
 
 func newFixture(t *testing.T) *fixture {

@@ -64,11 +64,7 @@ func TestMuxBatchReversedResponses(t *testing.T) {
 	w := newWorld()
 	w.JitterFrac = 0
 	serveMuxReversed(w, batch)
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTCP(t, w)
 	defer conn.Close()
 	m := conn.Pipeline(batch)
 	if m.MaxInFlight() != batch {
@@ -111,11 +107,7 @@ func TestMuxConcurrentExchange(t *testing.T) {
 	// Server batches responses 4 at a time, reversed, so completions really
 	// are out of order relative to issue order.
 	serveMuxReversed(w, 4)
-	c := New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTCP(t, w)
 	defer conn.Close()
 	conn.Pipeline(n)
 

@@ -101,6 +101,16 @@ func setupRecursive(t *testing.T, w *netsim.World) *Resolver {
 	return r
 }
 
+// dialTCP opens a clear-text DNS session to resolverIP:53.
+func dialTCP(t *testing.T, w *netsim.World) *dnsclient.TCPConn {
+	t.Helper()
+	raw, err := w.Dial(clientIP, resolverIP, 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dnsclient.TCPFromConn(raw)
+}
+
 func TestRecursiveResolutionOverUDP(t *testing.T) {
 	w := newWorld()
 	setupRecursive(t, w)
@@ -149,11 +159,7 @@ func TestResolverServFailOnUnknownZone(t *testing.T) {
 func TestStreamServerConnectionReuse(t *testing.T) {
 	w := newWorld()
 	setupRecursive(t, w)
-	c := dnsclient.New(w, clientIP)
-	conn, err := c.DialTCPContext(context.Background(), resolverIP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialTCP(t, w)
 	defer conn.Close()
 
 	// Several queries over one connection (RFC 7766 reuse).
@@ -175,8 +181,9 @@ func TestStreamServerConnectionReuse(t *testing.T) {
 func TestQueryTCPFreshConnection(t *testing.T) {
 	w := newWorld()
 	setupRecursive(t, w)
-	c := dnsclient.New(w, clientIP)
-	res, err := c.QueryTCPContext(context.Background(), resolverIP, "fresh.measure.example.org", dnswire.TypeA)
+	conn := dialTCP(t, w)
+	defer conn.Close()
+	res, err := conn.QueryContext(context.Background(), "fresh.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +224,6 @@ func TestClientRetriesUDP(t *testing.T) {
 		return DatagramHandler(Static{Addr: netip.MustParseAddr("203.0.113.9")})(from, req)
 	})
 	c := dnsclient.New(w, clientIP)
-	c.Retries = 1
 	if _, err := c.QueryUDPContext(context.Background(), resolverIP, "retry.example", dnswire.TypeA); err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/netip"
 	"net/url"
 	"strconv"
 	"strings"
@@ -49,6 +48,7 @@ var (
 
 	errMalformedResponse = errors.New("doh: malformed HTTP response")
 	errBodyTooLarge      = fmt.Errorf("doh: response body over %d octets", maxBody)
+	errHeadTooLarge      = fmt.Errorf("doh: response head over %d octets", maxHead)
 )
 
 // maxBody bounds a message body, reply or request, in both HTTP versions:
@@ -85,29 +85,20 @@ func (t Template) String() string {
 	return "https://" + t.Host + t.Path + "{?dns}"
 }
 
-// Client issues DoH queries. DoH is Strict-Privacy-only: certificate
-// verification failures abort the lookup.
+// cryptoCost models per-query TLS+HTTP processing on the client, charged to
+// the session's virtual clock.
+const cryptoCost = 3 * time.Millisecond
+
+// Client runs the DoH handshake over a stream its caller dialed to the
+// template host's address (DialConnContext); resolver.Client.Dial is the one
+// code path that opens study sessions. DoH is Strict-Privacy-only:
+// certificate verification failures abort the lookup. A zero Client with
+// Roots set is complete.
 type Client struct {
-	World *netsim.World
-	From  netip.Addr
 	// Roots is the trust store that authenticates the template host.
 	Roots *certs.TrustStore
 	// Method selects GET (the cache-friendly default) or POST.
 	Method Method
-	// Timeout is the real-time guard per operation. Zero — the default —
-	// disables it; see dnsclient.Client.Timeout for why study transports
-	// must not carry wall-clock deadlines.
-	Timeout time.Duration
-	// CryptoCost models per-query TLS+HTTP processing on the client.
-	CryptoCost time.Duration
-	// Bootstrap resolves template hostnames when no override is given:
-	// the address of a clear-text resolver used for bootstrapping (§2.2:
-	// "the hostname in the template should be resolved to bootstrap DoH
-	// lookups, e.g. via clear-text DNS").
-	Bootstrap netip.Addr
-	// Override maps hostnames directly to addresses (measurement configs
-	// pin resolver IPs).
-	Override map[string]netip.Addr
 	// MaxInFlight, when positive, makes dialed sessions multiplexed: they
 	// offer ALPN "h2" and carry up to MaxInFlight concurrent HTTP/2
 	// streams. Zero — the default — dials serial HTTP/1.1 keep-alive
@@ -115,45 +106,10 @@ type Client struct {
 	MaxInFlight int
 }
 
-// NewClient returns a Client with study defaults.
-func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore) *Client {
-	return &Client{
-		World:      w,
-		From:       from,
-		Roots:      roots,
-		CryptoCost: 3 * time.Millisecond,
-		Override:   make(map[string]netip.Addr),
-	}
-}
-
-// ResolveContext maps a template hostname to an address using the override
-// table or the bootstrap resolver, honouring ctx on the bootstrap lookup.
-func (c *Client) ResolveContext(ctx context.Context, host string) (netip.Addr, error) {
-	if addr, ok := c.Override[dnswire.CanonicalName(host)]; ok {
-		return addr, nil
-	}
-	if addr, ok := c.Override[host]; ok {
-		return addr, nil
-	}
-	if !c.Bootstrap.IsValid() {
-		return netip.Addr{}, fmt.Errorf("doh: no override for %q and no bootstrap resolver", host)
-	}
-	stub := dnsclient.New(c.World, c.From)
-	res, err := stub.QueryUDPContext(ctx, c.Bootstrap, host, dnswire.TypeA)
-	if err != nil {
-		return netip.Addr{}, fmt.Errorf("doh: bootstrap resolution of %q: %w", host, err)
-	}
-	addr, ok := res.FirstA()
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("doh: bootstrap resolution of %q returned no address", host)
-	}
-	return addr, nil
-}
-
 // Conn is a reusable DoH session: a TLS handshake — plus the HTTP/2 preface
 // and SETTINGS exchange when the client sets MaxInFlight — over a
-// dnsclient.TCPConn, which carries the queries with the client's per-query
-// CryptoCost. Without MaxInFlight the session is serial HTTP/1.1 (the h1
+// dnsclient.TCPConn, which carries the queries with the per-query
+// cryptoCost. Without MaxInFlight the session is serial HTTP/1.1 (the h1
 // framing); with it, the session is pipelined at dial over HTTP/2 (the h2
 // framing), so QueryContext is safe for concurrent use up to MaxInFlight
 // streams and Batch sends coalesced bursts.
@@ -165,30 +121,11 @@ type Conn struct {
 	release sync.Once
 }
 
-// Dial establishes a DoH session for the template, connecting to addr
-// (resolved by the caller or via ResolveContext).
-func (c *Client) Dial(t Template, addr netip.Addr) (*Conn, error) {
-	return c.DialContext(context.Background(), t, addr)
-}
-
-// DialContext establishes a DoH session for the template, bounded by the
-// context deadline if one is set.
-func (c *Client) DialContext(ctx context.Context, t Template, addr netip.Addr) (*Conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("doh: dial: %w", err)
-	}
-	raw, err := c.World.Dial(c.From, addr, Port)
-	if err != nil {
-		return nil, err
-	}
-	return c.DialConnContext(ctx, t, raw)
-}
-
-// DialConnContext establishes a DoH session over an already connected
-// stream (e.g. a SOCKS tunnel through a proxy network vantage point),
-// bounded by the context deadline if one is set. The session is built
-// after the TLS handshake and any HTTP/2 setup, so its SetupLatency covers
-// both.
+// DialConnContext establishes a DoH session for the template over an
+// already connected stream to its host (a direct dial or a SOCKS tunnel
+// through a proxy network vantage point), whose deadline the caller has
+// set. The session is built after the TLS handshake and any HTTP/2 setup,
+// so its SetupLatency covers both. It closes raw on failure.
 func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Conn) (*Conn, error) {
 	h2 := c.MaxInFlight > 0
 	tc, err := c.handshake(ctx, t, raw, h2)
@@ -206,17 +143,17 @@ func (c *Client) DialConnContext(ctx context.Context, t Template, raw *netsim.Co
 	b := binding{method: c.Method, template: t, pbuf: bufpool.Get(512)} //doelint:transfer -- owned by the session; released in Conn.Close
 	if !h2 {
 		f := &h1Framing{binding: b, br: br}
-		return &Conn{TCPConn: dnsclient.NewFramedConn(f, tc, raw, c.CryptoCost), scratch: &f.binding}, nil
+		return &Conn{TCPConn: dnsclient.NewFramedConn(f, tc, raw, cryptoCost), scratch: &f.binding}, nil
 	}
 	b.qbuf = bufpool.Get(512) //doelint:transfer -- owned by the session; released in Conn.Close
 	f := &h2Framing{binding: b, next: 1, br: br, limit: c.MaxInFlight, streams: make(map[uint32]*h2Stream)}
-	conn := &Conn{TCPConn: dnsclient.NewFramedConn(f, tc, raw, c.CryptoCost), scratch: &f.binding}
+	conn := &Conn{TCPConn: dnsclient.NewFramedConn(f, tc, raw, cryptoCost), scratch: &f.binding}
 	conn.Pipeline(c.MaxInFlight)
 	return conn, nil
 }
 
-// handshake authenticates the template host over raw, bounded by ctx, and
-// offers ALPN "h2" when h2 is set. On failure it closes raw.
+// handshake authenticates the template host over raw and offers ALPN "h2"
+// when h2 is set. On failure it closes raw.
 func (c *Client) handshake(ctx context.Context, t Template, raw *netsim.Conn, h2 bool) (*tls.Conn, error) {
 	if err := ctx.Err(); err != nil {
 		raw.Close()
@@ -226,7 +163,6 @@ func (c *Client) handshake(ctx context.Context, t Template, raw *netsim.Conn, h2
 		raw.Close()
 		return nil, fmt.Errorf("%w: template has no host to authenticate", ErrAuthFailed)
 	}
-	raw.SetDeadline(dnsclient.Deadline(ctx, c.Timeout))
 	// The trust store stands in for crypto/tls's own chain check, which
 	// would validate every handshake afresh. A failure takes the same
 	// bad_certificate alert and the same error shape.
@@ -536,19 +472,13 @@ func trimSpace(b []byte) []byte {
 	return b
 }
 
-// QueryJSON performs one Google-style JSON API lookup: resolve, dial a
-// private serial session to the template host, send one HTTP/1.1 GET for
-// JSONPath, close. The JSON API has no DNS wire format to frame, so it
-// never shares a session with the wire-format queries.
-func (c *Client) QueryJSON(ctx context.Context, t Template, name string, qtype dnswire.Type) (*JSONResponse, error) {
-	addr, err := c.ResolveContext(ctx, t.Host)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.World.Dial(c.From, addr, Port)
-	if err != nil {
-		return nil, err
-	}
+// QueryJSON performs one Google-style JSON API lookup over raw, a stream its
+// caller dialed to the template host: authenticate the host, send one
+// HTTP/1.1 GET for JSONPath, close raw. The JSON API has no DNS wire format
+// to frame, so it never shares a session with the wire-format queries. The
+// reply is bounded as the server bounds a request: a head over maxHead or a
+// body over maxBody is refused, and nothing past a bound is buffered.
+func (c *Client) QueryJSON(ctx context.Context, t Template, raw *netsim.Conn, name string, qtype dnswire.Type) (*JSONResponse, error) {
 	tc, err := c.handshake(ctx, t, raw, false)
 	if err != nil {
 		return nil, err
@@ -568,43 +498,36 @@ func (c *Client) QueryJSON(ctx context.Context, t Template, name string, qtype d
 	if err := req.Write(tc); err != nil {
 		return nil, err
 	}
-	resp, err := http.ReadResponse(bufio.NewReader(tc), req)
+	// The session carries one response, so one budget on the stream bounds
+	// it: maxHead octets for the head, then maxBody+1 for the body with its
+	// chunk framing and trailers, less what the head's reads buffered.
+	lr := &io.LimitedReader{R: tc, N: maxHead}
+	br := bufio.NewReader(lr)
+	resp, err := http.ReadResponse(br, req)
 	if err != nil {
+		if lr.N == 0 {
+			return nil, errHeadTooLarge
+		}
 		return nil, err
 	}
+	lr.N = maxBody + 1 - int64(br.Buffered())
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%w: %d", ErrHTTPStatus, resp.StatusCode)
 	}
+	if resp.ContentLength > maxBody {
+		return nil, errBodyTooLarge
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(body) > maxBody {
+		return nil, errBodyTooLarge
+	}
 	var jr JSONResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	if err := json.Unmarshal(body, &jr); err != nil {
 		return nil, err
 	}
 	return &jr, nil
-}
-
-// Query is the one-shot convenience: resolve, dial, query once, close. The
-// latency includes bootstrap-free connection establishment (no-reuse case).
-func (c *Client) Query(t Template, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	return c.QueryContext(context.Background(), t, name, qtype)
-}
-
-// QueryContext is the one-shot convenience, bounded by ctx: resolve, dial,
-// query once, close.
-func (c *Client) QueryContext(ctx context.Context, t Template, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	addr, err := c.ResolveContext(ctx, t.Host)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := c.DialContext(ctx, t, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	res, err := conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	res.Latency = conn.Elapsed()
-	return res, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/geo"
@@ -63,9 +64,35 @@ func (f *fixture) leaf(t *testing.T) *certs.Leaf {
 }
 
 func (f *fixture) client() *Client {
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca))
-	c.Override[f.tmpl.Host] = dohIP
-	return c
+	return &Client{Roots: certs.Pool(f.ca)}
+}
+
+// stream opens a fresh stream from the client address to the server.
+func (f *fixture) stream(t *testing.T) *netsim.Conn {
+	t.Helper()
+	raw, err := f.world.Dial(clientIP, dohIP, Port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// dial opens a session with c for tmpl over a fresh stream.
+func (f *fixture) dial(t *testing.T, c *Client, tmpl Template) (*Conn, error) {
+	t.Helper()
+	return c.DialConnContext(context.Background(), tmpl, f.stream(t))
+}
+
+// query is the one-shot lookup: dial a session for the template, query
+// once, close.
+func (f *fixture) query(t *testing.T, c *Client, name string) (*dnsclient.Result, error) {
+	t.Helper()
+	conn, err := f.dial(t, c, f.tmpl)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	return conn.Query(name, dnswire.TypeA)
 }
 
 func TestParseTemplate(t *testing.T) {
@@ -88,7 +115,7 @@ func TestGETQuery(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.client()
-	res, err := c.Query(f.tmpl, "probe-g.measure.example.org", dnswire.TypeA)
+	res, err := f.query(t, c, "probe-g.measure.example.org")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +129,7 @@ func TestPOSTQuery(t *testing.T) {
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.client()
 	c.Method = POST
-	res, err := c.Query(f.tmpl, "probe-p.measure.example.org", dnswire.TypeA)
+	res, err := f.query(t, c, "probe-p.measure.example.org")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +143,7 @@ func TestConnectionReuse(t *testing.T) {
 	f.world.JitterFrac = 0
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.client()
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +173,7 @@ func TestStrictOnlyRejectsUntrustedCert(t *testing.T) {
 	}
 	Serve(f.world, dohIP, leaf, &Server{Handler: f.zone})
 	c := f.client()
-	_, err = c.Query(f.tmpl, "x.measure.example.org", dnswire.TypeA)
+	_, err = f.query(t, c, "x.measure.example.org")
 	if !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("err = %v, want ErrAuthFailed (DoH is strict-only)", err)
 	}
@@ -221,7 +248,7 @@ func TestStrictFailureErrorParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			Serve(f.world, dohIP, leaf, &Server{Handler: f.zone})
-			_, err = f.client().Query(f.tmpl, "x.measure.example.org", dnswire.TypeA)
+			_, err = f.query(t, f.client(), "x.measure.example.org")
 			if !errors.Is(err, ErrAuthFailed) {
 				t.Errorf("err = %v, want ErrAuthFailed", err)
 			}
@@ -245,11 +272,7 @@ func TestStrictFailureErrorParity(t *testing.T) {
 func TestStrictRefusesTemplateWithoutHost(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
-	raw, err := f.world.Dial(clientIP, dohIP, Port)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := f.client().DialConnContext(context.Background(), Template{Path: DefaultPath}, raw)
+	conn, err := f.dial(t, f.client(), Template{Path: DefaultPath})
 	if err == nil {
 		conn.Close()
 	}
@@ -261,7 +284,7 @@ func TestStrictRefusesTemplateWithoutHost(t *testing.T) {
 func TestJSONAPI(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone, JSONAPI: true})
-	jr, err := f.client().QueryJSON(context.Background(), f.tmpl, "json.measure.example.org", dnswire.TypeA)
+	jr, err := f.client().QueryJSON(context.Background(), f.tmpl, f.stream(t), "json.measure.example.org", dnswire.TypeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +300,14 @@ func TestWebpageAndUnknownPath(t *testing.T) {
 			f.serve(t, &Server{Handler: f.zone, Webpage: "<title>Public DoH resolver</title>"})
 			c := f.client()
 			c.MaxInFlight = v.inflight
-			conn, err := c.Dial(f.tmpl, dohIP)
+			conn, err := f.dial(t, c, f.tmpl)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
 			// Query against a wrong path yields an HTTP error, not a DNS answer.
 			badTmpl := Template{Host: f.tmpl.Host, Path: "/not-the-endpoint"}
-			conn2, err := c.Dial(badTmpl, dohIP)
+			conn2, err := f.dial(t, c, badTmpl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,7 +335,7 @@ func TestErrorStatusFailsOneQuery(t *testing.T) {
 			})})
 			c := f.client()
 			c.MaxInFlight = v.inflight
-			conn, err := c.Dial(f.tmpl, dohIP)
+			conn, err := f.dial(t, c, f.tmpl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,35 +351,6 @@ func TestErrorStatusFailsOneQuery(t *testing.T) {
 				t.Errorf("answer = %v", res.Msg.Answers)
 			}
 		})
-	}
-}
-
-func TestBootstrapResolution(t *testing.T) {
-	f := newFixture(t)
-	f.serve(t, &Server{Handler: f.zone})
-
-	// A clear-text bootstrap resolver that knows the DoH hostname.
-	bootIP := netip.MustParseAddr("192.0.2.5")
-	bootZone := dnsserver.NewZone("provider.example")
-	bootZone.Add(f.tmpl.Host, 300, dnswire.A{Addr: dohIP})
-	f.world.RegisterDatagram(bootIP, 53, dnsserver.DatagramHandler(bootZone))
-
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca))
-	c.Bootstrap = bootIP
-	res, err := c.Query(f.tmpl, "boot.measure.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, ok := res.FirstA(); !ok || a != answerIP {
-		t.Errorf("answer = %v", res.Msg.Answers)
-	}
-}
-
-func TestResolveFailsWithoutPath(t *testing.T) {
-	f := newFixture(t)
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca))
-	if _, err := c.ResolveContext(context.Background(), "unknown.example"); err == nil {
-		t.Error("ResolveContext succeeded with no override and no bootstrap")
 	}
 }
 
@@ -383,7 +377,7 @@ func TestQuad9MisconfigurationTimeouts(t *testing.T) {
 	}})
 
 	c := f.client()
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,14 @@ package doh
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"io"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -300,7 +302,7 @@ func TestH1BodyLimit(t *testing.T) {
 				}
 				srv.Write([]byte("HTTP/1.1 200 OK\r\n" + tc.head)) //nolint:errcheck
 			})
-			conn, err := f.client().Dial(f.tmpl, dohIP)
+			conn, err := f.dial(t, f.client(), f.tmpl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,6 +315,59 @@ func TestH1BodyLimit(t *testing.T) {
 				t.Errorf("err = %v, want the body limit", err)
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("query allocated %d bytes, want under 1 MiB", grew)
+			}
+		})
+	}
+}
+
+// The JSON API reads its reply with net/http's codec, whose head and body
+// are as long as the server makes them, under the bounds the server keeps
+// on a request: a Content-Length past maxBody fails the query before the
+// body is read, a body that streams past maxBody fails it once one octet
+// more is in, and so does a head past maxHead.
+func TestJSONReplyLimit(t *testing.T) {
+	entry := `{"name":"big.measure.example.org.","type":1,"TTL":60,"data":"203.0.113.1"}`
+	big := `{"Status":0,"Answer":[` + strings.Repeat(entry+",", (8<<20)/len(entry)) + entry + `]}`
+	for _, tc := range []struct {
+		name, head, body string
+		want             error
+		bounded          bool // the query must allocate under 1 MiB
+	}{
+		{name: "1 GiB Content-Length", head: "Content-Length: 1073741824\r\n\r\n", want: errBodyTooLarge, bounded: true},
+		{name: "8 MiB streamed", head: "Content-Type: application/json\r\n\r\n", body: big, want: errBodyTooLarge},
+		{name: "8 MiB head", head: "X-Pad: " + strings.Repeat("a", 8<<20) + "\r\n\r\n", body: "{}", want: errHeadTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			cert := f.leaf(t).TLSCertificate()
+			// The server answers the request with the head and whatever
+			// body the row sends, then hangs up, which ends a body without
+			// a Content-Length.
+			f.world.RegisterStream(dohIP, Port, func(conn *netsim.Conn) {
+				defer conn.Close()
+				srv := tls.Server(conn, &tls.Config{Certificates: []tls.Certificate{cert}})
+				defer srv.Close()
+				if srv.Handshake() != nil {
+					return
+				}
+				if _, err := http.ReadRequest(bufio.NewReader(srv)); err != nil {
+					return
+				}
+				if _, err := srv.Write([]byte("HTTP/1.1 200 OK\r\n" + tc.head)); err != nil {
+					return
+				}
+				srv.Write([]byte(tc.body)) //nolint:errcheck
+			})
+			raw := f.stream(t)
+			var err error
+			grew := allocatedBy(func() {
+				_, err = f.client().QueryJSON(context.Background(), f.tmpl, raw, "big.measure.example.org", dnswire.TypeA)
+			})
+			if !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
+			}
+			if tc.bounded && grew >= 1<<20 {
 				t.Errorf("query allocated %d bytes, want under 1 MiB", grew)
 			}
 		})

@@ -26,7 +26,7 @@ func TestH2Negotiation(t *testing.T) {
 	const limit = 4
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
-	conn, err := f.muxClient(limit).Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, f.muxClient(limit), f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestH2PostQuery(t *testing.T) {
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.muxClient(dnsclient.DefaultMaxInFlight)
 	c.Method = POST
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestH2SerialClientUnaffected(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.client()
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestH2BatchDeterministicLatencies(t *testing.T) {
 	f.world.JitterFrac = 0
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.muxClient(batch)
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestH2ConcurrentExchange(t *testing.T) {
 	f := newFixture(t)
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.muxClient(n)
-	conn, err := c.Dial(f.tmpl, dohIP)
+	conn, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestH2ErrorStatusPerStream(t *testing.T) {
 	f.serve(t, &Server{Handler: f.zone})
 	c := f.muxClient(dnsclient.DefaultMaxInFlight)
 	tmpl := Template{Host: f.tmpl.Host, Path: "/wrong-path"}
-	conn, err := c.Dial(tmpl, dohIP)
+	conn, err := f.dial(t, c, tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestH2ErrorStatusPerStream(t *testing.T) {
 		t.Errorf("err = %v, want ErrHTTPStatus", err)
 	}
 	// The session survives a per-stream error; only that stream failed.
-	conn2, err := c.Dial(f.tmpl, dohIP)
+	conn2, err := f.dial(t, c, f.tmpl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,8 @@ const (
 const (
 	// maxHead bounds a request head. It is the h2 frame limit, which
 	// already caps a HEADERS block because the server reads no
-	// CONTINUATION frames; HTTP/1.1 heads get the same.
+	// CONTINUATION frames; HTTP/1.1 heads get the same, and so does the
+	// head of the client's JSON API reply.
 	maxHead = dnswire.MaxH2FrameLen
 	// maxStreams bounds the POST streams an h2 session holds open at once:
 	// the floor RFC 7540 §6.5.2 recommends for
@@ -67,8 +68,6 @@ type Server struct {
 	// JSONAPI additionally enables the Google-style JSON endpoint at
 	// /resolve.
 	JSONAPI bool
-	// ExtraProc is charged per query (TLS + HTTP processing).
-	ExtraProc time.Duration
 	// Webpage, when non-empty, is served for "/" — public resolvers run
 	// informational landing pages the study fetches for identification.
 	Webpage string
@@ -207,7 +206,7 @@ func (s *Server) answer(conn *netsim.Conn, remote netip.Addr, method, dns, ctype
 		return http.StatusBadRequest, nil, "malformed DNS message"
 	}
 	resp, proc := s.Handler.ServeDNS(remote, m)
-	conn.AddLatency(proc + s.ExtraProc)
+	conn.AddLatency(proc)
 	return http.StatusOK, resp, ""
 }
 
@@ -268,7 +267,7 @@ func (s *Server) handleJSON(conn *netsim.Conn, remote netip.Addr, req *http.Requ
 	}
 	q := dnswire.NewQuery(0, name, qtype)
 	resp, proc := s.Handler.ServeDNS(remote, q)
-	conn.AddLatency(proc + s.ExtraProc)
+	conn.AddLatency(proc)
 
 	jr := JSONResponse{
 		Status: int(resp.Rcode),

@@ -16,7 +16,6 @@ import (
 	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/dot"
-	"dnsencryption.info/doe/internal/netsim"
 )
 
 // ExchangeFunc sends one request datagram and returns the response, the
@@ -61,38 +60,25 @@ func (sc *SessionCache) put(server netip.Addr, cs *cachedSession) {
 	sc.mu.Unlock()
 }
 
-// Client issues DoQ queries from a vantage address.
+// cryptoCost models per-query QUIC packet-protection processing, charged
+// to the connection's virtual clock per flight — the same record-layer
+// residual the DoT client charges.
+const cryptoCost = 2500 * time.Microsecond
+
+// Client runs the DoQ handshake over a datagram path its caller opened
+// (DialVia); resolver.Client.Dial is the one code path that opens study
+// sessions. A zero Client with Roots set is complete.
 type Client struct {
-	World *netsim.World
-	From  netip.Addr
 	// Roots is the trust store for verification (the study's simulated
 	// Mozilla CA list).
 	Roots *certs.TrustStore
 	// Profile selects Strict or Opportunistic behaviour (RFC 9250 inherits
 	// RFC 8310's usage profiles unchanged).
 	Profile dot.Profile
-	// ServerName, when set, is additionally matched against the
-	// certificate; the scanner leaves it empty, like DoT.
-	ServerName string
-	// CryptoCost models per-query QUIC packet-protection processing,
-	// charged to the connection's virtual clock per flight — the same
-	// record-layer residual the DoT client charges.
-	CryptoCost time.Duration
 	// MaxInFlight bounds concurrent streams per connection (<= 0 means 1).
 	MaxInFlight int
 	// SessionCache, when set, enables 0-RTT resumption across Dials.
 	SessionCache *SessionCache
-}
-
-// NewClient returns a Client with study defaults.
-func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore, profile dot.Profile) *Client {
-	return &Client{
-		World:      w,
-		From:       from,
-		Roots:      roots,
-		Profile:    profile,
-		CryptoCost: 2500 * time.Microsecond,
-	}
 }
 
 // Conn is a reusable DoQ session. Queries may be issued concurrently up to
@@ -127,19 +113,6 @@ type Conn struct {
 
 	mu     sync.Mutex
 	closed bool
-}
-
-// Dial establishes a DoQ session with server.
-func (c *Client) Dial(server netip.Addr) (*Conn, error) {
-	return c.DialContext(context.Background(), server)
-}
-
-// DialContext establishes a DoQ session with server over the direct
-// datagram path, bounded by ctx.
-func (c *Client) DialContext(ctx context.Context, server netip.Addr) (*Conn, error) {
-	return c.DialVia(ctx, server, func(req []byte) ([]byte, time.Duration, error) {
-		return c.World.Exchange(c.From, server, Port, req)
-	})
 }
 
 // DialVia establishes a DoQ session whose flights travel through xchg
@@ -192,7 +165,7 @@ func (conn *Conn) handshake() error {
 	if err != nil {
 		return fmt.Errorf("doq: dial: %w", err)
 	}
-	hello := appendClientHello(nil, clientHello{alpn: helloALPN, serverName: c.ServerName})
+	hello := appendClientHello(nil, clientHello{alpn: helloALPN})
 	buf, err = dnswire.AppendQUICFrame(buf, dnswire.QUICFrame{Type: dnswire.QUICFrameCrypto, Data: hello})
 	if err != nil {
 		return fmt.Errorf("doq: dial: %w", err)
@@ -232,11 +205,11 @@ func (conn *Conn) handshake() error {
 	copy(conn.dcid[:], h.SCID)
 
 	conn.peerCerts = parseChain(sh.chain)
-	conn.verifyErr = verifyServerChain(c.Roots, c.ServerName, sh.chain, conn.peerCerts)
+	conn.verifyErr = verifyServerChain(c.Roots, sh.chain, conn.peerCerts)
 	if c.Profile == dot.Strict && conn.verifyErr != nil {
 		return fmt.Errorf("%w: %w", ErrAuthFailed, conn.verifyErr)
 	}
-	conn.setup = rtt + c.CryptoCost
+	conn.setup = rtt + cryptoCost
 	conn.elapsed.Add(int64(conn.setup))
 	conn.established.Store(true)
 	c.SessionCache.put(conn.server, &cachedSession{
@@ -245,18 +218,19 @@ func (conn *Conn) handshake() error {
 	return nil
 }
 
-// verifyServerChain performs path (and optional name) verification at
-// certs.RefTime, mirroring the DoT client's profile semantics. parsed is
+// verifyServerChain performs path verification at certs.RefTime, mirroring
+// the DoT client's profile semantics; like the scanner's DoT probes, it
+// matches no name, since DoQ resolver names are unknown. parsed is
 // the prefix of rawCerts that parsed; the trust store verifies the raw
 // chain, so a chain it has seen before is not parsed again.
-func verifyServerChain(roots *certs.TrustStore, serverName string, rawCerts [][]byte, parsed []*x509.Certificate) error {
+func verifyServerChain(roots *certs.TrustStore, rawCerts [][]byte, parsed []*x509.Certificate) error {
 	if len(rawCerts) == 0 {
 		return errors.New("doq: no certificate presented")
 	}
 	if len(parsed) != len(rawCerts) {
 		return errors.New("doq: unparseable certificate in chain")
 	}
-	return roots.Verify(rawCerts, serverName)
+	return roots.Verify(rawCerts, "")
 }
 
 func parseChain(rawCerts [][]byte) []*x509.Certificate {
@@ -283,7 +257,7 @@ func (conn *Conn) PeerCertificates() []*x509.Certificate { return conn.peerCerts
 func (conn *Conn) Resumed() bool { return conn.resumed }
 
 // SetupLatency is the virtual time the handshake consumed: one round trip
-// plus CryptoCost for a fresh connection, zero for a resumed one (the
+// plus cryptoCost for a fresh connection, zero for a resumed one (the
 // handshake rides the first query flight as 0-RTT data).
 func (conn *Conn) SetupLatency() time.Duration { return conn.setup }
 
@@ -345,9 +319,7 @@ func (conn *Conn) appendFlightHeader(buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	ticket := ticketFor(conn.server)
-	hello := appendClientHello(nil, clientHello{
-		alpn: helloALPN, serverName: conn.client.ServerName, ticket: ticket[:],
-	})
+	hello := appendClientHello(nil, clientHello{alpn: helloALPN, ticket: ticket[:]})
 	return dnswire.AppendQUICFrame(buf, dnswire.QUICFrame{Type: dnswire.QUICFrameCrypto, Data: hello})
 }
 
@@ -469,7 +441,7 @@ func (conn *Conn) QueryContext(ctx context.Context, name string, qtype dnswire.T
 	if err != nil {
 		return nil, err
 	}
-	cost := rtt + conn.client.CryptoCost
+	cost := rtt + cryptoCost
 	conn.elapsed.Add(int64(cost))
 	return &dnsclient.Result{Msg: answer[0], Latency: cost}, nil
 }
@@ -517,31 +489,10 @@ func (conn *Conn) Batch(ctx context.Context, names []string, qtype dnswire.Type,
 	if err != nil {
 		return out, err
 	}
-	per := rtt/time.Duration(len(names)) + conn.client.CryptoCost
-	conn.elapsed.Add(int64(rtt) + int64(conn.client.CryptoCost)*int64(len(names)))
+	per := rtt/time.Duration(len(names)) + cryptoCost
+	conn.elapsed.Add(int64(rtt) + int64(cryptoCost)*int64(len(names)))
 	for _, m := range answers {
 		out = append(out, dnsclient.Result{Msg: m, Latency: per})
 	}
 	return out, nil
-}
-
-// Query dials, queries once, and closes. See QueryContext.
-func (c *Client) Query(server netip.Addr, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	return c.QueryContext(context.Background(), server, name, qtype)
-}
-
-// QueryContext dials, queries once, and closes; the result's latency
-// includes connection setup, matching the one-shot DoT helper.
-func (c *Client) QueryContext(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	conn, err := c.DialContext(ctx, server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	res, err := conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	res.Latency = conn.Elapsed()
-	return res, nil
 }

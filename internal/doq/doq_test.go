@@ -57,11 +57,18 @@ func (f *fixture) validLeaf(t *testing.T) *certs.Leaf {
 	return leaf
 }
 
+// dial opens a session with c over the direct datagram path to the server.
+func (f *fixture) dial(c *Client) (*Conn, error) {
+	return c.DialVia(context.Background(), doqIP, func(req []byte) ([]byte, time.Duration, error) {
+		return f.world.Exchange(clientIP, doqIP, Port, req)
+	})
+}
+
 func TestStrictQueryAgainstValidServer(t *testing.T) {
 	f := newFixture(t)
 	f.serveDoQ(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
-	conn, err := c.Dial(doqIP)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
+	conn, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +107,8 @@ func TestStrictRejectsSelfSigned(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.serveDoQ(t, leaf)
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
-	_, err = c.Query(doqIP, "probe.measure.example.org", dnswire.TypeA)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
+	_, err = f.dial(c)
 	if !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("err = %v, want ErrAuthFailed", err)
 	}
@@ -118,8 +125,8 @@ func TestOpportunisticProceedsDespiteInvalidCert(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.serveDoQ(t, leaf)
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Opportunistic)
-	conn, err := c.Dial(doqIP)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Opportunistic}
+	conn, err := f.dial(c)
 	if err != nil {
 		t.Fatalf("opportunistic dial failed: %v", err)
 	}
@@ -144,8 +151,8 @@ func TestSetupCheaperThanDoT(t *testing.T) {
 	f.serveDoQ(t, leaf)
 	dot.Serve(f.world, doqIP, leaf, f.zone, 0)
 
-	qc := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
-	qconn, err := qc.Dial(doqIP)
+	qc := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
+	qconn, err := f.dial(qc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +173,10 @@ func TestSetupCheaperThanDoT(t *testing.T) {
 func TestZeroRTTResumption(t *testing.T) {
 	f := newFixture(t)
 	f.serveDoQ(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
 	c.SessionCache = NewSessionCache()
 
-	first, err := c.Dial(doqIP)
+	first, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +185,7 @@ func TestZeroRTTResumption(t *testing.T) {
 	}
 	first.Close()
 
-	second, err := c.Dial(doqIP)
+	second, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +224,17 @@ func TestStrictDialIgnoresUnverifiedTicket(t *testing.T) {
 	f.serveDoQ(t, leaf)
 	cache := NewSessionCache()
 
-	oc := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Opportunistic)
+	oc := &Client{Roots: certs.Pool(f.ca), Profile: dot.Opportunistic}
 	oc.SessionCache = cache
-	conn, err := oc.Dial(doqIP)
+	conn, err := f.dial(oc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
 
-	sc := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
+	sc := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
 	sc.SessionCache = cache
-	if _, err := sc.Dial(doqIP); !errors.Is(err, ErrAuthFailed) {
+	if _, err := f.dial(sc); !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("strict dial over unverified ticket: err = %v, want ErrAuthFailed", err)
 	}
 }
@@ -352,8 +359,8 @@ func TestServerEnforcesProtocol(t *testing.T) {
 func TestNotDoQServiceRefusesHandshake(t *testing.T) {
 	f := newFixture(t)
 	ServeNotDoQ(f.world, doqIP)
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Opportunistic)
-	if _, err := c.Dial(doqIP); !errors.Is(err, ErrClosed) {
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Opportunistic}
+	if _, err := f.dial(c); !errors.Is(err, ErrClosed) {
 		t.Errorf("dial against not-DoQ service: err = %v, want ErrClosed", err)
 	}
 }
@@ -361,8 +368,8 @@ func TestNotDoQServiceRefusesHandshake(t *testing.T) {
 func TestBatchAmortizesRoundTrip(t *testing.T) {
 	f := newFixture(t)
 	f.serveDoQ(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
-	conn, err := c.Dial(doqIP)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
+	conn, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,9 +414,9 @@ func TestConcurrentStreamStorm(t *testing.T) {
 	elapsedOnce := func(t *testing.T) time.Duration {
 		f := newFixture(t)
 		f.serveDoQ(t, f.validLeaf(t))
-		c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
+		c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
 		c.MaxInFlight = 16
-		conn, err := c.Dial(doqIP)
+		conn, err := f.dial(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,9 +464,9 @@ func TestConcurrentStreamStorm(t *testing.T) {
 func TestMidStreamCloseFailsAllInFlight(t *testing.T) {
 	f := newFixture(t)
 	srv := f.serveDoQ(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
 	c.MaxInFlight = 16
-	conn, err := c.Dial(doqIP)
+	conn, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,9 +501,9 @@ func TestMidStreamCloseFailsAllInFlight(t *testing.T) {
 func TestZeroRTTSurvivesServerReset(t *testing.T) {
 	f := newFixture(t)
 	srv := f.serveDoQ(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), dot.Strict)
+	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Strict}
 	c.SessionCache = NewSessionCache()
-	first, err := c.Dial(doqIP)
+	first, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +511,7 @@ func TestZeroRTTSurvivesServerReset(t *testing.T) {
 
 	srv.Reset()
 
-	conn, err := c.Dial(doqIP)
+	conn, err := f.dial(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,11 @@ const ServerPadBlock = 468
 // clients.
 const padBlock = 128
 
+// cryptoCost models per-query TLS record processing, charged to the
+// session's virtual clock (the residual overhead the paper observes on
+// reused connections).
+const cryptoCost = 2500 * time.Microsecond
+
 // Serve registers a DoT server on addr:853 of the world, terminating TLS
 // with leaf and answering queries with h. extraProc is charged per query on
 // top of h's own processing time (TLS record costs). Responses to queries
@@ -115,7 +120,9 @@ func ServeNotDNS(w *netsim.World, addr netip.Addr, leaf *certs.Leaf) {
 	})
 }
 
-// Client issues DoT queries from a vantage address.
+// Client runs the DoT handshake over a stream its caller dialed
+// (DialConnContext); resolver.Client.Dial is the one code path that opens
+// study sessions. World and From serve only Dial and DialContext.
 type Client struct {
 	World *netsim.World
 	From  netip.Addr
@@ -129,14 +136,6 @@ type Client struct {
 	// empty: "we do not compare domain names ... only verify the
 	// certificate paths", since DoT resolver names are unknown.
 	ServerName string
-	// Timeout is the real-time guard per operation. Zero — the default —
-	// disables it; see dnsclient.Client.Timeout for why study transports
-	// must not carry wall-clock deadlines.
-	Timeout time.Duration
-	// CryptoCost models per-query TLS record processing, charged to the
-	// connection's virtual clock (the residual overhead the paper
-	// observes on reused connections).
-	CryptoCost time.Duration
 	// Pad, when set, adds EDNS(0) padding to 128-byte blocks (RFC 8467).
 	Pad bool
 	// SessionCache enables TLS session resumption across Dials, the other
@@ -145,20 +144,14 @@ type Client struct {
 	SessionCache tls.ClientSessionCache
 }
 
-// NewClient returns a Client with study defaults.
+// NewClient returns a Client that dials from address from of world w.
 func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore, profile Profile) *Client {
-	return &Client{
-		World:      w,
-		From:       from,
-		Roots:      roots,
-		Profile:    profile,
-		CryptoCost: 2500 * time.Microsecond,
-	}
+	return &Client{World: w, From: from, Roots: roots, Profile: profile}
 }
 
 // Conn is a reusable DoT session: a TLS handshake and its certificate
 // evidence over a dnsclient.TCPConn, which carries the queries (serial, or
-// pipelined after Pipeline) with the client's per-query CryptoCost and
+// pipelined after Pipeline) with the per-query cryptoCost and the client's
 // padding policy, and closes the session.
 type Conn struct {
 	*dnsclient.TCPConn
@@ -173,8 +166,8 @@ func (c *Client) Dial(server netip.Addr) (*Conn, error) {
 	return c.DialContext(context.Background(), server)
 }
 
-// DialContext establishes a DoT session with server, bounded by the
-// context deadline if one is set.
+// DialContext dials server:853 from the client's address and establishes a
+// DoT session over it, bounded by the context deadline if one is set.
 func (c *Client) DialContext(ctx context.Context, server netip.Addr) (*Conn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dot: dial: %w", err)
@@ -183,18 +176,18 @@ func (c *Client) DialContext(ctx context.Context, server netip.Addr) (*Conn, err
 	if err != nil {
 		return nil, err
 	}
+	raw.SetDeadline(dnsclient.Deadline(ctx, 0))
 	return c.DialConnContext(ctx, raw)
 }
 
 // DialConnContext establishes a DoT session over an already connected
-// stream (e.g. a SOCKS tunnel through a proxy network vantage point),
-// bounded by the context deadline if one is set.
+// stream (a direct dial or a SOCKS tunnel through a proxy network vantage
+// point), whose deadline the caller has set. It closes raw on failure.
 func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, error) {
 	if err := ctx.Err(); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("dot: dial: %w", err)
 	}
-	raw.SetDeadline(dnsclient.Deadline(ctx, c.Timeout))
 
 	conn := &Conn{}
 	cfg := &tls.Config{
@@ -221,7 +214,7 @@ func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, 
 	if c.Pad {
 		pad = padBlock
 	}
-	conn.TCPConn = dnsclient.NewTCPConn(tc, raw, c.CryptoCost, pad)
+	conn.TCPConn = dnsclient.NewTCPConn(tc, raw, cryptoCost, pad)
 	conn.tls = tc
 	return conn, nil
 }
@@ -248,26 +241,4 @@ func (conn *Conn) PeerCertificates() []*x509.Certificate {
 // Resumed reports whether the TLS session was resumed from a cached ticket.
 func (conn *Conn) Resumed() bool {
 	return conn.tls.ConnectionState().DidResume
-}
-
-// Query is the one-shot convenience: dial, query once, close. The reported
-// latency includes connection establishment (the no-reuse case of §4.3).
-func (c *Client) Query(server netip.Addr, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	return c.QueryContext(context.Background(), server, name, qtype)
-}
-
-// QueryContext is the one-shot convenience with cancellation: dial, query
-// once, close.
-func (c *Client) QueryContext(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type) (*dnsclient.Result, error) {
-	conn, err := c.DialContext(ctx, server)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	res, err := conn.QueryContext(ctx, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	res.Latency = conn.Elapsed()
-	return res, nil
 }

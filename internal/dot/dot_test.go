@@ -1,6 +1,7 @@
 package dot
 
 import (
+	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/geo"
@@ -56,11 +58,28 @@ func (f *fixture) validLeaf(t *testing.T) *certs.Leaf {
 	return leaf
 }
 
+// queryOnce dials a fresh session with c, bounded by ctx, queries it once
+// and closes it. The latency it reports includes the session's setup (the
+// no-reuse case of §4.3).
+func queryOnce(ctx context.Context, c *Client, name string) (*dnsclient.Result, error) {
+	conn, err := c.DialContext(ctx, dotIP)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	res, err := conn.QueryContext(ctx, name, dnswire.TypeA)
+	if err != nil {
+		return nil, err
+	}
+	res.Latency = conn.Elapsed()
+	return res, nil
+}
+
 func TestStrictQueryAgainstValidServer(t *testing.T) {
 	f := newFixture(t)
 	f.serveDoT(t, f.validLeaf(t))
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	res, err := c.Query(dotIP, "probe-1.measure.example.org", dnswire.TypeA)
+	res, err := queryOnce(context.Background(), c, "probe-1.measure.example.org")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +99,7 @@ func TestStrictRejectsSelfSigned(t *testing.T) {
 	}
 	f.serveDoT(t, leaf)
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	_, err = c.Query(dotIP, "probe.measure.example.org", dnswire.TypeA)
+	_, err = queryOnce(context.Background(), c, "probe.measure.example.org")
 	if !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("err = %v, want ErrAuthFailed", err)
 	}
@@ -143,7 +162,7 @@ func TestConnectionReuseAmortizesSetup(t *testing.T) {
 	}
 
 	// One-shot (fresh connection) latency must exceed reused latency.
-	oneShot, err := c.Query(dotIP, "fresh.measure.example.org", dnswire.TypeA)
+	oneShot, err := queryOnce(context.Background(), c, "fresh.measure.example.org")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +176,11 @@ func TestStrictWithServerNameMatch(t *testing.T) {
 	f.serveDoT(t, f.validLeaf(t))
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
 	c.ServerName = "dns.provider.example"
-	if _, err := c.Query(dotIP, "p.measure.example.org", dnswire.TypeA); err != nil {
+	if _, err := queryOnce(context.Background(), c, "p.measure.example.org"); err != nil {
 		t.Fatalf("matching name rejected: %v", err)
 	}
 	c.ServerName = "wrong.example"
-	if _, err := c.Query(dotIP, "p.measure.example.org", dnswire.TypeA); !errors.Is(err, ErrAuthFailed) {
+	if _, err := queryOnce(context.Background(), c, "p.measure.example.org"); !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("wrong name err = %v, want ErrAuthFailed", err)
 	}
 }
@@ -175,7 +194,7 @@ func TestExpiredCertFailsStrictButNotOpportunistic(t *testing.T) {
 	f.serveDoT(t, leaf)
 
 	strict := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	_, strictErr := strict.Query(dotIP, "x.measure.example.org", dnswire.TypeA)
+	_, strictErr := queryOnce(context.Background(), strict, "x.measure.example.org")
 	if !errors.Is(strictErr, ErrAuthFailed) {
 		t.Errorf("strict err = %v, want ErrAuthFailed", strictErr)
 	}
@@ -184,7 +203,7 @@ func TestExpiredCertFailsStrictButNotOpportunistic(t *testing.T) {
 		t.Errorf("strict err = %v, want x509.CertificateInvalidError{Reason: Expired} via errors.As", strictErr)
 	}
 	opp := NewClient(f.world, clientIP, certs.Pool(f.ca), Opportunistic)
-	if _, err := opp.Query(dotIP, "x.measure.example.org", dnswire.TypeA); err != nil {
+	if _, err := queryOnce(context.Background(), opp, "x.measure.example.org"); err != nil {
 		t.Errorf("opportunistic err = %v, want success", err)
 	}
 }
@@ -227,7 +246,7 @@ func TestPaddingOption(t *testing.T) {
 
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
 	c.Pad = true
-	if _, err := c.Query(dotIP, "padded.measure.example.org", dnswire.TypeA); err != nil {
+	if _, err := queryOnce(context.Background(), c, "padded.measure.example.org"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -242,8 +261,9 @@ func TestNotDNSServerFailsQueries(t *testing.T) {
 	leaf := f.validLeaf(t)
 	ServeNotDNS(f.world, dotIP, leaf)
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Opportunistic)
-	c.Timeout = 300 * time.Millisecond
-	if _, err := c.Query(dotIP, "probe.measure.example.org", dnswire.TypeA); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := queryOnce(ctx, c, "probe.measure.example.org"); err == nil {
 		t.Error("query against not-DNS port-853 service succeeded")
 	}
 }
@@ -254,10 +274,11 @@ func TestNotDNSServerResumesSessions(t *testing.T) {
 	f := newFixture(t)
 	ServeNotDNS(f.world, dotIP, f.validLeaf(t))
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Opportunistic)
-	c.Timeout = 2 * time.Second
 	c.SessionCache = tls.NewLRUClientSessionCache(8)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
 	for i, want := range []bool{false, true} {
-		conn, err := c.Dial(dotIP)
+		conn, err := c.DialContext(ctx, dotIP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +359,7 @@ func TestServerPadsResponsesWhenClientPads(t *testing.T) {
 	}
 	// Unpadded clients get unpadded responses.
 	c2 := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	res2, err := c2.Query(dotIP, "plain-resp.measure.example.org", dnswire.TypeA)
+	res2, err := queryOnce(context.Background(), c2, "plain-resp.measure.example.org")
 	if err != nil {
 		t.Fatal(err)
 	}

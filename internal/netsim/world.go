@@ -134,9 +134,6 @@ type World struct {
 
 	// JitterFrac adds up to this fraction of extra delay per wait.
 	JitterFrac float64
-	// HandshakeRTTs is the virtual cost of connection establishment,
-	// charged by Dial (1 = TCP three-way handshake).
-	HandshakeRTTs float64
 
 	ephemeral atomic.Uint32
 }
@@ -148,13 +145,12 @@ type dgramService struct {
 // NewWorld creates an empty world with the built-in geography.
 func NewWorld(seed int64) *World {
 	return &World{
-		Geo:           &geo.Registry{},
-		RTT:           geo.NewRTTModel(),
-		listeners:     make(map[Addr]*Listener),
-		dgrams:        make(map[Addr]*dgramService),
-		seed:          seed,
-		JitterFrac:    0.10,
-		HandshakeRTTs: 1,
+		Geo:        &geo.Registry{},
+		RTT:        geo.NewRTTModel(),
+		listeners:  make(map[Addr]*Listener),
+		dgrams:     make(map[Addr]*dgramService),
+		seed:       seed,
+		JitterFrac: 0.10,
 	}
 }
 
@@ -375,8 +371,9 @@ func (w *World) connect(from, to netip.Addr, port uint16, serve func(server *Con
 	return w.connectExtra(from, to, port, 0, serve)
 }
 
-// connectExtra establishes the conn pair, charging connection setup (the
-// handshake RTTs plus any in-path extra delay) to BOTH endpoint clocks
+// connectExtra establishes the conn pair, charging connection setup (one
+// RTT for the TCP three-way handshake, plus any in-path extra delay) to BOTH
+// endpoint clocks
 // before the server handler starts: establishment is experienced by both
 // ends, and charging it up front keeps the peer's clock free of concurrent
 // mutation once its goroutine is running.
@@ -385,7 +382,7 @@ func (w *World) connectExtra(from, to netip.Addr, port uint16, extra time.Durati
 	serverAddr := Addr{IP: to, Port: port}
 	rtt := w.pathRTT(from, to)
 	client, server := Pair(clientAddr, serverAddr, rtt, w.flowRNG(from, to, port), w.JitterFrac)
-	setup := time.Duration(float64(rtt)*w.HandshakeRTTs) + extra
+	setup := rtt + extra
 	client.clk.add(setup)
 	server.clk.add(setup)
 	serve(server)

@@ -259,15 +259,9 @@ func NewVia(d Dialer, roots *certs.TrustStore, opts ...Option) *Client {
 	return c
 }
 
-func (c *Client) stub() *dnsclient.Client {
-	s := dnsclient.New(c.World, c.From)
-	s.Timeout = c.opts.Timeout
-	return s
-}
-
 // UDP returns the connectionless clear-text exchanger for server:53.
 func (c *Client) UDP(server netip.Addr) Exchanger {
-	return udpExchanger{client: c.stub(), server: server}
+	return udpExchanger{client: dnsclient.New(c.World, c.From), server: server}
 }
 
 // Dial opens a session to ep over protocol p through the Client's Dialer,
@@ -291,9 +285,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		if err != nil {
 			return nil, err
 		}
-		qc := doq.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
-		qc.MaxInFlight = n
-		qc.SessionCache = c.doqSessionCache()
+		qc := doq.Client{Roots: c.Roots, Profile: c.opts.Profile, MaxInFlight: n, SessionCache: c.doqSessionCache()}
 		conn, err := qc.DialVia(ctx, ep.Addr, xchg)
 		if err != nil {
 			return nil, err
@@ -313,9 +305,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		}
 		return session{conn}, nil
 	case ProtoDoT:
-		dc := dot.NewClient(c.World, c.From, c.Roots, c.opts.Profile)
-		dc.Timeout = c.opts.Timeout
-		dc.Pad = c.opts.Padding
+		dc := dot.Client{Roots: c.Roots, Profile: c.opts.Profile, Pad: c.opts.Padding}
 		conn, err := dc.DialConnContext(ctx, raw)
 		if err != nil {
 			return nil, err
@@ -325,9 +315,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		}
 		return verifiedSession{session{conn}, conn}, nil
 	default: // ProtoDoH
-		dc := doh.NewClient(c.World, c.From, c.Roots)
-		dc.Timeout = c.opts.Timeout
-		dc.MaxInFlight = n
+		dc := doh.Client{Roots: c.Roots, MaxInFlight: n}
 		conn, err := dc.DialConnContext(ctx, ep.Template, raw)
 		if err != nil {
 			return nil, err

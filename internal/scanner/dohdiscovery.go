@@ -1,16 +1,17 @@
 package scanner
 
 import (
+	"context"
 	"net/netip"
 	"sort"
 	"strings"
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
-	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
 	"dnsencryption.info/doe/internal/netsim"
+	"dnsencryption.info/doe/internal/resolver"
 )
 
 // KnownDoHPaths are the common endpoint templates §3.1 uses to spot DoH
@@ -111,40 +112,52 @@ type DoHDiscovery struct {
 	Attempts int
 }
 
-// Verify probes each candidate and returns the working DoH resolvers.
-func (d *DoHDiscovery) Verify(candidates []DoHCandidate) []DoHResolver {
+// Verify probes each candidate and returns the working DoH resolvers. Each
+// attempt opens a session with resolver.Client.Dial, under the same 2 s
+// guard as the scanner's DoT and DoQ probes, and sends one query on it.
+// Transport failures are retried up to Attempts; a DNS answer, working or
+// not, ends the candidate's probing.
+func (d *DoHDiscovery) Verify(ctx context.Context, candidates []DoHCandidate) []DoHResolver {
 	known := map[string]bool{}
 	for _, k := range d.KnownList {
 		if t, err := doh.ParseTemplate(k); err == nil {
 			known[t.Host+t.Path] = true
 		}
 	}
+	c := resolver.New(d.World, d.From, d.Roots, resolver.WithTimeout(2*time.Second))
 	var out []DoHResolver
 	for _, cand := range candidates {
 		addr, ok := d.Resolve[cand.Host]
 		if !ok {
 			continue
 		}
-		client := doh.NewClient(d.World, d.From, d.Roots)
-		client.Timeout = 2 * time.Second
-		client.Override[cand.Host] = addr
-		tmpl := doh.Template{Host: cand.Host, Path: cand.Path}
-		var res *dnsclient.Result
+		ep := resolver.Endpoint{Addr: addr, Template: doh.Template{Host: cand.Host, Path: cand.Path}}
+		var resp *dnswire.Message
 		var err error
 		for attempt := 0; attempt < max(1, d.Attempts); attempt++ {
-			res, err = client.Query(tmpl, d.ProbeDomain, dnswire.TypeA)
-			if err == nil {
+			if resp, err = d.query(ctx, c, ep); err == nil {
 				break // retry transport failures, not DNS-level answers
 			}
 		}
-		if err != nil || res.Rcode() != dnswire.RcodeSuccess || len(res.Msg.Answers) == 0 {
+		if err != nil || resp.Rcode != dnswire.RcodeSuccess || len(resp.Answers) == 0 {
 			continue
 		}
 		out = append(out, DoHResolver{
-			Template:    tmpl,
+			Template:    ep.Template,
 			Addr:        addr,
 			InKnownList: known[cand.Host+cand.Path],
 		})
 	}
 	return out
+}
+
+// query makes one availability attempt: dial a fresh session to ep, ask for
+// the probe domain, close.
+func (d *DoHDiscovery) query(ctx context.Context, c *resolver.Client, ep resolver.Endpoint) (*dnswire.Message, error) {
+	sess, err := c.Dial(ctx, resolver.ProtoDoH, ep)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	return sess.Exchange(ctx, dnswire.NewQuery(0, d.ProbeDomain, dnswire.TypeA))
 }

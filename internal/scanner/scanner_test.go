@@ -7,12 +7,14 @@ import (
 	"net/netip"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsserver"
+	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
 	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
@@ -364,41 +366,95 @@ func TestInspectCorpus(t *testing.T) {
 	}
 }
 
-func TestDoHDiscoveryVerify(t *testing.T) {
-	f := newScanFixture(t)
-	dohIP := netip.MustParseAddr("100.64.0.100")
-	zone := dnsserver.NewZone("scan.example.org")
-	zone.WildcardA = f.expected
-	leaf, err := f.ca.Issue(certs.LeafOptions{CommonName: "doh.worker.example"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	doh.Serve(f.world, dohIP, leaf, &doh.Server{Handler: zone})
+// dropFirstSYN is a scripted netsim.FaultInjector: it loses the first SYN
+// to addr and lets every other flow through.
+type dropFirstSYN struct {
+	addr    netip.Addr
+	dropped atomic.Bool
+}
 
-	d := &DoHDiscovery{
-		World: f.world,
-		From:  netip.MustParseAddr("100.64.0.1"),
-		Roots: certs.Pool(f.ca),
-		Resolve: map[string]netip.Addr{
-			"doh.worker.example": dohIP,
-			"dead.example":       netip.MustParseAddr("100.64.0.99"),
-		},
-		ProbeDomain: "probe-2.scan.example.org",
-		KnownList:   []string{"https://known.example/dns-query{?dns}"},
-	}
-	found := d.Verify([]DoHCandidate{
-		{Host: "doh.worker.example", Path: "/dns-query"},
-		{Host: "dead.example", Path: "/dns-query"},
-		{Host: "unresolvable.example", Path: "/dns-query"},
-	})
-	if len(found) != 1 {
-		t.Fatalf("found = %+v", found)
-	}
-	if found[0].InKnownList {
-		t.Error("new resolver wrongly marked as known")
-	}
-	if found[0].Template.Host != "doh.worker.example" {
-		t.Errorf("template = %+v", found[0].Template)
+func (d *dropFirstSYN) StreamFault(_, to netip.Addr, _ uint16) netsim.DialFault {
+	return netsim.DialFault{Drop: to == d.addr && d.dropped.CompareAndSwap(false, true)}
+}
+
+func (d *dropFirstSYN) DatagramFault(netip.Addr, netip.Addr, uint16) netsim.DatagramFault {
+	return netsim.DatagramFault{}
+}
+
+// TestDoHDiscoveryVerify pins what the availability check reports and its
+// retry contract: a transport failure is retried within Attempts, and a DNS
+// answer, even a failing one, ends the candidate's probing.
+func TestDoHDiscoveryVerify(t *testing.T) {
+	workerIP := netip.MustParseAddr("100.64.0.100")
+	servfailIP := netip.MustParseAddr("100.64.0.101")
+	worker := DoHCandidate{Host: "doh.worker.example", Path: "/dns-query"}
+	servfail := DoHCandidate{Host: "servfail.example", Path: "/dns-query"}
+	for _, tc := range []struct {
+		name       string
+		candidates []DoHCandidate
+		attempts   int
+		dropFirst  bool // lose the first SYN to the worker
+		found      bool // the worker is reported
+		servfails  int32
+	}{
+		{name: "one pass", candidates: []DoHCandidate{
+			worker,
+			{Host: "dead.example", Path: "/dns-query"},
+			{Host: "unresolvable.example", Path: "/dns-query"},
+		}, found: true},
+		{name: "lost SYN retried", candidates: []DoHCandidate{worker}, attempts: 2, dropFirst: true, found: true},
+		{name: "lost SYN with one attempt", candidates: []DoHCandidate{worker}, attempts: 1, dropFirst: true},
+		{name: "SERVFAIL asked once", candidates: []DoHCandidate{servfail}, attempts: 3, servfails: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newScanFixture(t)
+			zone := dnsserver.NewZone("scan.example.org")
+			zone.WildcardA = f.expected
+			leaf := func(cn string) *certs.Leaf {
+				l, err := f.ca.Issue(certs.LeafOptions{CommonName: cn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return l
+			}
+			doh.Serve(f.world, workerIP, leaf(worker.Host), &doh.Server{Handler: zone})
+			var asked atomic.Int32
+			doh.Serve(f.world, servfailIP, leaf(servfail.Host), &doh.Server{Handler: dnsserver.HandlerFunc(
+				func(remote netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
+					asked.Add(1)
+					return dnsserver.ServFail{}.ServeDNS(remote, req)
+				})})
+			if tc.dropFirst {
+				f.world.SetFaults(&dropFirstSYN{addr: workerIP})
+			}
+
+			d := &DoHDiscovery{
+				World: f.world,
+				From:  netip.MustParseAddr("100.64.0.1"),
+				Roots: certs.Pool(f.ca),
+				Resolve: map[string]netip.Addr{
+					worker.Host:    workerIP,
+					servfail.Host:  servfailIP,
+					"dead.example": netip.MustParseAddr("100.64.0.99"),
+				},
+				ProbeDomain: "probe-2.scan.example.org",
+				KnownList:   []string{"https://known.example/dns-query{?dns}"},
+				Attempts:    tc.attempts,
+			}
+			found := d.Verify(context.Background(), tc.candidates)
+			if !tc.found {
+				if len(found) != 0 {
+					t.Errorf("found = %+v, want none", found)
+				}
+			} else if len(found) != 1 || found[0].Template.Host != worker.Host || found[0].Addr != workerIP {
+				t.Errorf("found = %+v, want the worker alone", found)
+			} else if found[0].InKnownList {
+				t.Error("new resolver wrongly marked as known")
+			}
+			if got := asked.Load(); got != tc.servfails {
+				t.Errorf("SERVFAIL server asked %d times, want %d", got, tc.servfails)
+			}
+		})
 	}
 }
 

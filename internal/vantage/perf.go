@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dnsencryption.info/doe/internal/analysis"
-	"dnsencryption.info/doe/internal/bufpool"
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/dot"
@@ -93,16 +92,13 @@ func (p *Platform) MeasurePerformanceContext(ctx context.Context, node proxy.Exi
 		if !offered || leg.Mode == ModeMux && sample.MuxInFlight == 0 {
 			continue
 		}
-		lat, err := p.retryLatencies(ctx, leg, func(ctx context.Context) (*[]float64, error) {
+		lat, err := p.retryLatencies(ctx, leg, func(ctx context.Context) ([]float64, error) {
 			return p.timeLeg(ctx, node, tgt, leg, n)
 		})
 		if err != nil {
 			return sample, err
 		}
-		// Reduce the pass's scratch to its median and return it to the pool
-		// at once: across a campaign only O(1) scratch is live per worker.
-		sample.Medians[leg] = analysis.Median(*lat)
-		bufpool.PutF64(lat)
+		sample.Medians[leg] = analysis.Median(lat)
 	}
 	return sample, nil
 }
@@ -111,16 +107,15 @@ func (p *Platform) MeasurePerformanceContext(ctx context.Context, node proxy.Exi
 // session) while it fails and the platform retry budget allows: a
 // connection killed mid-pass would otherwise discard the node. The
 // successful pass's latencies are reported unpolluted by earlier attempts
-// and observed into the leg's latency sketch. The returned slice is
-// pool-owned (bufpool.GetF64); the caller must PutF64 it once reduced.
-func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx context.Context) (*[]float64, error)) (*[]float64, error) {
+// and observed into the leg's latency sketch.
+func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx context.Context) ([]float64, error)) ([]float64, error) {
 	span := "perf:" + string(leg.Proto)
 	if leg.Mode != ModeReused {
 		span += "-" + string(leg.Mode)
 	}
 	ctx, sp := obs.Start(ctx, span)
 	budget := p.attempts()
-	var lat *[]float64
+	var lat []float64
 	var err error
 	for attempt := 1; attempt <= budget; attempt++ {
 		actx := ctx
@@ -130,13 +125,13 @@ func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx
 		lat, err = measure(actx)
 		if err == nil {
 			sp.SetInt("attempts", int64(attempt))
-			sp.SetInt("queries", int64(len(*lat)))
+			sp.SetInt("queries", int64(len(lat)))
 			sk := obs.Metrics(ctx).Sketch("vantage_query_latency_sketch",
 				"mode", string(leg.Mode), "proto", string(leg.Proto))
-			for _, l := range *lat {
+			for _, l := range lat {
 				sk.Observe(time.Duration(l * float64(time.Millisecond)))
 			}
-			return lat, nil //doelint:transfer -- pool-owned scratch; the caller reduces and PutF64s it
+			return lat, nil
 		}
 	}
 	sp.Fail(err)
@@ -149,29 +144,26 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // the per-query latencies in milliseconds — the session's Elapsed delta
 // around each Exchange, the one clock every transport shares. This is the
 // point of the unified API for §4.3: the timing harness is literally the
-// same code for every transport. The returned slice comes from
-// bufpool.GetF64 and travels up through retryLatencies to the reducer that
-// PutF64s it; a failed pass releases it here.
-func (p *Platform) timeQueries(ctx context.Context, sess resolver.Session, tag string, n int) (*[]float64, error) {
-	lat := bufpool.GetF64(n)
+// same code for every transport.
+func (p *Platform) timeQueries(ctx context.Context, sess resolver.Session, tag string, n int) ([]float64, error) {
+	lat := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		q := dnswire.NewQuery(0, p.UniqueName(tag), dnswire.TypeA)
 		start := sess.Elapsed()
 		if _, err := sess.Exchange(ctx, q); err != nil {
-			bufpool.PutF64(lat)
 			return nil, err
 		}
 		d := sess.Elapsed() - start
 		obs.Charge(ctx, d)
-		*lat = append(*lat, ms(d))
+		lat = append(lat, ms(d))
 	}
-	return lat, nil //doelint:transfer -- pool-owned scratch; released by the median reducer
+	return lat, nil
 }
 
 // timeLeg opens one session for leg through node and times n queries on
 // it: one at a time for ModeReused, in batches for ModeMux on a session
 // dialed with MuxInFlight queries in flight.
-func (p *Platform) timeLeg(ctx context.Context, node proxy.ExitNode, tgt Target, leg Leg, n int) (*[]float64, error) {
+func (p *Platform) timeLeg(ctx context.Context, node proxy.ExitNode, tgt Target, leg Leg, n int) ([]float64, error) {
 	tag := node.ID + "-perf-" + string(leg.Proto)
 	inflight := 0
 	if leg.Mode == ModeMux {
@@ -196,8 +188,8 @@ func (p *Platform) timeLeg(ctx context.Context, node proxy.ExitNode, tgt Target,
 // flight) and one coalesced response, so the whole batch costs about one
 // round trip — the amortization is what the multiplexed column of Fig. 9
 // reports.
-func (p *Platform) timeBatchQueries(ctx context.Context, sess resolver.Session, tag string, n int) (*[]float64, error) {
-	lat := bufpool.GetF64(n)
+func (p *Platform) timeBatchQueries(ctx context.Context, sess resolver.Session, tag string, n int) ([]float64, error) {
+	lat := make([]float64, 0, n)
 	names := make([]string, 0, p.MuxInFlight)
 	for done := 0; done < n; {
 		b := p.MuxInFlight
@@ -210,18 +202,17 @@ func (p *Platform) timeBatchQueries(ctx context.Context, sess resolver.Session, 
 		}
 		start := sess.Elapsed()
 		if _, err := sess.Batch(ctx, names, dnswire.TypeA, nil); err != nil {
-			bufpool.PutF64(lat)
 			return nil, err
 		}
 		d := sess.Elapsed() - start
 		obs.Charge(ctx, d)
 		per := ms(d) / float64(b)
 		for i := 0; i < b; i++ {
-			*lat = append(*lat, per)
+			lat = append(lat, per)
 		}
 		done += b
 	}
-	return lat, nil //doelint:transfer -- pool-owned scratch; released by the median reducer
+	return lat, nil
 }
 
 // CountryPerf aggregates per-client overheads per country (Fig. 9).
@@ -317,10 +308,9 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 	// here: the controlled vantages authenticate the public resolvers.
 	rc := resolver.New(w, from, roots,
 		append([]resolver.Option{resolver.WithReuse(false), resolver.WithProfile(dot.Strict)}, opts...)...)
-	// One pooled scratch buffer serves every pass: each is reduced to its
-	// median before the next begins.
-	lat := bufpool.GetF64(n)
-	defer bufpool.PutF64(lat)
+	// One scratch slice serves every pass: each is reduced to its median
+	// before the next begins.
+	lat := make([]float64, 0, n)
 	for _, tr := range transports {
 		ep := tr.endpoint(tgt)
 		if !ep.Addr.IsValid() {
@@ -329,7 +319,7 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 		t, tag := rc.Transport(tr.dial, ep), string(tr.proto)
 		sctx, sp := obs.Start(ctx, "noreuse:"+tag)
 		sk := obs.Metrics(sctx).Sketch("vantage_query_latency_sketch", "mode", string(ModeFresh), "proto", tag)
-		*lat = (*lat)[:0]
+		lat = lat[:0]
 		var lastErr error
 		for i := 0; i < n; i++ {
 			q := dnswire.NewQuery(0, name(tag), dnswire.TypeA)
@@ -338,15 +328,15 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 				continue
 			}
 			sk.Observe(t.LastLatency())
-			*lat = append(*lat, ms(t.LastLatency()))
+			lat = append(lat, ms(t.LastLatency()))
 		}
-		sp.SetInt("answered", int64(len(*lat)))
-		if len(*lat) == 0 {
+		sp.SetInt("answered", int64(len(lat)))
+		if len(lat) == 0 {
 			err := fmt.Errorf("vantage: no-reuse %s/%s: every query failed: %w", label, tag, lastErr)
 			sp.Fail(err)
 			return sample, err
 		}
-		sample.Medians[Leg{tr.proto, ModeFresh}] = analysis.Median(*lat)
+		sample.Medians[Leg{tr.proto, ModeFresh}] = analysis.Median(lat)
 	}
 	return sample, nil
 }

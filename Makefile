@@ -82,8 +82,9 @@ race:
 	$(GO) test -race -count=1 -short -timeout 15m $(RACE_PKGS)
 	$(GO) test -race -count=1 ./internal/faults
 
-# One iteration of the worker-count ablation: proves the parallel scan path
-# executes end to end. Speedup itself is hardware-dependent (bounded by
+# One iteration of every root benchmark — DESIGN §4's per-experiment
+# targets and §5's ablations, the worker-count ablation among them: proves
+# each executes end to end. Speedup itself is hardware-dependent (bounded by
 # GOMAXPROCS) and is read off full -benchtime runs, not this smoke pass.
 # The layer benchmarks for the per-dial path (geo lookup, censor verdict,
 # one connection's life, per-flow RNG seeding), for the relay path (one
@@ -91,7 +92,7 @@ race:
 # hit) run once here too; hostbench's probes measure those layers in the
 # study.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkParallelScan' -benchtime=1x .
+	$(GO) test -run=NONE -bench=. -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkGeoLookup|BenchmarkCensorDecide|BenchmarkConnPair|BenchmarkNewSource|BenchmarkTunnel|BenchmarkVerifyChain' -benchtime=1x ./internal/geo ./internal/netsim ./internal/proxy ./internal/certs
 
 # One iteration of the curated perf set through cmd/doebench: proves the

@@ -93,7 +93,7 @@ func BenchmarkTable2DoTCountries(b *testing.B) {
 	s.SetScanRound(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Scanner.Scan("bench")
+		res, err := s.Scanner.ScanContext(context.Background(), "bench")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func benchmarkParallelScan(b *testing.B, workers int) {
 	b.Cleanup(func() { s.Scanner.Workers = prev })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Scanner.Scan("bench")
+		res, err := s.Scanner.ScanContext(context.Background(), "bench")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkFig3ResolversPerScan(b *testing.B) {
 	s.SetScanRound(s.ScanRounds - 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Scanner.Scan("bench")
+		res, err := s.Scanner.ScanContext(context.Background(), "bench")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkFig3ResolversPerScan(b *testing.B) {
 func BenchmarkFig4Providers(b *testing.B) {
 	s := study(b)
 	s.SetScanRound(s.ScanRounds - 1)
-	res, err := s.Scanner.Scan("bench")
+	res, err := s.Scanner.ScanContext(context.Background(), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

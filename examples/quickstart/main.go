@@ -43,8 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	world.RegisterDatagram(server, 53, dnsserver.DatagramHandler(zone))
-	world.RegisterStream(server, 53, func(c *netsim.Conn) { defer c.Close(); dnsserver.ServeStream(c, zone) })
+	dnsserver.Serve(world, server, zone)
 	dot.Serve(world, server, leaf, zone, time.Millisecond)
 	doh.Serve(world, server, leaf, &doh.Server{Handler: zone, JSONAPI: true})
 

@@ -50,8 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	world.RegisterDatagram(resolver, 53, dnsserver.DatagramHandler(zone))
-	world.RegisterStream(resolver, 53, func(c *netsim.Conn) { defer c.Close(); dnsserver.ServeStream(c, zone) })
+	dnsserver.Serve(world, resolver, zone)
 	dot.Serve(world, resolver, leaf, zone, time.Millisecond)
 	doh.Serve(world, resolver, leaf, &doh.Server{Handler: zone})
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/netip"
@@ -93,7 +94,7 @@ func main() {
 		Workers:     4,
 		Seed:        99,
 	}
-	res, err := s.Scan("example")
+	res, err := s.ScanContext(context.Background(), "example")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -227,38 +227,6 @@ func (f *Figure) Render() string {
 	return b.String()
 }
 
-// RenderBars renders the figure as ASCII bar charts, one block per series,
-// scaled to width characters. Meant for terminal reports.
-func (f *Figure) RenderBars(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var maxY float64
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if p.Y > maxY {
-				maxY = p.Y
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", f.Title)
-	for _, s := range f.Series {
-		fmt.Fprintf(&b, "[%s]\n", s.Name)
-		for _, p := range s.Points {
-			n := 0
-			if maxY > 0 {
-				n = int(p.Y / maxY * float64(width))
-			}
-			if p.Y > 0 && n == 0 {
-				n = 1
-			}
-			fmt.Fprintf(&b, "  %-12s %s %.4g\n", p.X, strings.Repeat("#", n), p.Y)
-		}
-	}
-	return b.String()
-}
-
 // GrowthPercent returns the percentage change from a to b, as the paper
 // reports it ("+108%", "-84%").
 func GrowthPercent(a, b float64) float64 {

@@ -189,25 +189,3 @@ func TestGrowthPercent(t *testing.T) {
 		t.Errorf("FormatGrowth = %q / %q", FormatGrowth(-84.4), FormatGrowth(108))
 	}
 }
-
-func TestRenderBars(t *testing.T) {
-	fig := &Figure{Title: "Bars"}
-	fig.AddPoint("s", "jan", 10)
-	fig.AddPoint("s", "feb", 5)
-	fig.AddPoint("s", "mar", 0)
-	out := fig.RenderBars(20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	jan := strings.Count(lines[2], "#")
-	feb := strings.Count(lines[3], "#")
-	mar := strings.Count(lines[4], "#")
-	if jan != 20 || feb != 10 || mar != 0 {
-		t.Errorf("bar widths = %d/%d/%d, want 20/10/0", jan, feb, mar)
-	}
-	// Tiny width still renders.
-	if !strings.Contains((&Figure{Title: "x"}).RenderBars(1), "x") {
-		t.Error("empty figure render broken")
-	}
-}

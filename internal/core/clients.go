@@ -285,7 +285,6 @@ func (s *Study) installConflictDevices(prefixes []netip.Prefix) {
 			dev.OpenPorts = map[uint16]string{80: "<html>Authentication required: login to continue</html>"}
 		case 4: // raw TCP services (SSH/telnet-style banners)
 			dev.OpenPorts = map[uint16]string{22: "SSH-2.0-dropbear", 23: "login:"}
-			dev.RefuseOthers = false
 		default: // silent: internal routing or blackholing (the majority)
 			dev.OpenPorts = nil
 		}

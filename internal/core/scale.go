@@ -136,11 +136,7 @@ func NewScaleCampaign(cfg ScaleConfig) (*ScaleCampaign, error) {
 	c.Resolver = dnsserver.NewResolver(c.World, cloudflareDNS,
 		map[string]netip.Addr{ProbeZone: authServerAddr}, cfg.Seed+101)
 	c.Resolver.CacheLimit = cfg.CacheLimit
-	c.World.RegisterDatagram(cloudflareDNS, 53, dnsserver.DatagramHandler(c.Resolver))
-	c.World.RegisterStream(cloudflareDNS, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, c.Resolver)
-	})
+	dnsserver.Serve(c.World, cloudflareDNS, c.Resolver)
 
 	c.Targets = []vantage.Target{{Name: "cloudflare", DNS: cloudflareDNS}}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/ed25519"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
@@ -253,11 +252,7 @@ func (s *Study) buildAuthoritative() error {
 	// The scanner's ethics fixture: reverse-DNS record and opt-out page.
 	s.Zone.Add("scanner."+ProbeZone, 3600,
 		dnswire.TXT{Texts: []string{"research scanner; opt-out: https://" + ProbeZone}})
-	s.World.RegisterDatagram(authServerAddr, 53, dnsserver.DatagramHandler(s.Zone))
-	s.World.RegisterStream(authServerAddr, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, s.Zone)
-	})
+	dnsserver.Serve(s.World, authServerAddr, s.Zone)
 	return nil
 }
 
@@ -311,11 +306,7 @@ func (s *Study) buildPublicResolvers() error {
 	cfResolver := s.resolverFor(cloudflareDNS, s.Seed+101)
 	cfClear := &latencyShaper{inner: cfResolver, world: s.World, penalty: clearTextPenalty}
 	cfEnc := &latencyShaper{inner: cfResolver, world: s.World, penalty: encryptedPenalty}
-	s.World.RegisterDatagram(cloudflareDNS, 53, dnsserver.DatagramHandler(cfClear))
-	s.World.RegisterStream(cloudflareDNS, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, cfClear)
-	})
+	dnsserver.Serve(s.World, cloudflareDNS, cfClear)
 	cfLeaf, err := issue("cloudflare-dns.com", cloudflareDNS)
 	if err != nil {
 		return err
@@ -332,19 +323,15 @@ func (s *Study) buildPublicResolvers() error {
 	})
 	// Cloudflare serves a landing page on 1.1.1.1's ports 80/443 (used
 	// by the genuine-resolver comparison).
-	s.World.RegisterStream(cloudflareDNS, 80, staticPage("Cloudflare", "<title>1.1.1.1 — the free app that makes your Internet faster.</title>"))
-	s.World.RegisterStream(cloudflareDNS, 443, staticPage("Cloudflare", "<title>1.1.1.1</title>"))
+	s.World.RegisterStream(cloudflareDNS, 80, netsim.StaticPage("Cloudflare", "<title>1.1.1.1 — the free app that makes your Internet faster.</title>"))
+	s.World.RegisterStream(cloudflareDNS, 443, netsim.StaticPage("Cloudflare", "<title>1.1.1.1</title>"))
 
 	// Google: clear-text on 8.8.8.8, DoH on dns.google. No DoT at the
 	// time of the experiment ("Google DoT was not announced").
 	gResolver := s.resolverFor(googleDNS, s.Seed+102)
 	gClear := &latencyShaper{inner: gResolver, world: s.World, penalty: clearTextPenalty}
 	gEnc := &latencyShaper{inner: gResolver, world: s.World, penalty: encryptedPenalty}
-	s.World.RegisterDatagram(googleDNS, 53, dnsserver.DatagramHandler(gClear))
-	s.World.RegisterStream(googleDNS, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, gClear)
-	})
+	dnsserver.Serve(s.World, googleDNS, gClear)
 	gLeaf, err := issue("dns.google", googleDoH)
 	if err != nil {
 		return err
@@ -363,11 +350,7 @@ func (s *Study) buildPublicResolvers() error {
 	q9Front := s.resolverFor(quad9Addr, s.Seed+104)
 	q9Clear := &latencyShaper{inner: q9Front, world: s.World, penalty: clearTextPenalty}
 	q9Enc := &latencyShaper{inner: q9Front, world: s.World, penalty: encryptedPenalty}
-	s.World.RegisterDatagram(quad9Addr, 53, dnsserver.DatagramHandler(q9Clear))
-	s.World.RegisterStream(quad9Addr, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, q9Clear)
-	})
+	dnsserver.Serve(s.World, quad9Addr, q9Clear)
 	q9Leaf, err := issue("dns.quad9.net", quad9Addr)
 	if err != nil {
 		return err
@@ -421,11 +404,7 @@ func (s *Study) buildPublicResolvers() error {
 
 	// Self-built resolver: authoritative-backed, all three protocols.
 	sb := s.resolverFor(selfBuiltAddr, s.Seed+106)
-	s.World.RegisterDatagram(selfBuiltAddr, 53, dnsserver.DatagramHandler(sb))
-	s.World.RegisterStream(selfBuiltAddr, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, sb)
-	})
+	dnsserver.Serve(s.World, selfBuiltAddr, sb)
 	sbLeaf, err := issue("self-built."+ProbeZone, selfBuiltAddr)
 	if err != nil {
 		return err
@@ -473,15 +452,4 @@ func (s *Study) buildPublicResolvers() error {
 		},
 	}
 	return nil
-}
-
-// staticPage returns a handler serving a fixed HTML page.
-func staticPage(server, body string) netsim.StreamHandler {
-	return func(conn *netsim.Conn) {
-		defer conn.Close()
-		buf := make([]byte, 1024)
-		conn.Read(buf) //nolint:errcheck
-		fmt.Fprintf(conn, "HTTP/1.0 200 OK\r\nServer: %s\r\nContent-Type: text/html\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
-			server, len(body), body)
-	}
 }

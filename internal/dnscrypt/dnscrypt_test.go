@@ -270,83 +270,3 @@ func TestCertValidityAnchoredToStudyTime(t *testing.T) {
 		t.Error("cert accepted far outside its validity window")
 	}
 }
-
-func TestStampRoundTrip(t *testing.T) {
-	pk, _, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stamp := NewDNSCryptStamp(netip.MustParseAddr("208.67.222.222"), "opendns.example", pk, PropDNSSEC|PropNoLogs)
-	uri := stamp.String()
-	if !bytes.HasPrefix([]byte(uri), []byte("sdns://")) {
-		t.Fatalf("uri = %q", uri)
-	}
-	got, err := ParseStamp(uri)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Protocol != StampDNSCrypt || got.Addr != "208.67.222.222" ||
-		got.ProviderName != "opendns.example" || !bytes.Equal(got.ProviderPK, pk) ||
-		got.Props != PropDNSSEC|PropNoLogs {
-		t.Errorf("stamp = %+v", got)
-	}
-}
-
-func TestDoHStampRoundTrip(t *testing.T) {
-	stamp := &Stamp{
-		Protocol: StampDoH,
-		Props:    PropNoFilter,
-		Addr:     "104.16.249.249:443",
-		Host:     "mozilla.cloudflare-dns.com",
-		Path:     "/dns-query",
-	}
-	got, err := ParseStamp(stamp.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Host != stamp.Host || got.Path != stamp.Path || got.Addr != stamp.Addr {
-		t.Errorf("stamp = %+v", got)
-	}
-}
-
-func TestStampRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"https://not-a-stamp",
-		"sdns://!!!",
-		"sdns://",
-		"sdns://AA", // too short
-		(&Stamp{Protocol: 0x7F, Addr: "x"}).String(), // unknown protocol
-	}
-	for _, c := range cases {
-		if _, err := ParseStamp(c); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-	// DNSCrypt stamp with a bad provider-key length.
-	bad := &Stamp{Protocol: StampDNSCrypt, Addr: "1.2.3.4", ProviderPK: []byte{1, 2, 3}, ProviderName: "x"}
-	if _, err := ParseStamp(bad.String()); err == nil {
-		t.Error("accepted short provider key")
-	}
-}
-
-func TestClientFromStampEndToEnd(t *testing.T) {
-	c0, resolver := endToEnd(t)
-	stamp := NewDNSCryptStamp(resolver, c0.ProviderName, c0.ProviderPK, PropDNSSEC)
-	client, addr, err := ClientFromStamp(c0.World, c0.From, stamp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if addr != resolver {
-		t.Errorf("stamp addr = %v", addr)
-	}
-	if err := client.FetchCertContext(context.Background(), addr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.QueryContext(context.Background(), addr, "stamped.crypt.example.test", dnswire.TypeA); err != nil {
-		t.Fatal(err)
-	}
-	// DoH stamps are rejected by the DNSCrypt constructor.
-	if _, _, err := ClientFromStamp(c0.World, c0.From, &Stamp{Protocol: StampDoH}); err == nil {
-		t.Error("DoH stamp accepted by DNSCrypt client constructor")
-	}
-}

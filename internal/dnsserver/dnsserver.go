@@ -37,16 +37,21 @@ func (f HandlerFunc) ServeDNS(remote netip.Addr, req *dnswire.Message) (*dnswire
 	return f(remote, req)
 }
 
-// ServeStream runs the DNS-over-TCP framing loop on conn, answering queries
-// with h until the peer closes or an error occurs. Connection reuse —
-// multiple queries per connection — falls out naturally, as RFC 7766
-// requires.
-func ServeStream(conn *netsim.Conn, h Handler) {
-	serveStreamRW(conn, conn, h)
+// Serve registers h as the clear-text DNS server on addr:53 of the world:
+// DatagramHandler on UDP, and on TCP the DNS-over-TCP framing loop, which
+// answers queries until the peer closes or an error occurs. Connection
+// reuse — multiple queries per connection — falls out naturally, as RFC
+// 7766 requires.
+func Serve(w *netsim.World, addr netip.Addr, h Handler) {
+	w.RegisterDatagram(addr, 53, DatagramHandler(h))
+	w.RegisterStream(addr, 53, func(conn *netsim.Conn) {
+		defer conn.Close()
+		serveStreamRW(conn, conn, h)
+	})
 }
 
-// rw is the minimal surface ServeStream needs, letting the TLS front-end
-// reuse the same loop with a *tls.Conn.
+// rw is the minimal surface the stream loop needs, letting the TLS
+// front-end reuse it with a *tls.Conn.
 type rw interface {
 	Read([]byte) (int, error)
 	Write([]byte) (int, error)
@@ -113,8 +118,8 @@ func serveStreamRW(conn rw, raw *netsim.Conn, h Handler) {
 	}
 }
 
-// ServeTLSStream is ServeStream for a TLS-wrapped connection whose
-// underlying netsim.Conn is raw.
+// ServeTLSStream runs Serve's DNS-over-TCP framing loop over a TLS-wrapped
+// connection whose underlying netsim.Conn is raw (DoT, RFC 7858).
 func ServeTLSStream(tlsConn rw, raw *netsim.Conn, h Handler) {
 	serveStreamRW(tlsConn, raw, h)
 }

@@ -93,11 +93,7 @@ func setupRecursive(t *testing.T, w *netsim.World) *Resolver {
 	z.WildcardA = netip.MustParseAddr("203.0.113.1")
 	w.RegisterDatagram(authIP, 53, DatagramHandler(z))
 	r := NewResolver(w, resolverIP, map[string]netip.Addr{"measure.example.org": authIP}, 99)
-	w.RegisterDatagram(resolverIP, 53, DatagramHandler(r))
-	w.RegisterStream(resolverIP, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		ServeStream(conn, r)
-	})
+	Serve(w, resolverIP, r)
 	return r
 }
 

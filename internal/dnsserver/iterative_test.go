@@ -156,104 +156,3 @@ func TestDelegationReferral(t *testing.T) {
 		t.Errorf("referral NS = %v", resp.Authorities[0])
 	}
 }
-
-func TestLoadZone(t *testing.T) {
-	zoneText := `
-; the example.org zone
-$ORIGIN example.org.
-$TTL 300
-@       IN SOA ns1 hostmaster 2019050101 7200 3600 1209600 300
-@       IN NS  ns1
-ns1     IN A   198.51.100.1
-www     600 IN A 203.0.113.80
-txt     IN TXT "v=spf1 -all" "second ; not a comment"
-mail    IN MX  10 mx.example.org.
-alias   IN CNAME www
-v6      IN AAAA 2001:db8::80
-`
-	z, err := LoadZone("example.org.", strings.NewReader(zoneText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, qtype dnswire.Type, wantRcode dnswire.Rcode, wantAnswers int) *dnswire.Message {
-		t.Helper()
-		resp, _ := z.ServeDNS(iterIP, dnswire.NewQuery(1, name, qtype))
-		if resp.Rcode != wantRcode || len(resp.Answers) != wantAnswers {
-			t.Fatalf("%s %v: rcode=%v answers=%d", name, qtype, resp.Rcode, len(resp.Answers))
-		}
-		return resp
-	}
-	resp := check("www.example.org", dnswire.TypeA, dnswire.RcodeSuccess, 1)
-	if resp.Answers[0].TTL != 600 {
-		t.Errorf("www TTL = %d, want explicit 600", resp.Answers[0].TTL)
-	}
-	resp = check("txt.example.org", dnswire.TypeTXT, dnswire.RcodeSuccess, 1)
-	txt := resp.Answers[0].Data.(dnswire.TXT)
-	if len(txt.Texts) != 2 || txt.Texts[0] != "v=spf1 -all" || txt.Texts[1] != "second ; not a comment" {
-		t.Errorf("TXT = %q", txt.Texts)
-	}
-	resp = check("mail.example.org", dnswire.TypeMX, dnswire.RcodeSuccess, 1)
-	if mx := resp.Answers[0].Data.(dnswire.MX); mx.Preference != 10 || mx.Host != "mx.example.org." {
-		t.Errorf("MX = %v", mx)
-	}
-	resp = check("alias.example.org", dnswire.TypeCNAME, dnswire.RcodeSuccess, 1)
-	if cn := resp.Answers[0].Data.(dnswire.CNAME); cn.Target != "www.example.org." {
-		t.Errorf("CNAME = %v", cn)
-	}
-	check("v6.example.org", dnswire.TypeAAAA, dnswire.RcodeSuccess, 1)
-	resp = check("example.org", dnswire.TypeSOA, dnswire.RcodeSuccess, 1)
-	soa := resp.Answers[0].Data.(dnswire.SOA)
-	if soa.MName != "ns1.example.org." || soa.Serial != 2019050101 || soa.Minimum != 300 {
-		t.Errorf("SOA = %+v", soa)
-	}
-	// Default TTL applies where no explicit TTL is given.
-	resp = check("ns1.example.org", dnswire.TypeA, dnswire.RcodeSuccess, 1)
-	if resp.Answers[0].TTL != 300 {
-		t.Errorf("ns1 TTL = %d, want $TTL 300", resp.Answers[0].TTL)
-	}
-}
-
-func TestLoadZoneRejectsOutOfZone(t *testing.T) {
-	if _, err := LoadZone("example.org.", strings.NewReader("www.other.net. IN A 192.0.2.1\n")); err == nil {
-		t.Error("out-of-zone record accepted")
-	}
-}
-
-func TestLoadZoneRejectsBadSyntax(t *testing.T) {
-	cases := []string{
-		"$ORIGIN\n",
-		"$TTL abc\n",
-		"www IN A not-an-ip\n",
-		"www IN WEIRD data\n",
-		"www IN MX ten mx.example.org.\n",
-	}
-	for _, c := range cases {
-		if _, err := LoadZone("example.org.", strings.NewReader(c)); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-}
-
-func TestParseRecordForms(t *testing.T) {
-	rec, err := dnswire.ParseRecord("@ 3600 IN NS ns1", "example.org.", 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Name != "example.org." || rec.Data.(dnswire.NS).Host != "ns1.example.org." {
-		t.Errorf("rec = %+v", rec)
-	}
-	rec, err = dnswire.ParseRecord("srv.example.org. IN SRV 1 2 853 dot", "example.org.", 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := rec.Data.(dnswire.SRV)
-	if srv.Port != 853 || srv.Target != "dot.example.org." {
-		t.Errorf("srv = %+v", srv)
-	}
-	if _, err := dnswire.ParseRecord("x", "example.org.", 300); err == nil {
-		t.Error("short record accepted")
-	}
-	if _, err := dnswire.ParseRecord(`t IN TXT "unterminated`, "example.org.", 300); err == nil {
-		t.Error("unterminated quote accepted")
-	}
-}

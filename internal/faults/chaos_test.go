@@ -79,8 +79,8 @@ func TestChaosEveryProfileEverySeedCompletes(t *testing.T) {
 }
 
 // chaosWorld is a minimal direct netsim world (no core study) for
-// hand-computed recovery accounting: one clear-text TCP DNS server, one
-// client tuple, an exactly-known fault schedule.
+// hand-computed recovery accounting: one clear-text DNS server (queried
+// over TCP), one client tuple, an exactly-known fault schedule.
 func chaosWorld(t *testing.T) (*netsim.World, netip.Addr, netip.Addr) {
 	t.Helper()
 	w := netsim.NewWorld(99)
@@ -88,10 +88,7 @@ func chaosWorld(t *testing.T) (*netsim.World, netip.Addr, netip.Addr) {
 	server := netip.MustParseAddr("192.0.2.10")
 	z := dnsserver.NewZone("probe.example.org")
 	z.WildcardA = netip.MustParseAddr("203.0.113.9")
-	w.RegisterStream(server, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, z)
-	})
+	dnsserver.Serve(w, server, z)
 	return w, client, server
 }
 

@@ -376,7 +376,7 @@ func TestExchangeNoService(t *testing.T) {
 	}
 }
 
-func TestCensorRefusesAndSpoofs(t *testing.T) {
+func TestCensorBlackholesDialsAndDatagrams(t *testing.T) {
 	w := newTestWorld(t)
 	blocked := netip.MustParseAddr("192.0.2.99")
 	w.RegisterStream(blocked, 443, echoHandler)
@@ -387,23 +387,54 @@ func TestCensorRefusesAndSpoofs(t *testing.T) {
 		Countries: map[string]bool{"US": true},
 		BlockIPs:  map[netip.Addr]bool{blocked: true},
 		Blackhole: true,
-		SpoofDNS:  func(req []byte) []byte { return []byte("forged") },
 	})
 
 	if _, err := w.Dial(clientIP, blocked, 443); !errors.Is(err, ErrBlackhole) {
 		t.Errorf("dial err = %v, want blackhole", err)
 	}
-	resp, _, err := w.Exchange(clientIP, blocked, 53, []byte("q"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "forged" {
-		t.Errorf("spoofed resp = %q", resp)
+	if _, _, err := w.Exchange(clientIP, blocked, 53, []byte("q")); !errors.Is(err, ErrBlackhole) {
+		t.Errorf("datagram err = %v, want blackhole", err)
 	}
 	// A client outside the censored country is unaffected.
 	otherClient := netip.MustParseAddr("192.0.2.200")
 	if _, err := w.Dial(otherClient, blocked, 443); err != nil {
 		t.Errorf("uncensored dial failed: %v", err)
+	}
+	if resp, _, err := w.Exchange(otherClient, blocked, 53, []byte("q")); err != nil || string(resp) != "real" {
+		t.Errorf("uncensored datagram = %q, %v; want the server's answer", resp, err)
+	}
+}
+
+// The censor's verdict depends on the client's country only for a blocked
+// destination, so only that case may pay the geography lookup.
+func TestCensorAsksGeoOnlyForBlockedDestinations(t *testing.T) {
+	w := NewWorld(1)
+	lookups := 0
+	w.Geo.SetFallback(func(netip.Addr) (geo.Location, bool) {
+		lookups++
+		return geo.Location{Country: "CN"}, true
+	})
+	blocked := netip.MustParseAddr("192.0.2.99")
+	censor := &Censor{
+		Countries: map[string]bool{"CN": true},
+		BlockIPs:  map[netip.Addr]bool{blocked: true},
+		Blackhole: true,
+	}
+	for _, tc := range []struct {
+		to          netip.Addr
+		want        Action
+		wantLookups int
+	}{
+		{serverIP, ActNext, 0},
+		{blocked, ActBlackhole, 1},
+	} {
+		lookups = 0
+		if v := censor.Decide(w, clientIP, tc.to, 443, Stream); v.Action != tc.want {
+			t.Errorf("Decide(-> %v) = %v, want %v", tc.to, v.Action, tc.want)
+		}
+		if lookups != tc.wantLookups {
+			t.Errorf("Decide(-> %v) made %d geography lookups, want %d", tc.to, lookups, tc.wantLookups)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // Censor models national-level filtering: for clients inside Countries, it
-// blocks (refuses or blackholes) connections matching the destination sets,
-// and can inject spoofed answers to datagram queries (DNS injection).
+// blocks (refuses or blackholes) connections and datagrams matching the
+// destination sets.
 type Censor struct {
 	// Countries of the *clients* whose traffic is filtered.
 	Countries map[string]bool
@@ -18,24 +18,20 @@ type Censor struct {
 	BlockPorts map[uint16]bool
 	// Blackhole silently drops instead of refusing (the common behaviour).
 	Blackhole bool
-	// SpoofDNS, when non-nil, answers datagram port-53 queries to blocked
-	// destinations with a forged payload instead of dropping them.
-	SpoofDNS func(req []byte) []byte
 }
 
-// Decide implements DialPolicy.
-func (c *Censor) Decide(w *World, from, to netip.Addr, port uint16, proto Proto) Verdict {
-	if len(c.Countries) > 0 && !c.Countries[w.Geo.Country(from)] {
-		return Verdict{Action: ActNext}
-	}
+// Decide implements DialPolicy. The destination is checked first: almost
+// every dial and exchange goes to an unblocked address, and only a blocked
+// one needs the geography lookup of the client.
+func (c *Censor) Decide(w *World, from, to netip.Addr, port uint16, _ Proto) Verdict {
 	if !c.BlockIPs[to] {
 		return Verdict{Action: ActNext}
 	}
 	if len(c.BlockPorts) > 0 && !c.BlockPorts[port] {
 		return Verdict{Action: ActNext}
 	}
-	if proto == Datagram && port == 53 && c.SpoofDNS != nil {
-		return Verdict{Action: ActSpoof, Spoof: c.SpoofDNS}
+	if len(c.Countries) > 0 && !c.Countries[w.Geo.Country(from)] {
+		return Verdict{Action: ActNext}
 	}
 	if c.Blackhole {
 		return Verdict{Action: ActBlackhole}
@@ -97,10 +93,9 @@ type ConflictDevice struct {
 	Kind           DeviceKind
 	// OpenPorts maps ports the device listens on to the body of the page
 	// it serves (an HTTP response is synthesized around it). Ports not in
-	// the map are refused when RefuseOthers, otherwise blackholed —
-	// the paper finds most conflicting destinations are silent.
-	OpenPorts    map[uint16]string
-	RefuseOthers bool
+	// the map are blackholed — the paper finds most conflicting
+	// destinations are silent.
+	OpenPorts map[uint16]string
 }
 
 // Decide implements DialPolicy.
@@ -124,48 +119,31 @@ func (d *ConflictDevice) Decide(_ *World, from, to netip.Addr, port uint16, prot
 	}
 	body, open := d.OpenPorts[port]
 	if !open {
-		if d.RefuseOthers {
-			return Verdict{Action: ActRefuse}
-		}
 		return Verdict{Action: ActBlackhole}
 	}
 	kind := d.Kind
 	return Verdict{Action: ActRedirect, Handler: func(conn *Conn, dst Addr) {
-		defer conn.Close()
 		if dst.Port == 80 || dst.Port == 443 {
-			serveFixedHTTP(conn, string(kind), body)
+			StaticPage(string(kind), body)(conn)
 			return
 		}
 		// Non-HTTP ports just present a banner (SSH, telnet, ...).
+		defer conn.Close()
 		fmt.Fprintf(conn, "%s\r\n", body)
 	}}
 }
 
-// serveFixedHTTP writes a minimal HTTP/1.0 response with the given body and
-// a Server header, then returns. It does not parse the request beyond
-// draining what is immediately available, which is all the paper's webpage
-// fetch needs.
-func serveFixedHTTP(conn *Conn, server, body string) {
-	buf := make([]byte, 1024)
-	conn.Read(buf) //nolint:errcheck // drain whatever request bytes arrived
-	fmt.Fprintf(conn, "HTTP/1.0 200 OK\r\nServer: %s\r\nContent-Type: text/html\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
-		server, len(body), body)
-}
-
-// RawTCPDevice accepts connections on arbitrary ports and immediately
-// closes them after a banner; used for conflicting devices exposing SSH,
-// telnet, BGP and similar ports in Table 5.
-type RawTCPDevice struct {
-	Banner string
-}
-
-// Handler returns a StreamHandler serving the banner.
-func (d RawTCPDevice) Handler() StreamHandler {
+// StaticPage returns a handler that writes a minimal HTTP/1.0 response with
+// the given body and Server header, then closes the connection. It does not
+// parse the request beyond draining what is immediately available, which is
+// all the paper's webpage fetch needs.
+func StaticPage(server, body string) StreamHandler {
 	return func(conn *Conn) {
 		defer conn.Close()
-		if d.Banner != "" {
-			fmt.Fprintf(conn, "%s\r\n", d.Banner)
-		}
+		buf := make([]byte, 1024)
+		conn.Read(buf) //nolint:errcheck // drain whatever request bytes arrived
+		fmt.Fprintf(conn, "HTTP/1.0 200 OK\r\nServer: %s\r\nContent-Type: text/html\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
+			server, len(body), body)
 	}
 }
 

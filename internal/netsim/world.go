@@ -48,14 +48,12 @@ const (
 	ActRefuse
 	ActBlackhole
 	ActRedirect // hand the stream to Verdict.Handler instead of the target
-	ActSpoof    // answer the datagram with Verdict.Spoof's payload
 )
 
 // Verdict is a policy decision.
 type Verdict struct {
 	Action  Action
 	Handler RedirectHandler
-	Spoof   func(req []byte) []byte
 }
 
 // RedirectHandler serves a redirected stream. dst is the address the client
@@ -393,16 +391,11 @@ func (w *World) connectExtra(from, to netip.Addr, port uint16, extra time.Durati
 // response payload and the virtual elapsed time.
 func (w *World) Exchange(from, to netip.Addr, port uint16, req []byte) ([]byte, time.Duration, error) {
 	v := w.decide(from, to, port, Datagram)
-	rtt := w.pathRTT(from, to)
 	switch v.Action {
 	case ActRefuse:
 		return nil, 0, ErrRefused
 	case ActBlackhole:
 		return nil, 0, ErrBlackhole
-	case ActSpoof:
-		// Injected responses arrive faster than the genuine server's:
-		// the injector sits in-path.
-		return v.Spoof(req), rtt / 2, nil
 	}
 	var fault DatagramFault
 	if inj := w.faultInjector(); inj != nil {
@@ -421,7 +414,7 @@ func (w *World) Exchange(from, to netip.Addr, port uint16, req []byte) ([]byte, 
 	if err != nil {
 		return nil, 0, err
 	}
-	return resp, rtt + proc + fault.ExtraLatency, nil
+	return resp, w.pathRTT(from, to) + proc + fault.ExtraLatency, nil
 }
 
 // String summarizes the world for diagnostics.

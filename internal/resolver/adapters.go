@@ -12,24 +12,6 @@ import (
 	"dnsencryption.info/doe/internal/dnswire"
 )
 
-// udpExchanger is the connectionless clear-text transport.
-type udpExchanger struct {
-	client *dnsclient.Client
-	server netip.Addr
-}
-
-func (u udpExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := u.client.QueryUDPContext(ctx, u.server, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	return res.Msg, nil
-}
-
 // session adapts any dialed stream or QUIC session — a dnsclient.TCPConn,
 // *dot.Conn, *doh.Conn or *doq.Conn — to Session: each already has
 // Batch, Close, SetupLatency and Elapsed, and Exchange forwards the

@@ -1,17 +1,16 @@
 // Package resolver presents every transport the study measures — clear-text
-// DNS over UDP and TCP, DoT (RFC 7858), DoH (RFC 8484), DoQ (RFC 9250) and
+// DNS over TCP, DoT (RFC 7858), DoH (RFC 8484), DoQ (RFC 9250) and
 // DNSCrypt — behind one Exchanger interface: a single DNS transaction under
-// a context. The
-// measurement code in internal/vantage and internal/core compares protocols
-// side by side; giving all of them the same call shape keeps that comparison
-// honest (the harness around each query is identical, only the transport
-// differs) and lets the parallel campaign engine cancel any of them the same
-// way.
+// a context. The measurement code in internal/vantage and internal/core
+// compares protocols side by side; giving all of them the same call shape
+// keeps that comparison honest (the harness around each query is
+// identical, only the transport differs) and lets the parallel campaign
+// engine cancel any of them the same way.
 //
-// Transports own their transaction IDs: UDP, TCP and DoT pick fresh random
-// IDs per exchange, DoH always sends ID 0 (RFC 8484 §4.1 cache
-// friendliness). The ID on the message passed to Exchange is therefore
-// advisory, and the returned message carries whatever ID the transport used.
+// Transports own their transaction IDs: TCP and DoT pick fresh random IDs
+// per exchange, DoH always sends ID 0 (RFC 8484 §4.1 cache friendliness).
+// The ID on the message passed to Exchange is therefore advisory, and the
+// returned message carries whatever ID the transport used.
 //
 // Sessions are dialed through one entry point, Dial, keyed by a Proto value
 // and run over the Client's Dialer (direct, or through a proxy exit node);
@@ -101,8 +100,8 @@ const (
 )
 
 // protoNames is the single authority for protocol labels: Proto.String,
-// ParseProto, telemetry labels and report column headers all read it, so a
-// name can never drift between a flag and a metric.
+// telemetry labels and report column headers all read it, so a name can
+// never drift between a metric and a report.
 var protoNames = [...]string{
 	ProtoTCP: "tcp",
 	ProtoDoT: "dot",
@@ -116,17 +115,6 @@ func (p Proto) String() string {
 		return protoNames[p]
 	}
 	return fmt.Sprintf("proto(%d)", int(p))
-}
-
-// ParseProto maps a protocol label ("tcp", "dot", "doh", "doq") back to its
-// Proto value — the inverse of String, for cmd flag plumbing.
-func ParseProto(s string) (Proto, error) {
-	for p, name := range protoNames {
-		if s == name {
-			return Proto(p), nil
-		}
-	}
-	return 0, fmt.Errorf("resolver: unknown protocol %q", s)
 }
 
 // Endpoint addresses a Dial target. Addr is required for every protocol;
@@ -222,12 +210,9 @@ func (d worldDialer) DialDatagram(addr netip.Addr, port uint16) (func(req []byte
 // ports maps each protocol to its server port (DoQ's is a UDP port).
 var ports = [...]uint16{ProtoTCP: 53, ProtoDoT: dot.Port, ProtoDoH: doh.Port, ProtoDoQ: doq.Port}
 
-// Client builds Exchangers from one vantage point. World and From are set by
-// New and serve the connectionless UDP exchanger; sessions open through the
-// Client's Dialer.
+// Client builds Exchangers from one vantage point: every session opens
+// through the Client's Dialer.
 type Client struct {
-	World *netsim.World
-	From  netip.Addr
 	Roots *certs.TrustStore
 	dial  Dialer
 	opts  Options
@@ -243,25 +228,18 @@ type Client struct {
 // New returns a Client dialing directly from address from of world w, with
 // study defaults adjusted by opts.
 func New(w *netsim.World, from netip.Addr, roots *certs.TrustStore, opts ...Option) *Client {
-	c := NewVia(worldDialer{w, from}, roots, opts...)
-	c.World, c.From = w, from
-	return c
+	return NewVia(worldDialer{w, from}, roots, opts...)
 }
 
 // NewVia returns a Client whose sessions open through d — for example a
 // proxy.ExitDialer, so every protocol runs from an exit node's vantage
-// point. It has no World, so UDP is unavailable on it.
+// point.
 func NewVia(d Dialer, roots *certs.TrustStore, opts ...Option) *Client {
 	c := &Client{Roots: roots, dial: d, opts: Options{Reuse: true, Profile: dot.Opportunistic}}
 	for _, fn := range opts {
 		fn(&c.opts)
 	}
 	return c
-}
-
-// UDP returns the connectionless clear-text exchanger for server:53.
-func (c *Client) UDP(server netip.Addr) Exchanger {
-	return udpExchanger{client: dnsclient.New(c.World, c.From), server: server}
 }
 
 // Dial opens a session to ep over protocol p through the Client's Dialer,

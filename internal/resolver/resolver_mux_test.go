@@ -361,26 +361,6 @@ func TestProtoString(t *testing.T) {
 	}
 }
 
-// Every named protocol must round-trip String → ParseProto → String, and
-// unknown labels must be rejected — the contract cmd flag plumbing leans on.
-func TestParseProtoRoundTrip(t *testing.T) {
-	for _, p := range []Proto{ProtoTCP, ProtoDoT, ProtoDoH, ProtoDoQ} {
-		got, err := ParseProto(p.String())
-		if err != nil {
-			t.Errorf("ParseProto(%q): %v", p.String(), err)
-			continue
-		}
-		if got != p {
-			t.Errorf("ParseProto(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	for _, bad := range []string{"", "udp", "DoT", "doq ", "quic", "proto(9)"} {
-		if p, err := ParseProto(bad); err == nil {
-			t.Errorf("ParseProto(%q) = %v, want error", bad, p)
-		}
-	}
-}
-
 func TestDialRejectsUnknownProto(t *testing.T) {
 	f := newFixture(t)
 	if _, err := f.client(t).Dial(context.Background(), Proto(9), Endpoint{Addr: serverIP}); err == nil {

@@ -28,7 +28,7 @@ var (
 )
 
 // fixture deploys one resolver address speaking every transport the package
-// adapts: UDP+TCP clear-text on 53, DoT on 853, DoH on 443, DoQ on UDP 853.
+// adapts: clear-text DNS on 53, DoT on 853, DoH on 443, DoQ on UDP 853.
 type fixture struct {
 	world *netsim.World
 	ca    *certs.CA
@@ -48,11 +48,7 @@ func newFixture(t *testing.T) *fixture {
 	z := dnsserver.NewZone("measure.example.org")
 	z.WildcardA = answerIP
 
-	w.RegisterDatagram(serverIP, 53, dnsserver.DatagramHandler(z))
-	w.RegisterStream(serverIP, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, z)
-	})
+	dnsserver.Serve(w, serverIP, z)
 	leaf, err := ca.Issue(certs.LeafOptions{
 		CommonName: "dns.provider.example",
 		DNSNames:   []string{"dns.provider.example"},
@@ -91,9 +87,6 @@ func TestEveryTransportAnswersThroughExchange(t *testing.T) {
 	c := f.client(t)
 	ctx := context.Background()
 	tmpl := doh.Template{Host: "dns.provider.example", Path: "/dns-query"}
-
-	m, err := c.UDP(serverIP).Exchange(ctx, query("u.measure.example.org"))
-	checkAnswer(t, m, err, "udp")
 
 	for _, tc := range []struct {
 		name string
@@ -240,7 +233,6 @@ func TestExchangeHonoursCancelledContext(t *testing.T) {
 		name string
 		ex   Exchanger
 	}{
-		{"udp", c.UDP(serverIP)},
 		{"tcp", c.TCP(serverIP)},
 		{"dot", c.DoT(serverIP)},
 		{"doh", c.DoH(doh.Template{Host: "dns.provider.example", Path: "/dns-query"}, serverIP)},

@@ -1,19 +1,14 @@
 package resolver
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"dnsencryption.info/doe/internal/dnsclient"
-	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/netsim"
-	"dnsencryption.info/doe/internal/obs"
 )
 
 // ErrSessionClosed is the sentinel a Transport wraps around transport-level
@@ -75,12 +70,6 @@ func (s RetryStats) Plus(o RetryStats) RetryStats {
 	}
 }
 
-// StatsProvider is implemented by Exchangers that track attempt-level
-// retry counters (Transport, FallbackExchanger).
-type StatsProvider interface {
-	Stats() RetryStats
-}
-
 // isConnDeath reports whether err means the underlying connection is gone
 // (as opposed to a protocol-level failure worth surfacing as-is).
 func isConnDeath(err error) bool {
@@ -91,72 +80,4 @@ func isConnDeath(err error) bool {
 		errors.Is(err, netsim.ErrReset) ||
 		errors.Is(err, dnsclient.ErrClosed) ||
 		errors.Is(err, doq.ErrClosed)
-}
-
-// Fallback chains Exchangers in preference order: Exchange tries each in
-// turn and returns the first success. A stub configured DoH→DoT→Do53
-// degrades to clear text only when both encrypted transports fail — the
-// resilience shape follow-up work measures on lossy networks.
-type FallbackExchanger struct {
-	chain []Exchanger
-
-	mu       sync.Mutex
-	lastUsed int
-}
-
-// Fallback builds a FallbackExchanger over the given chain.
-func Fallback(chain ...Exchanger) *FallbackExchanger {
-	return &FallbackExchanger{chain: chain, lastUsed: -1}
-}
-
-// Exchange implements Exchanger. On total failure it returns the joined
-// errors of every link in the chain.
-func (f *FallbackExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	if len(f.chain) == 0 {
-		return nil, errors.New("resolver: empty fallback chain")
-	}
-	var errs []error
-	for idx, e := range f.chain {
-		resp, err := e.Exchange(ctx, msg)
-		if err == nil {
-			if idx > 0 {
-				obs.CurrentSpan(ctx).Event(fmt.Sprintf("fallback:chain[%d]", idx))
-			}
-			f.mu.Lock()
-			f.lastUsed = idx
-			f.mu.Unlock()
-			return resp, nil
-		}
-		errs = append(errs, fmt.Errorf("chain[%d]: %w", idx, err))
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	f.mu.Lock()
-	f.lastUsed = -1
-	f.mu.Unlock()
-	return nil, errors.Join(errs...)
-}
-
-// LastUsed returns the chain index that served the most recent Exchange,
-// or -1 if it failed everywhere (or nothing ran yet).
-func (f *FallbackExchanger) LastUsed() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastUsed
-}
-
-// Stats rolls the attempt-level counters up across the whole chain: the
-// element-wise sum over every link that tracks RetryStats (links without
-// stats contribute zero). Before this existed each Transport accumulated
-// privately and a chain's totals were silently dropped, so fault
-// summaries disagreed with per-transport metrics.
-func (f *FallbackExchanger) Stats() RetryStats {
-	var total RetryStats
-	for _, e := range f.chain {
-		if sp, ok := e.(StatsProvider); ok {
-			total = total.Plus(sp.Stats())
-		}
-	}
-	return total
 }

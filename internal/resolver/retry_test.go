@@ -182,83 +182,6 @@ func TestRetryRecoversTruncatedTLSHandshake(t *testing.T) {
 	}
 }
 
-func TestFallbackDegradesAcrossExchangers(t *testing.T) {
-	f := newFixture(t)
-	c := f.client(t)
-	ctx := context.Background()
-	// No DoT service on this address: the encrypted link fails, the chain
-	// falls back to clear text.
-	deadIP := netip.MustParseAddr("192.0.2.200")
-	fb := Fallback(c.DoT(deadIP), c.UDP(serverIP))
-	m, err := fb.Exchange(ctx, query("fb.measure.example.org"))
-	checkAnswer(t, m, err, "fallback")
-	if got := fb.LastUsed(); got != 1 {
-		t.Errorf("LastUsed = %d, want 1 (the clear-text link)", got)
-	}
-
-	// Total failure: the joined error names every link.
-	dead := Fallback(c.DoT(deadIP), c.TCP(deadIP))
-	if _, err := dead.Exchange(ctx, query("dead.measure.example.org")); err == nil {
-		t.Fatal("all-dead chain succeeded")
-	} else {
-		for _, want := range []string{"chain[0]", "chain[1]"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("joined error %q missing %s", err, want)
-			}
-		}
-	}
-	if got := dead.LastUsed(); got != -1 {
-		t.Errorf("LastUsed after total failure = %d, want -1", got)
-	}
-
-	if _, err := Fallback().Exchange(ctx, query("e.measure.example.org")); err == nil {
-		t.Error("empty chain succeeded")
-	}
-}
-
-// statlessExchanger always fails and tracks no RetryStats: chain links
-// like it must contribute zero to a Fallback rollup.
-type statlessExchanger struct{}
-
-func (statlessExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	return nil, errors.New("statless: unreachable")
-}
-
-// TestFallbackStatsRollUpAcrossChain is the regression test for the chain
-// rollup: RetryStats used to be accumulated per-Transport and silently
-// dropped at the Fallback layer, so a chain's recovery totals never
-// reached the faults summary or the metrics.
-func TestFallbackStatsRollUpAcrossChain(t *testing.T) {
-	retry := RetryPolicy{Attempts: 2, Backoff: 10 * time.Millisecond}
-	// head: every session dies on first use, so every Exchange burns the
-	// full budget and hard-fails down the chain.
-	head := newTransport(Options{Reuse: true, Retry: retry}, "doh", func(ctx context.Context) (Session, error) {
-		return &dyingSession{fuse: 0, dieWith: io.EOF}, nil
-	})
-	// tail: first session dies after one exchange, redials are immortal.
-	tail, _ := dyingTransport(retry, 1, io.EOF)
-	fb := Fallback(head, statlessExchanger{}, tail)
-	var _ StatsProvider = fb
-
-	q := query("fallback-stats.measure.example.org")
-	for i := 0; i < 3; i++ {
-		if _, err := fb.Exchange(context.Background(), q); err != nil {
-			t.Fatalf("exchange %d: %v", i, err)
-		}
-	}
-	got := fb.Stats()
-	if want := head.Stats().Plus(tail.Stats()); got != want {
-		t.Fatalf("chain rollup = %+v, want element-wise sum %+v", got, want)
-	}
-	// Hand-computed: head burns 2 attempts per Exchange (1 retry, 1 hard
-	// failure, redialing each attempt after the first dial); tail does
-	// 1+2+1 attempts with one death recovered on its second Exchange.
-	want := RetryStats{Attempts: 10, Retries: 4, Redials: 6, Recovered: 1, HardFailures: 3}
-	if got != want {
-		t.Fatalf("chain rollup = %+v, want %+v", got, want)
-	}
-}
-
 // TestTransportTelemetry checks that an instrumented Exchange records
 // spans (xchg + dial children, retry events) and per-protocol metrics
 // when — and only when — the context carries a recorder.

@@ -135,30 +135,22 @@ type Scanner struct {
 	RatePPS int
 }
 
-// Scan runs one full sweep and probe round.
-func (s *Scanner) Scan(label string) (*Result, error) {
-	return s.ScanContext(context.Background(), label)
-}
-
-// ScanContext is Scan with cancellation and telemetry: when ctx carries an
-// obs.Recorder the round gets a "scan:<label>" span (charged with the
-// sweep's virtual duration) and sweep/probe outcome counters. Per-address
-// spans are deliberately not recorded — an 8k-address sweep would drown
-// the trace; the round span plus counters carry the same information.
+// ScanContext runs one full sweep and probe round under ctx's
+// cancellation. When ctx carries an obs.Recorder the round gets a
+// "scan:<label>" span (charged with the sweep's virtual duration) and
+// sweep/probe outcome counters. Per-address spans are deliberately not
+// recorded — an 8k-address sweep would drown the trace; the round span
+// plus counters carry the same information.
 func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error) {
 	return s.scan(ctx, &dotScan, label)
 }
 
-// ScanDoQ runs one full UDP/853 DoQ sweep and probe round.
-func (s *Scanner) ScanDoQ(label string) (*Result, error) {
-	return s.ScanDoQContext(context.Background(), label)
-}
-
-// ScanDoQContext is the DoQ counterpart of ScanContext: stage 1 sweeps the
-// space with a minimal QUIC Initial datagram (any response — handshake or
-// close — marks UDP/853 open, standing in for the SYN stage TCP gets for
-// free), stage 2 completes RFC 9250 handshakes and verification queries
-// against the responsive hosts. Its round span is "scan-doq:<label>";
+// ScanDoQContext runs one full UDP/853 DoQ sweep and probe round, the DoQ
+// counterpart of ScanContext: stage 1 sweeps the space with a minimal QUIC
+// Initial datagram (any response — handshake or close — marks UDP/853
+// open, standing in for the SYN stage TCP gets for free), stage 2
+// completes RFC 9250 handshakes and verification queries against the
+// responsive hosts. Its round span is "scan-doq:<label>";
 // sources, permutation and determinism rules match the DoT scan exactly.
 func (s *Scanner) ScanDoQContext(ctx context.Context, label string) (*Result, error) {
 	return s.scan(ctx, &doqScan, label)

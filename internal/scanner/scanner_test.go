@@ -172,7 +172,7 @@ func newScanFixture(t *testing.T) *scanFixture {
 
 func TestScanDiscoversResolvers(t *testing.T) {
 	f := newScanFixture(t)
-	res, err := f.scanner.Scan("test-1")
+	res, err := f.scanner.ScanContext(context.Background(), "test-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestScanDiscoversResolvers(t *testing.T) {
 
 func TestScanDoQDiscoversResolvers(t *testing.T) {
 	f := newScanFixture(t)
-	res, err := f.scanner.ScanDoQ("doq-1")
+	res, err := f.scanner.ScanDoQContext(context.Background(), "doq-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestScanDoQDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		f := newScanFixture(t)
 		f.scanner.Workers = workers
-		res, err := f.scanner.ScanDoQ("det")
+		res, err := f.scanner.ScanDoQContext(context.Background(), "det")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestScanDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		f := newScanFixture(t)
 		f.scanner.Workers = workers
-		res, err := f.scanner.Scan("det")
+		res, err := f.scanner.ScanContext(context.Background(), "det")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestScanTreatsBlackholeAsClosed(t *testing.T) {
 		t.Errorf("dial err = %v, want a net.Error with Timeout() == true", err)
 	}
 
-	res, err := f.scanner.Scan("blackhole")
+	res, err := f.scanner.ScanContext(context.Background(), "blackhole")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestScanTreatsBlackholeAsClosed(t *testing.T) {
 func TestScanHonorsOptOut(t *testing.T) {
 	f := newScanFixture(t)
 	f.scanner.OptOut.Add(netip.MustParsePrefix("100.64.0.10/32"))
-	res, err := f.scanner.Scan("optout")
+	res, err := f.scanner.ScanContext(context.Background(), "optout")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestScanHonorsOptOut(t *testing.T) {
 func TestScanNoSources(t *testing.T) {
 	f := newScanFixture(t)
 	f.scanner.Sources = nil
-	if _, err := f.scanner.Scan("x"); err == nil {
+	if _, err := f.scanner.ScanContext(context.Background(), "x"); err == nil {
 		t.Error("scan without sources succeeded")
 	}
 }
@@ -463,7 +463,7 @@ func TestScanVirtualDuration(t *testing.T) {
 	// The paper's full-IPv4 sweeps take 24 hours; at this space size and
 	// rate, duration scales linearly with the probed space.
 	f.scanner.RatePPS = 64
-	res, err := f.scanner.Scan("rated")
+	res, err := f.scanner.ScanContext(context.Background(), "rated")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/netip"
 	"strings"
-	"time"
 
 	"dnsencryption.info/doe/internal/proxy"
 )
@@ -131,6 +130,3 @@ func MatchesGenuine(probe PortProbe, genuine GenuineProfile) bool {
 	}
 	return true
 }
-
-// ProbeDeadline bounds one forensic pass in real time.
-const ProbeDeadline = 10 * time.Second

@@ -27,8 +27,8 @@ import (
 type Proto string
 
 // Transports of the reachability test. The encrypted labels reuse the
-// resolver package's canonical protocol names (resolver.ParseProto
-// round-trips them), so telemetry and report labels agree across layers.
+// resolver package's canonical protocol names (resolver.Proto.String), so
+// telemetry and report labels agree across layers.
 // ProtoDNS stays distinct: the clear-text probe runs DNS over TCP/53,
 // which the resolver layer labels "tcp".
 var (

@@ -67,11 +67,7 @@ func newFixture(t *testing.T) *fixture {
 	zone := dnsserver.NewZone("probe.example.org")
 	zone.WildcardA = expectedA
 	// Clear-text DNS over TCP and UDP.
-	w.RegisterDatagram(resolverIP, 53, dnsserver.DatagramHandler(zone))
-	w.RegisterStream(resolverIP, 53, func(conn *netsim.Conn) {
-		defer conn.Close()
-		dnsserver.ServeStream(conn, zone)
-	})
+	dnsserver.Serve(w, resolverIP, zone)
 	leaf, err := ca.Issue(certs.LeafOptions{
 		CommonName: "dns.resolverco.example",
 		IPs:        []netip.Addr{resolverIP},

@@ -547,9 +547,10 @@ func TestFullScaleReportMatchesGolden(t *testing.T) {
 	diffReports(t, "golden", string(golden), "regenerated", b.String())
 }
 
-// TestStudyCloseReleasesWorld pins the lifetime contract: once a study has
-// run and is closed, none of the goroutines it started survive, so a
-// dropped study can be collected.
+// TestStudyCloseReleasesWorld pins the lifetime contract: a study's
+// services hold no goroutines, so once an experiment's connections close
+// none of the goroutines the study started survive, even before Close; and
+// Close removes every service, so a dropped study can be collected.
 func TestStudyCloseReleasesWorld(t *testing.T) {
 	before := settledGoroutines()
 	s, err := NewStudy(TestConfig())
@@ -560,19 +561,16 @@ func TestStudyCloseReleasesWorld(t *testing.T) {
 	if _, err := s.RunExperiment(exp); err != nil {
 		t.Fatalf("table4: %v", err)
 	}
-	if runtime.NumGoroutine() <= before {
-		t.Fatal("a built study holds no goroutines, so Close has nothing to release")
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after table4 = %d, want at most %d (before NewStudy)", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	s.Close()
 	if n := s.World.NumListeners(); n != 0 {
 		t.Errorf("NumListeners after Close = %d, want 0", n)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines after Close = %d, want at most %d (before NewStudy)", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	s.Close() // a second Close is a no-op
 	if n := s.World.NumListeners(); n != 0 {

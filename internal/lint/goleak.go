@@ -7,10 +7,11 @@ import (
 // analyzerGoleak flags goroutines that can never terminate: a `go` statement
 // whose function literal contains an unconditioned `for { ... }` loop with no
 // reachable exit — no return, no break bound to that loop, no Goexit/panic.
-// In simulation packages every accept loop and relay copier is one of these
-// shapes, and one missed error check turns it into a goroutine that outlives
-// its connection. The chaos suite asserts goroutine counts at runtime; this
-// check catches the same bug statically, at the loop that would leak.
+// In simulation packages every relay copier and per-connection handler loop
+// is one of these shapes, and one missed error check turns it into a
+// goroutine that outlives its connection. The chaos suite asserts goroutine
+// counts at runtime; this check catches the same bug statically, at the
+// loop that would leak.
 var analyzerGoleak = &Analyzer{
 	Name: "goleak",
 	Doc:  "no exit-less infinite loops in goroutines of simulation packages",

@@ -54,13 +54,6 @@ func (Addr) Network() string { return "sim" }
 // String implements net.Addr.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 
-// link is the immutable path state shared by the two endpoints of a
-// connection. Jitter state lives on the per-direction buffers — see
-// buffer.jitterRNG — and virtual time lives on per-endpoint clocks.
-type link struct {
-	rtt time.Duration
-}
-
 // clock is one endpoint's view of virtual time on a connection. Each
 // endpoint owns its clock: a write stamps its arrival from the sender's
 // clock, and a read advances only the reader's clock, to the stamp of the
@@ -108,9 +101,14 @@ type segment struct {
 // buffer is one direction of a connection: a queue of stamped segments with
 // blocking reads and deadline support.
 type buffer struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond sync.Cond // cond.L is &mu
+	// segs[off:] are the queued segments, head first. A drained queue
+	// restarts at segs[:0], so it keeps its backing array, which is inline
+	// until more than one segment queues.
 	segs   []segment
+	off    int
+	inline [1]segment
 	closed bool // writer closed: EOF after drain
 	// closedAt is the virtual arrival time of the writer's FIN, when the
 	// close came from the writing side (zero otherwise). EOF advances the
@@ -119,7 +117,7 @@ type buffer struct {
 	closedAt time.Duration
 	deadline time.Time
 	timer    *time.Timer
-	link     *link
+	rtt      time.Duration // the path's round-trip time
 
 	// Fault injection: when cutAt > 0, the reader sees ErrReset in place
 	// of the cutAt'th segment (1-based). Cuts count segments, not bytes —
@@ -136,7 +134,7 @@ type buffer struct {
 	wclock *clock
 	rclock *clock
 
-	// jitterRNG/jitterFrac scale each half-RTT by a factor in
+	// jitter/jitterFrac scale each half-RTT by a factor in
 	// [1, 1+jitterFrac]. The sequence is per direction, drawn under b.mu
 	// together with the segment enqueue, so the nth segment written in a
 	// direction always gets the nth draw. A single link-wide sequence
@@ -144,14 +142,21 @@ type buffer struct {
 	// writes race legitimately (a TLS 1.3 session-ticket write against the
 	// client's first query), and whichever won the race would steal the
 	// other's draw.
-	jitterRNG  *rand.Rand
+	jitter     lazySource
 	jitterFrac float64
 }
 
-func newBuffer(l *link) *buffer {
-	b := &buffer{link: l}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// init readies b for a path of round-trip time rtt whose writes are
+// stamped from wclock and whose reads advance rclock. jitterFrac > 0 turns
+// jitter on, drawn from seed's stream.
+func (b *buffer) init(rtt time.Duration, wclock, rclock *clock, jitterFrac float64, seed int64) {
+	b.cond.L = &b.mu
+	b.segs = b.inline[:0]
+	b.rtt, b.wclock, b.rclock = rtt, wclock, rclock
+	if jitterFrac > 0 {
+		b.jitter.Seed(seed)
+		b.jitterFrac = jitterFrac
+	}
 }
 
 func (b *buffer) write(p []byte) (int, error) {
@@ -166,11 +171,18 @@ func (b *buffer) write(p []byte) (int, error) {
 		bufpool.Put(buf)
 		return 0, io.ErrClosedPipe
 	}
-	half := b.link.rtt / 2
-	if b.jitterRNG != nil && b.jitterFrac > 0 {
-		half = time.Duration(float64(half) * (1 + b.jitterRNG.Float64()*b.jitterFrac))
+	half := b.rtt / 2
+	if b.jitterFrac > 0 {
+		half = time.Duration(float64(half) * (1 + b.jitter.Float64()*b.jitterFrac))
 	}
 	stamp := b.wclock.get() + half
+	// A full backing array first sheds what reads consumed, so a queue
+	// that never drains holds about twice its longest backlog.
+	if b.off > 0 && len(b.segs) == cap(b.segs) {
+		n := copy(b.segs, b.segs[b.off:])
+		clear(b.segs[n:])
+		b.segs, b.off = b.segs[:n], 0
+	}
 	b.segs = append(b.segs, segment{data: *buf, readyAt: stamp, buf: buf}) //doelint:transfer -- owned by the segment queue; released as reads drain it
 	b.cond.Broadcast()
 	return len(p), nil
@@ -184,7 +196,7 @@ func (b *buffer) write(p []byte) (int, error) {
 // in place of the injected cut segment.
 func (b *buffer) head() (*segment, error) {
 	b.mu.Lock()
-	for len(b.segs) == 0 {
+	for b.off == len(b.segs) {
 		if b.reset {
 			b.mu.Unlock()
 			return nil, ErrReset
@@ -215,7 +227,7 @@ func (b *buffer) head() (*segment, error) {
 		}
 		return nil, ErrReset
 	}
-	seg := &b.segs[0]
+	seg := &b.segs[b.off]
 	b.rclock.advance(seg.readyAt)
 	return seg, nil
 }
@@ -223,7 +235,10 @@ func (b *buffer) head() (*segment, error) {
 // pop removes the fully consumed head segment. Called with b.mu held; the
 // caller owns the segment's buffer from here on.
 func (b *buffer) pop() {
-	b.segs = b.segs[1:]
+	b.segs[b.off] = segment{}
+	if b.off++; b.off == len(b.segs) {
+		b.segs, b.off = b.segs[:0], 0
+	}
 	b.delivered++
 	b.headPartial = false
 }
@@ -294,9 +309,9 @@ func (b *buffer) closeWrite(stamp time.Duration) {
 	}
 	// A closed buffer's reads never block on the deadline (EOF wins), so
 	// the wake-up timer has no job left. Dropping it matters: an armed
-	// timer sits in the runtime timer heap holding the buffer — and its
-	// jitter RNG — alive until it fires, which at campaign rates is a
-	// per-connection leak that dwarfs the connection itself.
+	// timer sits in the runtime timer heap holding the buffer — and with
+	// it the whole connection — alive until it fires, which at campaign
+	// rates is a per-connection leak.
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
@@ -334,33 +349,41 @@ type Conn struct {
 	send   *buffer // data we write to the peer
 	local  Addr
 	remote Addr
-	link   *link
 	clk    *clock // this endpoint's virtual clock
 
 	closeOnce sync.Once
 }
 
+// connPair is one connection in one allocation: both directions, both
+// endpoint clocks and both endpoints.
+type connPair struct {
+	ab, ba         buffer // client -> server, server -> client
+	cclk, sclk     clock
+	client, server Conn
+}
+
 // Pair creates a connected pair of Conns with the given round-trip time.
 // The first return value is the "client" end. rng (optional) adds jitter:
-// it seeds one independent draw sequence per direction (client->server
-// first), so concurrent opposite-direction writes cannot reorder each
-// other's draws.
+// its next two Int63 draws seed one independent draw sequence per
+// direction (client->server first), so concurrent opposite-direction
+// writes cannot reorder each other's draws.
 func Pair(client, server Addr, rtt time.Duration, rng *rand.Rand, jitterFrac float64) (*Conn, *Conn) {
-	l := &link{rtt: rtt}
-	ab := newBuffer(l) // client -> server
-	ba := newBuffer(l) // server -> client
-	if rng != nil && jitterFrac > 0 {
-		ab.jitterRNG = rand.New(NewSource(rng.Int63()))
-		ba.jitterRNG = rand.New(NewSource(rng.Int63()))
-		ab.jitterFrac = jitterFrac
-		ba.jitterFrac = jitterFrac
+	if rng == nil || jitterFrac <= 0 {
+		return newPair(client, server, rtt, 0, 0, 0)
 	}
-	cclk, sclk := &clock{}, &clock{}
-	ab.wclock, ab.rclock = cclk, sclk
-	ba.wclock, ba.rclock = sclk, cclk
-	c := &Conn{recv: ba, send: ab, local: client, remote: server, link: l, clk: cclk}
-	s := &Conn{recv: ab, send: ba, local: server, remote: client, link: l, clk: sclk}
-	return c, s
+	ab := rng.Int63()
+	return newPair(client, server, rtt, jitterFrac, ab, rng.Int63())
+}
+
+// newPair is Pair with the two directions' jitter seeds drawn; jitterFrac
+// <= 0 turns jitter off.
+func newPair(client, server Addr, rtt time.Duration, jitterFrac float64, seedAB, seedBA int64) (*Conn, *Conn) {
+	p := &connPair{}
+	p.ab.init(rtt, &p.cclk, &p.sclk, jitterFrac, seedAB)
+	p.ba.init(rtt, &p.sclk, &p.cclk, jitterFrac, seedBA)
+	p.client = Conn{recv: &p.ba, send: &p.ab, local: client, remote: server, clk: &p.cclk}
+	p.server = Conn{recv: &p.ab, send: &p.ba, local: server, remote: client, clk: &p.sclk}
+	return &p.client, &p.server
 }
 
 // Read implements net.Conn.
@@ -382,7 +405,7 @@ func (c *Conn) WriteTo(w io.Writer) (int64, error) { return c.recv.writeTo(w) }
 // merely abandoned and carries no stamp.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.send.closeWrite(c.clk.get() + c.link.rtt/2)
+		c.send.closeWrite(c.clk.get() + c.send.rtt/2)
 		c.recv.closeWrite(0)
 	})
 	return nil
@@ -464,54 +487,5 @@ func Unwrap(conn net.Conn) *Conn {
 		default:
 			return nil
 		}
-	}
-}
-
-// Listener accepts simulated connections for one host:port. It implements
-// net.Listener so stdlib servers (net/http, tls.NewListener) work unchanged.
-type Listener struct {
-	addr    Addr
-	ch      chan *Conn
-	mu      sync.Mutex
-	closed  bool
-	closeCh chan struct{}
-}
-
-func newListener(addr Addr) *Listener {
-	return &Listener{addr: addr, ch: make(chan *Conn, 64), closeCh: make(chan struct{})}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.ch:
-		return c, nil
-	case <-l.closeCh:
-		return nil, errors.New("netsim: listener closed")
-	}
-}
-
-// Close implements net.Listener.
-func (l *Listener) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.closed {
-		l.closed = true
-		close(l.closeCh)
-	}
-	return nil
-}
-
-// Addr implements net.Listener.
-func (l *Listener) Addr() net.Addr { return l.addr }
-
-// deliver hands a server-side conn to Accept, failing if the listener is
-// closed or saturated.
-func (l *Listener) deliver(c *Conn) error {
-	select {
-	case l.ch <- c:
-		return nil
-	case <-l.closeCh:
-		return errors.New("netsim: listener closed")
 	}
 }

@@ -158,15 +158,10 @@ func (t *TLSInterceptor) forgedFor(origin netip.Addr, peerCerts []*x509.Certific
 // dialDirect connects bypassing all policies — used by middleboxes sitting
 // past the policy evaluation point.
 func (w *World) dialDirect(from, to netip.Addr, port uint16) (*Conn, error) {
-	w.mu.RLock()
-	l, ok := w.listeners[Addr{IP: to, Port: port}]
-	w.mu.RUnlock()
-	if !ok {
+	dst := Addr{IP: to, Port: port}
+	handler := w.stream(dst)
+	if handler == nil {
 		return nil, ErrRefused
 	}
-	return w.connect(from, to, port, func(server *Conn) {
-		if err := l.deliver(server); err != nil {
-			server.Close()
-		}
-	})
+	return w.connect(from, dst, 0, handler), nil
 }

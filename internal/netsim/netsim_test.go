@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -180,6 +181,29 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 		return 0, w.err
 	}
 	return len(p), nil
+}
+
+// TestSegmentQueueStaysBounded: a direction whose queue never drains, its
+// reader always one segment behind, reuses the slots reads consumed rather
+// than growing its backing array.
+func TestSegmentQueueStaysBounded(t *testing.T) {
+	c, s := Pair(Addr{IP: clientIP, Port: 40000}, Addr{IP: serverIP, Port: 53}, time.Millisecond, nil, 0)
+	defer c.Close()
+	msg, buf := []byte("x"), make([]byte, 1)
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	for range 10000 {
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := cap(s.recv.segs); n > 4 {
+		t.Errorf("a backlog of 2 segments holds a backing array of %d", n)
+	}
 }
 
 // TestWriteToContract: WriteTo hands each segment, or what a partial Read
@@ -597,42 +621,14 @@ func TestOptOutList(t *testing.T) {
 	}
 }
 
-func TestListenerCloseStopsAccept(t *testing.T) {
-	w := newTestWorld(t)
-	l, err := w.Listen(serverIP, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if _, err := l.Accept(); err == nil {
-		t.Error("Accept on closed listener succeeded")
-	}
-}
-
 func TestWorldCloseRefusesDials(t *testing.T) {
 	w := newTestWorld(t)
 	w.RegisterStream(serverIP, 7, echoHandler)
 	w.RegisterStream(serverIP, 853, echoHandler)
-	l, err := w.Listen(serverIP, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w.RegisterStream(serverIP, 80, echoHandler)
 	w.Close()
 	if n := w.NumListeners(); n != 0 {
 		t.Errorf("NumListeners after Close = %d, want 0", n)
-	}
-	accepted := make(chan error, 1)
-	go func() {
-		_, err := l.Accept()
-		accepted <- err
-	}()
-	select {
-	case err := <-accepted:
-		if err == nil {
-			t.Error("Accept on a listener of a closed world succeeded")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept on a listener of a closed world still blocks")
 	}
 	for _, port := range []uint16{7, 80, 853} {
 		if _, err := w.Dial(clientIP, serverIP, port); !errors.Is(err, ErrRefused) {
@@ -643,6 +639,42 @@ func TestWorldCloseRefusesDials(t *testing.T) {
 	if n := w.NumListeners(); n != 0 {
 		t.Errorf("NumListeners after second Close = %d, want 0", n)
 	}
+}
+
+// TestRegisterStreamStartsNoGoroutine: a stream service is a table entry;
+// the dials to it start its handlers, so an idle service holds no
+// goroutine.
+func TestRegisterStreamStartsNoGoroutine(t *testing.T) {
+	w := newTestWorld(t)
+	before := settledGoroutines()
+	for i := range 100 {
+		w.RegisterStream(netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), 853, echoHandler)
+	}
+	if n := settledGoroutines(); n > before {
+		t.Errorf("goroutines after registering 100 services: %d, want %d", n, before)
+	}
+	for i := range 100 {
+		w.CloseService(netip.AddrFrom4([4]byte{192, 0, 2, byte(i)}), 853)
+	}
+	if n := settledGoroutines(); n > before {
+		t.Errorf("goroutines after closing 100 services: %d, want %d", n, before)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// five polls: the handlers of earlier tests' connections may still be
+// unwinding.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still, deadline := 0, time.Now().Add(5*time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond) // real-time settle poll in a leak test
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }
 
 func TestStreamAddrs(t *testing.T) {

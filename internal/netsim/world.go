@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -122,11 +120,11 @@ type World struct {
 	Geo *geo.Registry
 	RTT *geo.RTTModel
 
-	mu        sync.RWMutex
-	listeners map[Addr]*Listener
-	dgrams    map[Addr]*dgramService
-	policies  []DialPolicy
-	faults    FaultInjector
+	mu       sync.RWMutex
+	streams  map[Addr]StreamHandler
+	dgrams   map[Addr]*dgramService
+	policies []DialPolicy
+	faults   FaultInjector
 
 	seed int64
 
@@ -145,7 +143,7 @@ func NewWorld(seed int64) *World {
 	return &World{
 		Geo:        &geo.Registry{},
 		RTT:        geo.NewRTTModel(),
-		listeners:  make(map[Addr]*Listener),
+		streams:    make(map[Addr]StreamHandler),
 		dgrams:     make(map[Addr]*dgramService),
 		seed:       seed,
 		JitterFrac: 0.10,
@@ -175,66 +173,46 @@ func (w *World) faultInjector() FaultInjector {
 	return w.faults
 }
 
-// Listen opens a net.Listener for ip:port, replacing any previous one.
-func (w *World) Listen(ip netip.Addr, port uint16) (*Listener, error) {
-	addr := Addr{IP: ip, Port: port}
-	l := newListener(addr)
+// RegisterStream installs handler as the stream service on ip:port,
+// replacing any previous one. Every connection a dial opens to ip:port runs
+// handler in a goroutine of its own, which the dial starts, so an idle
+// service holds no goroutine.
+func (w *World) RegisterStream(ip netip.Addr, port uint16, handler StreamHandler) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if old, ok := w.listeners[addr]; ok {
-		old.Close()
-	}
-	w.listeners[addr] = l
-	return l, nil
-}
-
-// RegisterStream runs handler in a goroutine for every connection accepted
-// on ip:port.
-func (w *World) RegisterStream(ip netip.Addr, port uint16, handler StreamHandler) {
-	l, _ := w.Listen(ip, port)
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go handler(c.(*Conn))
-		}
-	}()
+	w.streams[Addr{IP: ip, Port: port}] = handler
 }
 
 // NumListeners reports how many stream services are currently installed.
 // The lazy-world tests pin the streaming-campaign invariant with it:
-// vantage-edge listeners in flight stay O(workers), never O(population).
+// vantage-edge services in flight stay O(workers), never O(population).
 func (w *World) NumListeners() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return len(w.listeners)
+	return len(w.streams)
 }
 
-// CloseService removes the stream service on ip:port.
+// CloseService removes the stream service on ip:port, so later dials to it
+// are refused; connections it already serves are unaffected. A dial looks
+// the service up before it starts the handler, so a dial racing
+// CloseService on the same address may still be served by the removed
+// handler. No study path closes a service while dialing it: scan rounds
+// switch services between sweeps, and a campaign releases a node after its
+// lookups.
 func (w *World) CloseService(ip netip.Addr, port uint16) {
-	addr := Addr{IP: ip, Port: port}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if l, ok := w.listeners[addr]; ok {
-		l.Close()
-		delete(w.listeners, addr)
-	}
+	delete(w.streams, Addr{IP: ip, Port: port})
 }
 
-// Close closes every stream listener, as CloseService does one at a time,
-// so the accept loop RegisterStream started for each returns and a Dial to
-// any of them is refused. Nothing else holds a goroutine for the world, so
+// Close removes every stream service, as CloseService does one at a time,
+// so a Dial to any of them is refused. Services hold no goroutines, so
 // once its connections are closed a closed world can be collected. Close
 // is idempotent.
 func (w *World) Close() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for addr, l := range w.listeners {
-		l.Close()
-		delete(w.listeners, addr)
-	}
+	clear(w.streams)
 }
 
 // RegisterDatagram installs a datagram service on ip:port.
@@ -248,10 +226,14 @@ func (w *World) RegisterDatagram(ip netip.Addr, port uint16, handler DatagramHan
 // ignoring policies. Tests and world builders use it; measurements must go
 // through Dial.
 func (w *World) HasStream(ip netip.Addr, port uint16) bool {
+	return w.stream(Addr{IP: ip, Port: port}) != nil
+}
+
+// stream returns the handler of the stream service on dst, or nil.
+func (w *World) stream(dst Addr) StreamHandler {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	_, ok := w.listeners[Addr{IP: ip, Port: port}]
-	return ok
+	return w.streams[dst]
 }
 
 // StreamAddrs returns every address with a service on port, in unspecified
@@ -260,7 +242,7 @@ func (w *World) StreamAddrs(port uint16) []netip.Addr {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	var addrs []netip.Addr
-	for a := range w.listeners {
+	for a := range w.streams {
 		if a.Port == port {
 			addrs = append(addrs, a.IP)
 		}
@@ -268,23 +250,54 @@ func (w *World) StreamAddrs(port uint16) []netip.Addr {
 	return addrs
 }
 
-// flowRNG derives a connection's jitter stream from the flow tuple and the
-// world seed alone, never from dial order: jitter is a property of the path,
-// so concurrent dialers observe exactly the latencies a serial sweep would.
-// Connections sharing a (from, to, port) tuple replay the same jitter
-// stream, which is the price of schedule independence.
-func (w *World) flowRNG(from, to netip.Addr, port uint16) *rand.Rand {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(w.seed))
-	h.Write(buf[:])
-	b, _ := from.MarshalBinary()
-	h.Write(b)
-	b, _ = to.MarshalBinary()
-	h.Write(b)
-	binary.BigEndian.PutUint64(buf[:], uint64(port))
-	h.Write(buf[:])
-	return rand.New(NewSource(int64(h.Sum64())))
+// flowSeeds derives a connection's two jitter seeds, client->server
+// first, from the flow tuple and the world seed alone, never from dial
+// order: jitter is a property of the path, so concurrent dialers observe
+// exactly the latencies a serial sweep would. Connections sharing a (from,
+// to, port) tuple replay the same jitter streams, which is the price of
+// schedule independence. The seeds are the first two Int63 draws of the
+// source seeded with the FNV-1a 64 hash of the world seed, both addresses
+// as MarshalBinary spells them and the port, each integer as 8 big-endian
+// bytes. Hashing inline, into a source on the stack, keeps a dial free of
+// allocations.
+func (w *World) flowSeeds(from, to netip.Addr, port uint16) (ab, ba int64) {
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(w.seed))
+	h := fnv1a(fnvOffset, n[:])
+	h = fnvAddr(fnvAddr(h, from), to)
+	binary.BigEndian.PutUint64(n[:], uint64(port))
+	h = fnv1a(h, n[:])
+	var src lazySource
+	src.Seed(int64(h))
+	return src.Int63(), src.Int63()
+}
+
+// FNV-1a 64's offset basis and prime, as hash/fnv has them.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds b into the FNV-1a 64 hash h.
+func fnv1a[B []byte | string](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime
+	}
+	return h
+}
+
+// fnvAddr folds a into h as a.MarshalBinary() spells it: no bytes for the
+// zero Addr, 4 for IPv4, and otherwise 16 followed by the zone.
+func fnvAddr(h uint64, a netip.Addr) uint64 {
+	switch {
+	case a.Is4():
+		b := a.As4()
+		return fnv1a(h, b[:])
+	case a.Is6():
+		b := a.As16()
+		return fnv1a(fnv1a(h, b[:]), a.Zone())
+	}
+	return h
 }
 
 func (w *World) decide(from, to netip.Addr, port uint16, proto Proto) Verdict {
@@ -335,56 +348,41 @@ func (w *World) Dial(from, to netip.Addr, port uint16) (*Conn, error) {
 	case fault.Refuse:
 		return nil, ErrRefused
 	}
-	var serve func(server *Conn)
+	dst := Addr{IP: to, Port: port}
+	var handler StreamHandler
 	if v.Action == ActRedirect {
-		serve = func(server *Conn) {
-			// Handlers block on I/O, so they must not run on the
-			// dialer's goroutine.
-			go v.Handler(server, Addr{IP: to, Port: port})
-		}
-	} else {
-		w.mu.RLock()
-		l, ok := w.listeners[Addr{IP: to, Port: port}]
-		w.mu.RUnlock()
-		if !ok {
-			return nil, ErrRefused
-		}
-		serve = func(server *Conn) {
-			if err := l.deliver(server); err != nil {
-				server.Close()
-			}
-		}
+		handler = func(server *Conn) { v.Handler(server, dst) }
+	} else if handler = w.stream(dst); handler == nil {
+		return nil, ErrRefused
 	}
-	client, err := w.connectExtra(from, to, port, fault.ExtraLatency, serve)
-	if err != nil {
-		return nil, err
-	}
+	client := w.connect(from, dst, fault.ExtraLatency, handler)
 	if fault.CutAfterSegments > 0 {
 		client.armReset(fault.CutAfterSegments)
 	}
 	return client, nil
 }
 
-func (w *World) connect(from, to netip.Addr, port uint16, serve func(server *Conn)) (*Conn, error) {
-	return w.connectExtra(from, to, port, 0, serve)
-}
-
-// connectExtra establishes the conn pair, charging connection setup (one
-// RTT for the TCP three-way handshake, plus any in-path extra delay) to BOTH
-// endpoint clocks
-// before the server handler starts: establishment is experienced by both
-// ends, and charging it up front keeps the peer's clock free of concurrent
-// mutation once its goroutine is running.
-func (w *World) connectExtra(from, to netip.Addr, port uint16, extra time.Duration, serve func(server *Conn)) (*Conn, error) {
+// connect establishes the conn pair for a stream from `from` to dst and
+// starts handler on the server end, in a goroutine of its own: handlers
+// block on I/O, so they must not run on the dialer's goroutine. Connection
+// setup (one RTT for the TCP three-way handshake, plus any in-path extra
+// delay) is charged to BOTH endpoint clocks before the handler starts:
+// establishment is experienced by both ends, and charging it up front keeps
+// the peer's clock free of concurrent mutation once its goroutine is
+// running.
+func (w *World) connect(from netip.Addr, dst Addr, extra time.Duration, handler StreamHandler) *Conn {
 	clientAddr := Addr{IP: from, Port: uint16(32768 + w.ephemeral.Add(1)%32768)}
-	serverAddr := Addr{IP: to, Port: port}
-	rtt := w.pathRTT(from, to)
-	client, server := Pair(clientAddr, serverAddr, rtt, w.flowRNG(from, to, port), w.JitterFrac)
+	rtt := w.pathRTT(from, dst.IP)
+	var ab, ba int64
+	if w.JitterFrac > 0 {
+		ab, ba = w.flowSeeds(from, dst.IP, dst.Port)
+	}
+	client, server := newPair(clientAddr, dst, rtt, w.JitterFrac, ab, ba)
 	setup := rtt + extra
 	client.clk.add(setup)
 	server.clk.add(setup)
-	serve(server)
-	return client, nil
+	go handler(server)
+	return client
 }
 
 // Exchange performs one datagram round trip (UDP-like). It returns the
@@ -422,5 +420,5 @@ func (w *World) String() string {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return fmt.Sprintf("netsim.World{streams: %d, datagrams: %d, policies: %d}",
-		len(w.listeners), len(w.dgrams), len(w.policies))
+		len(w.streams), len(w.dgrams), len(w.policies))
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Generator-fed population: instead of materializing every exit node up
-// front with AddNode (one map entry + one live SOCKS listener per node,
+// front with AddNode (one map entry + one live SOCKS service per node,
 // O(population) memory), a network can carry a synthesis function and
 // bring nodes into the world lazily. Acquire(i) synthesizes node i,
 // installs its SOCKS service and lifetime ledger entry, and hands back a
@@ -39,7 +39,7 @@ func (n *Network) GenCount() int {
 }
 
 // NodeAt synthesizes node i without installing it into the world — the
-// peek the campaign's uptime screen uses before paying for a listener.
+// peek the campaign's uptime screen uses before paying for a service.
 func (n *Network) NodeAt(i int) ExitNode {
 	n.mu.Lock()
 	gen, count := n.gen, n.genCount

@@ -124,9 +124,9 @@ func (n *Network) RemainingUptime(id string) (time.Duration, error) {
 	return node.Lifetime, nil
 }
 
-// Shutdown closes the platform's listening services — the super proxy and
-// every exit node's SOCKS server — which unblocks their accept loops so the
-// goroutines behind them exit. Established tunnels are unaffected; new dials
+// Shutdown removes the platform's stream services — the super proxy and
+// every exit node's SOCKS server. A service holds no goroutine, so there is
+// no accept loop to unblock. Established tunnels are unaffected; new dials
 // fail with ErrRefused. Tests that build throwaway platforms call it to keep
 // goroutine-leak assertions honest.
 func (n *Network) Shutdown() {

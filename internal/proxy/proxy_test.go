@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsencryption.info/doe/internal/bufpool"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
@@ -134,9 +135,18 @@ func TestRelayForwardsWholeSegments(t *testing.T) {
 // TestTunnelAllocatesNoCopyBuffer: a tunnel's life allocates no relay copy
 // buffer. Three 32 KiB buffers (one per relay, one in the echo target's
 // io.Copy) would cost 96 KiB per tunnel; the bound leaves room for the
-// tunnel's conns, handshakes and goroutines.
+// tunnel's conns, handshakes and goroutines. The objects are bounded too.
+// A tunnel makes about 17: three conn pairs and the goroutines that serve
+// them, the two relays' writers, goroutines and channels, the dial's
+// watchdog timer and credentials, the username, and echoOnce's message,
+// which io.ReadFull takes as an interface. Conn pairs of 15 objects and
+// SOCKS handshakes that read into heap buffers would make 104. The
+// count leaves out bufpool's refills, two objects per miss, which depend
+// on GC timing and, under the race detector, on sync.Pool dropping Puts on
+// purpose; the slack of 8 is for the runtime's own objects, such as
+// goroutines started while none had yet exited.
 func TestTunnelAllocatesNoCopyBuffer(t *testing.T) {
-	const tunnels, bound = 200, 16 << 10
+	const tunnels, bound, objects = 200, 16 << 10, 17 + 8
 	w := newWorld()
 	echoTarget(w, 80)
 	n := newNetwork(w)
@@ -144,25 +154,31 @@ func TestTunnelAllocatesNoCopyBuffer(t *testing.T) {
 	idle := runtime.NumGoroutine()
 	// settle waits for the last tunnel's relays and handlers to exit, so
 	// that each side of the measurement sees whole tunnels only.
-	settle := func() uint64 {
+	settle := func() runtime.MemStats {
 		if got := waitGoroutines(idle, 2*time.Second); got > idle {
 			t.Fatalf("%d goroutines after closing tunnels, want %d", got, idle)
 		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.TotalAlloc
+		return ms
 	}
 	for range 20 {
 		echoOnce(t, n)
 	}
-	before := settle()
+	before, poolBefore := settle(), bufpool.Snapshot()
 	for range tunnels {
 		echoOnce(t, n)
 	}
-	per := (settle() - before) / tunnels
-	t.Logf("%d B allocated per tunnel", per)
+	after, poolAfter := settle(), bufpool.Snapshot()
+	per := (after.TotalAlloc - before.TotalAlloc) / tunnels
+	refills := 2 * (poolAfter.Misses - poolBefore.Misses)
+	mallocs := float64(after.Mallocs-before.Mallocs-refills) / tunnels
+	t.Logf("%d B and %.2f objects besides pool refills allocated per tunnel", per, mallocs)
 	if per > bound {
 		t.Errorf("%d B allocated per tunnel, want at most %d", per, bound)
+	}
+	if mallocs > objects {
+		t.Errorf("%.2f objects besides pool refills allocated per tunnel, want at most %d", mallocs, objects)
 	}
 }
 

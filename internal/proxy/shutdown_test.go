@@ -51,8 +51,8 @@ func TestShutdownStopsNewDials(t *testing.T) {
 
 // TestPlatformLifecycleLeaksNoGoroutines builds a platform, pushes traffic
 // through both exit nodes, shuts it down, and asserts the goroutine count
-// returns to its starting point: accept loops and relay copiers must all
-// unwind.
+// returns to its starting point: relay copiers and per-connection handlers
+// must all unwind.
 func TestPlatformLifecycleLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"time"
 
 	"dnsencryption.info/doe/internal/netsim"
@@ -84,17 +85,16 @@ type Credentials struct {
 // ClientConnect performs the client side of a SOCKS5 session on conn:
 // method negotiation, optional authentication, then a CONNECT to
 // target:port. On return the conn is a transparent tunnel to the target.
-func ClientConnect(conn io.ReadWriter, creds *Credentials, target netip.Addr, port uint16) error {
-	methods := []byte{authNone}
+func ClientConnect(conn *netsim.Conn, creds *Credentials, target netip.Addr, port uint16) error {
+	greeting := []byte{socksVersion, 1, authNone}
 	if creds != nil {
-		methods = []byte{authUserPass, authNone}
+		greeting = []byte{socksVersion, 2, authUserPass, authNone}
 	}
-	greeting := append([]byte{socksVersion, byte(len(methods))}, methods...)
 	if _, err := conn.Write(greeting); err != nil {
 		return err
 	}
 	var sel [2]byte
-	if _, err := io.ReadFull(conn, sel[:]); err != nil {
+	if err := readFull(conn, sel[:]); err != nil {
 		return err
 	}
 	if sel[0] != socksVersion {
@@ -113,7 +113,8 @@ func ClientConnect(conn io.ReadWriter, creds *Credentials, target netip.Addr, po
 		return ErrAuthRequired
 	}
 
-	req := []byte{socksVersion, cmdConnect, 0}
+	var buf [3 + 1 + 16 + 2]byte
+	req := append(buf[:0], socksVersion, cmdConnect, 0)
 	if target.Is4() {
 		v4 := target.As4()
 		req = append(req, atypIPv4)
@@ -128,13 +129,14 @@ func ClientConnect(conn io.ReadWriter, creds *Credentials, target netip.Addr, po
 		return err
 	}
 	var head [4]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
+	if err := readFull(conn, head[:]); err != nil {
 		return err
 	}
 	if head[0] != socksVersion {
 		return ErrBadProtocol
 	}
 	// Consume BND.ADDR/BND.PORT.
+	var bound [255 + 2]byte
 	var skip int
 	switch head[3] {
 	case atypIPv4:
@@ -142,15 +144,14 @@ func ClientConnect(conn io.ReadWriter, creds *Credentials, target netip.Addr, po
 	case atypIPv6:
 		skip = 16 + 2
 	case atypDomain:
-		var l [1]byte
-		if _, err := io.ReadFull(conn, l[:]); err != nil {
+		if err := readFull(conn, bound[:1]); err != nil {
 			return err
 		}
-		skip = int(l[0]) + 2
+		skip = int(bound[0]) + 2
 	default:
 		return ErrBadProtocol
 	}
-	if _, err := io.ReadFull(conn, make([]byte, skip)); err != nil {
+	if err := readFull(conn, bound[:skip]); err != nil {
 		return err
 	}
 	if head[1] != repSuccess {
@@ -159,8 +160,9 @@ func ClientConnect(conn io.ReadWriter, creds *Credentials, target netip.Addr, po
 	return nil
 }
 
-func clientAuth(conn io.ReadWriter, creds *Credentials) error {
-	msg := []byte{1, byte(len(creds.Username))}
+func clientAuth(conn *netsim.Conn, creds *Credentials) error {
+	var buf [1 + 1 + 255 + 1 + 255]byte
+	msg := append(buf[:0], 1, byte(len(creds.Username)))
 	msg = append(msg, creds.Username...)
 	msg = append(msg, byte(len(creds.Password)))
 	msg = append(msg, creds.Password...)
@@ -168,11 +170,28 @@ func clientAuth(conn io.ReadWriter, creds *Credentials) error {
 		return err
 	}
 	var resp [2]byte
-	if _, err := io.ReadFull(conn, resp[:]); err != nil {
+	if err := readFull(conn, resp[:]); err != nil {
 		return err
 	}
 	if resp[1] != 0 {
 		return ErrAuthRejected
+	}
+	return nil
+}
+
+// readFull is io.ReadFull over conn. Called on the concrete conn, Read
+// visibly keeps no reference to p, so the fixed arrays both sides of the
+// handshake read into stay on the stack.
+func readFull(conn *netsim.Conn, p []byte) error {
+	for n := 0; n < len(p); {
+		m, err := conn.Read(p[n:])
+		n += m
+		if err == io.EOF && n > 0 {
+			return io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -202,7 +221,7 @@ func ServeConn(conn *netsim.Conn, requireAuth bool, dial Dialer) {
 	if err != nil {
 		return
 	}
-	downstream, err := dial(*req)
+	downstream, err := dial(req)
 	if err != nil {
 		reply(conn, errorReply(err))
 		return
@@ -217,79 +236,78 @@ func ServeConn(conn *netsim.Conn, requireAuth bool, dial Dialer) {
 	Relay(conn, downstream)
 }
 
-func serverHandshake(conn *netsim.Conn, requireAuth bool) (*Request, error) {
+func serverHandshake(conn *netsim.Conn, requireAuth bool) (Request, error) {
+	var req Request
 	var head [2]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
-		return nil, err
+	if err := readFull(conn, head[:]); err != nil {
+		return req, err
 	}
 	if head[0] != socksVersion {
-		return nil, ErrBadProtocol
+		return req, ErrBadProtocol
 	}
-	methods := make([]byte, head[1])
-	if _, err := io.ReadFull(conn, methods); err != nil {
-		return nil, err
+	var buf [255]byte
+	methods := buf[:head[1]]
+	if err := readFull(conn, methods); err != nil {
+		return req, err
 	}
-	var username string
 	if requireAuth {
-		if !contains(methods, authUserPass) {
+		if !slices.Contains(methods, authUserPass) {
 			conn.Write([]byte{socksVersion, authNoAcceptable}) //nolint:errcheck
-			return nil, ErrAuthRequired
+			return req, ErrAuthRequired
 		}
 		if _, err := conn.Write([]byte{socksVersion, authUserPass}); err != nil {
-			return nil, err
+			return req, err
 		}
 		var err error
-		username, err = serverAuth(conn)
+		req.Username, err = serverAuth(conn)
 		if err != nil {
-			return nil, err
+			return req, err
 		}
 	} else {
 		if _, err := conn.Write([]byte{socksVersion, authNone}); err != nil {
-			return nil, err
+			return req, err
 		}
 	}
 
 	var reqHead [4]byte
-	if _, err := io.ReadFull(conn, reqHead[:]); err != nil {
-		return nil, err
+	if err := readFull(conn, reqHead[:]); err != nil {
+		return req, err
 	}
 	if reqHead[0] != socksVersion {
-		return nil, ErrBadProtocol
+		return req, ErrBadProtocol
 	}
 	if reqHead[1] != cmdConnect {
 		reply(conn, repCmdNotSupported) //nolint:errcheck
-		return nil, ErrUnsupportedCmd
+		return req, ErrUnsupportedCmd
 	}
-	req := &Request{Username: username}
 	switch reqHead[3] {
 	case atypIPv4:
 		var a [4]byte
-		if _, err := io.ReadFull(conn, a[:]); err != nil {
-			return nil, err
+		if err := readFull(conn, a[:]); err != nil {
+			return req, err
 		}
 		req.Target = netip.AddrFrom4(a)
 	case atypIPv6:
 		var a [16]byte
-		if _, err := io.ReadFull(conn, a[:]); err != nil {
-			return nil, err
+		if err := readFull(conn, a[:]); err != nil {
+			return req, err
 		}
 		req.Target = netip.AddrFrom16(a)
 	case atypDomain:
-		var l [1]byte
-		if _, err := io.ReadFull(conn, l[:]); err != nil {
-			return nil, err
+		if err := readFull(conn, buf[:1]); err != nil {
+			return req, err
 		}
-		name := make([]byte, l[0])
-		if _, err := io.ReadFull(conn, name); err != nil {
-			return nil, err
+		name := buf[:buf[0]]
+		if err := readFull(conn, name); err != nil {
+			return req, err
 		}
 		req.Domain = string(name)
 	default:
-		return nil, ErrBadProtocol
+		return req, ErrBadProtocol
 	}
 	var p [2]byte
-	if _, err := io.ReadFull(conn, p[:]); err != nil {
-		return nil, err
+	if err := readFull(conn, p[:]); err != nil {
+		return req, err
 	}
 	req.Port = binary.BigEndian.Uint16(p[:])
 	return req, nil
@@ -297,27 +315,29 @@ func serverHandshake(conn *netsim.Conn, requireAuth bool) (*Request, error) {
 
 func serverAuth(conn *netsim.Conn) (string, error) {
 	var head [2]byte
-	if _, err := io.ReadFull(conn, head[:]); err != nil {
+	if err := readFull(conn, head[:]); err != nil {
 		return "", err
 	}
 	if head[0] != 1 {
 		return "", ErrBadProtocol
 	}
-	user := make([]byte, head[1])
-	if _, err := io.ReadFull(conn, user); err != nil {
+	var buf [255]byte
+	user := buf[:head[1]]
+	if err := readFull(conn, user); err != nil {
 		return "", err
 	}
-	var plen [1]byte
-	if _, err := io.ReadFull(conn, plen[:]); err != nil {
+	username := string(user)
+	// The password is read past and ignored.
+	if err := readFull(conn, buf[:1]); err != nil {
 		return "", err
 	}
-	if _, err := io.ReadFull(conn, make([]byte, plen[0])); err != nil {
+	if err := readFull(conn, buf[:buf[0]]); err != nil {
 		return "", err
 	}
 	if _, err := conn.Write([]byte{1, 0}); err != nil {
 		return "", err
 	}
-	return string(user), nil
+	return username, nil
 }
 
 func reply(conn *netsim.Conn, code byte) error {
@@ -340,15 +360,6 @@ func errorReply(err error) byte {
 	default:
 		return repGeneralFailure
 	}
-}
-
-func contains(b []byte, v byte) bool {
-	for _, x := range b {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Relay forwards segments between the client-facing conn and the downstream

@@ -25,7 +25,10 @@ RACE_PKGS := ./internal/...
 # bounds), whole and in short reads; proxy's feed hostile peer bytes to both
 # sides of the SOCKS5 handshake, whole, one byte per segment and in halves;
 # netsim's checks that the lazily seeded per-flow source draws exactly what
-# math/rand would.
+# math/rand would; netflow's checks that the v5 decoder accepts exactly the
+# well-formed datagrams and that re-exporting what it decodes is a
+# fixpoint. Minimizing an input that found new coverage is capped at 1 s,
+# so each target spends its budget fuzzing rather than shrinking inputs.
 FUZZ_TARGETS := \
 	./internal/dnswire:FuzzParseMessage \
 	./internal/dnswire:FuzzParseName \
@@ -39,7 +42,8 @@ FUZZ_TARGETS := \
 	./internal/doh:FuzzServeH2 \
 	./internal/proxy:FuzzSOCKS5Server \
 	./internal/proxy:FuzzSOCKS5Client \
-	./internal/netsim:FuzzSourceMatchesMathRand
+	./internal/netsim:FuzzSourceMatchesMathRand \
+	./internal/netflow:FuzzParseV5
 FUZZTIME ?= 10s
 
 .PHONY: verify fmt build vet hostbench-vet hostbench-test lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke matrix-under-load
@@ -110,7 +114,7 @@ fuzz-smoke:
 	@for pair in $(FUZZ_TARGETS); do \
 		pkg=$${pair%%:*}; target=$${pair##*:}; \
 		echo "fuzz $$pkg $$target ($(FUZZTIME))"; \
-		$(GO) test $$pkg -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \
+		$(GO) test $$pkg -run='^$$' -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s || exit 1; \
 	done
 
 # The worker-count matrix on a CPU-starved host. DESIGN.md §6: the

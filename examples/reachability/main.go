@@ -55,10 +55,7 @@ func main() {
 	doh.Serve(world, resolver, leaf, &doh.Server{Handler: zone})
 
 	// Middleboxes.
-	world.AddPolicy(&netsim.PortFilter{
-		ClientPrefixes: []netip.Prefix{netip.MustParsePrefix("10.2.0.0/24")},
-		Port:           53,
-	})
+	world.AddPolicy(&netsim.PortFilter{Port: 53}, netip.MustParsePrefix("10.2.0.0/24"))
 	world.AddPolicy(&netsim.Censor{
 		Countries: map[string]bool{"CN": true},
 		BlockIPs:  map[netip.Addr]bool{resolver: true},
@@ -71,11 +68,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	world.AddPolicy(netsim.NewTLSInterceptor(dpiCA,
-		[]netip.Prefix{netip.MustParsePrefix("10.4.0.0/24")}, 853, 443))
+	world.AddPolicy(netsim.NewTLSInterceptor(dpiCA, 853, 443), netip.MustParsePrefix("10.4.0.0/24"))
 
 	// The proxy network.
-	network := proxy.NewNetwork(world, "example-proxies", netip.MustParseAddr("172.16.1.1"), 3)
+	network := proxy.NewNetwork(world, "example-proxies", netip.MustParseAddr("172.16.1.1"))
 	for _, n := range []struct {
 		id, addr, cc string
 		asn          int

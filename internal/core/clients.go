@@ -108,8 +108,8 @@ var dpiCANames = []string{
 // buildClientNetworks creates the two proxy platforms, their exit nodes and
 // the middleboxes afflicting parts of the client population.
 func (s *Study) buildClientNetworks() error {
-	s.Global = proxy.NewNetwork(s.World, "proxyrack", globalSuper, s.Seed+7)
-	s.Censored = proxy.NewNetwork(s.World, "zhima", censoredSuper, s.Seed+8)
+	s.Global = proxy.NewNetwork(s.World, "proxyrack", globalSuper)
+	s.Censored = proxy.NewNetwork(s.World, "zhima", censoredSuper)
 	// One tunneled session costs little lifetime; vantage sessions are
 	// short but numerous.
 	s.Global.PerDialCost = 10 * time.Second
@@ -172,8 +172,8 @@ func (s *Study) buildClientNetworks() error {
 			if interceptedIdx == len(dpiCANames)-1 {
 				ports = []uint16{doh.Port} // the 443-only devices of Table 6
 			}
-			box := netsim.NewTLSInterceptor(ca, []netip.Prefix{prefix}, ports...)
-			s.World.AddPolicy(box)
+			box := netsim.NewTLSInterceptor(ca, ports...)
+			s.World.AddPolicy(box, prefix)
 			s.Interceptors = append(s.Interceptors, box)
 			interceptedIdx++
 			continue
@@ -223,14 +223,14 @@ func (s *Study) buildClientNetworks() error {
 
 	// Port-53 filtering middleboxes target the most prominent resolver
 	// addresses only (Finding 2.1: Quad9's clear-text DNS is far less
-	// affected than Cloudflare's and Google's).
+	// affected than Cloudflare's and Google's). With no prefixes the filter
+	// would sit on every path.
 	if len(filteredPrefixes) > 0 {
 		s.World.AddPolicy(&netsim.PortFilter{
-			ClientPrefixes: filteredPrefixes,
-			Port:           53,
-			DstIPs:         map[netip.Addr]bool{cloudflareDNS: true, googleDNS: true},
-			Blackhole:      true,
-		})
+			Port:      53,
+			DstIPs:    map[netip.Addr]bool{cloudflareDNS: true, googleDNS: true},
+			Blackhole: true,
+		}, filteredPrefixes...)
 	}
 
 	// National censorship: Google DoH addresses carry other Google
@@ -266,10 +266,7 @@ func (s *Study) buildClientNetworks() error {
 // personalities Table 5 and the Finding 2.1 forensics identify.
 func (s *Study) installConflictDevices(prefixes []netip.Prefix) {
 	for i, prefix := range prefixes {
-		dev := &netsim.ConflictDevice{
-			ClientPrefixes: []netip.Prefix{prefix},
-			ConflictIP:     cloudflareDNS,
-		}
+		dev := &netsim.ConflictDevice{ConflictIP: cloudflareDNS}
 		switch i % 10 {
 		case 0: // MikroTik router admin page
 			dev.Kind = netsim.DeviceRouter
@@ -288,6 +285,6 @@ func (s *Study) installConflictDevices(prefixes []netip.Prefix) {
 		default: // silent: internal routing or blackholing (the majority)
 			dev.OpenPorts = nil
 		}
-		s.World.AddPolicy(dev)
+		s.World.AddPolicy(dev, prefix)
 	}
 }

@@ -140,7 +140,7 @@ func NewScaleCampaign(cfg ScaleConfig) (*ScaleCampaign, error) {
 
 	c.Targets = []vantage.Target{{Name: "cloudflare", DNS: cloudflareDNS}}
 
-	c.Network = proxy.NewNetwork(c.World, "genrack", globalSuper, cfg.Seed+9)
+	c.Network = proxy.NewNetwork(c.World, "genrack", globalSuper)
 	c.Network.PerDialCost = 10 * time.Second
 	c.Network.SetGenerator(cfg.Nodes, model.Node)
 

@@ -164,6 +164,71 @@ func (m *RTTModel) RTTMillis(from, to string) float64 {
 	return rtt
 }
 
+// Table maps address prefixes (IPv4 or IPv6) to values of type V and walks
+// the stored prefixes covering an address, longest first. It keeps one map
+// per distinct stored prefix length, so a walk probes one map per length
+// rather than scanning every prefix. IPv4 and IPv6 prefixes of the same
+// length share a map; their keys never collide because an Addr carries its
+// family. A Table does no locking: callers that write it while others walk
+// it synchronise themselves. The zero Table is empty and ready to use.
+type Table[V any] struct {
+	levels []level[V] // one per distinct prefix length, longest first
+}
+
+// level holds the values stored under prefixes of one length, keyed by the
+// masked prefix address.
+type level[V any] struct {
+	bits int
+	vals map[netip.Addr]V
+}
+
+// Set stores v under prefix, replacing any value stored under the same
+// masked prefix. Invalid prefixes cover no address, so they are not stored.
+func (t *Table[V]) Set(prefix netip.Prefix, v V) {
+	prefix = prefix.Masked()
+	if !prefix.IsValid() {
+		return
+	}
+	bits := prefix.Bits()
+	i, found := slices.BinarySearchFunc(t.levels, bits, func(l level[V], bits int) int { return bits - l.bits })
+	if !found {
+		t.levels = slices.Insert(t.levels, i, level[V]{bits: bits, vals: make(map[netip.Addr]V)})
+	}
+	t.levels[i].vals[prefix.Addr()] = v
+}
+
+// Get returns the value stored under exactly prefix, once masked.
+func (t *Table[V]) Get(prefix netip.Prefix) (v V, ok bool) {
+	prefix = prefix.Masked()
+	for _, l := range t.levels {
+		if l.bits == prefix.Bits() {
+			v, ok = l.vals[prefix.Addr()]
+			break
+		}
+	}
+	return v, ok
+}
+
+// Walk calls yield with the value of every stored prefix covering ip,
+// longest prefix first, until yield returns false. As with
+// netip.Prefix.Contains, an address with a zone is covered by no prefix,
+// and an IPv4-mapped IPv6 address only by IPv6 prefixes.
+func (t *Table[V]) Walk(ip netip.Addr, yield func(V) bool) {
+	if !ip.IsValid() || ip.Zone() != "" {
+		return
+	}
+	for _, l := range t.levels {
+		if l.bits > ip.BitLen() {
+			continue
+		}
+		// Cannot fail: bits is within the address's length.
+		p, _ := ip.Prefix(l.bits)
+		if v, ok := l.vals[p.Addr()]; ok && !yield(v) {
+			return
+		}
+	}
+}
+
 // Registry maps address prefixes (IPv4 or IPv6) to Locations and answers
 // longest-prefix-match lookups. The answer for an address is the
 // registration with the longest prefix covering it; registration order
@@ -171,20 +236,12 @@ func (m *RTTModel) RTTMillis(from, to string) float64 {
 //
 // Every dial asks the registry where both ends are (netsim's path RTT and
 // censor policies, the fault injector's region gate), so Lookup is a hot
-// path: it probes one map per distinct registered prefix length, longest
-// first, instead of scanning every prefix.
+// path: it walks a Table, which probes one map per distinct registered
+// prefix length, longest first, instead of scanning every prefix.
 type Registry struct {
 	mu       sync.RWMutex
-	levels   []level // one per distinct prefix length, longest first
+	locs     Table[Location]
 	fallback func(netip.Addr) (Location, bool)
-}
-
-// level holds the registrations of one prefix length, keyed by the masked
-// prefix address. IPv4 and IPv6 prefixes of the same length share a level;
-// their keys never collide because an Addr carries its family.
-type level struct {
-	bits int
-	locs map[netip.Addr]Location
 }
 
 // Register associates every address in prefix with loc. A longer prefix
@@ -192,19 +249,10 @@ type level struct {
 // identical prefix again is a no-op, so the first registration wins. Invalid
 // prefixes never match, so they are not stored.
 func (r *Registry) Register(prefix netip.Prefix, loc Location) {
-	prefix = prefix.Masked()
-	if !prefix.IsValid() {
-		return
-	}
-	bits := prefix.Bits()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, found := slices.BinarySearchFunc(r.levels, bits, func(l level, bits int) int { return bits - l.bits })
-	if !found {
-		r.levels = slices.Insert(r.levels, i, level{bits: bits, locs: make(map[netip.Addr]Location)})
-	}
-	if _, dup := r.levels[i].locs[prefix.Addr()]; !dup {
-		r.levels[i].locs[prefix.Addr()] = loc
+	if _, dup := r.locs.Get(prefix); !dup {
+		r.locs.Set(prefix, loc)
 	}
 }
 
@@ -214,27 +262,18 @@ func (r *Registry) Register(prefix netip.Prefix, loc Location) {
 // matches only IPv6 prefixes.
 //
 //doelint:hotpath
-func (r *Registry) Lookup(ip netip.Addr) (Location, bool) {
+func (r *Registry) Lookup(ip netip.Addr) (loc Location, ok bool) {
 	r.mu.RLock()
-	if ip.IsValid() && ip.Zone() == "" {
-		for _, l := range r.levels {
-			if l.bits > ip.BitLen() {
-				continue
-			}
-			// Cannot fail: bits is within the address's length.
-			p, _ := ip.Prefix(l.bits)
-			if loc, ok := l.locs[p.Addr()]; ok {
-				r.mu.RUnlock()
-				return loc, true
-			}
-		}
-	}
+	r.locs.Walk(ip, func(l Location) bool {
+		loc, ok = l, true
+		return false
+	})
 	fb := r.fallback
 	r.mu.RUnlock()
-	if fb != nil {
+	if !ok && fb != nil {
 		return fb(ip)
 	}
-	return Location{}, false
+	return loc, ok
 }
 
 // SetFallback installs fn, consulted when no registered prefix covers an

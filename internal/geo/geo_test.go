@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -148,6 +149,19 @@ func (r *linearRegistry) lookup(ip netip.Addr) (Location, bool) {
 	return Location{}, false
 }
 
+// covering is the reference Walk: every distinct registered prefix that
+// contains ip, longest first.
+func (r *linearRegistry) covering(ip netip.Addr) []netip.Prefix {
+	var out []netip.Prefix
+	for _, e := range r.entries {
+		if e.prefix.Contains(ip) && !slices.Contains(out, e.prefix) {
+			out = append(out, e.prefix)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b netip.Prefix) int { return b.Bits() - a.Bits() })
+	return out
+}
+
 // randomPrefix draws from a small address space so that registrations
 // nest and repeat: IPv4 and IPv6 prefixes of lengths 0 through full,
 // IPv4-mapped IPv6 prefixes, the zero Prefix and an out-of-range length.
@@ -206,12 +220,21 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var got Registry
+		var walked Table[netip.Prefix] // each registered prefix stored as its own value
 		var want linearRegistry
 		check := func(ip netip.Addr) {
 			gl, gok := got.Lookup(ip)
 			wl, wok := want.lookup(ip)
 			if gl != wl || gok != wok {
 				t.Fatalf("seed %d: Lookup(%v) = %+v, %v; linear scan gives %+v, %v", seed, ip, gl, gok, wl, wok)
+			}
+			var gw []netip.Prefix
+			walked.Walk(ip, func(p netip.Prefix) bool {
+				gw = append(gw, p)
+				return true
+			})
+			if ww := want.covering(ip); !slices.Equal(gw, ww) {
+				t.Fatalf("seed %d: Walk(%v) yields %v; linear scan gives %v", seed, ip, gw, ww)
 			}
 		}
 		for step := 0; step < 120; step++ {
@@ -220,6 +243,7 @@ func TestLookupMatchesLinearScan(t *testing.T) {
 				p := randomPrefix(rng)
 				loc := Location{Country: fmt.Sprintf("R%d", step), ASN: step, ASName: p.String()}
 				got.Register(p, loc)
+				walked.Set(p, p.Masked())
 				want.register(p, loc)
 			case n == 4:
 				fb := fallback

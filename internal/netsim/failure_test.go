@@ -147,8 +147,8 @@ func TestInterceptorSkipsUnmatchedPorts(t *testing.T) {
 	w := newTestWorld(t)
 	w.RegisterStream(serverIP, 80, echoHandler)
 	ca := mustCA(t)
-	mitm := NewTLSInterceptor(ca, []netip.Prefix{netip.MustParsePrefix("10.1.0.0/16")}, 853)
-	w.AddPolicy(mitm)
+	mitm := NewTLSInterceptor(ca, 853)
+	w.AddPolicy(mitm, netip.MustParsePrefix("10.1.0.0/16"))
 	conn, err := w.Dial(clientIP, serverIP, 80)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +168,8 @@ func TestInterceptorSkipsUnmatchedPorts(t *testing.T) {
 func TestInterceptorOriginUnreachable(t *testing.T) {
 	w := newTestWorld(t)
 	ca := mustCA(t)
-	mitm := NewTLSInterceptor(ca, []netip.Prefix{netip.MustParsePrefix("10.1.0.0/16")}, 853)
-	w.AddPolicy(mitm)
+	mitm := NewTLSInterceptor(ca, 853)
+	w.AddPolicy(mitm, netip.MustParsePrefix("10.1.0.0/16"))
 	// No origin service exists: the intercepted dial connects (the MITM
 	// accepted) but the TLS handshake must fail, not hang.
 	conn, err := w.Dial(clientIP, serverIP, 853)

@@ -24,16 +24,14 @@ type InterceptedSession struct {
 	RelayedToOrigin bool
 }
 
-// TLSInterceptor is a middlebox that terminates TLS toward matched clients
-// with certificates re-signed by its own (untrusted) CA, and proxies the
-// plaintext to the genuine destination over a fresh TLS session. This is
-// the behaviour the paper attributes to DPI devices such as "SonicWall
-// Firewall DPI-SSL" in Table 6.
+// TLSInterceptor is a middlebox that terminates TLS toward the clients on
+// the networks World.AddPolicy places it on, with certificates re-signed by
+// its own (untrusted) CA, and proxies the plaintext to the genuine
+// destination over a fresh TLS session. This is the behaviour the paper
+// attributes to DPI devices such as "SonicWall Firewall DPI-SSL" in Table 6.
 type TLSInterceptor struct {
 	// CA re-signs origin certificates; it must not be in the root store.
 	CA *certs.CA
-	// ClientPrefixes selects whose traffic is intercepted.
-	ClientPrefixes []netip.Prefix
 	// Ports lists intercepted ports (853 and/or 443). Table 6 notes three
 	// devices that "only listen on port 443".
 	Ports map[uint16]bool
@@ -43,17 +41,16 @@ type TLSInterceptor struct {
 	sessions []InterceptedSession
 }
 
-// NewTLSInterceptor builds an interceptor for the given client prefixes.
-func NewTLSInterceptor(ca *certs.CA, prefixes []netip.Prefix, ports ...uint16) *TLSInterceptor {
+// NewTLSInterceptor builds an interceptor of the given ports.
+func NewTLSInterceptor(ca *certs.CA, ports ...uint16) *TLSInterceptor {
 	pm := make(map[uint16]bool, len(ports))
 	for _, p := range ports {
 		pm[p] = true
 	}
 	return &TLSInterceptor{
-		CA:             ca,
-		ClientPrefixes: prefixes,
-		Ports:          pm,
-		forged:         make(map[netip.Addr]*certs.Leaf),
+		CA:     ca,
+		Ports:  pm,
+		forged: make(map[netip.Addr]*certs.Leaf),
 	}
 }
 
@@ -65,23 +62,12 @@ func (t *TLSInterceptor) Sessions() []InterceptedSession {
 }
 
 // Decide implements DialPolicy.
-func (t *TLSInterceptor) Decide(w *World, from, to netip.Addr, port uint16, proto Proto) Verdict {
+func (t *TLSInterceptor) Decide(w *World, from, _ netip.Addr, port uint16, proto Proto) Verdict {
 	if proto != Stream || !t.Ports[port] {
 		return Verdict{Action: ActNext}
 	}
-	matched := false
-	for _, p := range t.ClientPrefixes {
-		if p.Contains(from) {
-			matched = true
-			break
-		}
-	}
-	if !matched {
-		return Verdict{Action: ActNext}
-	}
-	client := from
 	return Verdict{Action: ActRedirect, Handler: func(conn *Conn, dst Addr) {
-		t.proxy(w, conn, client, dst)
+		t.proxy(w, conn, from, dst)
 	}}
 }
 

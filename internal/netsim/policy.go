@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
+
+	"dnsencryption.info/doe/internal/geo"
 )
 
 // Censor models national-level filtering: for clients inside Countries, it
@@ -39,14 +41,12 @@ func (c *Censor) Decide(w *World, from, to netip.Addr, port uint16, _ Proto) Ver
 	return Verdict{Action: ActRefuse}
 }
 
-// PortFilter models middleboxes that filter a port for specific client
-// prefixes — the paper's explanation for clear-text DNS (port 53) failing
-// for 16% of clients while ports 853/443 pass ("filtering policies on a
-// particular port").
+// PortFilter models middleboxes that filter a port on the client networks
+// World.AddPolicy places them on — the paper's explanation for clear-text
+// DNS (port 53) failing for 16% of clients while ports 853/443 pass
+// ("filtering policies on a particular port").
 type PortFilter struct {
-	// ClientPrefixes whose traffic is filtered.
-	ClientPrefixes []netip.Prefix
-	Port           uint16
+	Port uint16
 	// DstIPs restricts filtering to these destinations; empty = all.
 	DstIPs map[netip.Addr]bool
 	// Blackhole drops instead of refusing.
@@ -54,22 +54,14 @@ type PortFilter struct {
 }
 
 // Decide implements DialPolicy.
-func (f *PortFilter) Decide(_ *World, from, to netip.Addr, port uint16, _ Proto) Verdict {
-	if port != f.Port {
+func (f *PortFilter) Decide(_ *World, _, to netip.Addr, port uint16, _ Proto) Verdict {
+	if port != f.Port || len(f.DstIPs) > 0 && !f.DstIPs[to] {
 		return Verdict{Action: ActNext}
 	}
-	if len(f.DstIPs) > 0 && !f.DstIPs[to] {
-		return Verdict{Action: ActNext}
+	if f.Blackhole {
+		return Verdict{Action: ActBlackhole}
 	}
-	for _, p := range f.ClientPrefixes {
-		if p.Contains(from) {
-			if f.Blackhole {
-				return Verdict{Action: ActBlackhole}
-			}
-			return Verdict{Action: ActRefuse}
-		}
-	}
-	return Verdict{Action: ActNext}
+	return Verdict{Action: ActRefuse}
 }
 
 // DeviceKind labels the devices found squatting on 1.1.1.1 in Table 5 and
@@ -85,12 +77,12 @@ const (
 )
 
 // ConflictDevice models an in-path device that has taken over a well-known
-// resolver address (e.g. 1.1.1.1 used as a router's virtual IP). Clients in
-// ClientPrefixes reaching ConflictIP get the device instead of the resolver.
+// resolver address (e.g. 1.1.1.1 used as a router's virtual IP). Clients on
+// the networks World.AddPolicy places it on reach the device instead of the
+// resolver at ConflictIP.
 type ConflictDevice struct {
-	ClientPrefixes []netip.Prefix
-	ConflictIP     netip.Addr
-	Kind           DeviceKind
+	ConflictIP netip.Addr
+	Kind       DeviceKind
 	// OpenPorts maps ports the device listens on to the body of the page
 	// it serves (an HTTP response is synthesized around it). Ports not in
 	// the map are blackholed — the paper finds most conflicting
@@ -99,18 +91,8 @@ type ConflictDevice struct {
 }
 
 // Decide implements DialPolicy.
-func (d *ConflictDevice) Decide(_ *World, from, to netip.Addr, port uint16, proto Proto) Verdict {
+func (d *ConflictDevice) Decide(_ *World, _, to netip.Addr, port uint16, proto Proto) Verdict {
 	if to != d.ConflictIP {
-		return Verdict{Action: ActNext}
-	}
-	match := false
-	for _, p := range d.ClientPrefixes {
-		if p.Contains(from) {
-			match = true
-			break
-		}
-	}
-	if !match {
 		return Verdict{Action: ActNext}
 	}
 	if proto == Datagram {
@@ -151,31 +133,23 @@ func StaticPage(server, body string) StreamHandler {
 // ethics mechanism). It is concurrency-safe.
 type OptOutList struct {
 	mu       sync.RWMutex
-	prefixes []netip.Prefix
+	prefixes geo.Table[struct{}]
 }
 
 // Add registers an opt-out request.
 func (o *OptOutList) Add(p netip.Prefix) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.prefixes = append(o.prefixes, p)
+	o.prefixes.Set(p, struct{}{})
 }
 
 // Contains reports whether ip opted out.
-func (o *OptOutList) Contains(ip netip.Addr) bool {
+func (o *OptOutList) Contains(ip netip.Addr) (found bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	for _, p := range o.prefixes {
-		if p.Contains(ip) {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of opt-out entries.
-func (o *OptOutList) Len() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.prefixes)
+	o.prefixes.Walk(ip, func(struct{}) bool {
+		found = true
+		return false
+	})
+	return found
 }

@@ -39,10 +39,11 @@ const (
 // Action is a middlebox decision about a connection attempt.
 type Action int
 
-// Policy actions. ActNext lets the next policy decide.
+// Policy actions. ActNext, the zero Action, decides nothing: the next
+// middlebox on the path decides, and a flow that none decides reaches its
+// destination.
 const (
 	ActNext Action = iota
-	ActAllow
 	ActRefuse
 	ActBlackhole
 	ActRedirect // hand the stream to Verdict.Handler instead of the target
@@ -58,8 +59,10 @@ type Verdict struct {
 // believed it was connecting to.
 type RedirectHandler func(conn *Conn, dst Addr)
 
-// DialPolicy models an in-path middlebox consulted on every connection
-// attempt, in registration order.
+// DialPolicy models an in-path middlebox. World.AddPolicy places it on
+// client networks or on every path, and each connection attempt and
+// datagram exchange along those paths consults it, in the order AddPolicy
+// describes.
 type DialPolicy interface {
 	Decide(w *World, from, to netip.Addr, port uint16, proto Proto) Verdict
 }
@@ -120,11 +123,12 @@ type World struct {
 	Geo *geo.Registry
 	RTT *geo.RTTModel
 
-	mu       sync.RWMutex
-	streams  map[Addr]StreamHandler
-	dgrams   map[Addr]*dgramService
-	policies []DialPolicy
-	faults   FaultInjector
+	mu        sync.RWMutex
+	streams   map[Addr]StreamHandler
+	dgrams    map[Addr]*dgramService
+	networks  geo.Table[[]DialPolicy] // middleboxes on client networks
+	everyPath []DialPolicy            // middleboxes on every path
+	faults    FaultInjector
 
 	seed int64
 
@@ -150,11 +154,26 @@ func NewWorld(seed int64) *World {
 	}
 }
 
-// AddPolicy appends a middlebox policy; earlier policies win.
-func (w *World) AddPolicy(p DialPolicy) {
+// AddPolicy installs middlebox p on the client networks clients, the way
+// port filters, devices squatting on 1.1.1.1 and TLS interceptors sit in a
+// client's own access network; with no prefixes it sits on every path, as
+// national censorship does. A flow meets the middleboxes of the networks
+// covering its source first, the nearest (longest prefix) first, and then
+// those on every path; within one network, and on every path, it meets
+// them in the order they were added. The first verdict other than ActNext
+// decides the flow, so a middlebox on a network that does not cover the
+// source is never consulted.
+func (w *World) AddPolicy(p DialPolicy, clients ...netip.Prefix) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.policies = append(w.policies, p)
+	if len(clients) == 0 {
+		w.everyPath = append(w.everyPath, p)
+		return
+	}
+	for _, c := range clients {
+		ps, _ := w.networks.Get(c)
+		w.networks.Set(c, append(ps, p))
+	}
 }
 
 // SetFaults installs inj as the world's fault-injection layer (nil
@@ -300,17 +319,27 @@ func fnvAddr(h uint64, a netip.Addr) uint64 {
 	return h
 }
 
+// decide returns the verdict of the middleboxes on the path from `from`, in
+// AddPolicy's order. It gathers them under the read lock and consults them
+// outside it, so a policy may call back into the world.
 func (w *World) decide(from, to netip.Addr, port uint16, proto Proto) Verdict {
+	var buf [4][]DialPolicy // a source sits in few nested client networks
+	scopes := buf[:0]
 	w.mu.RLock()
-	policies := w.policies
+	w.networks.Walk(from, func(ps []DialPolicy) bool {
+		scopes = append(scopes, ps)
+		return true
+	})
+	scopes = append(scopes, w.everyPath)
 	w.mu.RUnlock()
-	for _, p := range policies {
-		v := p.Decide(w, from, to, port, proto)
-		if v.Action != ActNext {
-			return v
+	for _, ps := range scopes {
+		for _, p := range ps {
+			if v := p.Decide(w, from, to, port, proto); v.Action != ActNext {
+				return v
+			}
 		}
 	}
-	return Verdict{Action: ActAllow}
+	return Verdict{}
 }
 
 // pathRTT returns the modeled round-trip time between two addresses.
@@ -419,6 +448,6 @@ func (w *World) Exchange(from, to netip.Addr, port uint16, req []byte) ([]byte, 
 func (w *World) String() string {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return fmt.Sprintf("netsim.World{streams: %d, datagrams: %d, policies: %d}",
-		len(w.streams), len(w.dgrams), len(w.policies))
+	return fmt.Sprintf("netsim.World{streams: %d, datagrams: %d, every-path policies: %d}",
+		len(w.streams), len(w.dgrams), len(w.everyPath))
 }

@@ -18,8 +18,8 @@ import (
 // produced by gen(i). gen must be a pure function of i (the streaming
 // campaign contract: any shard may ask for any index, in any order, and
 // byte-identity across worker counts needs the same node every time).
-// Generated nodes do not appear in Nodes()/NodeCount() — they have no
-// existence until acquired.
+// Generated nodes do not appear in Nodes() — they have no existence until
+// acquired.
 func (n *Network) SetGenerator(count int, gen func(i int) ExitNode) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -23,7 +23,7 @@ func genNode(i int) ExitNode {
 func TestGeneratedNodeTunnels(t *testing.T) {
 	w := newWorld()
 	echoTarget(w, 7)
-	n := NewNetwork(w, "genrack", superIP, 5)
+	n := NewNetwork(w, "genrack", superIP)
 	defer n.Shutdown()
 	n.SetGenerator(1000, genNode)
 
@@ -63,7 +63,7 @@ func TestGeneratedNodeTunnels(t *testing.T) {
 // returns the world to its baseline — O(workers), never O(population).
 func TestAcquireReleaseKeepsWorldSmall(t *testing.T) {
 	w := newWorld()
-	n := NewNetwork(w, "genrack", superIP, 5)
+	n := NewNetwork(w, "genrack", superIP)
 	defer n.Shutdown()
 	n.SetGenerator(1_000_000, genNode)
 

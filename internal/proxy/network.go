@@ -3,7 +3,6 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sort"
 	"sync"
@@ -32,22 +31,18 @@ var (
 )
 
 // Network models a commercial residential SOCKS proxy platform (ProxyRack,
-// Zhima): a super proxy address plus a pool of exit nodes. Sessions select
-// their exit via the SOCKS username, mirroring username-keyed sessions on
-// real platforms.
+// Zhima): a super proxy address plus a pool of exit nodes. Sessions name
+// their exit in the SOCKS username, which the super proxy demands as RFC
+// 1929 credentials, mirroring username-keyed sessions on real platforms.
 type Network struct {
 	Name      string
 	World     *netsim.World
 	SuperAddr netip.Addr
-	// RequireAuth demands RFC 1929 credentials at the super proxy.
-	RequireAuth bool
 	// PerDialCost is how much lifetime one tunneled session consumes.
 	PerDialCost time.Duration
 
 	mu    sync.Mutex
 	nodes map[string]*ExitNode
-	order []string
-	rng   *rand.Rand
 
 	// Generator-fed population (see genpop.go): synthesized nodes are
 	// materialized into `active` only between Acquire and its release.
@@ -58,18 +53,16 @@ type Network struct {
 
 // NewNetwork creates a proxy platform and installs its super proxy and exit
 // node servers into the world.
-func NewNetwork(w *netsim.World, name string, superAddr netip.Addr, seed int64) *Network {
+func NewNetwork(w *netsim.World, name string, superAddr netip.Addr) *Network {
 	n := &Network{
 		Name:        name,
 		World:       w,
 		SuperAddr:   superAddr,
-		RequireAuth: true,
 		PerDialCost: 30 * time.Second,
 		nodes:       make(map[string]*ExitNode),
-		rng:         rand.New(rand.NewSource(seed)),
 	}
 	w.RegisterStream(superAddr, 1080, func(conn *netsim.Conn) {
-		ServeConn(conn, n.RequireAuth, n.dialViaExit)
+		ServeConn(conn, true, n.dialViaExit)
 	})
 	return n
 }
@@ -80,7 +73,6 @@ func (n *Network) AddNode(node ExitNode) {
 	defer n.mu.Unlock()
 	cp := node
 	n.nodes[node.ID] = &cp
-	n.order = append(n.order, node.ID)
 	// The exit node's own SOCKS server: dials targets from the node's
 	// address, so in-path middleboxes near the node apply.
 	n.World.RegisterStream(node.Addr, 1080, func(conn *netsim.Conn) {
@@ -105,13 +97,6 @@ func (n *Network) Nodes() []ExitNode {
 	return out
 }
 
-// NodeCount reports the pool size.
-func (n *Network) NodeCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.nodes)
-}
-
 // RemainingUptime is the platform API the paper polls before using a node
 // ("we first check its remaining uptime and discard it if expiring soon").
 func (n *Network) RemainingUptime(id string) (time.Duration, error) {
@@ -133,8 +118,8 @@ func (n *Network) Shutdown() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.World.CloseService(n.SuperAddr, 1080)
-	for _, id := range n.order {
-		n.World.CloseService(n.nodes[id].Addr, 1080)
+	for _, node := range n.nodes {
+		n.World.CloseService(node.Addr, 1080)
 	}
 	for _, node := range n.active {
 		n.World.CloseService(node.Addr, 1080)
@@ -142,9 +127,9 @@ func (n *Network) Shutdown() {
 	n.active = nil
 }
 
-// dialViaExit is the super proxy's outbound leg: pick the exit node named
-// by the SOCKS username (or a random live one), tunnel through its SOCKS
-// service, and complete a nested CONNECT to the real target.
+// dialViaExit is the super proxy's outbound leg: take the exit node named
+// by the SOCKS username, tunnel through its SOCKS service, and complete a
+// nested CONNECT to the real target.
 func (n *Network) dialViaExit(req Request) (*netsim.Conn, error) {
 	node, err := n.reserve(req.Username)
 	if err != nil {
@@ -164,24 +149,9 @@ func (n *Network) dialViaExit(req Request) (*netsim.Conn, error) {
 func (n *Network) reserve(id string) (*ExitNode, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var node *ExitNode
-	if id != "" {
-		var ok bool
-		node, ok = n.lookupLocked(id)
-		if !ok {
-			return nil, ErrNoSuchNode
-		}
-	} else {
-		live := make([]*ExitNode, 0, len(n.nodes))
-		for _, id := range n.order {
-			if nd := n.nodes[id]; nd.Lifetime > 0 {
-				live = append(live, nd)
-			}
-		}
-		if len(live) == 0 {
-			return nil, ErrNodeExpired
-		}
-		node = live[n.rng.Intn(len(live))]
+	node, ok := n.lookupLocked(id)
+	if !ok {
+		return nil, ErrNoSuchNode
 	}
 	if node.Lifetime <= 0 {
 		return nil, ErrNodeExpired
@@ -219,19 +189,15 @@ func (n *Network) DialDatagram(from netip.Addr, nodeID string, target netip.Addr
 }
 
 // Dial opens a tunnel from the measurement client at `from` through the
-// platform to target:port, pinned to exit node nodeID ("" = platform
-// chooses). The returned conn carries composed virtual latency across all
-// three segments.
+// platform to target:port, pinned to exit node nodeID. The returned conn
+// carries composed virtual latency across all three segments.
 func (n *Network) Dial(from netip.Addr, nodeID string, target netip.Addr, port uint16) (*netsim.Conn, error) {
 	conn, err := n.World.Dial(from, n.SuperAddr, 1080)
 	if err != nil {
 		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second)) //doelint:allow walltaint -- real-time watchdog on the simulated conn; expiry aborts a hang, never results
-	var creds *Credentials
-	if n.RequireAuth {
-		creds = &Credentials{Username: nodeID, Password: "measurement"}
-	}
+	creds := &Credentials{Username: nodeID, Password: "measurement"}
 	if err := ClientConnect(conn, creds, target, port); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("via %s node %q: %w", n.Name, nodeID, err)

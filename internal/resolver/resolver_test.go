@@ -299,7 +299,7 @@ func TestDialRoutesEveryProtocolThroughDialer(t *testing.T) {
 // exceeds the same session's setup dialed directly.
 func TestExitNodeClientCompletesEveryProtocol(t *testing.T) {
 	f := newFixture(t)
-	network := proxy.NewNetwork(f.world, "testrack", netip.MustParseAddr("10.1.0.1"), 1)
+	network := proxy.NewNetwork(f.world, "testrack", netip.MustParseAddr("10.1.0.1"))
 	defer network.Shutdown()
 	network.AddNode(proxy.ExitNode{ID: "exit", Addr: netip.MustParseAddr("10.1.7.7"), Country: "US", Lifetime: time.Hour})
 	exit := proxy.ExitDialer{Network: network, From: clientIP, NodeID: "exit"}

@@ -80,10 +80,7 @@ func newFixture(t *testing.T) *fixture {
 	doq.Serve(w, resolverIP, leaf, zone, 0)
 
 	// Middleboxes.
-	w.AddPolicy(&netsim.PortFilter{
-		ClientPrefixes: []netip.Prefix{netip.MustParsePrefix("10.11.0.0/16")},
-		Port:           53,
-	})
+	w.AddPolicy(&netsim.PortFilter{Port: 53}, netip.MustParsePrefix("10.11.0.0/16"))
 	w.AddPolicy(&netsim.Censor{
 		Countries: map[string]bool{"CN": true},
 		BlockIPs:  map[netip.Addr]bool{resolverIP: true},
@@ -96,17 +93,15 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mitm := netsim.NewTLSInterceptor(dpiCA,
-		[]netip.Prefix{netip.MustParsePrefix("10.13.0.0/16")}, dot.Port, doh.Port)
-	w.AddPolicy(mitm)
+	mitm := netsim.NewTLSInterceptor(dpiCA, dot.Port, doh.Port)
+	w.AddPolicy(mitm, netip.MustParsePrefix("10.13.0.0/16"))
 	w.AddPolicy(&netsim.ConflictDevice{
-		ClientPrefixes: []netip.Prefix{netip.MustParsePrefix("10.14.0.0/16")},
-		ConflictIP:     resolverIP,
-		Kind:           netsim.DeviceRouter,
-		OpenPorts:      map[uint16]string{80: "<title>MikroTik RouterOS</title>"},
-	})
+		ConflictIP: resolverIP,
+		Kind:       netsim.DeviceRouter,
+		OpenPorts:  map[uint16]string{80: "<title>MikroTik RouterOS</title>"},
+	}, netip.MustParsePrefix("10.14.0.0/16"))
 
-	network := proxy.NewNetwork(w, "testrack", superIP, 5)
+	network := proxy.NewNetwork(w, "testrack", superIP)
 	add := func(id string, addr netip.Addr, cc string, asn int, as string) {
 		network.AddNode(proxy.ExitNode{ID: id, Addr: addr, Country: cc, ASN: asn, ASName: as, Lifetime: time.Hour})
 	}

@@ -212,7 +212,7 @@ func BenchmarkTable7NoReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oh, _ := sample.Medians.OverheadMS(vantage.Leg{Proto: vantage.ProtoDoT, Mode: vantage.ModeFresh})
+		oh, _ := sample.Medians.OverheadMS(vantage.Leg{Proto: resolver.ProtoDoT, Mode: vantage.ModeFresh})
 		b.ReportMetric(oh, "dot-overhead-ms")
 	}
 }
@@ -228,7 +228,7 @@ func BenchmarkFig9CountryPerf(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oh, _ := sample.Medians.OverheadMS(vantage.Leg{Proto: vantage.ProtoDoT, Mode: vantage.ModeReused})
+		oh, _ := sample.Medians.OverheadMS(vantage.Leg{Proto: resolver.ProtoDoT, Mode: vantage.ModeReused})
 		b.ReportMetric(oh, "dot-overhead-ms")
 	}
 }
@@ -671,7 +671,6 @@ func BenchmarkSimTunnelRoundTrip(b *testing.B) {
 func benchResumption(b *testing.B, cache bool) {
 	s := study(b)
 	client := dot.NewClient(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, dot.Strict)
-	client.ServerName = "dns.quad9.net"
 	if cache {
 		client.SessionCache = tls.NewLRUClientSessionCache(16)
 		// Prime the cache (ticket arrives with the first transaction).

@@ -22,6 +22,7 @@ import (
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
 	"dnsencryption.info/doe/internal/proxy"
+	"dnsencryption.info/doe/internal/resolver"
 	"dnsencryption.info/doe/internal/vantage"
 )
 
@@ -37,7 +38,7 @@ func main() {
 	reg("10.3.0.0/24", "CN", 102, "Censored ISP")
 	reg("10.4.0.0/24", "BR", 103, "Corporate network with DPI")
 
-	resolver := netip.MustParseAddr("192.0.2.53")
+	resolverIP := netip.MustParseAddr("192.0.2.53")
 	expected := netip.MustParseAddr("203.0.113.9")
 	zone := dnsserver.NewZone("probe.example.test")
 	zone.WildcardA = expected
@@ -46,19 +47,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	leaf, err := ca.Issue(certs.LeafOptions{CommonName: "dns.resolverco.test", IPs: []netip.Addr{resolver}})
+	leaf, err := ca.Issue(certs.LeafOptions{CommonName: "dns.resolverco.test", IPs: []netip.Addr{resolverIP}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dnsserver.Serve(world, resolver, zone)
-	dot.Serve(world, resolver, leaf, zone, time.Millisecond)
-	doh.Serve(world, resolver, leaf, &doh.Server{Handler: zone})
+	dnsserver.Serve(world, resolverIP, zone)
+	dot.Serve(world, resolverIP, leaf, zone, time.Millisecond)
+	doh.Serve(world, resolverIP, leaf, &doh.Server{Handler: zone})
 
 	// Middleboxes.
 	world.AddPolicy(&netsim.PortFilter{Port: 53}, netip.MustParsePrefix("10.2.0.0/24"))
 	world.AddPolicy(&netsim.Censor{
 		Countries: map[string]bool{"CN": true},
-		BlockIPs:  map[netip.Addr]bool{resolver: true},
+		BlockIPs:  map[netip.Addr]bool{resolverIP: true},
 		BlockPorts: map[uint16]bool{
 			443: true,
 		},
@@ -98,18 +99,18 @@ func main() {
 	}
 	target := vantage.Target{
 		Name:    "resolverco",
-		DNS:     resolver,
-		DoT:     resolver,
+		DNS:     resolverIP,
+		DoT:     resolverIP,
 		DoH:     doh.Template{Host: "dns.resolverco.test", Path: doh.DefaultPath},
-		DoHAddr: resolver,
+		DoHAddr: resolverIP,
 	}
 
 	// The campaign folds every lookup into one accumulator. Each node sits
 	// in its own country here, so the per-country cells read as per-node
 	// rows; TrackFailed keeps the IDs of the nodes whose lookups failed.
 	tracked := []vantage.FailKey{
-		{Resolver: target.Name, Proto: vantage.ProtoDNS},
-		{Resolver: target.Name, Proto: vantage.ProtoDoH},
+		{Resolver: target.Name, Proto: resolver.ProtoTCP},
+		{Resolver: target.Name, Proto: resolver.ProtoDoH},
 	}
 	stats, err := platform.CampaignStream(context.Background(), []vantage.Target{target}, 4,
 		vantage.CampaignOpts{TrackFailed: tracked})
@@ -124,7 +125,7 @@ func main() {
 		if cells[i].Country != cells[j].Country {
 			return cells[i].Country < cells[j].Country
 		}
-		return cells[i].Proto < cells[j].Proto
+		return vantage.Label(cells[i].Proto) < vantage.Label(cells[j].Proto)
 	})
 	table := &analysis.Table{
 		Title:   "Reachability per vantage country",
@@ -132,13 +133,13 @@ func main() {
 	}
 	for _, k := range cells {
 		t := stats.Cells[k]
-		table.AddRow(k.Country, string(k.Proto), t.Correct, t.Incorrect, t.Failed)
+		table.AddRow(k.Country, vantage.Label(k.Proto), t.Correct, t.Incorrect, t.Failed)
 	}
 	fmt.Println(table.Render())
 
 	for _, k := range tracked {
 		for _, ref := range stats.FailedRefs(k) {
-			fmt.Printf("%s lookup failed from node %s\n", k.Proto, ref.ID)
+			fmt.Printf("%s lookup failed from node %s\n", vantage.Label(k.Proto), ref.ID)
 		}
 	}
 	for _, r := range stats.Intercepted() {

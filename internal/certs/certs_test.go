@@ -157,6 +157,25 @@ func TestProviderKey(t *testing.T) {
 	}
 }
 
+// sldOf is the second-level domain ProviderKey groups domain-shaped Common
+// Names by.
+func TestSLD(t *testing.T) {
+	cases := map[string]string{
+		"dns.example.com":            "example.com.",
+		"a.b.c.example.org.":         "example.org.",
+		"example.com":                "example.com.",
+		"com":                        "com.",
+		".":                          ".",
+		"mozilla.cloudflare-dns.com": "cloudflare-dns.com.",
+		"DNS.Example.COM":            "example.com.",
+	}
+	for in, want := range cases {
+		if got := sldOf(in); got != want {
+			t.Errorf("sldOf(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestProviderKeyNoCN(t *testing.T) {
 	ca := newTestCA(t)
 	leaf, err := ca.Issue(LeafOptions{DNSNames: []string{"dns.fallback.example.org"}})

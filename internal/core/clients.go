@@ -64,11 +64,7 @@ func (s *Study) buildDoHWorld() error {
 			if err != nil {
 				return err
 			}
-			doh.Serve(s.World, addr, leaf, &doh.Server{
-				Handler: s.Zone,
-				Paths:   []string{spec.path},
-				Webpage: "<title>" + spec.host + "</title>",
-			})
+			doh.Serve(s.World, addr, leaf, &doh.Server{Handler: s.Zone, Paths: []string{spec.path}})
 		}
 		s.DoHResolve[spec.host] = addr
 		if spec.known {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dnsencryption.info/doe/internal/certs"
+	"dnsencryption.info/doe/internal/resolver"
 	"dnsencryption.info/doe/internal/vantage"
 )
 
@@ -53,7 +54,16 @@ func TestTable8AndStats(t *testing.T) {
 			t.Errorf("Table 8 missing %q", want)
 		}
 	}
-	stats := ImplementationStats()
+	// How many surveyed implementations support each technology, the way
+	// Appendix A's discussion summarizes the table.
+	stats := map[string]int{}
+	for _, impl := range Implementations {
+		for tech, on := range map[string]bool{"DoT": impl.DoT, "DoH": impl.DoH, "DNSSEC": impl.DNSSEC} {
+			if on {
+				stats[tech]++
+			}
+		}
+	}
 	// DoT and DoH gained support quickly; DNSSEC remains the most
 	// widespread (it is a decade older).
 	if stats["DoT"] < 10 || stats["DoH"] < 10 {
@@ -161,15 +171,15 @@ func TestReachabilityShapes(t *testing.T) {
 	global := data.Global.ByResolverProto()
 	censored := data.Censored.ByResolverProto()
 
-	rate := func(tallies map[string]map[vantage.Proto]vantage.Tally, resolver string, proto vantage.Proto) (c, i, f float64) {
-		return tallies[resolver][proto].Rates()
+	rate := func(tallies map[string]map[resolver.Proto]vantage.Tally, name string, proto resolver.Proto) (c, i, f float64) {
+		return tallies[name][proto].Rates()
 	}
 
 	// Finding 2.1: Cloudflare clear-text DNS fails far more often than
 	// its DoT, which fails more often than its DoH.
-	_, _, dnsFail := rate(global, "cloudflare", vantage.ProtoDNS)
-	_, _, dotFail := rate(global, "cloudflare", vantage.ProtoDoT)
-	_, _, dohFail := rate(global, "cloudflare", vantage.ProtoDoH)
+	_, _, dnsFail := rate(global, "cloudflare", resolver.ProtoTCP)
+	_, _, dotFail := rate(global, "cloudflare", resolver.ProtoDoT)
+	_, _, dohFail := rate(global, "cloudflare", resolver.ProtoDoH)
 	if dnsFail < 0.05 || dnsFail > 0.35 {
 		t.Errorf("cloudflare DNS fail rate = %.3f (paper: 0.165)", dnsFail)
 	}
@@ -183,38 +193,38 @@ func TestReachabilityShapes(t *testing.T) {
 
 	// Quad9 clear-text DNS is barely affected (port filters target the
 	// prominent addresses).
-	_, _, q9dnsFail := rate(global, "quad9", vantage.ProtoDNS)
+	_, _, q9dnsFail := rate(global, "quad9", resolver.ProtoTCP)
 	if q9dnsFail > dnsFail/2 {
 		t.Errorf("quad9 DNS fail %.3f not well below cloudflare %.3f", q9dnsFail, dnsFail)
 	}
 
 	// Finding 2.4: Quad9 DoH sees a substantial incorrect (SERVFAIL)
 	// rate globally, but not on the censored platform.
-	_, q9dohInc, _ := rate(global, "quad9", vantage.ProtoDoH)
+	_, q9dohInc, _ := rate(global, "quad9", resolver.ProtoDoH)
 	if q9dohInc < 0.04 || q9dohInc > 0.30 {
 		t.Errorf("quad9 DoH incorrect rate = %.3f (paper: 0.13)", q9dohInc)
 	}
-	_, q9dohIncCN, _ := rate(censored, "quad9", vantage.ProtoDoH)
+	_, q9dohIncCN, _ := rate(censored, "quad9", resolver.ProtoDoH)
 	if q9dohIncCN > q9dohInc/2 {
 		t.Errorf("censored quad9 DoH incorrect %.3f not well below global %.3f", q9dohIncCN, q9dohInc)
 	}
 
 	// Finding 2.2: Google DoH is blocked for ≈100% of censored clients.
-	_, _, gDoHFailCN := rate(censored, "google", vantage.ProtoDoH)
+	_, _, gDoHFailCN := rate(censored, "google", resolver.ProtoDoH)
 	if gDoHFailCN < 0.99 {
 		t.Errorf("censored google DoH fail = %.3f, want ≈1.0", gDoHFailCN)
 	}
 	// ... while its clear-text DNS passes.
-	_, _, gDNSFailCN := rate(censored, "google", vantage.ProtoDNS)
+	_, _, gDNSFailCN := rate(censored, "google", resolver.ProtoTCP)
 	if gDNSFailCN > 0.05 {
 		t.Errorf("censored google DNS fail = %.3f, want ≈0", gDNSFailCN)
 	}
 
 	// Self-built resolver: near-perfect everywhere, DoQ included.
-	for _, proto := range []vantage.Proto{vantage.ProtoDNS, vantage.ProtoDoT, vantage.ProtoDoH, vantage.ProtoDoQ} {
+	for _, proto := range []resolver.Proto{resolver.ProtoTCP, resolver.ProtoDoT, resolver.ProtoDoH, resolver.ProtoDoQ} {
 		c, _, _ := rate(global, "self-built", proto)
 		if c < 0.95 {
-			t.Errorf("self-built %s correct = %.3f", proto, c)
+			t.Errorf("self-built %s correct = %.3f", vantage.Label(proto), c)
 		}
 	}
 
@@ -237,8 +247,8 @@ func TestPerfShapes(t *testing.T) {
 	if len(samples) < s.PerfNodes/2 {
 		t.Fatalf("perf samples = %d", len(samples))
 	}
-	dotAvg, _ := vantage.GlobalOverhead(samples, leg(vantage.ProtoDoT, vantage.ModeReused))
-	dohAvg, _ := vantage.GlobalOverhead(samples, leg(vantage.ProtoDoH, vantage.ModeReused))
+	dotAvg, _ := vantage.GlobalOverhead(samples, leg(resolver.ProtoDoT, vantage.ModeReused))
+	dohAvg, _ := vantage.GlobalOverhead(samples, leg(resolver.ProtoDoH, vantage.ModeReused))
 	// Key observation 3: with reuse, overhead is a few milliseconds.
 	if dotAvg < 0 || dotAvg > 30 {
 		t.Errorf("global DoT overhead = %.1f ms (want small positive)", dotAvg)
@@ -249,7 +259,7 @@ func TestPerfShapes(t *testing.T) {
 	// DoQ lands in the same few-millisecond band, but on the cheap side of
 	// clear-text: the UDP flight skips the TCP handshake the DNS baseline
 	// pays, so a small negative overhead is the expected shape.
-	doqAvg, _ := vantage.GlobalOverhead(samples, leg(vantage.ProtoDoQ, vantage.ModeReused))
+	doqAvg, _ := vantage.GlobalOverhead(samples, leg(resolver.ProtoDoQ, vantage.ModeReused))
 	if doqAvg < -30 || doqAvg > 30 {
 		t.Errorf("global DoQ overhead = %.1f ms (want small magnitude)", doqAvg)
 	}

@@ -11,6 +11,7 @@ import (
 	"dnsencryption.info/doe/internal/netflow"
 	"dnsencryption.info/doe/internal/obs"
 	"dnsencryption.info/doe/internal/proxy"
+	"dnsencryption.info/doe/internal/resolver"
 	"dnsencryption.info/doe/internal/runner"
 	"dnsencryption.info/doe/internal/scanner"
 	"dnsencryption.info/doe/internal/vantage"
@@ -64,7 +65,7 @@ func (s *Study) Reachability() *ReachabilityData {
 			stats, _ := p.CampaignStream(cctx, s.Targets, s.Workers, vantage.CampaignOpts{
 				// Table 5 probes the clients that failed Cloudflare DoT;
 				// only that key's node list is retained.
-				TrackFailed: []vantage.FailKey{{Resolver: "cloudflare", Proto: vantage.ProtoDoT}},
+				TrackFailed: []vantage.FailKey{{Resolver: "cloudflare", Proto: resolver.ProtoDoT}},
 			})
 			sp.SetInt("lookups", int64(stats.Lookups))
 			return stats
@@ -349,22 +350,22 @@ func runTable4(s *Study) (string, error) {
 		Columns: []string{"Platform", "Resolver", "Proto", "Correct", "Incorrect", "Failed"},
 	}
 	resolverOrder := []string{"cloudflare", "google", "quad9", "self-built"}
-	protoOrder := []vantage.Proto{vantage.ProtoDNS, vantage.ProtoDoT, vantage.ProtoDoH, vantage.ProtoDoQ}
+	protoOrder := []resolver.Proto{resolver.ProtoTCP, resolver.ProtoDoT, resolver.ProtoDoH, resolver.ProtoDoQ}
 	addRows := func(platform string, stats *vantage.CampaignStats) {
 		tallies := stats.ByResolverProto()
-		for _, resolver := range resolverOrder {
-			byProto, ok := tallies[resolver]
+		for _, name := range resolverOrder {
+			byProto, ok := tallies[name]
 			if !ok {
 				continue
 			}
 			for _, proto := range protoOrder {
 				tally, ok := byProto[proto]
 				if !ok {
-					t.AddRow(platform, resolver, string(proto), "n/a", "n/a", "n/a")
+					t.AddRow(platform, name, vantage.Label(proto), "n/a", "n/a", "n/a")
 					continue
 				}
 				c, i, f := tally.Rates()
-				t.AddRow(platform, resolver, string(proto),
+				t.AddRow(platform, name, vantage.Label(proto),
 					fmt.Sprintf("%.2f%%", c*100),
 					fmt.Sprintf("%.2f%%", i*100),
 					fmt.Sprintf("%.2f%%", f*100))
@@ -378,7 +379,7 @@ func runTable4(s *Study) (string, error) {
 
 func runTable5(s *Study) (string, error) {
 	data := s.Reachability()
-	refs := data.Global.FailedRefs(vantage.FailKey{Resolver: "cloudflare", Proto: vantage.ProtoDoT})
+	refs := data.Global.FailedRefs(vantage.FailKey{Resolver: "cloudflare", Proto: resolver.ProtoDoT})
 	failed := make([]string, len(refs))
 	for i, ref := range refs {
 		failed[i] = ref.ID
@@ -456,7 +457,7 @@ func runTable6(s *Study) (string, error) {
 		Columns: []string{"Node", "Country", "AS", "Issuer CN (untrusted CA)", "Resolver", "Proto"},
 	}
 	for _, r := range intercepted {
-		t.AddRow(r.NodeID, r.Country, fmt.Sprintf("AS%d %s", r.ASN, r.ASName), r.IssuerCN, r.Resolver, string(r.Proto))
+		t.AddRow(r.NodeID, r.Country, fmt.Sprintf("AS%d %s", r.ASN, r.ASName), r.IssuerCN, r.Resolver, vantage.Label(r.Proto))
 	}
 	out := t.Render()
 	out += fmt.Sprintf("intercepted sessions recorded by middleboxes: %d\n", s.interceptorSessions())
@@ -499,7 +500,7 @@ func runTable7(s *Study) (string, error) {
 			return "", fmt.Errorf("vantage %s: %w", ControlledVantages[i].Label, row.err)
 		}
 		m := row.sample.Medians
-		cell := func(p vantage.Proto, format string) string {
+		cell := func(p resolver.Proto, format string) string {
 			oh, _ := m.OverheadMS(leg(p, vantage.ModeFresh))
 			return fmt.Sprintf(format, m[leg(p, vantage.ModeFresh)], oh)
 		}
@@ -507,16 +508,16 @@ func runTable7(s *Study) (string, error) {
 		// dial pays the 1-RTT handshake, later dials resume 0-RTT from the
 		// shared session cache — the overhead reflects QUIC resumption.
 		t.AddRow(ControlledVantages[i].Label,
-			fmt.Sprintf("%.1f", m[leg(vantage.ProtoDNS, vantage.ModeFresh)]),
-			cell(vantage.ProtoDoT, "%.1f (+%.1f)"),
-			cell(vantage.ProtoDoH, "%.1f (+%.1f)"),
-			cell(vantage.ProtoDoQ, "%.1f (%+.1f)"))
+			fmt.Sprintf("%.1f", m[leg(resolver.ProtoTCP, vantage.ModeFresh)]),
+			cell(resolver.ProtoDoT, "%.1f (+%.1f)"),
+			cell(resolver.ProtoDoH, "%.1f (+%.1f)"),
+			cell(resolver.ProtoDoQ, "%.1f (%+.1f)"))
 	}
 	return t.Render(), nil
 }
 
 // leg names one vantage timing pass.
-func leg(p vantage.Proto, m vantage.Mode) vantage.Leg { return vantage.Leg{Proto: p, Mode: m} }
+func leg(p resolver.Proto, m vantage.Mode) vantage.Leg { return vantage.Leg{Proto: p, Mode: m} }
 
 func runFig9(s *Study) (string, error) {
 	samples := s.PerfSamples()
@@ -525,10 +526,10 @@ func runFig9(s *Study) (string, error) {
 		Title:   "Figure 9: Query performance per country (overheads vs clear-text DNS, ms)",
 		Columns: []string{"CC", "Clients", "DoT avg", "DoT median", "DoH avg", "DoH median", "DoQ avg", "DoQ median", "DoT mux", "DoH mux", "DoQ mux"},
 	}
-	serial := []vantage.Leg{leg(vantage.ProtoDoT, vantage.ModeReused), leg(vantage.ProtoDoH, vantage.ModeReused),
-		leg(vantage.ProtoDoQ, vantage.ModeReused)}
-	mux := []vantage.Leg{leg(vantage.ProtoDoT, vantage.ModeMux), leg(vantage.ProtoDoH, vantage.ModeMux),
-		leg(vantage.ProtoDoQ, vantage.ModeMux)}
+	serial := []vantage.Leg{leg(resolver.ProtoDoT, vantage.ModeReused), leg(resolver.ProtoDoH, vantage.ModeReused),
+		leg(resolver.ProtoDoQ, vantage.ModeReused)}
+	mux := []vantage.Leg{leg(resolver.ProtoDoT, vantage.ModeMux), leg(resolver.ProtoDoH, vantage.ModeMux),
+		leg(resolver.ProtoDoQ, vantage.ModeMux)}
 	for _, c := range agg {
 		row := []any{c.Country, c.Clients}
 		for _, l := range serial {
@@ -560,8 +561,8 @@ func runFig10(s *Study) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure 10: Per-client query time (ms): DNS vs DoT and DNS vs DoH\n")
 	b.WriteString("node            cc  dns      dot      doh\n")
-	dns, dot, doh := leg(vantage.ProtoDNS, vantage.ModeReused), leg(vantage.ProtoDoT, vantage.ModeReused),
-		leg(vantage.ProtoDoH, vantage.ModeReused)
+	dns, dot, doh := leg(resolver.ProtoTCP, vantage.ModeReused), leg(resolver.ProtoDoT, vantage.ModeReused),
+		leg(resolver.ProtoDoH, vantage.ModeReused)
 	near := 0
 	for _, sm := range samples {
 		m := sm.Medians

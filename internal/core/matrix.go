@@ -212,27 +212,3 @@ func Table8() *analysis.Table {
 	}
 	return t
 }
-
-// ImplementationStats summarizes Table 8 the way Appendix A's discussion
-// does: how many surveyed implementations support each technology.
-func ImplementationStats() analysis.Counter {
-	c := analysis.Counter{}
-	for _, impl := range Implementations {
-		if impl.DoT {
-			c.Inc("DoT")
-		}
-		if impl.DoH {
-			c.Inc("DoH")
-		}
-		if impl.DNSCrypt {
-			c.Inc("DNSCrypt")
-		}
-		if impl.DNSSEC {
-			c.Inc("DNSSEC")
-		}
-		if impl.QNAMEMin {
-			c.Inc("QNAME minimisation")
-		}
-	}
-	return c
-}

@@ -24,9 +24,9 @@ import (
 // with the population is the campaign itself, and the campaign streams.
 // Every per-query memory sink the study world tolerates is switched off
 // here: the resolver cache is capped (safe because probe names are
-// task-private), the zone's query log is disabled, vantage geo comes from a
-// model-backed fallback instead of a million registered prefixes, and nodes
-// exist in the simulated world only while a worker holds them.
+// task-private), vantage geo comes from a model-backed fallback instead of
+// a million registered prefixes, and nodes exist in the simulated world
+// only while a worker holds them.
 
 // ScaleConfig sizes a streaming scale campaign.
 type ScaleConfig struct {
@@ -122,11 +122,8 @@ func NewScaleCampaign(cfg ScaleConfig) (*ScaleCampaign, error) {
 		return geo.Location{}, false
 	})
 
-	// Authoritative zone, query log off: retaining one name per lookup is
-	// the kind of O(population) state this world exists to avoid.
 	c.Zone = dnsserver.NewZone(ProbeZone)
 	c.Zone.WildcardA = netip.MustParseAddr("198.18.0.80")
-	c.Zone.DisableQueryLog = true
 	c.World.RegisterDatagram(authServerAddr, 53, dnsserver.DatagramHandler(c.Zone))
 
 	// One public resolver with a capped cache. Probe names are unique per

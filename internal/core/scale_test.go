@@ -81,9 +81,6 @@ func TestScaleCampaignBoundsWorldState(t *testing.T) {
 	if got := c.Resolver.CacheLen(); got > 64 {
 		t.Errorf("resolver cache grew to %d entries past the 64 cap", got)
 	}
-	if got := len(c.Zone.QueriedNames()); got != 0 {
-		t.Errorf("zone query log retained %d names with DisableQueryLog set", got)
-	}
 	if got := c.Network.ActiveCount(); got != 0 {
 		t.Errorf("active ledger retained %d nodes", got)
 	}

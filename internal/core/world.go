@@ -317,12 +317,9 @@ func (s *Study) buildPublicResolvers() error {
 	if err != nil {
 		return err
 	}
-	doh.Serve(s.World, cloudflareDoH, cfDoHLeaf, &doh.Server{
-		Handler: cfEnc,
-		Webpage: "<title>Cloudflare DNS</title>",
-	})
-	// Cloudflare serves a landing page on 1.1.1.1's ports 80/443 (used
-	// by the genuine-resolver comparison).
+	doh.Serve(s.World, cloudflareDoH, cfDoHLeaf, &doh.Server{Handler: cfEnc})
+	// Cloudflare serves a landing page on 1.1.1.1's ports 80/443, what a
+	// port probe that reaches the genuine resolver finds there.
 	s.World.RegisterStream(cloudflareDNS, 80, netsim.StaticPage("Cloudflare", "<title>1.1.1.1 — the free app that makes your Internet faster.</title>"))
 	s.World.RegisterStream(cloudflareDNS, 443, netsim.StaticPage("Cloudflare", "<title>1.1.1.1</title>"))
 
@@ -339,8 +336,6 @@ func (s *Study) buildPublicResolvers() error {
 	doh.Serve(s.World, googleDoH, gLeaf, &doh.Server{
 		Handler: gEnc,
 		Paths:   []string{doh.DefaultPath, doh.JSONPath},
-		JSONAPI: true,
-		Webpage: "<title>Google Public DNS</title>",
 	})
 
 	// Quad9: all three protocols on 9.9.9.9; the DoH front-end forwards
@@ -399,7 +394,6 @@ func (s *Study) buildPublicResolvers() error {
 				return time.Duration(rng.Intn(200)) * time.Millisecond
 			},
 		},
-		Webpage: "<title>Quad9</title>",
 	})
 
 	// Self-built resolver: authoritative-backed, all three protocols.

@@ -61,28 +61,6 @@ func New(w *netsim.World, from netip.Addr) *Client {
 	return &Client{World: w, From: from}
 }
 
-// Deadline resolves a transaction's real-time guard: the earlier of the
-// context deadline and now+timeout. Contexts carry cancellation across the
-// client packages; resolver's Timeout option is the per-transaction default. A
-// timeout <= 0 disables the per-transaction guard entirely — only the
-// context deadline (if any) applies, and the zero time.Time returned when
-// the context has none means "no deadline" to the connection layer.
-//
-//doelint:clockboundary -- real-time watchdog only; it aborts a hung transaction and never enters simulated results
-func Deadline(ctx context.Context, timeout time.Duration) time.Time {
-	if timeout <= 0 {
-		if cd, ok := ctx.Deadline(); ok {
-			return cd
-		}
-		return time.Time{}
-	}
-	d := time.Now().Add(timeout)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(d) {
-		return cd
-	}
-	return d
-}
-
 // QueryUDPContext performs a DNS-over-UDP lookup, honouring ctx between
 // retry attempts.
 func (c *Client) QueryUDPContext(ctx context.Context, server netip.Addr, name string, qtype dnswire.Type) (*Result, error) {
@@ -151,15 +129,14 @@ type TCPConn struct {
 // TCPFromConn wraps an already established stream (e.g. a SOCKS tunnel) as
 // a clear-text DNS-over-TCP connection.
 func TCPFromConn(conn *netsim.Conn) *TCPConn {
-	return NewTCPConn(conn, conn, 0, 0)
+	return NewTCPConn(conn, conn, 0)
 }
 
 // NewTCPConn wraps rw, a stream carrying RFC 7766 length-prefixed DNS
 // messages (conn itself for clear-text TCP, a tls.Conn over it for DoT), as
-// a session; padBlock > 0 pads each query to that EDNS(0) block size
-// (RFC 8467). See NewFramedConn for conn and cost.
-func NewTCPConn(rw io.ReadWriteCloser, conn *netsim.Conn, cost time.Duration, padBlock int) *TCPConn {
-	t := &TCPConn{dns: dnsFraming{stream: rw, ids: dnswire.NewIDGen(), pad: padBlock}}
+// a session. See NewFramedConn for conn and cost.
+func NewTCPConn(rw io.ReadWriteCloser, conn *netsim.Conn, cost time.Duration) *TCPConn {
+	t := &TCPConn{dns: dnsFraming{stream: rw, ids: dnswire.NewIDGen()}}
 	return t.start(&t.dns, rw, conn, cost)
 }
 
@@ -298,30 +275,13 @@ func (t *TCPConn) Close() error {
 type dnsFraming struct {
 	stream io.Reader
 	ids    dnswire.IDGen
-	pad    int // EDNS(0) padding block; 0 sends queries unpadded
 }
 
 func (f *dnsFraming) NextTag() uint32 { return uint32(f.ids.Next()) }
 
 //doelint:hotpath
 func (f *dnsFraming) AppendQuery(wb []byte, tag uint32, name string, qtype dnswire.Type) ([]byte, error) {
-	if f.pad > 0 {
-		return appendPaddedQuery(wb, uint16(tag), name, qtype, f.pad) //doelint:allow hotalloc -- padding repacks the query for sizing; one pass per query by design
-	}
 	return dnswire.NewQuery(uint16(tag), name, qtype).AppendPackTCP(wb)
-}
-
-// appendPaddedQuery frames a query padded to block. It builds its own
-// message: padding repacks the query for sizing, which moves it to the
-// heap, and the clear-text query in AppendQuery must not share its
-// allocation site.
-func appendPaddedQuery(wb []byte, id uint16, name string, qtype dnswire.Type, block int) ([]byte, error) {
-	q := dnswire.NewQuery(id, name, qtype)
-	q.SetEDNS0(4096, false)
-	if err := q.PadToBlock(block); err != nil {
-		return nil, err
-	}
-	return q.AppendPackTCP(wb)
 }
 
 // ReadReply reads one length-prefixed message. A message that does not

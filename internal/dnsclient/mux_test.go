@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
-	"time"
 
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/netsim"
@@ -136,20 +135,5 @@ func TestMuxConcurrentExchange(t *testing.T) {
 		if err != nil {
 			t.Errorf("query %d: %v", i, err)
 		}
-	}
-}
-
-func TestDeadlineZeroTimeoutMeansNoDeadline(t *testing.T) {
-	if d := Deadline(context.Background(), 0); !d.IsZero() {
-		t.Errorf("Deadline(bg, 0) = %v, want zero time", d)
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
-	defer cancel()
-	cd, _ := ctx.Deadline()
-	if d := Deadline(ctx, 0); !d.Equal(cd) {
-		t.Errorf("Deadline(ctx, 0) = %v, want ctx deadline %v", d, cd)
-	}
-	if d := Deadline(context.Background(), time.Second); d.IsZero() {
-		t.Error("Deadline(bg, 1s) returned zero time")
 	}
 }

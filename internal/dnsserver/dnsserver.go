@@ -154,15 +154,9 @@ type Zone struct {
 	WildcardA netip.Addr
 	// Proc is the fixed authoritative processing time per query.
 	Proc time.Duration
-	// DisableQueryLog stops the zone recording answered names. The log
-	// exists for measurement verification (QueriedNames); million-vantage
-	// streaming campaigns disable it because retaining one string per
-	// lookup is O(total queries) heap. Responses are unaffected.
-	DisableQueryLog bool
 
 	mu          sync.RWMutex
 	records     map[string]map[dnswire.Type][]dnswire.Record
-	queried     []string // names seen, for measurement verification
 	delegations []delegation
 }
 
@@ -192,13 +186,6 @@ func (z *Zone) Add(name string, ttl uint32, data dnswire.RData) *Zone {
 	return z
 }
 
-// QueriedNames returns a copy of all names the zone has answered, in order.
-func (z *Zone) QueriedNames() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return append([]string(nil), z.queried...)
-}
-
 // ServeDNS implements Handler.
 func (z *Zone) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
 	resp := req.Reply()
@@ -210,13 +197,10 @@ func (z *Zone) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Message, t
 		resp.Rcode = dnswire.RcodeRefused
 		return resp, z.Proc
 	}
-	z.mu.Lock()
-	if !z.DisableQueryLog {
-		z.queried = append(z.queried, name)
-	}
+	z.mu.RLock()
 	byType := z.records[name]
 	deleg, delegated := z.referralFor(name)
-	z.mu.Unlock()
+	z.mu.RUnlock()
 
 	// Names at or below a delegation point get a referral, not an answer
 	// (unless the query is for the apex itself with data we hold).

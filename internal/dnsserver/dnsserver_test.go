@@ -42,10 +42,6 @@ func TestZoneAnswersAndWildcard(t *testing.T) {
 	if a, ok := resp2.Answers[0].Data.(dnswire.A); !ok || a.Addr != z.WildcardA {
 		t.Errorf("wildcard answer = %v", resp2.Answers)
 	}
-	names := z.QueriedNames()
-	if len(names) != 2 || names[1] != "nonce-12345.measure.example.org." {
-		t.Errorf("queried names = %v", names)
-	}
 }
 
 func TestZoneRefusesOutOfZone(t *testing.T) {

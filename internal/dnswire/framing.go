@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+
+	"dnsencryption.info/doe/internal/bufpool"
 )
 
 // MaxTCPMessage is the largest DNS message expressible with 2-byte framing.
@@ -41,19 +43,6 @@ func ReadTCP(r io.Reader) ([]byte, error) {
 	return ReadTCPAppend(r, nil)
 }
 
-// growLen returns buf resized to len(buf)+n, reallocating (with capacity
-// doubling) only when the capacity is insufficient. The added bytes are
-// uninitialized.
-func growLen(buf []byte, n int) []byte {
-	want := len(buf) + n
-	if want <= cap(buf) {
-		return buf[:want]
-	}
-	nb := make([]byte, want, max(want, 2*cap(buf))) //doelint:allow hotalloc -- amortized doubling; steady state reuses capacity
-	copy(nb, buf)
-	return nb
-}
-
 // ReadTCPAppend reads one length-prefixed DNS message from r, appending it
 // after len(buf) and returning the extended slice. Passing a reused scratch
 // buffer (typically scratch[:0]) makes the steady-state read path
@@ -66,12 +55,12 @@ func ReadTCPAppend(r io.Reader, buf []byte) ([]byte, error) {
 	// then overwritten by the body: a local array would escape through the
 	// io.Reader call and cost an allocation per read.
 	start := len(buf)
-	buf = growLen(buf, 2)
+	buf = bufpool.Grow(buf, 2)
 	if _, err := io.ReadFull(r, buf[start:]); err != nil {
 		return nil, err
 	}
 	msgLen := int(binary.BigEndian.Uint16(buf[start:]))
-	buf = growLen(buf[:start], msgLen)
+	buf = bufpool.Grow(buf[:start], msgLen)
 	if _, err := io.ReadFull(r, buf[start:]); err != nil {
 		return nil, err
 	}

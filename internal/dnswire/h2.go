@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"dnsencryption.info/doe/internal/bufpool"
 )
 
 // H2ClientPreface is the fixed connection preface every HTTP/2 client sends
@@ -138,7 +140,7 @@ func ReadH2FrameAppend(r io.Reader, buf []byte) (H2Frame, []byte, error) {
 	// then overwritten by the payload; a local array would escape through
 	// the io.Reader call.
 	start := len(buf)
-	buf = growLen(buf, H2FrameHeaderLen)
+	buf = bufpool.Grow(buf, H2FrameHeaderLen)
 	if _, err := io.ReadFull(r, buf[start:]); err != nil {
 		return H2Frame{}, nil, err
 	}
@@ -152,7 +154,7 @@ func ReadH2FrameAppend(r io.Reader, buf []byte) (H2Frame, []byte, error) {
 	if n > MaxH2FrameLen {
 		return H2Frame{}, nil, fmt.Errorf("dnswire: h2 frame of %d bytes exceeds frame limit", n)
 	}
-	buf = growLen(buf[:start], n)
+	buf = bufpool.Grow(buf[:start], n)
 	if _, err := io.ReadFull(r, buf[start:]); err != nil {
 		return H2Frame{}, nil, err
 	}

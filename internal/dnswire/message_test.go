@@ -263,22 +263,6 @@ func TestIsSubdomain(t *testing.T) {
 	}
 }
 
-func TestSLD(t *testing.T) {
-	cases := map[string]string{
-		"dns.example.com":            "example.com.",
-		"a.b.c.example.org.":         "example.org.",
-		"example.com":                "example.com.",
-		"com":                        "com.",
-		".":                          ".",
-		"mozilla.cloudflare-dns.com": "cloudflare-dns.com.",
-	}
-	for in, want := range cases {
-		if got := SLD(in); got != want {
-			t.Errorf("SLD(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestCaseInsensitiveDecoding(t *testing.T) {
 	q := NewQuery(5, "MiXeD.ExAmPlE.CoM", TypeAAAA)
 	got := mustUnpack(t, mustPack(t, q))

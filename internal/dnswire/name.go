@@ -46,21 +46,6 @@ func IsSubdomain(child, parent string) bool {
 	return child == parent || strings.HasSuffix(child, "."+parent)
 }
 
-// SLD returns the second-level domain of a name ("a.b.example.com." →
-// "example.com."). Names with fewer than two labels are returned unchanged.
-// The paper groups DoT providers by the SLD of certificate Common Names.
-func SLD(name string) string {
-	name = CanonicalName(name)
-	if name == "." {
-		return "."
-	}
-	labels := strings.Split(strings.TrimSuffix(name, "."), ".")
-	if len(labels) <= 2 {
-		return name
-	}
-	return strings.Join(labels[len(labels)-2:], ".") + "."
-}
-
 // validateName checks the per-label and total length restrictions of a
 // canonical name without splitting it into a label slice. Per-label errors
 // take precedence over the total-length error, matching the historical

@@ -157,7 +157,7 @@ func (s *fuzzStream) Write(p []byte) (int, error) {
 func serveFuzzed(loop serverLoop, r io.Reader) *fuzzStream {
 	z := dnsserver.NewZone("measure.example.org")
 	z.WildcardA = answerIP
-	srv := &Server{Handler: z, JSONAPI: true, Webpage: "<html>resolver</html>"}
+	srv := &Server{Handler: z, JSONAPI: true}
 	_, conn := netsim.Pair(netsim.Addr{IP: clientIP, Port: 40000}, netsim.Addr{IP: dohIP, Port: Port}, time.Millisecond, nil, 0)
 	s := &fuzzStream{r: r}
 	loop(srv, conn, clientIP, s, srv.paths())

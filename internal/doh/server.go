@@ -68,9 +68,6 @@ type Server struct {
 	// JSONAPI additionally enables the Google-style JSON endpoint at
 	// /resolve.
 	JSONAPI bool
-	// Webpage, when non-empty, is served for "/" — public resolvers run
-	// informational landing pages the study fetches for identification.
-	Webpage string
 }
 
 func (s *Server) paths() map[string]bool {
@@ -149,8 +146,6 @@ func (s *Server) handle(conn *netsim.Conn, remote netip.Addr, req *http.Request,
 		return s.handleWire(conn, remote, req)
 	case s.JSONAPI && req.URL.Path == JSONPath:
 		return s.handleJSON(conn, remote, req)
-	case req.URL.Path == "/" && s.Webpage != "":
-		return httpResponse(req, http.StatusOK, "text/html", []byte(s.Webpage))
 	default:
 		return httpResponse(req, http.StatusNotFound, "text/plain", []byte("not found"))
 	}

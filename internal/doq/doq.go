@@ -201,27 +201,6 @@ func parseServerHello(b []byte) (serverHello, error) {
 	return sh, nil
 }
 
-// Probe returns a minimal QUIC Initial packet (client hello, no ticket)
-// suitable for UDP/853 liveness sweeps: any response — a handshake or a
-// CONNECTION_CLOSE — proves something QUIC-shaped listens on the port,
-// the datagram analog of the scanner's TCP SYN stage.
-func Probe() []byte {
-	scid := [dnswire.QUICCIDLen]byte{'d', 'o', 'q', 'p', 'r', 'o', 'b', 'e'}
-	pkt, err := dnswire.AppendQUICHeader(nil, dnswire.QUICHeader{
-		Type: dnswire.QUICInitial, Version: dnswire.QUICVersion,
-		DCID: scid[:], SCID: scid[:],
-	})
-	if err != nil {
-		panic("doq: probe header: " + err.Error())
-	}
-	hello := appendClientHello(nil, clientHello{alpn: helloALPN})
-	pkt, err = dnswire.AppendQUICFrame(pkt, dnswire.QUICFrame{Type: dnswire.QUICFrameCrypto, Data: hello})
-	if err != nil {
-		panic("doq: probe frame: " + err.Error())
-	}
-	return pkt
-}
-
 // --- Server --------------------------------------------------------------
 
 // Server is the per-address DoQ front-end state: the connection table that
@@ -251,25 +230,6 @@ func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, h dnsserver.Handl
 	}
 	w.RegisterDatagram(addr, Port, s.handlePacket)
 	return s
-}
-
-// ServeNotDoQ registers a UDP/853 service that answers QUIC flights with a
-// transport-level CONNECTION_CLOSE instead of completing a handshake — the
-// port-open-but-not-DoQ population the scanner must tell apart from real
-// resolvers, the DoQ analog of dot.ServeNotDNS.
-func ServeNotDoQ(w *netsim.World, addr netip.Addr) {
-	w.RegisterDatagram(addr, Port, func(from netip.Addr, req []byte) ([]byte, time.Duration, error) {
-		h, _, err := dnswire.ParseQUICHeader(req)
-		if err != nil {
-			return nil, 0, netsim.ErrBlackhole
-		}
-		resp, err := appendConnClose(nil, dnswire.QUICHeader{Type: dnswire.QUICHandshake,
-			Version: dnswire.QUICVersion, DCID: h.SCID}, dnswire.QUICFrameConnClose, 0, "not doq")
-		if err != nil {
-			return nil, 0, netsim.ErrBlackhole
-		}
-		return resp, 0, nil
-	})
 }
 
 // Reset drops all connection state, as a server restart (or population

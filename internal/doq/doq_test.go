@@ -358,7 +358,20 @@ func TestServerEnforcesProtocol(t *testing.T) {
 
 func TestNotDoQServiceRefusesHandshake(t *testing.T) {
 	f := newFixture(t)
-	ServeNotDoQ(f.world, doqIP)
+	// A UDP/853 service that answers every QUIC flight with a transport
+	// CONNECTION_CLOSE instead of completing a handshake.
+	f.world.RegisterDatagram(doqIP, Port, func(from netip.Addr, req []byte) ([]byte, time.Duration, error) {
+		h, _, err := dnswire.ParseQUICHeader(req)
+		if err != nil {
+			return nil, 0, netsim.ErrBlackhole
+		}
+		resp, err := appendConnClose(nil, dnswire.QUICHeader{Type: dnswire.QUICHandshake,
+			Version: dnswire.QUICVersion, DCID: h.SCID}, dnswire.QUICFrameConnClose, 0, "not doq")
+		if err != nil {
+			return nil, 0, netsim.ErrBlackhole
+		}
+		return resp, 0, nil
+	})
 	c := &Client{Roots: certs.Pool(f.ca), Profile: dot.Opportunistic}
 	if _, err := f.dial(c); !errors.Is(err, ErrClosed) {
 		t.Errorf("dial against not-DoQ service: err = %v, want ErrClosed", err)

@@ -49,14 +49,6 @@ func (p Profile) String() string {
 // certificate cannot be verified.
 var ErrAuthFailed = errors.New("dot: server authentication failed (strict profile)")
 
-// ServerPadBlock is the response padding block size RFC 8467 recommends
-// for DNS-over-Encryption servers.
-const ServerPadBlock = 468
-
-// padBlock is the query padding block size RFC 8467 recommends for
-// clients.
-const padBlock = 128
-
 // cryptoCost models per-query TLS record processing, charged to the
 // session's virtual clock (the residual overhead the paper observes on
 // reused connections).
@@ -64,9 +56,7 @@ const cryptoCost = 2500 * time.Microsecond
 
 // Serve registers a DoT server on addr:853 of the world, terminating TLS
 // with leaf and answering queries with h. extraProc is charged per query on
-// top of h's own processing time (TLS record costs). Responses to queries
-// that carried an EDNS(0) padding option are padded to 468-byte blocks, the
-// RFC 8467 server policy.
+// top of h's own processing time (TLS record costs).
 func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, h dnsserver.Handler, extraProc time.Duration) {
 	cert := leaf.TLSCertificate()
 	// One shared config: session-ticket keys must persist across
@@ -81,14 +71,6 @@ func Serve(w *netsim.World, addr netip.Addr, leaf *certs.Leaf, h dnsserver.Handl
 		}
 		wrapped := dnsserver.HandlerFunc(func(remote netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
 			resp, proc := h.ServeDNS(remote, req)
-			if resp != nil {
-				if opt, ok := req.OPT(); ok {
-					if _, padded := opt.Padding(); padded {
-						resp.SetEDNS0(opt.UDPSize, opt.DO)
-						resp.PadToBlock(ServerPadBlock) //nolint:errcheck // best effort
-					}
-				}
-			}
 			return resp, proc + extraProc
 		})
 		dnsserver.ServeTLSStream(tc, conn, wrapped)
@@ -129,15 +111,11 @@ type Client struct {
 	// Roots is the trust store for verification (the study's simulated
 	// Mozilla CA list).
 	Roots *certs.TrustStore
-	// Profile selects Strict or Opportunistic behaviour.
+	// Profile selects Strict or Opportunistic behaviour. Verification
+	// checks the certificate path only: "we do not compare domain names
+	// ... only verify the certificate paths", since DoT resolver names are
+	// unknown.
 	Profile Profile
-	// ServerName, when set, is additionally matched against the
-	// certificate (authentication domain). The paper's scanner leaves it
-	// empty: "we do not compare domain names ... only verify the
-	// certificate paths", since DoT resolver names are unknown.
-	ServerName string
-	// Pad, when set, adds EDNS(0) padding to 128-byte blocks (RFC 8467).
-	Pad bool
 	// SessionCache enables TLS session resumption across Dials, the other
 	// amortization lever RFC 7858 §3.4 points at alongside connection
 	// reuse (Cloudflare's operational reports emphasize resumption).
@@ -151,8 +129,8 @@ func NewClient(w *netsim.World, from netip.Addr, roots *certs.TrustStore, profil
 
 // Conn is a reusable DoT session: a TLS handshake and its certificate
 // evidence over a dnsclient.TCPConn, which carries the queries (serial, or
-// pipelined after Pipeline) with the per-query cryptoCost and the client's
-// padding policy, and closes the session.
+// pipelined after Pipeline) with the per-query cryptoCost, and closes the
+// session.
 type Conn struct {
 	*dnsclient.TCPConn
 	tls *tls.Conn
@@ -176,7 +154,8 @@ func (c *Client) DialContext(ctx context.Context, server netip.Addr) (*Conn, err
 	if err != nil {
 		return nil, err
 	}
-	raw.SetDeadline(dnsclient.Deadline(ctx, 0))
+	deadline, _ := ctx.Deadline()
+	raw.SetDeadline(deadline)
 	return c.DialConnContext(ctx, raw)
 }
 
@@ -210,23 +189,18 @@ func (c *Client) DialConnContext(ctx context.Context, raw *netsim.Conn) (*Conn, 
 		}
 		return nil, err
 	}
-	pad := 0
-	if c.Pad {
-		pad = padBlock
-	}
-	conn.TCPConn = dnsclient.NewTCPConn(tc, raw, cryptoCost, pad)
+	conn.TCPConn = dnsclient.NewTCPConn(tc, raw, cryptoCost)
 	conn.tls = tc
 	return conn, nil
 }
 
-// verifyChain performs path (and optional name) verification at RefTime.
-// The chain stays raw: the trust store parses it only the first time it
-// sees it.
+// verifyChain performs path verification at RefTime. The chain stays raw:
+// the trust store parses it only the first time it sees it.
 func (c *Client) verifyChain(rawCerts [][]byte) error {
 	if len(rawCerts) == 0 {
 		return errors.New("dot: no certificate presented")
 	}
-	return c.Roots.Verify(rawCerts, c.ServerName)
+	return c.Roots.Verify(rawCerts, "")
 }
 
 // VerifyError reports the (path) verification outcome of the session; nil

@@ -171,20 +171,6 @@ func TestConnectionReuseAmortizesSetup(t *testing.T) {
 	}
 }
 
-func TestStrictWithServerNameMatch(t *testing.T) {
-	f := newFixture(t)
-	f.serveDoT(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	c.ServerName = "dns.provider.example"
-	if _, err := queryOnce(context.Background(), c, "p.measure.example.org"); err != nil {
-		t.Fatalf("matching name rejected: %v", err)
-	}
-	c.ServerName = "wrong.example"
-	if _, err := queryOnce(context.Background(), c, "p.measure.example.org"); !errors.Is(err, ErrAuthFailed) {
-		t.Errorf("wrong name err = %v, want ErrAuthFailed", err)
-	}
-}
-
 func TestExpiredCertFailsStrictButNotOpportunistic(t *testing.T) {
 	f := newFixture(t)
 	leaf, err := f.ca.IssueExpired(certs.LeafOptions{CommonName: "old.example"}, 30*24*time.Hour)
@@ -223,36 +209,6 @@ func TestPeerCertificatesExposed(t *testing.T) {
 	}
 	if got := certs.ProviderKey(chain[0]); got != "provider.example" {
 		t.Errorf("provider key = %q", got)
-	}
-}
-
-func TestPaddingOption(t *testing.T) {
-	f := newFixture(t)
-	// Zone handler that checks for the padding option.
-	sawPadding := make(chan bool, 1)
-	h := dnsserver.HandlerFunc(func(remote netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
-		if opt, ok := req.OPT(); ok {
-			if _, padded := opt.Padding(); padded {
-				select {
-				case sawPadding <- true:
-				default:
-				}
-			}
-		}
-		return f.zone.ServeDNS(remote, req)
-	})
-	leaf := f.validLeaf(t)
-	Serve(f.world, dotIP, leaf, h, 0)
-
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	c.Pad = true
-	if _, err := queryOnce(context.Background(), c, "padded.measure.example.org"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sawPadding:
-	default:
-		t.Error("server did not observe EDNS(0) padding")
 	}
 }
 
@@ -329,50 +285,10 @@ func TestProfileString(t *testing.T) {
 	}
 }
 
-func TestServerPadsResponsesWhenClientPads(t *testing.T) {
-	f := newFixture(t)
-	f.serveDoT(t, f.validLeaf(t))
-	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	c.Pad = true
-	conn, err := c.Dial(dotIP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	res, err := conn.Query("padded-resp.measure.example.org", dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, ok := res.Msg.OPT()
-	if !ok {
-		t.Fatal("response lacks OPT record")
-	}
-	if _, padded := opt.Padding(); !padded {
-		t.Error("response not padded (RFC 8467 server policy)")
-	}
-	packed, err := res.Msg.Pack()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(packed)%ServerPadBlock != 0 {
-		t.Errorf("response length %d not a multiple of %d", len(packed), ServerPadBlock)
-	}
-	// Unpadded clients get unpadded responses.
-	c2 := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	res2, err := queryOnce(context.Background(), c2, "plain-resp.measure.example.org")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res2.Msg.OPT(); ok {
-		t.Error("unpadded query got an OPT response")
-	}
-}
-
 func TestSessionResumption(t *testing.T) {
 	f := newFixture(t)
 	f.serveDoT(t, f.validLeaf(t))
 	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
-	c.ServerName = "dns.provider.example"
 	c.SessionCache = tls.NewLRUClientSessionCache(8)
 
 	first, err := c.Dial(dotIP)

@@ -9,7 +9,6 @@
 package geo
 
 import (
-	"fmt"
 	"math"
 	"net/netip"
 	"slices"
@@ -104,28 +103,9 @@ var builtinCountries = []Country{
 	{"BG", "Bulgaria", 59, 43, 9},
 }
 
-// CountryByCode returns the built-in country table entry for code.
-func CountryByCode(code string) (Country, bool) {
-	for _, c := range builtinCountries {
-		if c.Code == code {
-			return c, true
-		}
-	}
-	return Country{}, false
-}
-
 // Countries returns a copy of the built-in country table.
 func Countries() []Country {
 	return append([]Country(nil), builtinCountries...)
-}
-
-// CountryCodes returns all built-in country codes in table order.
-func CountryCodes() []string {
-	codes := make([]string, len(builtinCountries))
-	for i, c := range builtinCountries {
-		codes[i] = c.Code
-	}
-	return codes
 }
 
 // RTTModel computes simulated round-trip times between countries.
@@ -295,10 +275,4 @@ func (r *Registry) Country(ip netip.Addr) string {
 		return loc.Country
 	}
 	return "ZZ"
-}
-
-// ASNameString renders an AS the way the paper's tables do, e.g.
-// "AS44725 Sinam LLC".
-func ASNameString(asn int, name string) string {
-	return fmt.Sprintf("AS%d %s", asn, name)
 }

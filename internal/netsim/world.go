@@ -125,7 +125,7 @@ type World struct {
 
 	mu        sync.RWMutex
 	streams   map[Addr]StreamHandler
-	dgrams    map[Addr]*dgramService
+	dgrams    map[Addr]DatagramHandler
 	networks  geo.Table[[]DialPolicy] // middleboxes on client networks
 	everyPath []DialPolicy            // middleboxes on every path
 	faults    FaultInjector
@@ -138,17 +138,13 @@ type World struct {
 	ephemeral atomic.Uint32
 }
 
-type dgramService struct {
-	handler DatagramHandler
-}
-
 // NewWorld creates an empty world with the built-in geography.
 func NewWorld(seed int64) *World {
 	return &World{
 		Geo:        &geo.Registry{},
 		RTT:        geo.NewRTTModel(),
 		streams:    make(map[Addr]StreamHandler),
-		dgrams:     make(map[Addr]*dgramService),
+		dgrams:     make(map[Addr]DatagramHandler),
 		seed:       seed,
 		JitterFrac: 0.10,
 	}
@@ -238,14 +234,7 @@ func (w *World) Close() {
 func (w *World) RegisterDatagram(ip netip.Addr, port uint16, handler DatagramHandler) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.dgrams[Addr{IP: ip, Port: port}] = &dgramService{handler: handler}
-}
-
-// HasStream reports whether a stream service is registered on ip:port,
-// ignoring policies. Tests and world builders use it; measurements must go
-// through Dial.
-func (w *World) HasStream(ip netip.Addr, port uint16) bool {
-	return w.stream(Addr{IP: ip, Port: port}) != nil
+	w.dgrams[Addr{IP: ip, Port: port}] = handler
 }
 
 // stream returns the handler of the stream service on dst, or nil.
@@ -253,20 +242,6 @@ func (w *World) stream(dst Addr) StreamHandler {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return w.streams[dst]
-}
-
-// StreamAddrs returns every address with a service on port, in unspecified
-// order. World builders use it to compile ground-truth lists.
-func (w *World) StreamAddrs(port uint16) []netip.Addr {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	var addrs []netip.Addr
-	for a := range w.streams {
-		if a.Port == port {
-			addrs = append(addrs, a.IP)
-		}
-	}
-	return addrs
 }
 
 // flowSeeds derives a connection's two jitter seeds, client->server
@@ -432,12 +407,12 @@ func (w *World) Exchange(from, to netip.Addr, port uint16, req []byte) ([]byte, 
 		return nil, 0, ErrBlackhole
 	}
 	w.mu.RLock()
-	svc, ok := w.dgrams[Addr{IP: to, Port: port}]
+	handler, ok := w.dgrams[Addr{IP: to, Port: port}]
 	w.mu.RUnlock()
 	if !ok {
 		return nil, 0, ErrNoRoute
 	}
-	resp, proc, err := svc.handler(from, req)
+	resp, proc, err := handler(from, req)
 	if err != nil {
 		return nil, 0, err
 	}

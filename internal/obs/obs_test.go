@@ -182,7 +182,8 @@ func TestValidateRejectsMalformedTraces(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	r := NewRecorder("study")
-	sp := r.Root().Start("exp:table4", Attr("title", "reachability"))
+	sp := r.Root().Start("exp:table4")
+	sp.SetAttr("title", "reachability")
 	sp.Charge(1500 * time.Microsecond)
 	sp.Event("note")
 	child := sp.Start("lookup")
@@ -304,7 +305,8 @@ func TestRenderTree(t *testing.T) {
 	r := NewRecorder("study")
 	sp := r.Root().Start("exp:table4")
 	sp.Charge(2 * time.Millisecond)
-	look := sp.Start("lookup", Attr("outcome", "correct"))
+	look := sp.Start("lookup")
+	look.SetAttr("outcome", "correct")
 	look.Event("fault:stall")
 	recs := r.Records()
 	out := RenderTree(recs)

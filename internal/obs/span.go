@@ -43,9 +43,6 @@ type SpanOption func(*Span)
 // its task index here, or export order would depend on scheduling.
 func Key(i int) SpanOption { return func(s *Span) { s.key = i } }
 
-// Attr attaches a key=value attribute at Start time.
-func Attr(k, v string) SpanOption { return func(s *Span) { s.setAttrLocked(k, v) } }
-
 // Start opens a child span. Nil-safe: a nil receiver returns nil.
 func (s *Span) Start(name string, opts ...SpanOption) *Span {
 	if s == nil {
@@ -70,11 +67,7 @@ func (s *Span) SetAttr(k, v string) {
 		return
 	}
 	s.mu.Lock()
-	s.setAttrLocked(k, v)
-	s.mu.Unlock()
-}
-
-func (s *Span) setAttrLocked(k, v string) {
+	defer s.mu.Unlock()
 	for i := range s.attrs {
 		if s.attrs[i].k == k {
 			s.attrs[i].v = v

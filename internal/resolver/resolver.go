@@ -129,20 +129,12 @@ type Endpoint struct {
 // construct via New or NewVia, which apply defaults before the functional
 // options.
 type Options struct {
-	// Timeout is the per-transaction real-time guard (virtual latency is
-	// unaffected; this protects the test harness). Zero or negative — the
-	// default — means no per-transaction guard: only the context's own
-	// deadline applies. A nonzero guard makes query success depend on
-	// host scheduling, so deterministic campaigns must leave it unset.
-	Timeout time.Duration
 	// Reuse keeps one session open across Exchanges on a Transport. With
 	// it off, every Exchange dials, queries once and closes — the no-reuse
 	// arm of the §4.3 comparison.
 	Reuse bool
 	// Profile selects the DoT usage profile (RFC 8310).
 	Profile dot.Profile
-	// Padding adds EDNS(0) padding (RFC 8467) to DoT queries.
-	Padding bool
 	// Retry is the Transport attempt budget; the zero value disables
 	// retries (one attempt per Exchange).
 	Retry RetryPolicy
@@ -153,15 +145,9 @@ type Options struct {
 	MaxInFlight int
 }
 
-// Option mutates Options; see WithTimeout, WithReuse, WithProfile,
-// WithPadding, WithRetry, WithMaxInFlight.
+// Option mutates Options; see WithReuse, WithProfile, WithRetry,
+// WithMaxInFlight.
 type Option func(*Options)
-
-// WithTimeout sets the per-transaction real-time guard. Zero (or negative,
-// and the default) disables the guard entirely — transactions then run until
-// the context expires — which is the right setting for deterministic replays
-// that must not depend on host scheduling.
-func WithTimeout(d time.Duration) Option { return func(o *Options) { o.Timeout = d } }
 
 // WithReuse controls connection reuse on Transports (default true). False
 // selects the no-reuse arm: every Exchange dials, queries once and closes.
@@ -171,10 +157,6 @@ func WithReuse(on bool) Option { return func(o *Options) { o.Reuse = on } }
 // paper's client-side choice). The zero Profile value is dot.Strict; pass it
 // explicitly when strict authentication is wanted.
 func WithProfile(p dot.Profile) Option { return func(o *Options) { o.Profile = p } }
-
-// WithPadding enables EDNS(0) padding on DoT queries (default off). False
-// restores the default unpadded queries.
-func WithPadding(on bool) Option { return func(o *Options) { o.Padding = on } }
 
 // WithMaxInFlight allows up to n concurrent in-flight queries per dialed
 // session (default 0 = serial sessions). n ≤ 0 restores serial behavior.
@@ -243,13 +225,13 @@ func NewVia(d Dialer, roots *certs.TrustStore, opts ...Option) *Client {
 }
 
 // Dial opens a session to ep over protocol p through the Client's Dialer,
-// applying the Client's options: DoT profile and padding, and — when
-// MaxInFlight is set — query pipelining (TCP, DoT), HTTP/2 stream
-// multiplexing (DoH) or concurrent QUIC streams (DoQ). Every Dialer runs
-// the same steps: open the raw transport, bound a stream by the context's
-// deadline or the Timeout guard (no deadline when neither is set), then run
-// the protocol's handshake over it. Dialer errors come back unwrapped. The
-// returned Session is safe for concurrent Exchange calls.
+// applying the Client's options: DoT profile and — when MaxInFlight is set
+// — query pipelining (TCP, DoT), HTTP/2 stream multiplexing (DoH) or
+// concurrent QUIC streams (DoQ). Every Dialer runs the same steps: open the
+// raw transport, bound a stream by the context's deadline (no deadline when
+// it has none), then run the protocol's handshake over it. Dialer errors
+// come back unwrapped. The returned Session is safe for concurrent Exchange
+// calls.
 func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error) {
 	if p < 0 || int(p) >= len(ports) {
 		return nil, fmt.Errorf("resolver: unknown protocol %v", p)
@@ -274,7 +256,8 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 	if err != nil {
 		return nil, err
 	}
-	raw.SetDeadline(dnsclient.Deadline(ctx, c.opts.Timeout))
+	deadline, _ := ctx.Deadline()
+	raw.SetDeadline(deadline)
 	switch p {
 	case ProtoTCP:
 		conn := dnsclient.TCPFromConn(raw)
@@ -283,7 +266,7 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 		}
 		return session{conn}, nil
 	case ProtoDoT:
-		dc := dot.Client{Roots: c.Roots, Profile: c.opts.Profile, Pad: c.opts.Padding}
+		dc := dot.Client{Roots: c.Roots, Profile: c.opts.Profile}
 		conn, err := dc.DialConnContext(ctx, raw)
 		if err != nil {
 			return nil, err

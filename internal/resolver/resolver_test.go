@@ -166,37 +166,6 @@ func TestStrictProfileOptionRejectsUntrustedServer(t *testing.T) {
 	checkAnswer(t, m, err, "opportunistic dot")
 }
 
-func TestPaddingOptionTriggersServerPadding(t *testing.T) {
-	f := newFixture(t)
-	ctx := context.Background()
-	// RFC 8467 servers pad responses only to queries that carried the
-	// padding option, so the response reveals whether WithPadding reached
-	// the wire.
-	run := func(pad bool) bool {
-		sess, err := f.client(t, WithPadding(pad)).Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		m, err := sess.Exchange(ctx, query("p.measure.example.org"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, ok := m.OPT()
-		if !ok {
-			return false
-		}
-		_, padded := opt.Padding()
-		return padded
-	}
-	if !run(true) {
-		t.Error("WithPadding(true): response not padded, option did not reach the query")
-	}
-	if run(false) {
-		t.Error("WithPadding(false): response padded, query unexpectedly carried the option")
-	}
-}
-
 func TestDNSCryptAdapter(t *testing.T) {
 	f := newFixture(t)
 	srv, providerPK, err := dnscrypt.NewServer("2.dnscrypt-cert.provider.example", f.zone)

@@ -42,16 +42,6 @@ type Reducer[A any] struct {
 	Merge func(dst, src A) error
 }
 
-// Reduce is the context-free streaming fold: fold every i in [0, n) through
-// r on at most `workers` goroutines and return the merged accumulator. It
-// is MapReduceCtx with a background context — no cancellation, no
-// telemetry.
-//
-//doelint:ctxroot -- context-free convenience entry point, like Map
-func Reduce[A any](workers, n int, r Reducer[A]) (A, error) {
-	return MapReduceCtx(context.Background(), workers, n, r)
-}
-
 // MapReduceCtx is the streaming-fold counterpart of MapCtx: same bounded
 // pool, same atomic work handout, same cooperative cancellation and
 // telemetry discipline (task counts, phase progress, per-worker shard

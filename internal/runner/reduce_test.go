@@ -33,12 +33,12 @@ func sumReducer() Reducer[*sumAcc] {
 
 func TestReduceIdenticalAcrossWorkerCounts(t *testing.T) {
 	const n = 500
-	want, err := Reduce(1, n, sumReducer())
+	want, err := MapReduceCtx(context.Background(), 1, n, sumReducer())
 	if err != nil {
 		t.Fatalf("serial reduce: %v", err)
 	}
 	for _, workers := range []int{2, 4, 8, 64} {
-		got, err := Reduce(workers, n, sumReducer())
+		got, err := MapReduceCtx(context.Background(), workers, n, sumReducer())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,7 +67,7 @@ func TestReduceFoldsEveryIndexExactlyOnce(t *testing.T) {
 		},
 		Merge: func(_, _ *struct{}) error { return nil },
 	}
-	if _, err := Reduce(8, n, r); err != nil {
+	if _, err := MapReduceCtx(context.Background(), 8, n, r); err != nil {
 		t.Fatal(err)
 	}
 	for i := range counts {
@@ -78,7 +78,7 @@ func TestReduceFoldsEveryIndexExactlyOnce(t *testing.T) {
 }
 
 func TestReduceEmptyWorkload(t *testing.T) {
-	got, err := Reduce(4, 0, sumReducer())
+	got, err := MapReduceCtx(context.Background(), 4, 0, sumReducer())
 	if err != nil {
 		t.Fatal(err)
 	}

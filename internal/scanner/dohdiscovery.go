@@ -5,7 +5,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"time"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
@@ -113,10 +112,10 @@ type DoHDiscovery struct {
 }
 
 // Verify probes each candidate and returns the working DoH resolvers. Each
-// attempt opens a session with resolver.Client.Dial, under the same 2 s
-// guard as the scanner's DoT and DoQ probes, and sends one query on it.
-// Transport failures are retried up to Attempts; a DNS answer, working or
-// not, ends the candidate's probing.
+// attempt opens a session with resolver.Client.Dial, with no real-time
+// guard beyond ctx's deadline, as the scanner's DoT probes, and sends one
+// query on it. Transport failures are retried up to Attempts; a DNS
+// answer, working or not, ends the candidate's probing.
 func (d *DoHDiscovery) Verify(ctx context.Context, candidates []DoHCandidate) []DoHResolver {
 	known := map[string]bool{}
 	for _, k := range d.KnownList {
@@ -124,7 +123,7 @@ func (d *DoHDiscovery) Verify(ctx context.Context, candidates []DoHCandidate) []
 			known[t.Host+t.Path] = true
 		}
 	}
-	c := resolver.New(d.World, d.From, d.Roots, resolver.WithTimeout(2*time.Second))
+	c := resolver.New(d.World, d.From, d.Roots)
 	var out []DoHResolver
 	for _, cand := range candidates {
 		addr, ok := d.Resolve[cand.Host]

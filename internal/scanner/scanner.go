@@ -10,7 +10,6 @@ import (
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
-	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/netsim"
 	"dnsencryption.info/doe/internal/obs"
@@ -51,9 +50,6 @@ type Result struct {
 	SkippedOptOut int
 	// Resolvers are the verified open DoT resolvers.
 	Resolvers []Resolver
-	// VirtualDuration is how long the sweep would take at the configured
-	// probe rate (the paper: 24 hours per scan).
-	VirtualDuration time.Duration
 }
 
 // ProviderCounts groups the scan's resolvers by provider.
@@ -128,83 +124,16 @@ type Scanner struct {
 	Workers int
 	// Seed randomizes the sweep order.
 	Seed uint64
-	// RatePPS is the sweep's probe budget in packets per second; it
-	// determines the *virtual* duration of a scan (the paper's sweeps of
-	// the whole IPv4 space took 24 hours each at ZMap-conservative
-	// rates). Zero disables duration accounting.
-	RatePPS int
 }
 
 // ScanContext runs one full sweep and probe round under ctx's
-// cancellation. When ctx carries an obs.Recorder the round gets a
-// "scan:<label>" span (charged with the sweep's virtual duration) and
+// cancellation: stage 1 completes a TCP handshake with every address of the
+// space on port 853, stage 2 sends a DoT query to every host that accepted.
+// When ctx carries an obs.Recorder the round gets a "scan:<label>" span and
 // sweep/probe outcome counters. Per-address spans are deliberately not
 // recorded — an 8k-address sweep would drown the trace; the round span
 // plus counters carry the same information.
 func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error) {
-	return s.scan(ctx, &dotScan, label)
-}
-
-// ScanDoQContext runs one full UDP/853 DoQ sweep and probe round, the DoQ
-// counterpart of ScanContext: stage 1 sweeps the space with a minimal QUIC
-// Initial datagram (any response — handshake or close — marks UDP/853
-// open, standing in for the SYN stage TCP gets for free), stage 2
-// completes RFC 9250 handshakes and verification queries against the
-// responsive hosts. Its round span is "scan-doq:<label>";
-// sources, permutation and determinism rules match the DoT scan exactly.
-func (s *Scanner) ScanDoQContext(ctx context.Context, label string) (*Result, error) {
-	return s.scan(ctx, &doqScan, label)
-}
-
-// protocol is one row of the scan table: everything the DoT and DoQ scans
-// do differently. The sweep→probe body in scan is shared.
-type protocol struct {
-	span                 string // round span "<span>:<label>"
-	sweepPool, probePool string // runner pools, also the /progress phases
-	// sweepCounter counts stage-1 outcomes (open/closed); probeCounter
-	// counts stage-2 outcomes (resolver/miss).
-	sweepCounter, probeCounter string
-	miss                       string // outcome of an open port that is no resolver
-	// open is the stage-1 liveness check of one address.
-	open func(s *Scanner, src, addr netip.Addr) bool
-	// proto is the stage-2 verification session's protocol.
-	proto resolver.Proto
-}
-
-var (
-	dotScan = protocol{
-		span: "scan", sweepPool: "scan-sweep", probePool: "scan-probe",
-		sweepCounter: "scanner_sweep_dials_total", probeCounter: "scanner_probes_total",
-		miss: "no-dot", open: openTCP, proto: resolver.ProtoDoT,
-	}
-	doqScan = protocol{
-		span: "scan-doq", sweepPool: "scan-doq-sweep", probePool: "scan-doq-probe",
-		sweepCounter: "scanner_doq_sweep_total", probeCounter: "scanner_doq_probes_total",
-		miss: "no-doq", open: openQUIC, proto: resolver.ProtoDoQ,
-	}
-)
-
-// quicProbe is the stage-1 DoQ datagram, built once and only ever read.
-var quicProbe = doq.Probe()
-
-// openTCP completes a TCP handshake to port 853 and hangs up.
-func openTCP(s *Scanner, src, addr netip.Addr) bool {
-	conn, err := s.World.Dial(src, addr, dot.Port)
-	if err != nil {
-		return false
-	}
-	conn.Close()
-	return true
-}
-
-// openQUIC sends the QUIC Initial probe to UDP/853; any reply counts.
-func openQUIC(s *Scanner, src, addr netip.Addr) bool {
-	resp, _, err := s.World.Exchange(src, addr, doq.Port, quicProbe)
-	return err == nil && len(resp) > 0
-}
-
-// scan is the one sweep→probe round behind ScanContext and ScanDoQContext.
-func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result, error) {
 	if len(s.Sources) == 0 {
 		return nil, fmt.Errorf("scanner: no scan sources")
 	}
@@ -212,7 +141,7 @@ func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	ctx, span := obs.Start(ctx, p.span+":"+label)
+	ctx, span := obs.Start(ctx, "scan:"+label)
 	res := &Result{Label: label, ProbedAddrs: s.Space.Size}
 	workers := s.Workers
 	if workers <= 0 {
@@ -230,18 +159,18 @@ func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result,
 	// shard registry, so outcome counts accumulate contention-free and
 	// fold into the study registry when the pool joins.
 	tasks := s.sweepTasks(perm, res)
-	openFlags, err := runner.MapCtx(obs.WithPool(ctx, p.sweepPool), workers, len(tasks),
+	openFlags, err := runner.MapCtx(obs.WithPool(ctx, "scan-sweep"), workers, len(tasks),
 		func(ctx context.Context, i int) bool {
-			open := p.open(s, tasks[i].src, tasks[i].addr)
+			open := s.open(tasks[i].src, tasks[i].addr)
 			outcome := "closed"
 			if open {
 				outcome = "open"
 			}
-			obs.Metrics(ctx).Counter(p.sweepCounter, "outcome", outcome).Add(1)
+			obs.Metrics(ctx).Counter("scanner_sweep_dials_total", "outcome", outcome).Add(1)
 			return open
 		})
 	if err != nil {
-		return nil, fmt.Errorf("scanner: %s %s: %w", p.sweepPool, label, err)
+		return nil, fmt.Errorf("scanner: scan-sweep %s: %w", label, err)
 	}
 	var open []netip.Addr
 	for i, ok := range openFlags {
@@ -254,18 +183,18 @@ func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result,
 	// Stage 2, verification. Each responsive host's probe source is a
 	// function of its position in the open list, so probe outcomes don't
 	// depend on which worker picked the address up.
-	probed, err := runner.MapCtx(obs.WithPool(ctx, p.probePool), workers, len(open),
+	probed, err := runner.MapCtx(obs.WithPool(ctx, "scan-probe"), workers, len(open),
 		func(ctx context.Context, i int) probeOutcome {
-			r, ok := s.probe(ctx, p, s.Sources[i%len(s.Sources)], open[i])
-			outcome := p.miss
+			r, ok := s.probe(ctx, s.Sources[i%len(s.Sources)], open[i])
+			outcome := "no-dot"
 			if ok {
 				outcome = "resolver"
 			}
-			obs.Metrics(ctx).Counter(p.probeCounter, "outcome", outcome).Add(1)
+			obs.Metrics(ctx).Counter("scanner_probes_total", "outcome", outcome).Add(1)
 			return probeOutcome{r: r, ok: ok}
 		})
 	if err != nil {
-		return nil, fmt.Errorf("scanner: %s %s: %w", p.probePool, label, err)
+		return nil, fmt.Errorf("scanner: scan-probe %s: %w", label, err)
 	}
 	for _, po := range probed {
 		if po.ok {
@@ -276,14 +205,20 @@ func (s *Scanner) scan(ctx context.Context, p *protocol, label string) (*Result,
 	sort.Slice(res.Resolvers, func(i, j int) bool {
 		return res.Resolvers[i].Addr.Less(res.Resolvers[j].Addr)
 	})
-	if s.RatePPS > 0 {
-		res.VirtualDuration = time.Duration(float64(res.ProbedAddrs)/float64(s.RatePPS)) * time.Second
-	}
 	span.SetInt("probed", int64(res.ProbedAddrs))
 	span.SetInt("port_open", int64(res.PortOpen))
 	span.SetInt("resolvers", int64(len(res.Resolvers)))
-	span.Charge(res.VirtualDuration)
 	return res, nil
+}
+
+// open completes a TCP handshake to port 853 and hangs up.
+func (s *Scanner) open(src, addr netip.Addr) bool {
+	conn, err := s.World.Dial(src, addr, dot.Port)
+	if err != nil {
+		return false
+	}
+	conn.Close()
+	return true
 }
 
 // sweepTask pins one sweep target to its scan source by permuted position.
@@ -317,14 +252,14 @@ type probeOutcome struct {
 }
 
 // probe issues the verification query of §3.1 ("probe the addresses with
-// DoT queries of a domain registered by us") over a p.proto session and
-// classifies the presented chain. The session opens Opportunistically —
-// the point is to find out who answers, not to authenticate them — under a
-// 2 s guard, from a Client of its own, so no DoQ resumption ticket crosses
-// probes.
-func (s *Scanner) probe(ctx context.Context, p *protocol, src, addr netip.Addr) (Resolver, bool) {
-	c := resolver.New(s.World, src, s.Roots, resolver.WithTimeout(2*time.Second))
-	sess, err := c.Dial(ctx, p.proto, resolver.Endpoint{Addr: addr})
+// DoT queries of a domain registered by us") and classifies the presented
+// chain. The session opens Opportunistically — the point is to find out
+// who answers, not to authenticate them — and arms no real-time guard:
+// every host answers, closes or refuses in virtual time, and only ctx's
+// own deadline bounds the wait.
+func (s *Scanner) probe(ctx context.Context, src, addr netip.Addr) (Resolver, bool) {
+	c := resolver.New(s.World, src, s.Roots)
+	sess, err := c.Dial(ctx, resolver.ProtoDoT, resolver.Endpoint{Addr: addr})
 	if err != nil {
 		return Resolver{}, false
 	}

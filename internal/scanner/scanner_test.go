@@ -16,7 +16,6 @@ import (
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
-	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
 	"dnsencryption.info/doe/internal/netsim"
@@ -148,14 +147,6 @@ func newScanFixture(t *testing.T) *scanFixture {
 	}
 	mk("100.64.0.50", expired, zone)
 
-	// DoQ population on UDP/853: the bigdns pair dual-stacks DoT+DoQ, the
-	// self-signed provider is DoQ too, one host answers QUIC but not DoQ,
-	// and everything else stays DoT-only.
-	doq.Serve(w, netip.MustParseAddr("100.64.0.10"), valid("dns.bigdns.example"), zone, 0)
-	doq.Serve(w, netip.MustParseAddr("100.64.1.11"), valid("dot.bigdns.example"), zone, 0)
-	doq.Serve(w, netip.MustParseAddr("100.64.0.20"), selfSigned, zone, 0)
-	doq.ServeNotDoQ(w, netip.MustParseAddr("100.64.0.60"))
-
 	s := &Scanner{
 		World:       w,
 		Sources:     []netip.Addr{netip.MustParseAddr("100.64.0.1"), netip.MustParseAddr("100.64.0.2")},
@@ -210,58 +201,6 @@ func TestScanDiscoversResolvers(t *testing.T) {
 	// Country grouping: 100.64.1.11 is in IE.
 	if res.CountryCounts()["IE"] != 1 {
 		t.Errorf("country counts = %v", res.CountryCounts())
-	}
-}
-
-func TestScanDoQDiscoversResolvers(t *testing.T) {
-	f := newScanFixture(t)
-	res, err := f.scanner.ScanDoQContext(context.Background(), "doq-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three DoQ servers plus the QUIC-but-not-DoQ host answer the sweep.
-	if res.PortOpen != 4 {
-		t.Errorf("UDP/853 open = %d, want 4", res.PortOpen)
-	}
-	if len(res.Resolvers) != 3 {
-		t.Fatalf("doq resolvers = %d, want 3: %+v", len(res.Resolvers), res.Resolvers)
-	}
-	byAddr := map[string]Resolver{}
-	for _, r := range res.Resolvers {
-		byAddr[r.Addr.String()] = r
-	}
-	if r := byAddr["100.64.0.10"]; r.Provider != "bigdns.example" || r.CertStatus != certs.StatusValid || !r.AnswerCorrect {
-		t.Errorf("big provider doq resolver = %+v", r)
-	}
-	if r := byAddr["100.64.0.20"]; r.CertStatus != certs.StatusSelfSigned {
-		t.Errorf("self-signed doq resolver = %+v", r)
-	}
-	if got := res.ProviderCounts()["bigdns.example"]; got != 2 {
-		t.Errorf("bigdns.example doq count = %d, want 2", got)
-	}
-	if res.CountryCounts()["IE"] != 1 {
-		t.Errorf("doq country counts = %v", res.CountryCounts())
-	}
-}
-
-// The DoQ scan obeys the same parallel-engine contract as the DoT scan:
-// identical merged results at every worker count.
-func TestScanDoQDeterministicAcrossWorkerCounts(t *testing.T) {
-	var want *Result
-	for _, workers := range []int{1, 4, 16} {
-		f := newScanFixture(t)
-		f.scanner.Workers = workers
-		res, err := f.scanner.ScanDoQContext(context.Background(), "det")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = res
-			continue
-		}
-		if !reflect.DeepEqual(res, want) {
-			t.Errorf("workers=%d: doq scan result diverged\n got: %+v\nwant: %+v", workers, res, want)
-		}
 	}
 }
 
@@ -458,96 +397,127 @@ func TestDoHDiscoveryVerify(t *testing.T) {
 	}
 }
 
-func TestScanVirtualDuration(t *testing.T) {
-	f := newScanFixture(t)
-	// The paper's full-IPv4 sweeps take 24 hours; at this space size and
-	// rate, duration scales linearly with the probed space.
-	f.scanner.RatePPS = 64
-	res, err := f.scanner.ScanContext(context.Background(), "rated")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 8 * time.Second; res.VirtualDuration != want { // 512 addrs / 64 pps
-		t.Errorf("virtual duration = %v, want %v", res.VirtualDuration, want)
-	}
-}
-
-// TestScanTelemetry pins the names both scans publish: the round span and
+// TestScanTelemetry pins the names the scan publishes: the round span and
 // its attributes, the sweep and probe pools in Progress, and the outcome
 // counter families (hostbench's count.scanner.* metrics read two of them).
 func TestScanTelemetry(t *testing.T) {
-	for _, c := range []struct {
-		name             string
-		scan             func(s *Scanner, ctx context.Context, label string) (*Result, error)
-		span             string
-		sweepPool        string
-		probePool        string
-		sweepFamily      string
-		probeFamily      string
-		miss             string
-		open, resolvers  int64
-		closed, notFound int64
-	}{
-		{"dot", (*Scanner).ScanContext, "scan:tele", "scan-sweep", "scan-probe",
-			"scanner_sweep_dials_total", "scanner_probes_total", "no-dot", 6, 5, 506, 1},
-		{"doq", (*Scanner).ScanDoQContext, "scan-doq:tele", "scan-doq-sweep", "scan-doq-probe",
-			"scanner_doq_sweep_total", "scanner_doq_probes_total", "no-doq", 4, 3, 508, 1},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			f := newScanFixture(t)
-			rec := obs.NewRecorder("study")
-			res, err := c.scan(f.scanner, obs.WithRecorder(context.Background(), rec), "tele")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(res.PortOpen) != c.open || int64(len(res.Resolvers)) != c.resolvers {
-				t.Fatalf("scan = %d open, %d resolvers; want %d, %d", res.PortOpen, len(res.Resolvers), c.open, c.resolvers)
-			}
+	const open, resolvers = 6, 5
+	t.Run("dot", func(t *testing.T) {
+		f := newScanFixture(t)
+		rec := obs.NewRecorder("study")
+		res, err := f.scanner.ScanContext(obs.WithRecorder(context.Background(), rec), "tele")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PortOpen != open || len(res.Resolvers) != resolvers {
+			t.Fatalf("scan = %d open, %d resolvers; want %d, %d", res.PortOpen, len(res.Resolvers), open, resolvers)
+		}
 
-			var span *obs.Record
-			recs := rec.Records()
-			for i := range recs {
-				if recs[i].Path == "study/"+c.span {
-					span = &recs[i]
-				}
+		var span *obs.Record
+		recs := rec.Records()
+		for i := range recs {
+			if recs[i].Path == "study/scan:tele" {
+				span = &recs[i]
 			}
-			if span == nil {
-				t.Fatalf("no %q span in %+v", c.span, recs)
+		}
+		if span == nil {
+			t.Fatalf("no scan:tele span in %+v", recs)
+		}
+		for k, want := range map[string]string{
+			"probed":    "512",
+			"port_open": strconv.Itoa(open),
+			"resolvers": strconv.Itoa(resolvers),
+		} {
+			if got := span.Attrs[k]; got != want {
+				t.Errorf("span attr %s = %q, want %q", k, got, want)
 			}
-			for k, want := range map[string]string{
-				"probed":    "512",
-				"port_open": strconv.FormatInt(c.open, 10),
-				"resolvers": strconv.FormatInt(c.resolvers, 10),
-			} {
-				if got := span.Attrs[k]; got != want {
-					t.Errorf("span attr %s = %q, want %q", k, got, want)
-				}
-			}
+		}
 
-			phases := map[string]obs.PhaseStatus{}
-			for _, p := range rec.Progress() {
-				phases[p.Name] = p
+		phases := map[string]obs.PhaseStatus{}
+		for _, p := range rec.Progress() {
+			phases[p.Name] = p
+		}
+		for pool, total := range map[string]int64{"scan-sweep": 512, "scan-probe": open} {
+			if p, ok := phases[pool]; !ok || p.Done != total || p.Total != total {
+				t.Errorf("pool %s progress = %+v (present %v), want %d/%d", pool, p, ok, total, total)
 			}
-			for pool, total := range map[string]int64{c.sweepPool: 512, c.probePool: c.open} {
-				if p, ok := phases[pool]; !ok || p.Done != total || p.Total != total {
-					t.Errorf("pool %s progress = %+v (present %v), want %d/%d", pool, p, ok, total, total)
-				}
-			}
+		}
 
-			m := rec.Metrics()
-			for _, cnt := range []struct {
-				family, outcome string
-				want            int64
-			}{
-				{c.sweepFamily, "open", c.open},
-				{c.sweepFamily, "closed", c.closed},
-				{c.probeFamily, "resolver", c.resolvers},
-				{c.probeFamily, c.miss, c.notFound},
-			} {
-				if got := m.Counter(cnt.family, "outcome", cnt.outcome).Value(); got != cnt.want {
-					t.Errorf("%s{outcome=%s} = %d, want %d", cnt.family, cnt.outcome, got, cnt.want)
-				}
+		m := rec.Metrics()
+		for _, cnt := range []struct {
+			family, outcome string
+			want            int64
+		}{
+			{"scanner_sweep_dials_total", "open", open},
+			{"scanner_sweep_dials_total", "closed", 512 - open},
+			{"scanner_probes_total", "resolver", resolvers},
+			{"scanner_probes_total", "no-dot", open - resolvers},
+		} {
+			if got := m.Counter(cnt.family, "outcome", cnt.outcome).Value(); got != cnt.want {
+				t.Errorf("%s{outcome=%s} = %d, want %d", cnt.family, cnt.outcome, got, cnt.want)
 			}
-		})
-	}
+		}
+	})
+}
+
+// slowHandler answers like h after holding each reply for d of wall time,
+// a server on a CPU-starved host as the prober sees it.
+func slowHandler(h dnsserver.Handler, d time.Duration) dnsserver.Handler {
+	return dnsserver.HandlerFunc(func(remote netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
+		time.Sleep(d)
+		return h.ServeDNS(remote, req)
+	})
+}
+
+// The scan's probes arm no real-time guard: a DoT resolver and a DoH
+// service that take just over 2 s of wall time to answer are still found,
+// where a wall-clock deadline would have turned them into misses.
+func TestProbesWaitForWallClockSlowServers(t *testing.T) {
+	const hold = 2100 * time.Millisecond
+	t.Run("dot", func(t *testing.T) {
+		t.Parallel()
+		f := newScanFixture(t)
+		slow := netip.MustParseAddr("100.64.0.70")
+		leaf, err := f.ca.Issue(certs.LeafOptions{CommonName: "dns.slow.example"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		zone := dnsserver.NewZone("scan.example.org")
+		zone.WildcardA = f.expected
+		dot.Serve(f.world, slow, leaf, slowHandler(zone, hold), 0)
+		res, err := f.scanner.ScanContext(context.Background(), "slow")
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, r := range res.Resolvers {
+			found = found || r.Addr == slow && r.AnswerCorrect
+		}
+		if !found {
+			t.Errorf("slow DoT resolver %v missing from %+v", slow, res.Resolvers)
+		}
+	})
+	t.Run("doh", func(t *testing.T) {
+		t.Parallel()
+		f := newScanFixture(t)
+		slow := netip.MustParseAddr("100.64.0.71")
+		cand := DoHCandidate{Host: "doh.slow.example", Path: "/dns-query"}
+		leaf, err := f.ca.Issue(certs.LeafOptions{CommonName: cand.Host})
+		if err != nil {
+			t.Fatal(err)
+		}
+		zone := dnsserver.NewZone("scan.example.org")
+		zone.WildcardA = f.expected
+		doh.Serve(f.world, slow, leaf, &doh.Server{Handler: slowHandler(zone, hold)})
+		d := &DoHDiscovery{
+			World:       f.world,
+			From:        netip.MustParseAddr("100.64.0.1"),
+			Roots:       certs.Pool(f.ca),
+			Resolve:     map[string]netip.Addr{cand.Host: slow},
+			ProbeDomain: "probe-2.scan.example.org",
+		}
+		if found := d.Verify(context.Background(), []DoHCandidate{cand}); len(found) != 1 || found[0].Addr != slow {
+			t.Errorf("found = %+v, want the slow DoH service", found)
+		}
+	})
 }

@@ -105,28 +105,3 @@ func IdentifyDevice(probe PortProbe) string {
 		return "silent (blackhole or internal routing)"
 	}
 }
-
-// GenuineProfile describes the real resolver's externally visible surface,
-// used as the comparison baseline ("comparing our probing results with open
-// ports and webpages of the genuine resolvers").
-type GenuineProfile struct {
-	OpenPorts []uint16
-	PageMark  string
-}
-
-// MatchesGenuine reports whether a probe looks like the real resolver.
-func MatchesGenuine(probe PortProbe, genuine GenuineProfile) bool {
-	open := map[uint16]bool{}
-	for _, p := range probe.Open {
-		open[p] = true
-	}
-	for _, p := range genuine.OpenPorts {
-		if !open[p] {
-			return false
-		}
-	}
-	if genuine.PageMark != "" && !strings.Contains(probe.Page, genuine.PageMark) {
-		return false
-	}
-	return true
-}

@@ -31,7 +31,7 @@ const (
 
 // Leg keys a timing pass: one transport in one mode.
 type Leg struct {
-	Proto Proto
+	Proto resolver.Proto
 	Mode  Mode
 }
 
@@ -39,8 +39,9 @@ type Leg struct {
 // transport serially, then the encrypted ones multiplexed. Clear-text DNS
 // has no multiplexed pass; its serial median is every overhead's baseline.
 var perfLegs = [...]Leg{
-	{ProtoDNS, ModeReused}, {ProtoDoT, ModeReused}, {ProtoDoH, ModeReused}, {ProtoDoQ, ModeReused},
-	{ProtoDoT, ModeMux}, {ProtoDoH, ModeMux}, {ProtoDoQ, ModeMux},
+	{resolver.ProtoTCP, ModeReused}, {resolver.ProtoDoT, ModeReused},
+	{resolver.ProtoDoH, ModeReused}, {resolver.ProtoDoQ, ModeReused},
+	{resolver.ProtoDoT, ModeMux}, {resolver.ProtoDoH, ModeMux}, {resolver.ProtoDoQ, ModeMux},
 }
 
 // Medians holds one vantage's per-query latency medians in milliseconds,
@@ -51,7 +52,7 @@ type Medians map[Leg]float64
 // against — the fresh-connection one for ModeFresh, the reused-connection
 // one otherwise — and whether leg was measured.
 func (m Medians) OverheadMS(leg Leg) (float64, bool) {
-	base := Leg{ProtoDNS, ModeReused}
+	base := Leg{resolver.ProtoTCP, ModeReused}
 	if leg.Mode == ModeFresh {
 		base.Mode = ModeFresh
 	}
@@ -88,7 +89,7 @@ func (p *Platform) MeasurePerformanceContext(ctx context.Context, node proxy.Exi
 		sample.MuxInFlight = p.MuxInFlight
 	}
 	for _, leg := range perfLegs {
-		offered := transportOf(leg.Proto).endpoint(tgt).Addr.IsValid()
+		offered := endpoints[leg.Proto](tgt).Addr.IsValid()
 		if !offered || leg.Mode == ModeMux && sample.MuxInFlight == 0 {
 			continue
 		}
@@ -109,7 +110,7 @@ func (p *Platform) MeasurePerformanceContext(ctx context.Context, node proxy.Exi
 // successful pass's latencies are reported unpolluted by earlier attempts
 // and observed into the leg's latency sketch.
 func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx context.Context) ([]float64, error)) ([]float64, error) {
-	span := "perf:" + string(leg.Proto)
+	span := "perf:" + Label(leg.Proto)
 	if leg.Mode != ModeReused {
 		span += "-" + string(leg.Mode)
 	}
@@ -127,7 +128,7 @@ func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx
 			sp.SetInt("attempts", int64(attempt))
 			sp.SetInt("queries", int64(len(lat)))
 			sk := obs.Metrics(ctx).Sketch("vantage_query_latency_sketch",
-				"mode", string(leg.Mode), "proto", string(leg.Proto))
+				"mode", string(leg.Mode), "proto", Label(leg.Proto))
 			for _, l := range lat {
 				sk.Observe(time.Duration(l * float64(time.Millisecond)))
 			}
@@ -164,7 +165,7 @@ func (p *Platform) timeQueries(ctx context.Context, sess resolver.Session, tag s
 // it: one at a time for ModeReused, in batches for ModeMux on a session
 // dialed with MuxInFlight queries in flight.
 func (p *Platform) timeLeg(ctx context.Context, node proxy.ExitNode, tgt Target, leg Leg, n int) ([]float64, error) {
-	tag := node.ID + "-perf-" + string(leg.Proto)
+	tag := node.ID + "-perf-" + Label(leg.Proto)
 	inflight := 0
 	if leg.Mode == ModeMux {
 		tag += "-mux"
@@ -311,12 +312,12 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 	// One scratch slice serves every pass: each is reduced to its median
 	// before the next begins.
 	lat := make([]float64, 0, n)
-	for _, tr := range transports {
-		ep := tr.endpoint(tgt)
+	for i, endpoint := range endpoints {
+		proto, ep := resolver.Proto(i), endpoint(tgt)
 		if !ep.Addr.IsValid() {
 			continue
 		}
-		t, tag := rc.Transport(tr.dial, ep), string(tr.proto)
+		t, tag := rc.Transport(proto, ep), Label(proto)
 		sctx, sp := obs.Start(ctx, "noreuse:"+tag)
 		sk := obs.Metrics(sctx).Sketch("vantage_query_latency_sketch", "mode", string(ModeFresh), "proto", tag)
 		lat = lat[:0]
@@ -336,7 +337,7 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 			sp.Fail(err)
 			return sample, err
 		}
-		sample.Medians[Leg{tr.proto, ModeFresh}] = analysis.Median(lat)
+		sample.Medians[Leg{proto, ModeFresh}] = analysis.Median(lat)
 	}
 	return sample, nil
 }

@@ -65,7 +65,7 @@ func GeneratorSource(net *proxy.Network) NodeSource { return generatorSource{net
 // CellKey addresses one (resolver, proto, country) reachability cell.
 type CellKey struct {
 	Resolver string
-	Proto    Proto
+	Proto    resolver.Proto
 	Country  string
 }
 
@@ -75,7 +75,7 @@ type CellKey struct {
 // actually probes afterwards.
 type FailKey struct {
 	Resolver string
-	Proto    Proto
+	Proto    resolver.Proto
 }
 
 // NodeRef names one node by campaign index and ID. Index is the dispatch
@@ -125,7 +125,7 @@ type CampaignStats struct {
 	// vs. hard failures that exhausted the budget.
 	Retry resolver.RetryStats
 	// Setup holds per-protocol session-setup latency sketches.
-	Setup map[Proto]*obs.Sketch
+	Setup map[resolver.Proto]*obs.Sketch
 
 	failed      map[FailKey][]NodeRef
 	intercepted []interceptedRef
@@ -136,7 +136,7 @@ func NewCampaignStats(opts CampaignOpts) *CampaignStats {
 	s := &CampaignStats{
 		Cells:  make(map[CellKey]Tally),
 		Errors: make(map[string]int),
-		Setup:  make(map[Proto]*obs.Sketch),
+		Setup:  make(map[resolver.Proto]*obs.Sketch),
 		failed: make(map[FailKey][]NodeRef),
 	}
 	for _, k := range opts.TrackFailed {
@@ -271,12 +271,12 @@ func (s *CampaignStats) FailedRefs(k FailKey) []NodeRef {
 
 // ByResolverProto sums the country cells into the Table 4 shape: one
 // tally per (resolver, proto).
-func (s *CampaignStats) ByResolverProto() map[string]map[Proto]Tally {
-	out := map[string]map[Proto]Tally{}
+func (s *CampaignStats) ByResolverProto() map[string]map[resolver.Proto]Tally {
+	out := map[string]map[resolver.Proto]Tally{}
 	for k, t := range s.Cells {
 		byProto, ok := out[k.Resolver]
 		if !ok {
-			byProto = map[Proto]Tally{}
+			byProto = map[resolver.Proto]Tally{}
 			out[k.Resolver] = byProto
 		}
 		dst := byProto[k.Proto]
@@ -322,9 +322,9 @@ func ErrorClass(err string) string {
 // TestReachability, with no per-node slice.
 func (p *Platform) VisitReachability(ctx context.Context, node proxy.ExitNode, targets []Target, visit func(Result)) {
 	for _, tgt := range targets {
-		for _, tr := range transports {
-			if remote := tr.endpoint(tgt).Addr; remote.IsValid() {
-				visit(p.lookup(ctx, node, tgt, tr.proto, remote))
+		for i, endpoint := range endpoints {
+			if remote := endpoint(tgt).Addr; remote.IsValid() {
+				visit(p.lookup(ctx, node, tgt, resolver.Proto(i), remote))
 			}
 		}
 	}
@@ -390,16 +390,11 @@ func (s *CampaignStats) Render() string {
 	sort.Strings(resolvers)
 	fmt.Fprintf(&b, "\nreachability (correct / incorrect / failed):\n")
 	for _, res := range resolvers {
-		protos := make([]string, 0, len(byRP[res]))
-		for pr := range byRP[res] {
-			protos = append(protos, string(pr))
-		}
-		sort.Strings(protos)
-		for _, pr := range protos {
-			t := byRP[res][Proto(pr)]
+		for _, pr := range byLabel(byRP[res]) {
+			t := byRP[res][pr]
 			c, i, f := t.Rates()
 			fmt.Fprintf(&b, "  %-12s %-4s %8d lookups  %6.2f%% / %5.2f%% / %5.2f%%\n",
-				res, pr, t.Total(), c*100, i*100, f*100)
+				res, Label(pr), t.Total(), c*100, i*100, f*100)
 		}
 	}
 
@@ -449,15 +444,10 @@ func (s *CampaignStats) Render() string {
 	}
 
 	if len(s.Setup) > 0 {
-		protos := make([]string, 0, len(s.Setup))
-		for pr := range s.Setup {
-			protos = append(protos, string(pr))
-		}
-		sort.Strings(protos)
 		fmt.Fprintf(&b, "\nsession setup latency (p50 / p90 / p99):\n")
-		for _, pr := range protos {
-			sk := s.Setup[Proto(pr)]
-			fmt.Fprintf(&b, "  %-4s %s / %s / %s over %d sessions\n", pr,
+		for _, pr := range byLabel(s.Setup) {
+			sk := s.Setup[pr]
+			fmt.Fprintf(&b, "  %-4s %s / %s / %s over %d sessions\n", Label(pr),
 				renderMS(sk.Quantile(0.50)), renderMS(sk.Quantile(0.90)),
 				renderMS(sk.Quantile(0.99)), sk.Count())
 		}
@@ -469,6 +459,16 @@ func (s *CampaignStats) Render() string {
 		fmt.Fprintf(&b, "tls-intercepted sessions: %d\n", n)
 	}
 	return b.String()
+}
+
+// byLabel returns m's protocols in the order of their labels.
+func byLabel[V any](m map[resolver.Proto]V) []resolver.Proto {
+	protos := make([]resolver.Proto, 0, len(m))
+	for pr := range m {
+		protos = append(protos, pr)
+	}
+	sort.Slice(protos, func(i, j int) bool { return Label(protos[i]) < Label(protos[j]) })
+	return protos
 }
 
 func renderMS(d time.Duration) string {

@@ -23,48 +23,24 @@ import (
 	"dnsencryption.info/doe/internal/resolver"
 )
 
-// Proto identifies the tested transport.
-type Proto string
-
-// Transports of the reachability test. The encrypted labels reuse the
-// resolver package's canonical protocol names (resolver.Proto.String), so
-// telemetry and report labels agree across layers.
-// ProtoDNS stays distinct: the clear-text probe runs DNS over TCP/53,
-// which the resolver layer labels "tcp".
-var (
-	ProtoDNS = Proto("dns")
-	ProtoDoT = Proto(resolver.ProtoDoT.String())
-	ProtoDoH = Proto(resolver.ProtoDoH.String())
-	ProtoDoQ = Proto(resolver.ProtoDoQ.String())
-)
-
-// transport is one row of the protocol-keyed leg table: a tested Proto, the
-// resolver protocol that carries it, and where a Target keeps its endpoint.
-type transport struct {
-	proto    Proto
-	dial     resolver.Proto
-	endpoint func(Target) resolver.Endpoint
+// endpoints is the leg table every measurement walks: where a Target keeps
+// each resolver protocol's endpoint, indexed by resolver.Proto and walked
+// in that order. The clear-text probe is DNS over TCP/53.
+var endpoints = [...]func(Target) resolver.Endpoint{
+	resolver.ProtoTCP: func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DNS} },
+	resolver.ProtoDoT: func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoT} },
+	resolver.ProtoDoH: func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoHAddr, Template: t.DoH} },
+	resolver.ProtoDoQ: func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoQ} },
 }
 
-// transports is the leg table every measurement walks, in measurement
-// order. The clear-text probe is DNS over TCP/53.
-var transports = [...]transport{
-	{ProtoDNS, resolver.ProtoTCP, func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DNS} }},
-	{ProtoDoT, resolver.ProtoDoT, func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoT} }},
-	{ProtoDoH, resolver.ProtoDoH, func(t Target) resolver.Endpoint {
-		return resolver.Endpoint{Addr: t.DoHAddr, Template: t.DoH}
-	}},
-	{ProtoDoQ, resolver.ProtoDoQ, func(t Target) resolver.Endpoint { return resolver.Endpoint{Addr: t.DoQ} }},
-}
-
-// transportOf returns proto's row of the leg table.
-func transportOf(proto Proto) transport {
-	for _, tr := range transports {
-		if tr.proto == proto {
-			return tr
-		}
+// Label names p wherever the measurements do — spans, metric labels and
+// report columns: resolver.Proto.String's name, except that the
+// clear-text probe, DNS over TCP/53, is "dns".
+func Label(p resolver.Proto) string {
+	if p == resolver.ProtoTCP {
+		return "dns"
 	}
-	panic(fmt.Sprintf("vantage: unknown protocol %q", proto))
+	return p.String()
 }
 
 // Outcome classifies one lookup per Table 4's footnote: Failed = no DNS
@@ -110,7 +86,7 @@ type Result struct {
 	ASN      int
 	ASName   string
 	Resolver string
-	Proto    Proto
+	Proto    resolver.Proto
 	Outcome  Outcome
 	// Intercepted marks sessions whose certificate was re-signed by an
 	// untrusted CA while the lookup still answered (opportunistic DoT
@@ -202,8 +178,8 @@ func (p *Platform) TestReachability(ctx context.Context, node proxy.ExitNode, ta
 // it, plus the per-(resolver, proto, outcome) counters the telemetry
 // section reports. Lookups on one node run serially, so the spans need no
 // explicit keys.
-func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto, remote netip.Addr) Result {
-	ctx, sp := obs.Start(ctx, fmt.Sprintf("lookup:%s:%s", tgt.Name, proto))
+func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, proto resolver.Proto, remote netip.Addr) Result {
+	ctx, sp := obs.Start(ctx, fmt.Sprintf("lookup:%s:%s", tgt.Name, Label(proto)))
 	release := obs.FromContext(ctx).WatchFlow(node.Addr, remote, sp)
 	defer release()
 	r := p.withRetry(ctx, func(ctx context.Context) Result { return p.test(ctx, node, tgt, proto) })
@@ -223,7 +199,7 @@ func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, 
 	}
 	m := obs.Metrics(ctx)
 	m.Counter("vantage_lookups_total",
-		"resolver", tgt.Name, "proto", string(proto), "outcome", r.Outcome.String()).Add(1)
+		"resolver", tgt.Name, "proto", Label(proto), "outcome", r.Outcome.String()).Add(1)
 	if r.Intercepted {
 		m.Counter("vantage_intercepted_total", "resolver", tgt.Name).Add(1)
 	}
@@ -263,13 +239,13 @@ func (p *Platform) withRetry(ctx context.Context, run func(ctx context.Context) 
 	return r
 }
 
-func (p *Platform) baseResult(node proxy.ExitNode, resolver string, proto Proto) Result {
+func (p *Platform) baseResult(node proxy.ExitNode, name string, proto resolver.Proto) Result {
 	return Result{
 		NodeID:   node.ID,
 		Country:  node.Country,
 		ASN:      node.ASN,
 		ASName:   node.ASName,
-		Resolver: resolver,
+		Resolver: name,
 		Proto:    proto,
 	}
 }
@@ -290,7 +266,7 @@ func (p *Platform) classify(m *dnswire.Message) Outcome {
 // charged with the session's virtual elapsed-time delta.
 func (p *Platform) exchange(ctx context.Context, sess resolver.Session, tag string, r *Result) {
 	q := dnswire.NewQuery(0, p.UniqueName(tag), dnswire.TypeA)
-	ctx, sp := obs.Start(ctx, "xchg:"+string(r.Proto))
+	ctx, sp := obs.Start(ctx, "xchg:"+Label(r.Proto))
 	start := sess.Elapsed()
 	m, err := sess.Exchange(ctx, q)
 	obs.Charge(ctx, sess.Elapsed()-start)
@@ -311,17 +287,16 @@ func (p *Platform) exchange(ctx context.Context, sess resolver.Session, tag stri
 // platform's datagram relay. The resolver's default Opportunistic profile
 // is the paper's, per §4.1: "to understand the real-world risks of
 // opportunistic requests".
-func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto, inflight int) (resolver.Session, error) {
-	tr := transportOf(proto)
+func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, proto resolver.Proto, inflight int) (resolver.Session, error) {
 	c := resolver.NewVia(proxy.ExitDialer{Network: p.Network, From: p.From, NodeID: node.ID}, p.Roots,
 		resolver.WithMaxInFlight(inflight))
-	sess, err := c.Dial(ctx, tr.dial, tr.endpoint(tgt))
+	sess, err := c.Dial(ctx, proto, endpoints[proto](tgt))
 	if err != nil {
 		return nil, err
 	}
 	dctx, _ := obs.Start(ctx, "dial")
 	obs.Charge(dctx, sess.SetupLatency())
-	obs.Metrics(ctx).Sketch("vantage_setup_latency", "proto", string(proto)).Observe(sess.SetupLatency())
+	obs.Metrics(ctx).Sketch("vantage_setup_latency", "proto", Label(proto)).Observe(sess.SetupLatency())
 	return sess, nil
 }
 
@@ -331,7 +306,7 @@ func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 // not verify was re-signed in path and is flagged Intercepted (Finding
 // 2.3); DoH is strict-only, so the same forgery aborts its handshake and
 // the lookup fails.
-func (p *Platform) test(ctx context.Context, node proxy.ExitNode, tgt Target, proto Proto) Result {
+func (p *Platform) test(ctx context.Context, node proxy.ExitNode, tgt Target, proto resolver.Proto) Result {
 	r := p.baseResult(node, tgt.Name, proto)
 	sess, err := p.open(ctx, node, tgt, proto, 0)
 	if err != nil {
@@ -347,7 +322,7 @@ func (p *Platform) test(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 			r.IssuerCN = chain[0].Issuer.CommonName
 		}
 	}
-	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-"+string(proto), &r)
+	p.exchange(ctx, sess, node.ID+"-"+tgt.Name+"-"+Label(proto), &r)
 	if opportunistic && v.VerifyError() != nil && r.Outcome == Correct {
 		r.Intercepted = true
 	}

@@ -141,8 +141,8 @@ func (f *fixture) node(t *testing.T, id string) proxy.ExitNode {
 	return proxy.ExitNode{}
 }
 
-func outcomes(results []Result) map[Proto]Outcome {
-	m := map[Proto]Outcome{}
+func outcomes(results []Result) map[resolver.Proto]Outcome {
+	m := map[resolver.Proto]Outcome{}
 	for _, r := range results {
 		m[r.Proto] = r.Outcome
 	}
@@ -167,10 +167,10 @@ func TestCleanNodeAllCorrect(t *testing.T) {
 	}
 	for _, r := range res {
 		if r.Outcome != Correct {
-			t.Errorf("%s: %v (%s)", r.Proto, r.Outcome, r.Err)
+			t.Errorf("%s: %v (%s)", Label(r.Proto), r.Outcome, r.Err)
 		}
 		if r.Intercepted {
-			t.Errorf("%s wrongly intercepted", r.Proto)
+			t.Errorf("%s wrongly intercepted", Label(r.Proto))
 		}
 	}
 }
@@ -178,22 +178,22 @@ func TestCleanNodeAllCorrect(t *testing.T) {
 func TestPort53FilteredNode(t *testing.T) {
 	f := newFixture(t)
 	got := outcomes(f.platform.TestReachability(context.Background(), f.node(t, "filtered"), []Target{f.target}))
-	if got[ProtoDNS] != Failed {
-		t.Errorf("dns = %v, want failed (port 53 filtered)", got[ProtoDNS])
+	if got[resolver.ProtoTCP] != Failed {
+		t.Errorf("dns = %v, want failed (port 53 filtered)", got[resolver.ProtoTCP])
 	}
-	if got[ProtoDoT] != Correct || got[ProtoDoH] != Correct {
-		t.Errorf("dot/doh = %v/%v, want correct (Finding 2.1: encrypted ports pass)", got[ProtoDoT], got[ProtoDoH])
+	if got[resolver.ProtoDoT] != Correct || got[resolver.ProtoDoH] != Correct {
+		t.Errorf("dot/doh = %v/%v, want correct (Finding 2.1: encrypted ports pass)", got[resolver.ProtoDoT], got[resolver.ProtoDoH])
 	}
 }
 
 func TestCensoredNodeDoHBlocked(t *testing.T) {
 	f := newFixture(t)
 	got := outcomes(f.platform.TestReachability(context.Background(), f.node(t, "censored"), []Target{f.target}))
-	if got[ProtoDoH] != Failed {
-		t.Errorf("doh = %v, want failed (censorship, Finding 2.2)", got[ProtoDoH])
+	if got[resolver.ProtoDoH] != Failed {
+		t.Errorf("doh = %v, want failed (censorship, Finding 2.2)", got[resolver.ProtoDoH])
 	}
-	if got[ProtoDNS] != Correct || got[ProtoDoT] != Correct {
-		t.Errorf("dns/dot = %v/%v, want correct (only port 443 blocked)", got[ProtoDNS], got[ProtoDoT])
+	if got[resolver.ProtoTCP] != Correct || got[resolver.ProtoDoT] != Correct {
+		t.Errorf("dns/dot = %v/%v, want correct (only port 443 blocked)", got[resolver.ProtoTCP], got[resolver.ProtoDoT])
 	}
 }
 
@@ -203,19 +203,19 @@ func TestMITMNodeInterceptsDoTBreaksDoH(t *testing.T) {
 	got := outcomes(results)
 	// Opportunistic DoT proceeds and gets the right answer — but is
 	// flagged as intercepted, with the DPI CA visible (Finding 2.3).
-	if got[ProtoDoT] != Correct {
-		t.Errorf("dot = %v, want correct", got[ProtoDoT])
+	if got[resolver.ProtoDoT] != Correct {
+		t.Errorf("dot = %v, want correct", got[resolver.ProtoDoT])
 	}
 	intercepted := fold(results).Intercepted()
-	if len(intercepted) != 1 || intercepted[0].Proto != ProtoDoT {
+	if len(intercepted) != 1 || intercepted[0].Proto != resolver.ProtoDoT {
 		t.Fatalf("intercepted = %+v", intercepted)
 	}
 	if intercepted[0].IssuerCN != "SonicWall Firewall DPI-SSL" {
 		t.Errorf("issuer = %q", intercepted[0].IssuerCN)
 	}
 	// Strict DoH aborts on the forged certificate.
-	if got[ProtoDoH] != Failed {
-		t.Errorf("doh = %v, want failed", got[ProtoDoH])
+	if got[resolver.ProtoDoH] != Failed {
+		t.Errorf("doh = %v, want failed", got[resolver.ProtoDoH])
 	}
 }
 
@@ -224,10 +224,10 @@ func TestConflictNodeForensics(t *testing.T) {
 	node := f.node(t, "conflict")
 	results := f.platform.TestReachability(context.Background(), node, []Target{f.target})
 	got := outcomes(results)
-	if got[ProtoDNS] != Failed || got[ProtoDoT] != Failed {
-		t.Errorf("dns/dot = %v/%v, want failed (address conflict)", got[ProtoDNS], got[ProtoDoT])
+	if got[resolver.ProtoTCP] != Failed || got[resolver.ProtoDoT] != Failed {
+		t.Errorf("dns/dot = %v/%v, want failed (address conflict)", got[resolver.ProtoTCP], got[resolver.ProtoDoT])
 	}
-	dotKey := FailKey{Resolver: "resolverco", Proto: ProtoDoT}
+	dotKey := FailKey{Resolver: "resolverco", Proto: resolver.ProtoDoT}
 	failed := fold(results, dotKey).FailedRefs(dotKey)
 	if len(failed) != 1 || failed[0].ID != "conflict" {
 		t.Errorf("failed nodes = %v", failed)
@@ -242,17 +242,13 @@ func TestConflictNodeForensics(t *testing.T) {
 	if IdentifyDevice(probe) != "router" {
 		t.Errorf("device = %q", IdentifyDevice(probe))
 	}
-	genuine := GenuineProfile{OpenPorts: []uint16{53, 80, 443}}
-	if MatchesGenuine(probe, genuine) {
-		t.Error("conflicted device matched the genuine resolver profile")
-	}
 }
 
 // TestCampaignAndTally drives CampaignStream over the fixture's pool plus
 // one node the uptime screen discards, with a retry budget of two.
 func TestCampaignAndTally(t *testing.T) {
-	dnsKey := FailKey{Resolver: "resolverco", Proto: ProtoDNS}
-	dohKey := FailKey{Resolver: "resolverco", Proto: ProtoDoH}
+	dnsKey := FailKey{Resolver: "resolverco", Proto: resolver.ProtoTCP}
+	dohKey := FailKey{Resolver: "resolverco", Proto: resolver.ProtoDoH}
 	campaign := func(workers int) (*CampaignStats, int) {
 		f := newFixture(t)
 		f.platform.Network.AddNode(proxy.ExitNode{
@@ -275,17 +271,17 @@ func TestCampaignAndTally(t *testing.T) {
 	tally := stats.ByResolverProto()["resolverco"]
 	// 5 nodes: DNS fails on filtered+conflict; DoT and DoQ fail on
 	// conflict; DoH fails on censored+mitm+conflict.
-	for proto, want := range map[Proto]Tally{
-		ProtoDNS: {Correct: 3, Failed: 2},
-		ProtoDoT: {Correct: 4, Failed: 1},
-		ProtoDoH: {Correct: 2, Failed: 3},
-		ProtoDoQ: {Correct: 4, Failed: 1},
+	for proto, want := range map[resolver.Proto]Tally{
+		resolver.ProtoTCP: {Correct: 3, Failed: 2},
+		resolver.ProtoDoT: {Correct: 4, Failed: 1},
+		resolver.ProtoDoH: {Correct: 2, Failed: 3},
+		resolver.ProtoDoQ: {Correct: 4, Failed: 1},
 	} {
 		if tally[proto] != want {
 			t.Errorf("%s tally = %+v, want %+v", proto, tally[proto], want)
 		}
 	}
-	c, i, fl := tally[ProtoDoT].Rates()
+	c, i, fl := tally[resolver.ProtoDoT].Rates()
 	if c+i+fl < 0.999 || c+i+fl > 1.001 {
 		t.Errorf("rates don't sum to 1: %v %v %v", c, i, fl)
 	}
@@ -301,7 +297,7 @@ func TestCampaignAndTally(t *testing.T) {
 	for k, want := range map[FailKey][]string{
 		dnsKey: {"conflict", "filtered"},
 		dohKey: {"censored", "conflict", "mitm"},
-		{Resolver: "resolverco", Proto: ProtoDoT}: nil,
+		{Resolver: "resolverco", Proto: resolver.ProtoDoT}: nil,
 	} {
 		if got := refIDs(stats.FailedRefs(k)); !slices.Equal(got, want) {
 			t.Errorf("FailedRefs(%v) = %v, want %v", k, got, want)
@@ -309,7 +305,7 @@ func TestCampaignAndTally(t *testing.T) {
 	}
 
 	intercepted := stats.Intercepted()
-	if len(intercepted) != 1 || intercepted[0].NodeID != "mitm" || intercepted[0].Proto != ProtoDoT ||
+	if len(intercepted) != 1 || intercepted[0].NodeID != "mitm" || intercepted[0].Proto != resolver.ProtoDoT ||
 		intercepted[0].IssuerCN != "SonicWall Firewall DPI-SSL" {
 		t.Errorf("intercepted = %+v, want mitm's DoT session re-signed by the DPI CA", intercepted)
 	}
@@ -330,9 +326,9 @@ func TestCampaignAndTally(t *testing.T) {
 }
 
 // reused, mux and fresh name the legs the performance tests read.
-func reused(p Proto) Leg { return Leg{p, ModeReused} }
-func mux(p Proto) Leg    { return Leg{p, ModeMux} }
-func fresh(p Proto) Leg  { return Leg{p, ModeFresh} }
+func reused(p resolver.Proto) Leg { return Leg{p, ModeReused} }
+func mux(p resolver.Proto) Leg    { return Leg{p, ModeMux} }
+func fresh(p resolver.Proto) Leg  { return Leg{p, ModeFresh} }
 
 func TestPerformanceReusedOverheadSmall(t *testing.T) {
 	f := newFixture(t)
@@ -351,14 +347,14 @@ func TestPerformanceReusedOverheadSmall(t *testing.T) {
 	}
 	// With connection reuse, encrypted overhead is a few ms (crypto cost),
 	// far below one RTT (the US->resolver RTT here is ≥ 16ms).
-	for _, p := range []Proto{ProtoDoT, ProtoDoH} {
+	for _, p := range []resolver.Proto{resolver.ProtoDoT, resolver.ProtoDoH} {
 		if oh, ok := sample.Medians.OverheadMS(reused(p)); !ok || oh < 0 || oh > 15 {
 			t.Errorf("%s overhead = %vms (measured %v), want small positive", p, oh, ok)
 		}
 	}
 	// A batch of MuxInFlight queries shares one round trip, so the
 	// amortized per-query latency undercuts the serial one.
-	for _, p := range []Proto{ProtoDoT, ProtoDoH, ProtoDoQ} {
+	for _, p := range []resolver.Proto{resolver.ProtoDoT, resolver.ProtoDoH, resolver.ProtoDoQ} {
 		if sample.Medians[mux(p)] >= sample.Medians[reused(p)] {
 			t.Errorf("%s mux median %vms not below serial %vms", p, sample.Medians[mux(p)], sample.Medians[reused(p)])
 		}
@@ -378,14 +374,14 @@ func TestNoReuseOverheadLarger(t *testing.T) {
 	}
 	// Without reuse every query pays TCP+TLS setup: the overhead relative
 	// to DNS/TCP must exceed the reused-connection overhead (§4.3).
-	for _, p := range []Proto{ProtoDoT, ProtoDoH} {
+	for _, p := range []resolver.Proto{resolver.ProtoDoT, resolver.ProtoDoH} {
 		noReuse, _ := sample.Medians.OverheadMS(fresh(p))
 		withReuse, _ := reusedSample.Medians.OverheadMS(reused(p))
 		if noReuse <= withReuse {
 			t.Errorf("no-reuse %s overhead %v <= reused %v", p, noReuse, withReuse)
 		}
 	}
-	if _, ok := sample.Medians.OverheadMS(fresh(ProtoDoQ)); !ok {
+	if _, ok := sample.Medians.OverheadMS(fresh(resolver.ProtoDoQ)); !ok {
 		t.Errorf("no-reuse DoQ leg not measured: %v", sample.Medians)
 	}
 }
@@ -397,17 +393,17 @@ func TestNoReuseOverheadLarger(t *testing.T) {
 func TestAggregateByCountry(t *testing.T) {
 	samples := []PerfSample{
 		{NodeID: "a", Country: "US", MuxInFlight: 4, Medians: Medians{
-			reused(ProtoDNS): 20, reused(ProtoDoT): 25, reused(ProtoDoH): 28, reused(ProtoDoQ): 18,
-			mux(ProtoDoT): 8, mux(ProtoDoH): 9, mux(ProtoDoQ): 6,
+			reused(resolver.ProtoTCP): 20, reused(resolver.ProtoDoT): 25, reused(resolver.ProtoDoH): 28, reused(resolver.ProtoDoQ): 18,
+			mux(resolver.ProtoDoT): 8, mux(resolver.ProtoDoH): 9, mux(resolver.ProtoDoQ): 6,
 		}},
 		// No DoQ endpoint, no multiplexed pass — but a stray mux median,
 		// which must not count without MuxInFlight.
 		{NodeID: "b", Country: "US", Medians: Medians{
-			reused(ProtoDNS): 22, reused(ProtoDoT): 29, reused(ProtoDoH): 27, mux(ProtoDoT): 1,
+			reused(resolver.ProtoTCP): 22, reused(resolver.ProtoDoT): 29, reused(resolver.ProtoDoH): 27, mux(resolver.ProtoDoT): 1,
 		}},
 		{NodeID: "c", Country: "IN", MuxInFlight: 4, Medians: Medians{
-			reused(ProtoDNS): 120, reused(ProtoDoT): 90, reused(ProtoDoH): 80, reused(ProtoDoQ): 70,
-			mux(ProtoDoT): 30, mux(ProtoDoH): 31, mux(ProtoDoQ): 25,
+			reused(resolver.ProtoTCP): 120, reused(resolver.ProtoDoT): 90, reused(resolver.ProtoDoH): 80, reused(resolver.ProtoDoQ): 70,
+			mux(resolver.ProtoDoT): 30, mux(resolver.ProtoDoH): 31, mux(resolver.ProtoDoQ): 25,
 		}},
 	}
 	agg := AggregateByCountry(samples)
@@ -419,16 +415,16 @@ func TestAggregateByCountry(t *testing.T) {
 		name      string
 		got, want float64
 	}{
-		{"US DoT avg", us.AvgMS[reused(ProtoDoT)], (5 + 7) / 2.0},
-		{"US DoH median", us.MedianMS[reused(ProtoDoH)], (8 + 5) / 2.0},
+		{"US DoT avg", us.AvgMS[reused(resolver.ProtoDoT)], (5 + 7) / 2.0},
+		{"US DoH median", us.MedianMS[reused(resolver.ProtoDoH)], (8 + 5) / 2.0},
 		// Only a measured DoQ: b has none, so US DoQ is a's alone.
-		{"US DoQ avg", us.AvgMS[reused(ProtoDoQ)], -2},
+		{"US DoQ avg", us.AvgMS[reused(resolver.ProtoDoQ)], -2},
 		// Only a ran the multiplexed pass: b's stray median is ignored.
-		{"US DoT mux median", us.MedianMS[mux(ProtoDoT)], -12},
-		{"US DoQ mux median", us.MedianMS[mux(ProtoDoQ)], -14},
+		{"US DoT mux median", us.MedianMS[mux(resolver.ProtoDoT)], -12},
+		{"US DoQ mux median", us.MedianMS[mux(resolver.ProtoDoQ)], -14},
 		// India can be *faster* over encrypted transports, as the paper finds.
-		{"IN DoT avg", in.AvgMS[reused(ProtoDoT)], -30},
-		{"IN DoH mux median", in.MedianMS[mux(ProtoDoH)], -89},
+		{"IN DoT avg", in.AvgMS[reused(resolver.ProtoDoT)], -30},
+		{"IN DoH mux median", in.MedianMS[mux(resolver.ProtoDoH)], -89},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
@@ -438,9 +434,9 @@ func TestAggregateByCountry(t *testing.T) {
 		leg           Leg
 		wantAvg, want float64
 	}{
-		{reused(ProtoDoT), (5 + 7 - 30) / 3.0, 5},
-		{reused(ProtoDoQ), (-2 - 50) / 2.0, -26},
-		{mux(ProtoDoH), (-11 - 89) / 2.0, -50},
+		{reused(resolver.ProtoDoT), (5 + 7 - 30) / 3.0, 5},
+		{reused(resolver.ProtoDoQ), (-2 - 50) / 2.0, -26},
+		{mux(resolver.ProtoDoH), (-11 - 89) / 2.0, -50},
 	} {
 		if avg, med := GlobalOverhead(samples, c.leg); avg != c.wantAvg || med != c.want {
 			t.Errorf("global %v = %v/%v, want %v/%v", c.leg, avg, med, c.wantAvg, c.want)
@@ -470,7 +466,7 @@ func TestProxiedLegsHonourContextDeadline(t *testing.T) {
 	tgt := Target{Name: "silent", DNS: silentIP, DoT: silentIP, DoHAddr: silentIP,
 		DoH: doh.Template{Host: "dns.resolverco.example", Path: doh.DefaultPath}}
 	node := f.node(t, "clean")
-	for _, proto := range []Proto{ProtoDNS, ProtoDoT, ProtoDoH} {
+	for _, proto := range []resolver.Proto{resolver.ProtoTCP, resolver.ProtoDoT, resolver.ProtoDoH} {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		start := time.Now()
 		r := f.platform.test(ctx, node, tgt, proto)
@@ -514,7 +510,7 @@ func (d *dropNth) DatagramFault(from, to netip.Addr, port uint16) netsim.Datagra
 func TestRecoveredDoQLookupPaysFullHandshake(t *testing.T) {
 	f := newFixture(t)
 	node := f.node(t, "clean")
-	clean := f.platform.test(context.Background(), node, f.target, ProtoDoQ)
+	clean := f.platform.test(context.Background(), node, f.target, resolver.ProtoDoQ)
 	if clean.Outcome != Correct || clean.Setup <= 0 {
 		t.Fatalf("clean DoQ lookup = %+v", clean)
 	}
@@ -523,7 +519,7 @@ func TestRecoveredDoQLookupPaysFullHandshake(t *testing.T) {
 	f.world.SetFaults(&dropNth{from: nodeClean, to: resolverIP, port: doq.Port, n: 2})
 	var got Result
 	for _, r := range f.platform.TestReachability(context.Background(), node, []Target{f.target}) {
-		if r.Proto == ProtoDoQ {
+		if r.Proto == resolver.ProtoDoQ {
 			got = r
 		}
 	}
@@ -593,16 +589,16 @@ func TestPlatformDisruptionDropped(t *testing.T) {
 	if dropped == 0 {
 		t.Fatalf("no dropped results: %+v", results)
 	}
-	dotKey := FailKey{Resolver: "resolverco", Proto: ProtoDoT}
+	dotKey := FailKey{Resolver: "resolverco", Proto: resolver.ProtoDoT}
 	stats := fold(results, dotKey)
 	if stats.Lookups != len(results) || stats.Dropped != dropped {
 		t.Errorf("stats count %d lookups, %d dropped; want %d, %d", stats.Lookups, stats.Dropped, len(results), dropped)
 	}
 	// Dropped measurements must not contaminate Table 4.
-	for resolver, byProto := range stats.ByResolverProto() {
+	for name, byProto := range stats.ByResolverProto() {
 		for proto, tl := range byProto {
 			if tl.Failed > 0 {
-				t.Errorf("%s/%s counts %d platform failures as protocol failures", resolver, proto, tl.Failed)
+				t.Errorf("%s/%s counts %d platform failures as protocol failures", name, Label(proto), tl.Failed)
 			}
 		}
 	}

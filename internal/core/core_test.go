@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -265,6 +267,54 @@ func TestPerfShapes(t *testing.T) {
 	}
 	if doqAvg >= dotAvg {
 		t.Errorf("global DoQ overhead %.1f ms not below DoT's %.1f ms", doqAvg, dotAvg)
+	}
+}
+
+// TestPerfSamplingAttemptsKeptPrefix pins the performance test's attempted
+// set to the shortest node-order prefix holding PerfNodes successes, the
+// same at any worker count. It runs under -short, so the race sweep covers
+// the wave loop.
+func TestPerfSamplingAttemptsKeptPrefix(t *testing.T) {
+	attempted := make(map[int]int)
+	for _, workers := range []int{1, 8} {
+		cfg := TestConfig()
+		cfg.Workers = workers
+		cfg.Telemetry = true
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples := s.PerfSamples()
+		s.Close()
+		if len(samples) != cfg.PerfNodes {
+			t.Fatalf("workers=%d: %d samples, want %d", workers, len(samples), cfg.PerfNodes)
+		}
+		last := -1
+		for i, n := range s.Global.Nodes() {
+			if n.ID == samples[len(samples)-1].NodeID {
+				last = i
+			}
+		}
+		nodes, nodeSpans := -1, 0
+		for _, rec := range s.Obs.Records() {
+			if strings.HasSuffix(rec.Path, "/perf-sampling") {
+				nodes, _ = strconv.Atoi(rec.Attrs["nodes"])
+			}
+			if path.Base(path.Dir(rec.Path)) == "perf-sampling" && strings.HasPrefix(path.Base(rec.Path), "node:") {
+				nodeSpans++
+			}
+		}
+		if nodes != last+1 || nodeSpans != nodes {
+			t.Errorf("workers=%d: perf-sampling nodes=%d with %d node spans, want both %d (last kept sample is node %d)",
+				workers, nodes, nodeSpans, last+1, last)
+		}
+		if nodes >= cfg.GlobalNodes {
+			t.Errorf("workers=%d: attempted %d of %d nodes, want fewer", workers, nodes, cfg.GlobalNodes)
+		}
+		attempted[workers] = nodes
+	}
+	if attempted[1] != attempted[8] {
+		t.Errorf("attempted %d nodes at workers=1, %d at workers=8", attempted[1], attempted[8])
 	}
 }
 

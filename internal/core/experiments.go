@@ -84,34 +84,38 @@ func (s *Study) PerfSamples() []vantage.PerfSample {
 	s.perfOnce.Do(func() {
 		target := s.Targets[0] // cloudflare
 		nodes := s.Global.Nodes()
-		// Every node is attempted so the work list is fixed up front (a
-		// serial take-first-N loop would make the attempted set depend on
-		// how many predecessors failed); the sample set is then the first
-		// PerfNodes successes in node order, identical for any worker
-		// count. Node session budgets comfortably cover the extra
-		// attempts, so no vantage point expires from the overshoot.
+		// The samples are the first PerfNodes successes in node order.
+		// Each wave measures the next shortfall-many nodes in parallel, so
+		// the attempted set is the shortest node-order prefix holding them,
+		// the same at any worker count (DESIGN §6).
 		type perfOutcome struct {
 			sample vantage.PerfSample
 			ok     bool
 		}
 		pctx, psp := obs.Start(obs.WithPool(s.obsCtx(), "perf"), "perf-sampling")
-		outcomes, _ := runner.MapCtx(pctx, s.Workers, len(nodes), func(ctx context.Context, i int) perfOutcome {
-			ctx, _ = obs.Start(ctx, "node:"+nodes[i].ID, obs.Key(i))
-			sample, err := s.GlobalPlatform.MeasurePerformanceContext(ctx, nodes[i], target, s.PerfQueriesReused)
-			// Afflicted vantages cannot complete all three protocols;
-			// the paper's perf dataset is likewise the subset of clients
-			// that can (8,257 of 29,622).
-			return perfOutcome{sample: sample, ok: err == nil}
-		})
-		psp.SetInt("nodes", int64(len(nodes)))
-		for _, o := range outcomes {
-			if len(s.perfSamples) >= s.PerfNodes {
+		attempted := 0
+		for len(s.perfSamples) < s.PerfNodes && attempted < len(nodes) {
+			wave := nodes[attempted:min(len(nodes), attempted+s.PerfNodes-len(s.perfSamples))]
+			base := attempted
+			outcomes, err := runner.MapCtx(pctx, s.Workers, len(wave), func(ctx context.Context, i int) perfOutcome {
+				ctx, _ = obs.Start(ctx, "node:"+wave[i].ID, obs.Key(base+i))
+				sample, err := s.GlobalPlatform.MeasurePerformanceContext(ctx, wave[i], target, s.PerfQueriesReused)
+				// Afflicted vantages cannot complete all three protocols;
+				// the paper's perf dataset is likewise the subset of
+				// clients that can (8,257 of 29,622).
+				return perfOutcome{sample: sample, ok: err == nil}
+			})
+			attempted += len(wave)
+			for _, o := range outcomes {
+				if o.ok {
+					s.perfSamples = append(s.perfSamples, o.sample)
+				}
+			}
+			if err != nil {
 				break
 			}
-			if o.ok {
-				s.perfSamples = append(s.perfSamples, o.sample)
-			}
 		}
+		psp.SetInt("nodes", int64(attempted))
 	})
 	return s.perfSamples
 }

@@ -26,7 +26,7 @@ var opendnsAddr = netip.MustParseAddr("208.67.222.222")
 func (s *Study) buildDNSCrypt() error {
 	s.World.Geo.Register(netip.MustParsePrefix("208.67.222.0/24"),
 		geo.Location{Country: "US", ASN: 36692, ASName: "OpenDNS, LLC"})
-	resolver := s.resolverFor(opendnsAddr, s.Seed+107)
+	resolver := s.resolverFor(opendnsAddr)
 	srv, providerPK, err := dnscrypt.NewServer("opendns."+ProbeZone, resolver)
 	if err != nil {
 		return err
@@ -53,7 +53,7 @@ func (s *Study) buildLocalResolvers() error {
 		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{b[0], b[1], b[2], 0}), 24)
 		s.LocalResolvers[prefix] = lr
 
-		resolver := s.resolverFor(lr, s.Seed+200+int64(i))
+		resolver := s.resolverFor(lr)
 		s.World.RegisterDatagram(lr, 53, dnsserver.DatagramHandler(resolver))
 		// Roughly 1 in 200 ISP resolvers speaks DoT (at miniature
 		// scale, guarantee one so the experiment has a witness).

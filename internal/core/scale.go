@@ -131,7 +131,7 @@ func NewScaleCampaign(cfg ScaleConfig) (*ScaleCampaign, error) {
 	// could ever have produced a hit — answers and latencies are
 	// unchanged, heap stays O(CacheLimit).
 	c.Resolver = dnsserver.NewResolver(c.World, cloudflareDNS,
-		map[string]netip.Addr{ProbeZone: authServerAddr}, cfg.Seed+101)
+		map[string]netip.Addr{ProbeZone: authServerAddr})
 	c.Resolver.CacheLimit = cfg.CacheLimit
 	dnsserver.Serve(c.World, cloudflareDNS, c.Resolver)
 

@@ -258,9 +258,9 @@ func (s *Study) buildAuthoritative() error {
 
 // resolverFor builds a caching recursive resolver forwarding the
 // measurement zone to the authoritative server.
-func (s *Study) resolverFor(addr netip.Addr, seed int64) *dnsserver.Resolver {
+func (s *Study) resolverFor(addr netip.Addr) *dnsserver.Resolver {
 	return dnsserver.NewResolver(s.World, addr,
-		map[string]netip.Addr{ProbeZone: authServerAddr}, seed)
+		map[string]netip.Addr{ProbeZone: authServerAddr})
 }
 
 // latencyShaper adds per-country path penalties at a resolver — the route
@@ -303,7 +303,7 @@ func (s *Study) buildPublicResolvers() error {
 
 	// Cloudflare: clear-text DNS + DoT on 1.1.1.1, DoH on
 	// mozilla.cloudflare-dns.com.
-	cfResolver := s.resolverFor(cloudflareDNS, s.Seed+101)
+	cfResolver := s.resolverFor(cloudflareDNS)
 	cfClear := &latencyShaper{inner: cfResolver, world: s.World, penalty: clearTextPenalty}
 	cfEnc := &latencyShaper{inner: cfResolver, world: s.World, penalty: encryptedPenalty}
 	dnsserver.Serve(s.World, cloudflareDNS, cfClear)
@@ -325,7 +325,7 @@ func (s *Study) buildPublicResolvers() error {
 
 	// Google: clear-text on 8.8.8.8, DoH on dns.google. No DoT at the
 	// time of the experiment ("Google DoT was not announced").
-	gResolver := s.resolverFor(googleDNS, s.Seed+102)
+	gResolver := s.resolverFor(googleDNS)
 	gClear := &latencyShaper{inner: gResolver, world: s.World, penalty: clearTextPenalty}
 	gEnc := &latencyShaper{inner: gResolver, world: s.World, penalty: encryptedPenalty}
 	dnsserver.Serve(s.World, googleDNS, gClear)
@@ -340,9 +340,9 @@ func (s *Study) buildPublicResolvers() error {
 
 	// Quad9: all three protocols on 9.9.9.9; the DoH front-end forwards
 	// to its own UDP backend with a 2-second timeout (Finding 2.4).
-	q9Resolver := s.resolverFor(quad9Backend, s.Seed+103)
+	q9Resolver := s.resolverFor(quad9Backend)
 	s.World.RegisterDatagram(quad9Backend, 53, dnsserver.DatagramHandler(q9Resolver))
-	q9Front := s.resolverFor(quad9Addr, s.Seed+104)
+	q9Front := s.resolverFor(quad9Addr)
 	q9Clear := &latencyShaper{inner: q9Front, world: s.World, penalty: clearTextPenalty}
 	q9Enc := &latencyShaper{inner: q9Front, world: s.World, penalty: encryptedPenalty}
 	dnsserver.Serve(s.World, quad9Addr, q9Clear)
@@ -397,7 +397,7 @@ func (s *Study) buildPublicResolvers() error {
 	})
 
 	// Self-built resolver: authoritative-backed, all three protocols.
-	sb := s.resolverFor(selfBuiltAddr, s.Seed+106)
+	sb := s.resolverFor(selfBuiltAddr)
 	dnsserver.Serve(s.World, selfBuiltAddr, sb)
 	sbLeaf, err := issue("self-built."+ProbeZone, selfBuiltAddr)
 	if err != nil {

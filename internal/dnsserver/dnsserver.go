@@ -8,7 +8,6 @@ package dnsserver
 
 import (
 	"bufio"
-	"math/rand"
 	"net/netip"
 	"strings"
 	"sync"
@@ -269,10 +268,6 @@ type Resolver struct {
 	Upstreams map[string]netip.Addr
 	// BaseProc is charged on every query (lookup, cache bookkeeping).
 	BaseProc time.Duration
-	// ExtraProcDist, when non-nil, draws additional heavy-tail recursion
-	// latency per cache miss (modeling faraway or slow nameservers — the
-	// distribution behind Finding 2.4's timeouts).
-	ExtraProcDist func(rng *rand.Rand) time.Duration
 	// CacheLimit, when > 0, caps the number of cached entries: once full,
 	// new answers are served but not inserted. This is only safe for
 	// workloads whose query names are task-private (never re-queried) —
@@ -282,9 +277,6 @@ type Resolver struct {
 	// worlds leave it 0 (unbounded) because reused-name measurements
 	// depend on hits.
 	CacheLimit int
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	cacheMu sync.Mutex
 	cache   map[string]cacheEntry
@@ -303,7 +295,7 @@ type cacheEntry struct {
 }
 
 // NewResolver creates a recursive resolver.
-func NewResolver(w *netsim.World, addr netip.Addr, upstreams map[string]netip.Addr, seed int64) *Resolver {
+func NewResolver(w *netsim.World, addr netip.Addr, upstreams map[string]netip.Addr) *Resolver {
 	canon := make(map[string]netip.Addr, len(upstreams))
 	for suffix, a := range upstreams {
 		canon[dnswire.CanonicalName(suffix)] = a
@@ -313,7 +305,6 @@ func NewResolver(w *netsim.World, addr netip.Addr, upstreams map[string]netip.Ad
 		Addr:      addr,
 		Upstreams: canon,
 		BaseProc:  500 * time.Microsecond,
-		rng:       rand.New(rand.NewSource(seed)),
 		cache:     make(map[string]cacheEntry),
 	}
 }
@@ -370,11 +361,6 @@ func (r *Resolver) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Messag
 		return resp, proc + upElapsed
 	}
 	proc += upElapsed
-	if r.ExtraProcDist != nil {
-		r.rngMu.Lock()
-		proc += r.ExtraProcDist(r.rng)
-		r.rngMu.Unlock()
-	}
 
 	resp.Rcode = um.Rcode
 	// Rewrite answer ownership onto our response (IDs differ upstream).

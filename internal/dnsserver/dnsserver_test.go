@@ -88,7 +88,7 @@ func setupRecursive(t *testing.T, w *netsim.World) *Resolver {
 	z := NewZone("measure.example.org")
 	z.WildcardA = netip.MustParseAddr("203.0.113.1")
 	w.RegisterDatagram(authIP, 53, DatagramHandler(z))
-	r := NewResolver(w, resolverIP, map[string]netip.Addr{"measure.example.org": authIP}, 99)
+	r := NewResolver(w, resolverIP, map[string]netip.Addr{"measure.example.org": authIP})
 	Serve(w, resolverIP, r)
 	return r
 }
@@ -141,7 +141,7 @@ func TestRecursiveCacheMakesSecondQueryFaster(t *testing.T) {
 
 func TestResolverServFailOnUnknownZone(t *testing.T) {
 	w := newWorld()
-	r := NewResolver(w, resolverIP, map[string]netip.Addr{}, 1)
+	r := NewResolver(w, resolverIP, map[string]netip.Addr{})
 	resp, _ := r.ServeDNS(clientIP, dnswire.NewQuery(5, "unrouted.example", dnswire.TypeA))
 	if resp.Rcode != dnswire.RcodeServFail {
 		t.Errorf("rcode = %v, want SERVFAIL", resp.Rcode)

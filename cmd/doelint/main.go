@@ -11,12 +11,12 @@
 //	go run ./cmd/doelint -checks errwrap,lockbalance ./internal/...
 //	go run ./cmd/doelint -checks -walltaint ./...   # everything but walltaint
 //	go run ./cmd/doelint -sarif doelint.sarif ./... # SARIF 2.1.0 for CI annotation
-//	go run ./cmd/doelint -baseline .doelint-baseline.json ./...
 //	go run ./cmd/doelint -list             # show registered analyzers
 //
-// Exit status: 0 when clean (or every finding is absorbed by the
-// baseline), 1 when findings were reported, 2 on driver errors (packages
-// failing to load or type-check).
+// Exit status: 0 when clean, 1 when findings were reported, 2 on driver
+// errors (packages failing to load or type-check). There is no findings
+// baseline: a justified //doelint:allow directive at the finding is the
+// one way to keep a flagged line.
 package main
 
 import (
@@ -36,8 +36,6 @@ func main() {
 		list     = flag.Bool("list", false, "list registered analyzers and exit")
 		dir      = flag.String("dir", ".", "directory to resolve package patterns from")
 		sarifOut = flag.String("sarif", "", "write findings as SARIF 2.1.0 to this file")
-		baseline = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		updateBl = flag.Bool("update-baseline", false, "rewrite the -baseline file to absorb the current findings and exit 0")
 	)
 	flag.Parse()
 
@@ -57,31 +55,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "doelint:", err)
 		os.Exit(2)
-	}
-
-	if *updateBl {
-		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "doelint: -update-baseline requires -baseline")
-			os.Exit(2)
-		}
-		if err := lint.WriteBaseline(*baseline, lint.NewBaseline(findings)); err != nil {
-			fmt.Fprintln(os.Stderr, "doelint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "doelint: baseline %s absorbs %d finding(s)\n", *baseline, len(findings))
-		return
-	}
-
-	suppressed := 0
-	if *baseline != "" {
-		b, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "doelint:", err)
-			os.Exit(2)
-		}
-		var absorbed []lint.Finding
-		findings, absorbed = b.Filter(findings)
-		suppressed = len(absorbed)
 	}
 
 	if *sarifOut != "" {
@@ -115,9 +88,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "doelint: %d finding(s)\n", len(findings))
 		}
 		os.Exit(1)
-	}
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "doelint: clean (%d finding(s) absorbed by baseline)\n", suppressed)
 	}
 }
 

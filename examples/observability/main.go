@@ -69,11 +69,10 @@ func main() {
 	}
 
 	// 5. The streaming sketches: log-spaced-bucket latency distributions
-	// recorded shard-locally by every worker and folded into the study
-	// registry when each pool joins. Merge is bucket-wise addition —
-	// associative and order-independent — which is why these quantiles are
-	// also byte-identical at any worker count.
-	fmt.Printf("\nquery-latency sketches (shard-merged across %d workers):\n\n", cfg.Workers)
+	// that every worker records into the one study registry. A sketch is
+	// integer bucket counts, and adding counts commutes, which is why
+	// these quantiles are also byte-identical at any worker count.
+	fmt.Printf("\nquery-latency sketches (recorded by %d workers):\n\n", cfg.Workers)
 	for _, line := range strings.Split(study.Obs.Metrics().Snapshot(false), "\n") {
 		if strings.HasPrefix(line, "vantage_query_latency_sketch") {
 			fmt.Println(line)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/geo"
+	"dnsencryption.info/doe/internal/obs"
 	"dnsencryption.info/doe/internal/proxy"
 	"dnsencryption.info/doe/internal/resolver"
 	"dnsencryption.info/doe/internal/runner"
@@ -130,30 +132,30 @@ func runLocalDoT(s *Study) (string, error) {
 		example string
 		ok      bool
 	}
-	results := runner.Map(s.Workers, len(nodes), func(i int) localProbe {
-		node := nodes[i]
-		b := node.Addr.As4()
-		b[3] = 53
-		lr := netip.AddrFrom4(b)
-		// The resolver's default Opportunistic profile: a local resolver
-		// with any certificate counts as DoT-capable.
-		exit := proxy.ExitDialer{Network: s.Global, From: s.GlobalPlatform.From, NodeID: node.ID}
-		ctx := s.obsCtx()
-		sess, err := resolver.NewVia(exit, s.Roots).Dial(ctx, resolver.ProtoDoT, resolver.Endpoint{Addr: lr})
-		if err != nil {
-			return localProbe{}
-		}
-		q := dnswire.NewQuery(0, s.GlobalPlatform.UniqueName(node.ID+"-local"), dnswire.TypeA)
-		m, err := sess.Exchange(ctx, q)
-		sess.Close()
-		if err != nil || m.Rcode != dnswire.RcodeSuccess {
-			return localProbe{}
-		}
-		return localProbe{
-			example: fmt.Sprintf("%s (AS%d %s)", lr, node.ASN, node.ASName),
-			ok:      true,
-		}
-	})
+	results, _ := runner.MapCtx(obs.WithPool(s.obsCtx(), "local-dot"), s.Workers, len(nodes),
+		func(ctx context.Context, i int) localProbe {
+			node := nodes[i]
+			b := node.Addr.As4()
+			b[3] = 53
+			lr := netip.AddrFrom4(b)
+			// The resolver's default Opportunistic profile: a local resolver
+			// with any certificate counts as DoT-capable.
+			exit := proxy.ExitDialer{Network: s.Global, From: s.GlobalPlatform.From, NodeID: node.ID}
+			sess, err := resolver.NewVia(exit, s.Roots).Dial(ctx, resolver.ProtoDoT, resolver.Endpoint{Addr: lr})
+			if err != nil {
+				return localProbe{}
+			}
+			q := dnswire.NewQuery(0, s.GlobalPlatform.UniqueName(node.ID+"-local"), dnswire.TypeA)
+			m, err := sess.Exchange(ctx, q)
+			sess.Close()
+			if err != nil || m.Rcode != dnswire.RcodeSuccess {
+				return localProbe{}
+			}
+			return localProbe{
+				example: fmt.Sprintf("%s (AS%d %s)", lr, node.ASN, node.ASName),
+				ok:      true,
+			}
+		})
 	probed, succeeded := len(nodes), 0
 	var capable []string
 	for _, r := range results {

@@ -14,13 +14,16 @@ import (
 
 // TestGoldenTraceSmall pins the telemetry trace of the miniature study to
 // the committed golden, byte for byte, at two worker counts: the same
-// guarantee the reports carry, extended to the span tree. The golden is
+// guarantee the reports carry, extended to the span tree. The same runs pin
+// the deterministic metric snapshot (the report's "== telemetry:" section
+// after its span count) to testdata/metrics_small.txt. The goldens are
 // regenerated with
 //
 //	go run ./cmd/doereport -small -trace internal/core/testdata/trace_small.jsonl -o /dev/null
+//	go run ./cmd/doereport -small -trace /dev/null | sed -e '1,/^trace spans: /d' -e '$d' > internal/core/testdata/metrics_small.txt
 //
 // (any -workers value produces the same bytes; `make trace-smoke` diffs a
-// fresh run against this file too).
+// fresh trace against the first file too).
 func TestGoldenTraceSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full miniature studies take ~1 min")
@@ -28,6 +31,10 @@ func TestGoldenTraceSmall(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "trace_small.jsonl"))
 	if err != nil {
 		t.Fatalf("reading committed golden trace: %v", err)
+	}
+	goldenMetrics, err := os.ReadFile(filepath.Join("testdata", "metrics_small.txt"))
+	if err != nil {
+		t.Fatalf("reading committed golden metric snapshot: %v", err)
 	}
 	for _, workers := range []int{1, 8} {
 		workers := workers
@@ -56,6 +63,8 @@ func TestGoldenTraceSmall(t *testing.T) {
 				t.Errorf("trace has %d records, recorder counts %d spans", len(recs), s.Obs.SpanCount())
 			}
 			diffReports(t, "golden", string(golden), fmt.Sprintf("workers=%d", workers), b.String())
+			diffReports(t, "golden metrics", string(goldenMetrics), fmt.Sprintf("metrics workers=%d", workers),
+				s.Obs.Metrics().Snapshot(false))
 		})
 	}
 }
@@ -112,7 +121,7 @@ func TestTelemetryKeepsReportsByteIdentical(t *testing.T) {
 		t.Error("chaos trace carries no fault events")
 	}
 	// Chaos metrics reach the snapshot deterministically — including the
-	// shard-merged streaming sketch family.
+	// streaming sketch family every worker records into.
 	for _, want := range []string{"faults_injected_total{kind=", "resolver_retries_total",
 		"vantage_lookups_total{", "vantage_query_latency_sketch{"} {
 		if !strings.Contains(s1, want) {

@@ -75,12 +75,18 @@ func (c *Cert) Marshal(providerKey ed25519.PrivateKey) []byte {
 }
 
 // ParseCert verifies a wire certificate against the provider's Ed25519
-// public key and the study's reference time.
+// public key and the study's reference time. The es-version lies outside
+// the signed content, so anyone on the path can relabel it; the client
+// seals only X25519-XSalsa20Poly1305, and every other es-version is
+// rejected rather than trusted.
 func ParseCert(raw []byte, providerPK ed25519.PublicKey, now time.Time) (*Cert, error) {
 	if len(raw) < 4+2+2+64+52 || !bytes.Equal(raw[:4], certMagic[:]) {
 		return nil, ErrBadCert
 	}
 	es := binary.BigEndian.Uint16(raw[4:])
+	if es != esVersionXSalsa20 {
+		return nil, fmt.Errorf("%w: unsupported es-version %d", ErrBadCert, es)
+	}
 	sig := raw[8:72]
 	content := raw[72:]
 	if !ed25519.Verify(providerPK, content, sig) {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -191,6 +193,40 @@ func TestCertRoundTripAndValidation(t *testing.T) {
 	wire[80] ^= 1
 	if _, err := ParseCert(wire, pk, certs.RefTime); err == nil {
 		t.Error("tampered cert accepted")
+	}
+}
+
+// TestCertRejectsUnsupportedESVersion: the es-version field sits outside
+// the Ed25519-signed content, so a cert relabelled on the path still
+// carries a verifying signature. Only X25519-XSalsa20Poly1305, the one
+// construction the client seals, is accepted.
+func TestCertRejectsUnsupportedESVersion(t *testing.T) {
+	pk, sk, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert := Cert{
+		ESVersion: esVersionXSalsa20,
+		Serial:    1,
+		NotBefore: certs.RefTime.AddDate(0, -6, 0),
+		NotAfter:  certs.RefTime.AddDate(0, 6, 0),
+	}
+	wire := cert.Marshal(sk)
+	if _, err := ParseCert(wire, pk, certs.RefTime); err != nil {
+		t.Fatalf("es-version 1 cert rejected: %v", err)
+	}
+	for _, es := range []uint16{0, 2, 0xffff} {
+		relabelled := bytes.Clone(wire)
+		binary.BigEndian.PutUint16(relabelled[4:], es)
+		if _, err := ParseCert(relabelled, pk, certs.RefTime); !errors.Is(err, ErrBadCert) {
+			t.Errorf("cert relabelled to es-version %d: err = %v, want ErrBadCert", es, err)
+		}
+	}
+	// Signed as es-version 2 by the provider itself: still not a
+	// construction the client speaks.
+	cert.ESVersion = 2
+	if _, err := ParseCert(cert.Marshal(sk), pk, certs.RefTime); !errors.Is(err, ErrBadCert) {
+		t.Errorf("signed es-version 2 cert: err = %v, want ErrBadCert", err)
 	}
 }
 

@@ -13,7 +13,7 @@ import "runtime"
 //
 //   - mem_heap_alloc_bytes: live heap at sample time
 //   - mem_high_water_bytes: max heap seen across samples (Gauge.Max, so
-//     repeated scrapes and registry merges keep the high-water mark)
+//     repeated scrapes keep the high-water mark)
 //   - mem_heap_sys_bytes, mem_total_alloc_bytes, mem_gc_cycles_total:
 //     the usual capacity/churn companions
 func SampleMemStats(reg *Registry) {

@@ -19,7 +19,8 @@ import (
 // `== telemetry:` report section and the golden snapshot. Metrics whose
 // values are inherently schedule-dependent (per-worker shares, inflight
 // high-water marks) must be registered as volatile; they show up only in
-// full snapshots (-metrics output, /metrics endpoint).
+// full snapshots (-metrics output, /metrics endpoint). A name has one kind
+// and one volatility: registering it again as another panics.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -47,6 +48,11 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
+// lookup returns the family registered under name, creating it on first
+// use. A name keeps the kind and volatility it was first registered with:
+// asking for another would hide the family from the deterministic snapshot
+// or render its values under another kind's TYPE line, so, like a bad
+// label key, it panics at the instrumentation site's first call.
 func (r *Registry) lookup(name string, kind metricKind, volatile bool) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -54,8 +60,48 @@ func (r *Registry) lookup(name string, kind metricKind, volatile bool) *family {
 	if !ok {
 		f = &family{name: name, kind: kind, volatile: volatile, insts: make(map[string]any)}
 		r.fams[name] = f
+	} else if f.kind != kind || f.volatile != volatile {
+		panic(fmt.Sprintf("obs: metric %q is registered as a %s, not a %s",
+			name, describeKind(f.kind, f.volatile), describeKind(kind, volatile)))
 	}
 	return f
+}
+
+func describeKind(kind metricKind, volatile bool) string {
+	name := [...]string{kindCounter: "counter", kindGauge: "gauge", kindSketch: "sketch"}[kind]
+	if volatile {
+		return "volatile " + name
+	}
+	return name
+}
+
+// instance returns the metric name{labels}, creating it and its family on
+// first use; nil on a nil registry. labels alternate key, value. It stays
+// a plain method rather than a generic function: the accessors below
+// inline into their callers, and a generic callee's escape facts do not
+// reach them, which moves every call site's variadic label slice to the
+// heap, telemetry on or off.
+func (r *Registry) instance(name string, kind metricKind, volatile bool, labels []string) any {
+	if r == nil {
+		return nil
+	}
+	f := r.lookup(name, kind, volatile)
+	ls := labelString(labels)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m, ok := f.insts[ls]
+	if !ok {
+		switch kind {
+		case kindCounter:
+			m = new(Counter)
+		case kindGauge:
+			m = new(Gauge)
+		case kindSketch:
+			m = new(Sketch)
+		}
+		f.insts[ls] = m
+	}
+	return m
 }
 
 // labelString renders "k1=v1,k2=v2" from alternating key/value pairs.
@@ -202,59 +248,26 @@ func (g *Gauge) Value() int64 {
 
 // ── registry accessors ────────────────────────────────────────────────────
 
-func (r *Registry) counter(name string, volatile bool, labels ...string) *Counter {
-	if r == nil {
-		return nil
-	}
-	f := r.lookup(name, kindCounter, volatile)
-	ls := labelString(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.insts[ls].(*Counter); ok {
-		return c
-	}
-	c := &Counter{}
-	f.insts[ls] = c
-	return c
-}
-
 // Counter returns the deterministic counter name{labels}, creating it on
 // first use. labels alternate key, value.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
-	return r.counter(name, false, labels...)
+	c, _ := r.instance(name, kindCounter, false, labels).(*Counter)
+	return c
 }
 
 // VolatileCounter is Counter for schedule-dependent values (per-worker
 // shares); excluded from deterministic snapshots.
 func (r *Registry) VolatileCounter(name string, labels ...string) *Counter {
-	return r.counter(name, true, labels...)
+	c, _ := r.instance(name, kindCounter, true, labels).(*Counter)
+	return c
 }
 
-func (r *Registry) gauge(name string, volatile bool, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.lookup(name, kindGauge, volatile)
-	ls := labelString(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok := f.insts[ls].(*Gauge); ok {
-		return g
-	}
-	g := &Gauge{}
-	f.insts[ls] = g
-	return g
-}
-
-// Gauge returns the deterministic gauge name{labels}.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	return r.gauge(name, false, labels...)
-}
-
-// VolatileGauge is Gauge for schedule-dependent values (queue depth
-// high-water marks, worker counts).
+// VolatileGauge returns the gauge name{labels}, creating it on first use.
+// Every gauge is volatile: gauges hold schedule-dependent values (queue
+// depth high-water marks, worker counts, memory samples).
 func (r *Registry) VolatileGauge(name string, labels ...string) *Gauge {
-	return r.gauge(name, true, labels...)
+	g, _ := r.instance(name, kindGauge, true, labels).(*Gauge)
+	return g
 }
 
 // ── snapshots ─────────────────────────────────────────────────────────────

@@ -117,10 +117,9 @@ type recorderCtxKey struct{}
 type spanCtxKey struct{}
 type workerSinkCtxKey struct{}
 type poolNameCtxKey struct{}
-type registryCtxKey struct{}
 
-// workerSink accumulates per-worker virtual busy time; runner.MapCtx puts
-// one in each worker's context.
+// workerSink accumulates per-worker virtual busy time; the runner pool
+// puts one in each worker's context.
 type workerSink struct {
 	total  *Counter // deterministic: pool-wide virtual busy total
 	worker *Counter // volatile: this worker's share (schedule-dependent)
@@ -146,26 +145,8 @@ func FromContext(ctx context.Context) *Recorder {
 	return r
 }
 
-// WithMetricsRegistry overrides the registry Metrics returns beneath ctx.
-// runner.MapCtx installs one shard registry per worker goroutine so hot
-// recording paths touch worker-local atomics instead of contending on the
-// study registry; the shards fold back via Registry.Merge when the pool
-// joins. A nil reg returns ctx unchanged.
-func WithMetricsRegistry(ctx context.Context, reg *Registry) context.Context {
-	if reg == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, registryCtxKey{}, reg)
-}
-
-// Metrics returns the registry carried by ctx — a shard override installed
-// by WithMetricsRegistry if present, else the recorder's registry, or nil.
+// Metrics returns the registry of the recorder ctx carries, or nil.
 func Metrics(ctx context.Context) *Registry {
-	if ctx != nil {
-		if reg, ok := ctx.Value(registryCtxKey{}).(*Registry); ok {
-			return reg
-		}
-	}
 	return FromContext(ctx).Metrics()
 }
 
@@ -220,7 +201,7 @@ func Charge(ctx context.Context, d time.Duration) {
 }
 
 // WithPool names the runner pool instrumented calls beneath ctx belong to;
-// runner.MapCtx reads it for metric labels.
+// the runner pool reads it for metric labels and its progress phase.
 func WithPool(ctx context.Context, name string) context.Context {
 	return context.WithValue(ctx, poolNameCtxKey{}, name)
 }
@@ -237,7 +218,7 @@ func PoolName(ctx context.Context, fallback string) string {
 
 // WithWorkerSink attaches per-worker busy-time counters to ctx. The total
 // counter is deterministic (schedule-independent sum); the worker counter
-// is volatile. runner.MapCtx installs one per worker goroutine.
+// is volatile. The runner pool installs one per worker goroutine.
 func WithWorkerSink(ctx context.Context, total, worker *Counter) context.Context {
 	return context.WithValue(ctx, workerSinkCtxKey{}, &workerSink{total: total, worker: worker})
 }

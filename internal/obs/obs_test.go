@@ -99,7 +99,6 @@ func TestNilEverythingIsSafe(t *testing.T) {
 	}
 	reg.Counter("c").Add(1)
 	reg.VolatileCounter("vc").Add(1)
-	reg.Gauge("g").Set(1)
 	reg.VolatileGauge("vg").Max(1)
 	reg.Sketch("h").Observe(time.Second)
 	if reg.Snapshot(true) != "" || reg.PrometheusText() != "" {

@@ -15,8 +15,8 @@ type Phase struct {
 	total atomic.Int64
 }
 
-// AddTotal grows the phase's expected task count; runner.MapCtx calls it
-// once per pool launch, so a pool reused across calls accumulates.
+// AddTotal grows the phase's expected task count; the runner pool calls
+// it once per launch, so a pool reused across calls accumulates.
 func (p *Phase) AddTotal(n int64) {
 	if p == nil {
 		return

@@ -8,11 +8,10 @@ import (
 
 // Sketch is obs's one latency distribution: a fixed log-spaced-bucket
 // sketch for virtual latencies that span several orders of magnitude.
-// Every sketch shares one bucket layout (sketchBounds), so Merge is
-// bucket-wise integer addition — associative, commutative, and
-// order-independent. That is the property that lets per-shard sketches
-// fold into the study registry in any merge tree and still produce
-// byte-identical snapshots at any worker count.
+// Every sketch shares one bucket layout (sketchBounds), and a sketch is
+// integer counts only: observations commute, so concurrent workers
+// recording into one sketch leave the same buckets at any worker count,
+// and Merge is bucket-wise addition (campaign accumulators fold with it).
 //
 // Like every obs metric it stores integer counts and integer microsecond
 // sums only; observations are virtual-clock durations, never wall time.
@@ -160,17 +159,6 @@ func (s *Sketch) bucketCounts() ([numBounds]int64, int64) {
 // Sketch returns the deterministic sketch name{labels}, creating it on
 // first use. labels alternate key, value.
 func (r *Registry) Sketch(name string, labels ...string) *Sketch {
-	if r == nil {
-		return nil
-	}
-	f := r.lookup(name, kindSketch, false)
-	ls := labelString(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.insts[ls].(*Sketch); ok {
-		return s
-	}
-	s := new(Sketch)
-	f.insts[ls] = s
-	return s
+	sk, _ := r.instance(name, kindSketch, false, labels).(*Sketch)
+	return sk
 }

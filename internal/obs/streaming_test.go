@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -161,199 +160,123 @@ func TestSketchMergeMismatchAndNil(t *testing.T) {
 	if a.Count() != 3 {
 		t.Errorf("nil merges changed the sketch: count %d", a.Count())
 	}
-	// Sketches share one layout, so the only mismatch left is a family
-	// that is a sketch on one side and another kind on the other.
-	src := NewRegistry()
-	src.Sketch("m").Observe(time.Millisecond)
-	dst := NewRegistry()
-	dst.Counter("m")
-	if err := dst.Merge(src); err == nil || !strings.Contains(err.Error(), "kind mismatch (counter vs sketch)") {
-		t.Errorf("sketch into counter merge: %v, want kind mismatch error", err)
+}
+
+// ── one registry, many recorders ──────────────────────────────────────────
+
+// recordShare is one recorder goroutine's share of the concurrent
+// recording test: n tasks into shared counter, sketch and volatile-gauge
+// families, plus a per-recorder volatile counter.
+func recordShare(reg *Registry, g, n int) {
+	for i := 0; i < n; i++ {
+		reg.Counter("tasks_total", "pool", "campaign").Add(1)
+		reg.Counter("outcomes_total", "outcome", fmt.Sprint(i%3)).Add(1)
+		reg.Sketch("lat", "proto", "doh").Observe(time.Duration(1+i%50) * time.Millisecond)
+		reg.VolatileGauge("inflight_max", "pool", "campaign").Max(int64(g*n + i))
+		reg.VolatileCounter("worker_tasks", "worker", fmt.Sprint(g)).Add(1)
 	}
 }
 
-// ── Registry.Merge ────────────────────────────────────────────────────────
-
-// shardFixture builds n shard registries with overlapping and disjoint
-// families of every kind, deterministically from the shard index.
-func shardFixture(n int) []*Registry {
-	shards := make([]*Registry, n)
-	for i := range shards {
-		r := NewRegistry()
-		r.Counter("tasks_total", "pool", "campaign").Add(int64(10 + i))
-		r.Counter("dials_total", "outcome", fmt.Sprintf("kind-%d", i%3)).Add(int64(i + 1))
-		r.Gauge("depth_max").Max(int64(i * 7 % 13))
-		r.VolatileCounter("worker_share", "worker", fmt.Sprint(i)).Add(int64(i))
-		h := r.Sketch("lat", "proto", "dot")
-		sk := r.Sketch("lat_sketch", "proto", "doh")
-		for j := 0; j <= i; j++ {
-			d := time.Duration(1+(i*31+j*17)%5000) * time.Millisecond / 10
-			h.Observe(d)
-			sk.Observe(d)
-		}
-		shards[i] = r
-	}
-	return shards
-}
-
-// TestMergeOrderIndependence is the satellite property test: folding the
-// same shards in shuffled orders and different tree shapes must produce
-// byte-identical snapshots, volatile families included.
-func TestMergeOrderIndependence(t *testing.T) {
-	const n = 9
-	baseline := NewRegistry()
-	for _, s := range shardFixture(n) {
-		if err := baseline.Merge(s); err != nil {
-			t.Fatalf("baseline merge: %v", err)
-		}
-	}
-	wantDet := baseline.Snapshot(false)
-	wantAll := baseline.Snapshot(true)
-	if wantDet == "" || wantAll == wantDet {
-		t.Fatalf("fixture too trivial:\ndet=%q\nall=%q", wantDet, wantAll)
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		shards := shardFixture(n)
-		rng.Shuffle(len(shards), func(i, j int) { shards[i], shards[j] = shards[j], shards[i] })
-		root := NewRegistry()
-		if trial%2 == 0 {
-			// Flat fold, shuffled order.
-			for _, s := range shards {
-				if err := root.Merge(s); err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
-				}
-			}
-		} else {
-			// Random binary tree: repeatedly merge one registry into
-			// another until a single root remains.
-			for len(shards) > 1 {
-				i := rng.Intn(len(shards) - 1)
-				if err := shards[i].Merge(shards[i+1]); err != nil {
-					t.Fatalf("trial %d: %v", trial, err)
-				}
-				shards = append(shards[:i+1], shards[i+2:]...)
-			}
-			if err := root.Merge(shards[0]); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
-		if got := root.Snapshot(false); got != wantDet {
-			t.Fatalf("trial %d: deterministic snapshot diverged\ngot:\n%s\nwant:\n%s", trial, got, wantDet)
-		}
-		if got := root.Snapshot(true); got != wantAll {
-			t.Fatalf("trial %d: full snapshot diverged\ngot:\n%s\nwant:\n%s", trial, got, wantAll)
-		}
-	}
-}
-
-func TestMergeMismatchErrors(t *testing.T) {
-	kind := NewRegistry()
-	kind.Counter("m")
-	kindDst := NewRegistry()
-	kindDst.Gauge("m")
-	if err := kindDst.Merge(kind); err == nil || !strings.Contains(err.Error(), "kind mismatch") {
-		t.Errorf("kind mismatch merge: %v, want kind mismatch error", err)
-	}
-
-	vol := NewRegistry()
-	vol.VolatileCounter("m")
-	volDst := NewRegistry()
-	volDst.Counter("m")
-	if err := volDst.Merge(vol); err == nil || !strings.Contains(err.Error(), "volatility mismatch") {
-		t.Errorf("volatility mismatch merge: %v, want volatility mismatch error", err)
-	}
-
-	// A mismatch on one family must not block the others.
-	mixed := NewRegistry()
-	mixed.Counter("bad")
-	mixed.Counter("good").Add(3)
-	dst := NewRegistry()
-	dst.Gauge("bad")
-	if err := dst.Merge(mixed); err == nil {
-		t.Fatal("expected error from bad family")
-	}
-	if got := dst.Counter("good").Value(); got != 3 {
-		t.Errorf("good family not merged past the bad one: %d, want 3", got)
-	}
-
-	// Nil and self merges are no-ops.
-	if err := dst.Merge(nil); err != nil {
-		t.Errorf("merge nil: %v", err)
-	}
-	var nilReg *Registry
-	if err := nilReg.Merge(dst); err != nil {
-		t.Errorf("nil merge: %v", err)
-	}
-	if err := dst.Merge(dst); err != nil {
-		t.Errorf("self merge: %v", err)
-	}
-}
-
-// TestMergeDuringConcurrentRecording is the satellite -race test: shards
-// still being recorded into and a destination registry being read must
-// survive a concurrent merge of other, quiescent shards.
-func TestMergeDuringConcurrentRecording(t *testing.T) {
-	dst := NewRegistry()
-	quiescent := shardFixture(4)
-	live := NewRegistry()
-
-	var wg sync.WaitGroup
+// TestConcurrentRecordingIntoOneRegistry is the -race test for the one
+// registry every runner worker records into: eight goroutines record into
+// the same counter, sketch and volatile-gauge families while another
+// renders snapshots and the Prometheus exposition, and the final values
+// are exact — the same as one goroutine recording everything in turn.
+func TestConcurrentRecordingIntoOneRegistry(t *testing.T) {
+	const recorders, perRecorder = 8, 2000
+	reg := NewRegistry()
 	stop := make(chan struct{})
-	wg.Add(3)
-	go func() { // recorder on the live shard
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			live.Counter("tasks_total", "pool", "campaign").Add(1)
-			live.Sketch("lat_sketch", "proto", "doh").Observe(time.Millisecond)
-		}
-	}()
-	go func() { // recorder on the destination itself
-		defer wg.Done()
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			dst.Counter("direct_total").Add(1)
-			dst.Sketch("lat", "proto", "dot").Observe(time.Millisecond)
+			_ = reg.Snapshot(true)
+			_ = reg.PrometheusText()
 		}
 	}()
-	go func() { // reader of the destination
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = dst.Snapshot(true)
-			_ = dst.PrometheusText()
-		}
-	}()
-
-	for _, s := range quiescent {
-		if err := dst.Merge(s); err != nil {
-			t.Errorf("merge: %v", err)
-		}
+	var wg sync.WaitGroup
+	for g := 0; g < recorders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recordShare(reg, g, perRecorder)
+		}()
 	}
-	close(stop)
 	wg.Wait()
-	// The live shard is quiescent now; its fold must still be exact.
-	before := dst.Counter("tasks_total", "pool", "campaign").Value()
-	liveCount := live.Counter("tasks_total", "pool", "campaign").Value()
-	if err := dst.Merge(live); err != nil {
-		t.Fatalf("merging live shard after quiesce: %v", err)
+	close(stop)
+	<-readerDone
+
+	if got := reg.Counter("tasks_total", "pool", "campaign").Value(); got != recorders*perRecorder {
+		t.Errorf("tasks_total = %d, want %d", got, recorders*perRecorder)
 	}
-	if got := dst.Counter("tasks_total", "pool", "campaign").Value(); got != before+liveCount {
-		t.Errorf("post-quiesce merge lost updates: %d, want %d", got, before+liveCount)
+	// i%3 over 0..1999 hits 0 and 1 667 times each and 2 666 times.
+	for outcome, want := range map[string]int64{"0": 667 * recorders, "1": 667 * recorders, "2": 666 * recorders} {
+		if got := reg.Counter("outcomes_total", "outcome", outcome).Value(); got != want {
+			t.Errorf("outcomes_total{outcome=%s} = %d, want %d", outcome, got, want)
+		}
+	}
+	// Each recorder observes 1..50ms forty times: 40 × 1275ms.
+	lat := reg.Sketch("lat", "proto", "doh")
+	if lat.Count() != recorders*perRecorder || lat.SumUS() != recorders*40*1275_000 {
+		t.Errorf("sketch count=%d sum=%dµs, want %d / %d", lat.Count(), lat.SumUS(), recorders*perRecorder, recorders*40*1275_000)
+	}
+	if got := reg.VolatileGauge("inflight_max", "pool", "campaign").Value(); got != recorders*perRecorder-1 {
+		t.Errorf("inflight_max = %d, want %d", got, recorders*perRecorder-1)
+	}
+
+	serial := NewRegistry()
+	for g := 0; g < recorders; g++ {
+		recordShare(serial, g, perRecorder)
+	}
+	if got, want := reg.Snapshot(true), serial.Snapshot(true); got != want {
+		t.Errorf("concurrent snapshot differs from serial recording\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := reg.PrometheusText(), serial.PrometheusText(); got != want {
+		t.Error("concurrent Prometheus exposition differs from serial recording")
+	}
+}
+
+// TestRegistrationMismatchPanics pins that a metric name keeps the kind and
+// volatility it was first registered with. Before the check, lookup
+// returned the first family whatever a later call asked for: a
+// deterministic Counter on a volatile name never reached the report's
+// snapshot, and a Sketch on a counter name rendered histogram buckets
+// under a counter TYPE line.
+func TestRegistrationMismatchPanics(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		first, then func(*Registry)
+	}{
+		{"volatile counter, then counter", func(r *Registry) { r.VolatileCounter("x") }, func(r *Registry) { r.Counter("x").Add(5) }},
+		{"counter, then volatile counter", func(r *Registry) { r.Counter("x") }, func(r *Registry) { r.VolatileCounter("x") }},
+		{"counter, then sketch", func(r *Registry) { r.Counter("y") }, func(r *Registry) { r.Sketch("y") }},
+		{"sketch, then counter", func(r *Registry) { r.Sketch("y") }, func(r *Registry) { r.Counter("y") }},
+		{"volatile gauge, then volatile counter", func(r *Registry) { r.VolatileGauge("z") }, func(r *Registry) { r.VolatileCounter("z") }},
+		{"sketch, then volatile gauge", func(r *Registry) { r.Sketch("z", "proto", "dot") }, func(r *Registry) { r.VolatileGauge("z", "proto", "doh") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			c.first(r)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "is registered as a") {
+					t.Errorf("second registration did not panic with the kind mismatch (recovered %q)\nsnapshot:\n%s", msg, r.Snapshot(true))
+				}
+			}()
+			c.then(r)
+		})
+	}
+	// The same kind and volatility under new labels is an ordinary lookup.
+	r := NewRegistry()
+	r.VolatileCounter("x", "worker", "0").Add(1)
+	r.VolatileCounter("x", "worker", "1").Add(2)
+	if got := r.Snapshot(true); got != "x{worker=0} 1\nx{worker=1} 2\n" {
+		t.Errorf("snapshot = %q", got)
 	}
 }
 

@@ -2,156 +2,96 @@
 // pipeline: a bounded worker pool that shards an indexed workload across N
 // goroutines and merges results deterministically.
 //
-// Determinism contract: Map(workers, n, fn) returns exactly
+// MapReduceCtx is the one worker loop. Work items are handed out through a
+// single atomic counter (natural backpressure — a worker takes a new index
+// only when it finishes the previous one), workers <= 1 runs the same loop
+// serially on the caller, and the pool always joins every worker before
+// returning, so no goroutines outlive the call. MapCtx is MapReduceCtx with
+// a fold that writes each result into its input slot.
+//
+// Determinism contract: MapCtx(ctx, workers, n, fn) returns exactly
 // [fn(0), fn(1), ..., fn(n-1)] — each result is stored at its input index,
 // so the merged slice is identical for every worker count, including
 // workers=1. Callers keep reports bit-for-bit reproducible by (a) deriving
 // any randomness inside fn(i) from the task's own identity (index, address,
 // vantage key) rather than from call order, and (b) reducing the returned
-// slice in index order. The pool itself adds no ordering of its own: work
-// items are handed out through a single atomic counter (natural
-// backpressure — a worker takes a new index only when it finishes the
-// previous one) and the pool always joins every worker before returning, so
-// no goroutines outlive the call.
+// slice in index order. The pool itself adds no ordering of its own.
 //
-// Telemetry: when the context carries an obs.Recorder, MapCtx instruments
-// the pool — task counts and pool-wide virtual busy time (deterministic),
-// plus worker counts, in-flight high-water marks and per-worker task/busy
-// shares (volatile; their split across workers depends on scheduling).
-// Each worker goroutine records into its own shard registry (installed via
-// obs.WithMetricsRegistry, so instrumented code deep in the task sees it
-// through obs.Metrics) and the shards fold into the study registry with
-// Registry.Merge after the pool joins — the same positional-merge
-// discipline as results, which removes cross-worker contention on hot
-// counters without changing any merged total. MapCtx also feeds the
+// Telemetry: when the context carries an obs.Recorder, the pool records
+// task counts and pool-wide virtual busy time (deterministic), plus worker
+// counts, in-flight high-water marks and per-worker task/busy shares
+// (volatile; their split across workers depends on scheduling). Workers and
+// the tasks they run record straight into the recorder's registry, whose
+// counters and sketch buckets are atomics: addition commutes, so every
+// total is the same at any worker count. The pool also feeds the
 // recorder's progress Phase named after the pool (done/total task counts
 // for the /progress endpoint). Name the pool with obs.WithPool before
-// calling. Map stays uninstrumented: it has no context to carry a
-// recorder.
+// calling.
 package runner
 
 import (
 	"context"
-	"errors"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"dnsencryption.info/doe/internal/obs"
 )
 
-// Map runs fn(i) for every i in [0, n) on at most `workers` goroutines and
-// returns the results in input order. workers <= 1 degenerates to a serial
-// loop on the calling goroutine; workers is clamped to n so short workloads
-// never spawn idle goroutines. Map returns only after every worker has
-// exited.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	out := make([]T, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// poolMeters carries the pool-wide instruments one MapCtx call records
-// into; the zero value (telemetry off) is inert. The in-flight ledger and
-// worker-count gauge stay on the parent registry — they are inherently
-// cross-worker — while everything a task records goes through a worker's
-// shard registry (workerMeters) and folds back at join.
+// poolMeters carries the instruments of one pool call; nil when the
+// context carries no recorder (telemetry off), and every method is then a
+// no-op.
 type poolMeters struct {
-	enabled     bool
+	reg         *obs.Registry
 	pool        string
-	parent      *obs.Registry
 	phase       *obs.Phase // live done/total progress for /progress
 	inflightMax *obs.Gauge // volatile
 	inflight    atomic.Int64
-	shards      []*obs.Registry // one per worker goroutine; folded at join
 }
 
 func newPoolMeters(ctx context.Context, workers, n int) *poolMeters {
-	reg := obs.Metrics(ctx)
-	if reg == nil {
-		return &poolMeters{}
+	rec := obs.FromContext(ctx)
+	if rec == nil {
+		return nil
 	}
+	reg := rec.Metrics()
 	pool := obs.PoolName(ctx, "pool")
 	m := &poolMeters{
-		enabled:     true,
+		reg:         reg,
 		pool:        pool,
-		parent:      reg,
-		phase:       obs.FromContext(ctx).Phase(pool),
+		phase:       rec.Phase(pool),
 		inflightMax: reg.VolatileGauge("runner_inflight_max", "pool", pool),
 	}
 	m.phase.AddTotal(int64(n))
-	// Max, not Set: one pool name may serve several MapCtx calls (both
-	// campaign platforms share "campaign"), so keep the high-water mark.
+	// Max, not Set: one pool name may serve several calls (both campaign
+	// platforms share "campaign"), so keep the high-water mark.
 	reg.VolatileGauge("runner_workers", "pool", pool).Max(int64(workers))
 	return m
 }
 
-// workerMeters is one worker goroutine's recording surface: a shard
-// registry all task-side metrics land in, contention-free, plus the
-// counter handles resolved once per worker. The serial path records
-// straight into the parent registry (shard == parent, nothing to fold).
+// workerMeters holds one worker's counter handles, resolved once per
+// worker rather than once per task.
 type workerMeters struct {
-	shard       *obs.Registry
 	tasks       *obs.Counter // deterministic: pool-wide task count
 	workerTasks *obs.Counter // volatile: this worker's share
 }
 
-// workerCtx builds the per-worker context: a shard registry override (so
-// obs.Metrics(ctx) inside the task resolves shard-local instruments), the
-// busy-time sink, and the per-worker task counter. Deterministic families
-// (runner_tasks_total, runner_virtual_busy_us_total) are recorded in the
-// shard too; counter merges are plain addition, so the folded totals are
-// identical to what shared counters would have accumulated.
-func (m *poolMeters) workerCtx(ctx context.Context, worker int, sharded bool) (context.Context, *workerMeters) {
-	if !m.enabled {
-		return ctx, nil
-	}
-	reg := m.parent
-	if sharded {
-		reg = obs.NewRegistry()
-		m.shards[worker] = reg
-		ctx = obs.WithMetricsRegistry(ctx, reg)
+// workerCtx builds the per-worker context, which carries the busy-time
+// sink obs.Charge feeds, and resolves the worker's task counters.
+func (m *poolMeters) workerCtx(ctx context.Context, worker int) (context.Context, workerMeters) {
+	if m == nil {
+		return ctx, workerMeters{}
 	}
 	w := strconv.Itoa(worker)
-	total := reg.Counter("runner_virtual_busy_us_total", "pool", m.pool)
-	busy := reg.VolatileCounter("runner_worker_virtual_busy_us", "pool", m.pool, "worker", w)
-	wm := &workerMeters{
-		shard:       reg,
-		tasks:       reg.Counter("runner_tasks_total", "pool", m.pool),
-		workerTasks: reg.VolatileCounter("runner_worker_tasks", "pool", m.pool, "worker", w),
+	total := m.reg.Counter("runner_virtual_busy_us_total", "pool", m.pool)
+	busy := m.reg.VolatileCounter("runner_worker_virtual_busy_us", "pool", m.pool, "worker", w)
+	return obs.WithWorkerSink(ctx, total, busy), workerMeters{
+		tasks:       m.reg.Counter("runner_tasks_total", "pool", m.pool),
+		workerTasks: m.reg.VolatileCounter("runner_worker_tasks", "pool", m.pool, "worker", w),
 	}
-	return obs.WithWorkerSink(ctx, total, busy), wm
 }
 
-func (m *poolMeters) taskStart(wm *workerMeters) {
-	if !m.enabled {
+func (m *poolMeters) taskStart(wm workerMeters) {
+	if m == nil {
 		return
 	}
 	wm.tasks.Add(1)
@@ -160,88 +100,31 @@ func (m *poolMeters) taskStart(wm *workerMeters) {
 }
 
 func (m *poolMeters) taskEnd() {
-	if !m.enabled {
+	if m == nil {
 		return
 	}
 	m.inflight.Add(-1)
 	m.phase.Done(1)
 }
 
-// fold merges every worker shard into the parent registry, in worker
-// order. Merge is associative and commutative, so the order is a
-// convention (matching the positional result merge), not a correctness
-// requirement; any fold tree yields byte-identical snapshots.
-func (m *poolMeters) fold() error {
-	if !m.enabled {
-		return nil
-	}
-	var errs []error
-	for _, shard := range m.shards {
-		if shard == nil {
-			continue
-		}
-		if err := m.parent.Merge(shard); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// MapCtx is Map with cooperative cancellation: once ctx is done, workers
-// stop taking new indices and MapCtx returns ctx.Err() alongside the
-// partial results (indices that never ran hold T's zero value). In-flight
-// fn calls are not interrupted — fn observes ctx itself if it wants
-// mid-task cancellation — but the pool still joins every worker before
-// returning, so shutdown leaks no goroutines.
+// MapCtx runs fn(ctx, i) for every i in [0, n) on at most `workers`
+// goroutines and returns the results in input order. Once ctx is done,
+// workers stop taking new indices and MapCtx returns ctx.Err() alongside
+// the partial results (indices that never ran hold T's zero value).
+// In-flight fn calls are not interrupted — fn observes ctx itself if it
+// wants mid-task cancellation — but the pool still joins every worker
+// before returning, so shutdown leaks no goroutines.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) T) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
-	if workers > n {
-		workers = n
-	}
+	// Every worker shares the one result slice: each index has its own
+	// slot, so the fold needs no merge.
 	out := make([]T, n)
-	if workers <= 1 {
-		meters := newPoolMeters(ctx, 1, n)
-		sctx, wm := meters.workerCtx(ctx, 0, false)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			meters.taskStart(wm)
-			out[i] = fn(sctx, i)
-			meters.taskEnd()
-		}
-		return out, ctx.Err()
-	}
-	meters := newPoolMeters(ctx, workers, n)
-	meters.shards = make([]*obs.Registry, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wctx, wm := meters.workerCtx(ctx, w, true)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				meters.taskStart(wm)
-				out[i] = fn(wctx, i)
-				meters.taskEnd()
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Fold worker shards into the study registry only after every worker
-	// has exited — the positional merge point, same discipline as out.
-	if err := meters.fold(); err != nil {
-		return out, errors.Join(ctx.Err(), err)
-	}
-	return out, ctx.Err()
+	_, err := MapReduceCtx(ctx, workers, n, Reducer[[]T]{
+		New:   func() []T { return out },
+		Fold:  func(ctx context.Context, out []T, i int) { out[i] = fn(ctx, i) },
+		Merge: func(_, _ []T) error { return nil },
+	})
+	return out, err
 }

@@ -154,10 +154,6 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	// the serial sweep alternated sources) and the dials fan out across the
 	// worker pool. Open flags land at their ordinal index, so the open list
 	// is identical for every worker count.
-	// Counters are resolved from the worker's context inside fn, not
-	// captured from the parent before MapCtx: the worker ctx carries a
-	// shard registry, so outcome counts accumulate contention-free and
-	// fold into the study registry when the pool joins.
 	tasks := s.sweepTasks(perm, res)
 	openFlags, err := runner.MapCtx(obs.WithPool(ctx, "scan-sweep"), workers, len(tasks),
 		func(ctx context.Context, i int) bool {

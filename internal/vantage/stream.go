@@ -102,9 +102,9 @@ type CampaignOpts struct {
 }
 
 // CampaignStats is the mergeable accumulator of one campaign.
-// Every field follows the obs.Registry.Merge fold discipline — counters
-// and cells sum, sketches add bucket-wise, order-bearing lists carry their
-// node index and sort at finalize — so merging per-worker shards in any
+// Every field follows the runner.Reducer fold laws — counters and cells
+// sum, sketches add bucket-wise, order-bearing lists carry their node
+// index and sort at finalize — so merging per-worker accumulators in any
 // partition yields identical stats, which is what keeps reports
 // byte-identical across worker counts.
 type CampaignStats struct {

@@ -29,7 +29,10 @@ RACE_PKGS := ./internal/...
 # well-formed datagrams and that re-exporting what it decodes is a
 # fixpoint; dnscrypt's checks that the certificate parser accepts exactly
 # the es-version 1 certs whose signature verifies and whose validity
-# window holds the study's reference time. Minimizing an input that found new coverage is capped at 1 s,
+# window holds the study's reference time; doq's feeds hostile datagrams
+# to the DoQ server, seeded with a real session's Initial, 0-RTT and
+# short-header packets, and requires every response it sends to parse as a
+# QUIC header and well-formed frames. Minimizing an input that found new coverage is capped at 1 s,
 # so each target spends its budget fuzzing rather than shrinking inputs.
 FUZZ_TARGETS := \
 	./internal/dnswire:FuzzParseMessage \
@@ -46,7 +49,8 @@ FUZZ_TARGETS := \
 	./internal/proxy:FuzzSOCKS5Client \
 	./internal/netsim:FuzzSourceMatchesMathRand \
 	./internal/netflow:FuzzParseV5 \
-	./internal/dnscrypt:FuzzParseCert
+	./internal/dnscrypt:FuzzParseCert \
+	./internal/doq:FuzzServerPacket
 FUZZTIME ?= 10s
 
 .PHONY: verify fmt build vet hostbench-vet hostbench-test lint test race bench bench-smoke fuzz-smoke trace-smoke examples-smoke matrix-under-load

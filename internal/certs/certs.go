@@ -6,12 +6,16 @@
 // TrustStore is the study's root store: every chain verification, in every
 // transport and in Classify, goes through one, which validates each distinct
 // chain once.
+//
+// Every key and signature the toolkit makes is Ed25519. The study observes
+// whether a chain verifies, never which algorithm signed it, and an Ed25519
+// signature is cheaper than an ECDSA P-256 one both to make and to check,
+// once per handshake on each side.
 package certs
 
 import (
 	"bytes"
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
@@ -39,7 +43,7 @@ func nextSerial() *big.Int {
 // CA is a certificate authority that can issue leaf certificates.
 type CA struct {
 	Cert *x509.Certificate
-	Key  *ecdsa.PrivateKey
+	Key  ed25519.PrivateKey
 	// Trusted CAs appear in the study's root store.
 	Trusted bool
 }
@@ -47,7 +51,7 @@ type CA struct {
 // NewCA creates a self-signed CA. Trusted CAs model the Mozilla root
 // program; untrusted ones model interception-device and private CAs.
 func NewCA(commonName string, trusted bool) (*CA, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +64,7 @@ func NewCA(commonName string, trusted bool) (*CA, error) {
 		KeyUsage:              x509.KeyUsageCertSign | x509.KeyUsageDigitalSignature,
 		BasicConstraintsValid: true,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, pub, key)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +88,7 @@ type LeafOptions struct {
 // should be presented with it.
 type Leaf struct {
 	Cert  *x509.Certificate
-	Key   *ecdsa.PrivateKey
+	Key   ed25519.PrivateKey
 	Chain []*x509.Certificate // presented chain: leaf first
 }
 
@@ -99,7 +103,7 @@ func (l *Leaf) TLSCertificate() tls.Certificate {
 
 // Issue creates a leaf signed by the CA.
 func (ca *CA) Issue(opts LeafOptions) (*Leaf, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +126,7 @@ func (ca *CA) Issue(opts LeafOptions) (*Leaf, error) {
 	for _, ip := range opts.IPs {
 		tmpl.IPAddresses = append(tmpl.IPAddresses, net.IP(ip.AsSlice()))
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Cert, &key.PublicKey, ca.Key)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Cert, pub, ca.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +150,7 @@ func (ca *CA) IssueExpired(opts LeafOptions, expiredSince time.Duration) (*Leaf,
 // *not* included in the presented chain, producing the "invalid certificate
 // chain" class of Finding 1.2.
 func (ca *CA) IssueBrokenChain(opts LeafOptions) (*Leaf, error) {
-	interKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	interPub, interKey, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +163,7 @@ func (ca *CA) IssueBrokenChain(opts LeafOptions) (*Leaf, error) {
 		KeyUsage:              x509.KeyUsageCertSign,
 		BasicConstraintsValid: true,
 	}
-	interDER, err := x509.CreateCertificate(rand.Reader, interTmpl, ca.Cert, &interKey.PublicKey, ca.Key)
+	interDER, err := x509.CreateCertificate(rand.Reader, interTmpl, ca.Cert, interPub, ca.Key)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +183,7 @@ func (ca *CA) IssueBrokenChain(opts LeafOptions) (*Leaf, error) {
 
 // SelfSigned creates a certificate signed by its own key.
 func SelfSigned(opts LeafOptions) (*Leaf, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +206,7 @@ func SelfSigned(opts LeafOptions) (*Leaf, error) {
 	for _, ip := range opts.IPs {
 		tmpl.IPAddresses = append(tmpl.IPAddresses, net.IP(ip.AsSlice()))
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, pub, key)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +233,7 @@ func FortiGateDefault() (*Leaf, error) {
 // exactly this: "all resolver certificates are re-signed by an untrusted CA,
 // while other fields remain unchanged".
 func (ca *CA) Resign(orig *x509.Certificate) (*Leaf, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +247,7 @@ func (ca *CA) Resign(orig *x509.Certificate) (*Leaf, error) {
 		DNSNames:     orig.DNSNames,
 		IPAddresses:  orig.IPAddresses,
 	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Cert, &key.PublicKey, ca.Key)
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, ca.Cert, pub, ca.Key)
 	if err != nil {
 		return nil, err
 	}

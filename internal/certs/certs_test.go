@@ -1,6 +1,7 @@
 package certs
 
 import (
+	"crypto/x509"
 	"net/netip"
 	"testing"
 	"time"
@@ -212,6 +213,44 @@ func TestStatusString(t *testing.T) {
 	for s, w := range want {
 		if s.String() != w {
 			t.Errorf("Status(%d).String() = %q, want %q", int(s), s.String(), w)
+		}
+	}
+}
+
+// TestEveryIssuingPathIsEd25519 pins the key and the signature algorithm
+// of every certificate the toolkit makes. A broken chain presents its leaf
+// without the intermediate that signed it, so the leaf's signature
+// algorithm is the intermediate's key algorithm.
+func TestEveryIssuingPathIsEd25519(t *testing.T) {
+	ca := newTestCA(t)
+	rogue, err := NewCA("DPI Device CA", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := LeafOptions{CommonName: "dns.example.com"}
+	leaf := func(l *Leaf, err error) *x509.Certificate {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.Cert
+	}
+	issued := leaf(ca.Issue(opts))
+	for _, c := range []struct {
+		path string
+		cert *x509.Certificate
+	}{
+		{"NewCA", ca.Cert},
+		{"Issue", issued},
+		{"IssueExpired", leaf(ca.IssueExpired(opts, 24*time.Hour))},
+		{"IssueBrokenChain", leaf(ca.IssueBrokenChain(opts))},
+		{"SelfSigned", leaf(SelfSigned(opts))},
+		{"FortiGateDefault", leaf(FortiGateDefault())},
+		{"Resign", leaf(rogue.Resign(issued))},
+	} {
+		if c.cert.PublicKeyAlgorithm != x509.Ed25519 || c.cert.SignatureAlgorithm != x509.PureEd25519 {
+			t.Errorf("%s: key %v, signature %v; want Ed25519, Ed25519",
+				c.path, c.cert.PublicKeyAlgorithm, c.cert.SignatureAlgorithm)
 		}
 	}
 }

@@ -68,6 +68,8 @@ func worldChains(t testing.TB) (*CA, []chainCase) {
 
 // clientAuthChain issues, from a template, a leaf that may only
 // authenticate clients: Classify accepts any usage, a session does not.
+// Its key is ECDSA P-256 under the Ed25519 CA, so the chain also mixes
+// algorithms.
 func clientAuthChain(t testing.TB, ca *CA) []*x509.Certificate {
 	t.Helper()
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
@@ -202,6 +204,32 @@ func TestStoreMatchesFreshVerification(t *testing.T) {
 	}
 }
 
+// TestSessionVerifiedImpliesValid is the premise of the scanner's
+// shortcut: every chain a session verifies (server auth, no name, at
+// RefTime) classifies valid. The converse fails, and the client-auth-only
+// leaf shows it: valid to Classify, refused by a session.
+func TestSessionVerifiedImpliesValid(t *testing.T) {
+	ca, cases := worldChains(t)
+	store := Pool(ca)
+	verified := 0
+	for _, c := range cases {
+		err := store.Verify(c.raw(), "")
+		status := Classify(c.chain, store)
+		if err == nil {
+			verified++
+			if status != StatusValid {
+				t.Errorf("%s: the session verified it, Classify = %v", c.name, status)
+			}
+		}
+		if c.name == "no server-auth EKU" && (err == nil || status != StatusValid) {
+			t.Errorf("%s: Verify = %v, Classify = %v; want a refused session and a valid chain", c.name, err, status)
+		}
+	}
+	if verified == 0 {
+		t.Error("no chain verified")
+	}
+}
+
 // TestUsageClassIsPartOfTheKey: a client-auth leaf is valid to Classify
 // (any usage) but fails a session (server auth). Whichever verdict the
 // store reaches first, the other is not served from it.
@@ -313,7 +341,7 @@ func TestStoreConcurrentVerdicts(t *testing.T) {
 }
 
 // BenchmarkVerifyChain prices one verification of a leaf and its trusted
-// root: miss is a fresh store each time (parse, path building, the ECDSA
+// root: miss is a fresh store each time (parse, path building, the Ed25519
 // signature check), hit a store that has seen the chain (a SHA-256 of the
 // DER and a map probe).
 func BenchmarkVerifyChain(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"path"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -341,6 +342,27 @@ func TestTrafficShapes(t *testing.T) {
 	}
 	if domains[0].QName != "dns.google." {
 		t.Errorf("top DoH domain = %s", domains[0].QName)
+	}
+}
+
+// TestTrafficDatasetDeterministic builds the §5 dataset in two studies of
+// one seed: the raw records, the screening verdicts and the DoT selection
+// must be equal, element by element and in order.
+func TestTrafficDatasetDeterministic(t *testing.T) {
+	first := study(t).GenerateTraffic()
+	s, err := NewStudy(TestConfig())
+	if err != nil {
+		t.Fatalf("NewStudy: %v", err)
+	}
+	second := s.GenerateTraffic()
+	if !slices.Equal(first.Records, second.Records) {
+		t.Error("Records differ between two builds of one seed")
+	}
+	if !slices.Equal(first.Verdicts, second.Verdicts) {
+		t.Error("Verdicts differ between two builds of one seed")
+	}
+	if !slices.Equal(first.Flows, second.Flows) {
+		t.Error("Flows differ between two builds of one seed")
 	}
 }
 

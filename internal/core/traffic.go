@@ -122,16 +122,21 @@ func (s *Study) GenerateTraffic() *TrafficData {
 		// v5 export datagrams, as at the paper's ISP. v5 uptime counters
 		// wrap every ~49.7 days, so flows are exported in monthly
 		// batches shortly after observation (as real exporters flush
-		// within seconds of expiry).
+		// within seconds of expiry). Flush orders the records by
+		// first-seen time, so each month is one run of them and the
+		// batches go out in calendar order.
 		flushed := router.Flush()
 		sysBoot := mustMonth("2017-06")
-		byMonth := map[string][]netflow.Record{}
-		for _, rec := range flushed {
-			byMonth[rec.First.Format("2006-01")] = append(byMonth[rec.First.Format("2006-01")], rec)
-		}
 		collector := netflow.NewCollector()
 		seq := uint32(0)
-		for month, batch := range byMonth {
+		for len(flushed) > 0 {
+			month := flushed[0].First.Format("2006-01")
+			n := 1
+			for n < len(flushed) && flushed[n].First.Format("2006-01") == month {
+				n++
+			}
+			batch := flushed[:n]
+			flushed = flushed[n:]
 			exportAt := mustMonth(month).AddDate(0, 1, 0) // just after month end
 			datagrams, err := netflow.ExportV5(batch, sysBoot, exportAt, netFlowSampleRate, seq)
 			if err != nil {

@@ -212,6 +212,30 @@ func TestPeerCertificatesExposed(t *testing.T) {
 	}
 }
 
+// TestStrictSessionWithEd25519Leaf: the world's certificates are Ed25519,
+// so every handshake signs and verifies with it. A Strict session to an
+// issued leaf completes, and the leaf it was shown is Ed25519.
+func TestStrictSessionWithEd25519Leaf(t *testing.T) {
+	f := newFixture(t)
+	f.serveDoT(t, f.validLeaf(t))
+	c := NewClient(f.world, clientIP, certs.Pool(f.ca), Strict)
+	conn, err := c.Dial(dotIP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.VerifyError(); err != nil {
+		t.Fatalf("VerifyError = %v", err)
+	}
+	chain := conn.PeerCertificates()
+	if len(chain) == 0 {
+		t.Fatal("no peer certificates")
+	}
+	if got := chain[0].PublicKeyAlgorithm; got != x509.Ed25519 {
+		t.Errorf("leaf key algorithm = %v, want Ed25519", got)
+	}
+}
+
 func TestNotDNSServerFailsQueries(t *testing.T) {
 	f := newFixture(t)
 	leaf := f.validLeaf(t)

@@ -6,6 +6,7 @@
 package netflow
 
 import (
+	"cmp"
 	"net/netip"
 	"sort"
 	"time"
@@ -122,16 +123,41 @@ func (r *Router) expire(now time.Time) {
 }
 
 // Flush exports all remaining flows and returns every record collected so
-// far, ordered by first-seen time.
+// far, ordered by first-seen time and then by 5-tuple. A flow is exported
+// in map order, but no two records share a first-seen time and a 5-tuple
+// (a flow seen again after expiry starts later), so the order is total and
+// one packet stream always flushes the same slice.
 func (r *Router) Flush() []Record {
 	for key, rec := range r.cache {
 		r.export = append(r.export, *rec)
 		delete(r.cache, key)
 	}
-	sort.Slice(r.export, func(i, j int) bool { return r.export[i].First.Before(r.export[j].First) })
+	sort.Slice(r.export, func(i, j int) bool { return compareRecords(&r.export[i], &r.export[j]) < 0 })
 	out := r.export
 	r.export = nil
 	return out
+}
+
+// compareRecords orders records by first-seen time, then source,
+// destination, ports and protocol. It takes pointers, so a comparison
+// copies no record.
+func compareRecords(a, b *Record) int {
+	if c := a.First.Compare(b.First); c != 0 {
+		return c
+	}
+	if c := a.Src.Compare(b.Src); c != 0 {
+		return c
+	}
+	if c := a.Dst.Compare(b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.SrcPort, b.SrcPort); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.DstPort, b.DstPort); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Proto, b.Proto)
 }
 
 // Truncate24 zeroes the host byte of an IPv4 address — the paper keeps only

@@ -137,6 +137,9 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	if len(s.Sources) == 0 {
 		return nil, fmt.Errorf("scanner: no scan sources")
 	}
+	if s.Space.Size > 1<<32 {
+		return nil, fmt.Errorf("scanner: space of %d addresses exceeds IPv4", s.Space.Size)
+	}
 	perm, err := NewPermutation(s.Space.Size, s.Seed+uint64(len(label)))
 	if err != nil {
 		return nil, err
@@ -147,22 +150,29 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	if workers <= 0 {
 		workers = 8
 	}
+	// The outcome counters are resolved once per round, not once per task.
+	// With telemetry off they are nil, and Add on nil does nothing.
+	m := obs.Metrics(ctx)
+	sweepOpen := m.Counter("scanner_sweep_dials_total", "outcome", "open")
+	sweepClosed := m.Counter("scanner_sweep_dials_total", "outcome", "closed")
+	probeResolver := m.Counter("scanner_probes_total", "outcome", "resolver")
+	probeNoDoT := m.Counter("scanner_probes_total", "outcome", "no-dot")
 
 	// Stage 1, sweep. Drawing the permutation is cheap; the expensive part
-	// is the dials, so the ordinals are materialized serially (fixing each
-	// target's scan source by its position in permuted order, exactly as
-	// the serial sweep alternated sources) and the dials fan out across the
-	// worker pool. Open flags land at their ordinal index, so the open list
-	// is identical for every worker count.
-	tasks := s.sweepTasks(perm, res)
-	openFlags, err := runner.MapCtx(obs.WithPool(ctx, "scan-sweep"), workers, len(tasks),
+	// is the dials, so the targets are materialized serially and the dials
+	// fan out across the worker pool. Target i sweeps from source
+	// i mod len(Sources), exactly as the serial sweep alternated sources,
+	// and open flags land at their ordinal index, so the open list is
+	// identical for every worker count.
+	targets := s.sweepTargets(perm, res)
+	openFlags, err := runner.MapCtx(obs.WithPool(ctx, "scan-sweep"), workers, len(targets),
 		func(ctx context.Context, i int) bool {
-			open := s.open(tasks[i].src, tasks[i].addr)
-			outcome := "closed"
+			open := s.open(s.Sources[i%len(s.Sources)], s.Space.Addr(uint64(targets[i])))
 			if open {
-				outcome = "open"
+				sweepOpen.Add(1)
+			} else {
+				sweepClosed.Add(1)
 			}
-			obs.Metrics(ctx).Counter("scanner_sweep_dials_total", "outcome", outcome).Add(1)
 			return open
 		})
 	if err != nil {
@@ -171,7 +181,7 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	var open []netip.Addr
 	for i, ok := range openFlags {
 		if ok {
-			open = append(open, tasks[i].addr)
+			open = append(open, s.Space.Addr(uint64(targets[i])))
 		}
 	}
 	res.PortOpen = len(open)
@@ -182,11 +192,11 @@ func (s *Scanner) ScanContext(ctx context.Context, label string) (*Result, error
 	probed, err := runner.MapCtx(obs.WithPool(ctx, "scan-probe"), workers, len(open),
 		func(ctx context.Context, i int) probeOutcome {
 			r, ok := s.probe(ctx, s.Sources[i%len(s.Sources)], open[i])
-			outcome := "no-dot"
 			if ok {
-				outcome = "resolver"
+				probeResolver.Add(1)
+			} else {
+				probeNoDoT.Add(1)
 			}
-			obs.Metrics(ctx).Counter("scanner_probes_total", "outcome", outcome).Add(1)
 			return probeOutcome{r: r, ok: ok}
 		})
 	if err != nil {
@@ -217,29 +227,23 @@ func (s *Scanner) open(src, addr netip.Addr) bool {
 	return true
 }
 
-// sweepTask pins one sweep target to its scan source by permuted position.
-type sweepTask struct {
-	addr netip.Addr
-	src  netip.Addr
-}
-
-// sweepTasks materializes the permuted target list, recording opt-out skips
-// into res.
-func (s *Scanner) sweepTasks(perm *Permutation, res *Result) []sweepTask {
-	tasks := make([]sweepTask, 0, s.Space.Size)
+// sweepTargets materializes the permuted targets as offsets into the
+// space, recording opt-out skips into res. Four bytes per target, with no
+// pointer for the collector to scan: a round sweeps every address.
+func (s *Scanner) sweepTargets(perm *Permutation, res *Result) []uint32 {
+	targets := make([]uint32, 0, s.Space.Size)
 	for {
 		idx, ok := perm.Next()
 		if !ok {
 			break
 		}
-		addr := s.Space.Addr(idx)
-		if s.OptOut != nil && s.OptOut.Contains(addr) {
+		if s.OptOut != nil && s.OptOut.Contains(s.Space.Addr(idx)) {
 			res.SkippedOptOut++
 			continue
 		}
-		tasks = append(tasks, sweepTask{addr: addr, src: s.Sources[len(tasks)%len(s.Sources)]})
+		targets = append(targets, uint32(idx))
 	}
-	return tasks
+	return targets
 }
 
 type probeOutcome struct {
@@ -269,15 +273,29 @@ func (s *Scanner) probe(ctx context.Context, src, addr netip.Addr) (Resolver, bo
 	if a, ok := resp.FirstA(); ok && s.ExpectedA.IsValid() {
 		r.AnswerCorrect = a == s.ExpectedA
 	}
-	var chain []*x509.Certificate
+	var (
+		chain    []*x509.Certificate
+		verified bool
+	)
 	if v, ok := sess.(resolver.Verified); ok {
-		chain = v.PeerCertificates()
+		chain, verified = v.PeerCertificates(), v.VerifyError() == nil
 	}
 	if len(chain) > 0 {
 		r.Provider = certs.ProviderKey(chain[0])
 		r.CommonName = chain[0].Subject.CommonName
 		r.NotAfter = chain[0].NotAfter
-		r.CertStatus = certs.Classify(chain, s.Roots)
+		// A chain the session verified for server auth at RefTime is
+		// inside its validity window and verifies for any usage, so it
+		// is valid without a second path validation. (A probe session
+		// never resumes, so a nil VerifyError means the chain was
+		// checked.) The converse does not hold: a client-auth-only leaf
+		// classifies valid but fails a session, so every chain the
+		// session did not verify is classified.
+		if verified {
+			r.CertStatus = certs.StatusValid
+		} else {
+			r.CertStatus = certs.Classify(chain, s.Roots)
+		}
 	} else {
 		r.Provider = "(no certificate)"
 		r.CertStatus = certs.StatusBadChain

@@ -286,6 +286,16 @@ func TestScanNoSources(t *testing.T) {
 	}
 }
 
+// TestScanRejectsSpaceBeyondIPv4: sweep targets are 32-bit offsets, so a
+// space larger than IPv4 is refused before anything is allocated.
+func TestScanRejectsSpaceBeyondIPv4(t *testing.T) {
+	f := newScanFixture(t)
+	f.scanner.Space = Space{Base: netip.MustParseAddr("0.0.0.0"), Size: 1<<32 + 1}
+	if _, err := f.scanner.ScanContext(context.Background(), "x"); err == nil {
+		t.Error("scan of more than 2^32 addresses succeeded")
+	}
+}
+
 func TestInspectCorpus(t *testing.T) {
 	urls := []string{
 		"https://dns.example.com/dns-query",

@@ -26,14 +26,19 @@ RACE_PKGS := ./internal/...
 # sides of the SOCKS5 handshake, whole, one byte per segment and in halves;
 # netsim's checks that the lazily seeded per-flow source draws exactly what
 # math/rand would; netflow's checks that the v5 decoder accepts exactly the
-# well-formed datagrams and that re-exporting what it decodes is a
-# fixpoint; dnscrypt's checks that the certificate parser accepts exactly
-# the es-version 1 certs whose signature verifies and whose validity
-# window holds the study's reference time; doq's feeds hostile datagrams
-# to the DoQ server, seeded with a real session's Initial, 0-RTT and
-# short-header packets, and requires every response it sends to parse as a
-# QUIC header and well-formed frames. Minimizing an input that found new coverage is capped at 1 s,
-# so each target spends its budget fuzzing rather than shrinking inputs.
+# well-formed datagrams, that re-exporting what it decodes is a fixpoint,
+# and that it appends to a non-empty slice without touching what is there;
+# dnscrypt's check that the certificate parser accepts exactly the
+# es-version 1 certs whose signature verifies and whose validity window
+# holds the study's reference time, that the server answers every
+# encrypted query it accepts with a box that opens under the query's key to
+# the query's ID, and that the client accepts only replies that carry its
+# query's ID, from hostile bytes at the box open or inside it; doq's feeds
+# hostile datagrams to the DoQ server, seeded with a real session's
+# Initial, 0-RTT and short-header packets, and requires every response it
+# sends to parse as a QUIC header and well-formed frames. Minimizing an
+# input that found new coverage is capped at 1 s, so each target spends its
+# budget fuzzing rather than shrinking inputs.
 FUZZ_TARGETS := \
 	./internal/dnswire:FuzzParseMessage \
 	./internal/dnswire:FuzzParseName \
@@ -48,8 +53,10 @@ FUZZ_TARGETS := \
 	./internal/proxy:FuzzSOCKS5Server \
 	./internal/proxy:FuzzSOCKS5Client \
 	./internal/netsim:FuzzSourceMatchesMathRand \
-	./internal/netflow:FuzzParseV5 \
+	./internal/netflow:FuzzAppendV5 \
 	./internal/dnscrypt:FuzzParseCert \
+	./internal/dnscrypt:FuzzServeEncrypted \
+	./internal/dnscrypt:FuzzClientReply \
 	./internal/doq:FuzzServerPacket
 FUZZTIME ?= 10s
 

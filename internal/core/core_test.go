@@ -345,16 +345,31 @@ func TestTrafficShapes(t *testing.T) {
 	}
 }
 
+// trafficAllocCeiling bounds what one TestConfig study's GenerateTraffic
+// may allocate. It lies halfway between 60,209,792 bytes, when the router
+// rescanned its cache on every packet and each stage regrew its record
+// slice by append, and 16,796,728 bytes once each stage sized its slice
+// once (go1.24.0, linux/amd64); the margin covers other Go versions' map
+// and slice growth.
+const trafficAllocCeiling = 38_503_260
+
 // TestTrafficDatasetDeterministic builds the §5 dataset in two studies of
 // one seed: the raw records, the screening verdicts and the DoT selection
-// must be equal, element by element and in order.
+// must be equal, element by element and in order. The second build must
+// also stay under trafficAllocCeiling.
 func TestTrafficDatasetDeterministic(t *testing.T) {
 	first := study(t).GenerateTraffic()
 	s, err := NewStudy(TestConfig())
 	if err != nil {
 		t.Fatalf("NewStudy: %v", err)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	second := s.GenerateTraffic()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > trafficAllocCeiling {
+		t.Errorf("GenerateTraffic allocated %d bytes, above the ceiling of %d", alloc, trafficAllocCeiling)
+	}
 	if !slices.Equal(first.Records, second.Records) {
 		t.Error("Records differ between two builds of one seed")
 	}

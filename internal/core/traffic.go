@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"sort"
 	"time"
 
 	"dnsencryption.info/doe/internal/netflow"
@@ -124,32 +125,32 @@ func (s *Study) GenerateTraffic() *TrafficData {
 		// batches shortly after observation (as real exporters flush
 		// within seconds of expiry). Flush orders the records by
 		// first-seen time, so each month is one run of them and the
-		// batches go out in calendar order.
+		// batches go out in calendar order. Every batch decodes into one
+		// slice sized for all of them.
 		flushed := router.Flush()
 		sysBoot := mustMonth("2017-06")
-		collector := netflow.NewCollector()
+		records := make([]netflow.Record, 0, len(flushed))
 		seq := uint32(0)
 		for len(flushed) > 0 {
-			month := flushed[0].First.Format("2006-01")
-			n := 1
-			for n < len(flushed) && flushed[n].First.Format("2006-01") == month {
-				n++
-			}
+			// A month's run ends at the first record of a later month,
+			// and its batch goes out as that month begins.
+			first := flushed[0].First
+			y, m, _ := first.Date()
+			exportAt := time.Date(y, m+1, 1, 0, 0, 0, 0, first.Location())
+			n := sort.Search(len(flushed), func(i int) bool { return !flushed[i].First.Before(exportAt) })
 			batch := flushed[:n]
 			flushed = flushed[n:]
-			exportAt := mustMonth(month).AddDate(0, 1, 0) // just after month end
 			datagrams, err := netflow.ExportV5(batch, sysBoot, exportAt, netFlowSampleRate, seq)
 			if err != nil {
 				panic(fmt.Sprintf("core: netflow export: %v", err))
 			}
 			for _, d := range datagrams {
-				if err := collector.Ingest(d); err != nil {
-					panic(fmt.Sprintf("core: netflow ingest: %v", err))
+				if records, err = netflow.AppendV5(records, d); err != nil {
+					panic(fmt.Sprintf("core: netflow decode: %v", err))
 				}
 			}
 			seq += uint32(len(batch))
 		}
-		records := collector.Records()
 		detector := scandetect.NewDetector(853)
 		detector.ReverseNames = func(ip netip.Addr) []string {
 			if ip == scanSrc {

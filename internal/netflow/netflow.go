@@ -8,6 +8,7 @@ package netflow
 import (
 	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 )
@@ -71,8 +72,12 @@ type Router struct {
 	IdleExpiry time.Duration
 
 	counter uint64
-	cache   map[flowKey]*Record
-	export  []Record
+	cache   map[flowKey]Record
+	// due is no later than the earliest moment a cached flow can expire,
+	// the least Last + IdleExpiry over the cache; a packet at or before
+	// it expires nothing, so Observe skips the scan of the cache.
+	due    time.Time
+	export []Record
 }
 
 // NewRouter creates a router with the paper's parameters (1/3000, 15 s).
@@ -83,14 +88,20 @@ func NewRouter(sampleRate int, idleExpiry time.Duration) *Router {
 	return &Router{
 		SampleRate: sampleRate,
 		IdleExpiry: idleExpiry,
-		cache:      make(map[flowKey]*Record),
+		cache:      make(map[flowKey]Record),
 	}
 }
 
-// Observe feeds one packet through the sampler. Packets must arrive in
-// non-decreasing time order.
+// Observe feeds one packet through the sampler. Packets need not arrive in
+// time order. Every packet, sampled or not, first exports each cached flow
+// whose Last is more than IdleExpiry before the packet's time, so a flow
+// whose Last is later than the packet is never idle to it. A sampled packet
+// then joins its flow, or starts one, and becomes the flow's Last even when
+// it is earlier than the Last before it.
 func (r *Router) Observe(p Packet) {
-	r.expire(p.Time)
+	if len(r.cache) > 0 && p.Time.After(r.due) {
+		r.expire(p.Time)
+	}
 	r.counter++
 	if r.counter%uint64(r.SampleRate) != 0 {
 		return
@@ -98,26 +109,38 @@ func (r *Router) Observe(p Packet) {
 	key := flowKey{p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto}
 	rec, ok := r.cache[key]
 	if !ok {
-		rec = &Record{
+		rec = Record{
 			First: p.Time, Last: p.Time,
 			Src: p.Src, Dst: p.Dst,
 			SrcPort: p.SrcPort, DstPort: p.DstPort,
 			Proto: p.Proto,
 		}
-		r.cache[key] = rec
 	}
 	rec.Last = p.Time
 	rec.Packets++
 	rec.Bytes += uint64(p.Bytes)
 	rec.Flags |= p.Flags
+	if expiry := p.Time.Add(r.IdleExpiry); len(r.cache) == 0 || expiry.Before(r.due) {
+		r.due = expiry
+	}
+	r.cache[key] = rec
 }
 
-// expire exports flows idle at the given time.
+// expire exports the flows idle at now and sets due to the earliest
+// expiry among the flows that stay.
 func (r *Router) expire(now time.Time) {
+	first := true
 	for key, rec := range r.cache {
-		if now.Sub(rec.Last) > r.IdleExpiry {
-			r.export = append(r.export, *rec)
+		expiry := rec.Last.Add(r.IdleExpiry)
+		if now.After(expiry) {
+			if len(r.export) == cap(r.export) {
+				// Double: append grows a large slice by only about 1.25x.
+				r.export = slices.Grow(r.export, len(r.export)+1)
+			}
+			r.export = append(r.export, rec)
 			delete(r.cache, key)
+		} else if first || expiry.Before(r.due) {
+			r.due, first = expiry, false
 		}
 	}
 }
@@ -125,11 +148,13 @@ func (r *Router) expire(now time.Time) {
 // Flush exports all remaining flows and returns every record collected so
 // far, ordered by first-seen time and then by 5-tuple. A flow is exported
 // in map order, but no two records share a first-seen time and a 5-tuple
-// (a flow seen again after expiry starts later), so the order is total and
-// one packet stream always flushes the same slice.
+// (a flow seen again after expiry starts later, unless a packet stepping
+// back in time lands exactly on an expired flow's First), so the order is
+// total and one packet stream always flushes the same slice.
 func (r *Router) Flush() []Record {
+	r.export = slices.Grow(r.export, len(r.cache))
 	for key, rec := range r.cache {
-		r.export = append(r.export, *rec)
+		r.export = append(r.export, rec)
 		delete(r.cache, key)
 	}
 	sort.Slice(r.export, func(i, j int) bool { return compareRecords(&r.export[i], &r.export[j]) < 0 })
@@ -189,9 +214,23 @@ type DoTFlow struct {
 }
 
 // SelectDoT applies §5.1's filter: TCP port 853 toward a known DoT
-// resolver, excluding flows whose only TCP flag is a single SYN.
+// resolver, excluding flows whose only TCP flag is a single SYN. The
+// result is sized once, for every TCP record to port 853. The month and
+// day labels are formatted once per run of records that share a first-seen
+// date, which for records in first-seen order is once per day.
 func (a *Analyzer) SelectDoT(records []Record) []DoTFlow {
-	var out []DoTFlow
+	candidates := 0
+	for i := range records {
+		if records[i].Proto == ProtoTCP && records[i].DstPort == 853 {
+			candidates++
+		}
+	}
+	out := make([]DoTFlow, 0, candidates)
+	var (
+		year, day            int
+		month                time.Month
+		monthLabel, dayLabel string
+	)
 	for _, rec := range records {
 		if rec.Proto != ProtoTCP || rec.DstPort != 853 {
 			continue
@@ -203,9 +242,14 @@ func (a *Analyzer) SelectDoT(records []Record) []DoTFlow {
 		if rec.Flags == FlagSYN {
 			continue
 		}
+		if y, m, d := rec.First.Date(); dayLabel == "" || y != year || m != month || d != day {
+			year, month, day = y, m, d
+			monthLabel = rec.First.Format("2006-01")
+			dayLabel = rec.First.Format("2006-01-02")
+		}
 		out = append(out, DoTFlow{
-			Month:    rec.First.Format("2006-01"),
-			Day:      rec.First.Format("2006-01-02"),
+			Month:    monthLabel,
+			Day:      dayLabel,
 			Client24: Truncate24(rec.Src),
 			Provider: provider,
 			Packets:  rec.Packets,

@@ -1,7 +1,10 @@
 package netflow
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -193,4 +196,110 @@ func TestFlagUnionNeverLosesBits(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refRouter is Router without its expiry shortcut: every packet ranges the
+// whole flow cache, as Router did before it kept a due time. It is the
+// reference TestExpiryShortcutIsExact compares against.
+type refRouter struct {
+	sampleRate int
+	idleExpiry time.Duration
+	counter    uint64
+	cache      map[flowKey]*Record
+	export     []Record
+}
+
+func (r *refRouter) observe(p Packet) {
+	for key, rec := range r.cache {
+		if p.Time.Sub(rec.Last) > r.idleExpiry {
+			r.export = append(r.export, *rec)
+			delete(r.cache, key)
+		}
+	}
+	r.counter++
+	if r.counter%uint64(r.sampleRate) != 0 {
+		return
+	}
+	key := flowKey{p.Src, p.Dst, p.SrcPort, p.DstPort, p.Proto}
+	rec, ok := r.cache[key]
+	if !ok {
+		rec = &Record{First: p.Time, Src: p.Src, Dst: p.Dst, SrcPort: p.SrcPort, DstPort: p.DstPort, Proto: p.Proto}
+		r.cache[key] = rec
+	}
+	rec.Last = p.Time
+	rec.Packets++
+	rec.Bytes += uint64(p.Bytes)
+	rec.Flags |= p.Flags
+}
+
+func (r *refRouter) flush() []Record {
+	for _, rec := range r.cache {
+		r.export = append(r.export, *rec)
+	}
+	sort.Slice(r.export, func(i, j int) bool { return compareRecords(&r.export[i], &r.export[j]) < 0 })
+	return r.export
+}
+
+// TestExpiryShortcutIsExact feeds one seeded packet stream through Router
+// and through refRouter, which ranges its cache on every packet; Flush must
+// return the same records. Interleaved flows pause for gaps just under, at
+// and just over the idle expiry, and for much longer. Packets step back in
+// time a little inside the stream, and then a whole later batch is stamped
+// months earlier, as the traffic stage feeds its September scan after
+// January's flows; a packet stamped before a cached flow's last one
+// expires nothing, and a sampled one moves that flow's Last back.
+func TestExpiryShortcutIsExact(t *testing.T) {
+	const idle = 15 * time.Second
+	short := []time.Duration{0, time.Millisecond, 200 * time.Millisecond, time.Second, 3 * time.Second}
+	long := []time.Duration{idle - time.Millisecond, idle, idle + time.Millisecond, 2 * idle, time.Hour}
+	for _, rate := range []int{1, 3} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var packets []Packet
+			burst := func(start time.Time, n int) {
+				at := start
+				for i := 0; i < n; i++ {
+					gaps := short
+					if rng.Intn(4) == 0 {
+						gaps = long
+					}
+					at = at.Add(gaps[rng.Intn(len(gaps))])
+					stamp := at
+					if rng.Intn(8) == 0 {
+						stamp = at.Add(-time.Duration(rng.Intn(int(2 * idle)))) // steps back
+					}
+					p := pkt(stamp, clientA, cfDoT, 853, uint8(1)<<rng.Intn(5))
+					p.SrcPort = uint16(40000 + rng.Intn(6)) // six interleaved flows
+					packets = append(packets, p)
+				}
+			}
+			burst(t0.AddDate(0, 6, 0), 400)
+			burst(t0, 200) // months earlier than every cached flow
+			burst(t0.AddDate(0, 6, 1), 100)
+
+			r := NewRouter(rate, idle)
+			ref := &refRouter{sampleRate: rate, idleExpiry: idle, cache: map[flowKey]*Record{}}
+			for _, p := range packets {
+				r.Observe(p)
+				ref.observe(p)
+			}
+			got, want := r.Flush(), ref.flush()
+			if !slices.Equal(got, want) {
+				t.Fatalf("rate %d seed %d: Router flushed %d records, the reference %d; first difference at %d",
+					rate, seed, len(got), len(want), firstDiff(got, want))
+			}
+			if len(want) <= 6 {
+				t.Fatalf("rate %d seed %d: %d records; the stream never expired a flow", rate, seed, len(want))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []Record) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 )
 
@@ -29,7 +30,11 @@ var ErrBadDatagram = errors.New("netflow: malformed v5 datagram")
 // exportTime must therefore be within ~49 days of every record (real
 // exporters flush within seconds). sysBoot anchors the uptime counter.
 func ExportV5(records []Record, sysBoot, exportTime time.Time, sampleRate int, seqStart uint32) ([][]byte, error) {
-	var out [][]byte
+	n := (len(records) + v5MaxPerDatagram - 1) / v5MaxPerDatagram
+	out := make([][]byte, 0, n)
+	// Every datagram is carved from one allocation, capacity-limited so an
+	// append to one cannot overwrite the next.
+	all := make([]byte, n*v5HeaderLen+len(records)*v5RecordLen)
 	seq := seqStart
 	for off := 0; off < len(records); off += v5MaxPerDatagram {
 		end := off + v5MaxPerDatagram
@@ -37,7 +42,9 @@ func ExportV5(records []Record, sysBoot, exportTime time.Time, sampleRate int, s
 			end = len(records)
 		}
 		chunk := records[off:end]
-		buf := make([]byte, v5HeaderLen+len(chunk)*v5RecordLen)
+		size := v5HeaderLen + len(chunk)*v5RecordLen
+		buf := all[:size:size]
+		all = all[size:]
 
 		binary.BigEndian.PutUint16(buf[0:], v5Version)
 		binary.BigEndian.PutUint16(buf[2:], uint16(len(chunk)))
@@ -75,22 +82,23 @@ func ExportV5(records []Record, sysBoot, exportTime time.Time, sampleRate int, s
 	return out, nil
 }
 
-// ParseV5 decodes one export datagram back into records, recovering
-// absolute timestamps the way real collectors do: the header pairs a
-// (wrapping) SysUptime with the export wall-clock time, and each record's
-// uptime is subtracted with uint32 wraparound arithmetic. Flows older than
-// one uptime wrap (~49.7 days) at export time cannot be represented — an
-// inherent NetFlow v5 limit.
-func ParseV5(datagram []byte) ([]Record, error) {
+// AppendV5 decodes one export datagram and appends its records to dst,
+// recovering absolute timestamps the way real collectors do: the header
+// pairs a (wrapping) SysUptime with the export wall-clock time, and each
+// record's uptime is subtracted with uint32 wraparound arithmetic. Flows
+// older than one uptime wrap (~49.7 days) at export time cannot be
+// represented — an inherent NetFlow v5 limit. For a malformed datagram it
+// returns dst unchanged and an error wrapping ErrBadDatagram.
+func AppendV5(dst []Record, datagram []byte) ([]Record, error) {
 	if len(datagram) < v5HeaderLen {
-		return nil, ErrBadDatagram
+		return dst, ErrBadDatagram
 	}
 	if binary.BigEndian.Uint16(datagram) != v5Version {
-		return nil, fmt.Errorf("%w: version %d", ErrBadDatagram, binary.BigEndian.Uint16(datagram))
+		return dst, fmt.Errorf("%w: version %d", ErrBadDatagram, binary.BigEndian.Uint16(datagram))
 	}
 	count := int(binary.BigEndian.Uint16(datagram[2:]))
 	if count > v5MaxPerDatagram || len(datagram) != v5HeaderLen+count*v5RecordLen {
-		return nil, fmt.Errorf("%w: count %d for %d bytes", ErrBadDatagram, count, len(datagram))
+		return dst, fmt.Errorf("%w: count %d for %d bytes", ErrBadDatagram, count, len(datagram))
 	}
 	headerUptime := binary.BigEndian.Uint32(datagram[4:])
 	exportTime := time.Unix(int64(binary.BigEndian.Uint32(datagram[8:])), 0).UTC()
@@ -99,10 +107,10 @@ func ParseV5(datagram []byte) ([]Record, error) {
 		age := headerUptime - recUptime
 		return exportTime.Add(-time.Duration(age) * time.Millisecond)
 	}
-	records := make([]Record, 0, count)
+	dst = slices.Grow(dst, count)
 	for i := 0; i < count; i++ {
 		p := datagram[v5HeaderLen+i*v5RecordLen:]
-		rec := Record{
+		dst = append(dst, Record{
 			Src:     netip.AddrFrom4([4]byte(p[0:4])),
 			Dst:     netip.AddrFrom4([4]byte(p[4:8])),
 			Packets: uint64(binary.BigEndian.Uint32(p[16:])),
@@ -113,10 +121,9 @@ func ParseV5(datagram []byte) ([]Record, error) {
 			DstPort: binary.BigEndian.Uint16(p[34:]),
 			Flags:   p[37],
 			Proto:   p[38],
-		}
-		records = append(records, rec)
+		})
 	}
-	return records, nil
+	return dst, nil
 }
 
 // V5SampleRate extracts the sampling interval from an export header.
@@ -125,34 +132,4 @@ func V5SampleRate(datagram []byte) (int, error) {
 		return 0, ErrBadDatagram
 	}
 	return int(binary.BigEndian.Uint16(datagram[22:]) & 0x3FFF), nil
-}
-
-// Collector accumulates records parsed from export datagrams, the role of
-// the ISP's NetFlow collector in §5.1.
-type Collector struct {
-	records []Record
-	// Datagrams counts accepted exports; Dropped counts malformed ones.
-	Datagrams, Dropped int
-}
-
-// NewCollector creates a collector.
-func NewCollector() *Collector {
-	return &Collector{}
-}
-
-// Ingest parses one datagram and stores its records.
-func (c *Collector) Ingest(datagram []byte) error {
-	recs, err := ParseV5(datagram)
-	if err != nil {
-		c.Dropped++
-		return err
-	}
-	c.Datagrams++
-	c.records = append(c.records, recs...)
-	return nil
-}
-
-// Records returns everything collected so far.
-func (c *Collector) Records() []Record {
-	return append([]Record(nil), c.records...)
 }

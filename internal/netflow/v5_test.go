@@ -41,7 +41,7 @@ func TestV5RoundTrip(t *testing.T) {
 	if err != nil || rate != 3000 {
 		t.Errorf("sample rate = %d, %v", rate, err)
 	}
-	got, err := ParseV5(datagrams[0])
+	got, err := AppendV5(nil, datagrams[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +69,24 @@ func TestV5SplitsAt30Records(t *testing.T) {
 	if len(datagrams) != 3 { // 30 + 30 + 5
 		t.Fatalf("datagrams = %d, want 3", len(datagrams))
 	}
-	total := 0
-	for _, d := range datagrams {
-		got, err := ParseV5(d)
-		if err != nil {
+	// Decoding appends each datagram's records after the last one's, so
+	// one slice collects the whole export in order.
+	var got []Record
+	for i, d := range datagrams {
+		if cap(d) != len(d) {
+			t.Errorf("datagram %d: capacity %d beyond its %d bytes, so appending to it would overwrite the next", i, cap(d), len(d))
+		}
+		if got, err = AppendV5(got, d); err != nil {
 			t.Fatal(err)
 		}
-		total += len(got)
 	}
-	if total != 65 {
-		t.Errorf("total parsed = %d", total)
+	if len(got) != 65 {
+		t.Fatalf("total decoded = %d", len(got))
+	}
+	for i, rec := range got {
+		if rec.SrcPort != recs[i].SrcPort || !rec.First.Equal(recs[i].First) {
+			t.Errorf("record %d decoded as %+v, want %+v", i, rec, recs[i])
+		}
 	}
 }
 
@@ -95,7 +103,7 @@ func TestV5RejectsMalformed(t *testing.T) {
 	bad[3] = 2
 	cases = append(cases, bad)
 	for i, c := range cases {
-		if _, err := ParseV5(c); err == nil {
+		if _, err := AppendV5(nil, c); err == nil {
 			t.Errorf("case %d: malformed datagram accepted", i)
 		}
 	}
@@ -106,29 +114,6 @@ func TestV5RejectsIPv6(t *testing.T) {
 	rec.Src = netip.MustParseAddr("2001:db8::1")
 	if _, err := ExportV5([]Record{rec}, boot, boot, 1, 0); err == nil {
 		t.Error("IPv6 flow exported in v5")
-	}
-}
-
-func TestCollector(t *testing.T) {
-	recs := sampleRecords(40)
-	datagrams, err := ExportV5(recs, boot, boot.Add(time.Hour), 3000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCollector()
-	for _, d := range datagrams {
-		if err := c.Ingest(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Ingest([]byte{1, 2, 3}); err == nil {
-		t.Error("garbage ingested")
-	}
-	if c.Datagrams != 2 || c.Dropped != 1 {
-		t.Errorf("counters = %d/%d", c.Datagrams, c.Dropped)
-	}
-	if got := c.Records(); len(got) != 40 {
-		t.Errorf("collected = %d", len(got))
 	}
 }
 
@@ -149,7 +134,7 @@ func TestQuickV5RoundTrip(t *testing.T) {
 		}
 		total := 0
 		for _, d := range datagrams {
-			got, err := ParseV5(d)
+			got, err := AppendV5(nil, d)
 			if err != nil {
 				return false
 			}
@@ -180,7 +165,7 @@ func TestV5UptimeWrapRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseV5(datagrams[0])
+	got, err := AppendV5(nil, datagrams[0])
 	if err != nil {
 		t.Fatal(err)
 	}

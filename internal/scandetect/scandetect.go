@@ -61,21 +61,26 @@ var scannerNameMarkers = []string{"scan", "research", "probe", "measurement", "s
 // sorted by source.
 func (d *Detector) Classify(records []netflow.Record) []Verdict {
 	type stats struct {
-		dsts    map[netip.Addr]bool
-		flows   int
-		synOnly int
+		dsts, flows, synOnly int
 	}
 	bySrc := map[netip.Addr]*stats{}
+	// One set of (source, destination) pairs counts every source's
+	// distinct destinations.
+	pairs := map[[2]netip.Addr]struct{}{}
 	for _, rec := range records {
 		if rec.DstPort != d.Port || rec.Proto != netflow.ProtoTCP {
 			continue
 		}
 		s, ok := bySrc[rec.Src]
 		if !ok {
-			s = &stats{dsts: map[netip.Addr]bool{}}
+			s = &stats{}
 			bySrc[rec.Src] = s
 		}
-		s.dsts[rec.Dst] = true
+		n := len(pairs)
+		pairs[[2]netip.Addr{rec.Src, rec.Dst}] = struct{}{}
+		if len(pairs) > n {
+			s.dsts++
+		}
 		s.flows++
 		if rec.Flags == netflow.FlagSYN {
 			s.synOnly++
@@ -85,16 +90,16 @@ func (d *Detector) Classify(records []netflow.Record) []Verdict {
 	for src, s := range bySrc {
 		v := Verdict{
 			Source:       src,
-			DistinctDsts: len(s.dsts),
+			DistinctDsts: s.dsts,
 		}
 		if s.flows > 0 {
 			v.SYNOnlyFraction = float64(s.synOnly) / float64(s.flows)
 		}
 		switch {
-		case len(s.dsts) >= d.FanoutThreshold:
+		case s.dsts >= d.FanoutThreshold:
 			v.Scanner = true
 			v.Reason = "high destination fanout"
-		case len(s.dsts) >= d.FanoutThreshold/10 && v.SYNOnlyFraction >= d.SYNOnlyThreshold:
+		case s.dsts >= d.FanoutThreshold/10 && v.SYNOnlyFraction >= d.SYNOnlyThreshold:
 			v.Scanner = true
 			v.Reason = "moderate fanout with SYN-only flows"
 		case d.nameMatches(src):
@@ -124,7 +129,8 @@ func (d *Detector) nameMatches(src netip.Addr) bool {
 	return false
 }
 
-// FilterOrganic removes flows whose source was classified as a scanner.
+// FilterOrganic removes flows whose source was classified as a scanner. Its
+// result is allocated once, with room for every record.
 func FilterOrganic(records []netflow.Record, verdicts []Verdict) []netflow.Record {
 	scanners := map[netip.Addr]bool{}
 	for _, v := range verdicts {
@@ -132,7 +138,7 @@ func FilterOrganic(records []netflow.Record, verdicts []Verdict) []netflow.Recor
 			scanners[v.Source] = true
 		}
 	}
-	var out []netflow.Record
+	out := make([]netflow.Record, 0, len(records))
 	for _, rec := range records {
 		if !scanners[rec.Src] {
 			out = append(out, rec)

@@ -113,14 +113,15 @@ func (g *DoTGenerator) Generate(router *netflow.Router) int {
 
 	tempIndex := g.GiantNetblocks + g.MediumNetblocks // temps after the heavy tiers
 	totalFlows := 0
+	type flowPlan struct {
+		at       time.Time
+		client   netip.Addr
+		resolver netip.Addr
+	}
+	var plans []flowPlan // one month's flows; reused across months
 	for _, month := range ordered {
 		start, _ := time.Parse("2006-01", month)
-		type flowPlan struct {
-			at       time.Time
-			client   netip.Addr
-			resolver netip.Addr
-		}
-		var plans []flowPlan
+		plans = plans[:0]
 		for _, p := range g.Providers {
 			n := p.MonthlyFlows[month]
 			if n == 0 {

@@ -19,7 +19,10 @@ RACE_PKGS := ./internal/...
 
 # Fuzz targets, as package:target pairs; fuzz-smoke runs each briefly. The
 # dnswire targets are hardened against panics, so a codec regression that
-# panics on malformed wire input fails the gate; doh's feed hostile server
+# panics on malformed wire input fails the gate, and FuzzParseMessage
+# requires every re-encode to be exact-length (cap == len), equal to
+# AppendPack's bytes after a prefix and untouched by the next Pack, which
+# reuses the same pooled scratch; doh's feed hostile server
 # bytes to the client's HTTP/1.1 and h2 readers, and hostile client bytes to
 # the server's HTTP/1.1 and h2 loops (which must also keep their request
 # bounds), whole and in short reads; proxy's feed hostile peer bytes to both

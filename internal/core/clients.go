@@ -136,18 +136,7 @@ func (s *Study) buildClientNetworks() error {
 		prefix := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))
 		addr := prefix.Addr().Next() // .1
 		asn := 30000 + i%500
-		asName := fmt.Sprintf("%s Residential ISP %d", cc, asn%37)
-		// Give the paper's Table 5/6 AS names to the relevant countries.
-		switch cc {
-		case "BR":
-			asName = "Telefnica Brazil S.A"
-		case "ID":
-			asName = "PT Telekomunikasi Selular"
-		case "LA":
-			asName = "Sinam LLC"
-		case "MY":
-			asName = "Speednet Telecomunicacoes Ldta"
-		}
+		asName := workload.ResidentialASName(cc, asn)
 		s.World.Geo.Register(prefix, geo.Location{Country: cc, ASN: asn, ASName: asName})
 		s.Global.AddNode(proxy.ExitNode{
 			ID:       fmt.Sprintf("g-%04d-%s", i, cc),

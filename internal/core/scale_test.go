@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -62,9 +63,23 @@ func TestScaleCampaignAllProtosByteIdentical(t *testing.T) {
 	}
 }
 
+// campaignAllocCeiling bounds the bytes TestScaleCampaignBoundsWorldState's
+// campaign may allocate per vantage once built. It lies halfway between
+// 6,417 bytes, when each of a vantage's three conn pairs took the 896-byte
+// size class, Pack returned 512-byte buffers and Location formatted its AS
+// name on every call, and 4,907 bytes once none of them did (go1.24.0,
+// linux/amd64). The race detector makes sync.Pool drop a quarter of all
+// Puts, so pooled buffers and pack states are remade more often:
+// campaignRaceAllocCeiling lies halfway between the same two builds'
+// readings under it, 10,442 and 8,693 bytes.
+const (
+	campaignAllocCeiling     = 5_662
+	campaignRaceAllocCeiling = 9_567
+)
+
 // TestScaleCampaignBoundsWorldState pins the constant-memory levers: capped
 // resolver cache, disabled zone query log, empty active ledger after the
-// run.
+// run. What the run allocates per vantage stays under campaignAllocCeiling.
 func TestScaleCampaignBoundsWorldState(t *testing.T) {
 	cfg := DefaultScaleConfig()
 	cfg.Nodes = 2000
@@ -75,8 +90,19 @@ func TestScaleCampaignBoundsWorldState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perVantage := (after.TotalAlloc - before.TotalAlloc) / uint64(cfg.Nodes)
+	ceiling := uint64(campaignAllocCeiling)
+	if raceEnabled {
+		ceiling = campaignRaceAllocCeiling
+	}
+	if perVantage > ceiling {
+		t.Errorf("%d bytes allocated per vantage, above the ceiling of %d", perVantage, ceiling)
 	}
 	if got := c.Resolver.CacheLen(); got > 64 {
 		t.Errorf("resolver cache grew to %d entries past the 64 cap", got)

@@ -52,6 +52,10 @@ func seedMessages(t testing.TB) [][]byte {
 	return seeds
 }
 
+// otherMessage is what FuzzParseMessage packs after each accepted input,
+// into the scratch that input's Pack returned to the pool.
+var otherMessage = NewQuery(0xffff, "overwrite.example.net", TypeTXT)
+
 func FuzzParseMessage(f *testing.F) {
 	for _, seed := range seedMessages(f) {
 		f.Add(seed)
@@ -68,12 +72,14 @@ func FuzzParseMessage(f *testing.F) {
 			return
 		}
 		// Accepted messages must render and re-encode without panicking;
-		// a successful re-encode must parse again (pack→parse fixpoint).
+		// a successful re-encode must parse again (pack→parse fixpoint),
+		// be exact-length and share no memory with Pack's pooled scratch.
 		_ = m.String()
 		packed, err := m.Pack()
 		if err != nil {
 			return
 		}
+		checkPackExact(t, packed, m, otherMessage)
 		if _, err := Unpack(packed); err != nil {
 			t.Fatalf("repacked message fails to parse: %v\noriginal: %x\nrepacked: %x", err, data, packed)
 		}

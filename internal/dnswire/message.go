@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"dnsencryption.info/doe/internal/bufpool"
 )
 
 // Errors returned by the message codec.
@@ -137,9 +139,22 @@ func (ps *packState) release() {
 	packStatePool.Put(ps)
 }
 
-// Pack serializes the message to wire format with name compression.
+// Pack serializes the message to wire format with name compression. It
+// packs into pooled scratch and returns an exact-length copy (cap == len),
+// so the result shares no memory with the pool and holds no slack; a
+// caller that frames or batches messages packs with AppendPack instead.
 func (m *Message) Pack() ([]byte, error) {
-	return m.AppendPack(make([]byte, 0, 512))
+	scratch := bufpool.Get(512)
+	packed, err := m.AppendPack(*scratch)
+	if err != nil {
+		bufpool.Put(scratch)
+		return nil, err
+	}
+	out := make([]byte, len(packed))
+	copy(out, packed)
+	*scratch = packed // a message over 512 B grew the scratch; pool that
+	bufpool.Put(scratch)
+	return out, nil
 }
 
 // AppendPack appends the wire form of m to buf and returns the extended

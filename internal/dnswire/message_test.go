@@ -38,6 +38,45 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// checkPackExact requires what Pack promises of packed, m's Pack result:
+// an exact-length slice (cap == len), equal to what AppendPack writes
+// after a non-empty prefix, that a later Pack of other leaves as it was.
+// Pack's scratch comes from bufpool, so an aliased result would be
+// overwritten there.
+func checkPackExact(t testing.TB, packed []byte, m, other *Message) {
+	t.Helper()
+	if cap(packed) != len(packed) {
+		t.Fatalf("Pack returned len %d, cap %d; want cap == len", len(packed), cap(packed))
+	}
+	prefix := []byte("prefix")
+	appended, err := m.AppendPack(bytes.Clone(prefix))
+	if err != nil {
+		t.Fatalf("Pack succeeded but AppendPack failed: %v", err)
+	}
+	if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], packed) {
+		t.Fatalf("Pack = %x, AppendPack after %q = %x", packed, prefix, appended)
+	}
+	kept := bytes.Clone(packed)
+	if _, err := other.Pack(); err != nil {
+		t.Fatalf("packing the second message: %v", err)
+	}
+	if !bytes.Equal(packed, kept) {
+		t.Fatalf("a later Pack changed an earlier result: %x, was %x", packed, kept)
+	}
+}
+
+// TestPackIsExactAndUnaliased packs two different messages back to back,
+// in both orders.
+func TestPackIsExactAndUnaliased(t *testing.T) {
+	q := NewQuery(0x1234, "www.example.com", TypeA)
+	r := q.Reply()
+	r.AddAnswer("www.example.com", 300, CNAME{Target: "cdn.example.com"})
+	r.AddAnswer("cdn.example.com", 60, A{Addr: netip.MustParseAddr("192.0.2.1")})
+	checkPackExact(t, mustPack(t, q), q, r)
+	checkPackExact(t, mustPack(t, r), r, q)
+	checkPackExact(t, mustPack(t, r), r, NewQuery(0x4321, "other.example.net", TypeAAAA))
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	q := NewQuery(7, "www.example.com", TypeA)
 	r := q.Reply()

@@ -345,21 +345,25 @@ func (b *buffer) setDeadline(t time.Time) {
 
 // Conn is one endpoint of a simulated connection. It implements net.Conn.
 type Conn struct {
-	recv   *buffer // data the peer wrote to us
-	send   *buffer // data we write to the peer
-	local  Addr
-	remote Addr
-	clk    *clock // this endpoint's virtual clock
+	recv  *buffer  // data the peer wrote to us
+	send  *buffer  // data we write to the peer
+	addrs *[2]Addr // the pair's endpoints, client first
+	clk   *clock   // this endpoint's virtual clock
 
 	closeOnce sync.Once
+	side      uint8 // addrs[side] is this endpoint's address
 }
 
 // connPair is one connection in one allocation: both directions, both
-// endpoint clocks and both endpoints.
+// endpoint clocks, both endpoints and their two addresses, stored once.
+// Go puts an 8-byte header on a pointerful object over 512 B, so the pair
+// plus that header must fit 768 B to stay out of the 896-byte size class;
+// TestConnPairAllocs holds it there.
 type connPair struct {
 	ab, ba         buffer // client -> server, server -> client
 	cclk, sclk     clock
 	client, server Conn
+	addrs          [2]Addr
 }
 
 // Pair creates a connected pair of Conns with the given round-trip time.
@@ -378,11 +382,11 @@ func Pair(client, server Addr, rtt time.Duration, rng *rand.Rand, jitterFrac flo
 // newPair is Pair with the two directions' jitter seeds drawn; jitterFrac
 // <= 0 turns jitter off.
 func newPair(client, server Addr, rtt time.Duration, jitterFrac float64, seedAB, seedBA int64) (*Conn, *Conn) {
-	p := &connPair{}
+	p := &connPair{addrs: [2]Addr{client, server}}
 	p.ab.init(rtt, &p.cclk, &p.sclk, jitterFrac, seedAB)
 	p.ba.init(rtt, &p.sclk, &p.cclk, jitterFrac, seedBA)
-	p.client = Conn{recv: &p.ba, send: &p.ab, local: client, remote: server, clk: &p.cclk}
-	p.server = Conn{recv: &p.ab, send: &p.ba, local: server, remote: client, clk: &p.sclk}
+	p.client = Conn{recv: &p.ba, send: &p.ab, addrs: &p.addrs, clk: &p.cclk}
+	p.server = Conn{recv: &p.ab, send: &p.ba, addrs: &p.addrs, clk: &p.sclk, side: 1}
 	return &p.client, &p.server
 }
 
@@ -411,11 +415,11 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// LocalAddr implements net.Conn.
-func (c *Conn) LocalAddr() net.Addr { return c.local }
+// LocalAddr implements net.Conn. The address is an Addr.
+func (c *Conn) LocalAddr() net.Addr { return c.addrs[c.side] }
 
-// RemoteAddr implements net.Conn.
-func (c *Conn) RemoteAddr() net.Addr { return c.remote }
+// RemoteAddr implements net.Conn. The address is an Addr.
+func (c *Conn) RemoteAddr() net.Addr { return c.addrs[1-c.side] }
 
 // SetDeadline implements net.Conn. Deadlines are real-time bounds used to
 // abort stuck exchanges; virtual latency is tracked separately.

@@ -208,20 +208,33 @@ func connLife(tb testing.TB, rng *rand.Rand, msg, buf []byte) {
 }
 
 // TestConnPairAllocs pins a connection's cost: its life makes one
-// allocation, the pair itself; segment buffers come from bufpool.
+// allocation, the pair itself, in the 768-byte size class; segment buffers
+// come from bufpool. The pair is pointerful and over 512 B, so the runtime
+// adds an 8-byte header: a pair of 761 B or more lands in the 896-byte
+// class.
 func TestConnPairAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	msg, buf := make([]byte, 64), make([]byte, 64)
-	if allocs := allocsBesidesPool(1000, func() { connLife(t, rng, msg, buf) }); allocs > 1 {
+	allocs, bytes := allocsBesidesPool(1000, func() { connLife(t, rng, msg, buf) })
+	if allocs > 1 {
 		t.Errorf("a connection's life: %v allocs, want at most 1", allocs)
+	}
+	if bytes > 768 {
+		t.Errorf("a connection's life: %v bytes, want at most 768", bytes)
 	}
 }
 
-// allocsBesidesPool is testing.AllocsPerRun less bufpool's refills. A pool
-// miss makes two objects, a buffer and its pointer, and how often the pool
-// misses depends on GC timing and, under the race detector, on sync.Pool
-// dropping a quarter of all Puts on purpose.
-func allocsBesidesPool(runs int, f func()) uint64 {
+// refillBytes is what one bufpool miss allocates for connLife's 64-byte
+// segments: a 512-byte class buffer and the 24-byte slice header its
+// pointer holds.
+const refillBytes = 512 + 24
+
+// allocsBesidesPool is testing.AllocsPerRun, and the bytes allocated per
+// run, less bufpool's refills. A pool miss makes two objects, a buffer and
+// its pointer, and how often the pool misses depends on GC timing and,
+// under the race detector, on sync.Pool dropping a quarter of all Puts on
+// purpose. f must Get only buffers of the 512-byte class.
+func allocsBesidesPool(runs int, f func()) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
@@ -231,8 +244,10 @@ func allocsBesidesPool(runs int, f func()) uint64 {
 		f()
 	}
 	runtime.ReadMemStats(&after)
-	refills := 2 * (bufpool.Snapshot().Misses - pool.Misses)
-	return (after.Mallocs - before.Mallocs - refills) / uint64(runs)
+	misses := bufpool.Snapshot().Misses - pool.Misses
+	allocs = (after.Mallocs - before.Mallocs - 2*misses) / uint64(runs)
+	bytes = (after.TotalAlloc - before.TotalAlloc - refillBytes*misses) / uint64(runs)
+	return allocs, bytes
 }
 
 // BenchmarkConnPair measures one simulated connection's life outside any

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,8 +77,13 @@ func (s *Span) SetAttr(k, v string) {
 	s.attrs = append(s.attrs, attr{k, v})
 }
 
-// SetInt sets an integer attribute.
-func (s *Span) SetInt(k string, v int64) { s.SetAttr(k, fmt.Sprintf("%d", v)) }
+// SetInt sets an integer attribute. On a nil span it formats nothing.
+func (s *Span) SetInt(k string, v int64) {
+	if s == nil {
+		return
+	}
+	s.SetAttr(k, strconv.FormatInt(v, 10))
+}
 
 // Event appends a point-in-trace annotation (e.g. "fault:syn-drop").
 func (s *Span) Event(e string) {

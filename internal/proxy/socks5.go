@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/netip"
 	"slices"
+	"sync"
 	"time"
 
 	"dnsencryption.info/doe/internal/netsim"
@@ -371,23 +372,28 @@ func Relay(client, downstream *netsim.Conn) {
 	// starts: request bytes advance the downstream clock, and a late
 	// snapshot would drop that leg from the composed latency.
 	back := &chargingWriter{client: client, downstream: downstream, last: downstream.Elapsed()}
-	done := make(chan struct{})
-	go func() {
-		client.WriteTo(downstream) //nolint:errcheck
-		downstream.Close()
-		close(done)
-	}()
+	back.forwarding.Add(1)
+	go back.forward()
 	downstream.WriteTo(back) //nolint:errcheck
 	client.Close()
-	<-done
+	back.forwarding.Wait()
 }
 
 // chargingWriter is Relay's downstream→client leg: before writing each
 // segment on to the client, it charges the client the downstream clock's
-// advance since the previous segment.
+// advance since the previous segment. It also carries the join with the
+// client→downstream leg, so a relay's state is one object.
 type chargingWriter struct {
 	client, downstream *netsim.Conn
 	last               time.Duration
+	forwarding         sync.WaitGroup // done when forward returns
+}
+
+// forward is Relay's client→downstream leg.
+func (w *chargingWriter) forward() {
+	w.client.WriteTo(w.downstream) //nolint:errcheck
+	w.downstream.Close()
+	w.forwarding.Done()
 }
 
 func (w *chargingWriter) Write(p []byte) (int, error) {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -458,7 +459,9 @@ func (t *Transport) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 		if attempt > 1 {
 			t.stats.retries.Add(1)
 			mc.retries.Add(1)
-			sp.Event(fmt.Sprintf("retry:%d", attempt))
+			if sp != nil {
+				sp.Event("retry:" + strconv.Itoa(attempt))
+			}
 			penalty += t.retry.backoffFor(attempt)
 		}
 		var cost time.Duration

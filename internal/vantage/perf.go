@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 	"time"
 
@@ -120,8 +121,8 @@ func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx
 	var err error
 	for attempt := 1; attempt <= budget; attempt++ {
 		actx := ctx
-		if attempt > 1 {
-			actx, _ = obs.Start(ctx, fmt.Sprintf("retry:%d", attempt))
+		if attempt > 1 && sp != nil {
+			actx, _ = obs.Start(ctx, "retry:"+strconv.Itoa(attempt))
 		}
 		lat, err = measure(actx)
 		if err == nil {

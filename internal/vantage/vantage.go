@@ -9,11 +9,12 @@ package vantage
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
@@ -141,20 +142,30 @@ type Platform struct {
 	seq atomic.Uint64
 }
 
-// UniqueName returns a fresh uniquely-prefixed probe name.
+// UniqueName returns a fresh uniquely-prefixed probe name,
+// "u<n>-<tag>.<ProbeZone>", with tag lowercased and every other rune
+// outside [a-z0-9-] made '-'. It allocates once, for the name.
 func (p *Platform) UniqueName(tag string) string {
-	n := p.seq.Add(1)
-	tag = strings.Map(func(r rune) rune {
+	var num [20]byte
+	seq := strconv.AppendUint(num[:0], p.seq.Add(1), 10)
+	var b strings.Builder
+	b.Grow(1 + len(seq) + 1 + utf8.RuneCountInString(tag) + 1 + len(p.ProbeZone))
+	b.WriteByte('u')
+	b.Write(seq)
+	b.WriteByte('-')
+	for _, r := range tag {
 		switch {
 		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '-':
-			return r
+			b.WriteByte(byte(r))
 		case r >= 'A' && r <= 'Z':
-			return r + 32
+			b.WriteByte(byte(r + 32))
 		default:
-			return '-'
+			b.WriteByte('-')
 		}
-	}, tag)
-	return fmt.Sprintf("u%d-%s.%s", n, tag, p.ProbeZone)
+	}
+	b.WriteByte('.')
+	b.WriteString(p.ProbeZone)
+	return b.String()
 }
 
 // UsableNode applies the paper's node-selection rule: check remaining
@@ -177,9 +188,12 @@ func (p *Platform) TestReachability(ctx context.Context, node proxy.ExitNode, ta
 // bound to the node→target flow so injected faults stamp their events on
 // it, plus the per-(resolver, proto, outcome) counters the telemetry
 // section reports. Lookups on one node run serially, so the spans need no
-// explicit keys.
+// explicit keys. With telemetry off it builds no span name.
 func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, proto resolver.Proto, remote netip.Addr) Result {
-	ctx, sp := obs.Start(ctx, fmt.Sprintf("lookup:%s:%s", tgt.Name, Label(proto)))
+	var sp *obs.Span
+	if obs.CurrentSpan(ctx) != nil {
+		ctx, sp = obs.Start(ctx, "lookup:"+tgt.Name+":"+Label(proto))
+	}
 	release := obs.FromContext(ctx).WatchFlow(node.Addr, remote, sp)
 	defer release()
 	r := p.withRetry(ctx, func(ctx context.Context) Result { return p.test(ctx, node, tgt, proto) })
@@ -197,11 +211,12 @@ func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, 
 	if r.Err != "" {
 		sp.SetAttr("err", r.Err)
 	}
-	m := obs.Metrics(ctx)
-	m.Counter("vantage_lookups_total",
-		"resolver", tgt.Name, "proto", Label(proto), "outcome", r.Outcome.String()).Add(1)
-	if r.Intercepted {
-		m.Counter("vantage_intercepted_total", "resolver", tgt.Name).Add(1)
+	if m := obs.Metrics(ctx); m != nil {
+		m.Counter("vantage_lookups_total",
+			"resolver", tgt.Name, "proto", Label(proto), "outcome", r.Outcome.String()).Add(1)
+		if r.Intercepted {
+			m.Counter("vantage_intercepted_total", "resolver", tgt.Name).Add(1)
+		}
 	}
 	return r
 }
@@ -223,8 +238,8 @@ func (p *Platform) withRetry(ctx context.Context, run func(ctx context.Context) 
 	var r Result
 	for attempt := 1; attempt <= budget; attempt++ {
 		actx := ctx
-		if attempt > 1 {
-			actx, _ = obs.Start(ctx, fmt.Sprintf("retry:%d", attempt))
+		if attempt > 1 && obs.CurrentSpan(ctx) != nil {
+			actx, _ = obs.Start(ctx, "retry:"+strconv.Itoa(attempt))
 		}
 		r = run(actx)
 		r.Attempts = attempt
@@ -266,7 +281,10 @@ func (p *Platform) classify(m *dnswire.Message) Outcome {
 // charged with the session's virtual elapsed-time delta.
 func (p *Platform) exchange(ctx context.Context, sess resolver.Session, tag string, r *Result) {
 	q := dnswire.NewQuery(0, p.UniqueName(tag), dnswire.TypeA)
-	ctx, sp := obs.Start(ctx, "xchg:"+Label(r.Proto))
+	var sp *obs.Span
+	if obs.CurrentSpan(ctx) != nil {
+		ctx, sp = obs.Start(ctx, "xchg:"+Label(r.Proto))
+	}
 	start := sess.Elapsed()
 	m, err := sess.Exchange(ctx, q)
 	obs.Charge(ctx, sess.Elapsed()-start)
@@ -296,7 +314,9 @@ func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 	}
 	dctx, _ := obs.Start(ctx, "dial")
 	obs.Charge(dctx, sess.SetupLatency())
-	obs.Metrics(ctx).Sketch("vantage_setup_latency", "proto", Label(proto)).Observe(sess.SetupLatency())
+	if m := obs.Metrics(ctx); m != nil {
+		m.Sketch("vantage_setup_latency", "proto", Label(proto)).Observe(sess.SetupLatency())
+	}
 	return sess, nil
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"net/netip"
+	"sync"
 	"time"
 
 	"dnsencryption.info/doe/internal/geo"
@@ -56,6 +57,12 @@ type VantageModel struct {
 	cum   []int // cumulative weights into ccs, for the weighted pick
 	ccs   []string
 	total int
+
+	// asNames[c][k] is ResidentialASName(ccs[c], k): every name Location
+	// can give. Location builds it on its first call, not NewVantageModel,
+	// so a campaign's set-up stays as cheap as the model.
+	asNamesOnce sync.Once
+	asNames     [][asNameClasses]string
 }
 
 // NewVantageModel builds a model over the Table 3 mix.
@@ -67,6 +74,38 @@ func NewVantageModel(seed int64) *VantageModel {
 		m.ccs = append(m.ccs, w.CC)
 	}
 	return m
+}
+
+// asNameClasses is how many generic AS names a country has: an AS is named
+// by its country and its number modulo asNameClasses.
+const asNameClasses = 37
+
+// ResidentialASName names a residential vantage's AS from its country and
+// number: a generic "<cc> Residential ISP <asn mod 37>", except in the
+// four countries that get the paper's Table 5/6 AS names, so reports
+// speak its vocabulary. Generated and materialized pools name ASes alike.
+func ResidentialASName(cc string, asn int) string {
+	switch cc {
+	case "BR":
+		return "Telefnica Brazil S.A"
+	case "ID":
+		return "PT Telekomunikasi Selular"
+	case "LA":
+		return "Sinam LLC"
+	case "MY":
+		return "Speednet Telecomunicacoes Ldta"
+	}
+	return fmt.Sprintf("%s Residential ISP %d", cc, asn%asNameClasses)
+}
+
+// buildASNames fills m.asNames.
+func (m *VantageModel) buildASNames() {
+	m.asNames = make([][asNameClasses]string, len(m.ccs))
+	for c, cc := range m.ccs {
+		for k := range m.asNames[c] {
+			m.asNames[c][k] = ResidentialASName(cc, k)
+		}
+	}
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche over the
@@ -118,27 +157,16 @@ func (m *VantageModel) Node(i int) proxy.ExitNode {
 }
 
 // Location synthesizes node i's geography — the cheap subset of Node the
-// world's geo fallback needs per dial, without the ID allocation.
+// world's geo fallback needs per dial. After its first call it allocates
+// nothing.
 func (m *VantageModel) Location(i int) geo.Location {
 	if i < 0 || i >= VantageCapacity {
 		panic(fmt.Sprintf("workload: vantage index %d outside [0, %d)", i, VantageCapacity))
 	}
-	cc := m.ccs[m.pick(int(m.hash(i, 0)%uint64(m.total)))]
+	c := m.pick(int(m.hash(i, 0) % uint64(m.total)))
 	asn := 30000 + int(m.hash(i, 1)%500)
-	asName := fmt.Sprintf("%s Residential ISP %d", cc, asn%37)
-	// The same Table 5/6 AS names the materialized pool gives these
-	// countries, so scale-campaign reports speak the paper's vocabulary.
-	switch cc {
-	case "BR":
-		asName = "Telefnica Brazil S.A"
-	case "ID":
-		asName = "PT Telekomunikasi Selular"
-	case "LA":
-		asName = "Sinam LLC"
-	case "MY":
-		asName = "Speednet Telecomunicacoes Ldta"
-	}
-	return geo.Location{Country: cc, ASN: asn, ASName: asName}
+	m.asNamesOnce.Do(m.buildASNames)
+	return geo.Location{Country: m.ccs[c], ASN: asn, ASName: m.asNames[c][asn%asNameClasses]}
 }
 
 // Filtered reports whether node i sits behind a port-53 filtering

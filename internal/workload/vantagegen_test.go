@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -85,5 +86,59 @@ func TestVantageMixShapesPopulation(t *testing.T) {
 	}
 	if len(lifetimes) < 50 {
 		t.Fatalf("lifetime spread too narrow: %d distinct values", len(lifetimes))
+	}
+}
+
+// formattedASName is how Location named an AS when it formatted the name
+// on every call; the table it reads now must give the same strings.
+func formattedASName(cc string, asn int) string {
+	asName := fmt.Sprintf("%s Residential ISP %d", cc, asn%37)
+	switch cc {
+	case "BR":
+		asName = "Telefnica Brazil S.A"
+	case "ID":
+		asName = "PT Telekomunikasi Selular"
+	case "LA":
+		asName = "Sinam LLC"
+	case "MY":
+		asName = "Speednet Telecomunicacoes Ldta"
+	}
+	return asName
+}
+
+// TestLocationASNamesMatchFormatted walks node indices until Location has
+// named an AS in every (country, asn mod 37) cell, the four Table 5/6
+// countries included, and requires each name to equal the formatted one.
+// Two goroutines make a fresh model's first call, which builds the name
+// table, so the race detector sees the lazy build. After that, Location
+// allocates nothing.
+func TestLocationASNamesMatchFormatted(t *testing.T) {
+	m := NewVantageModel(20190501)
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.Location(g)
+		}()
+	}
+	wg.Wait()
+	type cell struct {
+		cc  string
+		mod int
+	}
+	seen := make(map[cell]bool)
+	for i := 0; len(seen) < len(vantageMix)*37; i++ {
+		if i == VantageCapacity {
+			t.Fatalf("%d of %d (country, asn mod 37) cells named over the whole plane", len(seen), len(vantageMix)*37)
+		}
+		loc := m.Location(i)
+		if want := formattedASName(loc.Country, loc.ASN); loc.ASName != want {
+			t.Fatalf("Location(%d) = %+v, want AS name %q", i, loc, want)
+		}
+		seen[cell{loc.Country, loc.ASN % 37}] = true
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { m.Location(12345) }); allocs != 0 {
+		t.Errorf("Location allocates %v objects per call after its first, want 0", allocs)
 	}
 }

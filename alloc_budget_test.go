@@ -11,12 +11,13 @@ import (
 )
 
 // Steady-state allocation budgets (DESIGN.md §9): hard ceilings on the
-// allocations one reused-session Exchange may perform, measured with
-// testing.AllocsPerRun across client and server goroutines. The ceilings
-// carry slack over the measured values (sync.Pool may shed buffers under GC
-// pressure) but sit at or below half the pre-pooling counts — DoT was 59
-// allocs/op and DoH 130 before the buffer-reuse work — so a regression past
-// 50% of the old cost fails here before it reaches a trajectory diff.
+// allocations one Exchange on a primed Client.Dial session may perform —
+// the reused session the study times — measured with testing.AllocsPerRun
+// across client and server goroutines. The ceilings carry slack over the
+// measured values (sync.Pool may shed buffers under GC pressure) but sit at
+// or below half the pre-pooling counts — DoT was 59 allocs/op and DoH 130
+// before the buffer-reuse work — so a regression past 50% of the old cost
+// fails here before it reaches a trajectory diff.
 const (
 	allocBudgetDoT = 25
 	allocBudgetDoH = 65
@@ -37,17 +38,23 @@ const (
 	allocBudgetDoQMux = allocBudgetDoQ * 3 / 2
 )
 
-// exchangeAllocs measures the average allocations of one Exchange on an
-// already established session.
-func exchangeAllocs(t *testing.T, tr *resolver.Transport) float64 {
+// exchangeAllocs measures the average allocations of one Exchange on a
+// session dialed by resolver.Client.Dial and primed by one Exchange, so
+// steady state starts after the dial and the first query.
+func exchangeAllocs(t *testing.T, c *resolver.Client, p resolver.Proto, ep resolver.Endpoint) float64 {
 	t.Helper()
+	ctx := context.Background()
+	sess, err := c.Dial(ctx, p, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
 	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
-	// Prime: the first Exchange dials; steady state starts after it.
-	if _, err := tr.Exchange(context.Background(), msg); err != nil {
+	if _, err := sess.Exchange(ctx, msg); err != nil {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(200, func() {
-		if _, err := tr.Exchange(context.Background(), msg); err != nil {
+		if _, err := sess.Exchange(ctx, msg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -56,9 +63,7 @@ func exchangeAllocs(t *testing.T, tr *resolver.Transport) float64 {
 func TestAllocBudgetDoTExchange(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	tr := c.DoT(s.Targets[0].DoT)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetDoT {
+	if got := exchangeAllocs(t, c, resolver.ProtoDoT, resolver.Endpoint{Addr: s.Targets[0].DoT}); got > allocBudgetDoT {
 		t.Errorf("DoT steady-state exchange: %.1f allocs/op, budget %d", got, allocBudgetDoT)
 	}
 }
@@ -67,9 +72,7 @@ func TestAllocBudgetDoHExchange(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
 	tgt := s.Targets[0]
-	tr := c.DoH(tgt.DoH, tgt.DoHAddr)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetDoH {
+	if got := exchangeAllocs(t, c, resolver.ProtoDoH, resolver.Endpoint{Addr: tgt.DoHAddr, Template: tgt.DoH}); got > allocBudgetDoH {
 		t.Errorf("DoH steady-state exchange: %.1f allocs/op, budget %d", got, allocBudgetDoH)
 	}
 }
@@ -77,9 +80,7 @@ func TestAllocBudgetDoHExchange(t *testing.T) {
 func TestAllocBudgetDoQExchange(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	tr := c.DoQ(s.Targets[0].DoQ)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetDoQ {
+	if got := exchangeAllocs(t, c, resolver.ProtoDoQ, resolver.Endpoint{Addr: s.Targets[0].DoQ}); got > allocBudgetDoQ {
 		t.Errorf("DoQ steady-state exchange: %.1f allocs/op, budget %d", got, allocBudgetDoQ)
 	}
 }
@@ -87,9 +88,7 @@ func TestAllocBudgetDoQExchange(t *testing.T) {
 func TestAllocBudgetTCPExchange(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	tr := c.TCP(s.Targets[0].DNS)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetTCP {
+	if got := exchangeAllocs(t, c, resolver.ProtoTCP, resolver.Endpoint{Addr: s.Targets[0].DNS}); got > allocBudgetTCP {
 		t.Errorf("TCP steady-state exchange: %.1f allocs/op, budget %d", got, allocBudgetTCP)
 	}
 }
@@ -97,9 +96,7 @@ func TestAllocBudgetTCPExchange(t *testing.T) {
 func TestAllocBudgetDoTExchangeInflight8(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
-	tr := c.DoT(s.Targets[0].DoT)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetDoTMux {
+	if got := exchangeAllocs(t, c, resolver.ProtoDoT, resolver.Endpoint{Addr: s.Targets[0].DoT}); got > allocBudgetDoTMux {
 		t.Errorf("DoT pipelined exchange: %.1f allocs/op, budget %d", got, allocBudgetDoTMux)
 	}
 }
@@ -108,9 +105,7 @@ func TestAllocBudgetDoHExchangeInflight8(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
 	tgt := s.Targets[0]
-	tr := c.DoH(tgt.DoH, tgt.DoHAddr)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetDoHMux {
+	if got := exchangeAllocs(t, c, resolver.ProtoDoH, resolver.Endpoint{Addr: tgt.DoHAddr, Template: tgt.DoH}); got > allocBudgetDoHMux {
 		t.Errorf("DoH multiplexed exchange: %.1f allocs/op, budget %d", got, allocBudgetDoHMux)
 	}
 }
@@ -118,9 +113,7 @@ func TestAllocBudgetDoHExchangeInflight8(t *testing.T) {
 func TestAllocBudgetDoQExchangeInflight8(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
-	tr := c.DoQ(s.Targets[0].DoQ)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetDoQMux {
+	if got := exchangeAllocs(t, c, resolver.ProtoDoQ, resolver.Endpoint{Addr: s.Targets[0].DoQ}); got > allocBudgetDoQMux {
 		t.Errorf("DoQ concurrent-stream exchange: %.1f allocs/op, budget %d", got, allocBudgetDoQMux)
 	}
 }
@@ -128,9 +121,7 @@ func TestAllocBudgetDoQExchangeInflight8(t *testing.T) {
 func TestAllocBudgetTCPExchangeInflight8(t *testing.T) {
 	s := study(t)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
-	tr := c.TCP(s.Targets[0].DNS)
-	defer tr.Close()
-	if got := exchangeAllocs(t, tr); got > allocBudgetTCPMux {
+	if got := exchangeAllocs(t, c, resolver.ProtoTCP, resolver.Endpoint{Addr: s.Targets[0].DNS}); got > allocBudgetTCPMux {
 		t.Errorf("TCP pipelined exchange: %.1f allocs/op, budget %d", got, allocBudgetTCPMux)
 	}
 }

@@ -331,8 +331,8 @@ func BenchmarkAblationConnReuseDoT(b *testing.B) {
 
 func BenchmarkAblationConnFreshDoT(b *testing.B) {
 	s := study(b)
-	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithReuse(false), resolver.WithProfile(dot.Strict))
-	tr := c.DoT(s.Targets[0].DoT)
+	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithProfile(dot.Strict))
+	tr := c.Transport(resolver.ProtoDoT, resolver.Endpoint{Addr: s.Targets[0].DoT})
 	q := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
 	ctx := context.Background()
 	b.ResetTimer()
@@ -458,95 +458,76 @@ func BenchmarkAblationDoHMethodPOST(b *testing.B) { benchDoHMethod(b, doh.POST) 
 // --- Steady-state exchange benchmarks ----------------------------------
 //
 // These are the allocation-budget anchors of the performance contract
-// (DESIGN.md §9): one DNS transaction on an already established, reused
-// session, the amortized arm of the paper's §4.3 comparison. The harness
-// (cmd/doebench) tracks their allocs/op across PRs; alloc_budget_test.go
-// pins hard ceilings.
+// (DESIGN.md §9): one DNS transaction on a session dialed by
+// resolver.Client.Dial and primed by one Exchange — the reused session the
+// study times, the amortized arm of the paper's §4.3 comparison. The
+// harness (cmd/doebench) tracks their allocs/op across PRs;
+// alloc_budget_test.go pins hard ceilings.
+
+// primedSession dials a session to ep over p and primes it with one
+// Exchange of msg, so steady state starts after the dial and the first
+// query.
+func primedSession(b *testing.B, c *resolver.Client, p resolver.Proto, ep resolver.Endpoint, msg *dnswire.Message) resolver.Session {
+	b.Helper()
+	sess, err := c.Dial(context.Background(), p, ep)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Exchange(context.Background(), msg); err != nil {
+		b.Fatal(err)
+	}
+	return sess
+}
+
+// benchSerialExchange times one Exchange after another on a primed
+// session.
+func benchSerialExchange(b *testing.B, c *resolver.Client, p resolver.Proto, ep resolver.Endpoint) {
+	b.Helper()
+	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
+	sess := primedSession(b, c, p, ep, msg)
+	defer sess.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Exchange(context.Background(), msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func BenchmarkSteadyStateDoTExchange(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	tr := c.DoT(s.Targets[0].DoT)
-	defer tr.Close()
-	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
-	// Prime: the first Exchange dials; steady state starts after it.
-	if _, err := tr.Exchange(context.Background(), msg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Exchange(context.Background(), msg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSerialExchange(b, c, resolver.ProtoDoT, resolver.Endpoint{Addr: s.Targets[0].DoT})
 }
 
 func BenchmarkSteadyStateDoHExchange(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
 	tgt := s.Targets[0]
-	tr := c.DoH(tgt.DoH, tgt.DoHAddr)
-	defer tr.Close()
-	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
-	if _, err := tr.Exchange(context.Background(), msg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Exchange(context.Background(), msg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSerialExchange(b, c, resolver.ProtoDoH, resolver.Endpoint{Addr: tgt.DoHAddr, Template: tgt.DoH})
 }
 
 func BenchmarkSteadyStateDoQExchange(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	tr := c.DoQ(s.Targets[0].DoQ)
-	defer tr.Close()
-	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
-	if _, err := tr.Exchange(context.Background(), msg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Exchange(context.Background(), msg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSerialExchange(b, c, resolver.ProtoDoQ, resolver.Endpoint{Addr: s.Targets[0].DoQ})
 }
 
 func BenchmarkSteadyStateTCPExchange(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots)
-	tr := c.TCP(s.Targets[0].DNS)
-	defer tr.Close()
-	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
-	if _, err := tr.Exchange(context.Background(), msg); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Exchange(context.Background(), msg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSerialExchange(b, c, resolver.ProtoTCP, resolver.Endpoint{Addr: s.Targets[0].DNS})
 }
 
 // benchConcurrentExchange drives waves of inflight concurrent Exchanges on
 // one multiplexed session; allocs/op is per query, including the goroutine
 // fan-out, and the budget contract keeps it within 1.5× the serial paths.
-func benchConcurrentExchange(b *testing.B, tr *resolver.Transport, inflight int) {
+func benchConcurrentExchange(b *testing.B, c *resolver.Client, p resolver.Proto, ep resolver.Endpoint, inflight int) {
 	b.Helper()
 	msg := dnswire.NewQuery(0, "bench."+core.ProbeZone, dnswire.TypeA)
-	// Prime: the first Exchange dials; steady state starts after it.
-	if _, err := tr.Exchange(context.Background(), msg); err != nil {
-		b.Fatal(err)
-	}
+	sess := primedSession(b, c, p, ep, msg)
+	defer sess.Close()
 	var firstErr error
 	var errMu sync.Mutex
 	b.ReportAllocs()
@@ -561,7 +542,7 @@ func benchConcurrentExchange(b *testing.B, tr *resolver.Transport, inflight int)
 		for j := 0; j < n; j++ {
 			go func() {
 				defer wg.Done()
-				if _, err := tr.Exchange(context.Background(), msg); err != nil {
+				if _, err := sess.Exchange(context.Background(), msg); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -580,34 +561,26 @@ func benchConcurrentExchange(b *testing.B, tr *resolver.Transport, inflight int)
 func BenchmarkSteadyStateDoTExchangeInflight8(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
-	tr := c.DoT(s.Targets[0].DoT)
-	defer tr.Close()
-	benchConcurrentExchange(b, tr, 8)
+	benchConcurrentExchange(b, c, resolver.ProtoDoT, resolver.Endpoint{Addr: s.Targets[0].DoT}, 8)
 }
 
 func BenchmarkSteadyStateDoHExchangeInflight8(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
 	tgt := s.Targets[0]
-	tr := c.DoH(tgt.DoH, tgt.DoHAddr)
-	defer tr.Close()
-	benchConcurrentExchange(b, tr, 8)
+	benchConcurrentExchange(b, c, resolver.ProtoDoH, resolver.Endpoint{Addr: tgt.DoHAddr, Template: tgt.DoH}, 8)
 }
 
 func BenchmarkSteadyStateDoQExchangeInflight8(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
-	tr := c.DoQ(s.Targets[0].DoQ)
-	defer tr.Close()
-	benchConcurrentExchange(b, tr, 8)
+	benchConcurrentExchange(b, c, resolver.ProtoDoQ, resolver.Endpoint{Addr: s.Targets[0].DoQ}, 8)
 }
 
 func BenchmarkSteadyStateTCPExchangeInflight8(b *testing.B) {
 	s := study(b)
 	c := resolver.New(s.World, netip.MustParseAddr("172.20.1.1"), s.Roots, resolver.WithMaxInFlight(8))
-	tr := c.TCP(s.Targets[0].DNS)
-	defer tr.Close()
-	benchConcurrentExchange(b, tr, 8)
+	benchConcurrentExchange(b, c, resolver.ProtoTCP, resolver.Endpoint{Addr: s.Targets[0].DNS}, 8)
 }
 
 // --- Substrate micro-benchmarks ----------------------------------------

@@ -54,38 +54,41 @@ func main() {
 	}
 
 	// 3. Without retries the first lookup just fails — and burns the first
-	// of the tuple's two flaky dials.
-	bare := resolver.New(world, client, certs.Pool(ca)).DoT(server)
+	// of the tuple's two flaky dials. A Transport dials a fresh session for
+	// every Exchange, so each lookup below is one dial, or more when it
+	// retries.
+	ep := resolver.Endpoint{Addr: server}
+	bare := resolver.New(world, client, certs.Pool(ca)).Transport(resolver.ProtoDoT, ep)
 	if _, err := bare.Exchange(ctx, query()); err != nil {
 		fmt.Printf("no retry:    first DoT lookup fails: %v\n", err)
 	}
-	bare.Close()
 
 	// 4. With a retry budget the remaining failure is invisible to the
 	// caller: attempt 1 hits the tuple's second flaky dial, attempt 2
 	// lands. The 25 ms backoff is charged to the virtual clock, never
-	// slept.
+	// slept; the latency also includes the session's TCP+TLS setup.
 	tr := resolver.New(world, client, certs.Pool(ca),
 		resolver.WithRetry(resolver.RetryPolicy{Attempts: 3, Backoff: 25 * time.Millisecond}),
-	).DoT(server)
-	defer tr.Close()
+	).Transport(resolver.ProtoDoT, ep)
 
 	m, err := tr.Exchange(ctx, query())
 	if err != nil {
 		log.Fatalf("retrying lookup: %v", err)
 	}
 	addr, _ := m.FirstA()
-	fmt.Printf("with retry:  answer=%v  latency=%v (includes 25 ms virtual backoff)\n",
+	fmt.Printf("with retry:  answer=%v  latency=%v (includes setup and 25 ms virtual backoff)\n",
 		addr, tr.LastLatency())
 
-	// 5. The path healed, so later lookups are single-attempt.
+	// 5. The path healed, so later lookups are single-attempt: one fresh
+	// dial each, setup included.
 	if _, err := tr.Exchange(ctx, query()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("healed path: latency=%v\n", tr.LastLatency())
 
-	// 6. Both layers kept books. The injector counted what it broke; the
-	// transport counted what it took to recover.
+	// 6. Both layers kept books. The injector counted what it broke (four
+	// dials: one per attempt); the transport counted what it took to
+	// recover.
 	st := inj.Stats()
 	fmt.Printf("injector:    %d stream dials seen, %d failed flaky\n", st.StreamDials, st.FlakyFailures)
 	fmt.Printf("transport:   %+v\n", tr.Stats())

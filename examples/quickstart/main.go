@@ -77,7 +77,7 @@ func main() {
 	// client that opens every study session, plus the JSON API over a
 	// stream dialed by hand.
 	tmpl, _ := doh.ParseTemplate("https://dns.example.test/dns-query{?dns}")
-	fresh := resolver.New(world, client, roots, resolver.WithReuse(false)).DoH(tmpl, server)
+	fresh := resolver.New(world, client, roots).Transport(resolver.ProtoDoH, resolver.Endpoint{Addr: server, Template: tmpl})
 	if _, err := fresh.Exchange(context.Background(), dnswire.NewQuery(0, "doh.example.test", dnswire.TypeA)); err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dnsencryption.info/doe/internal/analysis"
 	"dnsencryption.info/doe/internal/certs"
+	"dnsencryption.info/doe/internal/dnsclient"
 	"dnsencryption.info/doe/internal/dnscrypt"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/dnswire"
@@ -85,30 +86,29 @@ func runDNSCrypt(s *Study) (string, error) {
 	}
 	// The DNSCrypt client has no Transport underneath it, so under fault
 	// injection the attempt budget is applied here, around the certificate
-	// bootstrap and each encrypted exchange.
+	// bootstrap and each encrypted query.
 	budget := s.retryBudget()
 	if err := retrying(budget, func() error {
 		return client.FetchCertContext(ctx, s.DNSCryptAddr)
 	}); err != nil {
 		return "", fmt.Errorf("certificate bootstrap: %w", err)
 	}
-	ex := resolver.DNSCrypt(client, s.DNSCryptAddr)
 	var lat []float64
 	for i := 0; i < 10; i++ {
-		q := dnswire.NewQuery(0, fmt.Sprintf("dc-%d.%s", i, ProbeZone), dnswire.TypeA)
-		var m *dnswire.Message
+		name := fmt.Sprintf("dc-%d.%s", i, ProbeZone)
+		var res *dnsclient.Result
 		err := retrying(budget, func() error {
-			var exErr error
-			m, exErr = ex.Exchange(ctx, q)
-			return exErr
+			var qErr error
+			res, qErr = client.QueryContext(ctx, s.DNSCryptAddr, name, dnswire.TypeA)
+			return qErr
 		})
 		if err != nil {
 			return "", err
 		}
-		if a, ok := m.FirstA(); !ok || a != s.ExpectedA {
-			return "", fmt.Errorf("wrong answer: %v", m.Answers)
+		if a, ok := res.FirstA(); !ok || a != s.ExpectedA {
+			return "", fmt.Errorf("wrong answer: %v", res.Msg.Answers)
 		}
-		lat = append(lat, float64(ex.LastLatency())/float64(time.Millisecond))
+		lat = append(lat, float64(res.Latency)/float64(time.Millisecond))
 	}
 	var b analysis.Table
 	b.Title = "DNSCrypt deployment check (Table 1's fifth protocol, working end to end)"

@@ -83,6 +83,9 @@ type ScaleCampaign struct {
 	Targets  []vantage.Target
 	Zone     *dnsserver.Zone
 	Resolver *dnsserver.Resolver
+	// doq is the resolver's DoQ front-end when Config.AllProtos, kept so
+	// tests can bound its connection table.
+	doq *doq.Server
 }
 
 // NewScaleCampaign builds the minimal world: authoritative zone, one
@@ -187,7 +190,7 @@ func (c *ScaleCampaign) buildEncryptedFrontends(target *vantage.Target) error {
 		return err
 	}
 	dot.Serve(c.World, cloudflareDNS, leaf, c.Resolver, time.Millisecond)
-	doq.Serve(c.World, cloudflareDNS, leaf, c.Resolver, time.Millisecond)
+	c.doq = doq.Serve(c.World, cloudflareDNS, leaf, c.Resolver, time.Millisecond)
 	doh.Serve(c.World, cloudflareDNS, leaf, &doh.Server{Handler: c.Resolver})
 	c.Platform.Roots = certs.Pool(ca)
 	target.DoT = cloudflareDNS

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/workload"
 )
 
@@ -77,38 +79,66 @@ const (
 	campaignRaceAllocCeiling = 9_567
 )
 
+// doqConnCap is the DoQ server's connection-table cap (doq.maxConns).
+const doqConnCap = 1024
+
+// doqConns counts the connections srv's table holds. The table is
+// unexported and only a test reads its size, so it is read by reflection.
+func doqConns(srv *doq.Server) int {
+	return reflect.ValueOf(srv).Elem().FieldByName("conns").Len()
+}
+
 // TestScaleCampaignBoundsWorldState pins the constant-memory levers: capped
 // resolver cache, disabled zone query log, empty active ledger after the
-// run. What the run allocates per vantage stays under campaignAllocCeiling.
+// run. What the DNS-only run allocates per vantage stays under
+// campaignAllocCeiling. The all-protocol run, which `doereport -nodes`
+// runs, opens a DoQ session per vantage that its client closes silently,
+// so the DoQ server's connection table must stay at its cap, below the
+// 2,000 vantages.
 func TestScaleCampaignBoundsWorldState(t *testing.T) {
-	cfg := DefaultScaleConfig()
-	cfg.Nodes = 2000
-	cfg.Workers = 4
-	cfg.CacheLimit = 64
-	c, err := NewScaleCampaign(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := c.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	perVantage := (after.TotalAlloc - before.TotalAlloc) / uint64(cfg.Nodes)
-	ceiling := uint64(campaignAllocCeiling)
-	if raceEnabled {
-		ceiling = campaignRaceAllocCeiling
-	}
-	if perVantage > ceiling {
-		t.Errorf("%d bytes allocated per vantage, above the ceiling of %d", perVantage, ceiling)
-	}
-	if got := c.Resolver.CacheLen(); got > 64 {
-		t.Errorf("resolver cache grew to %d entries past the 64 cap", got)
-	}
-	if got := c.Network.ActiveCount(); got != 0 {
-		t.Errorf("active ledger retained %d nodes", got)
+	for _, allProtos := range []bool{false, true} {
+		name := "DNS"
+		if allProtos {
+			name = "AllProtos"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultScaleConfig()
+			cfg.Nodes = 2000
+			cfg.Workers = 4
+			cfg.CacheLimit = 64
+			cfg.AllProtos = allProtos
+			c, err := NewScaleCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := c.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if allProtos {
+				if got := doqConns(c.doq); got > doqConnCap {
+					t.Errorf("DoQ server kept %d connections for %d vantages, above the cap of %d", got, cfg.Nodes, doqConnCap)
+				}
+			} else {
+				perVantage := (after.TotalAlloc - before.TotalAlloc) / uint64(cfg.Nodes)
+				ceiling := uint64(campaignAllocCeiling)
+				if raceEnabled {
+					ceiling = campaignRaceAllocCeiling
+				}
+				if perVantage > ceiling {
+					t.Errorf("%d bytes allocated per vantage, above the ceiling of %d", perVantage, ceiling)
+				}
+			}
+			if got := c.Resolver.CacheLen(); got > 64 {
+				t.Errorf("resolver cache grew to %d entries past the 64 cap", got)
+			}
+			if got := c.Network.ActiveCount(); got != 0 {
+				t.Errorf("active ledger retained %d nodes", got)
+			}
+		})
 	}
 }
 

@@ -69,8 +69,7 @@ type Reply struct {
 // the framing fails alone) fails its own query, and the session lives on.
 // Only a read or write error is fatal: every in-flight query fails with it
 // (ErrClosed when the session was closed locally) and later queries fail
-// immediately. The resolver layer maps these deaths to
-// resolver.ErrSessionClosed.
+// immediately. Nothing redials a dead session.
 type Mux struct {
 	f     Framing
 	w     io.Writer

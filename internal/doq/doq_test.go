@@ -1,8 +1,10 @@
 package doq
 
 import (
+	"bytes"
 	"context"
 	"crypto/x509"
+	"encoding/binary"
 	"errors"
 	"net/netip"
 	"sync"
@@ -538,5 +540,59 @@ func TestZeroRTTSurvivesServerReset(t *testing.T) {
 	}
 	if a, ok := res.FirstA(); !ok || a != answerIP {
 		t.Errorf("answer = %v", res.Msg.Answers)
+	}
+}
+
+// A peer that sends only Initials, each under a new source connection ID,
+// must leave at most maxConns connections behind: the table keeps the
+// newest registrations and forgets the oldest first.
+func TestServerBoundsConnections(t *testing.T) {
+	const initials = 100_000
+	f := newFixture(t)
+	srv := f.serveDoQ(t, f.validLeaf(t))
+	var initial []byte
+	c := &Client{Roots: certs.Pool(f.ca)}
+	conn, err := c.DialVia(context.Background(), doqIP, func(req []byte) ([]byte, time.Duration, error) {
+		initial = bytes.Clone(req)
+		return srv.handlePacket(clientIP, req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	h, n, err := dnswire.ParseQUICHeader(initial)
+	if err != nil || h.Type != dnswire.QUICInitial {
+		t.Fatalf("captured packet %v (%v), want an Initial", h.Type, err)
+	}
+	payload := initial[n:]
+
+	cid := func(i int) []byte {
+		b := make([]byte, dnswire.QUICCIDLen)
+		binary.BigEndian.PutUint64(b, uint64(i)+1)
+		return b
+	}
+	var pkt []byte
+	for i := 0; i < initials; i++ {
+		h.SCID = cid(i)
+		if pkt, err = dnswire.AppendQUICHeader(pkt[:0], h); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := srv.handlePacket(clientIP, append(pkt, payload...)); err != nil {
+			t.Fatalf("Initial %d: %v", i, err)
+		}
+	}
+	known := func(i int) bool {
+		srvCID := cidFor(cid(i))
+		_, ok := srv.conns[srv.connKey(clientIP, srvCID[:])]
+		return ok
+	}
+	if got := len(srv.conns); got != maxConns {
+		t.Fatalf("%d Initials left %d connections, want the cap %d", initials, got, maxConns)
+	}
+	if !known(initials-1) || !known(initials-maxConns) {
+		t.Error("the newest registrations were evicted")
+	}
+	if known(initials-maxConns-1) || known(0) {
+		t.Error("registrations older than the newest maxConns were kept")
 	}
 }

@@ -16,9 +16,10 @@ import (
 // and every response it sends must parse as a QUIC header followed by one
 // or more well-formed frames. The seeds are the packets of a real session,
 // whole and truncated: the Initial and a short-header query of a fresh
-// dial, then the 0-RTT query of a dial that resumed from its ticket. Each
-// input meets a fresh server that has seen only the Initial, so the short
-// header's connection is known and state never carries between inputs.
+// dial, then the 0-RTT query of a dial that resumed from its ticket. Every
+// input meets the one server that answered those packets, right after a
+// replay of the Initial, so the short header's connection is known. State
+// carries between inputs; the connection table's cap keeps it bounded.
 func FuzzServerPacket(f *testing.F) {
 	ca, err := certs.NewCA("DoE Root", true)
 	if err != nil {
@@ -30,11 +31,7 @@ func FuzzServerPacket(f *testing.F) {
 	}
 	zone := dnsserver.NewZone("measure.example.org")
 	zone.WildcardA = answerIP
-	newServer := func() *Server {
-		return &Server{leaf: leaf, handler: zone, addr: doqIP, conns: make(map[[connKeyLen]byte]*serverConn)}
-	}
-
-	srv := newServer()
+	srv := &Server{leaf: leaf, handler: zone, addr: doqIP, conns: make(map[[connKeyLen]byte]*serverConn)}
 	var packets [][]byte
 	capture := func(req []byte) ([]byte, time.Duration, error) {
 		packets = append(packets, bytes.Clone(req))
@@ -66,7 +63,6 @@ func FuzzServerPacket(f *testing.F) {
 	initial := packets[0]
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		srv := newServer()
 		if _, _, err := srv.handlePacket(clientIP, initial); err != nil {
 			t.Fatalf("replayed Initial: %v", err)
 		}

@@ -104,9 +104,8 @@ func TestChaosRecoveryStatsHandComputed(t *testing.T) {
 	w.SetFaults(inj)
 
 	tr := resolver.New(w, client, nil,
-		resolver.WithReuse(false),
 		resolver.WithRetry(resolver.RetryPolicy{Attempts: 3}),
-	).TCP(server)
+	).Transport(resolver.ProtoTCP, resolver.Endpoint{Addr: server})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		q := dnswire.NewQuery(0, "q.probe.example.org", dnswire.TypeA)
@@ -133,7 +132,7 @@ func TestChaosNoRetryNoRecovery(t *testing.T) {
 	inj.Default = faults.Flaky(1)
 	w.SetFaults(inj)
 
-	tr := resolver.New(w, client, nil, resolver.WithReuse(false)).TCP(server)
+	tr := resolver.New(w, client, nil).Transport(resolver.ProtoTCP, resolver.Endpoint{Addr: server})
 	ctx := context.Background()
 	q := dnswire.NewQuery(0, "q.probe.example.org", dnswire.TypeA)
 	if _, err := tr.Exchange(ctx, q); err == nil {
@@ -172,20 +171,26 @@ func chaosDoQWorld(t *testing.T) (*netsim.World, netip.Addr, netip.Addr, *certs.
 	return w, client, server, certs.Pool(ca)
 }
 
+// doqTransport returns a retrying DoQ Transport from client to server:
+// every Exchange, and every retry, dials a fresh session.
+func doqTransport(w *netsim.World, client, server netip.Addr, roots *certs.TrustStore) *resolver.Transport {
+	return resolver.New(w, client, roots,
+		resolver.WithRetry(resolver.RetryPolicy{Attempts: 3}),
+	).Transport(resolver.ProtoDoQ, resolver.Endpoint{Addr: server})
+}
+
 // TestChaosDoQFlightLossExhaustsBudget pins the DoQ loss-handling contract
-// on an exactly-known schedule: with every datagram dropped, a warm session
-// dies on its next flight (the error wraps ErrSessionClosed, the retryable
-// session-death signal), and each retry redials 0-RTT from the resumption
-// cache — sending NO datagram and so consuming NO fault draw — before its
-// own flight is dropped too. Every number below is computable by hand.
+// on an exactly-known schedule: with every datagram dropped, each attempt
+// dials 0-RTT from the resumption cache — sending NO datagram and so
+// consuming NO fault draw — and its one query flight is dropped, which
+// kills that session with doq.ErrClosed. Every number below is computable
+// by hand.
 func TestChaosDoQFlightLossExhaustsBudget(t *testing.T) {
 	w, client, server, roots := chaosDoQWorld(t)
-	tr := resolver.New(w, client, roots,
-		resolver.WithRetry(resolver.RetryPolicy{Attempts: 3})).DoQ(server)
+	tr := doqTransport(w, client, server, roots)
 	ctx := context.Background()
 
-	// Warm fault-free: the 1-RTT handshake seeds the 0-RTT cache and the
-	// transport retains a live session.
+	// Warm fault-free: the 1-RTT handshake seeds the 0-RTT cache.
 	if _, err := tr.Exchange(ctx, dnswire.NewQuery(0, "warm.probe.example.org", dnswire.TypeA)); err != nil {
 		t.Fatal(err)
 	}
@@ -198,93 +203,112 @@ func TestChaosDoQFlightLossExhaustsBudget(t *testing.T) {
 	if err == nil {
 		t.Fatal("exchange survived a fully lossy path")
 	}
-	if !errors.Is(err, resolver.ErrSessionClosed) {
-		t.Errorf("err = %v, want ErrSessionClosed", err)
+	if !errors.Is(err, doq.ErrClosed) {
+		t.Errorf("err = %v, want doq.ErrClosed", err)
 	}
 	got := tr.Stats()
 	// Warm exchange: 1 attempt. Lossy exchange: 3 attempts (2 retries),
-	// 2 0-RTT redials, budget exhausted.
-	want := resolver.RetryStats{Attempts: 4, Retries: 2, Redials: 2, HardFailures: 1}
+	// budget exhausted.
+	want := resolver.RetryStats{Attempts: 4, Retries: 2, HardFailures: 1}
 	if got != want {
 		t.Errorf("transport stats = %+v, want %+v", got, want)
 	}
-	// Three query flights were dropped; the two 0-RTT redials put nothing
+	// Three query flights were dropped; the three 0-RTT dials put nothing
 	// on the wire, so the injector saw exactly three datagrams.
 	if st := inj.Stats(); st.Datagrams != 3 || st.DgramDrops != 3 {
 		t.Errorf("injector stats = %+v, want 3 datagrams / 3 drops", st)
 	}
 }
 
-// TestChaosDoQRecoveryStatsHandComputed drives a warm DoQ session through a
-// drop-then-clean datagram schedule (injector seed 5 with DgramDrop=0.5
-// draws drop, pass on this tuple — pinned by the injector's determinism
-// contract): the first flight is lost, the retry redials 0-RTT and its
-// flight goes through. Recovery statistics and the recovered latency are
-// exactly computable.
+// TestChaosDoQRecoveryStatsHandComputed drives a warm DoQ transport
+// through a drop-then-clean datagram schedule (injector seed 5 with
+// DgramDrop=0.5 draws drop, pass on this tuple — pinned by the injector's
+// determinism contract): the first attempt's flight is lost, the retry
+// dials 0-RTT and its flight goes through. Recovery statistics and the
+// recovered latency are exactly computable.
 func TestChaosDoQRecoveryStatsHandComputed(t *testing.T) {
 	w, client, server, roots := chaosDoQWorld(t)
-	tr := resolver.New(w, client, roots,
-		resolver.WithRetry(resolver.RetryPolicy{Attempts: 3})).DoQ(server)
+	tr := doqTransport(w, client, server, roots)
 	ctx := context.Background()
 
-	if _, err := tr.Exchange(ctx, dnswire.NewQuery(0, "aaaa.probe.example.org", dnswire.TypeA)); err != nil {
-		t.Fatal(err)
+	// The first exchange pays the 1-RTT handshake and seeds the cache; the
+	// second is a clean 0-RTT exchange: no setup, one flight.
+	for _, name := range []string{"aaaa.probe.example.org", "bbbb.probe.example.org"} {
+		if _, err := tr.Exchange(ctx, dnswire.NewQuery(0, name, dnswire.TypeA)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	warm := tr.LastLatency()
+	clean := tr.LastLatency()
 
 	inj := faults.New(5, nil)
 	inj.Default = faults.Profile{DgramDrop: 0.5}
 	w.SetFaults(inj)
 
-	// Same-length name as the warm query, so the two flights are
+	// Same-length name as the clean exchange, so the two flights are
 	// latency-identical and the recovered cost is directly comparable.
-	if _, err := tr.Exchange(ctx, dnswire.NewQuery(0, "bbbb.probe.example.org", dnswire.TypeA)); err != nil {
+	if _, err := tr.Exchange(ctx, dnswire.NewQuery(0, "cccc.probe.example.org", dnswire.TypeA)); err != nil {
 		t.Fatalf("exchange did not recover: %v", err)
 	}
 	got := tr.Stats()
-	want := resolver.RetryStats{Attempts: 3, Retries: 1, Redials: 1, Recovered: 1}
+	want := resolver.RetryStats{Attempts: 4, Retries: 1, Recovered: 1}
 	if got != want {
 		t.Errorf("transport stats = %+v, want %+v", got, want)
 	}
 	if st := inj.Stats(); st.Datagrams != 2 || st.DgramDrops != 1 {
 		t.Errorf("injector stats = %+v, want 2 datagrams / 1 drop", st)
 	}
-	// The lost flight cost nothing on the session clock and the 0-RTT
-	// redial charges no setup, so the recovered exchange costs exactly one
-	// clean flight — the honest-accounting half of the 0-RTT contract.
-	if got := tr.LastLatency(); got != warm {
-		t.Errorf("recovered latency = %v, want the clean flight cost %v", got, warm)
+	// The lost flight cost nothing on its session's clock and a 0-RTT dial
+	// charges no setup, so the recovered exchange costs exactly one clean
+	// 0-RTT exchange — the honest-accounting half of the 0-RTT contract.
+	if got := tr.LastLatency(); got != clean {
+		t.Errorf("recovered latency = %v, want the clean 0-RTT exchange cost %v", got, clean)
 	}
 }
 
-// TestChaosDoQHarshSweepCompletes runs a retried DoQ transport through the
-// Harsh datagram mix for several fault seeds: every exchange must complete
-// within the budget (handshake flights lost at dial time are retried like
-// refused stream dials; established-session losses surface as
-// ErrSessionClosed and redial 0-RTT), and the injector must actually have
-// dropped something, or the sweep proves nothing.
+// TestChaosDoQHarshSweepCompletes runs a retrying DoQ transport through
+// the Harsh datagram mix for several fault seeds: every exchange must
+// complete within the budget, and the injector must actually have dropped
+// something, or the sweep proves nothing. Harsh's only datagram failure is
+// a drop, and every attempt sends one query flight, plus one Initial while
+// the cache is cold. So each drop costs exactly one retry, an exchange
+// recovers exactly when one of its flights was dropped, and the one
+// handshake that completes adds the only datagram beyond one per attempt.
 func TestChaosDoQHarshSweepCompletes(t *testing.T) {
+	const exchanges = 40
 	for _, seed := range []int64{0, 1, 2} {
 		w, client, server, roots := chaosDoQWorld(t)
 		inj := faults.New(seed, nil)
 		inj.Default = faults.Harsh()
 		w.SetFaults(inj)
 
-		tr := resolver.New(w, client, roots,
-			resolver.WithRetry(resolver.RetryPolicy{Attempts: 3})).DoQ(server)
+		tr := doqTransport(w, client, server, roots)
 		ctx := context.Background()
-		for i := 0; i < 40; i++ {
+		recovered := 0
+		for i := 0; i < exchanges; i++ {
+			drops, attempts := inj.Stats().DgramDrops, tr.Stats().Attempts
 			q := dnswire.NewQuery(0, "q.probe.example.org", dnswire.TypeA)
 			if _, err := tr.Exchange(ctx, q); err != nil {
 				t.Fatalf("seed %d: exchange %d: %v", seed, i, err)
+			}
+			dropped := int(inj.Stats().DgramDrops - drops)
+			if got := tr.Stats().Attempts - attempts; got != 1+dropped {
+				t.Errorf("seed %d: exchange %d took %d attempts for %d drops", seed, i, got, dropped)
+			}
+			if dropped > 0 {
+				recovered++
 			}
 		}
 		st := inj.Stats()
 		if st.DgramDrops == 0 {
 			t.Errorf("seed %d: harsh profile dropped no datagrams over %d flights", seed, st.Datagrams)
 		}
-		if s := tr.Stats(); s.HardFailures != 0 || s.Recovered == 0 {
-			t.Errorf("seed %d: transport stats = %+v, want recoveries and no hard failures", seed, s)
+		drops := int(st.DgramDrops)
+		want := resolver.RetryStats{Attempts: exchanges + drops, Retries: drops, Recovered: recovered}
+		if got := tr.Stats(); got != want {
+			t.Errorf("seed %d: transport stats = %+v, want %+v", seed, got, want)
+		}
+		if st.Datagrams != uint64(want.Attempts)+1 {
+			t.Errorf("seed %d: %d datagrams, want %d: one per attempt plus the completed handshake", seed, st.Datagrams, want.Attempts+1)
 		}
 	}
 }
@@ -296,7 +320,8 @@ func TestChaosBackoffChargedToVirtualClock(t *testing.T) {
 	w, client, server := chaosWorld(t)
 
 	// Clean baseline latency for the same exchange.
-	base := resolver.New(w, client, nil, resolver.WithReuse(false)).TCP(server)
+	ep := resolver.Endpoint{Addr: server}
+	base := resolver.New(w, client, nil).Transport(resolver.ProtoTCP, ep)
 	q := dnswire.NewQuery(0, "q.probe.example.org", dnswire.TypeA)
 	if _, err := base.Exchange(context.Background(), q); err != nil {
 		t.Fatal(err)
@@ -307,8 +332,7 @@ func TestChaosBackoffChargedToVirtualClock(t *testing.T) {
 	inj.Default = faults.Flaky(2)
 	w.SetFaults(inj)
 	p := resolver.RetryPolicy{Attempts: 3, Backoff: 50 * time.Millisecond}
-	tr := resolver.New(w, client, nil,
-		resolver.WithReuse(false), resolver.WithRetry(p)).TCP(server)
+	tr := resolver.New(w, client, nil, resolver.WithRetry(p)).Transport(resolver.ProtoTCP, ep)
 	if _, err := tr.Exchange(context.Background(), q); err != nil {
 		t.Fatalf("exchange: %v", err)
 	}

@@ -3,12 +3,9 @@ package resolver
 import (
 	"context"
 	"crypto/x509"
-	"net/netip"
-	"sync"
 	"time"
 
 	"dnsencryption.info/doe/internal/dnsclient"
-	"dnsencryption.info/doe/internal/dnscrypt"
 	"dnsencryption.info/doe/internal/dnswire"
 )
 
@@ -53,45 +50,4 @@ type Verified interface {
 type verifiedSession struct {
 	session
 	Verified
-}
-
-// DNSCrypt adapts a dnscrypt client to the unified API. The client's
-// certificate must already be fetched (FetchCertContext); exchanges on an
-// uncertified client surface dnscrypt.ErrNoCert.
-func DNSCrypt(client *dnscrypt.Client, server netip.Addr) *DNSCryptExchanger {
-	return &DNSCryptExchanger{client: client, server: server}
-}
-
-// DNSCryptExchanger is the datagram DNSCrypt transport. Like Transport, it
-// records the virtual latency of the most recent exchange — datagram
-// transports have no session whose Elapsed could be read instead.
-type DNSCryptExchanger struct {
-	client *dnscrypt.Client
-	server netip.Addr
-
-	mu   sync.Mutex
-	last time.Duration
-}
-
-// Exchange performs one encrypted lookup.
-func (d *DNSCryptExchanger) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
-	name, qtype, err := Question(msg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := d.client.QueryContext(ctx, d.server, name, qtype)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.last = res.Latency
-	d.mu.Unlock()
-	return res.Msg, nil
-}
-
-// LastLatency is the virtual time the most recent Exchange took.
-func (d *DNSCryptExchanger) LastLatency() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last
 }

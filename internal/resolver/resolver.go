@@ -1,11 +1,11 @@
-// Package resolver presents every transport the study measures — clear-text
-// DNS over TCP, DoT (RFC 7858), DoH (RFC 8484), DoQ (RFC 9250) and
-// DNSCrypt — behind one Exchanger interface: a single DNS transaction under
-// a context. The measurement code in internal/vantage and internal/core
-// compares protocols side by side; giving all of them the same call shape
-// keeps that comparison honest (the harness around each query is
-// identical, only the transport differs) and lets the parallel campaign
-// engine cancel any of them the same way.
+// Package resolver presents every stream and QUIC transport the study
+// measures — clear-text DNS over TCP, DoT (RFC 7858), DoH (RFC 8484) and DoQ
+// (RFC 9250) — behind one Exchanger interface: a single DNS transaction
+// under a context. The measurement code in internal/vantage and
+// internal/core compares protocols side by side; giving all of them the
+// same call shape keeps that comparison honest (the harness around each
+// query is identical, only the transport differs) and lets the parallel
+// campaign engine cancel any of them the same way.
 //
 // Transports own their transaction IDs: TCP and DoT pick fresh random IDs
 // per exchange, DoH always sends ID 0 (RFC 8484 §4.1 cache friendliness).
@@ -13,10 +13,12 @@
 // returned message carries whatever ID the transport used.
 //
 // Sessions are dialed through one entry point, Dial, keyed by a Proto value
-// and run over the Client's Dialer (direct, or through a proxy exit node);
-// with WithMaxInFlight the session pipelines (TCP/DoT, RFC 7766 §6.2.1) or
+// and run over the Client's Dialer (direct, or through a proxy exit node). A
+// dialed Session is the one way to reuse a connection (the amortized arm of
+// §4.3); with WithMaxInFlight it pipelines (TCP/DoT, RFC 7766 §6.2.1) or
 // multiplexes streams (DoH over HTTP/2, DoQ over QUIC), and Exchange may
-// then be called from many goroutines at once.
+// then be called from many goroutines at once. A Transport is the no-reuse
+// arm: every Exchange dials a fresh session, queries once and closes it.
 package resolver
 
 import (
@@ -53,7 +55,8 @@ type Exchanger interface {
 // queue on the connection; on a session dialed with WithMaxInFlight(n) up to
 // n exchanges proceed in flight at once (further callers block until a slot
 // frees). When the connection dies mid-exchange, every in-flight call fails
-// with an error wrapping ErrSessionClosed.
+// with the cause, and every later call fails at once: a dead session is not
+// redialed.
 type Session interface {
 	Exchanger
 	Close() error
@@ -130,10 +133,6 @@ type Endpoint struct {
 // construct via New or NewVia, which apply defaults before the functional
 // options.
 type Options struct {
-	// Reuse keeps one session open across Exchanges on a Transport. With
-	// it off, every Exchange dials, queries once and closes — the no-reuse
-	// arm of the §4.3 comparison.
-	Reuse bool
 	// Profile selects the DoT usage profile (RFC 8310).
 	Profile dot.Profile
 	// Retry is the Transport attempt budget; the zero value disables
@@ -146,13 +145,8 @@ type Options struct {
 	MaxInFlight int
 }
 
-// Option mutates Options; see WithReuse, WithProfile, WithRetry,
-// WithMaxInFlight.
+// Option mutates Options; see WithProfile, WithRetry, WithMaxInFlight.
 type Option func(*Options)
-
-// WithReuse controls connection reuse on Transports (default true). False
-// selects the no-reuse arm: every Exchange dials, queries once and closes.
-func WithReuse(on bool) Option { return func(o *Options) { o.Reuse = on } }
 
 // WithProfile selects the DoT usage profile (default Opportunistic, the
 // paper's client-side choice). The zero Profile value is dot.Strict; pass it
@@ -201,9 +195,9 @@ type Client struct {
 	opts  Options
 
 	// doqOnce/doqCache lazily hold the client-wide DoQ resumption cache:
-	// redials within one Client (a Transport recovering from a session
-	// death, or a later campaign pass) resume 0-RTT, the amortization
-	// RFC 9250 inherits from TLS 1.3 session tickets.
+	// later dials within one Client (every Exchange of a Transport after
+	// the first, a retry, or a later campaign pass) resume 0-RTT, the
+	// amortization RFC 9250 inherits from TLS 1.3 session tickets.
 	doqOnce  sync.Once
 	doqCache *doq.SessionCache
 }
@@ -218,7 +212,7 @@ func New(w *netsim.World, from netip.Addr, roots *certs.TrustStore, opts ...Opti
 // proxy.ExitDialer, so every protocol runs from an exit node's vantage
 // point.
 func NewVia(d Dialer, roots *certs.TrustStore, opts ...Option) *Client {
-	c := &Client{Roots: roots, dial: d, opts: Options{Reuse: true, Profile: dot.Opportunistic}}
+	c := &Client{Roots: roots, dial: d, opts: Options{Profile: dot.Opportunistic}}
 	for _, fn := range opts {
 		fn(&c.opts)
 	}
@@ -286,32 +280,12 @@ func (c *Client) Dial(ctx context.Context, p Proto, ep Endpoint) (Session, error
 	}
 }
 
-// Transport returns a reuse-aware Transport for protocol p to ep; TCP, DoT,
-// DoH and DoQ are its per-protocol shorthands.
+// Transport returns a Transport whose every Exchange dials a fresh session
+// to ep over protocol p.
 func (c *Client) Transport(p Proto, ep Endpoint) *Transport {
-	return newTransport(c.opts, p.String(), func(ctx context.Context) (Session, error) {
+	return newTransport(c.opts.Retry, p.String(), func(ctx context.Context) (Session, error) {
 		return c.Dial(ctx, p, ep)
 	})
-}
-
-// TCP returns a reuse-aware Transport for clear-text DNS over TCP.
-func (c *Client) TCP(server netip.Addr) *Transport {
-	return c.Transport(ProtoTCP, Endpoint{Addr: server})
-}
-
-// DoT returns a reuse-aware Transport for DNS over TLS.
-func (c *Client) DoT(server netip.Addr) *Transport {
-	return c.Transport(ProtoDoT, Endpoint{Addr: server})
-}
-
-// DoH returns a reuse-aware Transport for DNS over HTTPS.
-func (c *Client) DoH(t doh.Template, addr netip.Addr) *Transport {
-	return c.Transport(ProtoDoH, Endpoint{Addr: addr, Template: t})
-}
-
-// DoQ returns a reuse-aware Transport for DNS over QUIC.
-func (c *Client) DoQ(server netip.Addr) *Transport {
-	return c.Transport(ProtoDoQ, Endpoint{Addr: server})
 }
 
 // doqSessionCache returns the Client's shared DoQ resumption cache.
@@ -320,54 +294,42 @@ func (c *Client) doqSessionCache() *doq.SessionCache {
 	return c.doqCache
 }
 
-// Transport is a connection-managing Exchanger. With reuse, the first
-// Exchange dials and later ones share the session (the amortized arm of
-// §4.3); without, every Exchange pays connection setup (the no-reuse arm).
-// A RetryPolicy (WithRetry) gives each Exchange an attempt budget with
-// exponential backoff charged to the virtual clock; a reused session that
-// dies mid-exchange is dropped (the error wraps ErrSessionClosed) and the
-// next attempt redials.
+// Transport is the no-reuse Exchanger, Table 7's arm of §4.3: every
+// Exchange dials a fresh session, queries once and closes it, so every
+// query pays connection setup. A RetryPolicy (WithRetry) gives each
+// Exchange an attempt budget with exponential backoff charged to the
+// virtual clock; each attempt dials its own session.
 //
-// Exchange, LastLatency and Stats are safe for concurrent use. When the
-// Transport was built with WithMaxInFlight, concurrent Exchanges share the
-// retained session's in-flight slots; otherwise they serialize on the
-// underlying connection.
+// Exchange, LastLatency and Stats are safe for concurrent use: concurrent
+// Exchanges each dial their own session.
 type Transport struct {
 	dial  func(ctx context.Context) (Session, error)
-	reuse bool
 	retry RetryPolicy
-	// MaxInFlight echoes the dial option for callers sizing their
-	// concurrency (0 = serial session).
-	MaxInFlight int
 	// label names the protocol in telemetry ("tcp", "dot", "doh");
 	// spanName is the precomputed "xchg:<label>" span title.
 	label    string
 	spanName string
 
-	// mu guards the retained session and the cached metric handles — never
-	// held across an exchange, so concurrent Exchanges overlap freely.
-	mu         sync.Mutex
-	sess       Session
-	everDialed bool
-	// mc caches per-protocol metric handles for the registry the transport
-	// last saw, so steady-state exchanges don't re-render label strings.
+	// mu guards the cached metric handles — never held across an exchange,
+	// so concurrent Exchanges overlap freely. mc caches per-protocol metric
+	// handles for the registry the transport last saw, so exchanges don't
+	// re-render label strings.
+	mu sync.Mutex
 	mc metricSet
 
-	// last is the virtual time the most recent Exchange consumed on its
-	// connection (nanoseconds), including setup when the session was dialed
-	// for it, and — under retries — the cost of failed attempts plus
-	// backoff. Under concurrent Exchanges, "most recent" means whichever
-	// call finished last.
+	// last is the virtual time the most recent Exchange consumed
+	// (nanoseconds): its session's setup and query, and — under retries —
+	// the cost of failed attempts plus backoff. Under concurrent
+	// Exchanges, "most recent" means whichever call finished last.
 	last  atomic.Int64
 	stats transportStats
 }
 
 // transportStats is RetryStats with atomic fields, so concurrent Exchanges
-// update counters without sharing the session mutex.
+// update counters without a lock.
 type transportStats struct {
 	attempts     atomic.Int64
 	retries      atomic.Int64
-	redials      atomic.Int64
 	recovered    atomic.Int64
 	hardFailures atomic.Int64
 }
@@ -376,17 +338,13 @@ func (s *transportStats) snapshot() RetryStats {
 	return RetryStats{
 		Attempts:     int(s.attempts.Load()),
 		Retries:      int(s.retries.Load()),
-		Redials:      int(s.redials.Load()),
 		Recovered:    int(s.recovered.Load()),
 		HardFailures: int(s.hardFailures.Load()),
 	}
 }
 
-func newTransport(o Options, label string, dial func(ctx context.Context) (Session, error)) *Transport {
-	return &Transport{
-		dial: dial, reuse: o.Reuse, retry: o.Retry, MaxInFlight: o.MaxInFlight,
-		label: label, spanName: "xchg:" + label,
-	}
+func newTransport(retry RetryPolicy, label string, dial func(ctx context.Context) (Session, error)) *Transport {
+	return &Transport{dial: dial, retry: retry, label: label, spanName: "xchg:" + label}
 }
 
 // metricSet holds the per-protocol instrument handles for one registry.
@@ -401,7 +359,6 @@ type metricSet struct {
 	okTotal   *obs.Counter
 	errTotal  *obs.Counter
 	hard      *obs.Counter
-	redials   *obs.Counter
 	inflight  *obs.Gauge
 	latency   *obs.Sketch
 	setup     *obs.Sketch
@@ -422,7 +379,6 @@ func (t *Transport) metricsFor(ctx context.Context) metricSet {
 			okTotal:   m.Counter("resolver_exchanges_total", "proto", t.label, "outcome", "ok"),
 			errTotal:  m.Counter("resolver_exchanges_total", "proto", t.label, "outcome", "error"),
 			hard:      m.Counter("resolver_hard_failures_total", "proto", t.label),
-			redials:   m.Counter("resolver_redials_total", "proto", t.label),
 			inflight:  m.VolatileGauge("resolver_inflight", "proto", t.label),
 			latency:   m.Sketch("resolver_exchange_latency", "proto", t.label),
 			setup:     m.Sketch("resolver_setup_latency", "proto", t.label),
@@ -431,10 +387,8 @@ func (t *Transport) metricsFor(ctx context.Context) metricSet {
 	return t.mc
 }
 
-// Exchange performs one transaction, dialing per the reuse policy and
-// retrying per the retry policy. It may be called concurrently; calls share
-// the retained session (and its in-flight limit) rather than serializing
-// here.
+// Exchange performs one transaction on a fresh session, retrying per the
+// retry policy. It may be called concurrently.
 func (t *Transport) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
 	ctx, sp := obs.Start(ctx, t.spanName)
 	mc := t.metricsFor(ctx)
@@ -494,65 +448,16 @@ func (t *Transport) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 	return nil, err
 }
 
-// exchangeOnce performs one attempt and reports its own virtual cost (zero
-// for failed dials).
+// exchangeOnce performs one attempt on a session dialed for it and reports
+// the session's whole virtual cost (zero for failed dials).
 func (t *Transport) exchangeOnce(ctx context.Context, msg *dnswire.Message, mc metricSet) (*dnswire.Message, time.Duration, error) {
-	if !t.reuse {
-		sess, err := t.dialSpanned(ctx, mc)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer sess.Close()
-		resp, err := sess.Exchange(ctx, msg)
-		return resp, sess.Elapsed(), err
-	}
-	sess, err := t.session(ctx, mc)
+	sess, err := t.dialSpanned(ctx, mc)
 	if err != nil {
 		return nil, 0, err
 	}
-	start := sess.Elapsed()
+	defer sess.Close()
 	resp, err := sess.Exchange(ctx, msg)
-	cost := sess.Elapsed() - start
-	if err != nil && isConnDeath(err) {
-		// The reused session is unusable: drop it so the next attempt (or
-		// the next Exchange) redials, and mark the error as a session
-		// death rather than a protocol failure.
-		t.dropSession(sess)
-		err = fmt.Errorf("%w: %w", ErrSessionClosed, err)
-	}
-	return resp, cost, err
-}
-
-// session returns the retained session, dialing one under t.mu if absent.
-func (t *Transport) session(ctx context.Context, mc metricSet) (Session, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sess != nil {
-		return t.sess, nil
-	}
-	sess, err := t.dialSpanned(ctx, mc)
-	if err != nil {
-		return nil, err
-	}
-	if t.everDialed {
-		t.stats.redials.Add(1)
-		mc.redials.Add(1)
-	}
-	t.everDialed = true
-	t.sess = sess
-	return sess, nil
-}
-
-// dropSession closes and forgets sess if it is still the retained session.
-// The identity guard keeps concurrent Exchanges that all saw the same dead
-// session from closing its replacement.
-func (t *Transport) dropSession(sess Session) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.sess == sess {
-		sess.Close()
-		t.sess = nil
-	}
+	return resp, sess.Elapsed(), err
 }
 
 // dialSpanned dials a session under a "dial" child span charged with the
@@ -576,24 +481,9 @@ func (t *Transport) Stats() RetryStats {
 	return t.stats.snapshot()
 }
 
-// LastLatency is the virtual time the most recent Exchange took: the
-// on-connection delta when reusing, the whole dial-query-close cost when
-// not. Safe to call while Exchanges are in flight; with several in flight,
-// it reports whichever finished most recently.
+// LastLatency is the virtual time the most recent Exchange took: the whole
+// dial-query-close cost. Safe to call while Exchanges are in flight; with
+// several in flight, it reports whichever finished most recently.
 func (t *Transport) LastLatency() time.Duration {
 	return time.Duration(t.last.Load())
-}
-
-// Close releases the retained session, if any. A later Exchange dials
-// fresh (not counted as a redial).
-func (t *Transport) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.everDialed = false
-	if t.sess == nil {
-		return nil
-	}
-	err := t.sess.Close()
-	t.sess = nil
-	return err
 }

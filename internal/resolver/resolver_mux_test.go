@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
+	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
 	"dnsencryption.info/doe/internal/netsim"
 )
@@ -67,9 +69,11 @@ func serveDoTReversed(t *testing.T, w *netsim.World, ca *certs.CA, batch int) {
 			}
 			var out []byte
 			for i := len(resps) - 1; i >= 0; i-- {
-				if out, err = dnswire.AppendTCP(out, resps[i]); err != nil {
+				framed, err := dnswire.AppendTCP(out, resps[i])
+				if err != nil {
 					return
 				}
+				out = framed
 			}
 			if _, err := tc.Write(out); err != nil {
 				return
@@ -78,75 +82,96 @@ func serveDoTReversed(t *testing.T, w *netsim.World, ca *certs.CA, batch int) {
 	})
 }
 
-// TestPipelinedDoTTransportConcurrentExchange drives 16 concurrent Exchanges
-// through one reuse Transport whose DoT session pipelines, against a server
-// that answers in reversed order — per-query answers prove the demux, and
-// concurrent LastLatency/Stats readers make this the race regression test
-// for the atomic accounting.
+// TestPipelinedDoTTransportConcurrentExchange has two halves. On a
+// pipelined Dial session, 16 concurrent Exchanges meet a server that
+// answers in reversed order, so per-query answers prove the demux. On one
+// Transport, 16 concurrent Exchanges each dial their own session while
+// LastLatency and Stats are read concurrently: the race regression test
+// for the Transport's atomic accounting.
 func TestPipelinedDoTTransportConcurrentExchange(t *testing.T) {
 	const n = 16
-	w := netsim.NewWorld(17)
-	ca, err := certs.NewCA("DoE Root", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDoTReversed(t, w, ca, n)
-
-	c := New(w, clientIP, certs.Pool(ca), WithProfile(dot.Strict), WithMaxInFlight(n))
-	tr := c.DoT(serverIP)
-	defer tr.Close()
-	if tr.MaxInFlight != n {
-		t.Fatalf("Transport.MaxInFlight = %d, want %d", tr.MaxInFlight, n)
-	}
-
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = tr.LastLatency()
-				_ = tr.Stats()
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			name := fmt.Sprintf("p%d.measure.example.org", i)
-			m, err := tr.Exchange(context.Background(), query(name))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if a, ok := m.FirstA(); !ok || a != pipeAddr(name) {
-				errs[i] = fmt.Errorf("answer %v, want %v", m.Answers, pipeAddr(name))
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	for i, err := range errs {
+	ctx := context.Background()
+	// world serves DoT answering each batch of queries in reversed order
+	// and returns a client that pipelines up to n queries per session.
+	world := func(t *testing.T, batch int) *Client {
+		w := netsim.NewWorld(17)
+		ca, err := certs.NewCA("DoE Root", true)
 		if err != nil {
-			t.Errorf("query %d: %v", i, err)
+			t.Fatal(err)
+		}
+		serveDoTReversed(t, w, ca, batch)
+		return New(w, clientIP, certs.Pool(ca), WithProfile(dot.Strict), WithMaxInFlight(n))
+	}
+	// exchangeAll runs n concurrent exchanges of distinct names and checks
+	// each got its own answer.
+	exchangeAll := func(t *testing.T, ex Exchanger) {
+		var wg sync.WaitGroup
+		errs := make([]error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				name := fmt.Sprintf("p%d.measure.example.org", i)
+				m, err := ex.Exchange(ctx, query(name))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if a, ok := m.FirstA(); !ok || a != pipeAddr(name) {
+					errs[i] = fmt.Errorf("answer %v, want %v", m.Answers, pipeAddr(name))
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
 		}
 	}
-	if tr.LastLatency() <= 0 {
-		t.Error("no virtual latency recorded for concurrent exchanges")
-	}
-	st := tr.Stats()
-	if st.Attempts != n || st.HardFailures != 0 {
-		t.Errorf("stats = %+v, want %d attempts and no hard failures", st, n)
-	}
+
+	t.Run("session", func(t *testing.T) {
+		sess, err := world(t, n).Dial(ctx, ProtoDoT, Endpoint{Addr: serverIP})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		before := sess.Elapsed()
+		exchangeAll(t, sess)
+		if sess.Elapsed() <= before {
+			t.Error("concurrent exchanges consumed no virtual time")
+		}
+	})
+
+	t.Run("transport", func(t *testing.T) {
+		// Each fresh session carries one query, so the server answers
+		// batches of one.
+		tr := world(t, 1).Transport(ProtoDoT, Endpoint{Addr: serverIP})
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = tr.LastLatency()
+					_ = tr.Stats()
+				}
+			}
+		}()
+		exchangeAll(t, tr)
+		close(stop)
+		readers.Wait()
+		if tr.LastLatency() <= 0 {
+			t.Error("no virtual latency recorded for concurrent exchanges")
+		}
+		if st := tr.Stats(); st != (RetryStats{Attempts: n}) {
+			t.Errorf("stats = %+v, want %d attempts and no retries or failures", st, n)
+		}
+	})
 }
 
 // TestMultiplexedDoHSessionConcurrentExchange proves Dial wires MaxInFlight
@@ -210,9 +235,11 @@ func (c cutInjector) DatagramFault(from, to netip.Addr, port uint16) netsim.Data
 }
 
 // TestMidStreamResetFailsAllInFlight injects a connection reset in place of
-// the first post-setup segment of a multiplexed session, over both framings
-// of the engine (DoT's length prefixes, DoH's HTTP/2 streams): every
-// concurrent Exchange must fail, each wrapping ErrSessionClosed.
+// the first post-setup segment of a multiplexed Dial session, over both
+// framings of the engine (DoT's length prefixes, DoH's HTTP/2 streams):
+// every concurrent Exchange must fail with the reset — seen by the reader,
+// or, by a query written after the reset closed the conn, as a closed
+// pipe.
 func TestMidStreamResetFailsAllInFlight(t *testing.T) {
 	const n = 16
 	ctx := context.Background()
@@ -225,25 +252,16 @@ func TestMidStreamResetFailsAllInFlight(t *testing.T) {
 			// smallest cut point that lets the dial finish, so the reset
 			// lands exactly on the first segment carrying DNS data. Worlds
 			// are rebuilt per probe, so the fault history starts fresh.
-			cutAt := -1
-			for k := 2; k < 64; k++ {
+			var sess Session
+			for k := 2; k < 64 && sess == nil; k++ {
 				f := newFixture(t)
 				f.world.SetFaults(cutInjector{port: ports[p], segments: k})
-				sess, err := f.client(t, WithMaxInFlight(n)).Dial(ctx, p, ep)
-				if err == nil {
-					sess.Close()
-					cutAt = k
-					break
-				}
+				sess, _ = f.client(t, WithMaxInFlight(n)).Dial(ctx, p, ep)
 			}
-			if cutAt < 0 {
+			if sess == nil {
 				t.Fatalf("no cut point lets the %v setup complete", p)
 			}
-
-			f := newFixture(t)
-			f.world.SetFaults(cutInjector{port: ports[p], segments: cutAt})
-			tr := f.client(t, WithMaxInFlight(n)).Transport(p, ep)
-			defer tr.Close()
+			defer sess.Close()
 
 			var wg sync.WaitGroup
 			errs := make([]error, n)
@@ -251,29 +269,21 @@ func TestMidStreamResetFailsAllInFlight(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					_, errs[i] = tr.Exchange(ctx, query(fmt.Sprintf("rst%d.measure.example.org", i)))
+					_, errs[i] = sess.Exchange(ctx, query(fmt.Sprintf("rst%d.measure.example.org", i)))
 				}(i)
 			}
 			wg.Wait()
 			for i, err := range errs {
-				if err == nil {
-					t.Errorf("query %d succeeded across a mid-stream reset", i)
-					continue
+				if !errors.Is(err, netsim.ErrReset) && !errors.Is(err, io.ErrClosedPipe) {
+					t.Errorf("query %d: err = %v, want the mid-stream reset", i, err)
 				}
-				if !errors.Is(err, ErrSessionClosed) {
-					t.Errorf("query %d: err = %v, want ErrSessionClosed", i, err)
-				}
-			}
-			if st := tr.Stats(); st.HardFailures != n {
-				t.Errorf("hard failures = %d, want %d", st.HardFailures, n)
 			}
 		})
 	}
 }
 
 // A query that cannot be framed fails alone: the next query on the same
-// reused session succeeds, serial or multiplexed, on every stream
-// transport, and the transport never redials.
+// Dial session succeeds, serial or multiplexed, on every stream transport.
 func TestFramingErrorFailsOnlyItsQuery(t *testing.T) {
 	ctx := context.Background()
 	tmpl := doh.Template{Host: "dns.provider.example", Path: "/dns-query"}
@@ -282,32 +292,37 @@ func TestFramingErrorFailsOnlyItsQuery(t *testing.T) {
 		for _, inflight := range []int{0, 4} {
 			t.Run(fmt.Sprintf("%v/inflight=%d", p, inflight), func(t *testing.T) {
 				f := newFixture(t)
-				tr := f.client(t, WithMaxInFlight(inflight)).Transport(p, Endpoint{Addr: serverIP, Template: tmpl})
-				defer tr.Close()
-				if _, err := tr.Exchange(ctx, query(bad)); err == nil {
+				sess, err := f.client(t, WithMaxInFlight(inflight)).Dial(ctx, p, Endpoint{Addr: serverIP, Template: tmpl})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				if _, err := sess.Exchange(ctx, query(bad)); err == nil {
 					t.Fatal("a 70-octet label was framed")
 				}
-				m, err := tr.Exchange(ctx, query("good.measure.example.org"))
+				m, err := sess.Exchange(ctx, query("good.measure.example.org"))
 				checkAnswer(t, m, err, p.String())
-				if st := tr.Stats(); st.Redials != 0 {
-					t.Errorf("redials = %d, want 0: the framing error ended the session", st.Redials)
-				}
 			})
 		}
 	}
 }
 
-// A DoQ session the server has forgotten must fail concurrent in-flight
-// exchanges with ErrSessionClosed (the retryable session-death signal), and
-// a retrying transport must then recover by redialing — 0-RTT, since the
-// client cache holds a ticket from the first dial.
+// A DoQ session the server has forgotten must fail every concurrent
+// in-flight exchange with doq.ErrClosed, and nothing redials it. A
+// Transport does not notice the reset: each Exchange dials a fresh
+// session, 0-RTT from the client's cache, whose stateless ticket survives
+// the server's reset.
 func TestDoQSessionDeathSurfacesAsSessionClosed(t *testing.T) {
 	const n = 8
 	f := newFixture(t)
 	ctx := context.Background()
 	c := f.client(t, WithMaxInFlight(n))
-	tr := c.DoQ(serverIP)
-	if _, err := tr.Exchange(ctx, query("pre.measure.example.org")); err != nil {
+	sess, err := c.Dial(ctx, ProtoDoQ, Endpoint{Addr: serverIP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Exchange(ctx, query("pre.measure.example.org")); err != nil {
 		t.Fatal(err)
 	}
 	f.doq.Reset()
@@ -317,39 +332,25 @@ func TestDoQSessionDeathSurfacesAsSessionClosed(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = tr.Exchange(ctx, query(fmt.Sprintf("q%d.measure.example.org", i)))
+			_, errs[i] = sess.Exchange(ctx, query(fmt.Sprintf("q%d.measure.example.org", i)))
 		}(i)
 	}
 	wg.Wait()
-	// Callers racing the dead session fail with ErrSessionClosed; callers
-	// that arrive after the drop ride a fresh redial and succeed. At least
-	// the first flight into the forgotten connection must have failed.
-	failures := 0
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if !errors.Is(err, doq.ErrClosed) {
+			t.Errorf("query %d: err = %v, want doq.ErrClosed", i, err)
 		}
-		failures++
-		if !errors.Is(err, ErrSessionClosed) {
-			t.Errorf("query %d: err = %v, want ErrSessionClosed", i, err)
-		}
-	}
-	if failures == 0 {
-		t.Error("no exchange failed across the server reset")
 	}
 
-	// With a retry budget the same failure recovers on a fresh connection.
-	rc := f.client(t, WithRetry(RetryPolicy{Attempts: 2}))
-	rtr := rc.DoQ(serverIP)
-	if _, err := rtr.Exchange(ctx, query("warm.measure.example.org")); err != nil {
+	tr := c.Transport(ProtoDoQ, Endpoint{Addr: serverIP})
+	if _, err := tr.Exchange(ctx, query("warm.measure.example.org")); err != nil {
 		t.Fatal(err)
 	}
 	f.doq.Reset()
-	m, err := rtr.Exchange(ctx, query("recovered.measure.example.org"))
-	checkAnswer(t, m, err, "doq-retry")
-	st := rtr.Stats()
-	if st.Retries != 1 || st.Recovered != 1 || st.Redials != 1 {
-		t.Errorf("stats = %+v, want exactly one retry, one recovery, one redial", st)
+	m, err := tr.Exchange(ctx, query("after.measure.example.org"))
+	checkAnswer(t, m, err, "doq after reset")
+	if st := tr.Stats(); st != (RetryStats{Attempts: 2}) {
+		t.Errorf("stats = %+v, want 2 attempts and no retries", st)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsclient"
-	"dnsencryption.info/doe/internal/dnscrypt"
 	"dnsencryption.info/doe/internal/dnsserver"
 	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
@@ -86,19 +85,10 @@ func TestEveryTransportAnswersThroughExchange(t *testing.T) {
 	f := newFixture(t)
 	c := f.client(t)
 	ctx := context.Background()
-	tmpl := doh.Template{Host: "dns.provider.example", Path: "/dns-query"}
-
-	for _, tc := range []struct {
-		name string
-		ex   Exchanger
-	}{
-		{"tcp", c.TCP(serverIP)},
-		{"dot", c.DoT(serverIP)},
-		{"doh", c.DoH(tmpl, serverIP)},
-		{"doq", c.DoQ(serverIP)},
-	} {
-		m, err := tc.ex.Exchange(ctx, query(tc.name+".measure.example.org"))
-		checkAnswer(t, m, err, tc.name)
+	ep := Endpoint{Addr: serverIP, Template: doh.Template{Host: "dns.provider.example", Path: "/dns-query"}}
+	for _, p := range []Proto{ProtoTCP, ProtoDoT, ProtoDoH, ProtoDoQ} {
+		m, err := c.Transport(p, ep).Exchange(ctx, query(p.String()+".measure.example.org"))
+		checkAnswer(t, m, err, p.String())
 	}
 }
 
@@ -122,20 +112,29 @@ func TestSessionAccountsSetupAndElapsed(t *testing.T) {
 	}
 }
 
+// TestReuseAmortizesSetup compares §4.3's two arms: the second query on a
+// reused Dial session costs only its own round trip, while every query of a
+// Transport pays TCP+TLS setup on a fresh session.
 func TestReuseAmortizesSetup(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
+	ep := Endpoint{Addr: serverIP}
 
-	reused := f.client(t, WithReuse(true)).DoT(serverIP)
-	defer reused.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := reused.Exchange(ctx, query("r.measure.example.org")); err != nil {
-			t.Fatal(err)
-		}
+	reused, err := f.client(t).Dial(ctx, ProtoDoT, ep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	onConn := reused.LastLatency() // second exchange: no setup in the delta
+	defer reused.Close()
+	if _, err := reused.Exchange(ctx, query("r.measure.example.org")); err != nil {
+		t.Fatal(err)
+	}
+	start := reused.Elapsed()
+	if _, err := reused.Exchange(ctx, query("r.measure.example.org")); err != nil {
+		t.Fatal(err)
+	}
+	onConn := reused.Elapsed() - start // second exchange: no setup in the delta
 
-	fresh := f.client(t, WithReuse(false)).DoT(serverIP)
+	fresh := f.client(t).Transport(ProtoDoT, ep)
 	for i := 0; i < 2; i++ {
 		if _, err := fresh.Exchange(ctx, query("f.measure.example.org")); err != nil {
 			t.Fatal(err)
@@ -162,35 +161,8 @@ func TestStrictProfileOptionRejectsUntrustedServer(t *testing.T) {
 		t.Errorf("strict dial err = %v, want ErrAuthFailed", err)
 	}
 	opp := New(f.world, clientIP, certs.Pool(otherCA), WithProfile(dot.Opportunistic))
-	m, err := opp.DoT(serverIP).Exchange(ctx, query("o.measure.example.org"))
+	m, err := opp.Transport(ProtoDoT, Endpoint{Addr: serverIP}).Exchange(ctx, query("o.measure.example.org"))
 	checkAnswer(t, m, err, "opportunistic dot")
-}
-
-func TestDNSCryptAdapter(t *testing.T) {
-	f := newFixture(t)
-	srv, providerPK, err := dnscrypt.NewServer("2.dnscrypt-cert.provider.example", f.zone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.world.RegisterDatagram(serverIP, dnscrypt.Port, srv.DatagramHandler())
-
-	client, err := dnscrypt.NewClient(f.world, clientIP, "2.dnscrypt-cert.provider.example", providerPK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ex := DNSCrypt(client, serverIP)
-	if _, err := ex.Exchange(ctx, query("dc.measure.example.org")); !errors.Is(err, dnscrypt.ErrNoCert) {
-		t.Fatalf("exchange before FetchCertContext err = %v, want ErrNoCert", err)
-	}
-	if err := client.FetchCertContext(ctx, serverIP); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ex.Exchange(ctx, query("dc.measure.example.org"))
-	checkAnswer(t, m, err, "dnscrypt")
-	if ex.LastLatency() <= 0 {
-		t.Error("latency not recorded")
-	}
 }
 
 func TestExchangeHonoursCancelledContext(t *testing.T) {
@@ -198,16 +170,10 @@ func TestExchangeHonoursCancelledContext(t *testing.T) {
 	c := f.client(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tc := range []struct {
-		name string
-		ex   Exchanger
-	}{
-		{"tcp", c.TCP(serverIP)},
-		{"dot", c.DoT(serverIP)},
-		{"doh", c.DoH(doh.Template{Host: "dns.provider.example", Path: "/dns-query"}, serverIP)},
-	} {
-		if _, err := tc.ex.Exchange(ctx, query("c.measure.example.org")); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", tc.name, err)
+	ep := Endpoint{Addr: serverIP, Template: doh.Template{Host: "dns.provider.example", Path: "/dns-query"}}
+	for _, p := range []Proto{ProtoTCP, ProtoDoT, ProtoDoH} {
+		if _, err := c.Transport(p, ep).Exchange(ctx, query("c.measure.example.org")); !errors.Is(err, context.Canceled) {
+			t.Errorf("%v: err = %v, want context.Canceled", p, err)
 		}
 	}
 }

@@ -1,22 +1,6 @@
 package resolver
 
-import (
-	"errors"
-	"io"
-	"net"
-	"time"
-
-	"dnsencryption.info/doe/internal/dnsclient"
-	"dnsencryption.info/doe/internal/doq"
-	"dnsencryption.info/doe/internal/netsim"
-)
-
-// ErrSessionClosed is the sentinel a Transport wraps around transport-level
-// errors when a reused session dies under an Exchange (peer hung up, RST,
-// closed pipe). Callers distinguish it from protocol failures with
-// errors.Is; the Transport drops the dead session so the next Exchange (or
-// the next retry attempt) redials instead of failing forever.
-var ErrSessionClosed = errors.New("resolver: session closed")
+import "time"
 
 // RetryPolicy is a Transport's attempt budget. The zero value means a
 // single attempt (no retries).
@@ -49,9 +33,6 @@ type RetryStats struct {
 	Attempts int
 	// Retries is the number of attempts beyond the first of an Exchange.
 	Retries int
-	// Redials is the number of times a reuse Transport re-established a
-	// session after the previous one died.
-	Redials int
 	// Recovered counts Exchanges that failed at least once and then
 	// succeeded within the budget.
 	Recovered int
@@ -64,20 +45,7 @@ func (s RetryStats) Plus(o RetryStats) RetryStats {
 	return RetryStats{
 		Attempts:     s.Attempts + o.Attempts,
 		Retries:      s.Retries + o.Retries,
-		Redials:      s.Redials + o.Redials,
 		Recovered:    s.Recovered + o.Recovered,
 		HardFailures: s.HardFailures + o.HardFailures,
 	}
-}
-
-// isConnDeath reports whether err means the underlying connection is gone
-// (as opposed to a protocol-level failure worth surfacing as-is).
-func isConnDeath(err error) bool {
-	return errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, io.ErrClosedPipe) ||
-		errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, netsim.ErrReset) ||
-		errors.Is(err, dnsclient.ErrClosed) ||
-		errors.Is(err, doq.ErrClosed)
 }

@@ -33,39 +33,38 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// dyingSession answers exchanges until its fuse runs out, then fails every
-// call with dieWith, emulating a reused connection the peer tore down.
-type dyingSession struct {
-	fuse    int
+// fakeSession answers its exchanges, or fails every one with dieWith,
+// emulating a connection the peer tore down. Each exchange costs 1 ms of
+// virtual time on top of 1 ms of setup.
+type fakeSession struct {
 	dieWith error
 	elapsed time.Duration
 	closed  bool
 }
 
-func (s *dyingSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
+func (s *fakeSession) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswire.Message, error) {
 	s.elapsed += time.Millisecond
-	if s.fuse <= 0 {
+	if s.dieWith != nil {
 		return nil, s.dieWith
 	}
-	s.fuse--
 	return &dnswire.Message{}, nil
 }
 
-func (s *dyingSession) Close() error                { s.closed = true; return nil }
-func (s *dyingSession) SetupLatency() time.Duration { return time.Millisecond }
-func (s *dyingSession) Elapsed() time.Duration      { return s.elapsed }
-func (s *dyingSession) Batch(context.Context, []string, dnswire.Type, []dnsclient.Result) ([]dnsclient.Result, error) {
+func (s *fakeSession) Close() error                { s.closed = true; return nil }
+func (s *fakeSession) SetupLatency() time.Duration { return time.Millisecond }
+func (s *fakeSession) Elapsed() time.Duration      { return time.Millisecond + s.elapsed }
+func (s *fakeSession) Batch(context.Context, []string, dnswire.Type, []dnsclient.Result) ([]dnsclient.Result, error) {
 	return nil, dnsclient.ErrSerialBatch
 }
 
-// dyingTransport returns a reuse Transport whose first session dies with
-// dieWith after fuse exchanges; every redial gets a fresh, immortal session.
-func dyingTransport(retry RetryPolicy, fuse int, dieWith error) (*Transport, *[]*dyingSession) {
-	var sessions []*dyingSession
-	tr := newTransport(Options{Reuse: true, Retry: retry}, "tcp", func(ctx context.Context) (Session, error) {
-		s := &dyingSession{fuse: fuse, dieWith: dieWith}
-		if len(sessions) > 0 {
-			s.fuse = 1 << 20
+// fakeTransport returns a Transport whose first fails dialed sessions die
+// with dieWith on their exchange; every later dial gets a working session.
+func fakeTransport(retry RetryPolicy, fails int, dieWith error) (*Transport, *[]*fakeSession) {
+	var sessions []*fakeSession
+	tr := newTransport(retry, "tcp", func(ctx context.Context) (Session, error) {
+		s := &fakeSession{}
+		if len(sessions) < fails {
+			s.dieWith = dieWith
 		}
 		sessions = append(sessions, s)
 		return s, nil
@@ -73,72 +72,48 @@ func dyingTransport(retry RetryPolicy, fuse int, dieWith error) (*Transport, *[]
 	return tr, &sessions
 }
 
-func TestSessionDeathWrapsErrSessionClosed(t *testing.T) {
-	tr, sessions := dyingTransport(RetryPolicy{}, 1, io.EOF)
-	ctx := context.Background()
-	q := query("die.measure.example.org")
-
-	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatalf("first exchange: %v", err)
-	}
-	_, err := tr.Exchange(ctx, q)
-	if !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("death err = %v, want errors.Is ErrSessionClosed", err)
-	}
-	if !errors.Is(err, io.EOF) {
-		t.Fatalf("death err = %v, must keep wrapping the underlying io.EOF", err)
-	}
-	if !(*sessions)[0].closed {
-		t.Error("dead session not closed")
-	}
-	// The transport dropped the corpse: the next Exchange redials and works.
-	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatalf("exchange after death: %v", err)
-	}
-	got := tr.Stats()
-	want := RetryStats{Attempts: 3, Redials: 1, HardFailures: 1}
-	if got != want {
-		t.Errorf("stats = %+v, want %+v", got, want)
-	}
-}
-
+// TestRetryRedialsThroughSessionDeath pins the fresh-session contract: each
+// attempt dials its own session and closes it, dead or not, so a retry
+// after a session death runs on a new connection, and without a budget the
+// death's cause comes back as it is.
 func TestRetryRedialsThroughSessionDeath(t *testing.T) {
-	tr, sessions := dyingTransport(RetryPolicy{Attempts: 2}, 1, io.ErrUnexpectedEOF)
 	ctx := context.Background()
 	q := query("redial.measure.example.org")
 
-	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatalf("first exchange: %v", err)
-	}
-	// Second exchange: attempt 1 dies with the session, attempt 2 redials
-	// and succeeds — invisible to the caller.
+	tr, sessions := fakeTransport(RetryPolicy{Attempts: 2}, 1, io.ErrUnexpectedEOF)
+	// Attempt 1 dies with its session, attempt 2 dials afresh and succeeds
+	// — invisible to the caller.
 	if _, err := tr.Exchange(ctx, q); err != nil {
 		t.Fatalf("exchange across session death: %v", err)
 	}
-	got := tr.Stats()
-	want := RetryStats{Attempts: 3, Retries: 1, Redials: 1, Recovered: 1}
-	if got != want {
+	if got, want := tr.Stats(), (RetryStats{Attempts: 2, Retries: 1, Recovered: 1}); got != want {
 		t.Errorf("stats = %+v, want %+v", got, want)
 	}
+	// Dead session (setup 1 ms + 1 ms) plus the one that answered (2 ms).
+	if got := tr.LastLatency(); got != 4*time.Millisecond {
+		t.Errorf("latency = %v, want 4ms: both sessions' setup and exchange", got)
+	}
 	if len(*sessions) != 2 {
-		t.Errorf("sessions dialed = %d, want 2", len(*sessions))
+		t.Fatalf("sessions dialed = %d, want 2", len(*sessions))
 	}
-}
+	for i, s := range *sessions {
+		if !s.closed {
+			t.Errorf("session %d left open", i)
+		}
+	}
 
-func TestCloseResetsRedialCounting(t *testing.T) {
-	tr, _ := dyingTransport(RetryPolicy{}, 1<<20, io.EOF)
-	ctx := context.Background()
-	q := query("close.measure.example.org")
-	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatal(err)
+	bare, sessions := fakeTransport(RetryPolicy{}, 1, io.EOF)
+	if _, err := bare.Exchange(ctx, q); !errors.Is(err, io.EOF) {
+		t.Fatalf("death err = %v, want the session's io.EOF", err)
 	}
-	tr.Close()
-	// Dialing after an explicit Close is a fresh start, not a recovery.
-	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatal(err)
+	if _, err := bare.Exchange(ctx, q); err != nil {
+		t.Fatalf("exchange after a death: %v", err)
 	}
-	if got := tr.Stats().Redials; got != 0 {
-		t.Errorf("redials after explicit Close = %d, want 0", got)
+	if got, want := bare.Stats(), (RetryStats{Attempts: 2, HardFailures: 1}); got != want {
+		t.Errorf("stats = %+v, want %+v", got, want)
+	}
+	if len(*sessions) != 2 || !(*sessions)[0].closed {
+		t.Errorf("dead session not closed, or not replaced: %d dialed", len(*sessions))
 	}
 }
 
@@ -172,8 +147,7 @@ func TestRetryRecoversTruncatedTLSHandshake(t *testing.T) {
 	f.world.SetFaults(&onceCutInjector{})
 	ctx := context.Background()
 
-	tr := f.client(t, WithRetry(RetryPolicy{Attempts: 2})).DoT(serverIP)
-	defer tr.Close()
+	tr := f.client(t, WithRetry(RetryPolicy{Attempts: 2})).Transport(ProtoDoT, Endpoint{Addr: serverIP})
 	m, err := tr.Exchange(ctx, query("cut.measure.example.org"))
 	checkAnswer(t, m, err, "dot through truncated handshake")
 	got := tr.Stats()
@@ -183,18 +157,19 @@ func TestRetryRecoversTruncatedTLSHandshake(t *testing.T) {
 }
 
 // TestTransportTelemetry checks that an instrumented Exchange records
-// spans (xchg + dial children, retry events) and per-protocol metrics
-// when — and only when — the context carries a recorder.
+// spans (xchg + one dial child per attempt, retry events) and
+// per-protocol metrics when — and only when — the context carries a
+// recorder.
 func TestTransportTelemetry(t *testing.T) {
 	rec := obs.NewRecorder("study")
 	ctx := obs.WithRecorder(context.Background(), rec)
-	tr, _ := dyingTransport(RetryPolicy{Attempts: 2, Backoff: 10 * time.Millisecond}, 1, io.EOF)
+	tr, _ := fakeTransport(RetryPolicy{Attempts: 2, Backoff: 10 * time.Millisecond}, 1, io.EOF)
 	q := query("telemetry.measure.example.org")
 	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatalf("first exchange: %v", err)
+		t.Fatalf("first exchange (recovered): %v", err)
 	}
 	if _, err := tr.Exchange(ctx, q); err != nil {
-		t.Fatalf("second exchange (recovered): %v", err)
+		t.Fatalf("second exchange: %v", err)
 	}
 
 	m := rec.Metrics()
@@ -202,7 +177,6 @@ func TestTransportTelemetry(t *testing.T) {
 		"resolver_attempts_total":  3,
 		"resolver_retries_total":   1,
 		"resolver_recovered_total": 1,
-		"resolver_redials_total":   1,
 	}
 	for name, want := range checks {
 		if got := m.Counter(name, "proto", "tcp").Value(); got != want {
@@ -212,8 +186,8 @@ func TestTransportTelemetry(t *testing.T) {
 	if got := m.Counter("resolver_exchanges_total", "proto", "tcp", "outcome", "ok").Value(); got != 2 {
 		t.Errorf("ok exchanges = %d, want 2", got)
 	}
-	if got := m.Sketch("resolver_setup_latency", "proto", "tcp").Count(); got != 2 {
-		t.Errorf("setup latency observations = %d, want 2 (initial dial + redial)", got)
+	if got := m.Sketch("resolver_setup_latency", "proto", "tcp").Count(); got != 3 {
+		t.Errorf("setup latency observations = %d, want 3 (one dial per attempt)", got)
 	}
 
 	var paths []string
@@ -227,7 +201,7 @@ func TestTransportTelemetry(t *testing.T) {
 		}
 	}
 	joined := strings.Join(paths, "\n")
-	for _, want := range []string{"study/xchg:tcp", "study/xchg:tcp/dial", "study/xchg:tcp#2", "study/xchg:tcp#2/dial"} {
+	for _, want := range []string{"study/xchg:tcp", "study/xchg:tcp/dial", "study/xchg:tcp/dial#2", "study/xchg:tcp#2", "study/xchg:tcp#2/dial"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("trace missing span %q in:\n%s", want, joined)
 		}
@@ -237,7 +211,7 @@ func TestTransportTelemetry(t *testing.T) {
 	}
 
 	// Without a recorder nothing is recorded and nothing panics.
-	tr2, _ := dyingTransport(RetryPolicy{}, 1<<20, io.EOF)
+	tr2, _ := fakeTransport(RetryPolicy{}, 0, nil)
 	if _, err := tr2.Exchange(context.Background(), q); err != nil {
 		t.Fatalf("uninstrumented exchange: %v", err)
 	}

@@ -305,11 +305,12 @@ func MeasureNoReuseContext(ctx context.Context, w *netsim.World, label string, f
 		return fmt.Sprintf("nr%d-%s-%s.%s", uniq, strings.ToLower(label), tag, probeZone)
 	}
 
-	// WithReuse(false) makes every Exchange pay TCP+TLS setup afresh —
-	// exactly the no-reuse condition Table 7 measures. DoT runs Strict
-	// here: the controlled vantages authenticate the public resolvers.
+	// A Transport dials a fresh session for every Exchange, so each query
+	// pays TCP+TLS setup afresh — exactly the no-reuse condition Table 7
+	// measures. DoT runs Strict here: the controlled vantages authenticate
+	// the public resolvers.
 	rc := resolver.New(w, from, roots,
-		append([]resolver.Option{resolver.WithReuse(false), resolver.WithProfile(dot.Strict)}, opts...)...)
+		append([]resolver.Option{resolver.WithProfile(dot.Strict)}, opts...)...)
 	// One scratch slice serves every pass: each is reduced to its median
 	// before the next begins.
 	lat := make([]float64, 0, n)

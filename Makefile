@@ -113,12 +113,12 @@ race:
 # GOMAXPROCS) and is read off full -benchtime runs, not this smoke pass.
 # The layer benchmarks for the per-dial path (geo lookup, censor verdict,
 # one connection's life, per-flow RNG seeding), for the relay path (one
-# proxied tunnel's life) and for chain verification (a trust-store miss and
-# hit) run once here too; hostbench's probes measure those layers in the
-# study.
+# proxied tunnel's life), for chain verification (a trust-store miss and
+# hit) and for the recursive resolver (one cache miss to a zone over UDP)
+# run once here too; hostbench's probes measure those layers in the study.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x .
-	$(GO) test -run=NONE -bench='BenchmarkGeoLookup|BenchmarkCensorDecide|BenchmarkConnPair|BenchmarkNewSource|BenchmarkTunnel|BenchmarkVerifyChain' -benchtime=1x ./internal/geo ./internal/netsim ./internal/proxy ./internal/certs
+	$(GO) test -run=NONE -bench='BenchmarkGeoLookup|BenchmarkCensorDecide|BenchmarkConnPair|BenchmarkNewSource|BenchmarkTunnel|BenchmarkVerifyChain|BenchmarkResolverMiss' -benchtime=1x ./internal/geo ./internal/netsim ./internal/proxy ./internal/certs ./internal/dnsserver
 
 # One iteration of the curated perf set through cmd/doebench: proves the
 # harness parses every benchmark it tracks. Real measurements and the

@@ -67,16 +67,18 @@ func TestScaleCampaignAllProtosByteIdentical(t *testing.T) {
 
 // campaignAllocCeiling bounds the bytes TestScaleCampaignBoundsWorldState's
 // campaign may allocate per vantage once built. It lies halfway between
-// 6,417 bytes, when each of a vantage's three conn pairs took the 896-byte
-// size class, Pack returned 512-byte buffers and Location formatted its AS
-// name on every call, and 4,907 bytes once none of them did (go1.24.0,
-// linux/amd64). The race detector makes sync.Pool drop a quarter of all
-// Puts, so pooled buffers and pack states are remade more often:
-// campaignRaceAllocCeiling lies halfway between the same two builds'
-// readings under it, 10,442 and 8,693 bytes.
+// 4,891 bytes, when each of a vantage's three conn pairs took the 768-byte
+// size class, the DNS servers decoded every request and upstream reply
+// into a fresh Message with a second copy of each answer's owner name, a
+// node lease copied its node twice and a probe name was copied to add its
+// trailing dot, and 3,959 bytes once the pairs fit the 640-byte class and
+// none of the rest held (go1.24.0, linux/amd64). The race detector makes
+// sync.Pool drop a quarter of all Puts, so pooled buffers, pack states and
+// Messages are remade more often: campaignRaceAllocCeiling lies halfway
+// between the same two builds' readings under it, 8,681 and 7,837 bytes.
 const (
-	campaignAllocCeiling     = 5_662
-	campaignRaceAllocCeiling = 9_567
+	campaignAllocCeiling     = 4_425
+	campaignRaceAllocCeiling = 8_259
 )
 
 // doqConnCap is the DoQ server's connection-table cap (doq.maxConns).

@@ -9,6 +9,7 @@ package dnsserver
 import (
 	"bufio"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -21,9 +22,11 @@ import (
 // Handler answers one DNS query. proc is the virtual processing time the
 // query cost the server (charged to the client's connection by the
 // transport front-ends). req is only valid for the duration of the call:
-// the stream front-ends parse every request into one reused Message, so a
-// handler that needs to keep question data must copy it (Reply already
-// copies the question section by value).
+// a front-end may reuse it for a later query, and every front-end in this
+// package does — the stream loops parse each request into one Message per
+// connection, and the datagram front-end into a pooled one — so a handler
+// that needs to keep question data must copy it (Reply already copies the
+// question section by value).
 type Handler interface {
 	ServeDNS(remote netip.Addr, req *dnswire.Message) (resp *dnswire.Message, proc time.Duration)
 }
@@ -60,6 +63,12 @@ type rw interface {
 // connections. The size is fixed: it decides how much one read may buffer,
 // and so when a response flushes.
 var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 4096) }}
+
+// messages recycles the Messages that the datagram front-end decodes
+// requests into and Resolver decodes upstream replies into. A pooled
+// Message lives for one call: whatever outlives the call is copied out of
+// it first, as Resolver clones the answers it caches.
+var messages = sync.Pool{New: func() any { return new(dnswire.Message) }}
 
 // serveStreamRW is the per-connection answer loop. It owns one pooled
 // buffered reader, one pooled read buffer, one pooled write buffer and one
@@ -126,20 +135,29 @@ func ServeTLSStream(tlsConn rw, raw *netsim.Conn, h Handler) {
 // DatagramHandler adapts h to the netsim datagram interface (DNS over UDP).
 func DatagramHandler(h Handler) netsim.DatagramHandler {
 	return func(from netip.Addr, req []byte) ([]byte, time.Duration, error) {
-		m, err := dnswire.Unpack(req)
-		if err != nil {
-			return nil, 0, err
-		}
-		resp, proc := h.ServeDNS(from, m)
-		if resp == nil {
-			return nil, 0, netsim.ErrBlackhole
-		}
-		packed, err := resp.Pack()
-		if err != nil {
-			return nil, 0, err
-		}
-		return packed, proc, nil
+		return serveDatagram(h, from, req)
 	}
+}
+
+// serveDatagram answers one datagram query. The request decodes into a
+// pooled Message, which goes back to the pool once the response is packed.
+//
+//doelint:hotpath
+func serveDatagram(h Handler, from netip.Addr, req []byte) ([]byte, time.Duration, error) {
+	m := messages.Get().(*dnswire.Message)
+	defer messages.Put(m)
+	if err := dnswire.UnpackInto(m, req); err != nil {
+		return nil, 0, err
+	}
+	resp, proc := h.ServeDNS(from, m)
+	if resp == nil {
+		return nil, 0, netsim.ErrBlackhole
+	}
+	packed, err := resp.Pack() //doelint:allow hotalloc -- the datagram reply leaves with the caller, who owns it
+	if err != nil {
+		return nil, 0, err
+	}
+	return packed, proc, nil
 }
 
 // Zone is an authoritative zone with optional wildcard synthesis for the
@@ -279,7 +297,13 @@ type Resolver struct {
 	CacheLimit int
 
 	cacheMu sync.Mutex
-	cache   map[string]cacheEntry
+	cache   map[cacheKey]cacheEntry
+}
+
+// cacheKey names a cached answer: the lower-cased query name and type.
+type cacheKey struct {
+	name  string
+	qtype dnswire.Type
 }
 
 // cacheEntry is a cached answer. Entries never expire: cache behavior must
@@ -305,7 +329,7 @@ func NewResolver(w *netsim.World, addr netip.Addr, upstreams map[string]netip.Ad
 		Addr:      addr,
 		Upstreams: canon,
 		BaseProc:  500 * time.Microsecond,
-		cache:     make(map[string]cacheEntry),
+		cache:     make(map[cacheKey]cacheEntry),
 	}
 }
 
@@ -322,17 +346,20 @@ func (r *Resolver) upstreamFor(name string) (netip.Addr, bool) {
 	return addr, found
 }
 
-// ServeDNS implements Handler.
+// ServeDNS implements Handler. A miss decodes the upstream reply into a
+// pooled Message, so the answers it caches are cloned out of it.
+//
+//doelint:hotpath
 func (r *Resolver) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Message, time.Duration) {
 	q := req.Question1()
-	key := strings.ToLower(q.Name) + "/" + q.Type.String()
+	key := cacheKey{strings.ToLower(q.Name), q.Type}
 	proc := r.BaseProc
 
 	r.cacheMu.Lock()
 	entry, hit := r.cache[key]
 	r.cacheMu.Unlock()
 
-	resp := req.Reply()
+	resp := req.Reply() //doelint:allow hotalloc -- the response belongs to the caller
 	if hit {
 		resp.Rcode = entry.rcode
 		resp.Answers = append(resp.Answers, entry.answers...)
@@ -345,7 +372,7 @@ func (r *Resolver) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Messag
 		return resp, proc
 	}
 	up := dnswire.NewQuery(dnswire.NewID(), q.Name, q.Type)
-	packed, err := up.Pack()
+	packed, err := up.Pack() //doelint:allow hotalloc -- one exact-length upstream query per cache miss
 	if err != nil {
 		resp.Rcode = dnswire.RcodeServFail
 		return resp, proc
@@ -355,8 +382,9 @@ func (r *Resolver) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Messag
 		resp.Rcode = dnswire.RcodeServFail
 		return resp, proc + upElapsed
 	}
-	um, err := dnswire.Unpack(raw)
-	if err != nil {
+	um := messages.Get().(*dnswire.Message)
+	defer messages.Put(um)
+	if err := dnswire.UnpackInto(um, raw); err != nil {
 		resp.Rcode = dnswire.RcodeServFail
 		return resp, proc + upElapsed
 	}
@@ -369,7 +397,7 @@ func (r *Resolver) ServeDNS(_ netip.Addr, req *dnswire.Message) (*dnswire.Messag
 	r.cacheMu.Lock()
 	if r.CacheLimit <= 0 || len(r.cache) < r.CacheLimit {
 		r.cache[key] = cacheEntry{
-			answers: um.Answers,
+			answers: slices.Clone(um.Answers), //doelint:allow hotalloc -- a cache entry outlives the pooled reply it is cloned from
 			rcode:   um.Rcode,
 		}
 	}

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,7 +58,8 @@ func seedMessages(t testing.TB) [][]byte {
 var otherMessage = NewQuery(0xffff, "overwrite.example.net", TypeTXT)
 
 func FuzzParseMessage(f *testing.F) {
-	for _, seed := range seedMessages(f) {
+	seeds := seedMessages(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	// Malformed shapes: truncated header, counts promising absent records,
@@ -66,10 +68,23 @@ func FuzzParseMessage(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 9, 0, 9, 0, 9, 0, 9})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xC0, 12, 0, 1, 0, 1})
 
+	// reused is the long-lived Message a server loop decodes into: every
+	// input lands on top of a full response, and must decode to what a
+	// fresh Unpack gives.
+	reused := new(Message)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
+		if err := UnpackInto(reused, seeds[1]); err != nil {
+			t.Fatal(err)
+		}
+		if rerr := UnpackInto(reused, data); (rerr == nil) != (err == nil) {
+			t.Fatalf("UnpackInto on a reused Message returned %v where Unpack returned %v", rerr, err)
+		}
 		if err != nil {
 			return
+		}
+		if !sameMessage(reused, m) {
+			t.Fatalf("UnpackInto on a reused Message decoded\n%v\nwhere Unpack decoded\n%v", reused, m)
 		}
 		// Accepted messages must render and re-encode without panicking;
 		// a successful re-encode must parse again (pack→parse fixpoint),
@@ -84,6 +99,18 @@ func FuzzParseMessage(f *testing.F) {
 			t.Fatalf("repacked message fails to parse: %v\noriginal: %x\nrepacked: %x", err, data, packed)
 		}
 	})
+}
+
+// sameMessage reports whether a and b decoded the same message; an empty
+// section equals a nil one.
+func sameMessage(a, b *Message) bool {
+	return a.Header == b.Header && sameSection(a.Questions, b.Questions) &&
+		sameSection(a.Answers, b.Answers) && sameSection(a.Authorities, b.Authorities) &&
+		sameSection(a.Additionals, b.Additionals)
+}
+
+func sameSection[T any](x, y []T) bool {
+	return len(x) == len(y) && (len(x) == 0 || reflect.DeepEqual(x, y))
 }
 
 func FuzzParseName(f *testing.F) {

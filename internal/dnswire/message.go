@@ -271,10 +271,20 @@ func UnpackInto(m *Message, msg []byte) error {
 	ar := int(binary.BigEndian.Uint16(msg[10:]))
 	off := 12
 	var err error
+	// qname is the first question's name when its encoding at offset 12
+	// holds no compression pointer. An owner name that is the pointer
+	// 0xC00C then decodes to this very string, so records share it. A
+	// question name that itself chases pointers could sit one hop short
+	// of maxPointers, where a record's extra hop fails, so its records
+	// decode their owners in full.
+	var qname string
 	for i := 0; i < qd; i++ {
 		var q Question
 		if q.Name, off, err = readName(msg, off); err != nil {
 			return fmt.Errorf("question %d: %w", i, err)
+		}
+		if i == 0 && uncompressed(msg, 12) {
+			qname = q.Name
 		}
 		if off+4 > len(msg) {
 			return ErrBufferTooSmall
@@ -296,7 +306,7 @@ func UnpackInto(m *Message, msg []byte) error {
 	for _, sec := range sections {
 		for i := 0; i < sec.count; i++ {
 			var rr Record
-			if rr, off, err = unpackRecord(msg, off); err != nil {
+			if rr, off, err = unpackRecord(msg, off, qname); err != nil {
 				return fmt.Errorf("%s %d: %w", sec.name, i, err)
 			}
 			if opt, ok := rr.Data.(OPT); ok {
@@ -312,10 +322,15 @@ func UnpackInto(m *Message, msg []byte) error {
 	return nil
 }
 
-func unpackRecord(msg []byte, off int) (Record, int, error) {
+// unpackRecord decodes the record at off. qname, when not empty, is the
+// name a pointer to offset 12 decodes to (see UnpackInto).
+func unpackRecord(msg []byte, off int, qname string) (Record, int, error) {
 	var rr Record
-	name, off, err := readName(msg, off)
-	if err != nil {
+	var name string
+	var err error
+	if qname != "" && off+1 < len(msg) && msg[off] == 0xC0 && msg[off+1] == 12 {
+		name, off = qname, off+2
+	} else if name, off, err = readName(msg, off); err != nil {
 		return rr, 0, err
 	}
 	if off+10 > len(msg) {

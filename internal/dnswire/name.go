@@ -172,3 +172,15 @@ func readName(msg []byte, off int) (string, int, error) {
 		}
 	}
 }
+
+// uncompressed reports whether the name at off, which readName has already
+// decoded, is encoded without a compression pointer.
+func uncompressed(msg []byte, off int) bool {
+	for c := msg[off]; c != 0; c = msg[off] {
+		if c&0xC0 != 0 {
+			return false
+		}
+		off += 1 + int(c)
+	}
+	return true
+}

@@ -99,7 +99,9 @@ type segment struct {
 }
 
 // buffer is one direction of a connection: a queue of stamped segments with
-// blocking reads and deadline support.
+// blocking reads and deadline support. Its counters are int32 and sit with
+// its flags in the last two words, which with the 8-byte deadline keeps a
+// connection's pair inside the 640-byte size class (see connPair).
 type buffer struct {
 	mu   sync.Mutex
 	cond sync.Cond // cond.L is &mu
@@ -107,27 +109,18 @@ type buffer struct {
 	// restarts at segs[:0], so it keeps its backing array, which is inline
 	// until more than one segment queues.
 	segs   []segment
-	off    int
 	inline [1]segment
-	closed bool // writer closed: EOF after drain
 	// closedAt is the virtual arrival time of the writer's FIN, when the
 	// close came from the writing side (zero otherwise). EOF advances the
 	// reader's clock to it, so server-side time charged after the last
 	// write still reaches a client that waits for close.
 	closedAt time.Duration
-	deadline time.Time
+	// deadline is the read deadline as an offset on the monotonic clock
+	// (see deadlineOffset); zero means none.
+	deadline int64
 	timer    *time.Timer
 	rtt      time.Duration // the path's round-trip time
-
-	// Fault injection: when cutAt > 0, the reader sees ErrReset in place
-	// of the cutAt'th segment (1-based). Cuts count segments, not bytes —
-	// segment counts are stable across TLS certificate size variation,
-	// which keeps injected resets deterministic across study instances.
-	cutAt       int
-	delivered   int  // fully consumed segments
-	headPartial bool // head segment partially consumed; finish it first
-	reset       bool
-	onReset     func() // called (unlocked) once, when the reset fires
+	onReset  func()        // called (unlocked) once, when the reset fires
 
 	// wclock stamps writes (the sender's clock); rclock advances on reads
 	// (the receiver's clock). See the clock type for why they differ.
@@ -144,6 +137,34 @@ type buffer struct {
 	// other's draw.
 	jitter     lazySource
 	jitterFrac float64
+
+	off int32 // segs[off] is the head segment
+	// Fault injection: when cutAt > 0, the reader sees ErrReset in place
+	// of the cutAt'th segment (1-based). Cuts count segments, not bytes —
+	// segment counts are stable across TLS certificate size variation,
+	// which keeps injected resets deterministic across study instances.
+	cutAt       int32
+	delivered   int32 // fully consumed segments
+	closed      bool  // writer closed: EOF after drain
+	headPartial bool  // head segment partially consumed; finish it first
+	reset       bool
+}
+
+// monoEpoch anchors read deadlines on the monotonic clock: a buffer keeps
+// its deadline as the nanoseconds since monoEpoch, 8 bytes where a
+// time.Time takes 24.
+//
+//doelint:allow walltaint -- deadlines guard against real hangs and are deliberately wall-clock
+var monoEpoch = time.Now()
+
+// deadlineOffset maps a read deadline onto monoEpoch's clock: 0 for the
+// zero Time (no deadline), and at least 1 otherwise, so a deadline at or
+// before the epoch stays set and has already passed.
+func deadlineOffset(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return max(int64(t.Sub(monoEpoch)), 1)
 }
 
 // init readies b for a path of round-trip time rtt whose writes are
@@ -196,7 +217,7 @@ func (b *buffer) write(p []byte) (int, error) {
 // in place of the injected cut segment.
 func (b *buffer) head() (*segment, error) {
 	b.mu.Lock()
-	for b.off == len(b.segs) {
+	for int(b.off) == len(b.segs) {
 		if b.reset {
 			b.mu.Unlock()
 			return nil, ErrReset
@@ -207,7 +228,7 @@ func (b *buffer) head() (*segment, error) {
 			return nil, io.EOF
 		}
 		//doelint:allow walltaint -- deadlines guard against real hangs and are deliberately wall-clock
-		if !b.deadline.IsZero() && !time.Now().Before(b.deadline) {
+		if b.deadline != 0 && int64(time.Since(monoEpoch)) >= b.deadline {
 			b.mu.Unlock()
 			return nil, ErrDeadline
 		}
@@ -236,7 +257,7 @@ func (b *buffer) head() (*segment, error) {
 // caller owns the segment's buffer from here on.
 func (b *buffer) pop() {
 	b.segs[b.off] = segment{}
-	if b.off++; b.off == len(b.segs) {
+	if b.off++; int(b.off) == len(b.segs) {
 		b.segs, b.off = b.segs[:0], 0
 	}
 	b.delivered++
@@ -323,7 +344,7 @@ func (b *buffer) closeWrite(stamp time.Duration) {
 func (b *buffer) setDeadline(t time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.deadline = t
+	b.deadline = deadlineOffset(t)
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
@@ -345,26 +366,32 @@ func (b *buffer) setDeadline(t time.Time) {
 
 // Conn is one endpoint of a simulated connection. It implements net.Conn.
 type Conn struct {
-	recv  *buffer  // data the peer wrote to us
-	send  *buffer  // data we write to the peer
-	addrs *[2]Addr // the pair's endpoints, client first
-	clk   *clock   // this endpoint's virtual clock
-
+	pair      *connPair
 	closeOnce sync.Once
-	side      uint8 // addrs[side] is this endpoint's address
+	side      uint8 // 0 for the client end, 1 for the server end
 }
 
 // connPair is one connection in one allocation: both directions, both
-// endpoint clocks, both endpoints and their two addresses, stored once.
-// Go puts an 8-byte header on a pointerful object over 512 B, so the pair
-// plus that header must fit 768 B to stay out of the 896-byte size class;
+// endpoint clocks, both endpoints and their two addresses, each array
+// indexed by side, so dirs[s] carries what side s writes. Go puts an
+// 8-byte header on a pointerful object over 512 B, so the pair plus that
+// header must fit 640 B to stay out of the 768-byte size class;
 // TestConnPairAllocs holds it there.
 type connPair struct {
-	ab, ba         buffer // client -> server, server -> client
-	cclk, sclk     clock
-	client, server Conn
-	addrs          [2]Addr
+	dirs  [2]buffer
+	clks  [2]clock
+	ends  [2]Conn
+	addrs [2]Addr
 }
+
+// recv is the direction this endpoint reads: what the peer wrote.
+func (c *Conn) recv() *buffer { return &c.pair.dirs[1-c.side] }
+
+// send is the direction this endpoint writes.
+func (c *Conn) send() *buffer { return &c.pair.dirs[c.side] }
+
+// clock is this endpoint's virtual clock.
+func (c *Conn) clock() *clock { return &c.pair.clks[c.side] }
 
 // Pair creates a connected pair of Conns with the given round-trip time.
 // The first return value is the "client" end. rng (optional) adds jitter:
@@ -383,25 +410,25 @@ func Pair(client, server Addr, rtt time.Duration, rng *rand.Rand, jitterFrac flo
 // <= 0 turns jitter off.
 func newPair(client, server Addr, rtt time.Duration, jitterFrac float64, seedAB, seedBA int64) (*Conn, *Conn) {
 	p := &connPair{addrs: [2]Addr{client, server}}
-	p.ab.init(rtt, &p.cclk, &p.sclk, jitterFrac, seedAB)
-	p.ba.init(rtt, &p.sclk, &p.cclk, jitterFrac, seedBA)
-	p.client = Conn{recv: &p.ba, send: &p.ab, addrs: &p.addrs, clk: &p.cclk}
-	p.server = Conn{recv: &p.ab, send: &p.ba, addrs: &p.addrs, clk: &p.sclk, side: 1}
-	return &p.client, &p.server
+	p.dirs[0].init(rtt, &p.clks[0], &p.clks[1], jitterFrac, seedAB)
+	p.dirs[1].init(rtt, &p.clks[1], &p.clks[0], jitterFrac, seedBA)
+	p.ends[0].pair = p
+	p.ends[1].pair, p.ends[1].side = p, 1
+	return &p.ends[0], &p.ends[1]
 }
 
 // Read implements net.Conn.
-func (c *Conn) Read(p []byte) (int, error) { return c.recv.read(p) }
+func (c *Conn) Read(p []byte) (int, error) { return c.recv().read(p) }
 
 // Write implements net.Conn.
-func (c *Conn) Write(p []byte) (int, error) { return c.send.write(p) }
+func (c *Conn) Write(p []byte) (int, error) { return c.send().write(p) }
 
 // WriteTo implements io.WriterTo, so io.Copy from a Conn needs no copy
 // buffer. It drains the connection until EOF, handing each received
 // segment to w in one Write. It exits as Read does: nil at EOF, with this
 // endpoint's clock advanced to the FIN's stamp, and ErrDeadline or ErrReset
 // otherwise. A write error from w stops it and is returned.
-func (c *Conn) WriteTo(w io.Writer) (int64, error) { return c.recv.writeTo(w) }
+func (c *Conn) WriteTo(w io.Writer) (int64, error) { return c.recv().writeTo(w) }
 
 // Close implements net.Conn. It closes both directions: the send side
 // carries a FIN stamped from this endpoint's clock, so a peer waiting for
@@ -409,28 +436,29 @@ func (c *Conn) WriteTo(w io.Writer) (int64, error) { return c.recv.writeTo(w) }
 // merely abandoned and carries no stamp.
 func (c *Conn) Close() error {
 	c.closeOnce.Do(func() {
-		c.send.closeWrite(c.clk.get() + c.send.rtt/2)
-		c.recv.closeWrite(0)
+		send := c.send()
+		send.closeWrite(c.clock().get() + send.rtt/2)
+		c.recv().closeWrite(0)
 	})
 	return nil
 }
 
 // LocalAddr implements net.Conn. The address is an Addr.
-func (c *Conn) LocalAddr() net.Addr { return c.addrs[c.side] }
+func (c *Conn) LocalAddr() net.Addr { return c.pair.addrs[c.side] }
 
 // RemoteAddr implements net.Conn. The address is an Addr.
-func (c *Conn) RemoteAddr() net.Addr { return c.addrs[1-c.side] }
+func (c *Conn) RemoteAddr() net.Addr { return c.pair.addrs[1-c.side] }
 
 // SetDeadline implements net.Conn. Deadlines are real-time bounds used to
 // abort stuck exchanges; virtual latency is tracked separately.
 func (c *Conn) SetDeadline(t time.Time) error {
-	c.recv.setDeadline(t)
+	c.recv().setDeadline(t)
 	return nil
 }
 
 // SetReadDeadline implements net.Conn.
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.recv.setDeadline(t)
+	c.recv().setDeadline(t)
 	return nil
 }
 
@@ -444,9 +472,9 @@ func (c *Conn) SetWriteDeadline(time.Time) error { return nil }
 // resets before any peer data is delivered (a truncated handshake); larger
 // values model a mid-stream RST.
 func (c *Conn) armReset(n int) {
-	b := c.recv
+	b := c.recv()
 	b.mu.Lock()
-	b.cutAt = n
+	b.cutAt = int32(n)
 	b.onReset = func() { c.Close() }
 	b.mu.Unlock()
 }
@@ -455,13 +483,13 @@ func (c *Conn) armReset(n int) {
 // consumed, including the connection-establishment RTT added by Dial. Each
 // endpoint keeps its own clock; the peer's time reaches this endpoint only
 // through the arrival stamps of the data it reads.
-func (c *Conn) Elapsed() time.Duration { return c.clk.get() }
+func (c *Conn) Elapsed() time.Duration { return c.clock().get() }
 
 // AddLatency charges extra virtual time to this endpoint of the
 // connection. Servers use it to model processing costs (e.g. recursive
 // resolution at the resolver); the charge reaches the peer through the
 // arrival stamps of subsequently written data.
-func (c *Conn) AddLatency(d time.Duration) { c.clk.add(d) }
+func (c *Conn) AddLatency(d time.Duration) { c.clock().add(d) }
 
 // AddLatency charges virtual time to conn if it is (or wraps) a *Conn.
 // It unwraps tls.Conn-style wrappers exposing NetConn() net.Conn.

@@ -201,7 +201,7 @@ func TestSegmentQueueStaysBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := cap(s.recv.segs); n > 4 {
+	if n := cap(s.recv().segs); n > 4 {
 		t.Errorf("a backlog of 2 segments holds a backing array of %d", n)
 	}
 }

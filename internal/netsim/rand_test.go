@@ -208,9 +208,9 @@ func connLife(tb testing.TB, rng *rand.Rand, msg, buf []byte) {
 }
 
 // TestConnPairAllocs pins a connection's cost: its life makes one
-// allocation, the pair itself, in the 768-byte size class; segment buffers
+// allocation, the pair itself, in the 640-byte size class; segment buffers
 // come from bufpool. The pair is pointerful and over 512 B, so the runtime
-// adds an 8-byte header: a pair of 761 B or more lands in the 896-byte
+// adds an 8-byte header: a pair of 633 B or more lands in the 768-byte
 // class.
 func TestConnPairAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -219,8 +219,8 @@ func TestConnPairAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("a connection's life: %v allocs, want at most 1", allocs)
 	}
-	if bytes > 768 {
-		t.Errorf("a connection's life: %v bytes, want at most 768", bytes)
+	if bytes > 640 {
+		t.Errorf("a connection's life: %v bytes, want at most 640", bytes)
 	}
 }
 

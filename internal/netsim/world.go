@@ -383,8 +383,8 @@ func (w *World) connect(from netip.Addr, dst Addr, extra time.Duration, handler 
 	}
 	client, server := newPair(clientAddr, dst, rtt, w.JitterFrac, ab, ba)
 	setup := rtt + extra
-	client.clk.add(setup)
-	server.clk.add(setup)
+	client.AddLatency(setup)
+	server.AddLatency(setup)
 	go handler(server)
 	return client
 }

@@ -54,33 +54,39 @@ func (n *Network) NodeAt(i int) ExitNode {
 // listening on the node's address and its session-lifetime ledger entry
 // becomes visible to reserve (so super-proxy dials keyed by the node's ID
 // work exactly as for AddNode nodes). The release func closes the service
-// and drops the ledger entry. Each index must be held by at most one
-// caller at a time — the runner's work handout gives every index to
-// exactly one worker, which is the intended discipline.
+// and drops the ledger entry; calling it again does nothing. Each index
+// must be held by at most one caller at a time — the runner's work handout
+// gives every index to exactly one worker, which is the intended
+// discipline.
 func (n *Network) Acquire(i int) (ExitNode, func()) {
-	node := n.NodeAt(i)
-	cp := node
+	node := new(ExitNode)
+	*node = n.NodeAt(i)
 	n.mu.Lock()
-	n.active[node.ID] = &cp
+	n.active[node.ID] = node
 	n.mu.Unlock()
 	n.World.RegisterStream(node.Addr, 1080, func(conn *netsim.Conn) {
 		ServeConn(conn, false, func(req Request) (*netsim.Conn, error) {
 			if !req.Target.IsValid() {
 				return nil, netsim.ErrNoRoute
 			}
-			return n.World.Dial(cp.Addr, req.Target, req.Port)
+			return n.World.Dial(node.Addr, req.Target, req.Port)
 		})
 	})
-	released := false
-	return node, func() {
-		if released {
-			return
-		}
-		released = true
-		n.World.CloseService(node.Addr, 1080)
-		n.mu.Lock()
+	return *node, func() { n.release(node) }
+}
+
+// release undoes Acquire for node. The ledger holds node itself until its
+// first release, so a second release, or one that a later Acquire of the
+// same index has overtaken, finds another entry or none and does nothing.
+func (n *Network) release(node *ExitNode) {
+	n.mu.Lock()
+	held := n.active[node.ID] == node
+	if held {
 		delete(n.active, node.ID)
-		n.mu.Unlock()
+	}
+	n.mu.Unlock()
+	if held {
+		n.World.CloseService(node.Addr, 1080)
 	}
 }
 

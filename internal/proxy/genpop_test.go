@@ -98,3 +98,29 @@ func TestAcquireReleaseKeepsWorldSmall(t *testing.T) {
 		t.Fatal("released node still dialable")
 	}
 }
+
+// TestStaleReleaseKeepsTheNewLease: a release acts once. Called again,
+// after the same index was acquired anew, it leaves the new lease's ledger
+// entry and SOCKS service in place.
+func TestStaleReleaseKeepsTheNewLease(t *testing.T) {
+	w := newWorld()
+	n := NewNetwork(w, "genrack", superIP)
+	defer n.Shutdown()
+	n.SetGenerator(10, genNode)
+
+	baseline := w.NumListeners()
+	_, first := n.Acquire(3)
+	first()
+	node, second := n.Acquire(3)
+	defer second()
+	first()
+	if got := n.ActiveCount(); got != 1 {
+		t.Fatalf("ActiveCount = %d after a stale release, want 1", got)
+	}
+	if got := w.NumListeners(); got != baseline+1 {
+		t.Fatalf("listeners = %d after a stale release, want %d", got, baseline+1)
+	}
+	if _, err := n.RemainingUptime(node.ID); err != nil {
+		t.Fatalf("the new lease's node is gone after a stale release: %v", err)
+	}
+}

@@ -360,7 +360,6 @@ type metricSet struct {
 	errTotal  *obs.Counter
 	hard      *obs.Counter
 	inflight  *obs.Gauge
-	latency   *obs.Sketch
 	setup     *obs.Sketch
 }
 
@@ -380,7 +379,6 @@ func (t *Transport) metricsFor(ctx context.Context) metricSet {
 			errTotal:  m.Counter("resolver_exchanges_total", "proto", t.label, "outcome", "error"),
 			hard:      m.Counter("resolver_hard_failures_total", "proto", t.label),
 			inflight:  m.VolatileGauge("resolver_inflight", "proto", t.label),
-			latency:   m.Sketch("resolver_exchange_latency", "proto", t.label),
 			setup:     m.Sketch("resolver_setup_latency", "proto", t.label),
 		}
 	}
@@ -428,7 +426,6 @@ func (t *Transport) Exchange(ctx context.Context, msg *dnswire.Message) (*dnswir
 			total := cost + penalty
 			t.last.Store(int64(total))
 			mc.okTotal.Add(1)
-			mc.latency.Observe(total)
 			obs.Charge(ctx, total)
 			sp.SetInt("attempts", int64(attempt))
 			return resp, nil

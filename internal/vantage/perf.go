@@ -128,8 +128,7 @@ func (p *Platform) retryLatencies(ctx context.Context, leg Leg, measure func(ctx
 		if err == nil {
 			sp.SetInt("attempts", int64(attempt))
 			sp.SetInt("queries", int64(len(lat)))
-			sk := obs.Metrics(ctx).Sketch("vantage_query_latency_sketch",
-				"mode", string(leg.Mode), "proto", Label(leg.Proto))
+			sk := p.inst.queryLatency(obs.Metrics(ctx), leg)
 			for _, l := range lat {
 				sk.Observe(time.Duration(l * float64(time.Millisecond)))
 			}

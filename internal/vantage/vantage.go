@@ -139,17 +139,20 @@ type Platform struct {
 	// many queries in flight, reported as amortized per-query latency.
 	MuxInFlight int
 
-	seq atomic.Uint64
+	seq  atomic.Uint64
+	inst instruments
 }
 
 // UniqueName returns a fresh uniquely-prefixed probe name,
-// "u<n>-<tag>.<ProbeZone>", with tag lowercased and every other rune
-// outside [a-z0-9-] made '-'. It allocates once, for the name.
+// "u<n>-<tag>.<ProbeZone>.", with tag lowercased and every other rune
+// outside [a-z0-9-] made '-'. The trailing dot makes the name canonical
+// for a lower-case ProbeZone, so dnswire.CanonicalName returns it as is.
+// It allocates once, for the name.
 func (p *Platform) UniqueName(tag string) string {
 	var num [20]byte
 	seq := strconv.AppendUint(num[:0], p.seq.Add(1), 10)
 	var b strings.Builder
-	b.Grow(1 + len(seq) + 1 + utf8.RuneCountInString(tag) + 1 + len(p.ProbeZone))
+	b.Grow(1 + len(seq) + 1 + utf8.RuneCountInString(tag) + 1 + len(p.ProbeZone) + 1)
 	b.WriteByte('u')
 	b.Write(seq)
 	b.WriteByte('-')
@@ -165,6 +168,9 @@ func (p *Platform) UniqueName(tag string) string {
 	}
 	b.WriteByte('.')
 	b.WriteString(p.ProbeZone)
+	if !strings.HasSuffix(p.ProbeZone, ".") {
+		b.WriteByte('.')
+	}
 	return b.String()
 }
 
@@ -211,12 +217,10 @@ func (p *Platform) lookup(ctx context.Context, node proxy.ExitNode, tgt Target, 
 	if r.Err != "" {
 		sp.SetAttr("err", r.Err)
 	}
-	if m := obs.Metrics(ctx); m != nil {
-		m.Counter("vantage_lookups_total",
-			"resolver", tgt.Name, "proto", Label(proto), "outcome", r.Outcome.String()).Add(1)
-		if r.Intercepted {
-			m.Counter("vantage_intercepted_total", "resolver", tgt.Name).Add(1)
-		}
+	m := obs.Metrics(ctx)
+	p.inst.lookup(m, lookupKey{tgt.Name, proto, r.Outcome}).Add(1)
+	if r.Intercepted {
+		p.inst.interception(m, tgt.Name).Add(1)
 	}
 	return r
 }
@@ -314,9 +318,7 @@ func (p *Platform) open(ctx context.Context, node proxy.ExitNode, tgt Target, pr
 	}
 	dctx, _ := obs.Start(ctx, "dial")
 	obs.Charge(dctx, sess.SetupLatency())
-	if m := obs.Metrics(ctx); m != nil {
-		m.Sketch("vantage_setup_latency", "proto", Label(proto)).Observe(sess.SetupLatency())
-	}
+	p.inst.setupLatency(obs.Metrics(ctx), proto).Observe(sess.SetupLatency())
 	return sess, nil
 }
 

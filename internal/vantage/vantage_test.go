@@ -12,6 +12,7 @@ import (
 
 	"dnsencryption.info/doe/internal/certs"
 	"dnsencryption.info/doe/internal/dnsserver"
+	"dnsencryption.info/doe/internal/dnswire"
 	"dnsencryption.info/doe/internal/doh"
 	"dnsencryption.info/doe/internal/doq"
 	"dnsencryption.info/doe/internal/dot"
@@ -539,7 +540,7 @@ func TestUniqueNamesAreUnique(t *testing.T) {
 		if seen[n] {
 			t.Fatalf("duplicate name %q", n)
 		}
-		if strings.ContainsAny(n, "_ABCDEFGHIJKLMNOPQRSTUVWXYZ") {
+		if strings.ContainsAny(n, "_ABCDEFGHIJKLMNOPQRSTUVWXYZ") || dnswire.CanonicalName(n) != n {
 			t.Fatalf("name %q not canonical", n)
 		}
 		seen[n] = true
